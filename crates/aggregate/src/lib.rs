@@ -39,19 +39,16 @@ mod signsgd;
 
 pub use auror::Auror;
 pub use bulyan::Bulyan;
+pub use byz_kernel::{bits_eq, gradient_fingerprint, FingerprintFold};
 pub use geomed::GeometricMedian;
 pub use krum::{Krum, MultiKrum};
 pub use majority::{majority_vote, MajorityOutcome};
 pub use median::{CoordinateMedian, Mean, MedianOfMeans, TrimmedMean};
 pub use quorum::{
-    aggregate_winners, bitwise_eq, gradient_fingerprint, quorum_vote, quorum_vote_all_audited,
-    quorum_vote_audited, FingerprintFold, Provenance, QuorumConfig, QuorumError, QuorumOutcome,
-    ReplicaVerdict, VoteAudit, VoteInput,
+    aggregate_winners, quorum_vote, quorum_vote_all_audited, quorum_vote_audited, Provenance,
+    QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit, VoteInput,
 };
-pub use sharded::{
-    fold_shard_votes, num_shards, quorum_vote_all_sharded_audited, quorum_vote_sharded_audited,
-    quorum_vote_some_sharded_audited, shard_span,
-};
+pub use sharded::{fold_shard_votes, num_shards, quorum_vote_sharded_audited, shard_span};
 pub use signsgd::SignSgdMajority;
 
 use std::fmt;

@@ -1,6 +1,7 @@
 //! Exact-equality majority vote over gradient replicas (paper Eq. 3).
 
-use crate::{check_input, gradient_fingerprint, AggregationError, ReplicaVerdict, VoteAudit};
+use crate::quorum::vote_sorted;
+use crate::{check_input, AggregationError, VoteAudit};
 
 /// Outcome of a majority vote across the `r` replicas of one file.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,91 +23,29 @@ pub struct MajorityOutcome {
 /// Majority vote with *exact* equality semantics (the paper ensures all
 /// honest replicas of a file return bit-identical gradients, Section 2).
 ///
-/// Runs the Boyer–Moore MJRTY scan (the paper's Appendix A.1 cites
-/// Boyer & Moore 1991 for linear-time voting) to find the only possible
-/// strict-majority candidate in `O(n·d)`, then verifies its count. If no
-/// strict majority exists, falls back to plurality by exhaustive pairwise
-/// counting (ties broken by first appearance, matching "picks out the
-/// gradient that appears the maximum number of times").
+/// Runs the same fused kernel as [`quorum_vote`](crate::quorum_vote),
+/// with replica indices standing in for worker ids: one blocked pass in
+/// which each replica is compared only against the first member of the
+/// group it still belongs to, so the vote is linear in `n·d` (the
+/// property the paper's Appendix A.1 cites Boyer & Moore 1991 for) and
+/// the per-replica verdicts come from that same pass. Without a strict
+/// majority the plurality wins, ties broken by first appearance
+/// ("picks out the gradient that appears the maximum number of times").
 ///
 /// # Errors
 ///
 /// Returns [`AggregationError`] on empty or ragged input.
 pub fn majority_vote(replicas: &[Vec<f32>]) -> Result<MajorityOutcome, AggregationError> {
     check_input(replicas)?;
-    let n = replicas.len();
-
-    // Boyer–Moore MJRTY pass.
-    let mut candidate = 0usize;
-    let mut count = 0usize;
-    for (i, r) in replicas.iter().enumerate() {
-        if count == 0 {
-            candidate = i;
-            count = 1;
-        } else if bitwise_eq(r, &replicas[candidate]) {
-            count += 1;
-        } else {
-            count -= 1;
-        }
-    }
-    // Verify the candidate.
-    let votes = replicas
-        .iter()
-        .filter(|r| bitwise_eq(r, &replicas[candidate]))
-        .count();
-    if votes * 2 > n {
-        return Ok(MajorityOutcome {
-            value: replicas[candidate].clone(),
-            votes,
-            is_strict: true,
-            audit: audit_against(replicas, candidate),
-        });
-    }
-
-    // No strict majority: plurality fallback.
-    let mut best_idx = 0usize;
-    let mut best_votes = 0usize;
-    for i in 0..n {
-        let v = replicas
-            .iter()
-            .filter(|r| bitwise_eq(r, &replicas[i]))
-            .count();
-        if v > best_votes {
-            best_votes = v;
-            best_idx = i;
-        }
-    }
+    let indices: Vec<usize> = (0..replicas.len()).collect();
+    let slices: Vec<&[f32]> = replicas.iter().map(Vec::as_slice).collect();
+    let vote = vote_sorted(&indices, &slices, replicas.len());
     Ok(MajorityOutcome {
-        value: replicas[best_idx].clone(),
-        votes: best_votes,
-        is_strict: best_votes * 2 > n,
-        audit: audit_against(replicas, best_idx),
+        value: vote.value,
+        votes: vote.votes,
+        is_strict: vote.is_strict,
+        audit: vote.audit,
     })
-}
-
-/// Per-replica-index verdicts against the winning replica.
-fn audit_against(replicas: &[Vec<f32>], winner: usize) -> VoteAudit {
-    VoteAudit {
-        replicas: replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let verdict = if bitwise_eq(r, &replicas[winner]) {
-                    ReplicaVerdict::Agreed
-                } else {
-                    ReplicaVerdict::Disagreed
-                };
-                (i, verdict)
-            })
-            .collect(),
-        winner_hash: gradient_fingerprint(&replicas[winner]),
-    }
-}
-
-/// Bit-exact equality, treating NaNs with equal bit patterns as equal so a
-/// Byzantine NaN payload cannot sabotage the comparison logic.
-fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 //!   any [`Aggregator`].
 
 use crate::{AggregationError, Aggregator};
+use byz_kernel::{bits_eq, FingerprintFold};
 use std::fmt;
 
 /// What one expected replica did in a vote.
@@ -47,8 +48,9 @@ pub struct VoteAudit {
     /// [`quorum_vote_audited`]) extends it with the expected holders
     /// that never delivered.
     pub replicas: Vec<(usize, ReplicaVerdict)>,
-    /// FNV-1a hash of the winning gradient's bit pattern — lets two
-    /// audits of the same file be compared without carrying the payload.
+    /// [`gradient_fingerprint`](crate::gradient_fingerprint) of the
+    /// winning gradient's bit pattern — lets two audits of the same file
+    /// be compared without carrying the payload.
     pub winner_hash: u64,
 }
 
@@ -85,54 +87,6 @@ impl VoteAudit {
         }
         self.replicas.sort_by_key(|(w, _)| *w);
     }
-}
-
-/// Resumable FNV-1a over f32 bit patterns: the streaming form of
-/// [`gradient_fingerprint`]. Because FNV is a sequential left fold over
-/// the byte stream, feeding a gradient's coordinate ranges shard by
-/// shard (in ascending range order) produces **bit-identically** the
-/// whole-vector fingerprint — the determinism argument that lets sharded
-/// votes emit the same [`VoteAudit::winner_hash`] as unsharded ones
-/// without ever materializing the full vector.
-#[derive(Debug, Clone)]
-pub struct FingerprintFold(u64);
-
-impl Default for FingerprintFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FingerprintFold {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        FingerprintFold(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds the next coordinate range into the running hash.
-    pub fn update(&mut self, shard: &[f32]) {
-        let mut hash = self.0;
-        for &g in shard {
-            for b in g.to_bits().to_le_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-        self.0 = hash;
-    }
-
-    /// The fingerprint of everything folded so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a over a gradient's f32 bit patterns (little-endian) — the
-/// winning-group identity carried by [`VoteAudit::winner_hash`].
-pub fn gradient_fingerprint(gradient: &[f32]) -> u64 {
-    let mut fold = FingerprintFold::new();
-    fold.update(gradient);
-    fold.finish()
 }
 
 /// Minimum-quorum and retry policy for degraded rounds.
@@ -276,13 +230,24 @@ pub fn quorum_vote<G: AsRef<[f32]>>(
     q_min: usize,
     expected: usize,
 ) -> Result<QuorumOutcome, QuorumError> {
+    let (workers, slices) = sorted_replicas(replicas, q_min)?;
+    Ok(vote_sorted(&workers, &slices, expected))
+}
+
+/// The gate every vote applies — at least one and at least `q_min`
+/// replicas, all of one dimension — and the deterministic scan order:
+/// the replicas' workers and payloads in ascending worker order,
+/// whatever order they arrived in.
+pub(crate) fn sorted_replicas<G: AsRef<[f32]>>(
+    replicas: &[(usize, G)],
+    q_min: usize,
+) -> Result<(Vec<usize>, Vec<&[f32]>), QuorumError> {
     if replicas.is_empty() {
         return Err(QuorumError::NoReplicas);
     }
-    let received = replicas.len();
-    if received < q_min {
+    if replicas.len() < q_min {
         return Err(QuorumError::QuorumNotMet {
-            got: received,
+            got: replicas.len(),
             needed: q_min,
         });
     }
@@ -293,70 +258,116 @@ pub fn quorum_vote<G: AsRef<[f32]>>(
             got: bad.as_ref().len(),
         });
     }
+    let mut order: Vec<&(usize, G)> = replicas.iter().collect();
+    order.sort_by_key(|(w, _)| *w);
+    Ok(order.iter().map(|(w, g)| (*w, g.as_ref())).unzip())
+}
 
-    // Deterministic order regardless of arrival order.
-    let mut order: Vec<usize> = (0..received).collect();
-    order.sort_by_key(|&i| replicas[i].0);
+/// Coordinates per block of the fused vote. A block of every replica
+/// (`r` × 16 KiB) stays cache-resident while it is compared, hashed and
+/// copied, so the vote streams each replica from memory once.
+const VOTE_BLOCK: usize = 4096;
 
-    // Group by bit-exact value; representatives keep ascending worker
-    // order, so a group's representative worker is its smallest id.
-    let mut groups: Vec<(usize, usize)> = Vec::new(); // (rep index, votes)
-    for &i in &order {
-        match groups
-            .iter_mut()
-            .find(|(rep, _)| bitwise_eq(replicas[*rep].1.as_ref(), replicas[i].1.as_ref()))
-        {
-            Some((_, votes)) => *votes += 1,
-            None => groups.push((i, 1)),
+/// The fused exact-equality vote over equal-length replicas in ascending
+/// worker order — the one kernel behind [`quorum_vote`] and
+/// [`majority_vote`](crate::majority_vote).
+///
+/// One blocked pass refines the partition of the replicas into
+/// bit-equality groups: within a block a replica is compared only
+/// against the first members of groups that share its whole prefix (one
+/// `memcmp` per replica while the vote is unanimous; a replica alone in
+/// its group is never read again). Votes, tie-break and verdicts all
+/// fall out of the final partition, so nothing is compared twice. The
+/// smallest worker's group wins every unanimous vote and every tie, so
+/// its blocks are hashed and copied out while they are still hot; only
+/// when a later group outvotes it is the winner re-read.
+pub(crate) fn vote_sorted(
+    workers: &[usize],
+    replicas: &[&[f32]],
+    expected: usize,
+) -> QuorumOutcome {
+    let n = replicas.len();
+    let d = replicas[0].len();
+    // rep[j]: position of the first replica equal to the `j`-th so far.
+    let mut rep = vec![0usize; n];
+    let mut prev = rep.clone();
+    let mut value = Vec::with_capacity(d);
+    let mut fold = FingerprintFold::new();
+    for start in (0..d).step_by(VOTE_BLOCK) {
+        let block = |j: usize| &replicas[j][start..(start + VOTE_BLOCK).min(d)];
+        prev.copy_from_slice(&rep);
+        for j in 1..n {
+            if prev[j] != j {
+                rep[j] = (0..j)
+                    .find(|&k| rep[k] == k && prev[k] == prev[j] && bits_eq(block(k), block(j)))
+                    .unwrap_or(j);
+            }
         }
+        fold.update(block(0));
+        value.extend_from_slice(block(0));
     }
+    let winner = first_maximal_group(&rep);
+    if winner != 0 {
+        value.clear();
+        value.extend_from_slice(replicas[winner]);
+        fold = FingerprintFold::new();
+        fold.update(replicas[winner]);
+    }
+    settle(workers, &rep, winner, expected, value, fold.finish())
+}
 
-    // Max votes; ties resolve to the earliest group. Groups appear in
-    // ascending order of their smallest supporting worker id (they were
-    // built from the sorted scan), so "first maximal group" IS the
-    // deterministic break-ties-by-worker-id rule, and each group's
-    // representative is its smallest supporter.
-    let (mut winner_rep, mut votes) = groups[0];
-    for &(rep, v) in &groups[1..] {
-        if v > votes {
-            winner_rep = rep;
-            votes = v;
+/// The winning group of a partition. `rep[j]` is the position of the
+/// first replica equal to the `j`-th in ascending worker order, so
+/// groups are met in order of their smallest supporter and the *first*
+/// maximal one is the deterministic break-ties-by-worker-id winner.
+pub(crate) fn first_maximal_group(rep: &[usize]) -> usize {
+    let mut votes = vec![0usize; rep.len()];
+    for &g in rep {
+        votes[g] += 1;
+    }
+    (1..rep.len()).fold(0, |best, g| if votes[g] > votes[best] { g } else { best })
+}
+
+/// Builds the outcome around a settled winner. The audit preserves what
+/// a plain vote throws away — the losers — read straight off the
+/// partition, in ascending worker order.
+pub(crate) fn settle(
+    workers: &[usize],
+    rep: &[usize],
+    winner: usize,
+    expected: usize,
+    value: Vec<f32>,
+    winner_hash: u64,
+) -> QuorumOutcome {
+    let received = workers.len();
+    let votes = rep.iter().filter(|&&g| g == winner).count();
+    let verdict = |g: usize| {
+        if g == winner {
+            ReplicaVerdict::Agreed
+        } else {
+            ReplicaVerdict::Disagreed
         }
-    }
-    let winner_worker = replicas[winner_rep].0;
-
-    // The audit preserves what the vote used to throw away: the losers.
-    // Entries follow the sorted scan, so they are in ascending worker
-    // order, independent of arrival order.
-    let audit = VoteAudit {
-        replicas: order
-            .iter()
-            .map(|&i| {
-                let verdict = if bitwise_eq(replicas[i].1.as_ref(), replicas[winner_rep].1.as_ref())
-                {
-                    ReplicaVerdict::Agreed
-                } else {
-                    ReplicaVerdict::Disagreed
-                };
-                (replicas[i].0, verdict)
-            })
-            .collect(),
-        winner_hash: gradient_fingerprint(replicas[winner_rep].1.as_ref()),
     };
-
-    Ok(QuorumOutcome {
-        value: replicas[winner_rep].1.as_ref().to_vec(),
+    QuorumOutcome {
+        value,
         votes,
         received,
-        winner_worker,
+        winner_worker: workers[winner],
         is_strict: votes * 2 > received,
         provenance: if received >= expected {
             Provenance::Full
         } else {
             Provenance::Degraded { received, expected }
         },
-        audit,
-    })
+        audit: VoteAudit {
+            replicas: workers
+                .iter()
+                .zip(rep)
+                .map(|(&w, &g)| (w, verdict(g)))
+                .collect(),
+            winner_hash,
+        },
+    }
 }
 
 /// [`quorum_vote`] against the file's full expected holder set: the
@@ -419,10 +430,8 @@ where
 ///
 /// Degraded rounds produce winners backed by fewer replicas; the
 /// aggregation rule itself is provenance-agnostic (it sees one vector per
-/// surviving file), so this helper simply projects the values out — but
-/// it is the single call site through which both transports feed
-/// partial-round winners into an [`Aggregator`], keeping the degradation
-/// policy in one place.
+/// surviving file), so this helper simply moves the winners' values out
+/// of their outcomes — no payload is copied — and hands them to the rule.
 ///
 /// # Errors
 ///
@@ -430,27 +439,126 @@ where
 /// when every file of the round was abandoned).
 pub fn aggregate_winners(
     aggregator: &dyn Aggregator,
-    winners: &[QuorumOutcome],
+    winners: Vec<QuorumOutcome>,
 ) -> Result<Vec<f32>, AggregationError> {
-    let values: Vec<Vec<f32>> = winners.iter().map(|w| w.value.clone()).collect();
+    let values: Vec<Vec<f32>> = winners.into_iter().map(|w| w.value).collect();
     aggregator.aggregate(&values)
-}
-
-/// Bit-pattern equality of two gradients — the replica-grouping
-/// predicate of the vote (NaN payloads, signed zeros and denormals all
-/// compare by their exact bits, never by float semantics).
-pub fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoordinateMedian;
+    use crate::{gradient_fingerprint, CoordinateMedian};
     use proptest::prelude::*;
 
     fn pairs(ids: &[usize], grads: &[Vec<f32>]) -> Vec<(usize, Vec<f32>)> {
         ids.iter().copied().zip(grads.iter().cloned()).collect()
+    }
+
+    /// The vote as the paper states it, with no blocking, no fusion and
+    /// no shared kernel: sort by worker id, compare replicas pairwise
+    /// coordinate by coordinate, keep the first maximal group, then
+    /// compare everyone against the winner again for the verdicts.
+    fn reference_vote(replicas: &[(usize, Vec<f32>)], expected_workers: &[usize]) -> QuorumOutcome {
+        let mut sorted: Vec<&(usize, Vec<f32>)> = replicas.iter().collect();
+        sorted.sort_by_key(|(w, _)| *w);
+        let same = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let support = |i: usize| sorted.iter().filter(|(_, g)| same(g, &sorted[i].1)).count();
+        let mut winner = 0;
+        for i in 1..sorted.len() {
+            if support(i) > support(winner) {
+                winner = i;
+            }
+        }
+        let (winner_worker, value) = sorted[winner].clone();
+        let mut verdicts: Vec<(usize, ReplicaVerdict)> = sorted
+            .iter()
+            .map(|(w, g)| {
+                let agreed = same(g, &value);
+                (
+                    *w,
+                    if agreed {
+                        ReplicaVerdict::Agreed
+                    } else {
+                        ReplicaVerdict::Disagreed
+                    },
+                )
+            })
+            .collect();
+        for w in expected_workers {
+            if !sorted.iter().any(|(arrived, _)| arrived == w) {
+                verdicts.push((*w, ReplicaVerdict::Absent));
+            }
+        }
+        verdicts.sort_by_key(|(w, _)| *w);
+        let (received, expected) = (sorted.len(), expected_workers.len());
+        QuorumOutcome {
+            votes: support(winner),
+            received,
+            winner_worker,
+            is_strict: support(winner) * 2 > received,
+            provenance: if received >= expected {
+                Provenance::Full
+            } else {
+                Provenance::Degraded { received, expected }
+            },
+            audit: VoteAudit {
+                replicas: verdicts,
+                winner_hash: gradient_fingerprint(&value),
+            },
+            value,
+        }
+    }
+
+    /// An outcome with its payload as bit patterns, so that NaN winners
+    /// compare equal to themselves.
+    fn by_bits(mut outcome: QuorumOutcome) -> (Vec<u32>, QuorumOutcome) {
+        let value = std::mem::take(&mut outcome.value);
+        (value.iter().map(|v| v.to_bits()).collect(), outcome)
+    }
+
+    /// `r` replicas of a `d`-vector of arbitrary bit patterns (NaN
+    /// payloads included), each carrying one of a few dissents picked by
+    /// a digit of `dissent` — first coordinate only, last coordinate
+    /// only, the sign of a zero, a NaN payload bit, one interior
+    /// coordinate — so equal dissenters form groups; then shuffled into
+    /// an arbitrary arrival order.
+    fn dissenting_replicas(
+        ids: &[usize],
+        bits: &[u32],
+        dissent: u64,
+        at: usize,
+        shuffle: u64,
+    ) -> Vec<(usize, Vec<f32>)> {
+        let d = bits.len();
+        let mut replicas: Vec<(usize, Vec<f32>)> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let mut g = bits.to_vec();
+                if d > 0 {
+                    match dissent / 6u64.pow(i as u32) % 6 {
+                        0 => {}
+                        1 => g[0] ^= 1,
+                        2 => g[d - 1] ^= 1 << 31,
+                        3 => g[at % d] = (-0.0f32).to_bits(),
+                        4 => g[at % d] = f32::NAN.to_bits() ^ 1,
+                        _ => g[at % d] ^= 0x10,
+                    }
+                }
+                (w, g.into_iter().map(f32::from_bits).collect())
+            })
+            .collect();
+        let mut state = shuffle | 1;
+        for i in (1..replicas.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            replicas.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        replicas
     }
 
     #[test]
@@ -600,10 +708,10 @@ mod tests {
                 audit: VoteAudit::default(),
             },
         ];
-        let agg = aggregate_winners(&CoordinateMedian, &winners).unwrap();
+        let agg = aggregate_winners(&CoordinateMedian, winners).unwrap();
         assert_eq!(agg, vec![2.0, 20.0]);
         assert_eq!(
-            aggregate_winners(&CoordinateMedian, &[]).unwrap_err(),
+            aggregate_winners(&CoordinateMedian, Vec::new()).unwrap_err(),
             AggregationError::Empty
         );
     }
@@ -653,6 +761,56 @@ mod tests {
     }
 
     proptest! {
+        /// The fused vote equals the naive reference — winner, votes,
+        /// tie-break witness, strictness, provenance, every verdict and
+        /// the winner hash — for r in 1..=7, d in 0..=300, NaN payloads,
+        /// +0.0 vs -0.0, dissent in the first or last coordinate only,
+        /// absent holders, and any arrival order.
+        #[test]
+        fn fused_vote_equals_naive_reference(
+            ids in proptest::collection::btree_set(0usize..64, 1..=7),
+            bits in proptest::collection::vec(any::<u32>(), 0..=300),
+            zeros in any::<u64>(),
+            dissent in 0u64..279_936,
+            at in any::<usize>(),
+            shuffle in any::<u64>(),
+        ) {
+            let ids: Vec<usize> = ids.into_iter().collect();
+            // Plant +0.0 coordinates for the sign-of-zero dissent to hit.
+            let bits: Vec<u32> = bits
+                .iter()
+                .enumerate()
+                .map(|(c, &b)| if zeros >> (c % 64) & 1 == 1 { 0 } else { b })
+                .collect();
+            let replicas = dissenting_replicas(&ids, &bits, dissent, at, shuffle);
+            let mut expected_workers = ids.clone();
+            expected_workers.extend([64, 70]);
+            let fused = quorum_vote_audited(&replicas, 1, &expected_workers).unwrap();
+            prop_assert_eq!(by_bits(fused), by_bits(reference_vote(&replicas, &expected_workers)));
+        }
+
+        /// The same equivalence when the replicas span several vote
+        /// blocks and the dissent sits on either side of a block edge:
+        /// groups that split in different blocks must never re-merge.
+        #[test]
+        fn fused_vote_equals_naive_reference_across_blocks(
+            ids in proptest::collection::btree_set(0usize..64, 1..=7),
+            seed in any::<u32>(),
+            tail in 0usize..3,
+            dissent in 0u64..279_936,
+            edge in 1usize..3,
+            side in 0usize..2,
+            shuffle in any::<u64>(),
+        ) {
+            let ids: Vec<usize> = ids.into_iter().collect();
+            let d = 2 * VOTE_BLOCK + tail;
+            let bits: Vec<u32> = (0..d as u32).map(|c| c.wrapping_mul(0x9e37_79b9) ^ seed).collect();
+            let at = edge * VOTE_BLOCK - side;
+            let replicas = dissenting_replicas(&ids, &bits, dissent, at, shuffle);
+            let fused = quorum_vote_audited(&replicas, 1, &ids).unwrap();
+            prop_assert_eq!(by_bits(fused), by_bits(reference_vote(&replicas, &ids)));
+        }
+
         /// For any replica subset of size ≥ q_min with an honest
         /// majority, the degraded vote returns the honest gradient.
         #[test]

@@ -1,9 +1,9 @@
 //! Coordinate-sharded quorum voting.
 //!
-//! [`quorum_vote`](crate::quorum_vote) compares whole `d`-dimensional
-//! replicas; at `d ≫ 1M` the bitwise grouping pass is the PS's
-//! single-threaded bottleneck. This module cuts each replica into
-//! coordinate *shards* and votes shard-wise over the `byz-kernel` pool:
+//! [`quorum_vote`](crate::quorum_vote) walks a file's replicas on one
+//! thread. This module cuts each replica into coordinate *shards* so one
+//! file's vote can be spread over the `byz-kernel` pool, or run as its
+//! chunks arrive (`byz_wire::ShardedFileVoter`):
 //!
 //! 1. per shard, replicas are grouped by bit-exact equality of that
 //!    coordinate range — an embarrassingly parallel pass, since a
@@ -15,19 +15,17 @@
 //!    first maximal group — exactly [`quorum_vote`]'s deterministic
 //!    tie-break — and the winner hash is computed by running
 //!    [`FingerprintFold`] over the winner's shards in ascending range
-//!    order, which equals the whole-vector fingerprint because FNV-1a
-//!    is a sequential byte fold.
+//!    order, which equals the whole-vector fingerprint because the fold
+//!    keys its lanes by absolute coordinate offset.
 //!
 //! The outcome (winner value, votes, provenance, **and the full
 //! [`VoteAudit`](crate::VoteAudit)**) is therefore bit-identical to the
-//! unsharded vote at any `BYZ_KERNEL_THREADS` setting — the invariant
-//! the reputation layer and the chunked wire path
-//! (`byz_wire::ShardedFileVoter`) both build on.
+//! unsharded vote at any shard width and `BYZ_KERNEL_THREADS` setting —
+//! the invariant the reputation layer and the chunked wire path both
+//! build on.
 
-use crate::quorum::{
-    bitwise_eq, FingerprintFold, Provenance, QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit,
-    VoteInput,
-};
+use crate::quorum::{first_maximal_group, settle, sorted_replicas, QuorumError, QuorumOutcome};
+use byz_kernel::{bits_eq, FingerprintFold};
 
 /// Number of shards a `total_len`-dimensional vote is cut into. An
 /// empty gradient still occupies one (empty) shard.
@@ -44,41 +42,28 @@ pub fn shard_span(total_len: usize, shard_len: usize, index: usize) -> (usize, u
 
 /// Assigns per-shard group ids for a run of shards.
 ///
-/// `order` holds replica indices in ascending worker order. `ids` is
-/// the shard-major row block for global shards
-/// `[first_shard, first_shard + ids.len() / order.len())`:
-/// `ids[local_s * n + j]` is the group id of the `j`-th replica (in
-/// `order`) within global shard `first_shard + local_s`. Ids are
-/// assigned in ascending worker order per shard, so they are a pure
-/// function of the replica values — never of thread count or arrival
-/// order.
-fn shard_group_ids<G: AsRef<[f32]>>(
-    replicas: &[(usize, G)],
-    order: &[usize],
-    d: usize,
-    shard_len: usize,
-    first_shard: usize,
-    ids: &mut [u32],
-) {
-    let n = order.len();
-    debug_assert!(ids.len().is_multiple_of(n.max(1)));
+/// `replicas` are in ascending worker order. `ids` is the shard-major
+/// row block for global shards
+/// `[first_shard, first_shard + ids.len() / replicas.len())`:
+/// `ids[local_s * n + j]` is the group id of the `j`-th replica within
+/// global shard `first_shard + local_s`. Ids are assigned in ascending
+/// worker order per shard, so they are a pure function of the replica
+/// values — never of thread count or arrival order.
+fn shard_group_ids(replicas: &[&[f32]], shard_len: usize, first_shard: usize, ids: &mut [u32]) {
+    let n = replicas.len();
+    let d = replicas[0].len();
     for (local_s, slot) in ids.chunks_exact_mut(n).enumerate() {
         let (start, len) = shard_span(d, shard_len, first_shard + local_s);
-        // Group reps are positions in `order`: compare each replica's
-        // shard against the first member of every existing group.
+        let shard = |j: usize| &replicas[j][start..start + len];
+        // Group reps are replica positions: compare each replica's shard
+        // against the first member of every existing group.
         let mut groups: Vec<usize> = Vec::new();
-        for (j, &i) in order.iter().enumerate() {
-            let shard = &replicas[i].1.as_ref()[start..start + len];
-            let found = groups.iter().position(|&rep| {
-                bitwise_eq(&replicas[order[rep]].1.as_ref()[start..start + len], shard)
-            });
-            slot[j] = match found {
-                Some(g) => g as u32,
-                None => {
-                    groups.push(j);
-                    (groups.len() - 1) as u32
-                }
-            };
+        for (j, id) in slot.iter_mut().enumerate() {
+            let found = groups.iter().position(|&rep| bits_eq(shard(rep), shard(j)));
+            *id = found.unwrap_or_else(|| {
+                groups.push(j);
+                groups.len() - 1
+            }) as u32;
         }
     }
 }
@@ -90,131 +75,44 @@ fn shard_group_ids<G: AsRef<[f32]>>(
 /// ascending worker order, its tuple of per-shard group ids, plus a way
 /// to read the winning group's values for one shard, this reproduces
 /// [`quorum_vote`](crate::quorum_vote)'s grouping, tie-break, audit and
-/// fingerprint exactly. `shard_values(s, rep)` must yield the values of
-/// shard `s` for the replica at position `rep`.
-pub fn fold_shard_votes(
+/// fingerprint exactly. `shard_values(s, rep)` lends the values of shard
+/// `s` for the replica at position `rep`; only the winner's are read,
+/// once, straight into the outcome.
+pub fn fold_shard_votes<'a>(
     workers: &[usize],
     keys: &[&[u32]],
     expected_workers: &[usize],
     shards: usize,
-    shard_values: impl Fn(usize, usize) -> Vec<f32>,
+    shard_values: impl Fn(usize, usize) -> &'a [f32],
 ) -> QuorumOutcome {
     debug_assert_eq!(workers.len(), keys.len());
-    let received = workers.len();
-
-    // Group whole replicas by their shard-id tuples. Scanning in
-    // ascending worker order means the first maximal group IS the
-    // smallest-supporting-worker tie-break of the unsharded vote.
-    let mut groups: Vec<(usize, usize)> = Vec::new(); // (rep position, votes)
-    for j in 0..received {
-        match groups.iter_mut().find(|(rep, _)| keys[*rep] == keys[j]) {
-            Some((_, votes)) => *votes += 1,
-            None => groups.push((j, 1)),
-        }
-    }
-    let (mut winner_rep, mut votes) = groups[0];
-    for &(rep, v) in &groups[1..] {
-        if v > votes {
-            winner_rep = rep;
-            votes = v;
-        }
-    }
+    // Group whole replicas by their shard-id tuples.
+    let rep: Vec<usize> = (0..keys.len())
+        .map(|j| (0..j).find(|&k| keys[k] == keys[j]).unwrap_or(j))
+        .collect();
+    let winner = first_maximal_group(&rep);
 
     // Assemble the winner and its fingerprint shard by shard, in
-    // ascending range order — the shard-wise hash fold equals the
-    // whole-vector FNV because the hash is a sequential byte fold.
-    let mut value = Vec::new();
+    // ascending range order.
+    let d: usize = (0..shards).map(|s| shard_values(s, winner).len()).sum();
+    let mut value = Vec::with_capacity(d);
     let mut fold = FingerprintFold::new();
     for s in 0..shards {
-        let shard = shard_values(s, winner_rep);
-        fold.update(&shard);
-        value.extend_from_slice(&shard);
+        let shard = shard_values(s, winner);
+        fold.update(shard);
+        value.extend_from_slice(shard);
     }
 
-    let mut audit = VoteAudit {
-        replicas: (0..received)
-            .map(|j| {
-                let verdict = if keys[j] == keys[winner_rep] {
-                    ReplicaVerdict::Agreed
-                } else {
-                    ReplicaVerdict::Disagreed
-                };
-                (workers[j], verdict)
-            })
-            .collect(),
-        winner_hash: fold.finish(),
-    };
-    audit.mark_absent(expected_workers);
-
-    QuorumOutcome {
+    let mut outcome = settle(
+        workers,
+        &rep,
+        winner,
+        expected_workers.len(),
         value,
-        votes,
-        received,
-        winner_worker: workers[winner_rep],
-        is_strict: votes * 2 > received,
-        provenance: if received >= expected_workers.len() {
-            Provenance::Full
-        } else {
-            Provenance::Degraded {
-                received,
-                expected: expected_workers.len(),
-            }
-        },
-        audit,
-    }
-}
-
-/// Validates replicas and computes the ascending-worker scan order —
-/// the same gate [`quorum_vote`](crate::quorum_vote) applies.
-fn validate<G: AsRef<[f32]>>(
-    replicas: &[(usize, G)],
-    q_min: usize,
-) -> Result<(Vec<usize>, usize), QuorumError> {
-    if replicas.is_empty() {
-        return Err(QuorumError::NoReplicas);
-    }
-    if replicas.len() < q_min {
-        return Err(QuorumError::QuorumNotMet {
-            got: replicas.len(),
-            needed: q_min,
-        });
-    }
-    let d = replicas[0].1.as_ref().len();
-    if let Some((_, bad)) = replicas.iter().find(|(_, g)| g.as_ref().len() != d) {
-        return Err(QuorumError::DimensionMismatch {
-            expected: d,
-            got: bad.as_ref().len(),
-        });
-    }
-    let mut order: Vec<usize> = (0..replicas.len()).collect();
-    order.sort_by_key(|&i| replicas[i].0);
-    Ok((order, d))
-}
-
-/// Gathers the shard-major id matrix into per-replica contiguous keys
-/// and folds the outcome.
-fn sharded_outcome<G: AsRef<[f32]>>(
-    replicas: &[(usize, G)],
-    order: &[usize],
-    d: usize,
-    shard_len: usize,
-    expected_workers: &[usize],
-    ids: &[u32],
-) -> QuorumOutcome {
-    let n = order.len();
-    let shards = num_shards(d, shard_len);
-    let workers: Vec<usize> = order.iter().map(|&i| replicas[i].0).collect();
-    let mut key_storage: Vec<u32> = vec![0; n * shards];
-    for s in 0..shards {
-        for j in 0..n {
-            key_storage[j * shards + s] = ids[s * n + j];
-        }
-    }
-    let keys: Vec<&[u32]> = key_storage.chunks_exact(shards.max(1)).collect();
-    fold_shard_votes(&workers, &keys, expected_workers, shards, |s, winner| {
-        let (start, len) = shard_span(d, shard_len, s);
-        replicas[order[winner]].1.as_ref()[start..start + len].to_vec()
-    })
+        fold.finish(),
+    );
+    outcome.audit.mark_absent(expected_workers);
+    outcome
 }
 
 /// Coordinate-sharded
@@ -235,8 +133,9 @@ pub fn quorum_vote_sharded_audited<G>(
 where
     G: AsRef<[f32]> + Sync,
 {
-    let (order, d) = validate(replicas, q_min)?;
-    let n = order.len();
+    let (workers, slices) = sorted_replicas(replicas, q_min)?;
+    let n = slices.len();
+    let d = slices[0].len();
     let shards = num_shards(d, shard_len);
     let mut ids: Vec<u32> = vec![0; shards * n];
 
@@ -245,126 +144,33 @@ where
     // any thread count.
     let rows_per_chunk = shards.div_ceil(byz_kernel::num_threads().max(1)).max(1);
     byz_kernel::parallel_chunks_mut(&mut ids, rows_per_chunk * n, |start, slot| {
-        shard_group_ids(replicas, &order, d, shard_len, start / n, slot);
+        shard_group_ids(&slices, shard_len, start / n, slot);
     });
 
-    Ok(sharded_outcome(
-        replicas,
-        &order,
-        d,
-        shard_len,
-        expected_workers,
-        &ids,
-    ))
-}
-
-/// Sequential sharded vote (no pool entry) — the per-file body of
-/// [`quorum_vote_all_sharded_audited`].
-fn quorum_vote_sharded_seq<G: AsRef<[f32]>>(
-    replicas: &[(usize, G)],
-    q_min: usize,
-    expected_workers: &[usize],
-    shard_len: usize,
-) -> Result<QuorumOutcome, QuorumError> {
-    let (order, d) = validate(replicas, q_min)?;
-    let shards = num_shards(d, shard_len);
-    let mut ids: Vec<u32> = vec![0; shards * order.len()];
-    shard_group_ids(replicas, &order, d, shard_len, 0, &mut ids);
-    Ok(sharded_outcome(
-        replicas,
-        &order,
-        d,
-        shard_len,
-        expected_workers,
-        &ids,
-    ))
-}
-
-/// Audited sharded votes for every file of a round, run in parallel
-/// over the kernel pool — one task per file, each file's shards grouped
-/// sequentially inside its task (no nested pool entry). Results are
-/// index-aligned with `files` and bit-identical to a sequential
-/// [`quorum_vote_audited`](crate::quorum_vote_audited) loop at any
-/// `BYZ_KERNEL_THREADS`.
-pub fn quorum_vote_all_sharded_audited<G>(
-    files: &[VoteInput<'_, G>],
-    q_min: usize,
-    shard_len: usize,
-) -> Vec<Result<QuorumOutcome, QuorumError>>
-where
-    G: AsRef<[f32]> + Sync,
-{
-    let mut out: Vec<Option<Result<QuorumOutcome, QuorumError>>> = vec![None; files.len()];
-    let chunk = files
-        .len()
-        .div_ceil(byz_kernel::num_threads().max(1))
-        .max(1);
-    byz_kernel::parallel_chunks_mut(&mut out, chunk, |start, slots| {
-        for (offset, slot) in slots.iter_mut().enumerate() {
-            let (replicas, expected_workers) = files[start + offset];
-            *slot = Some(quorum_vote_sharded_seq(
-                replicas,
-                q_min,
-                expected_workers,
-                shard_len,
-            ));
+    // Gather the shard-major id matrix into per-replica contiguous keys.
+    let mut key_storage: Vec<u32> = vec![0; n * shards];
+    for s in 0..shards {
+        for j in 0..n {
+            key_storage[j * shards + s] = ids[s * n + j];
         }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every file slot is written by exactly one chunk"))
-        .collect()
-}
-
-/// Audited sharded votes for a *subset* of a round's files — the
-/// streaming finalize entry point. A pipelined parameter server settles
-/// most files eagerly as their replicas complete and is left, when the
-/// collection window closes, with an arbitrary set of straggler files to
-/// flush in one pass; this votes exactly the files named by `indices`
-/// (indices into `files`), in parallel over the kernel pool, returning
-/// results index-aligned with `indices`.
-///
-/// Each per-file outcome is bit-identical to
-/// [`quorum_vote_audited`](crate::quorum_vote_audited) on that file at
-/// any `BYZ_KERNEL_THREADS` — the subset choice and its ordering affect
-/// only which slots are computed, never their contents.
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds for `files`.
-pub fn quorum_vote_some_sharded_audited<G>(
-    files: &[VoteInput<'_, G>],
-    indices: &[usize],
-    q_min: usize,
-    shard_len: usize,
-) -> Vec<Result<QuorumOutcome, QuorumError>>
-where
-    G: AsRef<[f32]> + Sync,
-{
-    let mut out: Vec<Option<Result<QuorumOutcome, QuorumError>>> = vec![None; indices.len()];
-    let chunk = indices
-        .len()
-        .div_ceil(byz_kernel::num_threads().max(1))
-        .max(1);
-    byz_kernel::parallel_chunks_mut(&mut out, chunk, |start, slots| {
-        for (offset, slot) in slots.iter_mut().enumerate() {
-            let (replicas, expected_workers) = files[indices[start + offset]];
-            *slot = Some(quorum_vote_sharded_seq(
-                replicas,
-                q_min,
-                expected_workers,
-                shard_len,
-            ));
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every subset slot is written by exactly one chunk"))
-        .collect()
+    }
+    let keys: Vec<&[u32]> = key_storage.chunks_exact(shards).collect();
+    Ok(fold_shard_votes(
+        &workers,
+        &keys,
+        expected_workers,
+        shards,
+        |s, winner| {
+            let (start, len) = shard_span(d, shard_len, s);
+            &slices[winner][start..start + len]
+        },
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{quorum_vote_all_audited, quorum_vote_audited};
+    use crate::quorum_vote_audited;
     use proptest::prelude::*;
 
     fn pairs(ids: &[usize], grads: &[Vec<f32>]) -> Vec<(usize, Vec<f32>)> {
@@ -414,67 +220,6 @@ mod tests {
                 got: 1
             }
         );
-    }
-
-    #[test]
-    fn all_files_parallel_matches_sequential_unsharded() {
-        let h = vec![1.0f32, -2.0, 3.5, 0.0, 9.0];
-        let e = vec![7.0f32, 7.0, 7.0, 7.0, 7.0];
-        type OwnedFile = (Vec<(usize, Vec<f32>)>, Vec<usize>);
-        let mut per_file: Vec<OwnedFile> = Vec::new();
-        for f in 0..61usize {
-            let holders = vec![f % 5, f % 5 + 5, f % 5 + 10];
-            let replicas: Vec<(usize, Vec<f32>)> = match f % 4 {
-                0 => holders.iter().map(|&w| (w, h.clone())).collect(),
-                1 => vec![(holders[0], h.clone()), (holders[1], e.clone())],
-                2 => vec![(holders[2], e.clone())],
-                _ => Vec::new(),
-            };
-            per_file.push((replicas, holders));
-        }
-        let files: Vec<VoteInput<'_, Vec<f32>>> = per_file
-            .iter()
-            .map(|(r, w)| (r.as_slice(), w.as_slice()))
-            .collect();
-        let unsharded = quorum_vote_all_audited(&files, 1);
-        for shard_len in [1usize, 2, 5, 100] {
-            assert_eq!(
-                quorum_vote_all_sharded_audited(&files, 1, shard_len),
-                unsharded,
-                "shard_len {shard_len}"
-            );
-        }
-    }
-
-    #[test]
-    fn subset_finalize_matches_full_pass() {
-        let h = vec![1.0f32, -2.0, 3.5, 0.0, 9.0];
-        let e = vec![7.0f32, 7.0, 7.0, 7.0, 7.0];
-        type OwnedFile = (Vec<(usize, Vec<f32>)>, Vec<usize>);
-        let per_file: Vec<OwnedFile> = (0..23usize)
-            .map(|f| {
-                let holders = vec![f % 5, f % 5 + 5, f % 5 + 10];
-                let replicas: Vec<(usize, Vec<f32>)> = match f % 3 {
-                    0 => holders.iter().map(|&w| (w, h.clone())).collect(),
-                    1 => vec![(holders[0], h.clone()), (holders[1], e.clone())],
-                    _ => Vec::new(),
-                };
-                (replicas, holders)
-            })
-            .collect();
-        let files: Vec<VoteInput<'_, Vec<f32>>> = per_file
-            .iter()
-            .map(|(r, w)| (r.as_slice(), w.as_slice()))
-            .collect();
-        let full = quorum_vote_all_sharded_audited(&files, 1, 2);
-        // Scattered, unsorted subset: results stay aligned with `indices`
-        // and equal the full pass slot-for-slot.
-        let indices = [19usize, 0, 7, 22, 3];
-        let subset = quorum_vote_some_sharded_audited(&files, &indices, 1, 2);
-        for (slot, &file) in subset.iter().zip(&indices) {
-            assert_eq!(slot, &full[file], "file {file}");
-        }
-        assert!(quorum_vote_some_sharded_audited(&files, &[], 1, 2).is_empty());
     }
 
     proptest! {

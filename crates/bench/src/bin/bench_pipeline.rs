@@ -327,7 +327,7 @@ fn run_round(
     let digest = outcomes.iter().fold((0u64, 0usize), |(h, v), o| {
         (h.wrapping_add(o.audit.winner_hash), v + o.votes)
     });
-    let update = aggregate_winners(&CoordinateMedian, &outcomes).expect("no file was abandoned");
+    let update = aggregate_winners(&CoordinateMedian, outcomes).expect("no file was abandoned");
     byz_kernel::sgd_momentum_step(params, velocity, &update, 1.0, 0.05, 0.9);
     digest
 }

@@ -41,9 +41,10 @@ pub fn evaluate_accuracy<M: Module>(
 /// equality: honest replicas are bit-identical by construction, so a vote
 /// winner is corrupted iff it differs bitwise from the true file
 /// gradient. Comparing bit patterns (rather than `==`) keeps NaN payloads
-/// from silently comparing unequal to themselves.
+/// from silently comparing unequal to themselves — the vote's own
+/// predicate, so "distorted" and "outvoted" can never disagree.
 pub fn gradients_differ(a: &[f32], b: &[f32]) -> bool {
-    a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits())
+    !byz_aggregate::bits_eq(a, b)
 }
 
 /// Per-dimension mean and standard deviation across a set of gradients —

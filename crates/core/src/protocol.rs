@@ -4,9 +4,8 @@ use crate::{
     evaluate_accuracy, gradients_differ, FileGradientOracle, GradientMoments, InputLayout,
 };
 use byz_aggregate::{
-    quorum_vote_all_audited, quorum_vote_all_sharded_audited, quorum_vote_audited,
-    quorum_vote_sharded_audited, AggregationError, Aggregator, Provenance, QuorumConfig,
-    QuorumError, QuorumOutcome, VoteAudit,
+    quorum_vote_all_audited, quorum_vote_audited, quorum_vote_sharded_audited, AggregationError,
+    Aggregator, Provenance, QuorumConfig, QuorumError, QuorumOutcome, VoteAudit,
 };
 use byz_assign::{Assignment, DynamicAssignment};
 use byz_attack::{AttackContext, AttackVector, ByzantineSelector};
@@ -108,8 +107,9 @@ pub struct TrainingConfig {
     pub reputation: Option<ReputationConfig>,
     /// Gradient wire chunking: when set, replicas travel (conceptually)
     /// as fixed-size coordinate chunks under the given [`ChunkConfig`] —
-    /// the vote runs shard-wise over the kernel pool
-    /// ([`quorum_vote_all_sharded_audited`], shard = chunk), replica
+    /// a file voted on its own runs shard-wise over the kernel pool
+    /// ([`quorum_vote_sharded_audited`], shard = chunk; a whole round's
+    /// files already fill the pool one file per task), replica
     /// payloads pass through the config's compression scheme
     /// ([`apply_scheme`]: identity for dense, seeded top-k or sign
     /// planes otherwise), and the fault plan additionally rolls
@@ -824,9 +824,9 @@ impl<'a, M: Module> Trainer<'a, M> {
                         .enumerate()
                         .map(|(fi, present)| (present.as_slice(), active_graph.workers_of(fi)))
                         .collect();
-                    // Chunked wire: the vote runs shard-wise (shard =
-                    // chunk), folding per-shard group ids — bit-identical
-                    // to the whole-vector vote by construction.
+                    // Chunked wire: a lone file's vote runs shard-wise
+                    // (shard = chunk), folding per-shard group ids —
+                    // bit-identical to the whole-vector vote.
                     let wave0_votes = if self.config.mode == RoundMode::Streaming {
                         // Streaming schedule: each file's vote finalizes
                         // the moment its slowest live replica holder
@@ -860,12 +860,7 @@ impl<'a, M: Module> Trainer<'a, M> {
                         }
                         slots.into_iter().map(Option::unwrap).collect()
                     } else {
-                        match chunking {
-                            Some(cfg) => {
-                                quorum_vote_all_sharded_audited(&vote_inputs, q_min, cfg.span_len())
-                            }
-                            None => quorum_vote_all_audited(&vote_inputs, q_min),
-                        }
+                        quorum_vote_all_audited(&vote_inputs, q_min)
                     };
 
                     // Retry waves stay sequential (they are rare and
@@ -944,7 +939,7 @@ impl<'a, M: Module> Trainer<'a, M> {
                                 file: fi,
                                 lag: file_lag[fi],
                                 distorted: gradients_differ(&vote.value, &honest_grads[fi]),
-                                audit: ledger.is_some().then(|| vote.audit.clone()),
+                                audit: ledger.is_some().then_some(vote.audit),
                                 value: vote.value,
                             });
                         } else {
@@ -973,13 +968,11 @@ impl<'a, M: Module> Trainer<'a, M> {
                         // on-time audits in file order, then due stale
                         // audits in (origin, file) order — mirroring the
                         // operand order below.
-                        for (_, vote) in &on_time {
-                            audits.push(vote.audit.clone());
+                        for (_, vote) in &mut on_time {
+                            audits.push(std::mem::take(&mut vote.audit));
                         }
-                        for stale in &due {
-                            if let Some(audit) = &stale.audit {
-                                audits.push(audit.clone());
-                            }
+                        for stale in &mut due {
+                            audits.extend(stale.audit.take());
                         }
                     }
                     if !plan.is_trivial() || ledger.is_some() {

@@ -26,6 +26,11 @@
 //! * [`update`] — chunk-parallel SGD-with-momentum steps
 //!   ([`sgd_momentum_step`]) so the post-aggregation model update stops
 //!   being a single-threaded walk over every parameter.
+//! * [`bits`] — the exact-equality vote's inner loops: [`bits_eq`]
+//!   (one `memcmp` over the f32 storage) and [`FingerprintFold`], a
+//!   word-wise multi-lane hash whose lanes are keyed by absolute
+//!   coordinate offset, so shard-wise folds equal the whole-vector
+//!   [`gradient_fingerprint`].
 //!
 //! # Determinism contract
 //!
@@ -36,12 +41,14 @@
 //! run to run and across thread counts, preserving the simulator's
 //! reproducibility guarantees.
 
+pub mod bits;
 pub mod buffer;
 pub mod matmul;
 pub mod pool;
 pub mod select;
 pub mod update;
 
+pub use bits::{bits_eq, gradient_fingerprint, FingerprintFold};
 pub use buffer::with_scratch;
 pub use matmul::{matmul, matmul_naive, matmul_transa, matmul_transb};
 pub use pool::{num_threads, parallel_chunks, parallel_chunks_mut};

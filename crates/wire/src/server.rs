@@ -9,9 +9,8 @@ use crate::{
 };
 use bytes::{Bytes, BytesMut};
 use byz_aggregate::{
-    quorum_vote_all_audited, quorum_vote_audited, quorum_vote_some_sharded_audited, Aggregator,
-    CoordinateMedian, Provenance, QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict,
-    VoteAudit,
+    quorum_vote_all_audited, quorum_vote_audited, Aggregator, CoordinateMedian, Provenance,
+    QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit,
 };
 use byz_cluster::{FaultPlan, PhaseTimings};
 use byz_data::{split_batch_into_files, BatchSampler, Dataset};
@@ -213,7 +212,9 @@ pub struct RoundSummary {
     pub iteration: usize,
     /// Files whose majority vote was not strict (diagnostic).
     pub non_strict_votes: usize,
-    /// Frames received by the PS this round.
+    /// Frames received by the PS this round. An in-process run's last
+    /// round also carries the uploads still in flight when it closed
+    /// (see [`MessagePassingCluster::train_run`]).
     pub frames_received: usize,
     /// Bytes received by the PS this round.
     pub bytes_received: usize,
@@ -278,12 +279,6 @@ pub(crate) enum WorkerExit {
     /// reconnect and re-enter the loop.
     LinkClosed,
 }
-
-/// Shard length for the streaming flush's sharded subset-finalize pass.
-/// Any value yields bit-identical votes (the sharded fold is pinned
-/// equal to the unsharded one); this only sizes the pool parallelism of
-/// the flush.
-const STREAM_FLUSH_SHARD_LEN: usize = 4096;
 
 /// How long an idle worker waits on its link before re-checking for a
 /// broadcast. Purely a liveness knob (the loop just waits again): the
@@ -472,6 +467,11 @@ impl MessagePassingCluster {
     /// [`train`](Self::train), returning the full comparable record
     /// (summaries with audits, serialized reputation ledger).
     ///
+    /// Uploads the PS had not dequeued when the last round closed — a
+    /// bounded-staleness straggler it outran — are counted into that
+    /// round's `frames_received` / `bytes_received` once the workers
+    /// have exited, so the run's traffic totals do not depend on timing.
+    ///
     /// # Panics
     ///
     /// Panics if the batch size is not divisible by the file count, or
@@ -490,7 +490,7 @@ impl MessagePassingCluster {
         let (to_ps, from_workers): (Sender<Bytes>, Receiver<Bytes>) = unbounded();
         let mut to_workers: Vec<Sender<Bytes>> = Vec::with_capacity(k);
 
-        crossbeam::thread::scope(|scope| {
+        let mut run = crossbeam::thread::scope(|scope| {
             for worker_id in 0..k {
                 let (tx, rx): (Sender<Bytes>, Receiver<Bytes>) = unbounded();
                 to_workers.push(tx);
@@ -511,7 +511,20 @@ impl MessagePassingCluster {
             }
             result
         })
-        .expect("worker thread panicked")
+        .expect("worker thread panicked");
+
+        // A bounded-staleness PS never waits for a late worker whose
+        // files all made the on-time quorum, so how many of that
+        // worker's (discarded) uploads it dequeued before its last round
+        // closed is a race. They crossed the wire either way, and every
+        // worker has exited by now: what is still queued is the rest.
+        if let Some(last) = run.summaries.last_mut() {
+            while let Ok(frame) = from_workers.try_recv() {
+                last.frames_received += 1;
+                last.bytes_received += frame.len();
+            }
+        }
+        run
     }
 
     /// Builds the per-worker protocol context the worker loop runs on —
@@ -781,8 +794,8 @@ impl MessagePassingCluster {
                     // the entry was dropped, keeping the frame count
                     // deterministic), and each file votes eagerly once
                     // all of its live holders' entries arrived. The
-                    // flush for never-completed files runs through the
-                    // sharded subset-finalize pass; counters and audits
+                    // flush for never-completed files is one pool-parallel
+                    // vote over just those files; counters and audits
                     // fold in ascending file order, bit-identical to the
                     // barrier arm.
                     for buffer in &mut worker_buffers {
@@ -872,8 +885,8 @@ impl MessagePassingCluster {
                     collect_end = Some(Instant::now());
                     missing_entries = expected.saturating_sub(entries_received);
 
-                    // Flush the stragglers' files in one sharded pass
-                    // over the kernel pool, then fold in file order.
+                    // Flush the stragglers' files in one pass over the
+                    // kernel pool, then fold in file order.
                     let vote_start = Instant::now();
                     let pending: Vec<usize> =
                         (0..f).filter(|&file| outcomes[file].is_none()).collect();
@@ -894,13 +907,7 @@ impl MessagePassingCluster {
                                 (replicas.as_slice(), holders[file].as_slice())
                             })
                             .collect();
-                        let indices: Vec<usize> = (0..pending.len()).collect();
-                        let flushed = quorum_vote_some_sharded_audited(
-                            &vote_inputs,
-                            &indices,
-                            config.quorum.q_min,
-                            STREAM_FLUSH_SHARD_LEN,
-                        );
+                        let flushed = quorum_vote_all_audited(&vote_inputs, config.quorum.q_min);
                         for (&file, outcome) in pending.iter().zip(flushed) {
                             outcomes[file] = Some(outcome);
                         }
@@ -997,7 +1004,7 @@ impl MessagePassingCluster {
                             if matches!(outcome.provenance, Provenance::Degraded { .. }) {
                                 degraded_votes += 1;
                             }
-                            audits.push(outcome.audit.clone());
+                            audits.push(outcome.audit);
                             Some(outcome.value)
                         })
                         .collect();
@@ -1103,7 +1110,7 @@ impl MessagePassingCluster {
                             if matches!(outcome.provenance, Provenance::Degraded { .. }) {
                                 degraded_votes += 1;
                             }
-                            audits.push(outcome.audit.clone());
+                            audits.push(outcome.audit);
                             Some(outcome.value)
                         })
                         .collect();
@@ -1306,7 +1313,7 @@ impl MessagePassingCluster {
                                 if matches!(outcome.provenance, Provenance::Degraded { .. }) {
                                     degraded_votes += 1;
                                 }
-                                audits.push(outcome.audit.clone());
+                                audits.push(outcome.audit);
                                 Some(outcome.value)
                             })
                             .collect();
@@ -1502,7 +1509,7 @@ impl MessagePassingCluster {
                                 if matches!(outcome.provenance, Provenance::Degraded { .. }) {
                                     degraded_votes += 1;
                                 }
-                                audits.push(outcome.audit.clone());
+                                audits.push(outcome.audit);
                                 winners.push(Some(outcome.value));
                             }
                             Err(_) => winners.push(None),
@@ -2614,6 +2621,46 @@ mod tests {
         assert!(summaries.iter().all(|s| s.frames_received == 15));
         assert!(summaries.iter().all(|s| s.missing_votes == 0));
         assert!(summaries.iter().all(|s| s.abandoned_files == 0));
+    }
+
+    #[test]
+    fn outrun_straggler_uploads_are_still_counted() {
+        // q_min = 1, so no file defers and the bounded PS never waits for
+        // the straggler: it closes its last round while the straggler is
+        // still sleeping on an earlier one. The run's traffic totals must
+        // still be everything the workers sent — what a barrier PS, which
+        // waits for every frame, counts round by round.
+        let data = dataset();
+        let dims = vec![36usize, 8, 4];
+        let cluster = MessagePassingCluster::new(
+            MolsAssignment::new(5, 3).unwrap().build(),
+            data,
+            dims.clone(),
+        );
+        for wire in [
+            WireFormat::Batched,
+            WireFormat::Chunked(ChunkConfig::dense(64)),
+        ] {
+            let barrier = ServerConfig {
+                wire,
+                ..config(3, vec![])
+            };
+            let bounded = ServerConfig {
+                mode: RoundMode::BoundedStaleness { max_staleness: 1 },
+                faults: FaultPlan::new(0).straggle(2, 4.0),
+                straggler_unit: Duration::from_millis(60),
+                ..barrier.clone()
+            };
+            let (p_barrier, s_barrier) = cluster.train(initial_params(&dims), &barrier);
+            let (p_bounded, s_bounded) = cluster.train(initial_params(&dims), &bounded);
+            assert_eq!(p_bounded, p_barrier, "{wire:?}");
+            let totals = |s: &[RoundSummary]| {
+                s.iter().fold((0, 0), |(frames, bytes), r| {
+                    (frames + r.frames_received, bytes + r.bytes_received)
+                })
+            };
+            assert_eq!(totals(&s_bounded), totals(&s_barrier), "{wire:?}");
+        }
     }
 
     #[test]

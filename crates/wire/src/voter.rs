@@ -20,8 +20,8 @@
 //! * the fold scans complete replicas in ascending worker order and
 //!   keeps the first maximal group — the unsharded tie-break;
 //! * the winner hash chains `FingerprintFold` through the shards in
-//!   ascending range order, which equals the whole-vector FNV because
-//!   the hash is a sequential byte fold.
+//!   ascending range order, which equals the whole-vector fingerprint
+//!   because the fold keys its lanes by absolute coordinate offset.
 //!
 //! Degradation policy: a replica with *any* chunk missing, rejected
 //! (forged geometry, inconsistent fields) or corrupt (checksum failure
@@ -29,7 +29,7 @@
 //! exactly like a dropped replica in the batched path.
 
 use crate::chunk::{chunk_span, num_chunks, GradientChunkView};
-use byz_aggregate::{bitwise_eq, fold_shard_votes, QuorumError, QuorumOutcome};
+use byz_aggregate::{bits_eq, fold_shard_votes, QuorumError, QuorumOutcome};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What [`ShardedFileVoter::ingest`] did with a chunk.
@@ -121,7 +121,7 @@ impl ShardedFileVoter {
         view.densify_into(&mut self.scratch);
         self.peak_scratch = self.peak_scratch.max(self.scratch.len());
         let groups = &mut self.shards[index];
-        let id = match groups.iter().position(|g| bitwise_eq(g, &self.scratch)) {
+        let id = match groups.iter().position(|g| bits_eq(g, &self.scratch)) {
             Some(id) => id as u32,
             None => {
                 groups.push(self.scratch.clone());
@@ -193,7 +193,7 @@ impl ShardedFileVoter {
             &keys,
             expected_workers,
             self.chunks,
-            |s, winner| self.shards[s][keys[winner][s] as usize].clone(),
+            |s, winner| &self.shards[s][keys[winner][s] as usize],
         ))
     }
 }
