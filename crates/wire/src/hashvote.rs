@@ -26,7 +26,12 @@
 //! honest fingerprint must then *deliver a matching payload* (i.e. the
 //! honest gradient) or be caught by the verification step.
 
-use bytes::{Buf, BufMut};
+use crate::round::RoundResult;
+use crate::{Assignment, Message};
+use bytes::{Buf, BufMut, Bytes};
+use byz_aggregate::{ReplicaVerdict, VoteAudit};
+use crossbeam::channel::Sender;
+use std::time::Instant;
 
 /// A 128-bit gradient fingerprint (two independent FNV-1a streams over
 /// the raw little-endian bytes).
@@ -110,6 +115,150 @@ pub fn hash_majority(announcements: &[(usize, Fingerprint)]) -> Option<HashVoteO
 /// Verifies a pulled payload against the winning fingerprint.
 pub fn verify_payload(payload: &[f32], expected: Fingerprint) -> bool {
     Fingerprint::of(payload) == expected
+}
+
+/// The PS side of one vote-on-hash round — its own two-phase protocol,
+/// which ignores the wire format and round mode of the full-gradient
+/// transport: collect fingerprint announces, vote each file's
+/// fingerprints, pull every winner's payload once from one worker that
+/// announced it, and verify it before use. `recv` yields the next
+/// uplink frame until the receive window closes. Returns the round's
+/// result, when the announce window closed, and the nanoseconds spent
+/// voting.
+///
+/// Announces pass the same admission gate as
+/// [`RoundCore::ingest`](crate::RoundCore::ingest): open round, existing
+/// file, sender a live assigned holder of it, first delivery wins — so a
+/// worker can neither stuff a file's fingerprint vote nor name a pull
+/// target that does not exist.
+pub(crate) fn hash_vote_round(
+    t: u64,
+    assignment: &Assignment,
+    quarantined: &[bool],
+    q_min: usize,
+    model_len: usize,
+    recv: &mut dyn FnMut() -> Option<Bytes>,
+    to_workers: &[Sender<Bytes>],
+) -> (RoundResult, Instant, u64) {
+    let f = assignment.num_files();
+    let expected = assignment.num_workers() * assignment.load();
+    let holders: Vec<Vec<usize>> = (0..f)
+        .map(|file| {
+            let assigned = assignment.graph().workers_of(file).iter().copied();
+            assigned.filter(|&w| !quarantined[w]).collect()
+        })
+        .collect();
+
+    // Phase 1: collect fingerprints. Malformed or unexpected frames
+    // degrade, never panic (same policy as the full-gradient transport).
+    let mut announced: Vec<Vec<(usize, Fingerprint)>> = vec![Vec::new(); f];
+    let mut frames = 0;
+    while frames < expected {
+        let Some(frame) = recv() else {
+            break;
+        };
+        frames += 1;
+        let Ok(Message::HashAnnounce {
+            iteration,
+            worker,
+            file,
+            fingerprint,
+        }) = Message::decode(&frame)
+        else {
+            continue;
+        };
+        let (w, file) = (worker as usize, file as usize);
+        if iteration == t
+            && holders.get(file).is_some_and(|live| live.contains(&w))
+            && announced[file].iter().all(|&(seen, _)| seen != w)
+        {
+            announced[file].push((w, fingerprint));
+        }
+    }
+    let collect_end = Instant::now();
+
+    // Phase 2: vote on fingerprints, pull each winner once. The same
+    // quorum floor applies: files that announced fewer than `q_min`
+    // fingerprints are abandoned, and partial announce sets count as
+    // degraded votes.
+    let vote_start = Instant::now();
+    let mut result = RoundResult::default();
+    let mut pulls: Vec<(usize, Fingerprint)> = Vec::new();
+    for (file, announced) in announced.iter_mut().enumerate() {
+        // Ascending worker order, so ties break like the value vote's:
+        // to the group holding the smallest worker id.
+        announced.sort_by_key(|&(w, _)| w);
+        if announced.len() < q_min {
+            continue;
+        }
+        let Some(outcome) = hash_majority(announced) else {
+            continue;
+        };
+        result.non_strict_votes += usize::from(!outcome.is_strict);
+        result.degraded_votes += usize::from(announced.len() < assignment.replication());
+        // Fingerprint votes audit exactly like full votes: announcing a
+        // losing hash is a disagreement, never announcing is an absence.
+        let mut audit = VoteAudit {
+            replicas: announced
+                .iter()
+                .map(|&(w, fp)| {
+                    let verdict = if fp == outcome.winner {
+                        ReplicaVerdict::Agreed
+                    } else {
+                        ReplicaVerdict::Disagreed
+                    };
+                    (w, verdict)
+                })
+                .collect(),
+            winner_hash: outcome.winner.0 ^ outcome.winner.1,
+        };
+        audit.mark_absent(&holders[file]);
+        result.audits.push(audit);
+        let request = Message::PayloadRequest {
+            iteration: t,
+            file: file as u32,
+        };
+        // A dead holder is indistinguishable from a crashed one: the
+        // pull below simply times out.
+        let _ = to_workers[outcome.holders[0]].send(request.encode());
+        pulls.push((file, outcome.winner));
+    }
+    let vote_ns = vote_start.elapsed().as_nanos() as u64;
+
+    let mut winners: Vec<Option<Vec<f32>>> = vec![None; f];
+    for _ in 0..pulls.len() {
+        let Some(frame) = recv() else {
+            break;
+        };
+        frames += 1;
+        let Ok(Message::GradientReturn {
+            iteration,
+            file,
+            gradient,
+            ..
+        }) = Message::decode(&frame)
+        else {
+            continue;
+        };
+        // A payload for a file the PS never pulled is a forged frame —
+        // drop it like any other.
+        let Some(&(file, winner)) = pulls.iter().find(|(pulled, _)| *pulled == file as usize)
+        else {
+            continue;
+        };
+        // Bait-and-switch defense: the payload must hash to the winning
+        // fingerprint — and carry the model's shape (a degraded
+        // single-holder vote can be won by a Byzantine fingerprint of
+        // arbitrary length, which must not reach the median).
+        if iteration == t && gradient.len() == model_len && verify_payload(&gradient, winner) {
+            winners[file] = Some(gradient);
+        }
+    }
+    result.winners = winners.into_iter().flatten().collect();
+    result.abandoned_files = f - result.winners.len();
+    // Frame-level accounting: announces and pulls alike.
+    result.missing_votes = expected.saturating_sub(frames);
+    (result, collect_end, vote_ns)
 }
 
 /// Uplink bytes for the classic full-gradient protocol: `K·l` gradients.

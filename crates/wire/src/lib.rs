@@ -20,6 +20,11 @@
 //!    applies coordinate-wise median over the winners, and updates the
 //!    model.
 //!
+//! The PS side of steps 2–3 is one transport-free state machine,
+//! [`RoundCore`]: every deployment (threads over channels, processes over
+//! TCP) feeds it the frames it receives, and its admission gate is the
+//! only way a payload reaches a vote.
+//!
 //! Every frame carries a checksum; corrupted or truncated frames are
 //! rejected at decode time ([`WireError`]), so transport-level integrity
 //! is distinguished from Byzantine *content* (which is well-formed but
@@ -33,6 +38,7 @@ mod hashvote;
 mod link;
 mod message;
 mod psd;
+mod round;
 mod server;
 mod tcp;
 mod voter;
@@ -59,6 +65,7 @@ pub use message::{
     extend_f32s_le, put_f32s_le, read_f32s_le, Message, WireError, FRAME_HEADER_LEN,
 };
 pub use psd::{run_tcp_joiner, run_tcp_worker, JobResult, JobSpec, PsServer, WorkerSpec};
+pub use round::{Admitted, Reject, RoundCore, RoundResult};
 pub use server::{
     LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, Transport,
     WireFormat, WireTrainingRun,

@@ -1,0 +1,607 @@
+//! The round engine: the PS side of one synchronous round as a
+//! transport-free state machine —
+//! `begin(t, quarantined)` → `ingest(frame)` while `wants_more()` →
+//! `close()` → [`RoundResult`].
+//!
+//! [`RoundCore`] owns everything a round decides on — the live holder
+//! set of every file, the replica store, the per-file outcome slots, the
+//! bounded-staleness backlog and the canonical fold of counters and
+//! audits — and knows nothing about where frames come from: the channel
+//! PS, the TCP PS and the pipeline bench all drive this one type. The
+//! three [`RoundMode`]s are one private `ClosePolicy`, the two
+//! [`WireFormat`]s two replica stores the policy never looks inside.
+//! [`RoundCore::ingest`] is the only way a payload reaches a vote, so its
+//! admission gate is the one place that enforces what the paper's
+//! guarantee needs: **at most one replica per assigned holder in every
+//! file's vote**.
+
+use crate::batch::{decode_gradient_batch, BatchEntry};
+use crate::chunk::{decode_gradient_chunk, num_chunks, GradientChunkView};
+use crate::server::{RoundMode, ServerConfig, WireFormat};
+use crate::voter::{ChunkIngest, ShardedFileVoter};
+use crate::Assignment;
+use bytes::Bytes;
+use byz_aggregate::{
+    quorum_vote_all_audited, Provenance, QuorumError, QuorumOutcome, VoteAudit, VoteInput,
+};
+use byz_cluster::FaultPlan;
+use std::ops::Range;
+use std::time::Instant;
+
+/// Why the admission gate refused a frame, or one entry of a batch frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reject {
+    /// Bad checksum or framing, or not the job's gradient frame kind.
+    Malformed,
+    /// The sender id is not a worker slot (`worker ≥ K`).
+    UnknownWorker,
+    /// The file id is not a file of the job (`file ≥ f`).
+    UnknownFile,
+    /// Not a frame of the open round, and no parked file expects it.
+    WrongRound,
+    /// A straggler's replica of a file whose vote closes without it.
+    Late,
+    /// The sender is quarantined.
+    Quarantined,
+    /// The sender is not an assigned holder of the file.
+    NotHolder,
+    /// Already delivered by this sender: the first delivery wins.
+    Duplicate,
+    /// Not the model's shape (entry length, chunk geometry).
+    Shape,
+}
+
+/// What the gate let through from one well-formed frame.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Admitted {
+    /// Batch entries or chunks that joined a vote.
+    pub accepted: usize,
+    /// Batch entries the gate refused, as `(file, reason)`.
+    pub refused: Vec<(u32, Reject)>,
+}
+
+/// What a closed round hands its driver: a function of the *set* of
+/// frames ingested, never of their arrival order or of when votes ran.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoundResult {
+    /// This round's winners in ascending file order, then the stale
+    /// winners due now in (origin round, file) order, discounted by
+    /// `1/(1 + lag)`.
+    pub winners: Vec<Vec<f32>>,
+    /// One audit per vote that elected a winner, in the same order.
+    pub audits: Vec<VoteAudit>,
+    /// Votes won without a strict majority.
+    pub non_strict_votes: usize,
+    /// Votes over a partial replica set.
+    pub degraded_votes: usize,
+    /// Replica votes that never arrived.
+    pub missing_votes: usize,
+    /// Files that produced no winner (below `q_min`), stale ones included.
+    pub abandoned_files: usize,
+    /// Files parked this round for a later fold.
+    pub deferred_files: usize,
+    /// Stale winners folded into this round.
+    pub stale_folded: usize,
+}
+
+impl RoundResult {
+    fn fold(&mut self, outcome: QuorumOutcome, discount: Option<f32>) {
+        self.non_strict_votes += usize::from(!outcome.is_strict);
+        self.degraded_votes +=
+            usize::from(matches!(outcome.provenance, Provenance::Degraded { .. }));
+        self.audits.push(outcome.audit);
+        let mut value = outcome.value;
+        if let Some(discount) = discount {
+            value.iter_mut().for_each(|v| *v *= discount);
+        }
+        self.winners.push(value);
+    }
+}
+
+/// When a file's vote may close.
+#[derive(Debug, Clone, Copy)]
+struct ClosePolicy {
+    /// Vote a file in the window, once its last live holder delivered.
+    eager_finalize: bool,
+    /// Rounds a straggler's replica may trail its origin.
+    max_staleness: u64,
+}
+
+impl From<RoundMode> for ClosePolicy {
+    fn from(mode: RoundMode) -> Self {
+        let (eager_finalize, max_staleness) = match mode {
+            RoundMode::Barrier => (false, 0),
+            RoundMode::Streaming => (true, 0),
+            RoundMode::BoundedStaleness { max_staleness } => (false, max_staleness),
+        };
+        ClosePolicy {
+            eager_finalize,
+            max_staleness,
+        }
+    }
+}
+
+/// One payload on its way through the gate.
+#[derive(Clone, Copy)]
+enum Piece<'a> {
+    Entry(&'a BatchEntry),
+    Chunk(&'a GradientChunkView),
+}
+
+/// Batch frames' replicas. Every entry decodes straight into its
+/// sender's flat buffer — cleared, never reallocated in steady state —
+/// and a slot lists its replicas as `(worker, start)` views into them.
+struct FlatStore {
+    model_len: usize,
+    buffers: Vec<Vec<f32>>,
+    slots: Vec<Vec<(usize, usize)>>,
+}
+
+impl FlatStore {
+    fn put(&mut self, slot: usize, worker: usize, entry: &BatchEntry) -> Result<(), Reject> {
+        if self.slots[slot].iter().any(|&(w, _)| w == worker) {
+            return Err(Reject::Duplicate);
+        }
+        // A well-checksummed entry of the wrong length must never reach
+        // the median.
+        if entry.len() != self.model_len {
+            return Err(Reject::Shape);
+        }
+        self.slots[slot].push((worker, self.buffers[worker].len()));
+        entry.extend_into(&mut self.buffers[worker]);
+        Ok(())
+    }
+
+    fn replicas(&self, slot: usize) -> Vec<(usize, &[f32])> {
+        let view =
+            |&(w, start): &(usize, usize)| (w, &self.buffers[w][start..start + self.model_len]);
+        self.slots[slot].iter().map(view).collect()
+    }
+}
+
+/// Where admitted replicas wait for their vote: `slots` consecutive
+/// files' worth, in whichever shape the wire delivers them.
+enum ReplicaStore {
+    Flat(FlatStore),
+    /// Chunk frames: one incremental voter per slot; no replica is ever
+    /// materialized.
+    Sharded(Vec<ShardedFileVoter>),
+}
+
+use ReplicaStore::{Flat, Sharded};
+
+impl ReplicaStore {
+    fn new(wire: WireFormat, files: Range<usize>, workers: usize, model_len: usize) -> Self {
+        match wire {
+            WireFormat::Batched => Flat(FlatStore {
+                model_len,
+                buffers: vec![Vec::new(); workers],
+                slots: vec![Vec::new(); files.len()],
+            }),
+            WireFormat::Chunked(cfg) => Sharded(
+                files
+                    .map(|file| ShardedFileVoter::new(file as u32, model_len, cfg.span_len()))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn reset(&mut self) {
+        match self {
+            Flat(flat) => {
+                flat.buffers.iter_mut().for_each(Vec::clear);
+                flat.slots.iter_mut().for_each(Vec::clear);
+            }
+            Sharded(voters) => voters.iter_mut().for_each(ShardedFileVoter::reset),
+        }
+    }
+
+    /// Stores `worker`'s payload for `slot`; the first delivery wins.
+    fn put(&mut self, slot: usize, worker: usize, piece: Piece<'_>) -> Result<(), Reject> {
+        match (self, piece) {
+            (Flat(flat), Piece::Entry(entry)) => flat.put(slot, worker, entry),
+            (Sharded(voters), Piece::Chunk(view)) => match voters[slot].ingest(view) {
+                ChunkIngest::Accepted => Ok(()),
+                ChunkIngest::Duplicate => Err(Reject::Duplicate),
+                ChunkIngest::Rejected => Err(Reject::Shape),
+            },
+            _ => Err(Reject::Malformed),
+        }
+    }
+
+    /// Workers whose replica for `slot` is complete.
+    fn complete_workers(&self, slot: usize) -> Vec<usize> {
+        match self {
+            Flat(flat) => flat.slots[slot].iter().map(|&(w, _)| w).collect(),
+            Sharded(voters) => voters[slot].complete_workers(),
+        }
+    }
+
+    /// Audited votes for `slots` over whatever completed, index-aligned
+    /// with `slots`; `holders[slot]` is the slot's expected holder set.
+    /// Flat slots vote together on the kernel pool.
+    fn vote(
+        &self,
+        slots: &[usize],
+        q_min: usize,
+        holders: &[Vec<usize>],
+    ) -> Vec<Result<QuorumOutcome, QuorumError>> {
+        match self {
+            Flat(flat) => {
+                let replicas: Vec<_> = slots.iter().map(|&slot| flat.replicas(slot)).collect();
+                let inputs: Vec<VoteInput<'_, &[f32]>> = slots
+                    .iter()
+                    .zip(&replicas)
+                    .map(|(&slot, replicas)| (replicas.as_slice(), holders[slot].as_slice()))
+                    .collect();
+                quorum_vote_all_audited(&inputs, q_min)
+            }
+            Sharded(voters) => slots
+                .iter()
+                .map(|&slot| voters[slot].finalize(q_min, &holders[slot]))
+                .collect(),
+        }
+    }
+}
+
+/// A file below the on-time quorum at its `origin` round, waiting for
+/// its fold round `origin + lag`. Admission is frozen at the origin:
+/// `holders` is that round's live set (the vote's audit reference) and
+/// `awaited` the late holders the plan says will deliver, so the fold
+/// round's wait is deterministic in outcome.
+struct Parked {
+    origin: u64,
+    file: usize,
+    lag: u64,
+    holders: Vec<usize>,
+    awaited: Vec<usize>,
+    store: ReplicaStore,
+}
+
+/// The PS side of a round. See the [module docs](self).
+pub struct RoundCore {
+    wire: WireFormat,
+    policy: ClosePolicy,
+    q_min: usize,
+    model_len: usize,
+    faults: FaultPlan,
+    /// Chunk frames per replica; `None` on the batched wire.
+    chunks: Option<usize>,
+    /// The assignment graph's holders of each file.
+    assigned: Vec<Vec<usize>>,
+    /// Staleness lag `λ(w) = min(⌈straggle_factor(w)⌉ − 1, s)` per
+    /// worker: a pure function of the plan, all-zero when `s = 0`.
+    lag: Vec<u64>,
+    /// Replica votes of a full round, `K·l`.
+    expected_replicas: usize,
+    /// Frames the lag-0 workers send in a round.
+    expected_frames: usize,
+
+    // ── The open round ──
+    t: u64,
+    /// Live (assigned, not quarantined) holders of each file.
+    holders: Vec<Vec<usize>>,
+    /// Rounds each file's vote is deferred by; 0 = votes on time.
+    file_lag: Vec<u64>,
+    store: ReplicaStore,
+    outcomes: Vec<Option<Result<QuorumOutcome, QuorumError>>>,
+    on_time_frames: usize,
+    /// Batch entries that arrived on time (the batched wire's arrival
+    /// accounting; see [`RoundCore::close`]).
+    entries_seen: usize,
+    vote_ns: u64,
+
+    /// Parked files, in (origin round, file) order.
+    backlog: Vec<Parked>,
+}
+
+impl RoundCore {
+    /// An engine for `assignment`'s placement and a `model_len`-float
+    /// model; reads `config`'s wire format, round mode, quorum floor and
+    /// fault plan (the staleness schedule derives from it).
+    pub fn new(assignment: &Assignment, model_len: usize, config: &ServerConfig) -> Self {
+        let (k, f, l) = (
+            assignment.num_workers(),
+            assignment.num_files(),
+            assignment.load(),
+        );
+        let policy = ClosePolicy::from(config.mode);
+        let lag: Vec<u64> = (0..k)
+            .map(|w| {
+                (config.faults.straggle_factor(w).ceil() as u64)
+                    .saturating_sub(1)
+                    .min(policy.max_staleness)
+            })
+            .collect();
+        let chunks = match config.wire {
+            WireFormat::Batched => None,
+            WireFormat::Chunked(cfg) => Some(num_chunks(model_len, cfg.span_len())),
+        };
+        // A worker flushes per file when votes finalize eagerly and once
+        // per round otherwise; a flush is one batch frame, or every
+        // chunk of every flushed replica.
+        let flushes = if policy.eager_finalize { l } else { 1 };
+        let frames_per_worker = chunks.map_or(flushes, |chunks| l * chunks);
+        RoundCore {
+            wire: config.wire,
+            policy,
+            q_min: config.quorum.q_min,
+            model_len,
+            faults: config.faults.clone(),
+            chunks,
+            assigned: (0..f)
+                .map(|file| assignment.graph().workers_of(file).to_vec())
+                .collect(),
+            expected_replicas: k * l,
+            expected_frames: lag.iter().filter(|&&lag| lag == 0).count() * frames_per_worker,
+            lag,
+            t: 0,
+            holders: vec![Vec::new(); f],
+            file_lag: vec![0; f],
+            store: ReplicaStore::new(config.wire, 0..f, k, model_len),
+            outcomes: vec![None; f],
+            on_time_frames: 0,
+            entries_seen: 0,
+            vote_ns: 0,
+            backlog: Vec::new(),
+        }
+    }
+
+    /// Opens round `t`; files of `quarantined` workers vote from their
+    /// remaining holders. Files below the on-time quorum are parked
+    /// *now*: who is late, which files defer and which late deliveries
+    /// to wait for are functions of the fault plan, never of arrival
+    /// order, so a late frame racing into this round finds its slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quarantined` is not one flag per worker.
+    pub fn begin(&mut self, t: u64, quarantined: &[bool]) {
+        assert_eq!(quarantined.len(), self.lag.len(), "one flag per worker");
+        self.t = t;
+        self.outcomes.fill(None);
+        (self.on_time_frames, self.entries_seen, self.vote_ns) = (0, 0, 0);
+        for file in 0..self.assigned.len() {
+            let live: Vec<usize> = self.assigned[file]
+                .iter()
+                .copied()
+                .filter(|&w| !quarantined[w])
+                .collect();
+            // A file votes on time iff at least `q_min` of its live
+            // holders are lag-0; otherwise it defers by its slowest live
+            // holder's lag. (All holders lag-0 but fewer than `q_min` of
+            // them stays on time and fails quorum like any barrier
+            // round.)
+            let lags = live
+                .iter()
+                .filter(|&&w| !self.faults.is_crashed(w))
+                .map(|&w| self.lag[w]);
+            let on_time = lags.clone().filter(|&lag| lag == 0).count();
+            self.file_lag[file] = if on_time >= self.q_min {
+                0
+            } else {
+                lags.max().unwrap_or(0)
+            };
+            if self.file_lag[file] > 0 {
+                // A late replica is awaited only if the plan delivers
+                // all of it: waiting for a dropped one would stall the
+                // fold round at the deadline.
+                let awaited = live
+                    .iter()
+                    .copied()
+                    .filter(|&w| {
+                        !self.faults.is_crashed(w)
+                            && self.lag[w] > 0
+                            && !self.faults.drops_replica(t, 0, w, file)
+                            && (0..self.chunks.unwrap_or(0))
+                                .all(|c| !self.faults.drops_chunk(t, 0, w, file, c))
+                    })
+                    .collect();
+                self.backlog.push(Parked {
+                    origin: t,
+                    file,
+                    lag: self.file_lag[file],
+                    holders: live.clone(),
+                    awaited,
+                    store: ReplicaStore::new(
+                        self.wire,
+                        file..file + 1,
+                        self.lag.len(),
+                        self.model_len,
+                    ),
+                });
+            }
+            self.holders[file] = live;
+        }
+    }
+
+    /// Whether the round still waits for a frame: an on-time worker's,
+    /// or a late delivery a file due this round was promised.
+    pub fn wants_more(&self) -> bool {
+        self.on_time_frames < self.expected_frames
+            || self
+                .backlog
+                .iter()
+                .any(|p| p.origin + p.lag <= self.t && !p.awaited.is_empty())
+    }
+
+    /// The single admission gate. A payload joins a vote only if its
+    /// sender is a worker slot, it belongs to the open round (or to a
+    /// parked file of an earlier one), its file exists, the sender is a
+    /// live assigned holder that has not delivered it before, and it has
+    /// the model's shape.
+    ///
+    /// # Errors
+    ///
+    /// The [`Reject`] reason when the whole frame is refused; a batch
+    /// frame's per-entry refusals are listed in [`Admitted::refused`].
+    pub fn ingest(&mut self, frame: &Bytes) -> Result<Admitted, Reject> {
+        match self.wire {
+            WireFormat::Batched => {
+                let batch = decode_gradient_batch(frame).map_err(|_| self.garbage())?;
+                let (w, late) = self.sender(batch.worker)?;
+                let on_time = batch.iteration == self.t && !late;
+                let mut admitted = Admitted::default();
+                for entry in &batch.entries {
+                    let verdict = self.put(w, batch.iteration, entry.file, Piece::Entry(entry));
+                    // Arrival accounting (see `close`): delivered by an
+                    // assigned holder, whether or not it may vote.
+                    self.entries_seen += usize::from(
+                        on_time && matches!(verdict, Ok(()) | Err(Reject::Quarantined)),
+                    );
+                    match verdict {
+                        Ok(()) => admitted.accepted += 1,
+                        Err(reason) => admitted.refused.push((entry.file, reason)),
+                    }
+                }
+                Ok(admitted)
+            }
+            WireFormat::Chunked(_) => {
+                let view = decode_gradient_chunk(frame).map_err(|_| self.garbage())?;
+                let (w, _) = self.sender(view.worker)?;
+                self.put(w, view.iteration, view.file, Piece::Chunk(&view))?;
+                Ok(Admitted {
+                    accepted: 1,
+                    ..Admitted::default()
+                })
+            }
+        }
+    }
+
+    /// Books a decoded frame against the on-time window and resolves its
+    /// sender to `(worker, is a straggler)`. Every frame that is not a
+    /// known straggler's spends one of the window's expected frames.
+    fn sender(&mut self, worker: u32) -> Result<(usize, bool), Reject> {
+        let w = worker as usize;
+        let late = self.lag.get(w).is_some_and(|&lag| lag > 0);
+        self.on_time_frames += usize::from(!late);
+        if w < self.lag.len() {
+            Ok((w, late))
+        } else {
+            Err(Reject::UnknownWorker)
+        }
+    }
+
+    /// An undecodable frame spends an expected frame too, so garbage
+    /// cannot hold a round open.
+    fn garbage(&mut self) -> Reject {
+        self.on_time_frames += 1;
+        Reject::Malformed
+    }
+
+    /// The gate for one payload of a known worker.
+    fn put(&mut self, w: usize, iteration: u64, file: u32, piece: Piece<'_>) -> Result<(), Reject> {
+        let file = file as usize;
+        if file >= self.assigned.len() {
+            return Err(Reject::UnknownFile);
+        }
+        // A parked file — one this round just deferred included — owns
+        // its replicas from its origin round on, so on-time and late
+        // deliveries assemble in one place.
+        if let Some(parked) = self
+            .backlog
+            .iter_mut()
+            .find(|p| p.origin == iteration && p.file == file)
+        {
+            if !parked.holders.contains(&w) {
+                return Err(Reject::NotHolder);
+            }
+            parked.store.put(0, w, piece)?;
+            if parked.store.complete_workers(0).contains(&w) {
+                parked.awaited.retain(|&awaited| awaited != w);
+            }
+            return Ok(());
+        }
+        if iteration != self.t {
+            return Err(Reject::WrongRound);
+        }
+        if self.lag[w] > 0 {
+            return Err(Reject::Late);
+        }
+        if !self.holders[file].contains(&w) {
+            // Assigned but not live: the sender is quarantined.
+            let assigned = self.assigned[file].contains(&w);
+            return Err(if assigned {
+                Reject::Quarantined
+            } else {
+                Reject::NotHolder
+            });
+        }
+        self.store.put(file, w, piece)?;
+        // Eager finalize: every live holder's replica is complete, and
+        // the gate admits nobody else, so the vote can never change.
+        if self.policy.eager_finalize
+            && self.outcomes[file].is_none()
+            && self.store.complete_workers(file).len() == self.holders[file].len()
+        {
+            let start = Instant::now();
+            self.outcomes[file] = self.store.vote(&[file], self.q_min, &self.holders).pop();
+            self.vote_ns += start.elapsed().as_nanos() as u64;
+        }
+        Ok(())
+    }
+
+    /// Closes the round: votes every on-time file not yet finalized and
+    /// every parked file due now over whatever arrived, and folds
+    /// winners, audits and counters in canonical order.
+    ///
+    /// `missing_votes` is `K·l` minus what arrived: a batched replica
+    /// when an on-time frame of this round delivered it for a file its
+    /// sender is assigned (even a quarantined sender's, which casts no
+    /// vote); a chunked one once all its chunks joined this round's vote.
+    pub fn close(&mut self) -> RoundResult {
+        let start = Instant::now();
+        let f = self.assigned.len();
+        let open: Vec<usize> = (0..f)
+            .filter(|&file| self.file_lag[file] == 0 && self.outcomes[file].is_none())
+            .collect();
+        let flushed = self.store.vote(&open, self.q_min, &self.holders);
+        for (&file, outcome) in open.iter().zip(flushed) {
+            self.outcomes[file] = Some(outcome);
+        }
+
+        let arrived = match &self.store {
+            Flat(_) => self.entries_seen,
+            Sharded(_) => (0..f)
+                .map(|file| self.store.complete_workers(file).len())
+                .sum(),
+        };
+        let mut result = RoundResult {
+            missing_votes: self.expected_replicas.saturating_sub(arrived),
+            ..RoundResult::default()
+        };
+        for file in 0..f {
+            match self.outcomes[file].take() {
+                _ if self.file_lag[file] > 0 => result.deferred_files += 1,
+                Some(Ok(outcome)) => result.fold(outcome, None),
+                _ => result.abandoned_files += 1,
+            }
+        }
+        let (due, kept): (Vec<Parked>, Vec<Parked>) = std::mem::take(&mut self.backlog)
+            .into_iter()
+            .partition(|p| p.origin + p.lag <= self.t);
+        self.backlog = kept;
+        for parked in due {
+            let holders = std::slice::from_ref(&parked.holders);
+            match parked.store.vote(&[0], self.q_min, holders).pop() {
+                Some(Ok(outcome)) => {
+                    result.fold(outcome, Some(1.0 / (1.0 + parked.lag as f32)));
+                    result.stale_folded += 1;
+                }
+                // Still below quorum at its fold round (late drops, the
+                // deadline): abandoned like an on-time quorum failure.
+                _ => result.abandoned_files += 1,
+            }
+        }
+        // Release the round's replicas before the driver aggregates.
+        self.store.reset();
+        self.vote_ns += start.elapsed().as_nanos() as u64;
+        result
+    }
+
+    /// Wall-clock nanoseconds the open round has spent voting, inside
+    /// the window and in [`close`](Self::close).
+    pub fn vote_ns(&self) -> u64 {
+        self.vote_ns
+    }
+}

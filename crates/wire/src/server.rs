@@ -1,22 +1,18 @@
 //! The threaded message-passing parameter server.
 
-use crate::batch::{decode_gradient_batch, encode_gradient_batch, GradientBatchView};
-use crate::chunk::{encode_gradient_chunk_into, num_chunks, ChunkConfig, GradientChunkView};
+use crate::batch::encode_gradient_batch;
+use crate::chunk::{encode_gradient_chunk_into, num_chunks, ChunkConfig};
+use crate::hashvote::hash_vote_round;
 use crate::link::{ChannelLink, Link, LinkError};
-use crate::voter::ShardedFileVoter;
-use crate::{
-    decode_gradient_chunk, hash_majority, verify_payload, Assignment, Fingerprint, Message,
-};
+use crate::round::RoundCore;
+use crate::{Assignment, Fingerprint, Message};
 use bytes::{Bytes, BytesMut};
-use byz_aggregate::{
-    quorum_vote_all_audited, quorum_vote_audited, Aggregator, CoordinateMedian, Provenance,
-    QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit,
-};
+use byz_aggregate::{Aggregator, CoordinateMedian, QuorumConfig, VoteAudit};
 use byz_cluster::{FaultPlan, PhaseTimings};
 use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_nn::FastMlp;
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -316,108 +312,6 @@ impl RoundGauge {
     }
 }
 
-/// Banked replica state for one deferred file (bounded staleness): the
-/// payloads collected so far, in whichever shape the wire delivers them.
-enum StaleReplicas {
-    /// Whole replicas from batched frames, in arrival order (the vote
-    /// sorts by worker internally).
-    Batched(Vec<(usize, Vec<f32>)>),
-    /// The file's incremental sharded voter, carried across rounds so
-    /// late chunk frames keep assembling into it.
-    Chunked(Box<ShardedFileVoter>),
-}
-
-/// A file that fell below the on-time quorum at its origin round and is
-/// waiting for its fold round `origin + lag`. Membership is fixed at the
-/// origin: `pending` lists the late live holders whose delivery the plan
-/// says will arrive (origin-round drops excluded up front), so the fold
-/// round's wait is deterministic in outcome.
-struct StaleFile {
-    origin: u64,
-    file: usize,
-    lag: u64,
-    /// The origin round's expected holder set — the vote's audit
-    /// reference (late holders that never complete audit `Absent`).
-    holders: Vec<usize>,
-    /// Late workers whose replica is still en route.
-    pending: Vec<usize>,
-    replicas: StaleReplicas,
-}
-
-/// Votes a due stale file over everything banked for it. Replicas are
-/// sorted by worker id before the vote, so the outcome is independent of
-/// arrival order.
-fn finalize_stale(stale: StaleFile, q_min: usize) -> Result<QuorumOutcome, QuorumError> {
-    match stale.replicas {
-        StaleReplicas::Batched(mut list) => {
-            list.sort_by_key(|&(w, _)| w);
-            quorum_vote_audited(&list, q_min, &stale.holders)
-        }
-        StaleReplicas::Chunked(voter) => voter.finalize(q_min, &stale.holders),
-    }
-}
-
-/// Banks a straggler's batched entries into whichever backlog slots
-/// expect them. Admission is frozen at the origin round (`holders`), the
-/// first arrival per worker wins (replayed frames cannot double-vote),
-/// and a matched delivery drains that worker from the slot's wait set.
-fn route_late_batch(backlog: &mut [StaleFile], batch: &GradientBatchView, model_len: usize) {
-    let w = batch.worker as usize;
-    for entry in &batch.entries {
-        let file = entry.file as usize;
-        // Same shape gate as on-time ingestion: a wrong-length entry
-        // must never reach the median.
-        if entry.len() != model_len {
-            continue;
-        }
-        let Some(slot) = backlog
-            .iter_mut()
-            .find(|s| s.origin == batch.iteration && s.file == file)
-        else {
-            continue;
-        };
-        if !slot.holders.contains(&w) {
-            continue;
-        }
-        if let StaleReplicas::Batched(list) = &mut slot.replicas {
-            if list.iter().all(|&(lw, _)| lw != w) {
-                let mut value = Vec::with_capacity(entry.len());
-                entry.extend_into(&mut value);
-                list.push((w, value));
-            }
-        }
-        if let Some(pos) = slot.pending.iter().position(|&p| p == w) {
-            slot.pending.remove(pos);
-        }
-    }
-}
-
-/// Chunked analogue of [`route_late_batch`]: feeds a chunk into the
-/// backlog voter expecting it (deferred files own their voter from the
-/// origin round on, so on-time and late chunks assemble in one place).
-/// Returns `true` when a slot claimed the chunk.
-fn route_late_chunk(backlog: &mut [StaleFile], view: &GradientChunkView) -> bool {
-    let w = view.worker as usize;
-    let Some(slot) = backlog
-        .iter_mut()
-        .find(|s| s.origin == view.iteration && s.file == view.file as usize)
-    else {
-        return false;
-    };
-    if !slot.holders.contains(&w) {
-        // The file is deferred but this sender is not an admitted
-        // holder; swallow the chunk so it cannot enter an on-time vote
-        // either.
-        return true;
-    }
-    if let StaleReplicas::Chunked(voter) = &mut slot.replicas {
-        voter.ingest(view);
-        let complete = voter.complete_workers();
-        slot.pending.retain(|p| !complete.contains(p));
-    }
-    true
-}
-
 /// A parameter server plus `K` worker threads, communicating exclusively
 /// through framed [`Message`]s over channels.
 pub struct MessagePassingCluster {
@@ -450,11 +344,13 @@ impl MessagePassingCluster {
     /// serialized frames. Returns the trained flat parameters and the
     /// per-round summaries.
     ///
+    /// Malformed, forged or late frames never panic the PS: the round
+    /// engine's admission gate refuses them and the affected replicas
+    /// degrade like dropped ones.
+    ///
     /// # Panics
     ///
-    /// Panics on protocol violations (which indicate bugs, not Byzantine
-    /// behaviour — Byzantine *content* is handled by the defense, crashes
-    /// by the receive timeout).
+    /// As [`train_run`](Self::train_run).
     pub fn train(
         &self,
         initial_params: Vec<f32>,
@@ -541,7 +437,7 @@ impl MessagePassingCluster {
             attack: config.attack,
             transport: config.transport,
             wire: config.wire,
-            mode: config.mode,
+            flush_per_file: config.mode == RoundMode::Streaming,
             plan: config.faults.clone(),
             delay: config
                 .straggler_unit
@@ -550,7 +446,10 @@ impl MessagePassingCluster {
         }
     }
 
-    /// The parameter-server side of the protocol.
+    /// The parameter-server side of the protocol: a thin driver around
+    /// the round engine — broadcast, feed received frames to
+    /// [`RoundCore::ingest`] inside the receive window, close, then
+    /// median + momentum step, reputation fold and summary.
     ///
     /// Deliberately typed against channels on both sides: the socket
     /// deployment adapts TCP connections *into* exactly these channels
@@ -575,19 +474,12 @@ impl MessagePassingCluster {
     ) -> WireTrainingRun {
         let k = self.assignment.num_workers();
         let f = self.assignment.num_files();
-        let l = self.assignment.load();
         let mut params = initial_params;
         let mut velocity = vec![0.0f32; params.len()];
         let mut sampler = BatchSampler::new(self.dataset.len(), config.batch_size, config.seed);
-        let aggregator = CoordinateMedian;
         let mut summaries = Vec::with_capacity(config.iterations);
         let mut ledger = config.reputation.map(|cfg| ReputationLedger::new(k, cfg));
-        // Reused per-worker decode buffers (Full transport): each round's
-        // batched gradients land in one flat `f32` buffer per worker —
-        // cleared, never reallocated in steady state — and the votes read
-        // borrowed slices out of them.
-        let mut worker_buffers: Vec<Vec<f32>> = vec![Vec::new(); k];
-        let mut worker_entries: Vec<Vec<(u32, usize, usize)>> = vec![Vec::new(); k];
+        let mut core = RoundCore::new(&self.assignment, params.len(), config);
 
         // Double-buffered batch split: in streaming mode round t+1's
         // split is drawn right after round t's broadcast, hiding it
@@ -601,12 +493,6 @@ impl MessagePassingCluster {
                 .collect()
         };
         let mut next_files: Option<Vec<Vec<u32>>> = None;
-
-        // Bounded-staleness backlog, carried across rounds: files that
-        // fell below the on-time quorum at their origin wait here —
-        // banking late replicas as they trickle in — until their fold
-        // round. Empty in every other mode.
-        let mut stale_backlog: Vec<StaleFile> = Vec::new();
 
         for t in 1..=config.iterations as u64 {
             if let Some(gauge) = gauge {
@@ -636,1099 +522,68 @@ impl MessagePassingCluster {
                 next_files = Some(sample_files());
             }
 
-            // Expected replica *entries* per round; under the batched
-            // transport these arrive inside at most `k` frames.
-            let expected = k * l;
-            let mut frames_received = 0usize;
-            let mut bytes_received = 0usize;
-            let mut non_strict = 0usize;
-            let mut degraded_votes = 0usize;
-            // Replica entries that never arrived (Full transport only;
-            // set from the batch accounting below).
-            let mut missing_entries = 0usize;
-            // Files newly parked by the bounded-staleness arms this
-            // round (zero elsewhere); they are *deferred*, not
-            // abandoned, and must not count against the latter.
-            let mut deferred_files = 0usize;
-            let mut audits: Vec<VoteAudit> = Vec::new();
-            // Frames from quarantined workers are dropped on arrival:
+            // Frames from quarantined workers are refused on arrival:
             // worker file sets are fixed at spawn, so the PS ignores the
             // replicas rather than reassigning them over the wire.
-            let quarantined_mask: Vec<bool> = match ledger.as_ref() {
-                Some(ledger) => (0..k).map(|w| ledger.is_quarantined(w)).collect(),
-                None => vec![false; k],
-            };
+            let quarantined: Vec<bool> = (0..k)
+                .map(|w| {
+                    ledger
+                        .as_ref()
+                        .is_some_and(|ledger| ledger.is_quarantined(w))
+                })
+                .collect();
+            // Every receive waits at most `receive_timeout` and the whole
+            // round at most `round_deadline`; a frame that misses either
+            // is treated exactly like a dropped one.
             let round_start = Instant::now();
-            // Each receive waits at most `receive_timeout`, and the whole
-            // collection phase at most `round_deadline`: a frame that
-            // misses the deadline is treated exactly like a dropped one.
-            let recv_window = |start: Instant| -> Option<Duration> {
-                config
-                    .round_deadline
-                    .checked_sub(start.elapsed())
-                    .map(|rem| rem.min(config.receive_timeout))
-            };
-
-            // Phase-timing probes shared by every arm: first frame marks
-            // the end of (observed) worker compute, `collect_end` the end
-            // of the wire window, and `vote_ns` accumulates vote CPU
-            // wherever it ran — inside the window for streaming, after it
-            // for barriers.
+            let (mut frames_received, mut bytes_received) = (0usize, 0usize);
             let mut first_frame: Option<Instant> = None;
-            let collect_end: Option<Instant>;
-            let mut vote_ns = 0u64;
-
-            let winners: Vec<Option<Vec<f32>>> = match (config.transport, config.wire, config.mode)
-            {
-                (Transport::Full, WireFormat::Chunked(chunk_cfg), RoundMode::Streaming) => {
-                    // Streaming chunked wire: chunks feed the per-file
-                    // voters exactly as in the barrier arm, but each
-                    // file's vote finalizes the moment its last live
-                    // replica completes — a straggler only delays its own
-                    // files, and the finalized votes hide inside the
-                    // receive window. Outcomes land in per-file slots and
-                    // every counter/audit is folded in ascending file
-                    // order afterwards, so all derived state is
-                    // bit-identical to the barrier arm.
-                    let chunk_len = chunk_cfg.span_len();
-                    let chunks = num_chunks(params.len(), chunk_len);
-                    let mut voters: Vec<ShardedFileVoter> = (0..f)
-                        .map(|file| ShardedFileVoter::new(file as u32, params.len(), chunk_len))
-                        .collect();
-                    let holders: Vec<Vec<usize>> = (0..f)
-                        .map(|file| {
-                            self.assignment
-                                .graph()
-                                .workers_of(file)
-                                .iter()
-                                .copied()
-                                .filter(|&w| !quarantined_mask[w])
-                                .collect()
-                        })
-                        .collect();
-                    let mut outcomes: Vec<Option<Result<QuorumOutcome, QuorumError>>> =
-                        vec![None; f];
-                    let expected_frames = k * l * chunks;
-                    while frames_received < expected_frames {
-                        let Some(window) = recv_window(round_start) else {
+            let mut recv = || -> Option<Bytes> {
+                let left = config.round_deadline.checked_sub(round_start.elapsed())?;
+                let frame = from_workers
+                    .recv_timeout(left.min(config.receive_timeout))
+                    .ok()?;
+                first_frame.get_or_insert_with(Instant::now);
+                frames_received += 1;
+                bytes_received += frame.len();
+                Some(frame)
+            };
+            let (result, collect_end, vote_ns) = match config.transport {
+                Transport::Full => {
+                    core.begin(t, &quarantined);
+                    while core.wants_more() {
+                        let Some(frame) = recv() else {
                             break;
                         };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        let Ok(view) = decode_gradient_chunk(&frame) else {
-                            continue;
-                        };
-                        if view.iteration != t {
-                            continue;
-                        }
-                        let w = view.worker as usize;
-                        if w >= k || quarantined_mask[w] {
-                            continue;
-                        }
-                        let file = view.file as usize;
-                        let Some(voter) = voters.get_mut(file) else {
-                            continue;
-                        };
-                        voter.ingest(&view);
-                        // Eager finalize: every live holder's replica is
-                        // complete, so the vote can never change again.
-                        if outcomes[file].is_none()
-                            && !holders[file].is_empty()
-                            && voter.complete_workers().len() >= holders[file].len()
-                        {
-                            let vote_start = Instant::now();
-                            outcomes[file] =
-                                Some(voters[file].finalize(config.quorum.q_min, &holders[file]));
-                            vote_ns += vote_start.elapsed().as_nanos() as u64;
-                        }
+                        // A refused frame or entry casts no vote: it
+                        // degrades its replica exactly like a dropped
+                        // one, and never panics the PS.
+                        let _ = core.ingest(&frame);
                     }
-                    collect_end = Some(Instant::now());
-                    let complete: usize = voters.iter().map(|v| v.complete_workers().len()).sum();
-                    missing_entries = expected.saturating_sub(complete);
-
-                    // Flush: files whose replica set never completed
-                    // (crashes, drops, deadline) finalize from whatever
-                    // arrived — the same replica sets the barrier arm
-                    // votes on. Then fold counters in canonical file
-                    // order.
-                    let vote_start = Instant::now();
-                    for file in 0..f {
-                        if outcomes[file].is_none() {
-                            outcomes[file] =
-                                Some(voters[file].finalize(config.quorum.q_min, &holders[file]));
-                        }
-                    }
-                    let winners = outcomes
-                        .into_iter()
-                        .map(|slot| {
-                            // An unflushed slot is impossible by
-                            // construction (the flush pass above covers
-                            // every file), but a PS must degrade — one
-                            // abandoned file — rather than die on it.
-                            let outcome = slot?.ok()?;
-                            if !outcome.is_strict {
-                                non_strict += 1;
-                            }
-                            if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                degraded_votes += 1;
-                            }
-                            audits.push(outcome.audit);
-                            Some(outcome.value)
-                        })
-                        .collect();
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    winners
+                    let collect_end = Instant::now();
+                    (core.close(), collect_end, core.vote_ns())
                 }
-                (Transport::Full, WireFormat::Batched, RoundMode::Streaming) => {
-                    // Streaming batched wire: each worker sends one
-                    // single-entry frame per assigned file the moment
-                    // that file's gradient is ready (an empty frame when
-                    // the entry was dropped, keeping the frame count
-                    // deterministic), and each file votes eagerly once
-                    // all of its live holders' entries arrived. The
-                    // flush for never-completed files is one pool-parallel
-                    // vote over just those files; counters and audits
-                    // fold in ascending file order, bit-identical to the
-                    // barrier arm.
-                    for buffer in &mut worker_buffers {
-                        buffer.clear();
-                    }
-                    for entries in &mut worker_entries {
-                        entries.clear();
-                    }
-                    let holders: Vec<Vec<usize>> = (0..f)
-                        .map(|file| {
-                            self.assignment
-                                .graph()
-                                .workers_of(file)
-                                .iter()
-                                .copied()
-                                .filter(|&w| !quarantined_mask[w])
-                                .collect()
-                        })
-                        .collect();
-                    // (worker, start, len) triples per file, in arrival
-                    // order; votes sort by worker internally.
-                    let mut file_entries: Vec<Vec<(usize, usize, usize)>> =
-                        (0..f).map(|_| Vec::new()).collect();
-                    let mut outcomes: Vec<Option<Result<QuorumOutcome, QuorumError>>> =
-                        vec![None; f];
-                    let mut entries_received = 0usize;
-                    let expected_frames = k * l;
-                    while frames_received < expected_frames {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        let Ok(batch) = decode_gradient_batch(&frame) else {
-                            continue;
-                        };
-                        entries_received += batch.entries.len();
-                        if batch.iteration != t {
-                            continue;
-                        }
-                        let w = batch.worker as usize;
-                        if w >= k || quarantined_mask[w] {
-                            continue;
-                        }
-                        for entry in &batch.entries {
-                            let file = entry.file as usize;
-                            // Shape gate: a well-checksummed frame can
-                            // still carry a forged entry whose length is
-                            // not the model's. Mixed-length winners would
-                            // sink the coordinate median, so such entries
-                            // degrade like dropped replicas — reachable
-                            // over real sockets, where any process can
-                            // connect and upload.
-                            if file >= f || entry.len() != params.len() {
-                                continue;
-                            }
-                            let buffer = &mut worker_buffers[w];
-                            let start = buffer.len();
-                            entry.extend_into(buffer);
-                            file_entries[file].push((w, start, entry.len()));
-                            if outcomes[file].is_none()
-                                && !holders[file].is_empty()
-                                && file_entries[file].len() >= holders[file].len()
-                            {
-                                let vote_start = Instant::now();
-                                let replicas: Vec<(usize, &[f32])> = file_entries[file]
-                                    .iter()
-                                    .map(|&(rw, rs, rl)| (rw, &worker_buffers[rw][rs..rs + rl]))
-                                    .collect();
-                                outcomes[file] = Some(quorum_vote_audited(
-                                    &replicas,
-                                    config.quorum.q_min,
-                                    &holders[file],
-                                ));
-                                vote_ns += vote_start.elapsed().as_nanos() as u64;
-                            }
-                        }
-                    }
-                    collect_end = Some(Instant::now());
-                    missing_entries = expected.saturating_sub(entries_received);
-
-                    // Flush the stragglers' files in one pass over the
-                    // kernel pool, then fold in file order.
-                    let vote_start = Instant::now();
-                    let pending: Vec<usize> =
-                        (0..f).filter(|&file| outcomes[file].is_none()).collect();
-                    if !pending.is_empty() {
-                        let pending_replicas: Vec<Vec<(usize, &[f32])>> = pending
-                            .iter()
-                            .map(|&file| {
-                                file_entries[file]
-                                    .iter()
-                                    .map(|&(rw, rs, rl)| (rw, &worker_buffers[rw][rs..rs + rl]))
-                                    .collect()
-                            })
-                            .collect();
-                        let vote_inputs: Vec<byz_aggregate::VoteInput<'_, &[f32]>> = pending
-                            .iter()
-                            .zip(&pending_replicas)
-                            .map(|(&file, replicas)| {
-                                (replicas.as_slice(), holders[file].as_slice())
-                            })
-                            .collect();
-                        let flushed = quorum_vote_all_audited(&vote_inputs, config.quorum.q_min);
-                        for (&file, outcome) in pending.iter().zip(flushed) {
-                            outcomes[file] = Some(outcome);
-                        }
-                    }
-                    let winners = outcomes
-                        .into_iter()
-                        .map(|slot| {
-                            // An unflushed slot is impossible by
-                            // construction (the flush pass above covers
-                            // every file), but a PS must degrade — one
-                            // abandoned file — rather than die on it.
-                            let outcome = slot?.ok()?;
-                            if !outcome.is_strict {
-                                non_strict += 1;
-                            }
-                            if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                degraded_votes += 1;
-                            }
-                            audits.push(outcome.audit);
-                            Some(outcome.value)
-                        })
-                        .collect();
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    winners
-                }
-                (Transport::Full, WireFormat::Chunked(chunk_cfg), RoundMode::Barrier) => {
-                    // Chunked wire: every replica arrives as `chunks`
-                    // independent frames, ingested straight into one
-                    // incremental voter per file — the PS never
-                    // materializes a whole gradient per replica, only the
-                    // per-shard group representatives and one reusable
-                    // O(chunk) densify scratch per file.
-                    let chunk_len = chunk_cfg.span_len();
-                    let chunks = num_chunks(params.len(), chunk_len);
-                    let mut voters: Vec<ShardedFileVoter> = (0..f)
-                        .map(|file| ShardedFileVoter::new(file as u32, params.len(), chunk_len))
-                        .collect();
-                    let expected_frames = k * l * chunks;
-                    while frames_received < expected_frames {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        // Malformed chunks degrade their replica (the
-                        // voter marks it incomplete), never panic the PS.
-                        let Ok(view) = decode_gradient_chunk(&frame) else {
-                            continue;
-                        };
-                        if view.iteration != t {
-                            continue;
-                        }
-                        let w = view.worker as usize;
-                        if w >= k || quarantined_mask[w] {
-                            continue;
-                        }
-                        let Some(voter) = voters.get_mut(view.file as usize) else {
-                            continue;
-                        };
-                        voter.ingest(&view);
-                    }
-                    collect_end = Some(Instant::now());
-                    // Entry accounting: a replica counts as arrived only
-                    // when every one of its chunks landed — a partially
-                    // delivered replica is missing, exactly like the
-                    // simulator's dropped-replica policy.
-                    let complete: usize = voters.iter().map(|v| v.complete_workers().len()).sum();
-                    missing_entries = expected.saturating_sub(complete);
-
-                    let vote_start = Instant::now();
-                    let winners = (0..f)
-                        .map(|file| {
-                            let holders: Vec<usize> = self
-                                .assignment
-                                .graph()
-                                .workers_of(file)
-                                .iter()
-                                .copied()
-                                .filter(|&w| !quarantined_mask[w])
-                                .collect();
-                            let outcome =
-                                voters[file].finalize(config.quorum.q_min, &holders).ok()?;
-                            if !outcome.is_strict {
-                                non_strict += 1;
-                            }
-                            if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                degraded_votes += 1;
-                            }
-                            audits.push(outcome.audit);
-                            Some(outcome.value)
-                        })
-                        .collect();
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    winners
-                }
-                (Transport::Full, WireFormat::Batched, RoundMode::Barrier) => {
-                    // Collect batched gradients: each live worker sends
-                    // ONE frame carrying all of its surviving replicas,
-                    // decoded straight into the reused per-worker flat
-                    // buffers (one bulk copy per frame, no per-replica
-                    // `Vec<f32>` allocation).
-                    for buffer in &mut worker_buffers {
-                        buffer.clear();
-                    }
-                    for entries in &mut worker_entries {
-                        entries.clear();
-                    }
-                    let mut entries_received = 0usize;
-                    while frames_received < k {
-                        let Some(window) = recv_window(round_start) else {
-                            break; // per-round deadline expired
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        // A frame that fails to decode (truncated, corrupt
-                        // checksum, malformed body) is treated exactly like
-                        // a dropped frame: an injected fault must degrade
-                        // the round, never panic the PS thread.
-                        let Ok(batch) = decode_gradient_batch(&frame) else {
-                            continue;
-                        };
-                        entries_received += batch.entries.len();
-                        if batch.iteration != t {
-                            continue; // stale frame from a slow round
-                        }
-                        let w = batch.worker as usize;
-                        if w >= k || quarantined_mask[w] {
-                            continue;
-                        }
-                        let buffer = &mut worker_buffers[w];
-                        for entry in &batch.entries {
-                            // Same shape gate as the streaming arm: a
-                            // wrong-length entry degrades, never reaches
-                            // the median.
-                            if entry.len() != params.len() {
-                                continue;
-                            }
-                            let start = buffer.len();
-                            entry.extend_into(buffer);
-                            worker_entries[w].push((entry.file, start, entry.len()));
-                        }
-                    }
-                    collect_end = Some(Instant::now());
-                    missing_entries = expected.saturating_sub(entries_received);
-
-                    // Per-file replica views into the worker buffers
-                    // (ascending worker order by construction), then all
-                    // files vote in parallel over the kernel pool — the
-                    // same degraded-quorum policy as before, bit-identical
-                    // to the sequential loop.
-                    let r = self.assignment.replication();
-                    let mut per_file: Vec<Vec<(usize, &[f32])>> =
-                        (0..f).map(|_| Vec::with_capacity(r)).collect();
-                    for (w, entries) in worker_entries.iter().enumerate() {
-                        for &(file, start, len) in entries {
-                            if (file as usize) < f {
-                                per_file[file as usize]
-                                    .push((w, &worker_buffers[w][start..start + len]));
-                            }
-                        }
-                    }
-                    let holders: Vec<Vec<usize>> = (0..f)
-                        .map(|file| {
-                            self.assignment
-                                .graph()
-                                .workers_of(file)
-                                .iter()
-                                .copied()
-                                .filter(|&w| !quarantined_mask[w])
-                                .collect()
-                        })
-                        .collect();
-                    let vote_inputs: Vec<byz_aggregate::VoteInput<'_, &[f32]>> = (0..f)
-                        .map(|file| (per_file[file].as_slice(), holders[file].as_slice()))
-                        .collect();
-                    let vote_start = Instant::now();
-                    let winners = quorum_vote_all_audited(&vote_inputs, config.quorum.q_min)
-                        .into_iter()
-                        .map(|vote| {
-                            let outcome = vote.ok()?;
-                            if !outcome.is_strict {
-                                non_strict += 1;
-                            }
-                            if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                degraded_votes += 1;
-                            }
-                            audits.push(outcome.audit);
-                            Some(outcome.value)
-                        })
-                        .collect();
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    winners
-                }
-                (
-                    Transport::Full,
-                    WireFormat::Batched,
-                    RoundMode::BoundedStaleness { max_staleness },
-                ) => {
-                    // Bounded staleness, batched wire: workers behave
-                    // exactly as in barrier mode (one batched frame per
-                    // round, sent after any straggler delay), but the PS
-                    // closes the round once every *on-time* frame is in.
-                    // A straggler's frames are banked into the
-                    // cross-round backlog instead of this round's votes,
-                    // and files below the on-time quorum defer to
-                    // `origin + lag`. Every schedule decision — who is
-                    // late, which files defer, which late deliveries to
-                    // wait for — is a pure function of the fault plan,
-                    // never of observed arrival order, so the outcome is
-                    // deterministic. With `max_staleness = 0` nothing is
-                    // ever late and this arm replays the barrier arm
-                    // bit for bit.
-                    for buffer in &mut worker_buffers {
-                        buffer.clear();
-                    }
-                    for entries in &mut worker_entries {
-                        entries.clear();
-                    }
-                    let lag_of = |w: usize| -> u64 {
-                        (config.faults.straggle_factor(w).ceil() as u64)
-                            .saturating_sub(1)
-                            .min(max_staleness)
-                    };
-                    let holders: Vec<Vec<usize>> = (0..f)
-                        .map(|file| {
-                            self.assignment
-                                .graph()
-                                .workers_of(file)
-                                .iter()
-                                .copied()
-                                .filter(|&w| !quarantined_mask[w])
-                                .collect()
-                        })
-                        .collect();
-                    // A file is on-time iff at least `q_min` of its live
-                    // holders are lag-0; otherwise it defers by its
-                    // slowest live holder's lag. (All-lag-0 holders but
-                    // fewer than `q_min` of them stays on-time and fails
-                    // quorum exactly like the barrier arm.)
-                    let file_lag: Vec<u64> = (0..f)
-                        .map(|file| {
-                            let on_time = holders[file]
-                                .iter()
-                                .filter(|&&w| !config.faults.is_crashed(w) && lag_of(w) == 0)
-                                .count();
-                            if on_time >= config.quorum.q_min {
-                                0
-                            } else {
-                                holders[file]
-                                    .iter()
-                                    .filter(|&&w| !config.faults.is_crashed(w))
-                                    .map(|&w| lag_of(w))
-                                    .max()
-                                    .unwrap_or(0)
-                            }
-                        })
-                        .collect();
-                    // Park the deferred files *before* collecting:
-                    // admission and the expected-late wait set are frozen
-                    // from the plan now, so a late frame racing into this
-                    // very window already finds its slot.
-                    for file in 0..f {
-                        if file_lag[file] == 0 {
-                            continue;
-                        }
-                        deferred_files += 1;
-                        let pending: Vec<usize> = holders[file]
-                            .iter()
-                            .copied()
-                            .filter(|&w| {
-                                !config.faults.is_crashed(w)
-                                    && lag_of(w) > 0
-                                    && !config.faults.drops_replica(t, 0, w, file)
-                            })
-                            .collect();
-                        stale_backlog.push(StaleFile {
-                            origin: t,
-                            file,
-                            lag: file_lag[file],
-                            holders: holders[file].clone(),
-                            pending,
-                            replicas: StaleReplicas::Batched(Vec::new()),
-                        });
-                    }
-                    let mut entries_received = 0usize;
-                    let expected_frames = (0..k).filter(|&w| lag_of(w) == 0).count();
-                    let mut on_time_frames = 0usize;
-                    while on_time_frames < expected_frames {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        let Ok(batch) = decode_gradient_batch(&frame) else {
-                            on_time_frames += 1;
-                            continue;
-                        };
-                        let w = batch.worker as usize;
-                        if w < k && lag_of(w) > 0 {
-                            // A straggler's frame, possibly for an
-                            // earlier round: bank what its origin's
-                            // deferred files still expect; never let it
-                            // into an on-time vote.
-                            route_late_batch(&mut stale_backlog, &batch, params.len());
-                            continue;
-                        }
-                        on_time_frames += 1;
-                        entries_received += batch.entries.len();
-                        if batch.iteration != t {
-                            continue;
-                        }
-                        if w >= k || quarantined_mask[w] {
-                            continue;
-                        }
-                        let buffer = &mut worker_buffers[w];
-                        for entry in &batch.entries {
-                            if entry.len() != params.len() {
-                                continue;
-                            }
-                            let start = buffer.len();
-                            entry.extend_into(buffer);
-                            worker_entries[w].push((entry.file, start, entry.len()));
-                        }
-                    }
-                    // Hold the wire open only for deliveries the fold
-                    // below still expects (wait sets were frozen at each
-                    // file's origin, with the plan's drops excluded up
-                    // front), bounded by the round deadline.
-                    while stale_backlog
-                        .iter()
-                        .any(|s| s.origin + s.lag <= t && !s.pending.is_empty())
-                    {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(_) => break,
-                        };
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        let Ok(batch) = decode_gradient_batch(&frame) else {
-                            continue;
-                        };
-                        route_late_batch(&mut stale_backlog, &batch, params.len());
-                    }
-                    collect_end = Some(Instant::now());
-                    missing_entries = expected.saturating_sub(entries_received);
-
-                    // Vote every file in one parallel pass, exactly like
-                    // the barrier arm. Deferred files simply miss quorum
-                    // here (their on-time arrivals are below `q_min` by
-                    // construction) and are parked below instead of
-                    // abandoned; late holders of on-time files audit
-                    // `Absent`, which is benign.
-                    let r = self.assignment.replication();
-                    let mut per_file: Vec<Vec<(usize, &[f32])>> =
-                        (0..f).map(|_| Vec::with_capacity(r)).collect();
-                    for (w, entries) in worker_entries.iter().enumerate() {
-                        for &(file, start, len) in entries {
-                            if (file as usize) < f {
-                                per_file[file as usize]
-                                    .push((w, &worker_buffers[w][start..start + len]));
-                            }
-                        }
-                    }
-                    let vote_inputs: Vec<byz_aggregate::VoteInput<'_, &[f32]>> = (0..f)
-                        .map(|file| (per_file[file].as_slice(), holders[file].as_slice()))
-                        .collect();
-                    let vote_start = Instant::now();
-                    let winners: Vec<Option<Vec<f32>>> =
-                        quorum_vote_all_audited(&vote_inputs, config.quorum.q_min)
-                            .into_iter()
-                            .map(|vote| {
-                                let outcome = vote.ok()?;
-                                if !outcome.is_strict {
-                                    non_strict += 1;
-                                }
-                                if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                    degraded_votes += 1;
-                                }
-                                audits.push(outcome.audit);
-                                Some(outcome.value)
-                            })
-                            .collect();
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    // Merge the deferred files' on-time arrivals into
-                    // their slots (the straggler deliveries are already
-                    // there); the fold-round vote sorts by worker, so
-                    // the merge order is immaterial.
-                    for file in 0..f {
-                        if file_lag[file] == 0 {
-                            continue;
-                        }
-                        let Some(slot) = stale_backlog
-                            .iter_mut()
-                            .find(|s| s.origin == t && s.file == file)
-                        else {
-                            continue;
-                        };
-                        if let StaleReplicas::Batched(list) = &mut slot.replicas {
-                            for &(w, slice) in &per_file[file] {
-                                if list.iter().all(|&(lw, _)| lw != w) {
-                                    list.push((w, slice.to_vec()));
-                                }
-                            }
-                        }
-                    }
-                    winners
-                }
-                (
-                    Transport::Full,
-                    WireFormat::Chunked(chunk_cfg),
-                    RoundMode::BoundedStaleness { max_staleness },
-                ) => {
-                    // Bounded staleness, chunked wire: same plan-driven
-                    // schedule as the batched arm, with late replicas
-                    // assembling incrementally — a deferred file owns a
-                    // backlog [`ShardedFileVoter`] from its origin round
-                    // on, and both its on-time chunks and the
-                    // straggler's cross-round chunks route into it until
-                    // the fold round.
-                    let chunk_len = chunk_cfg.span_len();
-                    let chunks = num_chunks(params.len(), chunk_len);
-                    let lag_of = |w: usize| -> u64 {
-                        (config.faults.straggle_factor(w).ceil() as u64)
-                            .saturating_sub(1)
-                            .min(max_staleness)
-                    };
-                    let holders: Vec<Vec<usize>> = (0..f)
-                        .map(|file| {
-                            self.assignment
-                                .graph()
-                                .workers_of(file)
-                                .iter()
-                                .copied()
-                                .filter(|&w| !quarantined_mask[w])
-                                .collect()
-                        })
-                        .collect();
-                    let file_lag: Vec<u64> = (0..f)
-                        .map(|file| {
-                            let on_time = holders[file]
-                                .iter()
-                                .filter(|&&w| !config.faults.is_crashed(w) && lag_of(w) == 0)
-                                .count();
-                            if on_time >= config.quorum.q_min {
-                                0
-                            } else {
-                                holders[file]
-                                    .iter()
-                                    .filter(|&&w| !config.faults.is_crashed(w))
-                                    .map(|&w| lag_of(w))
-                                    .max()
-                                    .unwrap_or(0)
-                            }
-                        })
-                        .collect();
-                    for file in 0..f {
-                        if file_lag[file] == 0 {
-                            continue;
-                        }
-                        deferred_files += 1;
-                        // A late replica is awaited only if none of its
-                        // chunks are plan-dropped — a partially dropped
-                        // replica can never complete, and waiting for it
-                        // would stall the fold round at the deadline.
-                        let pending: Vec<usize> = holders[file]
-                            .iter()
-                            .copied()
-                            .filter(|&w| {
-                                !config.faults.is_crashed(w)
-                                    && lag_of(w) > 0
-                                    && (0..chunks)
-                                        .all(|c| !config.faults.drops_chunk(t, 0, w, file, c))
-                            })
-                            .collect();
-                        stale_backlog.push(StaleFile {
-                            origin: t,
-                            file,
-                            lag: file_lag[file],
-                            holders: holders[file].clone(),
-                            pending,
-                            replicas: StaleReplicas::Chunked(Box::new(ShardedFileVoter::new(
-                                file as u32,
-                                params.len(),
-                                chunk_len,
-                            ))),
-                        });
-                    }
-                    let mut voters: Vec<ShardedFileVoter> = (0..f)
-                        .map(|file| ShardedFileVoter::new(file as u32, params.len(), chunk_len))
-                        .collect();
-                    let expected_frames = (0..k).filter(|&w| lag_of(w) == 0).count() * l * chunks;
-                    let mut on_time_frames = 0usize;
-                    while on_time_frames < expected_frames {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        let Ok(view) = decode_gradient_chunk(&frame) else {
-                            on_time_frames += 1;
-                            continue;
-                        };
-                        let w = view.worker as usize;
-                        let late_worker = w < k && lag_of(w) > 0;
-                        if !late_worker {
-                            on_time_frames += 1;
-                        }
-                        if w >= k {
-                            continue;
-                        }
-                        // Chunks for a deferred file — this round's or
-                        // an earlier round's — assemble in the backlog;
-                        // everything the backlog does not claim is an
-                        // on-time chunk for this round's voters.
-                        if route_late_chunk(&mut stale_backlog, &view) {
-                            continue;
-                        }
-                        if late_worker || view.iteration != t || quarantined_mask[w] {
-                            continue;
-                        }
-                        let Some(voter) = voters.get_mut(view.file as usize) else {
-                            continue;
-                        };
-                        voter.ingest(&view);
-                    }
-                    while stale_backlog
-                        .iter()
-                        .any(|s| s.origin + s.lag <= t && !s.pending.is_empty())
-                    {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(_) => break,
-                        };
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        let Ok(view) = decode_gradient_chunk(&frame) else {
-                            continue;
-                        };
-                        route_late_chunk(&mut stale_backlog, &view);
-                    }
-                    collect_end = Some(Instant::now());
-                    // Deferred files' replicas live in the backlog, not
-                    // these voters, so they count as not-yet-arrived
-                    // here — consistent with "missing at the round's own
-                    // close", and deterministic either way.
-                    let complete: usize = voters.iter().map(|v| v.complete_workers().len()).sum();
-                    missing_entries = expected.saturating_sub(complete);
-
-                    let vote_start = Instant::now();
-                    let mut winners: Vec<Option<Vec<f32>>> = Vec::with_capacity(f);
-                    for file in 0..f {
-                        if file_lag[file] > 0 {
-                            winners.push(None);
-                            continue;
-                        }
-                        match voters[file].finalize(config.quorum.q_min, &holders[file]) {
-                            Ok(outcome) => {
-                                if !outcome.is_strict {
-                                    non_strict += 1;
-                                }
-                                if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                    degraded_votes += 1;
-                                }
-                                audits.push(outcome.audit);
-                                winners.push(Some(outcome.value));
-                            }
-                            Err(_) => winners.push(None),
-                        }
-                    }
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    winners
-                }
-                (Transport::HashVote, _, _) => {
-                    // Phase 1: collect fingerprints.
-                    let mut per_file: HashMap<u32, Vec<(usize, Fingerprint)>> = HashMap::new();
-                    while frames_received < expected {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(_) => break,
-                        };
-                        if first_frame.is_none() {
-                            first_frame = Some(Instant::now());
-                        }
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        // Malformed or unexpected frames degrade, never panic
-                        // (same policy as the full-gradient transport).
-                        match Message::decode(&frame) {
-                            Ok(Message::HashAnnounce {
-                                iteration,
-                                worker,
-                                file,
-                                fingerprint,
-                            }) => {
-                                if iteration != t {
-                                    continue;
-                                }
-                                if quarantined_mask.get(worker as usize) == Some(&true) {
-                                    continue;
-                                }
-                                per_file
-                                    .entry(file)
-                                    .or_default()
-                                    .push((worker as usize, fingerprint));
-                            }
-                            Ok(_) | Err(_) => continue,
-                        }
-                    }
-                    collect_end = Some(Instant::now());
-                    // Phase 2: vote on fingerprints, pull each winner once.
-                    // The same quorum floor applies: files that announced
-                    // fewer than `q_min` fingerprints are abandoned, and
-                    // partial announce sets count as degraded votes.
-                    let vote_start = Instant::now();
-                    let r = self.assignment.replication();
-                    let mut winners: Vec<Option<Vec<f32>>> = vec![None; f];
-                    let mut pulls: Vec<(u32, Fingerprint)> = Vec::new();
-                    for file in 0..f as u32 {
-                        let Some(announced) = per_file.remove(&file) else {
-                            continue;
-                        };
-                        if announced.len() < config.quorum.q_min {
-                            continue;
-                        }
-                        let Some(outcome) = hash_majority(&announced) else {
-                            continue;
-                        };
-                        if !outcome.is_strict {
-                            non_strict += 1;
-                        }
-                        if announced.len() < r {
-                            degraded_votes += 1;
-                        }
-                        // Fingerprint votes audit exactly like full
-                        // votes: announcing a losing hash is a
-                        // disagreement, never announcing is an absence.
-                        let mut audit = VoteAudit {
-                            replicas: announced
-                                .iter()
-                                .map(|&(w, fp)| {
-                                    let verdict = if fp == outcome.winner {
-                                        ReplicaVerdict::Agreed
-                                    } else {
-                                        ReplicaVerdict::Disagreed
-                                    };
-                                    (w, verdict)
-                                })
-                                .collect(),
-                            winner_hash: outcome.winner.0 ^ outcome.winner.1,
-                        };
-                        let holders: Vec<usize> = self
-                            .assignment
-                            .graph()
-                            .workers_of(file as usize)
-                            .iter()
-                            .copied()
-                            .filter(|&w| !quarantined_mask[w])
-                            .collect();
-                        audit.mark_absent(&holders);
-                        audits.push(audit);
-                        let holder = outcome.holders[0];
-                        let req = Message::PayloadRequest { iteration: t, file }.encode();
-                        // A dead holder is indistinguishable from a crashed
-                        // one: the pull below simply times out.
-                        let _ = to_workers[holder].send(req);
-                        pulls.push((file, outcome.winner));
-                    }
-                    vote_ns += vote_start.elapsed().as_nanos() as u64;
-                    for _ in 0..pulls.len() {
-                        let Some(window) = recv_window(round_start) else {
-                            break;
-                        };
-                        let frame = match from_workers.recv_timeout(window) {
-                            Ok(fr) => fr,
-                            Err(_) => break,
-                        };
-                        frames_received += 1;
-                        bytes_received += frame.len();
-                        match Message::decode(&frame) {
-                            Ok(Message::GradientReturn {
-                                iteration,
-                                file,
-                                gradient,
-                                ..
-                            }) => {
-                                if iteration != t {
-                                    continue;
-                                }
-                                // A payload for a file the PS never pulled is
-                                // a forged frame — drop it like any other.
-                                let Some(expected_fp) =
-                                    pulls.iter().find(|(pf, _)| *pf == file).map(|(_, fp)| *fp)
-                                else {
-                                    continue;
-                                };
-                                // Bait-and-switch defense: the payload
-                                // must hash to the winning fingerprint —
-                                // and carry the model's shape (a degraded
-                                // single-holder vote can be won by a
-                                // Byzantine fingerprint of arbitrary
-                                // length, which must not reach the
-                                // median).
-                                if gradient.len() == params.len()
-                                    && verify_payload(&gradient, expected_fp)
-                                {
-                                    winners[file as usize] = Some(gradient);
-                                }
-                            }
-                            Ok(_) | Err(_) => continue,
-                        }
-                    }
-                    winners
-                }
+                Transport::HashVote => hash_vote_round(
+                    t,
+                    &self.assignment,
+                    &quarantined,
+                    config.quorum.q_min,
+                    params.len(),
+                    &mut recv,
+                    to_workers,
+                ),
             };
 
-            // Full transport: entry-level accounting (frames are per
-            // worker, votes are per replica entry). HashVote keeps the
-            // frame-level accounting it always had.
-            let missing_votes = match config.transport {
-                Transport::Full => missing_entries,
-                Transport::HashVote => expected.saturating_sub(frames_received.min(expected)),
-            };
-
-            // Bounded staleness: fold the backlog entries due this round.
-            // Their votes run over everything banked for them (replica
-            // sets frozen at the origin round), the winners are
-            // discounted by `1/(1 + lag)` and appended after this
-            // round's on-time winners in (origin, file) order — the
-            // order slots were parked — and their audits join this
-            // round's reputation fold.
-            let mut stale_values: Vec<Vec<f32>> = Vec::new();
-            let mut stale_failed = 0usize;
-            if stale_backlog.iter().any(|s| s.origin + s.lag <= t) {
-                let vote_start = Instant::now();
-                let mut keep = Vec::with_capacity(stale_backlog.len());
-                for stale in stale_backlog.drain(..) {
-                    if stale.origin + stale.lag > t {
-                        keep.push(stale);
-                        continue;
-                    }
-                    let lag = stale.lag;
-                    match finalize_stale(stale, config.quorum.q_min) {
-                        Ok(outcome) => {
-                            if !outcome.is_strict {
-                                non_strict += 1;
-                            }
-                            if matches!(outcome.provenance, Provenance::Degraded { .. }) {
-                                degraded_votes += 1;
-                            }
-                            audits.push(outcome.audit);
-                            let discount = 1.0 / (1.0 + lag as f32);
-                            stale_values.push(outcome.value.iter().map(|v| v * discount).collect());
-                        }
-                        // A due file whose banked replicas still miss
-                        // quorum (late drops, deadline) is abandoned at
-                        // its fold round, exactly like an on-time quorum
-                        // failure.
-                        Err(_) => stale_failed += 1,
-                    }
-                }
-                stale_backlog = keep;
-                vote_ns += vote_start.elapsed().as_nanos() as u64;
-            }
-
-            let abandoned_files =
-                winners.iter().filter(|w| w.is_none()).count() - deferred_files + stale_failed;
-            let stale_folded = stale_values.len();
-            let mut available: Vec<Vec<f32>> = winners.into_iter().flatten().collect();
-            available.append(&mut stale_values);
             let update_start = Instant::now();
-            if !available.is_empty() {
-                // Invariant expect: `available` is non-empty and every
-                // winner has the model's dimension — the shape gates at
-                // every ingestion point (batched entries, chunk voters
-                // sized to the model, hash-vote pulls) enforce the
-                // latter even against arbitrary socket peers. A failure
-                // here is a kernel bug, not reachable input, and must
-                // stay a panic.
-                let aggregated = aggregator
-                    .aggregate(&available)
+            if !result.winners.is_empty() {
+                // Invariant expect: `winners` is non-empty and every
+                // winner has the model's dimension — the admission gate
+                // (batched entries, chunk voters sized to the model,
+                // hash-vote pulls) enforces the latter even against
+                // arbitrary socket peers. A failure here is a kernel
+                // bug, not reachable input, and must stay a panic.
+                let aggregated = CoordinateMedian
+                    .aggregate(&result.winners)
                     .expect("median is always applicable");
                 let scale = f as f32 / config.batch_size as f32;
                 // Chunk-parallel on the kernel pool; elementwise, so
@@ -1746,38 +601,41 @@ impl MessagePassingCluster {
 
             let (suspicions, reputation_events, quarantined_workers) = match ledger.as_mut() {
                 Some(ledger) => {
-                    let events = ledger.observe_round(t, &audits);
+                    let events = ledger.observe_round(t, &result.audits);
                     (ledger.suspicions(), events, ledger.quarantined_workers())
                 }
                 None => (Vec::new(), Vec::new(), Vec::new()),
             };
 
+            // First frame marks the end of (observed) worker compute,
+            // `collect_end` the end of the wire window; `vote_ns` is vote
+            // CPU wherever it ran — inside the window when files
+            // finalize eagerly, after it otherwise.
             let timings = PhaseTimings {
-                compute_ns: first_frame
-                    .map(|ff| ff.duration_since(round_start).as_nanos() as u64)
-                    .unwrap_or(0),
-                wire_ns: match (first_frame, collect_end) {
-                    (Some(ff), Some(ce)) => ce.duration_since(ff).as_nanos() as u64,
-                    _ => 0,
-                },
+                compute_ns: first_frame.map_or(0, |first| {
+                    first.duration_since(round_start).as_nanos() as u64
+                }),
+                wire_ns: first_frame.map_or(0, |first| {
+                    collect_end.saturating_duration_since(first).as_nanos() as u64
+                }),
                 vote_ns,
                 update_ns,
                 round_ns: round_start.elapsed().as_nanos() as u64,
             };
             summaries.push(RoundSummary {
                 iteration: t as usize,
-                non_strict_votes: non_strict,
+                non_strict_votes: result.non_strict_votes,
                 frames_received,
                 bytes_received,
-                missing_votes,
-                degraded_votes,
-                abandoned_files,
-                deferred_files,
-                stale_folded,
+                missing_votes: result.missing_votes,
+                degraded_votes: result.degraded_votes,
+                abandoned_files: result.abandoned_files,
+                deferred_files: result.deferred_files,
+                stale_folded: result.stale_folded,
                 suspicions,
                 reputation_events,
                 quarantined_workers,
-                audits,
+                audits: result.audits,
                 timings,
             });
         }
@@ -1802,7 +660,9 @@ pub(crate) struct WorkerContext {
     pub(crate) attack: LocalAttack,
     pub(crate) transport: Transport,
     pub(crate) wire: WireFormat,
-    pub(crate) mode: RoundMode,
+    /// Upload each file's replica the moment it is computed (streaming
+    /// rounds) instead of once per round.
+    pub(crate) flush_per_file: bool,
     pub(crate) plan: FaultPlan,
     pub(crate) delay: Duration,
     pub(crate) idle_timeout: Duration,
@@ -1863,12 +723,13 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                 }
                 cache.retain(|(it, _), _| *it + 1 >= iteration);
                 model.set_params(&params);
-                // Full transport, barrier mode: the whole round's
-                // gradients go out as ONE batched frame (drops suppress
-                // individual entries, not the frame). Streaming mode
-                // emits each file's frames the moment its gradient is
-                // computed. HashVote keeps per-file announces either way.
-                let mut batch: Vec<(u32, Vec<f32>)> = Vec::with_capacity(ctx.my_files.len());
+                // Full transport: computed replicas queue in `ready` and
+                // leave through `flush` — after every file when the PS
+                // finalizes votes eagerly, once per round otherwise
+                // (bounded staleness is a PS-side schedule: the worker
+                // sends what it would in barrier mode, straggler delay
+                // and all). HashVote announces per file either way.
+                let mut ready: Vec<(u32, Vec<f32>)> = Vec::with_capacity(ctx.my_files.len());
                 for &file_idx in &ctx.my_files {
                     // Bounds gates for forged broadcasts: a file table
                     // that does not cover this worker's assignment, or
@@ -1894,53 +755,17 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                         .plan
                         .drops_replica(iteration, 0, ctx.worker_id, file_idx);
                     match ctx.transport {
-                        Transport::Full => match (ctx.mode, ctx.wire) {
-                            (RoundMode::Streaming, WireFormat::Batched) => {
-                                // One single-entry frame per file, sent as
-                                // soon as the gradient exists. A dropped
-                                // entry still sends an empty frame, so
-                                // live workers emit exactly `l` frames —
-                                // the per-file analogue of the barrier
-                                // wire's send-even-when-empty policy.
-                                let entries: Vec<(u32, &[f32])> = if dropped {
-                                    Vec::new()
-                                } else {
-                                    vec![(file_idx as u32, gradient.as_slice())]
-                                };
-                                let frame = encode_gradient_batch(
-                                    iteration,
-                                    ctx.worker_id as u32,
-                                    &entries,
-                                );
-                                if link.send(frame).is_err() {
+                        Transport::Full => {
+                            if !dropped {
+                                ready.push((file_idx as u32, gradient));
+                            }
+                            if ctx.flush_per_file {
+                                if flush(ctx, link, iteration, &ready).is_err() {
                                     return WorkerExit::LinkClosed;
                                 }
+                                ready.clear();
                             }
-                            (RoundMode::Streaming, WireFormat::Chunked(cfg)) => {
-                                if !dropped
-                                    && send_replica_chunks(
-                                        ctx,
-                                        link,
-                                        iteration,
-                                        file_idx as u32,
-                                        &gradient,
-                                        &cfg,
-                                    )
-                                    .is_err()
-                                {
-                                    return WorkerExit::LinkClosed;
-                                }
-                            }
-                            // Bounded staleness is a PS-side schedule:
-                            // the worker sends exactly what it would in
-                            // barrier mode, straggler delay and all, and
-                            // the PS decides what is on time.
-                            (RoundMode::Barrier | RoundMode::BoundedStaleness { .. }, _) => {
-                                if !dropped {
-                                    batch.push((file_idx as u32, gradient));
-                                }
-                            }
-                        },
+                        }
                         Transport::HashVote => {
                             if dropped {
                                 continue;
@@ -1961,37 +786,10 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                     }
                 }
                 if ctx.transport == Transport::Full
-                    && matches!(
-                        ctx.mode,
-                        RoundMode::Barrier | RoundMode::BoundedStaleness { .. }
-                    )
+                    && !ctx.flush_per_file
+                    && flush(ctx, link, iteration, &ready).is_err()
                 {
-                    match ctx.wire {
-                        WireFormat::Batched => {
-                            // Sent even when every entry was dropped: the
-                            // frame itself is cheap and keeps the PS's frame
-                            // accounting deterministic (live workers send
-                            // exactly one).
-                            let entries: Vec<(u32, &[f32])> = batch
-                                .iter()
-                                .map(|(file, g)| (*file, g.as_slice()))
-                                .collect();
-                            let frame =
-                                encode_gradient_batch(iteration, ctx.worker_id as u32, &entries);
-                            if link.send(frame).is_err() {
-                                return WorkerExit::LinkClosed;
-                            }
-                        }
-                        WireFormat::Chunked(cfg) => {
-                            for (file, gradient) in &batch {
-                                if send_replica_chunks(ctx, link, iteration, *file, gradient, &cfg)
-                                    .is_err()
-                                {
-                                    return WorkerExit::LinkClosed;
-                                }
-                            }
-                        }
-                    }
+                    return WorkerExit::LinkClosed;
                 }
             }
             Message::PayloadRequest { iteration, file } => {
@@ -2033,13 +831,40 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
     }
 }
 
+/// Sends the replicas computed since the last flush. The batched wire
+/// packs them into ONE frame — sent even when every entry was dropped:
+/// the frame itself is cheap and keeps the PS's frame accounting
+/// deterministic — and the chunked wire streams each replica's chunk
+/// frames.
+fn flush(
+    ctx: &WorkerContext,
+    link: &mut dyn Link,
+    iteration: u64,
+    entries: &[(u32, Vec<f32>)],
+) -> Result<(), LinkError> {
+    match ctx.wire {
+        WireFormat::Batched => {
+            let views: Vec<(u32, &[f32])> = entries
+                .iter()
+                .map(|(file, gradient)| (*file, gradient.as_slice()))
+                .collect();
+            link.send(encode_gradient_batch(
+                iteration,
+                ctx.worker_id as u32,
+                &views,
+            ))
+        }
+        WireFormat::Chunked(cfg) => entries.iter().try_for_each(|(file, gradient)| {
+            send_replica_chunks(ctx, link, iteration, *file, gradient, &cfg)
+        }),
+    }
+}
+
 /// Streams one replica's gradient as independent chunk frames. Message
 /// loss rolls per chunk (a lost chunk strands its replica at the PS,
 /// which degrades it like a lost whole replica). Every in-flight buffer
 /// is chunk-sized: the worker never serializes more than one chunk's
-/// worth of gradient at a time. Shared by the barrier wire (which sends
-/// all replicas after the compute loop) and the streaming wire (which
-/// calls this per file as soon as its gradient is ready).
+/// worth of gradient at a time.
 fn send_replica_chunks(
     ctx: &WorkerContext,
     link: &mut dyn Link,
@@ -2661,6 +1486,210 @@ mod tests {
             };
             assert_eq!(totals(&s_bounded), totals(&s_barrier), "{wire:?}");
         }
+    }
+
+    /// What the scripted worker uploads on the broadcast of round `t`.
+    type Script<'a> = &'a (dyn Fn(u64) -> Vec<Bytes> + Sync);
+
+    /// A K = 15 cluster whose worker 0 is scripted: a file it holds, a
+    /// file it does not, and the forged payload it pushes.
+    struct Rogue {
+        cluster: MessagePassingCluster,
+        dims: Vec<usize>,
+        held: u32,
+        unheld: u32,
+        forged: Vec<f32>,
+    }
+
+    impl Rogue {
+        const ID: u32 = 0;
+
+        fn new() -> Self {
+            let dims = vec![36usize, 8, 4];
+            let assignment = MolsAssignment::new(5, 3).unwrap().build();
+            let graph = assignment.graph();
+            let held = graph.files_of(0)[0] as u32;
+            let unheld = (0..assignment.num_files())
+                .find(|&file| !graph.workers_of(file).contains(&0))
+                .unwrap() as u32;
+            Rogue {
+                forged: vec![7.0; initial_params(&dims).len()],
+                cluster: MessagePassingCluster::new(assignment, dataset(), dims.clone()),
+                dims,
+                held,
+                unheld,
+            }
+        }
+
+        /// A batch frame from the rogue carrying `copies` forged entries
+        /// for `file`.
+        fn batch(&self, t: u64, file: u32, copies: usize) -> Bytes {
+            encode_gradient_batch(t, Self::ID, &vec![(file, self.forged.as_slice()); copies])
+        }
+
+        /// Runs the real PS loop over channels; every worker but the
+        /// rogue runs the real worker loop.
+        fn train(&self, config: &ServerConfig, script: Script<'_>) -> WireTrainingRun {
+            let (to_ps, from_workers) = unbounded::<Bytes>();
+            let mut to_workers = Vec::new();
+            crossbeam::thread::scope(|scope| {
+                for worker_id in 0..self.cluster.assignment.num_workers() {
+                    let (tx, rx) = unbounded::<Bytes>();
+                    to_workers.push(tx);
+                    let to_ps = to_ps.clone();
+                    if worker_id != Self::ID as usize {
+                        let ctx = self.cluster.worker_context(worker_id, config);
+                        scope.spawn(move |_| {
+                            worker_loop(&ctx, &mut ChannelLink::new(to_ps, rx));
+                        });
+                        continue;
+                    }
+                    scope.spawn(move |_| {
+                        while let Ok(frame) = rx.recv() {
+                            match Message::decode(&frame) {
+                                Ok(Message::ModelBroadcast { iteration, .. }) => {
+                                    script(iteration).into_iter().for_each(|forged| {
+                                        let _ = to_ps.send(forged);
+                                    });
+                                }
+                                Ok(Message::Shutdown) => break,
+                                _ => {}
+                            }
+                        }
+                    });
+                }
+                drop(to_ps);
+                // A PS panic must fail the test, not strand the workers.
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let initial = initial_params(&self.dims);
+                    self.cluster
+                        .ps_loop(initial, config, &to_workers, &from_workers, None)
+                }));
+                for tx in &to_workers {
+                    let _ = tx.send(Message::Shutdown.encode());
+                }
+                run.expect("the PS panicked")
+            })
+            .expect("worker thread panicked")
+        }
+
+        /// The attack must leave params, every counter and every audit
+        /// exactly where the reference script leaves them.
+        fn assert_inert(&self, config: &ServerConfig, attack: Script<'_>, reference: Script<'_>) {
+            let (attacked, reference) = (self.train(config, attack), self.train(config, reference));
+            assert_eq!(attacked.params, reference.params);
+            for (a, b) in attacked.summaries.iter().zip(&reference.summaries) {
+                assert_eq!(a.audits, b.audits, "round {}", a.iteration);
+                let counters = |s: &RoundSummary| {
+                    [
+                        s.non_strict_votes,
+                        s.missing_votes,
+                        s.degraded_votes,
+                        s.abandoned_files,
+                    ]
+                };
+                assert_eq!(counters(a), counters(b), "round {}", a.iteration);
+            }
+        }
+    }
+
+    #[test]
+    fn stuffed_batch_entries_cast_at_most_one_vote_per_holder() {
+        // One frame carrying r = 3 forged entries used to win a file's
+        // vote outright. For a file the sender does not hold they must
+        // cast no vote at all; for a file it holds, exactly one.
+        let rogue = Rogue::new();
+        let cfg = ServerConfig {
+            receive_timeout: Duration::from_millis(300),
+            ..config(3, vec![])
+        };
+        let (held, unheld) = (rogue.held, rogue.unheld);
+        rogue.assert_inert(&cfg, &|t| vec![rogue.batch(t, unheld, 3)], &|t| {
+            vec![rogue.batch(t, unheld, 0)]
+        });
+        rogue.assert_inert(&cfg, &|t| vec![rogue.batch(t, held, 3)], &|t| {
+            vec![rogue.batch(t, held, 1)]
+        });
+    }
+
+    #[test]
+    fn forged_chunked_replica_from_a_non_holder_is_rejected() {
+        // Complete, well-formed, and from a worker that does not hold
+        // the file: it used to join the vote and show up in the audit.
+        let rogue = Rogue::new();
+        let chunking = ChunkConfig::dense(128);
+        let cfg = ServerConfig {
+            wire: WireFormat::Chunked(chunking),
+            receive_timeout: Duration::from_millis(300),
+            ..config(2, vec![])
+        };
+        let replica =
+            |t| crate::encode_gradient_chunks(t, Rogue::ID, rogue.unheld, &rogue.forged, &chunking);
+        rogue.assert_inert(&cfg, &replica, &|_| Vec::new());
+    }
+
+    #[test]
+    fn stuffing_cannot_finalize_a_streaming_vote_early() {
+        // The file's honest holders all straggle, so the rogue's three
+        // forged entries are in long before them. An eager finalize that
+        // counted entries instead of holders closed the vote right there,
+        // honest replicas excluded.
+        let rogue = Rogue::new();
+        let holders = rogue
+            .cluster
+            .assignment
+            .graph()
+            .workers_of(rogue.unheld as usize);
+        let cfg = ServerConfig {
+            mode: RoundMode::Streaming,
+            faults: holders
+                .iter()
+                .fold(FaultPlan::new(0), |plan, &w| plan.straggle(w, 2.0)),
+            straggler_unit: Duration::from_millis(80),
+            ..config(2, vec![])
+        };
+        // One frame per assigned file, like any streaming worker.
+        let script = |t: u64, copies: usize| {
+            let mut frames = vec![rogue.batch(t, rogue.unheld, 0); rogue.cluster.assignment.load()];
+            frames[0] = rogue.batch(t, rogue.unheld, copies);
+            frames
+        };
+        rogue.assert_inert(&cfg, &|t| script(t, 3), &|t| script(t, 0));
+    }
+
+    #[test]
+    fn forged_hash_announces_neither_panic_nor_move_the_winner() {
+        // Three announces under a worker id that does not exist used to
+        // tie a file's fingerprint vote and, winning it, index past the
+        // PS's sender table; a repeated announce used to count twice.
+        let rogue = Rogue::new();
+        let cfg = ServerConfig {
+            transport: Transport::HashVote,
+            receive_timeout: Duration::from_millis(300),
+            ..config(3, vec![])
+        };
+        let announce = |iteration: u64, worker: u32, file: u32| {
+            Message::HashAnnounce {
+                iteration,
+                worker,
+                file,
+                fingerprint: Fingerprint::of(&rogue.forged),
+            }
+            .encode()
+        };
+        let attack = |t: u64| {
+            let mut frames = vec![announce(t, 99, rogue.unheld); 3];
+            frames.extend([announce(t, 0, rogue.held), announce(t, 0, rogue.held)]);
+            frames
+        };
+        // The reference rogue announces once; its other four frames are
+        // of a round that never was.
+        let reference = |t: u64| {
+            let mut frames = vec![announce(0, 0, rogue.held); 4];
+            frames.push(announce(t, 0, rogue.held));
+            frames
+        };
+        rogue.assert_inert(&cfg, &attack, &reference);
     }
 
     #[test]

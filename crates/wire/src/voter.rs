@@ -87,6 +87,15 @@ impl ShardedFileVoter {
         }
     }
 
+    /// Forgets every chunk ingested so far, keeping the geometry, so the
+    /// voter serves the next round.
+    pub fn reset(&mut self) {
+        self.shards.iter_mut().for_each(Vec::clear);
+        self.replicas.clear();
+        self.rejected.clear();
+        self.peak_scratch = 0;
+    }
+
     /// Feeds one decoded chunk into the vote. Geometry that disagrees
     /// with the negotiated shape voids the sender's replica (see
     /// [`ChunkIngest::Rejected`]); nothing here panics on forged input.
