@@ -128,11 +128,6 @@ impl DynamicAssignment {
         self.base.num_files()
     }
 
-    /// The base per-worker load `l` — the rebalance target for joiners.
-    pub fn target_load(&self) -> usize {
-        self.base.load()
-    }
-
     /// Files currently below the replication factor, ascending. Empty
     /// whenever at least `r` members survive.
     pub fn under_replicated(&self) -> &[usize] {

@@ -1,13 +1,8 @@
 //! Compute-kernel benches: the blocked/pooled matmul against the seed's
-//! naive triple loop, selection-based parallel coordinate-median against
-//! a sort-based scalar baseline, and a threaded cluster round against the
-//! sequential engine. `src/bin/bench_kernels.rs` records the same
-//! comparisons as `BENCH_kernels.json` without criterion.
+//! naive triple loop, and selection-based parallel coordinate-median
+//! against a sort-based scalar baseline.
 
 use byz_aggregate::{Aggregator, CoordinateMedian};
-use byz_assign::MolsAssignment;
-use byz_cluster::{Cluster, ExecutionMode};
-use byz_nn::FastMlp;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,41 +89,5 @@ fn bench_coordinate_median(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cluster_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cluster_round");
-    group.sample_size(10);
-    let assignment = MolsAssignment::new(5, 3).expect("valid parameters").build();
-    let mut rng = StdRng::seed_from_u64(7);
-    let net = FastMlp::new(&[128, 64, 10], &mut rng);
-    let params = net.params_flat();
-    let batch = 16usize;
-    let x = filled(batch * 128, 9);
-    let labels: Vec<usize> = (0..batch).map(|s| s % 10).collect();
-    let compute = move |p: &[f32], _file: usize| {
-        let mut model = net.clone();
-        model.set_params(p);
-        model.gradient_sum(&x, batch, &labels).1
-    };
-    let seq = Cluster::new(assignment.clone(), ExecutionMode::Sequential);
-    let thr = Cluster::new(
-        assignment,
-        ExecutionMode::Threaded {
-            max_threads: byz_kernel::num_threads(),
-        },
-    );
-    group.bench_function("sequential", |b| {
-        b.iter(|| seq.compute_round(&compute, std::hint::black_box(&params)))
-    });
-    group.bench_function("threaded_pool", |b| {
-        b.iter(|| thr.compute_round(&compute, std::hint::black_box(&params)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_matmul,
-    bench_coordinate_median,
-    bench_cluster_round
-);
+criterion_group!(benches, bench_matmul, bench_coordinate_median);
 criterion_main!(benches);

@@ -1,12 +1,11 @@
-//! Shared harness utilities for the table/figure regeneration binaries.
-//!
-//! Every table and figure of the paper's evaluation has a dedicated
-//! binary in `src/bin/` (see DESIGN.md §5 for the index). The binaries
-//! print the same rows/series the paper reports and, for figures, also
-//! write CSV files under `bench_results/` for external plotting.
+//! Shared helpers of the `repro` binary, which regenerates every table
+//! and figure of the paper's evaluation (`repro list`; DESIGN.md §5 has
+//! the index). It prints the same rows/series the paper reports and, for
+//! figures, also writes CSV files under `bench_results/` for external
+//! plotting. The criterion micro-benches under `benches/` time product
+//! functions directly; end-to-end performance lives in `benchmark/`.
 
 mod chart;
-pub mod harness;
 
 pub use chart::render_ascii_chart;
 
@@ -19,7 +18,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-/// Number of training iterations figure binaries run by default; override
+/// Number of training iterations figures run by default; override
 /// with the `BYZ_ITERS` environment variable (the paper uses ~1000, which
 /// works too but takes proportionally longer).
 pub fn figure_iterations() -> usize {

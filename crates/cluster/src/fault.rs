@@ -9,10 +9,9 @@
 //! set, the same dropped replicas, and therefore the same degraded-round
 //! outcome — the reproducibility the chaos test suite pins.
 //!
-//! The plan is transport-agnostic: the in-process engine
-//! ([`Cluster::compute_round_faulty`](crate::Cluster::compute_round_faulty))
-//! and the `byz-wire` message-passing server both consult the same plan
-//! type, so both transports degrade under one policy.
+//! The plan is transport-agnostic: the in-process trainer
+//! (`byzshield::Trainer::run`) and the `byz-wire` message-passing server
+//! both consult the same plan type, so both degrade under one policy.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -142,18 +141,24 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the per-replica message drop probability in `[0, 1)`: each
+    /// Sets the per-replica message drop probability, clamped to the
+    /// closed interval `[0, 1]` (NaN counts as 0): each
     /// `(round, attempt, worker, file)` replica is independently lost
-    /// with this probability, decided by a hash of the plan seed.
+    /// with this probability, decided by a hash of the plan seed. At
+    /// `1.0` every replica is lost.
     pub fn drop_rate(mut self, rate: f64) -> Self {
-        self.drop_rate = rate.clamp(0.0, 1.0);
+        self.drop_rate = if rate.is_nan() {
+            0.0
+        } else {
+            rate.clamp(0.0, 1.0)
+        };
         self
     }
 
     /// Schedules a connection fault: `worker` drops its transport link
     /// mid-round at `round` (after its first upload of that round), then
     /// reconnects through the handshake. Connection faults are a
-    /// *socket-deployment* fault class — the in-process engine and the
+    /// *socket-deployment* fault class — the in-process trainer and the
     /// channel transport have no connections to cut and ignore them; over
     /// TCP a cut link degrades exactly like the replica-drop path.
     pub fn disconnect_at(mut self, worker: usize, round: u64) -> Self {
@@ -241,16 +246,6 @@ impl FaultPlan {
         rounds.into_iter().collect()
     }
 
-    /// The scheduled joiners as `(worker, round)`, ascending by worker.
-    pub fn joining_workers(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.joins.iter().map(|(&w, &r)| (w, r))
-    }
-
-    /// The scheduled leavers as `(worker, round)`, ascending by worker.
-    pub fn leaving_workers(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.leaves.iter().map(|(&w, &r)| (w, r))
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -276,11 +271,6 @@ impl FaultPlan {
     /// The round from which `worker`'s connection goes half-open, if any.
     pub fn stalls_from(&self, worker: usize) -> Option<u64> {
         self.stalls.get(&worker).copied()
-    }
-
-    /// Whether the plan schedules any connection-level fault.
-    pub fn has_connection_faults(&self) -> bool {
-        !self.disconnects.is_empty() || !self.stalls.is_empty()
     }
 
     /// Whether `worker` is fail-stop crashed.
@@ -563,5 +553,22 @@ mod tests {
         let plan = FaultPlan::new(0).straggle(0, 0.25).drop_rate(1.5);
         assert_eq!(plan.straggle_factor(0), 1.0);
         assert_eq!(plan.replica_drop_rate(), 1.0);
+    }
+
+    #[test]
+    fn drop_rate_is_the_closed_unit_interval_and_nan_is_zero() {
+        let never = FaultPlan::new(3).drop_rate(-0.5);
+        let always = FaultPlan::new(3).drop_rate(1.0);
+        let nan = FaultPlan::new(3).drop_rate(f64::NAN);
+        assert_eq!(never.replica_drop_rate(), 0.0);
+        assert_eq!(always.replica_drop_rate(), 1.0);
+        assert_eq!(nan.replica_drop_rate(), 0.0);
+        assert!(nan.is_trivial(), "a NaN rate injects nothing");
+        for i in 0..500usize {
+            let (round, w, f, c) = (i as u64 / 25, i % 15, i % 25, i % 7);
+            assert!(!never.drops_replica(round, 0, w, f));
+            assert!(!nan.drops_replica(round, 0, w, f) && !nan.drops_chunk(round, 0, w, f, c));
+            assert!(always.drops_replica(round, 0, w, f) && always.drops_chunk(round, 0, w, f, c));
+        }
     }
 }

@@ -1,43 +1,29 @@
-//! Synchronous parameter-server cluster simulation.
+//! Fault plan + timing model for the synchronous parameter-server round.
 //!
-//! The paper runs PyTorch + MPICH on EC2; this crate simulates the same
-//! synchronous training protocol in-process (DESIGN.md §2 documents the
-//! substitution):
+//! The paper runs PyTorch + MPICH on EC2; this workspace runs the same
+//! protocol in-process or over `byz-wire` (DESIGN.md §2 documents the
+//! substitution). This crate holds the two pieces both round engines
+//! (`byzshield::Trainer::run` and `byz_wire::RoundCore`) share:
 //!
-//! * [`Cluster`] executes one *computation round*: fan the current model
-//!   out to every worker, have each worker compute the gradient of every
-//!   file assigned to it by the [`Assignment`](byz_assign::Assignment) graph, and gather the
-//!   per-file replica gradients back — either sequentially (bitwise
-//!   deterministic) or fanned out onto the persistent `byz-kernel` thread
-//!   pool ([`ExecutionMode::Threaded`]), which produces bit-identical
-//!   results because the worker→batch partition is shape-derived.
-//! * [`CostModel`] converts the round's measured compute times plus the
-//!   cluster's communication geometry (model broadcast, `l` gradient
-//!   uploads per worker, PS aggregation passes) into the per-iteration
-//!   computation/communication/aggregation split reported in the paper's
-//!   Figure 12.
+//! * [`FaultPlan`] deterministically marks workers crashed, stragglers,
+//!   message-droppers, disconnecting/stalling peers, joiners or leavers.
+//!   Every decision is a pure function of the plan's seed, so both
+//!   engines degrade under one policy and replay bit-identically.
+//!   Byzantine behaviour is *not* modelled here — the training protocol
+//!   replaces Byzantine workers' returns after the honest gradients are
+//!   known (the omniscient attack model).
+//! * [`CostModel`] converts the cluster's geometry (model broadcast, `l`
+//!   gradient uploads per worker, PS aggregation passes, and under a
+//!   plan the straggler stretch and [`RetryPolicy`] waves) into the
+//!   per-iteration computation/communication/aggregation split of the
+//!   paper's Figure 12; [`PhaseTimings`] is the measured counterpart a
+//!   wire PS reports.
 //!
-//! Byzantine behaviour is *not* injected here: the engine always computes
-//! true gradients, and the training protocol (in the `byzshield` crate)
-//! replaces returns from Byzantine workers afterwards. This mirrors the
-//! omniscient attack model — attackers know everything the honest cluster
-//! computed — and keeps the substrate reusable.
-//!
-//! *Benign* faults, by contrast, **are** injected here: a [`FaultPlan`]
-//! deterministically marks workers crashed, stragglers (latency
-//! multipliers consumed by [`CostModel::estimate_faulty`]), or
-//! message-droppers, and
-//! [`Cluster::compute_round_faulty`] produces the resulting *partial*
-//! replica sets. The degraded-quorum voting over those partial sets lives
-//! in `byz-aggregate::quorum_vote` and is shared with the `byz-wire`
-//! transport.
+//! [`ClusterError`] is the shared error type for "nobody survived" and
+//! for socket-deployment failures.
 
-mod arena;
-mod engine;
 mod fault;
 mod timing;
 
-pub use arena::{ArenaRound, GradientArena};
-pub use engine::{Cluster, ComputedRound, ExecutionMode, WorkerCompute};
 pub use fault::{ClusterError, FaultPlan};
 pub use timing::{CostModel, IterationTimeEstimate, PhaseTimings, RetryPolicy};

@@ -91,8 +91,7 @@ pub mod prelude {
         RandomNoise, ReversedGradient, Sleeper,
     };
     pub use byz_cluster::{
-        Cluster, ClusterError, CostModel, ExecutionMode, FaultPlan, IterationTimeEstimate,
-        PhaseTimings, RetryPolicy,
+        ClusterError, CostModel, FaultPlan, IterationTimeEstimate, PhaseTimings, RetryPolicy,
     };
     pub use byz_data::{BatchSampler, Dataset, SyntheticConfig, SyntheticImages};
     pub use byz_distortion::{

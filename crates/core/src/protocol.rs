@@ -32,15 +32,6 @@ pub enum Defense {
     Direct(Box<dyn Aggregator>),
 }
 
-impl Defense {
-    /// The inner aggregation rule's name.
-    pub fn aggregator_name(&self) -> &'static str {
-        match self {
-            Defense::VoteThenAggregate(a) | Defense::Direct(a) => a.name(),
-        }
-    }
-}
-
 impl fmt::Debug for Defense {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

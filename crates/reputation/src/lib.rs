@@ -330,20 +330,6 @@ impl ReputationLedger {
             .collect()
     }
 
-    /// Largest suspicion score among in-service workers (0 if none).
-    pub fn max_active_suspicion(&self) -> f64 {
-        self.workers
-            .iter()
-            .filter(|w| {
-                matches!(
-                    w.standing,
-                    WorkerStanding::Active | WorkerStanding::Probation { .. }
-                )
-            })
-            .map(|w| w.suspicion)
-            .fold(0.0, f64::max)
-    }
-
     /// Folds one round of vote audits into the ledger and returns the
     /// standing changes it triggered, in ascending worker order
     /// (quarantines before readmissions never interleave — each worker

@@ -795,6 +795,28 @@ mod tests {
         assert_eq!(decode_gradient_chunk(&next).unwrap().iteration, 2);
     }
 
+    #[test]
+    fn top_k_replica_is_at_least_four_times_smaller_than_its_batched_entry() {
+        // The benchmark's `straggler_sparse_bounded` geometry: d = 264 970
+        // in 4096-float chunks keeping the top 410 of each. Frame headers
+        // and index words included, one replica's chunk frames must stay
+        // under a quarter of its dense batch entry (header + 4·d bytes).
+        let d = 264_970;
+        let g: Vec<f32> = (0..d).map(|i| (i as f32 * 0.618).sin()).collect();
+        let sparse: usize = encode_gradient_chunks(3, 1, 2, &g, &sparse_cfg(4096, 410, 0xB12))
+            .iter()
+            .map(Bytes::len)
+            .sum();
+        let batch_len =
+            |entries: &[(u32, &[f32])]| crate::encode_gradient_batch(3, 1, entries).len();
+        let dense_entry = batch_len(&[(2, &g)]) - batch_len(&[]);
+        assert_eq!(dense_entry, 8 + 4 * d);
+        assert!(
+            sparse * 4 <= dense_entry,
+            "sparse {sparse} B x 4 > dense entry {dense_entry} B"
+        );
+    }
+
     proptest! {
         /// Dense chunking roundtrips bit-exactly at arbitrary (d, chunk),
         /// including NaN payloads and chunk lengths larger than d.

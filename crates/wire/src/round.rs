@@ -7,7 +7,7 @@
 //! set of every file, the replica store, the per-file outcome slots, the
 //! bounded-staleness backlog and the canonical fold of counters and
 //! audits — and knows nothing about where frames come from: the channel
-//! PS, the TCP PS and the pipeline bench all drive this one type. The
+//! PS and the TCP PS both drive this one type. The
 //! three [`RoundMode`]s are one private `ClosePolicy`, the two
 //! [`WireFormat`]s two replica stores the policy never looks inside.
 //! [`RoundCore::ingest`] is the only way a payload reaches a vote, so its
@@ -603,5 +603,59 @@ impl RoundCore {
     /// the window and in [`close`](Self::close).
     pub fn vote_ns(&self) -> u64 {
         self.vote_ns
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode_gradient_batch;
+    use byz_assign::MolsAssignment;
+
+    #[test]
+    fn flat_store_buffers_stop_growing_after_the_first_round() {
+        // The batched wire's allocation contract: every worker's flat
+        // buffer is sized by round 1 (`l` entries of `d` floats) and only
+        // cleared afterwards, so a steady-state round decodes into memory
+        // it already owns.
+        const D: usize = 1031;
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let (k, l) = (assignment.num_workers(), assignment.load());
+        let mut core = RoundCore::new(&assignment, D, &ServerConfig::default());
+        let capacities = |core: &RoundCore| -> Vec<usize> {
+            match &core.store {
+                Flat(flat) => flat.buffers.iter().map(Vec::capacity).collect(),
+                Sharded(_) => unreachable!("the default wire is batched"),
+            }
+        };
+        let nobody_quarantined = vec![false; k];
+        let mut after_first = Vec::new();
+        for t in 1..=3u64 {
+            core.begin(t, &nobody_quarantined);
+            for w in 0..k {
+                let replicas: Vec<(u32, Vec<f32>)> = assignment
+                    .graph()
+                    .files_of(w)
+                    .iter()
+                    .map(|&file| (file as u32, vec![(t as usize * 31 + file) as f32; D]))
+                    .collect();
+                let views: Vec<(u32, &[f32])> =
+                    replicas.iter().map(|(f, g)| (*f, g.as_slice())).collect();
+                let admitted = core
+                    .ingest(&encode_gradient_batch(t, w as u32, &views))
+                    .unwrap();
+                assert_eq!(admitted.accepted, l);
+            }
+            assert!(!core.wants_more());
+            let result = core.close();
+            assert_eq!(result.winners.len(), assignment.num_files());
+            assert_eq!(result.missing_votes, 0);
+            if t == 1 {
+                after_first = capacities(&core);
+                assert!(after_first.iter().all(|&c| c >= l * D));
+            } else {
+                assert_eq!(capacities(&core), after_first, "round {t} reallocated");
+            }
+        }
     }
 }

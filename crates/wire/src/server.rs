@@ -133,7 +133,7 @@ pub struct ServerConfig {
     pub byzantine: Vec<usize>,
     /// What Byzantine workers send.
     pub attack: LocalAttack,
-    /// Benign-fault plan shared with the in-process engine
+    /// Benign-fault plan shared with the in-process trainer
     /// ([`byz_cluster::FaultPlan`]): crashed workers receive traffic but
     /// never reply (the PS tolerates them via receive timeouts — a
     /// crashed replica simply casts no vote); stragglers sleep

@@ -1,19 +1,13 @@
 #!/bin/bash
-# Regenerates every table and figure of the paper (DESIGN.md §5).
+# Regenerates every table and figure of the paper (DESIGN.md §5) into
+# bench_results/<id>.txt; stops at the first experiment that fails.
+set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p bench_results
-for t in table1_mols table2_allocation table3_distortion table4_distortion table6_distortion; do
-  echo "=== $t ==="
-  cargo run --release -q -p byz-bench --bin $t 2>&1 | tee bench_results/$t.txt
-done
-echo "=== table5_distortion (longest: exact B&B to q = 13) ==="
-cargo run --release -q -p byz-bench --bin table5_distortion 2>&1 | tee bench_results/table5_distortion.txt
-for f in fig2_alie_median fig3_alie_bulyan fig4_alie_multikrum fig5_constant_signsgd \
-         fig6_revgrad_median fig7_revgrad_bulyan fig8_revgrad_multikrum \
-         fig9_alie_median_k15 fig10_alie_bulyan_k15 fig11_alie_multikrum_k15 \
-         fig12_iteration_time ablation_assignment ablation_aggregation \
-         ablation_attacker_knowledge ablation_redundancy; do
-  echo "=== $f ==="
-  cargo run --release -q -p byz-bench --bin $f 2>&1 | tee bench_results/$f.txt
+cargo build --release -q -p byz-bench --bin repro
+repro=${CARGO_TARGET_DIR:-target}/release/repro
+for id in $("$repro" list); do
+  echo "=== $id ==="
+  "$repro" "$id" 2>&1 | tee "bench_results/$id.txt"
 done
 echo ALL_EXPERIMENTS_DONE

@@ -292,8 +292,8 @@ fn zero_staleness_is_bit_identical_to_barrier_wire() {
     }
 }
 
-/// (4) The speedup the mode exists for: in the `bench_pipeline` geometry
-/// (Ramanujan Case 2, K = 25, f = 25, r = 5) with one straggler delayed
+/// (4) The speedup the mode exists for: in the straggler geometry of
+/// §14 (Ramanujan Case 2, K = 25, f = 25, r = 5) with one straggler delayed
 /// in 300 ms units, the bounded PS closes rounds on the 24 on-time
 /// workers while the barrier PS waits out the straggler every round. Rounds/s —
 /// measured from the PS's own round wall times, the quantity the mode

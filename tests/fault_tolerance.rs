@@ -241,26 +241,3 @@ fn epsilon_hat_is_measured_over_survivors() {
     assert!(history.records.iter().all(|r| r.epsilon_hat == 0.0));
     assert!(history.records.iter().all(|r| r.distorted_files == 0));
 }
-
-/// Threaded and sequential cluster execution stay bit-identical under a
-/// fault plan (the regression the threading refactor must never break).
-#[test]
-fn threaded_and_sequential_rounds_agree_under_faults() {
-    let (train, _) = small_dataset();
-    let model = mlp(8);
-    let oracle = FileGradientOracle::new(&model, &train, InputLayout::Flat);
-    let params = flatten_params(&model.parameters());
-    let files: Vec<Vec<usize>> = (0..25).map(|i| (i * 4..(i + 1) * 4).collect()).collect();
-    let plan = FaultPlan::new(31).crash(1).drop_rate(0.2);
-
-    let compute = |p: &[f32], file: usize| oracle.file_gradient(p, &files[file]);
-    let assignment = || MolsAssignment::new(5, 3).unwrap().build();
-    let seq = Cluster::new(assignment(), ExecutionMode::Sequential)
-        .compute_round_local_faulty(&compute, &params, &plan, 3);
-    let thr = Cluster::new(assignment(), ExecutionMode::Threaded { max_threads: 4 })
-        .compute_round_local_faulty(&compute, &params, &plan, 3);
-
-    assert_eq!(seq.replicas, thr.replicas);
-    assert_eq!(seq.participated, thr.participated);
-    assert_eq!(seq.dropped_replicas, thr.dropped_replicas);
-}

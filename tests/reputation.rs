@@ -6,9 +6,8 @@
 //! zero. Benign faults (crashes, stragglers, message drops) produce
 //! absences, never disagreements — so under pure chaos the suspicion of
 //! every worker must stay exactly `0.0` and nobody may be quarantined.
-//! Everything is a seeded pure fold and therefore bit-reproducible, both
-//! across reruns and across the cluster's Sequential/Threaded execution
-//! modes.
+//! Everything is a seeded pure fold and therefore bit-reproducible
+//! across reruns.
 
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
@@ -217,61 +216,6 @@ fn ledger_is_bit_identical_across_reruns() {
     };
     assert_eq!(bits(la), bits(lb));
     assert_eq!(a.quarantine_timeline(), b.quarantine_timeline());
-}
-
-#[test]
-fn reputation_fold_is_identical_across_execution_modes() {
-    // Drive the cluster engine directly in Sequential and Threaded modes
-    // with the same forging compute, masking workers the ledger
-    // quarantines as we go: the two ledgers must end bit-identical.
-    let assignment = MolsAssignment::new(5, 3).unwrap().build();
-    let plan = FaultPlan::new(3).drop_rate(0.1);
-    let byz = [0usize, 5];
-    let compute = |params: &[f32], file: usize| -> Vec<f32> {
-        params.iter().map(|p| p + file as f32).collect()
-    };
-
-    let run_mode = |mode: ExecutionMode| -> ReputationLedger {
-        let cluster = Cluster::new(assignment.clone(), mode);
-        let mut ledger = ReputationLedger::new(15, ReputationConfig::default());
-        let params = vec![0.25f32, 1.5];
-        for round in 0..8u64 {
-            let active: Vec<bool> = (0..15).map(|w| !ledger.is_quarantined(w)).collect();
-            let computed = cluster.compute_round_reputed(&compute, &params, &plan, round, &active);
-            let mut audits = Vec::new();
-            for (file, reps) in computed.replicas.iter().enumerate() {
-                let replicas: Vec<(usize, Vec<f32>)> = reps
-                    .iter()
-                    .map(|(w, g)| {
-                        // Colluding liars flip the payload bitwise.
-                        let g = if byz.contains(w) {
-                            g.iter().map(|x| -x).collect()
-                        } else {
-                            g.clone()
-                        };
-                        (*w, g)
-                    })
-                    .collect();
-                let holders: Vec<usize> = assignment
-                    .graph()
-                    .workers_of(file)
-                    .iter()
-                    .copied()
-                    .filter(|&w| !ledger.is_quarantined(w))
-                    .collect();
-                if let Ok(outcome) = quorum_vote_audited(&replicas, 1, &holders) {
-                    audits.push(outcome.audit);
-                }
-            }
-            ledger.observe_round(round, &audits);
-        }
-        ledger
-    };
-
-    let seq = run_mode(ExecutionMode::Sequential);
-    let thr = run_mode(ExecutionMode::Threaded { max_threads: 4 });
-    assert_eq!(seq.to_bytes(), thr.to_bytes());
-    assert_eq!(seq.quarantined_workers(), vec![0, 5]);
 }
 
 #[test]
