@@ -1,6 +1,7 @@
 //! Compute-kernel benches: the blocked/pooled matmul against the seed's
-//! naive triple loop, and selection-based parallel coordinate-median
-//! against a sort-based scalar baseline.
+//! naive triple loop, the skinny shapes either side of the pack-free
+//! crossover, and selection-based parallel coordinate-median against a
+//! sort-based scalar baseline.
 
 use byz_aggregate::{Aggregator, CoordinateMedian};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -52,6 +53,48 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
+/// The replica path's shapes on the 1024×256 layer: `few` rows forward
+/// (`matmul`) and `few` deep backward (`matmul_transa`, the rank-`few`
+/// weight gradient). `matmul.rs::SKINNY` sits where the per-row cost of
+/// the pack-free kernel stops beating the blocked tile — to re-measure,
+/// run this group with `SKINNY` set to 0 (always blocked) and to 16.
+fn bench_skinny(c: &mut Criterion) {
+    let mut group = c.benchmark_group("skinny_k1024_n256");
+    let (k, n) = (1024usize, 256usize);
+    for few in [1usize, 2, 4, 8, 16] {
+        let a = filled(few * k, 3);
+        let b = filled(k * n, 4);
+        let g = filled(few * n, 5);
+        group.bench_with_input(BenchmarkId::new("matmul_rows", few), &(), |bench, ()| {
+            let mut out = vec![0.0f32; few * n];
+            bench.iter(|| {
+                byz_kernel::matmul(
+                    std::hint::black_box(&a),
+                    std::hint::black_box(&b),
+                    &mut out,
+                    few,
+                    k,
+                    n,
+                );
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("transa_depth", few), &(), |bench, ()| {
+            let mut out = vec![0.0f32; k * n];
+            bench.iter(|| {
+                byz_kernel::matmul_transa(
+                    std::hint::black_box(&a),
+                    std::hint::black_box(&g),
+                    &mut out,
+                    few,
+                    k,
+                    n,
+                );
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The seed's coordinate-median: column copy + full sort per coordinate.
 fn sort_based_median(gradients: &[Vec<f32>]) -> Vec<f32> {
     let d = gradients[0].len();
@@ -89,5 +132,5 @@ fn bench_coordinate_median(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_coordinate_median);
+criterion_group!(benches, bench_matmul, bench_skinny, bench_coordinate_median);
 criterion_main!(benches);

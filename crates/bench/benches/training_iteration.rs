@@ -1,6 +1,7 @@
 //! End-to-end training iteration cost for the three pipelines (the
 //! wall-clock substance behind Figure 12, measured on this simulator).
 
+use byz_nn::FastMlp;
 use byzshield::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -44,5 +45,21 @@ fn bench_file_gradient(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_training, bench_file_gradient);
+/// One replica of the wire workloads: a 1-sample file on the
+/// 1024×256×10 MLP — the kernel whose cost redundancy multiplies by `r`.
+fn bench_replica_gradient(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let model = FastMlp::new(&[1024, 256, 10], &mut rng);
+    let x: Vec<f32> = (0..1024).map(|i| (i % 17) as f32 / 17.0).collect();
+    c.bench_function("fast_mlp_gradient_sum_batch1_1024x256x10", |b| {
+        b.iter(|| model.gradient_sum(std::hint::black_box(&x), 1, &[3]))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_training,
+    bench_file_gradient,
+    bench_replica_gradient
+);
 criterion_main!(benches);

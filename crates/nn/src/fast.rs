@@ -153,15 +153,38 @@ impl FastMlp {
     ///
     /// Panics on shape mismatches or out-of-range labels.
     pub fn gradient_sum(&self, x: &[f32], batch: usize, labels: &[usize]) -> (f32, Vec<f32>) {
+        let mut flat = vec![0.0f32; self.num_params()];
+        let loss = self.gradient_sum_into(x, batch, labels, &mut flat);
+        (loss, flat)
+    }
+
+    /// [`gradient_sum`](Self::gradient_sum), writing the gradient into
+    /// `out` (overwritten, whatever it held) and returning the loss: each
+    /// layer's `dW` and `db` are computed directly in their slice of the
+    /// flat layout, so a caller that owns the destination — a slot of an
+    /// outgoing frame — never holds a second copy.
+    ///
+    /// # Panics
+    ///
+    /// As [`gradient_sum`](Self::gradient_sum), and if `out` is not
+    /// [`num_params`](Self::num_params) long.
+    pub fn gradient_sum_into(
+        &self,
+        x: &[f32],
+        batch: usize,
+        labels: &[usize],
+        out: &mut [f32],
+    ) -> f32 {
         assert_eq!(labels.len(), batch, "one label per sample");
+        assert_eq!(out.len(), self.num_params(), "gradient length mismatch");
         let num_layers = self.layers.len();
 
-        // Forward, keeping every post-activation (input counts as act[0]).
-        let mut acts: Vec<Vec<f32>> = Vec::with_capacity(num_layers + 1);
-        acts.push(x.to_vec());
+        // Forward, keeping every post-activation (`acts[li]` is layer
+        // `li`'s output; its input is `x` or `acts[li - 1]`).
+        let mut acts: Vec<Vec<f32>> = Vec::with_capacity(num_layers);
         for (li, (w, b)) in self.layers.iter().enumerate() {
             let (n_in, n_out) = (self.dims[li], self.dims[li + 1]);
-            let prev = &acts[li];
+            let prev = if li == 0 { x } else { &acts[li - 1] };
             let mut next = vec![0.0f32; batch * n_out];
             broadcast_bias(&mut next, b, batch);
             matmul(prev, w, &mut next, batch, n_in, n_out);
@@ -193,17 +216,17 @@ impl FastMlp {
             d_row[label] -= 1.0;
         }
 
-        // Backward through the layers.
-        let mut grads: Vec<(Vec<f32>, Vec<f32>)> = self
-            .layers
-            .iter()
-            .map(|(w, b)| (vec![0.0; w.len()], vec![0.0; b.len()]))
-            .collect();
+        // Backward through the layers, last first, peeling each layer's
+        // `[dW | db]` off the end of the flat layout.
+        out.fill(0.0);
+        let mut rest = out;
         let mut d_out = delta;
         for li in (0..num_layers).rev() {
             let (n_in, n_out) = (self.dims[li], self.dims[li + 1]);
-            let prev = &acts[li];
-            let (gw, gb) = &mut grads[li];
+            let prev = if li == 0 { x } else { &acts[li - 1] };
+            let (head, layer) = rest.split_at_mut(rest.len() - (n_in + 1) * n_out);
+            rest = head;
+            let (gw, gb) = layer.split_at_mut(n_in * n_out);
             // dW = prevᵀ · d_out (fused transpose — prevᵀ is never
             // materialized); db = Σ_s d_out.
             matmul_transa(prev, &d_out, gw, batch, n_in, n_out);
@@ -228,14 +251,7 @@ impl FastMlp {
                 d_out = d_prev;
             }
         }
-
-        // Flatten in the params_flat layout.
-        let mut flat = Vec::with_capacity(self.num_params());
-        for (gw, gb) in grads {
-            flat.extend(gw);
-            flat.extend(gb);
-        }
-        (loss, flat)
+        loss
     }
 }
 
@@ -304,6 +320,30 @@ mod tests {
         assert_eq!(fast_grad.len(), auto_grad.len());
         for (i, (a, b)) in fast_grad.iter().zip(&auto_grad).enumerate() {
             assert!((a - b).abs() < 1e-4, "grad[{i}]: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn gradient_sum_into_overwrites_and_matches_bitwise() {
+        // Batches either side of the kernel's skinny/blocked shape rule,
+        // on the wire workloads' model and a ragged toy one; `out` starts
+        // dirty (NaN would poison any `+=` that forgot to clear it).
+        for dims in [vec![1024usize, 256, 10], vec![7, 5, 3]] {
+            let mut rng = StdRng::seed_from_u64(13);
+            let model = FastMlp::new(&dims, &mut rng);
+            for batch in [1usize, 2, 4, 5, 8, 64] {
+                let x: Vec<f32> = (0..batch * dims[0])
+                    .map(|i| ((i * 31) % 17) as f32 / 17.0 - 0.4)
+                    .collect();
+                let labels: Vec<usize> = (0..batch).map(|s| s % dims[2]).collect();
+                let (loss, grad) = model.gradient_sum(&x, batch, &labels);
+                let mut out = vec![f32::NAN; model.num_params()];
+                let loss_into = model.gradient_sum_into(&x, batch, &labels, &mut out);
+                assert_eq!(loss_into.to_bits(), loss.to_bits());
+                let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&grad), "dims {dims:?} batch {batch}");
+                assert!(grad.iter().any(|g| *g != 0.0));
+            }
         }
     }
 

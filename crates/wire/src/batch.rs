@@ -14,6 +14,11 @@
 //!          entries:   count × (file: u32, len: u32, f32 × len)
 //! ```
 //!
+//! A worker that computes its gradients anyway can compute them *inside*
+//! the frame: [`BatchFrameBuilder`] hands out each entry's payload as an
+//! aligned `&mut [f32]` slot, so the gradient bytes are written once and
+//! sending costs a header plus one checksum pass.
+//!
 //! Decoding is zero-copy: [`GradientBatchView`] keeps each entry's
 //! payload as a [`Bytes`] slice of the (refcounted) frame, so the bytes
 //! are copied exactly once — out of the frame and straight into the
@@ -22,7 +27,7 @@
 //! frames fail with a [`WireError`] and degrade like dropped frames;
 //! nothing in this module panics on wire input.
 
-use crate::message::{check_frame, frame_checksum, BodyReader, KIND_GRADIENT_BATCH, MAGIC};
+use crate::message::{check_frame, seal_in_place, BodyReader, KIND_GRADIENT_BATCH};
 use crate::{extend_f32s_le, put_f32s_le, WireError, FRAME_HEADER_LEN};
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -31,6 +36,9 @@ const BATCH_PREFIX_LEN: usize = 8 + 4 + 4;
 
 /// Per-entry header bytes (`file + len`).
 const ENTRY_HEADER_LEN: usize = 4 + 4;
+
+/// Frame offset of the first entry.
+const ENTRIES_START: usize = FRAME_HEADER_LEN + BATCH_PREFIX_LEN;
 
 /// Encodes one worker's whole round of gradient returns as a single
 /// checksummed frame. Entries keep the caller's order (ascending file
@@ -45,9 +53,8 @@ pub fn encode_gradient_batch(iteration: u64, worker: u32, entries: &[(u32, &[f32
 /// dropped its views and steady-state encoding allocates nothing.
 ///
 /// Unlike the staged `seal_frame` path, this writes the frame in a
-/// single pass: header fields with a placeholder checksum, then the
-/// body, then the checksum patched in place — one buffer, zero staging
-/// copies.
+/// single pass: placeholder header and prefix, then the entries, then
+/// both sealed in place — one buffer, zero staging copies.
 pub fn encode_gradient_batch_into(
     iteration: u64,
     worker: u32,
@@ -55,26 +62,158 @@ pub fn encode_gradient_batch_into(
     mut scratch: BytesMut,
 ) -> Bytes {
     let payload: usize = entries.iter().map(|(_, g)| g.len() * 4).sum();
-    let body_len = BATCH_PREFIX_LEN + entries.len() * ENTRY_HEADER_LEN + payload;
     scratch.clear();
-    scratch.reserve(FRAME_HEADER_LEN + body_len);
+    scratch.reserve(ENTRIES_START + entries.len() * ENTRY_HEADER_LEN + payload);
 
-    scratch.put_u32_le(MAGIC);
-    scratch.put_u8(KIND_GRADIENT_BATCH);
-    scratch.put_u32_le(body_len as u32);
-    scratch.put_u64_le(0); // checksum backfilled below
-    scratch.put_u64_le(iteration);
-    scratch.put_u32_le(worker);
-    scratch.put_u32_le(entries.len() as u32);
+    scratch.extend_from_slice(&[0u8; ENTRIES_START]); // sealed below
     for (file, gradient) in entries {
         scratch.put_u32_le(*file);
         scratch.put_u32_le(gradient.len() as u32);
         put_f32s_le(&mut scratch, gradient);
     }
-
-    let checksum = frame_checksum(KIND_GRADIENT_BATCH, &scratch[FRAME_HEADER_LEN..]);
-    scratch[FRAME_HEADER_LEN - 8..FRAME_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    seal_batch(&mut scratch, iteration, worker, entries.len() as u32);
     scratch.freeze()
+}
+
+/// Writes the batch prefix and the frame header over the first
+/// [`ENTRIES_START`] bytes of `frame`, whose entries are already in place
+/// — the one header/checksum path of the copying encoder and the
+/// [`BatchFrameBuilder`].
+fn seal_batch(frame: &mut [u8], iteration: u64, worker: u32, count: u32) {
+    let prefix = &mut frame[FRAME_HEADER_LEN..ENTRIES_START];
+    prefix[..8].copy_from_slice(&iteration.to_le_bytes());
+    prefix[8..12].copy_from_slice(&worker.to_le_bytes());
+    prefix[12..].copy_from_slice(&count.to_le_bytes());
+    seal_in_place(KIND_GRADIENT_BATCH, frame);
+}
+
+/// Builds one worker's batch frame *around* its gradients: each entry's
+/// payload is handed out as a `&mut [f32]` slot inside the frame buffer,
+/// the caller computes (or forges) the gradient there, and
+/// [`finish`](Self::finish) only writes the header and runs the checksum
+/// — no staging `Vec` per gradient, no copy into the frame. The frame is
+/// byte-identical to [`encode_gradient_batch`] over the committed entries.
+///
+/// ```text
+/// let slot = builder.next_slot(d);   // payload of the next entry
+/// model.gradient_sum_into(.., slot);
+/// builder.commit(file);              // or don't: the slot is handed out again
+/// ..
+/// link.send(builder.finish(iteration, worker));
+/// ```
+///
+/// Every payload sits at frame offset ≡ 1 (mod 4) (17-byte header,
+/// 16-byte prefix, 8-byte entry headers), so the frame starts `lead`
+/// bytes into the allocation, `lead` chosen from the buffer's address to
+/// put the payloads on 4-byte boundaries. The buffer is zero-initialised
+/// and sized once, at the first slot, so slots never move.
+#[derive(Debug)]
+pub struct BatchFrameBuilder {
+    /// Most entries / payload floats one frame may hold.
+    max_entries: usize,
+    max_floats: usize,
+    /// `lead` slack bytes, then the frame. Empty between frames.
+    buf: Vec<u8>,
+    lead: usize,
+    /// Frame bytes holding the header, prefix and committed entries.
+    len: usize,
+    count: u32,
+    /// Floats in the slot handed out since the last commit.
+    pending: Option<usize>,
+}
+
+impl BatchFrameBuilder {
+    /// A builder for frames of at most `max_entries` entries totalling
+    /// at most `max_floats` payload coordinates. Allocates nothing until
+    /// the first slot (or `finish`) of each frame.
+    pub fn new(max_entries: usize, max_floats: usize) -> Self {
+        BatchFrameBuilder {
+            max_entries,
+            max_floats,
+            buf: Vec::new(),
+            lead: 0,
+            len: ENTRIES_START,
+            count: 0,
+            pending: None,
+        }
+    }
+
+    fn ensure_buf(&mut self) {
+        if self.buf.is_empty() {
+            let frame_cap =
+                ENTRIES_START + self.max_entries * ENTRY_HEADER_LEN + self.max_floats * 4;
+            self.buf = vec![0u8; 3 + frame_cap];
+            let first_payload = self.buf.as_ptr() as usize + ENTRIES_START + ENTRY_HEADER_LEN;
+            self.lead = first_payload.wrapping_neg() % 4;
+        }
+    }
+
+    /// The payload of the next entry: `len` coordinates inside the frame,
+    /// for the caller to fill. An uncommitted slot is handed out again
+    /// (contents unspecified but initialised).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot would exceed the capacity given to
+    /// [`new`](Self::new).
+    pub fn next_slot(&mut self, len: usize) -> &mut [f32] {
+        self.ensure_buf();
+        let start = self.lead + self.len + ENTRY_HEADER_LEN;
+        assert!(
+            (self.count as usize) < self.max_entries && start + len * 4 <= self.buf.len(),
+            "slot exceeds the builder's capacity"
+        );
+        self.pending = Some(len);
+        // SAFETY: every bit pattern is a valid f32 and the bytes are
+        // initialised (zeroed at allocation or written by an earlier
+        // slot); `align_to_mut` itself keeps the view inside the slice.
+        let (head, slot, tail) = unsafe { self.buf[start..start + len * 4].align_to_mut::<f32>() };
+        assert!(
+            head.is_empty() && tail.is_empty(),
+            "batch frame slot is not 4-byte aligned"
+        );
+        slot
+    }
+
+    /// Keeps the slot handed out by the last [`next_slot`](Self::next_slot)
+    /// as the frame's next entry, for `file`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no slot is outstanding.
+    pub fn commit(&mut self, file: u32) {
+        let len = self.pending.take().expect("commit follows next_slot");
+        let header = &mut self.buf[self.lead + self.len..][..ENTRY_HEADER_LEN];
+        header[..4].copy_from_slice(&file.to_le_bytes());
+        header[4..].copy_from_slice(&(len as u32).to_le_bytes());
+        self.len += ENTRY_HEADER_LEN + len * 4;
+        self.count += 1;
+    }
+
+    /// Seals the committed entries into a frame (an empty batch when
+    /// nothing was committed) and resets the builder for the next one.
+    pub fn finish(&mut self, iteration: u64, worker: u32) -> Bytes {
+        self.ensure_buf();
+        let (lead, len) = (self.lead, self.len);
+        let mut buf = std::mem::take(&mut self.buf);
+        let frame = &mut buf[lead..lead + len];
+        // The slots were filled as native f32s; the wire is little-endian.
+        #[cfg(target_endian = "big")]
+        {
+            let mut at = ENTRIES_START;
+            while at < len {
+                let n = u32::from_le_bytes(frame[at + 4..at + 8].try_into().expect("4 bytes"));
+                at += ENTRY_HEADER_LEN;
+                for word in frame[at..at + n as usize * 4].chunks_exact_mut(4) {
+                    word.reverse();
+                }
+                at += n as usize * 4;
+            }
+        }
+        seal_batch(frame, iteration, worker, self.count);
+        *self = BatchFrameBuilder::new(self.max_entries, self.max_floats);
+        Bytes::from(buf).slice(lead..lead + len)
+    }
 }
 
 /// One decoded batch entry: the file index plus its gradient payload as
@@ -266,6 +405,51 @@ mod tests {
         assert_eq!(view.entries.len(), 2);
     }
 
+    /// Builds `grads` through the slot API, committing only the entries
+    /// whose `keep` flag is set.
+    fn build_in_place(iteration: u64, worker: u32, grads: &[(u32, Vec<f32>, bool)]) -> Bytes {
+        let floats = grads.iter().map(|(_, g, _)| g.len()).sum();
+        let mut builder = BatchFrameBuilder::new(grads.len(), floats);
+        for (file, grad, keep) in grads {
+            let slot = builder.next_slot(grad.len());
+            assert_eq!(slot.as_ptr() as usize % 4, 0, "slot is 4-aligned");
+            slot.copy_from_slice(grad);
+            if *keep {
+                builder.commit(*file);
+            }
+        }
+        builder.finish(iteration, worker)
+    }
+
+    #[test]
+    fn builder_with_nothing_committed_is_the_empty_batch() {
+        // The "every replica dropped" frame, with and without slots
+        // having been handed out.
+        let want = encode_gradient_batch(4, 9, &[]);
+        assert_eq!(BatchFrameBuilder::new(0, 0).finish(4, 9), want);
+        let dropped = [(1u32, vec![1.0f32; 5], false), (2, vec![2.0; 3], false)];
+        assert_eq!(build_in_place(4, 9, &dropped), want);
+    }
+
+    #[test]
+    fn builder_resets_between_frames() {
+        let mut builder = BatchFrameBuilder::new(2, 8);
+        for round in 1..=3u64 {
+            builder.next_slot(3).copy_from_slice(&[round as f32; 3]);
+            builder.commit(7);
+            let frame = builder.finish(round, 1);
+            let want = encode_gradient_batch(round, 1, &[(7, &[round as f32; 3])]);
+            assert_eq!(frame, want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "slot exceeds the builder's capacity")]
+    fn builder_refuses_slots_past_its_capacity() {
+        let mut builder = BatchFrameBuilder::new(1, 4);
+        builder.next_slot(5);
+    }
+
     #[test]
     fn non_batch_frame_rejected() {
         let frame = crate::Message::Shutdown.encode();
@@ -328,6 +512,39 @@ mod tests {
             prop_assert_eq!(view.worker, worker);
             prop_assert_eq!(view.entries.len(), grads.len());
             for ((file, grad), entry) in grads.iter().zip(&view.entries) {
+                prop_assert_eq!(entry.file, *file);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                prop_assert_eq!(bits(&entry.to_vec()), bits(grad));
+            }
+        }
+
+        /// A frame built in place is the copying encoder's frame over
+        /// the committed entries, byte for byte — ragged and empty
+        /// entries, uncommitted slots reused by the next entry — and
+        /// decodes back to them.
+        #[test]
+        fn builder_frame_is_the_encoded_frame(
+            iteration in 0u64..u64::MAX,
+            worker in 0u32..10_000,
+            grads in proptest::collection::vec(
+                (
+                    0u32..1_000_000,
+                    proptest::collection::vec(any::<u32>().prop_map(f32::from_bits), 0..40),
+                    any::<u8>().prop_map(|b| b % 3 != 0),
+                ),
+                0..12,
+            ),
+        ) {
+            let frame = build_in_place(iteration, worker, &grads);
+            let kept: Vec<(u32, Vec<f32>)> = grads
+                .iter()
+                .filter(|(_, _, keep)| *keep)
+                .map(|(file, grad, _)| (*file, grad.clone()))
+                .collect();
+            prop_assert_eq!(&frame, &encode_pairs(iteration, worker, &kept));
+            let view = decode_gradient_batch(&frame).unwrap();
+            prop_assert_eq!(view.entries.len(), kept.len());
+            for ((file, grad), entry) in kept.iter().zip(&view.entries) {
                 prop_assert_eq!(entry.file, *file);
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
                 prop_assert_eq!(bits(&entry.to_vec()), bits(grad));

@@ -46,7 +46,7 @@
 //! out-of-range indices, non-monotone indices, ragged geometry and
 //! trailing bytes all decode to [`WireError::MalformedBody`].
 
-use crate::message::{check_frame, frame_checksum, BodyReader, KIND_GRADIENT_CHUNK, MAGIC};
+use crate::message::{check_frame, seal_in_place, BodyReader, KIND_GRADIENT_CHUNK};
 use crate::{extend_f32s_le, put_f32s_le, PackedSigns, WireError, FRAME_HEADER_LEN};
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -290,10 +290,7 @@ pub fn encode_gradient_chunk_into(
     let body_len = CHUNK_PREFIX_LEN + payload_len;
     scratch.clear();
     scratch.reserve(FRAME_HEADER_LEN + body_len);
-    scratch.put_u32_le(MAGIC);
-    scratch.put_u8(KIND_GRADIENT_CHUNK);
-    scratch.put_u32_le(body_len as u32);
-    scratch.put_u64_le(0); // checksum backfilled below
+    scratch.extend_from_slice(&[0u8; FRAME_HEADER_LEN]); // sealed below
     scratch.put_u64_le(iteration);
     scratch.put_u32_le(worker);
     scratch.put_u32_le(file);
@@ -320,8 +317,7 @@ pub fn encode_gradient_chunk_into(
         _ => put_f32s_le(&mut scratch, range),
     }
 
-    let checksum = frame_checksum(KIND_GRADIENT_CHUNK, &scratch[FRAME_HEADER_LEN..]);
-    scratch[FRAME_HEADER_LEN - 8..FRAME_HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    seal_in_place(KIND_GRADIENT_CHUNK, &mut scratch);
     scratch.freeze()
 }
 

@@ -45,7 +45,7 @@ mod voter;
 
 pub use batch::{
     decode_gradient_batch, encode_gradient_batch, encode_gradient_batch_into, is_gradient_batch,
-    BatchEntry, GradientBatchView,
+    BatchEntry, BatchFrameBuilder, GradientBatchView,
 };
 pub use chunk::{
     apply_scheme, chunk_span, decode_gradient_chunk, encode_gradient_chunk_into,
@@ -62,7 +62,8 @@ pub use hashvote::{
 };
 pub use link::{channel_link_pair, ChannelLink, Link, LinkError};
 pub use message::{
-    extend_f32s_le, put_f32s_le, read_f32s_le, Message, WireError, FRAME_HEADER_LEN,
+    encode_model_broadcast, extend_f32s_le, put_f32s_le, read_f32s_le, Message, WireError,
+    FRAME_HEADER_LEN,
 };
 pub use psd::{run_tcp_joiner, run_tcp_worker, JobResult, JobSpec, PsServer, WorkerSpec};
 pub use round::{Admitted, Reject, RoundCore, RoundResult};

@@ -284,6 +284,42 @@ pub(crate) fn seal_frame(kind: u8, body: BytesMut) -> Bytes {
     frame.freeze()
 }
 
+/// Completes a frame whose body is already in place: `frame` is
+/// [`FRAME_HEADER_LEN`] placeholder bytes followed by the finished body,
+/// and the header (checksum included) is written over the placeholder —
+/// the single-pass counterpart of [`seal_frame`], for encoders that size
+/// the frame up front and never stage the body separately.
+pub(crate) fn seal_in_place(kind: u8, frame: &mut [u8]) {
+    let (header, body) = frame.split_at_mut(FRAME_HEADER_LEN);
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = kind;
+    header[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[9..].copy_from_slice(&frame_checksum(kind, body).to_le_bytes());
+}
+
+/// Encodes a [`Message::ModelBroadcast`] from borrowed parts — the PS
+/// broadcasts its live parameter vector every round without cloning it
+/// into a message first. Byte-identical to [`Message::encode`], which
+/// calls this.
+pub fn encode_model_broadcast(iteration: u64, params: &[f32], files: &[Vec<u32>]) -> Bytes {
+    let index_words: usize = files.iter().map(|file| 1 + file.len()).sum();
+    let body_len = 8 + 4 + params.len() * 4 + 4 + index_words * 4;
+    let mut frame = BytesMut::with_capacity(FRAME_HEADER_LEN + body_len);
+    frame.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    frame.put_u64_le(iteration);
+    frame.put_u32_le(params.len() as u32);
+    put_f32s_le(&mut frame, params);
+    frame.put_u32_le(files.len() as u32);
+    for file in files {
+        frame.put_u32_le(file.len() as u32);
+        for &idx in file {
+            frame.put_u32_le(idx);
+        }
+    }
+    seal_in_place(KIND_MODEL_BROADCAST, &mut frame);
+    frame.freeze()
+}
+
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -354,18 +390,7 @@ impl Message {
                 iteration,
                 params,
                 files,
-            } => {
-                body.put_u64_le(*iteration);
-                body.put_u32_le(params.len() as u32);
-                put_f32s_le(&mut body, params);
-                body.put_u32_le(files.len() as u32);
-                for file in files {
-                    body.put_u32_le(file.len() as u32);
-                    for &idx in file {
-                        body.put_u32_le(idx);
-                    }
-                }
-            }
+            } => return encode_model_broadcast(*iteration, params, files),
             Message::GradientReturn {
                 iteration,
                 worker,
@@ -481,6 +506,23 @@ mod tests {
         };
         let frame = msg.encode();
         assert_eq!(Message::decode(&frame).unwrap(), msg);
+
+        // The borrowed single-pass encoder is the owned one, and both are
+        // the documented layout sealed the staged way.
+        let Message::ModelBroadcast { params, files, .. } = &msg else {
+            unreachable!()
+        };
+        assert_eq!(encode_model_broadcast(42, params, files), frame);
+        let mut body = BytesMut::new();
+        body.put_u64_le(42);
+        body.put_u32_le(params.len() as u32);
+        put_f32s_le(&mut body, params);
+        body.put_u32_le(2);
+        for file in files {
+            body.put_u32_le(file.len() as u32);
+            file.iter().for_each(|&idx| body.put_u32_le(idx));
+        }
+        assert_eq!(seal_frame(KIND_MODEL_BROADCAST, body), frame);
     }
 
     #[test]

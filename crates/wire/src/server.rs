@@ -1,9 +1,10 @@
 //! The threaded message-passing parameter server.
 
-use crate::batch::encode_gradient_batch;
+use crate::batch::BatchFrameBuilder;
 use crate::chunk::{encode_gradient_chunk_into, num_chunks, ChunkConfig};
 use crate::hashvote::hash_vote_round;
 use crate::link::{ChannelLink, Link, LinkError};
+use crate::message::encode_model_broadcast;
 use crate::round::RoundCore;
 use crate::{Assignment, Fingerprint, Message};
 use bytes::{Bytes, BytesMut};
@@ -36,12 +37,17 @@ pub enum LocalAttack {
 }
 
 impl LocalAttack {
-    fn forge(&self, true_gradient: &[f32]) -> Vec<f32> {
+    /// Overwrites the true gradient with the forgery, wherever it lives
+    /// (a frame slot or an owned buffer).
+    fn forge(&self, gradient: &mut [f32]) {
         match self {
             LocalAttack::ReversedGradient { magnitude } => {
-                true_gradient.iter().map(|g| -magnitude * g).collect()
+                for g in gradient {
+                    let true_g = *g;
+                    *g = -magnitude * true_g;
+                }
             }
-            LocalAttack::Constant { value } => vec![*value; true_gradient.len()],
+            LocalAttack::Constant { value } => gradient.fill(*value),
         }
     }
 }
@@ -505,12 +511,7 @@ impl MessagePassingCluster {
                 }
             }
             let files = next_files.take().unwrap_or_else(&mut sample_files);
-            let broadcast = Message::ModelBroadcast {
-                iteration: t,
-                params: params.clone(),
-                files,
-            }
-            .encode();
+            let broadcast = encode_model_broadcast(t, &params, &files);
             for tx in to_workers {
                 // A closed channel means the worker thread is gone — the
                 // same observable failure as a crash, and the receive
@@ -723,13 +724,13 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                 }
                 cache.retain(|(it, _), _| *it + 1 >= iteration);
                 model.set_params(&params);
-                // Full transport: computed replicas queue in `ready` and
-                // leave through `flush` — after every file when the PS
-                // finalizes votes eagerly, once per round otherwise
+                // Full transport: computed replicas collect in `outbox`
+                // and leave through its `flush` — after every file when
+                // the PS finalizes votes eagerly, once per round otherwise
                 // (bounded staleness is a PS-side schedule: the worker
                 // sends what it would in barrier mode, straggler delay
                 // and all). HashVote announces per file either way.
-                let mut ready: Vec<(u32, Vec<f32>)> = Vec::with_capacity(ctx.my_files.len());
+                let mut outbox = Outbox::new(ctx, param_len);
                 for &file_idx in &ctx.my_files {
                     // Bounds gates for forged broadcasts: a file table
                     // that does not cover this worker's assignment, or
@@ -743,11 +744,13 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                         continue;
                     }
                     let (x, labels) = gather_flat(&ctx.dataset, &samples);
-                    let (_, grad) = model.gradient_sum(&x, samples.len(), &labels);
-                    let gradient = if ctx.is_byz {
-                        ctx.attack.forge(&grad)
-                    } else {
-                        grad
+                    // The replica — true or forged — written once, into
+                    // wherever it is going.
+                    let compute = |gradient: &mut [f32]| {
+                        model.gradient_sum_into(&x, samples.len(), &labels, gradient);
+                        if ctx.is_byz {
+                            ctx.attack.forge(gradient);
+                        }
                     };
                     // Deterministic message loss: same hash, same seed →
                     // the same replicas vanish in the simulator and here.
@@ -756,20 +759,18 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                         .drops_replica(iteration, 0, ctx.worker_id, file_idx);
                     match ctx.transport {
                         Transport::Full => {
-                            if !dropped {
-                                ready.push((file_idx as u32, gradient));
-                            }
-                            if ctx.flush_per_file {
-                                if flush(ctx, link, iteration, &ready).is_err() {
-                                    return WorkerExit::LinkClosed;
-                                }
-                                ready.clear();
+                            outbox.put(file_idx as u32, !dropped, compute);
+                            if ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
+                                return WorkerExit::LinkClosed;
                             }
                         }
                         Transport::HashVote => {
                             if dropped {
                                 continue;
                             }
+                            // The pull cache must own the gradient.
+                            let mut gradient = vec![0.0f32; param_len];
+                            compute(&mut gradient);
                             let fingerprint = Fingerprint::of(&gradient);
                             cache.insert((iteration, file_idx as u32), gradient);
                             let reply = Message::HashAnnounce {
@@ -787,7 +788,7 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                 }
                 if ctx.transport == Transport::Full
                     && !ctx.flush_per_file
-                    && flush(ctx, link, iteration, &ready).is_err()
+                    && outbox.flush(ctx, link, iteration).is_err()
                 {
                     return WorkerExit::LinkClosed;
                 }
@@ -831,32 +832,85 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
     }
 }
 
-/// Sends the replicas computed since the last flush. The batched wire
-/// packs them into ONE frame — sent even when every entry was dropped:
-/// the frame itself is cheap and keeps the PS's frame accounting
-/// deterministic — and the chunked wire streams each replica's chunk
-/// frames.
-fn flush(
-    ctx: &WorkerContext,
-    link: &mut dyn Link,
-    iteration: u64,
-    entries: &[(u32, Vec<f32>)],
-) -> Result<(), LinkError> {
-    match ctx.wire {
-        WireFormat::Batched => {
-            let views: Vec<(u32, &[f32])> = entries
-                .iter()
-                .map(|(file, gradient)| (*file, gradient.as_slice()))
-                .collect();
-            link.send(encode_gradient_batch(
-                iteration,
-                ctx.worker_id as u32,
-                &views,
-            ))
+/// Where a Full-transport worker's replicas (`len` floats each) live
+/// between compute and upload: on the batched wire inside the outgoing
+/// frame itself, on the chunked wire (whose frames are cut per chunk at
+/// send time) in owned vectors.
+enum Outbox {
+    Frame {
+        len: usize,
+        builder: BatchFrameBuilder,
+    },
+    Chunks {
+        len: usize,
+        cfg: ChunkConfig,
+        ready: Vec<(u32, Vec<f32>)>,
+    },
+}
+
+impl Outbox {
+    fn new(ctx: &WorkerContext, len: usize) -> Self {
+        // Replicas per flush.
+        let group = if ctx.flush_per_file {
+            1
+        } else {
+            ctx.my_files.len()
+        };
+        match ctx.wire {
+            WireFormat::Batched => Outbox::Frame {
+                len,
+                builder: BatchFrameBuilder::new(group, group * len),
+            },
+            WireFormat::Chunked(cfg) => Outbox::Chunks {
+                len,
+                cfg,
+                ready: Vec::with_capacity(group),
+            },
         }
-        WireFormat::Chunked(cfg) => entries.iter().try_for_each(|(file, gradient)| {
-            send_replica_chunks(ctx, link, iteration, *file, gradient, &cfg)
-        }),
+    }
+
+    /// Runs `compute` on the destination of `file`'s replica; a replica
+    /// that is not kept (message loss) is computed all the same and then
+    /// forgotten.
+    fn put(&mut self, file: u32, keep: bool, compute: impl FnOnce(&mut [f32])) {
+        match self {
+            Outbox::Frame { len, builder } => {
+                compute(builder.next_slot(*len));
+                if keep {
+                    builder.commit(file);
+                }
+            }
+            Outbox::Chunks { len, ready, .. } => {
+                let mut gradient = vec![0.0f32; *len];
+                compute(&mut gradient);
+                if keep {
+                    ready.push((file, gradient));
+                }
+            }
+        }
+    }
+
+    /// Sends the replicas put since the last flush. The batched wire
+    /// seals them as ONE frame — sent even when every entry was dropped:
+    /// the frame itself is cheap and keeps the PS's frame accounting
+    /// deterministic — and the chunked wire streams each replica's chunk
+    /// frames.
+    fn flush(
+        &mut self,
+        ctx: &WorkerContext,
+        link: &mut dyn Link,
+        iteration: u64,
+    ) -> Result<(), LinkError> {
+        match self {
+            Outbox::Frame { builder, .. } => {
+                link.send(builder.finish(iteration, ctx.worker_id as u32))
+            }
+            Outbox::Chunks { cfg, ready, .. } => {
+                ready.drain(..).try_for_each(|(file, gradient)| {
+                    send_replica_chunks(ctx, link, iteration, file, &gradient, cfg)
+                })
+            }
+        }
     }
 }
 
@@ -919,6 +973,7 @@ fn gather_flat(dataset: &Dataset, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::encode_gradient_batch;
     use crate::chunk::{ChunkScheme, SparsifyConfig};
     use byz_assign::MolsAssignment;
     use byz_data::{SyntheticConfig, SyntheticImages};
