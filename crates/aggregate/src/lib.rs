@@ -48,7 +48,7 @@ pub use quorum::{
     aggregate_winners, quorum_vote, quorum_vote_all_audited, quorum_vote_audited, Provenance,
     QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit, VoteInput,
 };
-pub use sharded::{fold_shard_votes, num_shards, quorum_vote_sharded_audited, shard_span};
+pub use sharded::fold_shard_votes;
 pub use signsgd::SignSgdMajority;
 
 use std::fmt;

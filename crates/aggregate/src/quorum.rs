@@ -238,7 +238,7 @@ pub fn quorum_vote<G: AsRef<[f32]>>(
 /// replicas, all of one dimension — and the deterministic scan order:
 /// the replicas' workers and payloads in ascending worker order,
 /// whatever order they arrived in.
-pub(crate) fn sorted_replicas<G: AsRef<[f32]>>(
+fn sorted_replicas<G: AsRef<[f32]>>(
     replicas: &[(usize, G)],
     q_min: usize,
 ) -> Result<(Vec<usize>, Vec<&[f32]>), QuorumError> {

@@ -293,6 +293,17 @@ impl FaultPlan {
         self.stragglers.get(&worker).copied().unwrap_or(1.0)
     }
 
+    /// The worker's bounded-staleness lag in rounds,
+    /// `λ(w) = min(⌈straggle_factor(w)⌉ − 1, max_staleness)`: how many
+    /// rounds after their origin its replicas are due. A pure function of
+    /// the plan — never of observed arrival times — and zero for every
+    /// worker when `max_staleness` is zero.
+    pub fn staleness_lag(&self, worker: usize, max_staleness: u64) -> u64 {
+        (self.straggle_factor(worker).ceil() as u64)
+            .saturating_sub(1)
+            .min(max_staleness)
+    }
+
     /// The configured per-replica drop probability.
     pub fn replica_drop_rate(&self) -> f64 {
         self.drop_rate

@@ -112,7 +112,7 @@ pub mod prelude {
         packed_sign_majority, run_tcp_joiner, run_tcp_worker, ChunkConfig, ChunkScheme, Handshake,
         HandshakeError, JobResult, JobSpec, JoinGrant, Link, LinkError, LocalAttack, Message,
         MessagePassingCluster, PackedSigns, PsServer, RejectReason, RoundMode, RoundSummary,
-        ServerConfig, SparsifyConfig, StreamDecoder, TcpLink, Transport, WireError, WireFormat,
+        ServerConfig, SparsifyConfig, StreamDecoder, TcpLink, WireError, WireFormat,
         WireTrainingRun, WorkerSpec,
     };
 }

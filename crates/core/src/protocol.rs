@@ -4,8 +4,8 @@ use crate::{
     evaluate_accuracy, gradients_differ, FileGradientOracle, GradientMoments, InputLayout,
 };
 use byz_aggregate::{
-    quorum_vote_all_audited, quorum_vote_audited, quorum_vote_sharded_audited, AggregationError,
-    Aggregator, Provenance, QuorumConfig, QuorumError, QuorumOutcome, VoteAudit,
+    quorum_vote_all_audited, quorum_vote_audited, AggregationError, Aggregator, Provenance,
+    QuorumConfig, QuorumError, QuorumOutcome, VoteAudit,
 };
 use byz_assign::{Assignment, DynamicAssignment};
 use byz_attack::{AttackContext, AttackVector, ByzantineSelector};
@@ -98,36 +98,28 @@ pub struct TrainingConfig {
     pub reputation: Option<ReputationConfig>,
     /// Gradient wire chunking: when set, replicas travel (conceptually)
     /// as fixed-size coordinate chunks under the given [`ChunkConfig`] —
-    /// a file voted on its own runs shard-wise over the kernel pool
-    /// ([`quorum_vote_sharded_audited`], shard = chunk; a whole round's
-    /// files already fill the pool one file per task), replica
-    /// payloads pass through the config's compression scheme
+    /// replica payloads pass through the config's compression scheme
     /// ([`apply_scheme`]: identity for dense, seeded top-k or sign
     /// planes otherwise), and the fault plan additionally rolls
     /// per-chunk message loss — a replica with *any* chunk lost degrades
-    /// exactly like a dropped whole replica. Degraded-quorum, retry and
-    /// reputation semantics are untouched. `None` (the default)
-    /// preserves the unchunked protocol bit for bit.
+    /// exactly like a dropped whole replica. Votes, degraded-quorum,
+    /// retry and reputation semantics are untouched. `None` (the
+    /// default) preserves the unchunked protocol bit for bit.
     pub chunking: Option<ChunkConfig>,
     /// Round scheduling, shared with the wire engine
     /// ([`byz_wire::RoundMode`]):
     ///
     /// * [`RoundMode::Barrier`] (the default) — strict synchronous
     ///   rounds, votes as one post-barrier batch.
-    /// * [`RoundMode::Streaming`] — wave-0 votes finalize per file in
-    ///   modeled completion order (a file is done when its slowest live
-    ///   replica holder lands). Every vote still sees exactly the same
-    ///   replicas and every outcome folds in canonical file order, so
-    ///   the [`TrainingHistory`], [`VoteAudit`]s and reputation ledger
-    ///   are bit-identical to the barrier path at any
-    ///   `BYZ_KERNEL_THREADS`.
+    /// * [`RoundMode::Streaming`] — the in-process trainer has no wire
+    ///   window for votes to hide in, so `Streaming` is `Barrier`.
     /// * [`RoundMode::BoundedStaleness`] — rounds close on the on-time
     ///   quorum. A worker's deterministic lag is
-    ///   `λ(w) = min(⌈straggle_factor(w)⌉ − 1, max_staleness)`; a file
-    ///   with at least `q_min` live lag-0 holders votes at its own
-    ///   round over those on-time replicas (late holders audit
-    ///   `Absent`), while a file below the on-time quorum votes over
-    ///   *all* live holders and its winner folds `lag` rounds later,
+    ///   [`FaultPlan::staleness_lag`]; a file with at least `q_min` live
+    ///   lag-0 holders votes at its own round over those on-time
+    ///   replicas (late holders audit `Absent`), while a file below the
+    ///   on-time quorum votes over *all* live holders and its winner
+    ///   folds `lag` rounds later,
     ///   discounted by `1/(1 + lag)`, after the fold round's on-time
     ///   winners in `(origin round, file)` order. With no stragglers in
     ///   the fault plan — and always with `max_staleness = 0` — the
@@ -747,22 +739,12 @@ impl<'a, M: Module> Trainer<'a, M> {
                     // file below the on-time quorum votes over all live
                     // holders and folds `lag` rounds later.
                     let max_staleness = match self.config.mode {
-                        RoundMode::BoundedStaleness { max_staleness } => Some(max_staleness),
-                        _ => None,
+                        RoundMode::BoundedStaleness { max_staleness } => max_staleness,
+                        RoundMode::Barrier | RoundMode::Streaming => 0,
                     };
-                    let lag_of = |w: usize| -> u64 {
-                        match max_staleness {
-                            Some(s) => (plan.straggle_factor(w).ceil() as u64)
-                                .saturating_sub(1)
-                                .min(s),
-                            None => 0,
-                        }
-                    };
+                    let lag_of = |w: usize| plan.staleness_lag(w, max_staleness);
                     let file_lag: Vec<u64> = (0..f)
                         .map(|fi| {
-                            if max_staleness.is_none() {
-                                return 0;
-                            }
                             let holders = active_graph.workers_of(fi);
                             let on_time = holders
                                 .iter()
@@ -815,44 +797,7 @@ impl<'a, M: Module> Trainer<'a, M> {
                         .enumerate()
                         .map(|(fi, present)| (present.as_slice(), active_graph.workers_of(fi)))
                         .collect();
-                    // Chunked wire: a lone file's vote runs shard-wise
-                    // (shard = chunk), folding per-shard group ids —
-                    // bit-identical to the whole-vector vote.
-                    let wave0_votes = if self.config.mode == RoundMode::Streaming {
-                        // Streaming schedule: each file's vote finalizes
-                        // the moment its slowest live replica holder
-                        // lands (ties break on file index), mirroring the
-                        // wire engine's eager per-file finalize. Votes
-                        // land in per-file slots, so the canonical-order
-                        // bookkeeping below is oblivious to the schedule.
-                        let finish = |fi: usize| -> f64 {
-                            active_graph
-                                .workers_of(fi)
-                                .iter()
-                                .filter(|&&w| !plan.is_crashed(w))
-                                .map(|&w| plan.straggle_factor(w))
-                                .fold(1.0, f64::max)
-                        };
-                        let mut order: Vec<usize> = (0..f).collect();
-                        order.sort_by(|&a, &b| finish(a).total_cmp(&finish(b)).then(a.cmp(&b)));
-                        let mut slots: Vec<Option<Result<QuorumOutcome, QuorumError>>> =
-                            (0..f).map(|_| None).collect();
-                        for fi in order {
-                            let (present, workers) = vote_inputs[fi];
-                            slots[fi] = Some(match chunking {
-                                Some(cfg) => quorum_vote_sharded_audited(
-                                    present,
-                                    q_min,
-                                    workers,
-                                    cfg.span_len(),
-                                ),
-                                None => quorum_vote_audited(present, q_min, workers),
-                            });
-                        }
-                        slots.into_iter().map(Option::unwrap).collect()
-                    } else {
-                        quorum_vote_all_audited(&vote_inputs, q_min)
-                    };
+                    let wave0_votes = quorum_vote_all_audited(&vote_inputs, q_min);
 
                     // Retry waves stay sequential (they are rare and
                     // per-file); bookkeeping runs in ascending file order
@@ -901,15 +846,7 @@ impl<'a, M: Module> Trainer<'a, M> {
                                             present.push((w, forge_replica(w, file_idx)));
                                         }
                                     }
-                                    result = match chunking {
-                                        Some(cfg) => quorum_vote_sharded_audited(
-                                            &present,
-                                            q_min,
-                                            workers,
-                                            cfg.span_len(),
-                                        ),
-                                        None => quorum_vote_audited(&present, q_min, workers),
-                                    };
+                                    result = quorum_vote_audited(&present, q_min, workers);
                                 }
                             }
                         }

@@ -12,7 +12,7 @@
 //!   data-parallel loops. Threads are spawned once per process (sized
 //!   from `std::thread::available_parallelism`, overridable with the
 //!   `BYZ_KERNEL_THREADS` env var) instead of per round.
-//! * [`matmul`] — a cache-blocked, register-tiled f32 GEMM
+//! * [`mod@matmul`] — a cache-blocked, register-tiled f32 GEMM
 //!   (`out += A·B`) with fused [`matmul_transa`] / [`matmul_transb`]
 //!   variants so backward passes never materialize transposed operands.
 //! * [`buffer`] — a thread-local [`with_scratch`] buffer pool so hot

@@ -25,9 +25,9 @@
 //! reproducible too; across machines, FMA vs. mul+add rounding may
 //! differ — the same caveat as any BLAS.
 //!
-//! Skinny products — at most [`SKINNY`] rows (a small-batch forward
-//! pass) or at most [`SKINNY`] deep (the rank-`batch` weight gradient) —
-//! skip all of that: [`gemm_skinny`] streams B's rows straight from the
+//! Skinny products — at most `SKINNY` rows (a small-batch forward
+//! pass) or at most `SKINNY` deep (the rank-`batch` weight gradient) —
+//! skip all of that: `gemm_skinny` streams B's rows straight from the
 //! operand through one axpy kernel on the calling thread, with no
 //! packing, no scratch and no pool, and reproduces the blocked path's
 //! per-element arithmetic exactly, so which path ran is unobservable in

@@ -1,7 +1,7 @@
 //! Batched gradient frames: one frame per worker per round.
 //!
-//! The original protocol sent one [`Message::GradientReturn`] per
-//! `(worker, file)` replica — `K·l` frames per round, each paying a
+//! The original protocol sent one frame per `(worker, file)` replica
+//! (kind 2, since retired) — `K·l` frames per round, each paying a
 //! header, a checksum pass, and a per-element `f32` copy on both sides.
 //! This codec batches every file a worker computed into a single
 //! length-prefixed frame:
@@ -334,7 +334,6 @@ pub fn decode_gradient_batch(frame: &Bytes) -> Result<GradientBatchView, WireErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FRAME_HEADER_LEN;
     use bytes::BytesMut;
     use proptest::prelude::*;
 
@@ -590,34 +589,5 @@ mod tests {
             // hit magic/kind/len/checksum checks.
             prop_assert!(decode_gradient_batch(&corrupted.freeze()).is_err());
         }
-    }
-
-    #[test]
-    fn bytes_per_round_shrink_vs_per_file_frames() {
-        // The headline accounting: K·l per-file frames vs K batch frames.
-        let d = 256usize;
-        let l = 5usize;
-        let grad = vec![1.0f32; d];
-        let per_file: usize = (0..l)
-            .map(|f| {
-                crate::Message::GradientReturn {
-                    iteration: 1,
-                    worker: 0,
-                    file: f as u32,
-                    gradient: grad.clone(),
-                }
-                .encode()
-                .len()
-            })
-            .sum();
-        let entries: Vec<(u32, &[f32])> = (0..l).map(|f| (f as u32, grad.as_slice())).collect();
-        let batched = encode_gradient_batch(1, 0, &entries).len();
-        assert!(batched < per_file);
-        // Saved: l−1 frame headers, plus the per-entry iteration+worker
-        // (12 bytes) collapsing into one prefix; each entry keeps only
-        // its file+len (8 bytes).
-        let per_file_overhead = l * (FRAME_HEADER_LEN + 8 + 4 + 4 + 4);
-        let batch_overhead = FRAME_HEADER_LEN + 8 + 4 + 4 + l * (4 + 4);
-        assert_eq!(per_file - batched, per_file_overhead - batch_overhead);
     }
 }

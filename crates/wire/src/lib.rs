@@ -14,11 +14,12 @@
 //!    each worker;
 //! 2. each worker deserializes, computes the gradient of every file
 //!    assigned to it by the [`Assignment`] graph (honest), or forges a
-//!    payload (Byzantine), and replies with one
-//!    [`Message::GradientReturn`] per file;
-//! 3. the PS collects all `K·l` returns, majority-votes each file,
-//!    applies coordinate-wise median over the winners, and updates the
-//!    model.
+//!    payload (Byzantine), and uploads the replicas in the job's
+//!    [`WireFormat`]: one batch frame carrying all `l` of them, or each
+//!    replica as a run of chunk frames;
+//! 3. the PS admits the frames it receives inside the round's window,
+//!    majority-votes each file over the replicas that arrived, applies
+//!    coordinate-wise median over the winners, and updates the model.
 //!
 //! The PS side of steps 2–3 is one transport-free state machine,
 //! [`RoundCore`]: every deployment (threads over channels, processes over
@@ -34,7 +35,6 @@ mod batch;
 mod chunk;
 mod compress;
 mod handshake;
-mod hashvote;
 mod link;
 mod message;
 mod psd;
@@ -56,10 +56,6 @@ pub use compress::{packed_sign_majority, PackedSigns};
 pub use handshake::{
     client_handshake, client_join_handshake, Handshake, HandshakeError, JoinGrant, RejectReason,
 };
-pub use hashvote::{
-    classic_uplink_bytes, hash_majority, hashvote_uplink_bytes, verify_payload, Fingerprint,
-    HashVoteOutcome,
-};
 pub use link::{channel_link_pair, ChannelLink, Link, LinkError};
 pub use message::{
     encode_model_broadcast, extend_f32s_le, put_f32s_le, read_f32s_le, Message, WireError,
@@ -68,8 +64,8 @@ pub use message::{
 pub use psd::{run_tcp_joiner, run_tcp_worker, JobResult, JobSpec, PsServer, WorkerSpec};
 pub use round::{Admitted, Reject, RoundCore, RoundResult};
 pub use server::{
-    LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, Transport,
-    WireFormat, WireTrainingRun,
+    LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, WireFormat,
+    WireTrainingRun,
 };
 pub use tcp::{write_frame, CodecError, StreamDecoder, TcpLink, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
 pub use voter::{ChunkIngest, ShardedFileVoter};

@@ -28,10 +28,8 @@ pub(crate) const MAGIC: u32 = 0xB125_51ED;
 pub const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 8;
 
 const KIND_MODEL_BROADCAST: u8 = 1;
-const KIND_GRADIENT_RETURN: u8 = 2;
 const KIND_SHUTDOWN: u8 = 3;
-const KIND_HASH_ANNOUNCE: u8 = 4;
-const KIND_PAYLOAD_REQUEST: u8 = 5;
+// Kinds 2, 4 and 5 are retired (never reused): `UnknownKind` to every decoder.
 pub(crate) const KIND_GRADIENT_BATCH: u8 = 6;
 pub(crate) const KIND_GRADIENT_CHUNK: u8 = 7;
 // Kinds 8–12 are the socket-transport handshake (hello / welcome /
@@ -334,93 +332,23 @@ pub enum Message {
         /// `files[i]` = the dataset indices making up file `i`.
         files: Vec<Vec<u32>>,
     },
-    /// Worker → PS: the computed (or forged) gradient of one file.
-    GradientReturn {
-        /// Iteration the gradient belongs to.
-        iteration: u64,
-        /// Sender worker id.
-        worker: u32,
-        /// File index.
-        file: u32,
-        /// Flat gradient.
-        gradient: Vec<f32>,
-    },
-    /// Worker → PS: a 128-bit fingerprint of one file's gradient (the
-    /// announce phase of the vote-on-hash protocol).
-    HashAnnounce {
-        /// Iteration the fingerprint belongs to.
-        iteration: u64,
-        /// Sender worker id.
-        worker: u32,
-        /// File index.
-        file: u32,
-        /// The gradient fingerprint.
-        fingerprint: crate::Fingerprint,
-    },
-    /// PS → worker: deliver the full gradient whose fingerprint won the
-    /// vote for `file` (the pull phase of vote-on-hash).
-    PayloadRequest {
-        /// Iteration of the request.
-        iteration: u64,
-        /// File whose payload is wanted.
-        file: u32,
-    },
     /// PS → worker: training is over; the thread should exit.
     Shutdown,
 }
 
 impl Message {
-    fn kind(&self) -> u8 {
-        match self {
-            Message::ModelBroadcast { .. } => KIND_MODEL_BROADCAST,
-            Message::GradientReturn { .. } => KIND_GRADIENT_RETURN,
-            Message::HashAnnounce { .. } => KIND_HASH_ANNOUNCE,
-            Message::PayloadRequest { .. } => KIND_PAYLOAD_REQUEST,
-            Message::Shutdown => KIND_SHUTDOWN,
-        }
-    }
-
     /// Serializes the message into a framed byte buffer. The returned
     /// [`Bytes`] is refcounted — fanning it out to `K` channels clones a
     /// pointer, not the payload.
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
         match self {
             Message::ModelBroadcast {
                 iteration,
                 params,
                 files,
-            } => return encode_model_broadcast(*iteration, params, files),
-            Message::GradientReturn {
-                iteration,
-                worker,
-                file,
-                gradient,
-            } => {
-                body.put_u64_le(*iteration);
-                body.put_u32_le(*worker);
-                body.put_u32_le(*file);
-                body.put_u32_le(gradient.len() as u32);
-                put_f32s_le(&mut body, gradient);
-            }
-            Message::HashAnnounce {
-                iteration,
-                worker,
-                file,
-                fingerprint,
-            } => {
-                body.put_u64_le(*iteration);
-                body.put_u32_le(*worker);
-                body.put_u32_le(*file);
-                fingerprint.write_to(&mut body);
-            }
-            Message::PayloadRequest { iteration, file } => {
-                body.put_u64_le(*iteration);
-                body.put_u32_le(*file);
-            }
-            Message::Shutdown => {}
+            } => encode_model_broadcast(*iteration, params, files),
+            Message::Shutdown => seal_frame(KIND_SHUTDOWN, BytesMut::new()),
         }
-        seal_frame(self.kind(), body)
     }
 
     /// Parses a framed byte buffer back into a message.
@@ -454,38 +382,6 @@ impl Message {
                     params,
                     files,
                 })
-            }
-            KIND_GRADIENT_RETURN => {
-                let iteration = body.u64_le()?;
-                let worker = body.u32_le()?;
-                let file = body.u32_le()?;
-                let n = body.u32_le()? as usize;
-                let gradient =
-                    read_f32s_le(body.take(n.checked_mul(4).ok_or(WireError::MalformedBody)?)?);
-                Ok(Message::GradientReturn {
-                    iteration,
-                    worker,
-                    file,
-                    gradient,
-                })
-            }
-            KIND_HASH_ANNOUNCE => {
-                let iteration = body.u64_le()?;
-                let worker = body.u32_le()?;
-                let file = body.u32_le()?;
-                let mut raw = body.take(16)?;
-                let fingerprint = crate::Fingerprint::read_from(&mut raw);
-                Ok(Message::HashAnnounce {
-                    iteration,
-                    worker,
-                    file,
-                    fingerprint,
-                })
-            }
-            KIND_PAYLOAD_REQUEST => {
-                let iteration = body.u64_le()?;
-                let file = body.u32_le()?;
-                Ok(Message::PayloadRequest { iteration, file })
             }
             KIND_SHUTDOWN => Ok(Message::Shutdown),
             other => Err(WireError::UnknownKind(other)),
@@ -526,38 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_gradient_return() {
-        let msg = Message::GradientReturn {
-            iteration: 7,
-            worker: 3,
-            file: 21,
-            gradient: vec![f32::MIN, f32::MAX, 0.5],
-        };
-        let frame = msg.encode();
-        assert_eq!(Message::decode(&frame).unwrap(), msg);
-    }
-
-    #[test]
     fn roundtrip_shutdown() {
         let frame = Message::Shutdown.encode();
         assert_eq!(frame.len(), FRAME_HEADER_LEN);
         assert_eq!(Message::decode(&frame).unwrap(), Message::Shutdown);
-    }
-
-    #[test]
-    fn roundtrip_hash_announce_and_payload_request() {
-        let msg = Message::HashAnnounce {
-            iteration: 3,
-            worker: 14,
-            file: 24,
-            fingerprint: crate::Fingerprint(0xDEAD_BEEF, 0x1234_5678_9ABC_DEF0),
-        };
-        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
-        let msg = Message::PayloadRequest {
-            iteration: 9,
-            file: 2,
-        };
-        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
@@ -580,11 +448,10 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let msg = Message::GradientReturn {
+        let msg = Message::ModelBroadcast {
             iteration: 1,
-            worker: 0,
-            file: 0,
-            gradient: vec![1.0, 2.0],
+            params: vec![1.0, 2.0],
+            files: vec![vec![0]],
         };
         // Corrupting a frame requires a mutable copy — made once, here,
         // where the corruption is intended.
@@ -605,11 +472,10 @@ mod tests {
             Message::decode(&frame[..5]),
             Err(WireError::Truncated { .. })
         ));
-        let msg = Message::GradientReturn {
+        let msg = Message::ModelBroadcast {
             iteration: 1,
-            worker: 0,
-            file: 0,
-            gradient: vec![1.0; 8],
+            params: vec![1.0; 8],
+            files: Vec::new(),
         };
         let full = msg.encode();
         assert!(matches!(
@@ -630,29 +496,26 @@ mod tests {
 
     #[test]
     fn unknown_kind_detected() {
-        // Build a frame by hand with kind 99 and a valid checksum.
-        let checksum = frame_checksum(99, &[]);
-        let mut frame = BytesMut::new();
-        frame.put_u32_le(MAGIC);
-        frame.put_u8(99);
-        frame.put_u32_le(0);
-        frame.put_u64_le(checksum);
-        assert_eq!(
-            Message::decode(&frame).unwrap_err(),
-            WireError::UnknownKind(99)
-        );
+        // Well-checksummed frames of a kind that never existed, and of
+        // the three retired ones (the per-file gradient return and the
+        // vote-on-hash announce / pull request).
+        for kind in [99, 2, 4, 5] {
+            let frame = seal_frame(kind, BytesMut::new());
+            assert_eq!(
+                Message::decode(&frame).unwrap_err(),
+                WireError::UnknownKind(kind)
+            );
+        }
     }
 
     #[test]
     fn oversized_count_is_malformed_not_panic() {
-        // A forged GradientReturn whose element count exceeds the body:
-        // the decoder must reject it, not slice past the end.
+        // A forged broadcast whose parameter count exceeds the body: the
+        // decoder must reject it, not slice past the end.
         let mut body = BytesMut::new();
         body.put_u64_le(1);
-        body.put_u32_le(0);
-        body.put_u32_le(0);
-        body.put_u32_le(u32::MAX); // claims 4 GiB of f32s
-        let frame = seal_frame(super::KIND_GRADIENT_RETURN, body);
+        body.put_u32_le(u32::MAX); // claims 16 GiB of f32s
+        let frame = seal_frame(KIND_MODEL_BROADCAST, body);
         assert_eq!(
             Message::decode(&frame).unwrap_err(),
             WireError::MalformedBody

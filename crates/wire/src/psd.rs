@@ -545,7 +545,7 @@ pub struct WorkerSpec {
     pub model_dims: Vec<usize>,
     /// The job's protocol configuration. Worker-relevant fields:
     /// `byzantine`, `attack`, `faults` (including connection faults),
-    /// `transport`, `wire`, `mode`, `straggler_unit`.
+    /// `wire`, `mode`, `straggler_unit`.
     pub config: ServerConfig,
     /// How long to keep retrying the initial TCP connect (covers the PS
     /// starting a moment after the workers).

@@ -258,7 +258,10 @@ struct Parked {
     store: ReplicaStore,
 }
 
-/// The PS side of a round. See the [module docs](self).
+/// The PS side of a round, transport-free: [`begin`](Self::begin) →
+/// [`ingest`](Self::ingest) while [`wants_more`](Self::wants_more) →
+/// [`close`](Self::close). `ingest` is the only way a payload reaches a
+/// vote.
 pub struct RoundCore {
     wire: WireFormat,
     policy: ClosePolicy,
@@ -269,8 +272,7 @@ pub struct RoundCore {
     chunks: Option<usize>,
     /// The assignment graph's holders of each file.
     assigned: Vec<Vec<usize>>,
-    /// Staleness lag `λ(w) = min(⌈straggle_factor(w)⌉ − 1, s)` per
-    /// worker: a pure function of the plan, all-zero when `s = 0`.
+    /// [`FaultPlan::staleness_lag`] per worker.
     lag: Vec<u64>,
     /// Replica votes of a full round, `K·l`.
     expected_replicas: usize,
@@ -307,11 +309,7 @@ impl RoundCore {
         );
         let policy = ClosePolicy::from(config.mode);
         let lag: Vec<u64> = (0..k)
-            .map(|w| {
-                (config.faults.straggle_factor(w).ceil() as u64)
-                    .saturating_sub(1)
-                    .min(policy.max_staleness)
-            })
+            .map(|w| config.faults.staleness_lag(w, policy.max_staleness))
             .collect();
         let chunks = match config.wire {
             WireFormat::Batched => None,

@@ -2,11 +2,10 @@
 
 use crate::batch::BatchFrameBuilder;
 use crate::chunk::{encode_gradient_chunk_into, num_chunks, ChunkConfig};
-use crate::hashvote::hash_vote_round;
 use crate::link::{ChannelLink, Link, LinkError};
 use crate::message::encode_model_broadcast;
 use crate::round::RoundCore;
-use crate::{Assignment, Fingerprint, Message};
+use crate::{Assignment, Message};
 use bytes::{Bytes, BytesMut};
 use byz_aggregate::{Aggregator, CoordinateMedian, QuorumConfig, VoteAudit};
 use byz_cluster::{FaultPlan, PhaseTimings};
@@ -14,7 +13,6 @@ use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_nn::FastMlp;
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -52,20 +50,7 @@ impl LocalAttack {
     }
 }
 
-/// Gradient transport mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Every replica uploads its full gradient (the paper's protocol).
-    Full,
-    /// Replicas upload 16-byte fingerprints; the PS votes on fingerprints
-    /// and pulls each winning payload once, verifying it against the
-    /// winning fingerprint (this repo's communication-efficiency
-    /// extension — see the `hashvote` module).
-    HashVote,
-}
-
-/// How full gradients are laid out on the wire (Full transport only;
-/// hash-vote pulls always travel as whole payloads).
+/// How gradients are laid out on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireFormat {
     /// One frame per worker per round carrying all of its replicas
@@ -75,15 +60,13 @@ pub enum WireFormat {
     /// `KIND_GRADIENT_CHUNK` frames covering disjoint coordinate
     /// ranges, optionally sparsified per the [`ChunkConfig`]'s scheme.
     /// The PS votes incrementally per shard as chunks arrive
-    /// ([`ShardedFileVoter`]), holding peak decode state to O(chunk)
-    /// instead of O(d); a lost or corrupt chunk degrades its replica
-    /// exactly like a lost whole replica.
+    /// ([`ShardedFileVoter`](crate::ShardedFileVoter)), holding peak
+    /// decode state to O(chunk) instead of O(d); a lost or corrupt chunk
+    /// degrades its replica exactly like a lost whole replica.
     Chunked(ChunkConfig),
 }
 
-/// How the PS schedules the stages of a round (Full transport only;
-/// hash-vote's announce/pull exchange is already per-file and ignores
-/// this knob).
+/// How the PS schedules the stages of a round.
 ///
 /// Both modes compute bit-identical parameters, vote outcomes, audits
 /// and reputation trajectories: streaming changes only *when* votes run,
@@ -106,11 +89,11 @@ pub enum RoundMode {
     /// Bounded staleness: the PS closes each round once the *on-time*
     /// quorum of files finalizes, never waiting for stragglers. A
     /// worker's staleness lag is derived deterministically from the
-    /// fault plan — `λ(w) = min(⌈straggle_factor(w)⌉ − 1, s)` — so the
-    /// schedule is a pure function of the plan, never of observed
-    /// arrival times. Files with at least `q_min` on-time live holders
-    /// vote at their own round over the on-time replicas only (a late
-    /// holder is audited `Absent`, which is benign). Files below the
+    /// fault plan ([`FaultPlan::staleness_lag`]), so the schedule is a
+    /// pure function of the plan, never of observed arrival times. Files
+    /// with at least `q_min` on-time live holders vote at their own
+    /// round over the on-time replicas only (a late holder is audited
+    /// `Absent`, which is benign). Files below the
     /// on-time quorum are *deferred*: their vote finalizes over all
     /// live holders and folds into the round `lag` steps later, with
     /// the winner discounted by `1/(1 + lag)`, in canonical
@@ -150,12 +133,9 @@ pub struct ServerConfig {
     /// Degradation policy shared with the in-process protocol: the
     /// minimum number of arrived replicas for a file's vote to count.
     pub quorum: QuorumConfig,
-    /// How gradients travel.
-    pub transport: Transport,
-    /// How full gradients are framed under [`Transport::Full`].
-    /// [`WireFormat::Batched`] preserves the pre-chunking protocol
-    /// bit-for-bit; [`WireFormat::Chunked`] streams fixed-size chunk
-    /// frames and votes shard-wise at the PS.
+    /// How gradients are framed. [`WireFormat::Batched`] preserves the
+    /// pre-chunking protocol bit-for-bit; [`WireFormat::Chunked`] streams
+    /// fixed-size chunk frames and votes shard-wise at the PS.
     pub wire: WireFormat,
     /// Whether the round runs as strict barriers or as a pipeline
     /// overlapping compute, wire, vote and update. Semantically
@@ -195,7 +175,6 @@ impl Default for ServerConfig {
             attack: LocalAttack::Constant { value: -100.0 },
             faults: FaultPlan::none(),
             quorum: QuorumConfig::default(),
-            transport: Transport::Full,
             wire: WireFormat::Batched,
             mode: RoundMode::Barrier,
             receive_timeout: Duration::from_millis(500),
@@ -225,8 +204,8 @@ pub struct RoundSummary {
     pub missing_votes: usize,
     /// Files voted from a partial replica set (`q_min ≤ arrived < r`).
     pub degraded_votes: usize,
-    /// Files that produced no winner this round (below `q_min`, or a
-    /// hash-vote payload pull that failed verification or timed out).
+    /// Files that produced no winner this round (fewer than `q_min`
+    /// replicas arrived), stale ones due this round included.
     pub abandoned_files: usize,
     /// Files whose vote was deferred to a later round because they fell
     /// below the on-time quorum. Always zero outside
@@ -441,7 +420,6 @@ impl MessagePassingCluster {
             is_byz: config.byzantine.contains(&worker_id),
             is_crashed: config.faults.is_crashed(worker_id),
             attack: config.attack,
-            transport: config.transport,
             wire: config.wire,
             flush_per_file: config.mode == RoundMode::Streaming,
             plan: config.faults.clone(),
@@ -549,40 +527,28 @@ impl MessagePassingCluster {
                 bytes_received += frame.len();
                 Some(frame)
             };
-            let (result, collect_end, vote_ns) = match config.transport {
-                Transport::Full => {
-                    core.begin(t, &quarantined);
-                    while core.wants_more() {
-                        let Some(frame) = recv() else {
-                            break;
-                        };
-                        // A refused frame or entry casts no vote: it
-                        // degrades its replica exactly like a dropped
-                        // one, and never panics the PS.
-                        let _ = core.ingest(&frame);
-                    }
-                    let collect_end = Instant::now();
-                    (core.close(), collect_end, core.vote_ns())
-                }
-                Transport::HashVote => hash_vote_round(
-                    t,
-                    &self.assignment,
-                    &quarantined,
-                    config.quorum.q_min,
-                    params.len(),
-                    &mut recv,
-                    to_workers,
-                ),
-            };
+            core.begin(t, &quarantined);
+            while core.wants_more() {
+                let Some(frame) = recv() else {
+                    break;
+                };
+                // A refused frame or entry casts no vote: it degrades its
+                // replica exactly like a dropped one, and never panics
+                // the PS.
+                let _ = core.ingest(&frame);
+            }
+            let collect_end = Instant::now();
+            let result = core.close();
+            let vote_ns = core.vote_ns();
 
             let update_start = Instant::now();
             if !result.winners.is_empty() {
                 // Invariant expect: `winners` is non-empty and every
                 // winner has the model's dimension — the admission gate
-                // (batched entries, chunk voters sized to the model,
-                // hash-vote pulls) enforces the latter even against
-                // arbitrary socket peers. A failure here is a kernel
-                // bug, not reachable input, and must stay a panic.
+                // (batched entries, chunk voters sized to the model)
+                // enforces the latter even against arbitrary socket
+                // peers. A failure here is a kernel bug, not reachable
+                // input, and must stay a panic.
                 let aggregated = CoordinateMedian
                     .aggregate(&result.winners)
                     .expect("median is always applicable");
@@ -659,7 +625,6 @@ pub(crate) struct WorkerContext {
     pub(crate) is_byz: bool,
     pub(crate) is_crashed: bool,
     pub(crate) attack: LocalAttack,
-    pub(crate) transport: Transport,
     pub(crate) wire: WireFormat,
     /// Upload each file's replica the moment it is computed (streaming
     /// rounds) instead of once per round.
@@ -672,19 +637,15 @@ pub(crate) struct WorkerContext {
 /// The worker's protocol loop over any [`Link`].
 ///
 /// Takes the context by reference because a socket worker re-enters the
-/// loop after a reconnect — the model replica and gradient cache are
-/// per-connection state (the next broadcast rebuilds them), the context
-/// is not.
+/// loop after a reconnect — the model replica is per-connection state
+/// (the next broadcast rebuilds it), the context is not.
 pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExit {
     let mut rng = rand_stub();
     let mut model = FastMlp::new(&ctx.dims, &mut rng);
     let param_len = model.num_params();
-    // Cache of this iteration's computed (possibly forged) gradients, for
-    // the hash-vote pull phase.
-    let mut cache: HashMap<(u64, u32), Vec<f32>> = HashMap::new();
 
     // Run until shutdown or the link dies. A frame that fails to decode
-    // or carries a message the PS never sends is ignored — a corrupted
+    // (corrupt, or of a kind the PS never sends) is ignored — a corrupted
     // broadcast degrades the worker's round, never kills it.
     loop {
         let frame = match link.recv_timeout(ctx.idle_timeout) {
@@ -722,14 +683,13 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                     // message-dropper.
                     std::thread::sleep(ctx.delay);
                 }
-                cache.retain(|(it, _), _| *it + 1 >= iteration);
                 model.set_params(&params);
-                // Full transport: computed replicas collect in `outbox`
-                // and leave through its `flush` — after every file when
-                // the PS finalizes votes eagerly, once per round otherwise
+                // Computed replicas collect in `outbox` and leave
+                // through its `flush` — after every file when the PS
+                // finalizes votes eagerly, once per round otherwise
                 // (bounded staleness is a PS-side schedule: the worker
                 // sends what it would in barrier mode, straggler delay
-                // and all). HashVote announces per file either way.
+                // and all).
                 let mut outbox = Outbox::new(ctx, param_len);
                 for &file_idx in &ctx.my_files {
                     // Bounds gates for forged broadcasts: a file table
@@ -757,85 +717,23 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                     let dropped = ctx
                         .plan
                         .drops_replica(iteration, 0, ctx.worker_id, file_idx);
-                    match ctx.transport {
-                        Transport::Full => {
-                            outbox.put(file_idx as u32, !dropped, compute);
-                            if ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
-                                return WorkerExit::LinkClosed;
-                            }
-                        }
-                        Transport::HashVote => {
-                            if dropped {
-                                continue;
-                            }
-                            // The pull cache must own the gradient.
-                            let mut gradient = vec![0.0f32; param_len];
-                            compute(&mut gradient);
-                            let fingerprint = Fingerprint::of(&gradient);
-                            cache.insert((iteration, file_idx as u32), gradient);
-                            let reply = Message::HashAnnounce {
-                                iteration,
-                                worker: ctx.worker_id as u32,
-                                file: file_idx as u32,
-                                fingerprint,
-                            };
-                            // A hung-up PS means the run is over.
-                            if link.send(reply.encode()).is_err() {
-                                return WorkerExit::LinkClosed;
-                            }
-                        }
+                    outbox.put(file_idx as u32, !dropped, compute);
+                    if ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
+                        return WorkerExit::LinkClosed;
                     }
                 }
-                if ctx.transport == Transport::Full
-                    && !ctx.flush_per_file
-                    && outbox.flush(ctx, link, iteration).is_err()
-                {
+                if !ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
                     return WorkerExit::LinkClosed;
                 }
             }
-            Message::PayloadRequest { iteration, file } => {
-                if ctx.is_crashed {
-                    continue;
-                }
-                // The payload pull is a second delivery attempt and rolls
-                // its own loss (attempt index 1); a lost pull leaves the
-                // file abandoned at the PS after its receive timeout.
-                if ctx
-                    .plan
-                    .drops_replica(iteration, 1, ctx.worker_id, file as usize)
-                {
-                    continue;
-                }
-                // The PS only pulls announced payloads, but a forged or
-                // replayed request may name a file this worker never
-                // cached; answering nothing lets the PS's pull timeout
-                // handle it.
-                let Some(gradient) = cache.get(&(iteration, file)).cloned() else {
-                    continue;
-                };
-                let reply = Message::GradientReturn {
-                    iteration,
-                    worker: ctx.worker_id as u32,
-                    file,
-                    gradient,
-                }
-                .encode();
-                if link.send(reply).is_err() {
-                    return WorkerExit::LinkClosed;
-                }
-            }
-            // Unexpected message types are ignored for the same reason
-            // malformed frames are: only Shutdown and the two request
-            // kinds above have worker-side semantics.
-            _ => continue,
         }
     }
 }
 
-/// Where a Full-transport worker's replicas (`len` floats each) live
-/// between compute and upload: on the batched wire inside the outgoing
-/// frame itself, on the chunked wire (whose frames are cut per chunk at
-/// send time) in owned vectors.
+/// Where a worker's replicas (`len` floats each) live between compute
+/// and upload: on the batched wire inside the outgoing frame itself, on
+/// the chunked wire (whose frames are cut per chunk at send time) in
+/// owned vectors.
 enum Outbox {
     Frame {
         len: usize,
@@ -1093,61 +991,6 @@ mod tests {
         for s in &summaries[quarantine_round + 1..] {
             assert_eq!(s.non_strict_votes, 0, "round {}", s.iteration);
         }
-    }
-
-    #[test]
-    fn reputation_is_deterministic_across_transports() {
-        // The ledger folds vote audits, and both transports audit the
-        // same votes — so the suspicion trajectories must be identical.
-        let data = dataset();
-        let dims = vec![36usize, 8, 4];
-        let cluster = MessagePassingCluster::new(
-            MolsAssignment::new(5, 3).unwrap().build(),
-            Arc::clone(&data),
-            dims.clone(),
-        );
-        let full_cfg = ServerConfig {
-            reputation: Some(ReputationConfig::default()),
-            ..config(8, vec![2])
-        };
-        let hash_cfg = ServerConfig {
-            transport: Transport::HashVote,
-            ..full_cfg.clone()
-        };
-        let (_, s_full) = cluster.train(initial_params(&dims), &full_cfg);
-        let (_, s_hash) = cluster.train(initial_params(&dims), &hash_cfg);
-        for (a, b) in s_full.iter().zip(&s_hash) {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.suspicions), bits(&b.suspicions));
-            assert_eq!(a.quarantined_workers, b.quarantined_workers);
-        }
-    }
-
-    #[test]
-    fn hash_vote_transport_matches_full_transport() {
-        // Same seeds, same attack: the vote-on-hash protocol must compute
-        // byte-identical parameters (the winning gradients are identical),
-        // while moving far fewer bytes.
-        let data = dataset();
-        let dims = vec![36usize, 16, 4];
-        let assignment = MolsAssignment::new(5, 3).unwrap().build();
-        let cluster = MessagePassingCluster::new(assignment, Arc::clone(&data), dims.clone());
-
-        let full_cfg = config(25, vec![0, 5]);
-        let hash_cfg = ServerConfig {
-            transport: Transport::HashVote,
-            ..full_cfg.clone()
-        };
-        let (p_full, s_full) = cluster.train(initial_params(&dims), &full_cfg);
-        let (p_hash, s_hash) = cluster.train(initial_params(&dims), &hash_cfg);
-
-        assert_eq!(p_full, p_hash, "transports must be semantically identical");
-        let bytes_full: usize = s_full.iter().map(|s| s.bytes_received).sum();
-        let bytes_hash: usize = s_hash.iter().map(|s| s.bytes_received).sum();
-        assert!(
-            (bytes_hash as f64) < 0.5 * bytes_full as f64,
-            "hash-vote moved {bytes_hash} vs full {bytes_full} bytes"
-        );
     }
 
     #[test]
@@ -1713,38 +1556,71 @@ mod tests {
     }
 
     #[test]
-    fn forged_hash_announces_neither_panic_nor_move_the_winner() {
-        // Three announces under a worker id that does not exist used to
-        // tie a file's fingerprint vote and, winning it, index past the
-        // PS's sender table; a repeated announce used to count twice.
+    fn retired_frame_kinds_are_inert_and_cannot_hold_a_round_open() {
+        // Kinds 2, 4 and 5 (the per-file gradient return, the
+        // vote-on-hash announce and its pull request) are retired. A
+        // well-checksummed frame of one is outside input like any other:
+        // sent in place of everything worker 0 owes a round, it must
+        // leave the job exactly where a silent worker 0 leaves it — minus
+        // the wait, because each one spends an expected frame.
+        use crate::round::Reject;
+        use bytes::BufMut;
+        const RETIRED: [u8; 3] = [2, 4, 5];
         let rogue = Rogue::new();
-        let cfg = ServerConfig {
-            transport: Transport::HashVote,
-            receive_timeout: Duration::from_millis(300),
-            ..config(3, vec![])
+        let assignment = &rogue.cluster.assignment;
+        let (k, l, d) = (
+            assignment.num_workers(),
+            assignment.load(),
+            rogue.forged.len(),
+        );
+        // Shaped like the old per-file return: round, sender, file, payload.
+        let retired = |t: u64, nth: usize| {
+            let mut body = BytesMut::new();
+            body.put_u64_le(t);
+            body.put_u32_le(Rogue::ID);
+            body.put_u32_le(rogue.held);
+            body.put_u32_le(d as u32);
+            crate::put_f32s_le(&mut body, &rogue.forged);
+            crate::message::seal_frame(RETIRED[nth % 3], body)
         };
-        let announce = |iteration: u64, worker: u32, file: u32| {
-            Message::HashAnnounce {
-                iteration,
-                worker,
-                file,
-                fingerprint: Fingerprint::of(&rogue.forged),
+        // Refused for their kind, not for corruption.
+        for (nth, &kind) in RETIRED.iter().enumerate() {
+            assert_eq!(
+                Message::decode(&retired(1, nth)),
+                Err(crate::WireError::UnknownKind(kind))
+            );
+        }
+        let chunking = ChunkConfig::dense(128);
+        for (wire, frames_per_worker) in [
+            (WireFormat::Batched, 1),
+            (
+                WireFormat::Chunked(chunking),
+                l * num_chunks(d, chunking.span_len()),
+            ),
+        ] {
+            let cfg = ServerConfig {
+                wire,
+                receive_timeout: Duration::from_millis(300),
+                ..config(3, vec![])
+            };
+            let attack = |t: u64| -> Vec<Bytes> {
+                (0..frames_per_worker)
+                    .map(|nth| retired(t, t as usize + nth))
+                    .collect()
+            };
+            rogue.assert_inert(&cfg, &attack, &|_| Vec::new());
+
+            // Thread-free: a whole window of them is refused frame by
+            // frame and closes the round without a single timeout.
+            let mut core = RoundCore::new(assignment, d, &cfg);
+            core.begin(1, &vec![false; k]);
+            for nth in 0..k * frames_per_worker {
+                assert!(core.wants_more(), "{wire:?}: frame {nth}");
+                assert_eq!(core.ingest(&retired(1, nth)), Err(Reject::Malformed));
             }
-            .encode()
-        };
-        let attack = |t: u64| {
-            let mut frames = vec![announce(t, 99, rogue.unheld); 3];
-            frames.extend([announce(t, 0, rogue.held), announce(t, 0, rogue.held)]);
-            frames
-        };
-        // The reference rogue announces once; its other four frames are
-        // of a round that never was.
-        let reference = |t: u64| {
-            let mut frames = vec![announce(0, 0, rogue.held); 4];
-            frames.push(announce(t, 0, rogue.held));
-            frames
-        };
-        rogue.assert_inert(&cfg, &attack, &reference);
+            assert!(!core.wants_more(), "{wire:?}");
+            assert_eq!(core.close().missing_votes, k * l);
+        }
     }
 
     #[test]

@@ -326,16 +326,11 @@ mod tests {
     fn sample_frames() -> Vec<Bytes> {
         vec![
             Message::Shutdown.encode(),
-            Message::GradientReturn {
-                iteration: 3,
-                worker: 1,
-                file: 4,
-                gradient: vec![1.0, -2.5, 3.25],
-            }
-            .encode(),
-            Message::PayloadRequest {
+            crate::encode_gradient_batch(3, 1, &[(4, &[1.0, -2.5, 3.25])]),
+            Message::ModelBroadcast {
                 iteration: 9,
-                file: 2,
+                params: vec![0.5, -0.25],
+                files: vec![vec![2]],
             }
             .encode(),
         ]
@@ -434,13 +429,7 @@ mod tests {
             link.send(f).unwrap();
         });
         let mut link = TcpLink::connect(addr, Duration::from_secs(5)).unwrap();
-        let frame = Message::GradientReturn {
-            iteration: 1,
-            worker: 2,
-            file: 3,
-            gradient: vec![0.5; 100],
-        }
-        .encode();
+        let frame = crate::encode_gradient_batch(1, 2, &[(3, &[0.5; 100])]);
         link.send(frame.clone()).unwrap();
         let echoed = link.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(echoed, frame);

@@ -18,20 +18,6 @@ fn arbitrary_message() -> impl Strategy<Value = Message> {
                 params,
                 files,
             }),
-        (
-            any::<u64>(),
-            any::<u32>(),
-            any::<u32>(),
-            prop::collection::vec(-1e6f32..1e6, 0..64),
-        )
-            .prop_map(
-                |(iteration, worker, file, gradient)| Message::GradientReturn {
-                    iteration,
-                    worker,
-                    file,
-                    gradient,
-                }
-            ),
         Just(Message::Shutdown),
     ]
 }

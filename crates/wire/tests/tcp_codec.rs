@@ -9,7 +9,7 @@
 //! never silently desynchronize ahead of the real frame boundary.
 
 use bytes::Bytes;
-use byz_wire::{write_frame, CodecError, Message, StreamDecoder};
+use byz_wire::{encode_gradient_batch, write_frame, CodecError, Message, StreamDecoder};
 use proptest::prelude::*;
 
 fn arbitrary_frame() -> impl Strategy<Value = Bytes> {
@@ -21,13 +21,7 @@ fn arbitrary_frame() -> impl Strategy<Value = Bytes> {
             prop::collection::vec(-1e3f32..1e3, 0..48),
         )
             .prop_map(|(iteration, worker, file, gradient)| {
-                Message::GradientReturn {
-                    iteration,
-                    worker,
-                    file,
-                    gradient,
-                }
-                .encode()
+                encode_gradient_batch(iteration, worker, &[(file, gradient.as_slice())])
             }),
         (
             any::<u64>(),

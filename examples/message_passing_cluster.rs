@@ -1,6 +1,6 @@
 //! Run the FULL protocol over a real multi-threaded message-passing
 //! cluster: one OS thread per worker, every model broadcast and gradient
-//! return serialized into checksummed binary frames — no shared memory
+//! upload serialized into checksummed binary frames — no shared memory
 //! between the parameter server and the workers.
 //!
 //! ```sh
@@ -88,7 +88,7 @@ fn main() {
     // with bit-identical parameters (the canonical-fold guarantee).
     let streaming_config = ServerConfig {
         mode: RoundMode::Streaming,
-        ..config.clone()
+        ..config
     };
     let init_streaming = FastMlp::new(&dims, &mut StdRng::seed_from_u64(3)).params_flat();
     let (streaming_params, streaming_summaries) = cluster.train(init_streaming, &streaming_config);
@@ -115,27 +115,6 @@ fn main() {
     println!(
         "top-1 test accuracy under attack: {:.1}% (chance = 20%)",
         100.0 * correct as f64 / n as f64
-    );
-
-    // Same run over the vote-on-hash transport: byte-identical model,
-    // a fraction of the traffic.
-    let hash_config = ServerConfig {
-        transport: byzshield::prelude::Transport::HashVote,
-        ..config
-    };
-    let init = FastMlp::new(&dims, &mut StdRng::seed_from_u64(3)).params_flat();
-    let (hash_params, hash_summaries) = MessagePassingCluster::new(
-        MolsAssignment::new(5, 3).expect("valid").build(),
-        Arc::clone(&train),
-        dims,
-    )
-    .train(init, &hash_config);
-    let hash_bytes: usize = hash_summaries.iter().map(|s| s.bytes_received).sum();
-    println!(
-        "vote-on-hash transport: identical parameters = {}, PS ingress {:.1} MiB (vs {:.1})",
-        hash_params == params,
-        hash_bytes as f64 / (1024.0 * 1024.0),
-        total_bytes as f64 / (1024.0 * 1024.0),
     );
 
     // Bonus: the signSGD wire format — 32× smaller gradient frames.

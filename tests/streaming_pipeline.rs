@@ -1,17 +1,16 @@
-//! Bit-identity pins for the pipelined streaming round engine.
+//! Bit-identity pin for the pipelined streaming round engine.
 //!
 //! Streaming changes *when* work runs — per-file vote finalize inside
 //! the collection window, update overlapped with late votes, next
-//! round's split prefetched — but never *what* any stage sees. These
-//! tests pin that contract at both layers: the in-process trainer
-//! (`TrainingConfig::mode`) and the message-passing wire
+//! round's split prefetched — but never *what* any stage sees. This pins
+//! that contract on the message-passing wire
 //! (`ServerConfig::mode = RoundMode::Streaming`), with Byzantine
-//! workers, crashes, stragglers, message drops, reputation and both
-//! wire formats in play. They hold at any `BYZ_KERNEL_THREADS` (CI runs
-//! 1 and 4).
+//! workers, a straggler, message drops, reputation and both wire formats
+//! in play. (The in-process trainer has no wire window: there
+//! `Streaming` is `Barrier`.) It holds at any `BYZ_KERNEL_THREADS` (CI
+//! runs 1 and 4).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
@@ -29,90 +28,6 @@ fn small_dataset() -> (Dataset, Dataset) {
         seed: 2024,
     })
     .generate()
-}
-
-fn config(mode: RoundMode, chunking: Option<ChunkConfig>) -> TrainingConfig {
-    TrainingConfig {
-        batch_size: 100,
-        iterations: 8,
-        lr_schedule: StepDecaySchedule::new(0.05, 0.96, 30),
-        momentum: 0.9,
-        num_byzantine: 2,
-        eval_every: 4,
-        eval_samples: 200,
-        seed: 77,
-        faults: FaultPlan::new(5).crash(11).straggle(2, 4.0).drop_rate(0.1),
-        reputation: Some(ReputationConfig::default()),
-        chunking,
-        mode,
-        ..TrainingConfig::default()
-    }
-}
-
-fn run(cfg: TrainingConfig) -> TrainingHistory {
-    let (train, test) = small_dataset();
-    let mut rng = StdRng::seed_from_u64(9);
-    let model = Mlp::new(&[64, 32, 5], &mut rng);
-    Trainer::new(
-        &model,
-        &train,
-        &test,
-        MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
-        ByzantineSelector::Fixed(vec![0, 5]),
-        Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
-        cfg,
-    )
-    .run()
-    .expect("training completes")
-}
-
-/// Wall-clock fields are the only admissible difference between the two
-/// schedules; zero them so the rest of the record compares exactly.
-fn normalized(records: &[IterationRecord]) -> Vec<IterationRecord> {
-    records
-        .iter()
-        .map(|r| {
-            let mut r = r.clone();
-            r.compute_time = Duration::ZERO;
-            r.aggregate_time = Duration::ZERO;
-            r
-        })
-        .collect()
-}
-
-fn assert_histories_bit_identical(barrier: &TrainingHistory, streaming: &TrainingHistory) {
-    assert_eq!(normalized(&barrier.records), normalized(&streaming.records));
-    assert_eq!(
-        barrier.final_loss.to_bits(),
-        streaming.final_loss.to_bits(),
-        "final loss diverged"
-    );
-    assert_eq!(
-        barrier.final_accuracy.to_bits(),
-        streaming.final_accuracy.to_bits(),
-        "final accuracy diverged"
-    );
-    // "Ledger bytes bit-identical": the serialized reputation state is
-    // the strongest equality the ledger offers.
-    let bytes = |h: &TrainingHistory| h.ledger.as_ref().map(ReputationLedger::to_bytes);
-    assert_eq!(bytes(barrier), bytes(streaming), "ledger bytes diverged");
-}
-
-#[test]
-fn streaming_trainer_matches_barrier_unchunked() {
-    let barrier = run(config(RoundMode::Barrier, None));
-    let streaming = run(config(RoundMode::Streaming, None));
-    assert_histories_bit_identical(&barrier, &streaming);
-}
-
-#[test]
-fn streaming_trainer_matches_barrier_chunked() {
-    let cfg = ChunkConfig::dense(128);
-    let barrier = run(config(RoundMode::Barrier, Some(cfg)));
-    let streaming = run(config(RoundMode::Streaming, Some(cfg)));
-    assert_histories_bit_identical(&barrier, &streaming);
 }
 
 /// The wire layer's streaming mode must agree with its barrier mode on
