@@ -2,13 +2,14 @@
 //!
 //! The paper runs PyTorch + MPICH on EC2; this workspace runs the same
 //! protocol in-process or over `byz-wire` (DESIGN.md §2 documents the
-//! substitution). This crate holds the two pieces both round engines
-//! (`byzshield::Trainer::run` and `byz_wire::RoundCore`) share:
+//! substitution). This crate holds the two pieces the round engine
+//! (`byz_wire::RoundCore`) and its drivers (`byzshield::Trainer::run`
+//! in-process, `ps_loop` on the wire) share:
 //!
 //! * [`FaultPlan`] deterministically marks workers crashed, stragglers,
 //!   message-droppers, disconnecting/stalling peers, joiners or leavers.
 //!   Every decision is a pure function of the plan's seed, so both
-//!   engines degrade under one policy and replay bit-identically.
+//!   drivers degrade under one policy and replay bit-identically.
 //!   Byzantine behaviour is *not* modelled here — the training protocol
 //!   replaces Byzantine workers' returns after the honest gradients are
 //!   known (the omniscient attack model).

@@ -1,11 +1,8 @@
 //! The end-to-end training protocol (paper Algorithm 1).
 
-use crate::{
-    evaluate_accuracy, gradients_differ, FileGradientOracle, GradientMoments, InputLayout,
-};
+use crate::{evaluate_accuracy, FileGradientOracle, GradientMoments, InputLayout};
 use byz_aggregate::{
-    quorum_vote_all_audited, quorum_vote_audited, AggregationError, Aggregator, Provenance,
-    QuorumConfig, QuorumError, QuorumOutcome, VoteAudit,
+    gradient_fingerprint, AggregationError, Aggregator, QuorumConfig, QuorumError, VoteAudit,
 };
 use byz_assign::{Assignment, DynamicAssignment};
 use byz_attack::{AttackContext, AttackVector, ByzantineSelector};
@@ -14,7 +11,11 @@ use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_distortion::{binomial_saturating, cmax_graph_exhaustive, count_distorted};
 use byz_nn::{flatten_params, Module, Sgd, StepDecaySchedule};
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
-use byz_wire::{apply_scheme, num_chunks, ChunkConfig, ChunkScheme, RoundMode};
+use byz_wire::{
+    apply_scheme, num_chunks, ChunkConfig, ChunkScheme, FileSlot, RoundCore, RoundMode,
+    RoundResult, ServerConfig,
+};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -26,9 +27,11 @@ pub enum Defense {
     /// DETOX with [`MedianOfMeans`](byz_aggregate::MedianOfMeans) or
     /// Multi-Krum.
     VoteThenAggregate(Box<dyn Aggregator>),
-    /// Baseline style: the aggregator is applied directly to the workers'
-    /// returned gradients (no voting; use with a replication-1
-    /// assignment).
+    /// Baseline style, for a replication-1 assignment: a file's single
+    /// replica is its own vote, so the aggregator sees the workers'
+    /// returns as they arrived. The round takes no evidence from those
+    /// votes — no audits for the reputation ledger, and ε̂ stays
+    /// predictive.
     Direct(Box<dyn Aggregator>),
 }
 
@@ -37,24 +40,6 @@ impl fmt::Debug for Defense {
         match self {
             Defense::VoteThenAggregate(a) => write!(f, "VoteThenAggregate({})", a.name()),
             Defense::Direct(a) => write!(f, "Direct({})", a.name()),
-        }
-    }
-}
-
-/// A replica payload as the parameter server receives it. Honest
-/// replicas *borrow* the round's true gradient — they are bit-identical
-/// by construction, so the vote can read one shared buffer instead of
-/// `r` clones per file — while Byzantine forgeries own their payload.
-enum Replica<'g> {
-    Honest(&'g [f32]),
-    Forged(Vec<f32>),
-}
-
-impl AsRef<[f32]> for Replica<'_> {
-    fn as_ref(&self) -> &[f32] {
-        match self {
-            Replica::Honest(g) => g,
-            Replica::Forged(g) => g,
         }
     }
 }
@@ -106,24 +91,24 @@ pub struct TrainingConfig {
     /// retry and reputation semantics are untouched. `None` (the
     /// default) preserves the unchunked protocol bit for bit.
     pub chunking: Option<ChunkConfig>,
-    /// Round scheduling, shared with the wire engine
-    /// ([`byz_wire::RoundMode`]):
+    /// Round scheduling, handed to the round engine
+    /// ([`byz_wire::RoundCore`]) this trainer drives:
     ///
     /// * [`RoundMode::Barrier`] (the default) — strict synchronous
-    ///   rounds, votes as one post-barrier batch.
-    /// * [`RoundMode::Streaming`] — the in-process trainer has no wire
-    ///   window for votes to hide in, so `Streaming` is `Barrier`.
+    ///   rounds, votes as one batch when the round closes.
+    /// * [`RoundMode::Streaming`] — a file votes the moment its last
+    ///   live holder delivered; the result is `Barrier`'s bit for bit.
     /// * [`RoundMode::BoundedStaleness`] — rounds close on the on-time
     ///   quorum. A worker's deterministic lag is
     ///   [`FaultPlan::staleness_lag`]; a file with at least `q_min` live
     ///   lag-0 holders votes at its own round over those on-time
     ///   replicas (late holders audit `Absent`), while a file below the
-    ///   on-time quorum votes over *all* live holders and its winner
-    ///   folds `lag` rounds later,
-    ///   discounted by `1/(1 + lag)`, after the fold round's on-time
-    ///   winners in `(origin round, file)` order. With no stragglers in
-    ///   the fault plan — and always with `max_staleness = 0` — the
-    ///   schedule is bit-identical to [`RoundMode::Barrier`].
+    ///   on-time quorum is parked, votes over *all* live holders and
+    ///   folds `lag` rounds later, discounted by `1/(1 + lag)`, after the
+    ///   fold round's on-time winners in `(origin round, file)` order.
+    ///   With no stragglers in the fault plan — and always with
+    ///   `max_staleness = 0` — the schedule is bit-identical to
+    ///   [`RoundMode::Barrier`].
     pub mode: RoundMode,
 }
 
@@ -160,7 +145,13 @@ pub struct AbandonedFile {
     pub error: QuorumError,
 }
 
-/// Degradation report for one protocol round.
+/// Degradation report for one protocol round. A file is booked in the
+/// round its vote *folds* in (the wire's `RoundSummary` convention): a
+/// file deferred under [`RoundMode::BoundedStaleness`] counts under
+/// `deferred` at its origin round and under `full_quorum` / `degraded` /
+/// `retried` / `abandoned` `lag` rounds later, so
+/// `full_quorum + degraded + abandoned.len()` is `f` minus this round's
+/// deferrals plus the earlier ones due now.
 ///
 /// Every field is a pure function of the fault-plan seed and the round
 /// index — no clocks, no thread ordering — so two runs with identical
@@ -181,28 +172,33 @@ pub struct RoundOutcome {
     pub dropped_replicas: usize,
     /// Workers crashed for the whole round.
     pub crashed_workers: usize,
-    /// Files whose vote completed this round but whose fold is deferred
-    /// to a later round (bounded staleness: the file fell below the
-    /// on-time quorum, so it finalizes over all live holders and folds
-    /// `lag` rounds later). Always zero outside
+    /// Files parked this round: below the on-time quorum, so the vote is
+    /// over all live holders and folds `lag` rounds later — won or
+    /// abandoned, it is booked there. Always zero outside
     /// [`RoundMode::BoundedStaleness`].
     pub deferred: usize,
-    /// Stale winners from *earlier* rounds folded into this round's
-    /// update (discounted by `1/(1 + lag)`). Always zero outside
+    /// Files parked in *earlier* rounds whose winner folded into this
+    /// round's update (discounted by `1/(1 + lag)`); each also counts
+    /// under `full_quorum` or `degraded`. Always zero outside
     /// [`RoundMode::BoundedStaleness`].
     pub stale_folded: usize,
-    /// Files given up after exhausting the retry budget.
+    /// Files given up after exhausting the retry budget: this round's
+    /// on-time files and the parked ones due now, the latter with their
+    /// origin round's attempts. (A [`TrainingError::RoundCollapsed`]
+    /// payload therefore lists on-time abandonments only — the round's
+    /// own parked files are counted under `deferred`.)
     pub abandoned: Vec<AbandonedFile>,
 }
 
 impl RoundOutcome {
-    /// Files that produced a vote winner (full + degraded).
+    /// Files whose winner folded this round (full + degraded).
     pub fn surviving_files(&self) -> usize {
         self.full_quorum + self.degraded
     }
 
-    /// `true` when no file reached quorum — the round cannot produce a
-    /// gradient and surfaces as [`TrainingError::RoundCollapsed`].
+    /// `true` when no winner folded this round, so it produced no
+    /// gradient. Every [`TrainingError::RoundCollapsed`] payload is; so
+    /// is a round that deferred all its votes, which is not an error.
     pub fn is_collapsed(&self) -> bool {
         self.surviving_files() == 0
     }
@@ -305,9 +301,9 @@ pub struct IterationRecord {
     /// Number of file majorities actually distorted this iteration.
     pub distorted_files: usize,
     /// Distorted fraction ε̂ this iteration. Under an active fault plan
-    /// this is *measured* over surviving files (winner differs bitwise
-    /// from the true gradient / files that reached quorum); without
-    /// faults it is the predictive `count_distorted / f` as before.
+    /// or ledger this is *measured* on the engine's winners (those whose
+    /// fingerprint is not the honest payload's / winners folded this
+    /// round); otherwise it is the predictive `count_distorted / f`.
     pub epsilon_hat: f64,
     /// Degradation report for this round's gather + vote.
     pub outcome: RoundOutcome,
@@ -399,20 +395,6 @@ impl TrainingHistory {
     }
 }
 
-/// A vote winner finalized below the on-time quorum under
-/// [`RoundMode::BoundedStaleness`], parked until its fold round.
-struct StaleWinner {
-    origin: u64,
-    file: usize,
-    lag: u64,
-    /// Whether the winner differed bitwise from the origin round's
-    /// honest reference (fixed at the origin; folded into the fold
-    /// round's measured distortion).
-    distorted: bool,
-    audit: Option<VoteAudit>,
-    value: Vec<f32>,
-}
-
 /// Re-realizes the dynamic placement for the plan-level member set
 /// minus the quarantined workers. The realization is a pure function of
 /// the final sets (not of event order), so this single entry point
@@ -469,7 +451,10 @@ fn membership_report(
 ///    replicas are bit-identical, see [`FileGradientOracle`]);
 /// 3. choose the Byzantine set (random / omniscient / fixed) and replace
 ///    every replica held by a Byzantine worker with the attack payload;
-/// 4. run the defense (vote → aggregate, or direct aggregation);
+/// 4. run the defense: the round engine the wire PS deploys
+///    ([`RoundCore`], driven here as its zero-latency link) votes every
+///    file over the replicas that arrive, then the aggregator combines
+///    the winners;
 /// 5. update the model through SGD-with-momentum and the step-decay
 ///    schedule.
 pub struct Trainer<'a, M: Module> {
@@ -562,51 +547,47 @@ impl<'a, M: Module> Trainer<'a, M> {
         // The fault plan's member set as last realized; churn syncs fire
         // only when this changes, so quarantine-only runs keep the exact
         // legacy repair cadence.
-        let mut current_plan_members: Vec<usize> = (0..k).collect();
-        // Bounded staleness: winners voted below the on-time quorum,
-        // parked until their fold round. Pushed in (origin, file) order,
-        // which is exactly the canonical fold order.
-        let mut parked: Vec<StaleWinner> = Vec::new();
+        let mut plan_members: Vec<usize> = (0..k).collect();
+        // The round engine the wire PS deploys. This loop is its second
+        // driver, the zero-latency link: replicas are offered in memory,
+        // whole (a chunked wire is modelled by what the codec and the
+        // per-chunk drops leave of them).
+        let plan = &self.config.faults;
+        let mut core = RoundCore::new(
+            &self.assignment,
+            params.len(),
+            &ServerConfig {
+                mode: self.config.mode,
+                quorum: self.config.quorum,
+                faults: plan.clone(),
+                ..ServerConfig::default()
+            },
+        );
+        // `Direct` runs the same round (one replica per file is its own
+        // vote) but takes no evidence from it: no audits, predictive ε̂.
+        let (voting, aggregator) = match &self.defense {
+            Defense::VoteThenAggregate(aggregator) => (true, aggregator),
+            Defense::Direct(aggregator) => (false, aggregator),
+        };
+        // ε̂ is measured — winners compared with the honest payload —
+        // under an active fault plan or an active ledger. The reference
+        // is kept as one fingerprint per (round, file): a stale winner is
+        // judged against its origin round's.
+        let measure = voting && (!plan.is_trivial() || ledger.is_some());
+        let mut honest_hashes: Vec<Vec<u64>> = Vec::new();
+        // Under a lossy chunk scheme every payload passes through the
+        // same deterministic compression, so the honest replicas of a
+        // file stay bit-identical *after* compression — the vote still
+        // works by exact equality, and the compressed payload is the
+        // reference: sparsification error is not Byzantine distortion.
+        let lossy = self
+            .config
+            .chunking
+            .filter(|cfg| cfg.scheme != ChunkScheme::Dense);
 
         for t in 1..=self.config.iterations {
-            // 0. Cluster churn: realize this round's member set before
-            //    anything is polled. The realization is a pure function
-            //    of (base assignment, member set), so join/leave order
-            //    and batching cannot perturb the placement.
-            let membership = if self.config.faults.has_churn() {
-                let plan_members = self.config.faults.members_at(k, t as u64);
-                if plan_members == current_plan_members {
-                    None
-                } else {
-                    let joined: Vec<usize> = plan_members
-                        .iter()
-                        .copied()
-                        .filter(|w| !current_plan_members.contains(w))
-                        .collect();
-                    let left: Vec<usize> = current_plan_members
-                        .iter()
-                        .copied()
-                        .filter(|w| !plan_members.contains(w))
-                        .collect();
-                    if let Some(ledger) = ledger.as_mut() {
-                        for &w in &joined {
-                            ledger.admit_worker(w);
-                        }
-                        for &w in &left {
-                            ledger.depart_worker(w, t as u64);
-                        }
-                    }
-                    let quarantined = ledger
-                        .as_ref()
-                        .map(ReputationLedger::quarantined_workers)
-                        .unwrap_or_default();
-                    sync_membership(&mut dynamic, &plan_members, &quarantined);
-                    current_plan_members = plan_members;
-                    Some(membership_report(&dynamic, joined, left, q))
-                }
-            } else {
-                None
-            };
+            // 0. Cluster churn, realized before anything is polled.
+            let membership = self.realize_churn(t, &mut plan_members, &mut ledger, &mut dynamic);
             // 1. Batch → files.
             let batch = sampler.next_batch();
             let files = split_batch_into_files(&batch, f);
@@ -624,372 +605,82 @@ impl<'a, M: Module> Trainer<'a, M> {
             //    the membership universe (joiners extend it past K); the
             //    selector itself still draws from the founding set.
             let byzantine = self.selector.select(&self.assignment, q, t);
-            let mut is_byz = vec![false; k.max(dynamic.universe())];
+            let mut is_byz = vec![false; dynamic.universe()];
             for &w in &byzantine {
                 is_byz[w] = true;
             }
             let moments =
                 GradientMoments::compute(&true_grads.iter().map(Vec::as_slice).collect::<Vec<_>>());
             let predicted_distorted = count_distorted(&self.assignment, &byzantine);
-
-            // The replica value worker `w` returns for `file_idx`, as the
-            // PS sees it (Eq. 2). Honest replicas are bit-identical; every
-            // attack forges deterministically from the context, so retried
-            // deliveries re-send the same payload.
-            let forge = |w: usize, file_idx: usize| -> Vec<f32> {
-                if is_byz[w] {
-                    self.attack.forge(&AttackContext {
-                        true_gradient: &true_grads[file_idx],
-                        honest_mean: &moments.mean,
-                        honest_std: &moments.std,
-                        num_workers: k,
-                        num_byzantine: q,
-                        iteration: t,
-                        file: file_idx,
-                    })
-                } else {
-                    true_grads[file_idx].clone()
+            let wire_grads: Option<Vec<Vec<f32>>> =
+                lossy.map(|cfg| true_grads.iter().map(|g| apply_scheme(g, &cfg)).collect());
+            let honest_grads = wire_grads.as_ref().unwrap_or(&true_grads);
+            honest_hashes.push(if measure {
+                honest_grads
+                    .iter()
+                    .map(|g| gradient_fingerprint(g))
+                    .collect()
+            } else {
+                Vec::new()
+            });
+            // The replica worker `w` returns for `file`, as the PS sees
+            // it (Eq. 2). Honest replicas borrow the shared gradient;
+            // every attack forges deterministically from the context, so
+            // a re-vote wave re-sends the same payload.
+            let replica = |w: usize, file: usize| -> Cow<'_, [f32]> {
+                if !is_byz[w] {
+                    return Cow::Borrowed(&honest_grads[file]);
                 }
+                let forged = self.attack.forge(&AttackContext {
+                    true_gradient: &true_grads[file],
+                    honest_mean: &moments.mean,
+                    honest_std: &moments.std,
+                    num_workers: k,
+                    num_byzantine: q,
+                    iteration: t,
+                    file,
+                });
+                Cow::Owned(match lossy {
+                    Some(cfg) => apply_scheme(&forged, &cfg),
+                    None => forged,
+                })
             };
 
-            let plan = &self.config.faults;
-            let q_min = self.config.quorum.q_min;
-            let max_retries = self.config.quorum.max_retries;
-            let chunking = self.config.chunking;
-            let d_model = params.len();
-            // A delivery is lost when the whole replica drops, or — under
-            // a chunked wire — when *any* of its chunk frames drops: an
-            // incomplete replica casts no vote, exactly like an absent
-            // one. Retry waves re-roll both, keyed on the attempt index.
-            let delivery_lost = |attempt: u32, w: usize, file_idx: usize| -> bool {
-                if plan.drops_replica(t as u64, attempt, w, file_idx) {
-                    return true;
-                }
-                match chunking {
-                    Some(cfg) => (0..num_chunks(d_model, cfg.span_len()))
-                        .any(|c| plan.drops_chunk(t as u64, attempt, w, file_idx, c)),
-                    None => false,
-                }
-            };
-            let mut outcome = RoundOutcome {
-                crashed_workers: plan.num_crashed(),
-                ..RoundOutcome::default()
-            };
-            // Set on the vote path under an active fault plan or an
-            // active ledger: (measured distorted winners, surviving
-            // files).
-            let mut measured: Option<(usize, usize)> = None;
-            // This round's vote audits (collected only when a ledger is
-            // folding them).
-            let mut audits: Vec<VoteAudit> = Vec::new();
-
+            // 4. Defense: the engine's round over whatever replicas
+            //    arrive, then the aggregator over its winners.
             let agg_start = Instant::now();
-            // 4. Defense, over whatever replicas arrive. Each attempt
-            //    re-polls the file's surviving workers with re-rolled
-            //    drops (`FaultPlan::replica_arrives` keys on the attempt
-            //    index); crashed workers never return.
-            let aggregated = match &self.defense {
-                Defense::VoteThenAggregate(aggregator) => {
-                    // Under a lossy chunk scheme every payload passes
-                    // through the same deterministic compression, so the
-                    // honest replicas of a file stay bit-identical (and
-                    // shareable) *after* compression — the vote still
-                    // works by exact equality.
-                    let wire_grads: Vec<Vec<f32>> = match chunking {
-                        Some(cfg) if cfg.scheme != ChunkScheme::Dense => {
-                            true_grads.iter().map(|g| apply_scheme(g, &cfg)).collect()
-                        }
-                        _ => Vec::new(),
-                    };
-                    let honest_grads: &Vec<Vec<f32>> = if wire_grads.is_empty() {
-                        &true_grads
-                    } else {
-                        &wire_grads
-                    };
-                    // Zero-copy forge: honest replicas borrow the shared
-                    // (possibly compressed) gradient, only forgeries
-                    // allocate.
-                    let forge_replica = |w: usize, file_idx: usize| {
-                        if is_byz[w] {
-                            let forged = self.attack.forge(&AttackContext {
-                                true_gradient: &true_grads[file_idx],
-                                honest_mean: &moments.mean,
-                                honest_std: &moments.std,
-                                num_workers: k,
-                                num_byzantine: q,
-                                iteration: t,
-                                file: file_idx,
-                            });
-                            Replica::Forged(match chunking {
-                                Some(cfg) if cfg.scheme != ChunkScheme::Dense => {
-                                    apply_scheme(&forged, &cfg)
-                                }
-                                _ => forged,
-                            })
-                        } else {
-                            Replica::Honest(&honest_grads[file_idx])
-                        }
-                    };
-
-                    let active_graph = dynamic.graph();
-                    // Bounded staleness: each worker's lag is a pure
-                    // function of the fault plan, never of observed
-                    // arrival times. A file with enough live lag-0
-                    // holders votes now over those on-time replicas; a
-                    // file below the on-time quorum votes over all live
-                    // holders and folds `lag` rounds later.
-                    let max_staleness = match self.config.mode {
-                        RoundMode::BoundedStaleness { max_staleness } => max_staleness,
-                        RoundMode::Barrier | RoundMode::Streaming => 0,
-                    };
-                    let lag_of = |w: usize| plan.staleness_lag(w, max_staleness);
-                    let file_lag: Vec<u64> = (0..f)
-                        .map(|fi| {
-                            let holders = active_graph.workers_of(fi);
-                            let on_time = holders
-                                .iter()
-                                .filter(|&&w| !plan.is_crashed(w) && lag_of(w) == 0)
-                                .count();
-                            if on_time >= q_min {
-                                0
-                            } else {
-                                holders
-                                    .iter()
-                                    .filter(|&&w| !plan.is_crashed(w))
-                                    .map(|&w| lag_of(w))
-                                    .max()
-                                    .unwrap_or(0)
-                            }
-                        })
-                        .collect();
-
-                    // Wave 0: collect every file's attempt-0 deliveries
-                    // (drop decisions evaluated in the same (file, worker)
-                    // order as the sequential loop), then vote all files
-                    // in parallel over the kernel pool. Each vote is a
-                    // pure per-file function writing its own slot, so the
-                    // winners/audits are bit-identical to voting one file
-                    // at a time.
-                    let mut wave0: Vec<Vec<(usize, Replica<'_>)>> = Vec::with_capacity(f);
-                    for (file_idx, &lag) in file_lag.iter().enumerate() {
-                        let workers = active_graph.workers_of(file_idx);
-                        let mut present = Vec::with_capacity(workers.len());
-                        for &w in workers {
-                            if plan.is_crashed(w) {
-                                continue;
-                            }
-                            // An on-time file never waits for a late
-                            // holder: its replica is discarded on
-                            // (modeled) late arrival and audits Absent.
-                            if lag == 0 && lag_of(w) > 0 {
-                                continue;
-                            }
-                            if delivery_lost(0, w, file_idx) {
-                                outcome.dropped_replicas += 1;
-                            } else {
-                                present.push((w, forge_replica(w, file_idx)));
-                            }
-                        }
-                        wave0.push(present);
-                    }
-                    let vote_inputs: Vec<byz_aggregate::VoteInput<'_, Replica<'_>>> = wave0
-                        .iter()
-                        .enumerate()
-                        .map(|(fi, present)| (present.as_slice(), active_graph.workers_of(fi)))
-                        .collect();
-                    let wave0_votes = quorum_vote_all_audited(&vote_inputs, q_min);
-
-                    // Retry waves stay sequential (they are rare and
-                    // per-file); bookkeeping runs in ascending file order
-                    // exactly as before.
-                    let mut winners: Vec<(usize, QuorumOutcome)> = Vec::with_capacity(f);
-                    for (file_idx, wave0_vote) in wave0_votes.into_iter().enumerate() {
-                        let workers = active_graph.workers_of(file_idx);
-                        let mut attempt: u32 = 0;
-                        let mut result = wave0_vote;
-                        loop {
-                            match result {
-                                Ok(vote) => {
-                                    if attempt > 0 {
-                                        outcome.retried += 1;
-                                        outcome.retry_waves = outcome.retry_waves.max(attempt);
-                                    }
-                                    match vote.provenance {
-                                        Provenance::Full => outcome.full_quorum += 1,
-                                        Provenance::Degraded { .. } => outcome.degraded += 1,
-                                    }
-                                    winners.push((file_idx, vote));
-                                    break;
-                                }
-                                Err(error) => {
-                                    if attempt as usize >= max_retries {
-                                        outcome.abandoned.push(AbandonedFile {
-                                            file: file_idx,
-                                            attempts: attempt + 1,
-                                            error,
-                                        });
-                                        break;
-                                    }
-                                    attempt += 1;
-                                    let mut present: Vec<(usize, Replica<'_>)> =
-                                        Vec::with_capacity(workers.len());
-                                    for &w in workers {
-                                        if plan.is_crashed(w) {
-                                            continue;
-                                        }
-                                        if file_lag[file_idx] == 0 && lag_of(w) > 0 {
-                                            continue;
-                                        }
-                                        if delivery_lost(attempt, w, file_idx) {
-                                            outcome.dropped_replicas += 1;
-                                        } else {
-                                            present.push((w, forge_replica(w, file_idx)));
-                                        }
-                                    }
-                                    result = quorum_vote_audited(&present, q_min, workers);
-                                }
-                            }
-                        }
-                    }
-                    // Partition this round's winners: on-time files fold
-                    // now; deferred files (below the on-time quorum) park
-                    // until round `t + lag`. Their measured-distortion
-                    // verdict is fixed at the origin round against the
-                    // origin's honest reference.
-                    let voted_any = !winners.is_empty();
-                    let mut on_time: Vec<(usize, QuorumOutcome)> =
-                        Vec::with_capacity(winners.len());
-                    for (fi, vote) in winners {
-                        if file_lag[fi] > 0 {
-                            outcome.deferred += 1;
-                            parked.push(StaleWinner {
-                                origin: t as u64,
-                                file: fi,
-                                lag: file_lag[fi],
-                                distorted: gradients_differ(&vote.value, &honest_grads[fi]),
-                                audit: ledger.is_some().then_some(vote.audit),
-                                value: vote.value,
-                            });
-                        } else {
-                            on_time.push((fi, vote));
-                        }
-                    }
-                    // Stale winners due this round, folded in canonical
-                    // (origin round, file) order. Parking happens in
-                    // round order with ascending files, so the sort is a
-                    // no-op in practice; it pins the order explicitly
-                    // rather than by construction.
-                    let (mut due, keep): (Vec<StaleWinner>, Vec<StaleWinner>) =
-                        std::mem::take(&mut parked)
-                            .into_iter()
-                            .partition(|s| s.origin + s.lag == t as u64);
-                    due.sort_by_key(|s| (s.origin, s.file));
-                    parked = keep;
-                    if !voted_any && due.is_empty() {
-                        return Err(TrainingError::RoundCollapsed {
-                            iteration: t,
-                            outcome: Box::new(outcome),
-                        });
-                    }
-                    if ledger.is_some() {
-                        // Evidence folds when a vote's gradient folds:
-                        // on-time audits in file order, then due stale
-                        // audits in (origin, file) order — mirroring the
-                        // operand order below.
-                        for (_, vote) in &mut on_time {
-                            audits.push(std::mem::take(&mut vote.audit));
-                        }
-                        for stale in &mut due {
-                            audits.extend(stale.audit.take());
-                        }
-                    }
-                    if !plan.is_trivial() || ledger.is_some() {
-                        // Under a lossy scheme the honest (compressed)
-                        // payload is the reference: sparsification error
-                        // is not Byzantine distortion.
-                        let distorted = on_time
-                            .iter()
-                            .filter(|(fi, vote)| gradients_differ(&vote.value, &honest_grads[*fi]))
-                            .count()
-                            + due.iter().filter(|s| s.distorted).count();
-                        measured = Some((distorted, on_time.len() + due.len()));
-                    }
-                    let mut values: Vec<Vec<f32>> =
-                        on_time.into_iter().map(|(_, vote)| vote.value).collect();
-                    for stale in due {
-                        outcome.stale_folded += 1;
-                        let discount = 1.0 / (1.0 + stale.lag as f32);
-                        values.push(stale.value.iter().map(|v| v * discount).collect());
-                    }
-                    if values.is_empty() {
-                        // Every winner was deferred and nothing came due:
-                        // the round produced evidence but no gradient.
-                        // Parameters hold; this is not a collapse.
-                        Ok(None)
-                    } else {
-                        aggregator.aggregate(&values).map(Some)
-                    }
-                }
-                Defense::Direct(aggregator) => {
-                    // Without voting, every arriving return is an operand
-                    // (baseline schemes use replication 1, so normally one
-                    // per worker). A file with zero arrivals is retried and
-                    // eventually abandoned like a collapsed quorum.
-                    let mut operands: Vec<Vec<f32>> = Vec::new();
-                    for file_idx in 0..f {
-                        let workers = self.assignment.graph().workers_of(file_idx);
-                        let expected = workers.len();
-                        let mut attempt: u32 = 0;
-                        loop {
-                            let mut present: Vec<Vec<f32>> = Vec::with_capacity(expected);
-                            for &w in workers {
-                                if plan.is_crashed(w) {
-                                    continue;
-                                }
-                                if plan.drops_replica(t as u64, attempt, w, file_idx) {
-                                    outcome.dropped_replicas += 1;
-                                } else {
-                                    present.push(forge(w, file_idx));
-                                }
-                            }
-                            if present.is_empty() {
-                                if attempt as usize >= max_retries {
-                                    outcome.abandoned.push(AbandonedFile {
-                                        file: file_idx,
-                                        attempts: attempt + 1,
-                                        error: QuorumError::NoReplicas,
-                                    });
-                                    break;
-                                }
-                                attempt += 1;
-                                continue;
-                            }
-                            if attempt > 0 {
-                                outcome.retried += 1;
-                                outcome.retry_waves = outcome.retry_waves.max(attempt);
-                            }
-                            if present.len() == expected {
-                                outcome.full_quorum += 1;
-                            } else {
-                                outcome.degraded += 1;
-                            }
-                            operands.extend(present);
-                            break;
-                        }
-                    }
-                    if operands.is_empty() {
-                        return Err(TrainingError::RoundCollapsed {
-                            iteration: t,
-                            outcome: Box::new(outcome),
-                        });
-                    }
-                    aggregator.aggregate(&operands).map(Some)
-                }
+            let holders: Vec<Vec<usize>> = (0..f)
+                .map(|file| dynamic.graph().workers_of(file).to_vec())
+                .collect();
+            core.begin(t as u64, &holders);
+            let dropped_replicas =
+                self.deliver(&mut core, t as u64, &holders, params.len(), &replica);
+            let hopeless = core.below_quorum().len();
+            let result = core.close();
+            let outcome = round_outcome(&result, plan.num_crashed(), dropped_replicas);
+            // No file of this round can still reach quorum and no stale
+            // winner folded. (All winners deferred is not a collapse: the
+            // round produced evidence but no gradient; parameters hold.)
+            if hopeless == f && result.stale_folded == 0 {
+                return Err(TrainingError::RoundCollapsed {
+                    iteration: t,
+                    outcome: Box::new(outcome),
+                });
             }
-            .map_err(|source| TrainingError::DefenseInapplicable {
-                iteration: t,
-                source,
-            })?;
+            let measured = measure.then(|| {
+                let distorted = |(slot, audit): &(&FileSlot, &VoteAudit)| {
+                    audit.winner_hash != honest_hashes[slot.origin as usize - 1][slot.file]
+                };
+                let votes = result.voted.iter().zip(&result.audits);
+                (votes.filter(distorted).count(), result.voted.len())
+            });
+            let aggregated = (!result.winners.is_empty())
+                .then(|| aggregator.aggregate(&result.winners))
+                .transpose()
+                .map_err(|source| TrainingError::DefenseInapplicable {
+                    iteration: t,
+                    source,
+                })?;
             let aggregate_time = agg_start.elapsed();
             let retry_time = self.config.retry.total_backoff(outcome.retry_waves);
 
@@ -997,15 +688,10 @@ impl<'a, M: Module> Trainer<'a, M> {
             // updates; on a quarantine, re-realize the placement so the
             // flagged workers stop being polled and their files regain
             // full replication on the surviving members.
-            let voting = matches!(self.defense, Defense::VoteThenAggregate(_));
             let reputation = ledger.as_mut().filter(|_| voting).map(|ledger| {
-                let events = ledger.observe_round(t as u64, &audits);
+                let events = ledger.observe_round(t as u64, &result.audits);
                 if events.iter().any(QuarantineEvent::is_quarantine) {
-                    sync_membership(
-                        &mut dynamic,
-                        &current_plan_members,
-                        &ledger.quarantined_workers(),
-                    );
+                    sync_membership(&mut dynamic, &plan_members, &ledger.quarantined_workers());
                 }
                 ReputationOutcome {
                     suspicions: ledger.suspicions(),
@@ -1026,8 +712,8 @@ impl<'a, M: Module> Trainer<'a, M> {
             }
 
             // Bookkeeping. Without faults ε̂ keeps its predictive meaning
-            // (`count_distorted / f`, exactly as before); with faults it
-            // is measured over the files that actually reached quorum.
+            // (`count_distorted / f`); with faults it is measured over
+            // the files that actually reached quorum.
             let (distorted_files, epsilon_hat) = match measured {
                 // `surviving` can be zero only when every winner was
                 // deferred under bounded staleness; report ε̂ = 0 for
@@ -1038,21 +724,11 @@ impl<'a, M: Module> Trainer<'a, M> {
                 None => (predicted_distorted, predicted_distorted as f64 / f as f64),
             };
             let evaluate = self.config.eval_every != 0 && t % self.config.eval_every == 0;
-            let test_accuracy = evaluate.then(|| {
-                evaluate_accuracy(
-                    self.model,
-                    &params,
-                    self.test,
-                    self.layout,
-                    self.config.eval_samples,
-                )
-            });
-            let train_loss = if evaluate {
-                oracle
-                    .probe_loss(&params, self.config.eval_samples)
-                    .map(f64::from)
+            let (test_accuracy, train_loss) = if evaluate {
+                let (accuracy, loss) = self.evaluate(&oracle, &params);
+                (Some(accuracy), loss)
             } else {
-                None
+                (None, None)
             };
             history.records.push(IterationRecord {
                 iteration: t,
@@ -1069,19 +745,145 @@ impl<'a, M: Module> Trainer<'a, M> {
             });
         }
 
-        history.final_accuracy = evaluate_accuracy(
-            self.model,
-            &params,
-            self.test,
-            self.layout,
-            self.config.eval_samples,
-        );
-        history.final_loss = oracle
-            .probe_loss(&params, self.config.eval_samples)
-            .map(f64::from)
-            .unwrap_or(0.0);
+        let (accuracy, loss) = self.evaluate(&oracle, &params);
+        history.final_accuracy = accuracy;
+        history.final_loss = loss.unwrap_or(0.0);
         history.total_time = start.elapsed();
         history.ledger = ledger;
         Ok(history)
+    }
+
+    /// Cluster churn: realizes round `t`'s member set and reports the
+    /// change, if the fault plan schedules one. The realization is a pure
+    /// function of (base assignment, member set), so join/leave order and
+    /// batching cannot perturb the placement.
+    fn realize_churn(
+        &self,
+        t: usize,
+        current: &mut Vec<usize>,
+        ledger: &mut Option<ReputationLedger>,
+        dynamic: &mut DynamicAssignment,
+    ) -> Option<MembershipOutcome> {
+        let plan = &self.config.faults;
+        let members = plan.members_at(self.assignment.num_workers(), t as u64);
+        if members == *current {
+            return None;
+        }
+        let newly = |now: &[usize], before: &[usize]| -> Vec<usize> {
+            now.iter()
+                .copied()
+                .filter(|w| !before.contains(w))
+                .collect()
+        };
+        let (joined, left) = (newly(&members, current), newly(current, &members));
+        if let Some(ledger) = ledger.as_mut() {
+            for &w in &joined {
+                ledger.admit_worker(w);
+            }
+            for &w in &left {
+                ledger.depart_worker(w, t as u64);
+            }
+        }
+        let quarantined = ledger
+            .as_ref()
+            .map(ReputationLedger::quarantined_workers)
+            .unwrap_or_default();
+        sync_membership(dynamic, &members, &quarantined);
+        *current = members;
+        Some(membership_report(
+            dynamic,
+            joined,
+            left,
+            self.config.num_byzantine,
+        ))
+    }
+
+    /// The link of round `t`: offers the open round every replica the
+    /// fault plan delivers, then re-requests the files still below quorum
+    /// in up to `max_retries` re-vote waves, each with re-rolled drops
+    /// (the rolls key on the wave index). Crashed workers never send, and
+    /// an on-time file never waits for a straggler. Returns the deliveries
+    /// lost to drops across all waves.
+    fn deliver<'g>(
+        &self,
+        core: &mut RoundCore,
+        t: u64,
+        holders: &[Vec<usize>],
+        model_len: usize,
+        replica: &dyn Fn(usize, usize) -> Cow<'g, [f32]>,
+    ) -> usize {
+        let plan = &self.config.faults;
+        // A delivery is lost when the whole replica drops, or — under a
+        // chunked wire — when *any* of its chunk frames drops: an
+        // incomplete replica casts no vote, exactly like an absent one.
+        let chunks = self
+            .config
+            .chunking
+            .map_or(0, |cfg| num_chunks(model_len, cfg.span_len()));
+        let lost = |attempt: u32, w: usize, file: usize| {
+            plan.drops_replica(t, attempt, w, file)
+                || (0..chunks).any(|c| plan.drops_chunk(t, attempt, w, file, c))
+        };
+        let mut dropped = 0;
+        for attempt in 0..=self.config.quorum.max_retries as u32 {
+            let wave = match attempt {
+                0 => (0..holders.len()).collect(),
+                _ => core.below_quorum(),
+            };
+            for file in wave {
+                if attempt > 0 {
+                    core.reopen(file);
+                }
+                for &w in &holders[file] {
+                    if plan.is_crashed(w) || core.is_late(w, file) {
+                        continue;
+                    }
+                    if lost(attempt, w, file) {
+                        dropped += 1;
+                    } else {
+                        // The gate refuses only what could not vote on
+                        // the wire either (a forgery of the wrong shape).
+                        let _ = core.offer(w, t, file, &replica(w, file));
+                    }
+                }
+            }
+        }
+        dropped
+    }
+
+    /// Test accuracy and mean probe-set training loss at `params`.
+    fn evaluate(&self, oracle: &FileGradientOracle<'_, M>, params: &[f32]) -> (f64, Option<f64>) {
+        let samples = self.config.eval_samples;
+        let accuracy = evaluate_accuracy(self.model, params, self.test, self.layout, samples);
+        (accuracy, oracle.probe_loss(params, samples).map(f64::from))
+    }
+}
+
+/// The engine's closed round as the trainer's degradation report. Every
+/// vote is booked in the round it folds in, as on the wire.
+fn round_outcome(
+    result: &RoundResult,
+    crashed_workers: usize,
+    dropped_replicas: usize,
+) -> RoundOutcome {
+    let retried = result.voted.iter().filter(|slot| slot.attempts > 1);
+    RoundOutcome {
+        full_quorum: result.voted.len() - result.degraded_votes,
+        degraded: result.degraded_votes,
+        retried: retried.clone().count(),
+        retry_waves: retried.map(|slot| slot.attempts - 1).max().unwrap_or(0),
+        dropped_replicas,
+        crashed_workers,
+        deferred: result.deferred_files,
+        stale_folded: result.stale_folded,
+        abandoned: result
+            .abandoned
+            .iter()
+            .map(|&(slot, error)| AbandonedFile {
+                file: slot.file,
+                attempts: slot.attempts,
+                error,
+            })
+            .collect(),
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests: the hand-differentiated [`FastMlp`] agrees with the
 //! autograd [`Mlp`] on random architectures, inputs and parameters.
 
-use byz_nn::{grad_vector, load_params, zero_grads, FastMlp, Mlp, Module};
+use byz_nn::{flatten_params, grad_vector, load_params, zero_grads, FastMlp, Mlp, Module};
 use byz_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,6 +68,18 @@ proptest! {
         for (i, (a, b)) in fast_grad.iter().zip(&auto_grad).enumerate() {
             prop_assert!((a - b).abs() < 1e-3, "grad[{}]: {} vs {}", i, a, b);
         }
+    }
+
+    /// Both stacks draw their initial weights in the same order from the
+    /// same bound, so either can seed a job (`byz-psd` uses `FastMlp`):
+    /// bit equality, not a tolerance — parameter fingerprints depend on it.
+    #[test]
+    fn initial_parameters_are_bit_identical(dims in arch(), seed in 0u64..1000) {
+        let fast = FastMlp::new(&dims, &mut StdRng::seed_from_u64(seed)).params_flat();
+        let auto = Mlp::new(&dims, &mut StdRng::seed_from_u64(seed));
+        let auto = flatten_params(&auto.parameters());
+        let bits = |params: &[f32]| params.iter().map(|p| p.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&fast), bits(&auto));
     }
 
     #[test]

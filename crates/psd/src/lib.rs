@@ -17,7 +17,7 @@
 
 use byz_assign::{Assignment, MolsAssignment};
 use byz_data::{Dataset, SyntheticConfig, SyntheticImages};
-use byz_nn::{flatten_params, Mlp, Module};
+use byz_nn::FastMlp;
 use byz_reputation::ReputationConfig;
 use byz_wire::{
     ChunkConfig, JobSpec, LocalAttack, RoundMode, ServerConfig, WireFormat, WorkerSpec,
@@ -287,7 +287,7 @@ impl DeploySpec {
     /// The starting flat parameters, derived from the params seed.
     pub fn initial_params(&self) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(self.params_seed);
-        flatten_params(&Mlp::new(&self.dims, &mut rng).parameters())
+        FastMlp::new(&self.dims, &mut rng).params_flat()
     }
 
     /// Whether `worker` enters the job through the join handshake (its

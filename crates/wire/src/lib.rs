@@ -23,8 +23,9 @@
 //!
 //! The PS side of steps 2–3 is one transport-free state machine,
 //! [`RoundCore`]: every deployment (threads over channels, processes over
-//! TCP) feeds it the frames it receives, and its admission gate is the
-//! only way a payload reaches a vote.
+//! TCP) feeds it the frames it receives, the in-process trainer
+//! (`byzshield::Trainer`) offers it replicas in memory, and its admission
+//! gate is the only way a payload reaches a vote.
 //!
 //! Every frame carries a checksum; corrupted or truncated frames are
 //! rejected at decode time ([`WireError`]), so transport-level integrity
@@ -62,7 +63,7 @@ pub use message::{
     FRAME_HEADER_LEN,
 };
 pub use psd::{run_tcp_joiner, run_tcp_worker, JobResult, JobSpec, PsServer, WorkerSpec};
-pub use round::{Admitted, Reject, RoundCore, RoundResult};
+pub use round::{Admitted, FileSlot, Reject, RoundCore, RoundResult};
 pub use server::{
     LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, WireFormat,
     WireTrainingRun,

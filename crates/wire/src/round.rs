@@ -1,19 +1,21 @@
 //! The round engine: the PS side of one synchronous round as a
 //! transport-free state machine —
-//! `begin(t, quarantined)` → `ingest(frame)` while `wants_more()` →
-//! `close()` → [`RoundResult`].
+//! `begin(t, holders)` → `ingest(frame)` / `offer(replica)` while
+//! `wants_more()` → `close()` → [`RoundResult`].
 //!
-//! [`RoundCore`] owns everything a round decides on — the live holder
-//! set of every file, the replica store, the per-file outcome slots, the
-//! bounded-staleness backlog and the canonical fold of counters and
-//! audits — and knows nothing about where frames come from: the channel
-//! PS and the TCP PS both drive this one type. The
-//! three [`RoundMode`]s are one private `ClosePolicy`, the two
-//! [`WireFormat`]s two replica stores the policy never looks inside.
-//! [`RoundCore::ingest`] is the only way a payload reaches a vote, so its
-//! admission gate is the one place that enforces what the paper's
-//! guarantee needs: **at most one replica per assigned holder in every
-//! file's vote**.
+//! [`RoundCore`] owns everything a round decides on — the replica store,
+//! the per-file outcome slots and attempt counts, the bounded-staleness
+//! backlog and the canonical fold of counters and audits — and knows
+//! nothing about where replicas come from: the channel PS and the TCP PS
+//! feed it frames, the in-process trainer (`byzshield::Trainer::run`, the
+//! zero-latency link) feeds it slices, and each driver names the round's
+//! live holder sets. The three [`RoundMode`]s are one private
+//! `ClosePolicy`, the two [`WireFormat`]s two replica stores the policy
+//! never looks inside. One private gate sits behind
+//! [`RoundCore::ingest`] and [`RoundCore::offer`], the only ways a payload
+//! reaches a vote, so it is the one place that enforces what the paper's
+//! guarantee needs: **at most one replica per live holder in every file's
+//! vote**.
 
 use crate::batch::{decode_gradient_batch, BatchEntry};
 use crate::chunk::{decode_gradient_chunk, num_chunks, GradientChunkView};
@@ -33,7 +35,8 @@ use std::time::Instant;
 pub enum Reject {
     /// Bad checksum or framing, or not the job's gradient frame kind.
     Malformed,
-    /// The sender id is not a worker slot (`worker ≥ K`).
+    /// The sender id is outside the worker universe (`K`, or the fault
+    /// plan's largest joiner id + 1).
     UnknownWorker,
     /// The file id is not a file of the job (`file ≥ f`).
     UnknownFile,
@@ -41,9 +44,10 @@ pub enum Reject {
     WrongRound,
     /// A straggler's replica of a file whose vote closes without it.
     Late,
-    /// The sender is quarantined.
+    /// The sender is assigned the file but the driver left it out of the
+    /// round's holder set: it is quarantined.
     Quarantined,
-    /// The sender is not an assigned holder of the file.
+    /// The sender is not a holder of the file.
     NotHolder,
     /// Already delivered by this sender: the first delivery wins.
     Duplicate,
@@ -60,8 +64,21 @@ pub struct Admitted {
     pub refused: Vec<(u32, Reject)>,
 }
 
+/// Which vote a [`RoundResult`] entry reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileSlot {
+    /// The round the file's replicas belong to; earlier than the closed
+    /// round for a stale fold.
+    pub origin: u64,
+    /// File index in `0..f`.
+    pub file: usize,
+    /// Vote waves the file went through: 1 + its
+    /// [`reopen`](RoundCore::reopen)s.
+    pub attempts: u32,
+}
+
 /// What a closed round hands its driver: a function of the *set* of
-/// frames ingested, never of their arrival order or of when votes ran.
+/// replicas admitted, never of their arrival order or of when votes ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundResult {
     /// This round's winners in ascending file order, then the stale
@@ -70,28 +87,43 @@ pub struct RoundResult {
     pub winners: Vec<Vec<f32>>,
     /// One audit per vote that elected a winner, in the same order.
     pub audits: Vec<VoteAudit>,
+    /// Which file each winner is, in the same order.
+    pub voted: Vec<FileSlot>,
     /// Votes won without a strict majority.
     pub non_strict_votes: usize,
     /// Votes over a partial replica set.
     pub degraded_votes: usize,
     /// Replica votes that never arrived.
     pub missing_votes: usize,
-    /// Files that produced no winner (below `q_min`), stale ones included.
-    pub abandoned_files: usize,
+    /// Files that produced no winner (below `q_min`), stale ones due now
+    /// included, each with why its vote failed.
+    pub abandoned: Vec<(FileSlot, QuorumError)>,
     /// Files parked this round for a later fold.
     pub deferred_files: usize,
     /// Stale winners folded into this round.
     pub stale_folded: usize,
 }
 
+/// One file's audited vote.
+type Vote = Result<QuorumOutcome, QuorumError>;
+
 impl RoundResult {
-    fn fold(&mut self, outcome: QuorumOutcome, discount: Option<f32>) {
+    /// Books one closed vote, `lag` rounds after its origin: an
+    /// abandonment, or a winner (discounted when it folds stale).
+    fn fold(&mut self, slot: FileSlot, vote: Vote, lag: u64) {
+        let outcome = match vote {
+            Ok(outcome) => outcome,
+            Err(error) => return self.abandoned.push((slot, error)),
+        };
+        self.voted.push(slot);
+        self.stale_folded += usize::from(lag > 0);
         self.non_strict_votes += usize::from(!outcome.is_strict);
         self.degraded_votes +=
             usize::from(matches!(outcome.provenance, Provenance::Degraded { .. }));
         self.audits.push(outcome.audit);
         let mut value = outcome.value;
-        if let Some(discount) = discount {
+        if lag > 0 {
+            let discount = 1.0 / (1.0 + lag as f32);
             value.iter_mut().for_each(|v| *v *= discount);
         }
         self.winners.push(value);
@@ -126,11 +158,14 @@ impl From<RoundMode> for ClosePolicy {
 enum Piece<'a> {
     Entry(&'a BatchEntry),
     Chunk(&'a GradientChunkView),
+    /// A whole replica already in memory ([`RoundCore::offer`]).
+    Floats(&'a [f32]),
 }
 
-/// Batch frames' replicas. Every entry decodes straight into its
-/// sender's flat buffer — cleared, never reallocated in steady state —
-/// and a slot lists its replicas as `(worker, start)` views into them.
+/// Whole replicas (batch entries, offered slices). Each is written
+/// straight into its sender's flat buffer — cleared, never reallocated
+/// in steady state — and a slot lists its replicas as `(worker, start)`
+/// views into them.
 struct FlatStore {
     model_len: usize,
     buffers: Vec<Vec<f32>>,
@@ -138,18 +173,19 @@ struct FlatStore {
 }
 
 impl FlatStore {
-    fn put(&mut self, slot: usize, worker: usize, entry: &BatchEntry) -> Result<(), Reject> {
+    /// Books a `len`-float replica into `slot` and hands back the
+    /// sender's buffer for the caller to append it to.
+    fn put(&mut self, slot: usize, worker: usize, len: usize) -> Result<&mut Vec<f32>, Reject> {
         if self.slots[slot].iter().any(|&(w, _)| w == worker) {
             return Err(Reject::Duplicate);
         }
         // A well-checksummed entry of the wrong length must never reach
         // the median.
-        if entry.len() != self.model_len {
+        if len != self.model_len {
             return Err(Reject::Shape);
         }
         self.slots[slot].push((worker, self.buffers[worker].len()));
-        entry.extend_into(&mut self.buffers[worker]);
-        Ok(())
+        Ok(&mut self.buffers[worker])
     }
 
     fn replicas(&self, slot: usize) -> Vec<(usize, &[f32])> {
@@ -199,13 +235,26 @@ impl ReplicaStore {
     /// Stores `worker`'s payload for `slot`; the first delivery wins.
     fn put(&mut self, slot: usize, worker: usize, piece: Piece<'_>) -> Result<(), Reject> {
         match (self, piece) {
-            (Flat(flat), Piece::Entry(entry)) => flat.put(slot, worker, entry),
+            (Flat(flat), Piece::Entry(entry)) => flat
+                .put(slot, worker, entry.len())
+                .map(|buffer| entry.extend_into(buffer)),
+            (Flat(flat), Piece::Floats(replica)) => flat
+                .put(slot, worker, replica.len())
+                .map(|buffer| buffer.extend_from_slice(replica)),
             (Sharded(voters), Piece::Chunk(view)) => match voters[slot].ingest(view) {
                 ChunkIngest::Accepted => Ok(()),
                 ChunkIngest::Duplicate => Err(Reject::Duplicate),
                 ChunkIngest::Rejected => Err(Reject::Shape),
             },
             _ => Err(Reject::Malformed),
+        }
+    }
+
+    /// Forgets every replica of `slot` (a re-vote wave starts over).
+    fn forget(&mut self, slot: usize) {
+        match self {
+            Flat(flat) => flat.slots[slot].clear(),
+            Sharded(voters) => voters[slot].reset(),
         }
     }
 
@@ -220,12 +269,7 @@ impl ReplicaStore {
     /// Audited votes for `slots` over whatever completed, index-aligned
     /// with `slots`; `holders[slot]` is the slot's expected holder set.
     /// Flat slots vote together on the kernel pool.
-    fn vote(
-        &self,
-        slots: &[usize],
-        q_min: usize,
-        holders: &[Vec<usize>],
-    ) -> Vec<Result<QuorumOutcome, QuorumError>> {
+    fn vote(&self, slots: &[usize], q_min: usize, holders: &[Vec<usize>]) -> Vec<Vote> {
         match self {
             Flat(flat) => {
                 let replicas: Vec<_> = slots.iter().map(|&slot| flat.replicas(slot)).collect();
@@ -244,14 +288,13 @@ impl ReplicaStore {
     }
 }
 
-/// A file below the on-time quorum at its `origin` round, waiting for
-/// its fold round `origin + lag`. Admission is frozen at the origin:
+/// A file below the on-time quorum at its origin round, waiting for
+/// its fold round `slot.origin + lag`. Admission is frozen at the origin:
 /// `holders` is that round's live set (the vote's audit reference) and
 /// `awaited` the late holders the plan says will deliver, so the fold
 /// round's wait is deterministic in outcome.
 struct Parked {
-    origin: u64,
-    file: usize,
+    slot: FileSlot,
     lag: u64,
     holders: Vec<usize>,
     awaited: Vec<usize>,
@@ -259,9 +302,9 @@ struct Parked {
 }
 
 /// The PS side of a round, transport-free: [`begin`](Self::begin) →
-/// [`ingest`](Self::ingest) while [`wants_more`](Self::wants_more) →
-/// [`close`](Self::close). `ingest` is the only way a payload reaches a
-/// vote.
+/// [`ingest`](Self::ingest) frames or [`offer`](Self::offer) slices while
+/// [`wants_more`](Self::wants_more) → [`close`](Self::close). Those two
+/// doors share one gate and are the only ways a payload reaches a vote.
 pub struct RoundCore {
     wire: WireFormat,
     policy: ClosePolicy,
@@ -272,7 +315,8 @@ pub struct RoundCore {
     chunks: Option<usize>,
     /// The assignment graph's holders of each file.
     assigned: Vec<Vec<usize>>,
-    /// [`FaultPlan::staleness_lag`] per worker.
+    /// [`FaultPlan::staleness_lag`] per worker of the membership
+    /// universe ([`FaultPlan::membership_universe`]).
     lag: Vec<u64>,
     /// Replica votes of a full round, `K·l`.
     expected_replicas: usize,
@@ -281,12 +325,14 @@ pub struct RoundCore {
 
     // ── The open round ──
     t: u64,
-    /// Live (assigned, not quarantined) holders of each file.
+    /// The driver's live holders of each file.
     holders: Vec<Vec<usize>>,
     /// Rounds each file's vote is deferred by; 0 = votes on time.
     file_lag: Vec<u64>,
+    /// Vote waves each on-time file is in (1 + its reopens).
+    attempts: Vec<u32>,
     store: ReplicaStore,
-    outcomes: Vec<Option<Result<QuorumOutcome, QuorumError>>>,
+    outcomes: Vec<Option<Vote>>,
     on_time_frames: usize,
     /// Batch entries that arrived on time (the batched wire's arrival
     /// accounting; see [`RoundCore::close`]).
@@ -300,7 +346,8 @@ pub struct RoundCore {
 impl RoundCore {
     /// An engine for `assignment`'s placement and a `model_len`-float
     /// model; reads `config`'s wire format, round mode, quorum floor and
-    /// fault plan (the staleness schedule derives from it).
+    /// fault plan (the staleness schedule and the worker universe — a
+    /// scheduled joiner's id may exceed `K` — derive from it).
     pub fn new(assignment: &Assignment, model_len: usize, config: &ServerConfig) -> Self {
         let (k, f, l) = (
             assignment.num_workers(),
@@ -308,7 +355,8 @@ impl RoundCore {
             assignment.load(),
         );
         let policy = ClosePolicy::from(config.mode);
-        let lag: Vec<u64> = (0..k)
+        let universe = config.faults.membership_universe(k);
+        let lag: Vec<u64> = (0..universe)
             .map(|w| config.faults.staleness_lag(w, policy.max_staleness))
             .collect();
         let chunks = match config.wire {
@@ -331,12 +379,13 @@ impl RoundCore {
                 .map(|file| assignment.graph().workers_of(file).to_vec())
                 .collect(),
             expected_replicas: k * l,
-            expected_frames: lag.iter().filter(|&&lag| lag == 0).count() * frames_per_worker,
+            expected_frames: lag[..k].iter().filter(|&&lag| lag == 0).count() * frames_per_worker,
             lag,
             t: 0,
             holders: vec![Vec::new(); f],
             file_lag: vec![0; f],
-            store: ReplicaStore::new(config.wire, 0..f, k, model_len),
+            attempts: vec![1; f],
+            store: ReplicaStore::new(config.wire, 0..f, universe, model_len),
             outcomes: vec![None; f],
             on_time_frames: 0,
             entries_seen: 0,
@@ -345,26 +394,25 @@ impl RoundCore {
         }
     }
 
-    /// Opens round `t`; files of `quarantined` workers vote from their
-    /// remaining holders. Files below the on-time quorum are parked
-    /// *now*: who is late, which files defer and which late deliveries
-    /// to wait for are functions of the fault plan, never of arrival
-    /// order, so a late frame racing into this round finds its slot.
+    /// Opens round `t` with `holders[file]` the workers whose replicas
+    /// of `file` may vote — the driver's membership decision: the
+    /// assigned holders minus the quarantined, or a repaired placement
+    /// after churn. Files below the on-time quorum are parked *now*: who
+    /// is late, which files defer and which late deliveries to wait for
+    /// are functions of the fault plan, never of arrival order, so a late
+    /// frame racing into this round finds its slot.
     ///
     /// # Panics
     ///
-    /// Panics if `quarantined` is not one flag per worker.
-    pub fn begin(&mut self, t: u64, quarantined: &[bool]) {
-        assert_eq!(quarantined.len(), self.lag.len(), "one flag per worker");
+    /// Panics if `holders` is not one set per file, or names a worker
+    /// outside the universe.
+    pub fn begin(&mut self, t: u64, holders: &[Vec<usize>]) {
+        assert_eq!(holders.len(), self.assigned.len(), "one set per file");
         self.t = t;
         self.outcomes.fill(None);
+        self.attempts.fill(1);
         (self.on_time_frames, self.entries_seen, self.vote_ns) = (0, 0, 0);
-        for file in 0..self.assigned.len() {
-            let live: Vec<usize> = self.assigned[file]
-                .iter()
-                .copied()
-                .filter(|&w| !quarantined[w])
-                .collect();
+        for (file, live) in holders.iter().enumerate() {
             // A file votes on time iff at least `q_min` of its live
             // holders are lag-0; otherwise it defers by its slowest live
             // holder's lag. (All holders lag-0 but fewer than `q_min` of
@@ -396,8 +444,11 @@ impl RoundCore {
                     })
                     .collect();
                 self.backlog.push(Parked {
-                    origin: t,
-                    file,
+                    slot: FileSlot {
+                        origin: t,
+                        file,
+                        attempts: 1,
+                    },
                     lag: self.file_lag[file],
                     holders: live.clone(),
                     awaited,
@@ -409,7 +460,7 @@ impl RoundCore {
                     ),
                 });
             }
-            self.holders[file] = live;
+            self.holders[file].clone_from(live);
         }
     }
 
@@ -420,14 +471,14 @@ impl RoundCore {
             || self
                 .backlog
                 .iter()
-                .any(|p| p.origin + p.lag <= self.t && !p.awaited.is_empty())
+                .any(|p| p.slot.origin + p.lag <= self.t && !p.awaited.is_empty())
     }
 
-    /// The single admission gate. A payload joins a vote only if its
-    /// sender is a worker slot, it belongs to the open round (or to a
-    /// parked file of an earlier one), its file exists, the sender is a
-    /// live assigned holder that has not delivered it before, and it has
-    /// the model's shape.
+    /// The wire's door to the admission gate. A payload joins a vote
+    /// only if its sender is a worker slot, it belongs to the open round
+    /// (or to a parked file of an earlier one), its file exists, the
+    /// sender is a live holder that has not delivered it before, and it
+    /// has the model's shape.
     ///
     /// # Errors
     ///
@@ -437,17 +488,11 @@ impl RoundCore {
         match self.wire {
             WireFormat::Batched => {
                 let batch = decode_gradient_batch(frame).map_err(|_| self.garbage())?;
-                let (w, late) = self.sender(batch.worker)?;
-                let on_time = batch.iteration == self.t && !late;
+                let w = self.sender(batch.worker)?;
                 let mut admitted = Admitted::default();
                 for entry in &batch.entries {
-                    let verdict = self.put(w, batch.iteration, entry.file, Piece::Entry(entry));
-                    // Arrival accounting (see `close`): delivered by an
-                    // assigned holder, whether or not it may vote.
-                    self.entries_seen += usize::from(
-                        on_time && matches!(verdict, Ok(()) | Err(Reject::Quarantined)),
-                    );
-                    match verdict {
+                    let file = entry.file as usize;
+                    match self.whole(w, batch.iteration, file, Piece::Entry(entry)) {
                         Ok(()) => admitted.accepted += 1,
                         Err(reason) => admitted.refused.push((entry.file, reason)),
                     }
@@ -456,8 +501,8 @@ impl RoundCore {
             }
             WireFormat::Chunked(_) => {
                 let view = decode_gradient_chunk(frame).map_err(|_| self.garbage())?;
-                let (w, _) = self.sender(view.worker)?;
-                self.put(w, view.iteration, view.file, Piece::Chunk(&view))?;
+                let w = self.sender(view.worker)?;
+                self.put(w, view.iteration, view.file as usize, Piece::Chunk(&view))?;
                 Ok(Admitted {
                     accepted: 1,
                     ..Admitted::default()
@@ -466,18 +511,49 @@ impl RoundCore {
         }
     }
 
-    /// Books a decoded frame against the on-time window and resolves its
-    /// sender to `(worker, is a straggler)`. Every frame that is not a
-    /// known straggler's spends one of the window's expected frames.
-    fn sender(&mut self, worker: u32) -> Result<(usize, bool), Reject> {
-        let w = worker as usize;
-        let late = self.lag.get(w).is_some_and(|&lag| lag > 0);
-        self.on_time_frames += usize::from(!late);
-        if w < self.lag.len() {
-            Ok((w, late))
-        } else {
-            Err(Reject::UnknownWorker)
+    /// The in-process door to the same gate: worker `w`'s whole replica
+    /// of `file` for round `t`, already in memory — no frame, no codec,
+    /// and no claim on the receive window
+    /// ([`wants_more`](Self::wants_more) counts frames). The engine must
+    /// be on the batched wire.
+    ///
+    /// # Errors
+    ///
+    /// The [`Reject`] reason [`ingest`](Self::ingest) would give the same
+    /// replica as a batch entry.
+    pub fn offer(&mut self, w: usize, t: u64, file: usize, replica: &[f32]) -> Result<(), Reject> {
+        if w >= self.lag.len() {
+            return Err(Reject::UnknownWorker);
         }
+        self.whole(w, t, file, Piece::Floats(replica))
+    }
+
+    /// Whether the gate refuses `worker`'s replica of `file` in the open
+    /// round as [`Reject::Late`]: the file votes on time and the worker
+    /// is a straggler. A driver that simulates its link sends no such
+    /// replica.
+    pub fn is_late(&self, worker: usize, file: usize) -> bool {
+        self.file_lag[file] == 0 && self.lag[worker] > 0
+    }
+
+    /// Books a decoded frame against the on-time window and resolves its
+    /// sender. Every frame that is not a known straggler's spends one of
+    /// the window's expected frames.
+    fn sender(&mut self, worker: u32) -> Result<usize, Reject> {
+        let lag = self.lag.get(worker as usize);
+        self.on_time_frames += usize::from(lag.is_none_or(|&lag| lag == 0));
+        lag.map(|_| worker as usize).ok_or(Reject::UnknownWorker)
+    }
+
+    /// A whole replica through the gate, with the arrival accounting
+    /// [`close`](Self::close) reads: delivered on time by an assigned
+    /// holder, whether or not it may vote.
+    fn whole(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<(), Reject> {
+        let verdict = self.put(w, t, file, piece);
+        let on_time = t == self.t && self.lag[w] == 0;
+        self.entries_seen +=
+            usize::from(on_time && matches!(verdict, Ok(()) | Err(Reject::Quarantined)));
+        verdict
     }
 
     /// An undecodable frame spends an expected frame too, so garbage
@@ -487,9 +563,8 @@ impl RoundCore {
         Reject::Malformed
     }
 
-    /// The gate for one payload of a known worker.
-    fn put(&mut self, w: usize, iteration: u64, file: u32, piece: Piece<'_>) -> Result<(), Reject> {
-        let file = file as usize;
+    /// The gate for one payload of known worker `w`, stamped round `t`.
+    fn put(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<(), Reject> {
         if file >= self.assigned.len() {
             return Err(Reject::UnknownFile);
         }
@@ -499,7 +574,7 @@ impl RoundCore {
         if let Some(parked) = self
             .backlog
             .iter_mut()
-            .find(|p| p.origin == iteration && p.file == file)
+            .find(|p| p.slot.origin == t && p.slot.file == file)
         {
             if !parked.holders.contains(&w) {
                 return Err(Reject::NotHolder);
@@ -510,14 +585,14 @@ impl RoundCore {
             }
             return Ok(());
         }
-        if iteration != self.t {
+        if t != self.t {
             return Err(Reject::WrongRound);
         }
         if self.lag[w] > 0 {
             return Err(Reject::Late);
         }
         if !self.holders[file].contains(&w) {
-            // Assigned but not live: the sender is quarantined.
+            // Assigned but not live: the driver quarantined the sender.
             let assigned = self.assigned[file].contains(&w);
             return Err(if assigned {
                 Reject::Quarantined
@@ -537,6 +612,50 @@ impl RoundCore {
             self.vote_ns += start.elapsed().as_nanos() as u64;
         }
         Ok(())
+    }
+
+    /// The files of the open round — on-time and parked alike — that
+    /// hold fewer complete replicas than the quorum floor, ascending:
+    /// exactly those [`close`](Self::close) abandons, now or at their fold
+    /// round, unless a re-vote wave ([`reopen`](Self::reopen)) or a late
+    /// delivery lifts them.
+    pub fn below_quorum(&self) -> Vec<usize> {
+        let parked = |file| {
+            let now = |p: &&Parked| p.slot.origin == self.t && p.slot.file == file;
+            self.backlog.iter().find(now)
+        };
+        let complete = |file| match parked(file) {
+            Some(parked) => parked.store.complete_workers(0).len(),
+            None => self.store.complete_workers(file).len(),
+        };
+        let below = |&file: &usize| complete(file) < self.q_min.max(1);
+        (0..self.assigned.len()).filter(below).collect()
+    }
+
+    /// Starts `file`'s next vote wave in the open round: its slot forgets
+    /// every replica — each live holder is admitted once more — and its
+    /// attempt count, which [`RoundResult`] reports, goes up by one. The
+    /// driver re-requests the replicas; the engine never does.
+    pub fn reopen(&mut self, file: usize) {
+        let t = self.t;
+        let parked = self
+            .backlog
+            .iter_mut()
+            .find(|p| p.slot.origin == t && p.slot.file == file);
+        let (store, slot, attempts) = match parked {
+            Some(parked) => (&mut parked.store, 0, &mut parked.slot.attempts),
+            None => {
+                self.outcomes[file] = None;
+                (&mut self.store, file, &mut self.attempts[file])
+            }
+        };
+        *attempts += 1;
+        // The batched wire counted the on-time arrivals as they came
+        // (the chunked one counts at `close` and never gets above zero).
+        let on_time = |w: &&usize| self.lag[**w] == 0;
+        let forgotten = store.complete_workers(slot).iter().filter(on_time).count();
+        self.entries_seen = self.entries_seen.saturating_sub(forgotten);
+        store.forget(slot);
     }
 
     /// Closes the round: votes every on-time file not yet finalized and
@@ -566,30 +685,28 @@ impl RoundCore {
         };
         let mut result = RoundResult {
             missing_votes: self.expected_replicas.saturating_sub(arrived),
+            deferred_files: self.file_lag.iter().filter(|&&lag| lag > 0).count(),
             ..RoundResult::default()
         };
-        for file in 0..f {
-            match self.outcomes[file].take() {
-                _ if self.file_lag[file] > 0 => result.deferred_files += 1,
-                Some(Ok(outcome)) => result.fold(outcome, None),
-                _ => result.abandoned_files += 1,
-            }
+        for file in (0..f).filter(|&file| self.file_lag[file] == 0) {
+            let slot = FileSlot {
+                origin: self.t,
+                file,
+                attempts: self.attempts[file],
+            };
+            let vote = self.outcomes[file].take().expect("voted above");
+            result.fold(slot, vote, 0);
         }
         let (due, kept): (Vec<Parked>, Vec<Parked>) = std::mem::take(&mut self.backlog)
             .into_iter()
-            .partition(|p| p.origin + p.lag <= self.t);
+            .partition(|p| p.slot.origin + p.lag <= self.t);
         self.backlog = kept;
         for parked in due {
             let holders = std::slice::from_ref(&parked.holders);
-            match parked.store.vote(&[0], self.q_min, holders).pop() {
-                Some(Ok(outcome)) => {
-                    result.fold(outcome, Some(1.0 / (1.0 + parked.lag as f32)));
-                    result.stale_folded += 1;
-                }
-                // Still below quorum at its fold round (late drops, the
-                // deadline): abandoned like an on-time quorum failure.
-                _ => result.abandoned_files += 1,
-            }
+            // Still below quorum at its fold round (late drops, the
+            // deadline): abandoned like an on-time quorum failure.
+            let vote = parked.store.vote(&[0], self.q_min, holders).remove(0);
+            result.fold(parked.slot, vote, parked.lag);
         }
         // Release the round's replicas before the driver aggregates.
         self.store.reset();
@@ -608,7 +725,134 @@ impl RoundCore {
 mod tests {
     use super::*;
     use crate::encode_gradient_batch;
+    use byz_aggregate::{QuorumConfig, ReplicaVerdict};
     use byz_assign::MolsAssignment;
+
+    const STRAGGLER: usize = 7;
+
+    /// A MOLS(5,3) engine at `q_min = 3` whose worker 7 trails by one
+    /// round, so its five files park; plus the assigned holder sets.
+    fn bounded_engine() -> (RoundCore, Vec<Vec<usize>>) {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let config = ServerConfig {
+            mode: RoundMode::BoundedStaleness { max_staleness: 1 },
+            faults: FaultPlan::new(1).straggle(STRAGGLER, 2.0),
+            quorum: QuorumConfig::strict(3),
+            ..ServerConfig::default()
+        };
+        let core = RoundCore::new(&assignment, 4, &config);
+        let holders = core.assigned.clone();
+        (core, holders)
+    }
+
+    fn replica(t: u64, file: usize) -> Vec<f32> {
+        vec![(t as usize * 100 + file) as f32; 4]
+    }
+
+    /// Offers round `t`'s replica of every file in `files` from every
+    /// holder the gate does not refuse as late.
+    fn offer_all(core: &mut RoundCore, holders: &[Vec<usize>], t: u64, files: &[usize]) {
+        for &file in files {
+            for &w in &holders[file] {
+                let verdict = core.offer(w, t, file, &replica(t, file));
+                let late = core.is_late(w, file);
+                assert_eq!(verdict, if late { Err(Reject::Late) } else { Ok(()) });
+            }
+        }
+    }
+
+    #[test]
+    fn reopen_forgets_the_slot_then_admits_each_holder_once() {
+        let (mut core, holders) = bounded_engine();
+        let parked: Vec<usize> = (0..25)
+            .filter(|&f| holders[f].contains(&STRAGGLER))
+            .collect();
+        let on_time: Vec<usize> = (0..25).filter(|f| !parked.contains(f)).collect();
+        core.begin(1, &holders);
+        // One on-time and one parked file get a first wave that falls
+        // short; both are reopened and the second wave is complete.
+        for file in [on_time[0], parked[0]] {
+            let first = holders[file][0];
+            assert_eq!(core.offer(first, 1, file, &replica(1, file)), Ok(()));
+            assert_eq!(
+                core.offer(first, 1, file, &replica(1, file)),
+                Err(Reject::Duplicate)
+            );
+            assert!(core.below_quorum().contains(&file));
+            core.reopen(file);
+        }
+        offer_all(&mut core, &holders, 1, &(0..25).collect::<Vec<_>>());
+        for file in [on_time[0], parked[0]] {
+            for &w in &holders[file] {
+                let again = core.offer(w, 1, file, &replica(1, file));
+                assert_eq!(again, Err(Reject::Duplicate), "file {file} worker {w}");
+            }
+        }
+        assert!(core.below_quorum().is_empty());
+
+        // The attempt count reaches the result: now for the on-time file …
+        let first = core.close();
+        assert_eq!((first.deferred_files, first.stale_folded), (5, 0));
+        assert_eq!(
+            first.missing_votes, 5,
+            "the straggler's; no wave counts twice"
+        );
+        let waves = |result: &RoundResult| -> Vec<(u64, usize, u32)> {
+            let reopened = result.voted.iter().filter(|slot| slot.attempts != 1);
+            reopened.map(|s| (s.origin, s.file, s.attempts)).collect()
+        };
+        assert_eq!(first.voted.len(), 20);
+        assert_eq!(waves(&first), vec![(1, on_time[0], 2)]);
+        let all_agreed = |audit: &VoteAudit| audit.count(ReplicaVerdict::Agreed) == 3;
+        assert!(first.audits.iter().all(all_agreed));
+        // … and one round later, travelling with the parked file.
+        core.begin(2, &holders);
+        offer_all(&mut core, &holders, 2, &on_time);
+        let second = core.close();
+        assert_eq!((second.voted.len(), second.stale_folded), (25, 5));
+        assert_eq!(waves(&second), vec![(1, parked[0], 2)]);
+        assert!(second.abandoned.is_empty());
+    }
+
+    #[test]
+    fn below_quorum_is_what_close_abandons_now_or_at_the_fold() {
+        let (mut core, holders) = bounded_engine();
+        let parked: Vec<usize> = (0..25)
+            .filter(|&f| holders[f].contains(&STRAGGLER))
+            .collect();
+        let on_time: Vec<usize> = (0..25).filter(|f| !parked.contains(f)).collect();
+        core.begin(1, &holders);
+        // Starve two on-time files (one replica, none) and one parked
+        // file (its two on-time holders, never the straggler).
+        let (thin, empty, stranded) = (on_time[3], on_time[8], parked[2]);
+        let fed: Vec<usize> = (0..25)
+            .filter(|f| ![thin, empty, stranded].contains(f))
+            .collect();
+        offer_all(&mut core, &holders, 1, &fed);
+        core.offer(holders[thin][0], 1, thin, &replica(1, thin))
+            .unwrap();
+        for &w in holders[stranded].iter().filter(|&&w| w != STRAGGLER) {
+            core.offer(w, 1, stranded, &replica(1, stranded)).unwrap();
+        }
+        let mut expected = vec![thin, empty, stranded];
+        expected.sort_unstable();
+        assert_eq!(core.below_quorum(), expected);
+
+        let abandoned = |result: &RoundResult| -> Vec<(u64, usize, QuorumError)> {
+            let each = result.abandoned.iter();
+            each.map(|&(slot, error)| (slot.origin, slot.file, error))
+                .collect()
+        };
+        let short = |got| QuorumError::QuorumNotMet { got, needed: 3 };
+        let mut now = vec![(1, thin, short(1)), (1, empty, QuorumError::NoReplicas)];
+        now.sort_by_key(|&(_, file, _)| file);
+        assert_eq!(abandoned(&core.close()), now);
+        core.begin(2, &holders);
+        offer_all(&mut core, &holders, 2, &on_time);
+        let second = core.close();
+        assert_eq!(abandoned(&second), vec![(1, stranded, short(2))]);
+        assert_eq!(second.stale_folded, 4);
+    }
 
     #[test]
     fn flat_store_buffers_stop_growing_after_the_first_round() {
@@ -626,10 +870,10 @@ mod tests {
                 Sharded(_) => unreachable!("the default wire is batched"),
             }
         };
-        let nobody_quarantined = vec![false; k];
+        let holders = core.assigned.clone();
         let mut after_first = Vec::new();
         for t in 1..=3u64 {
-            core.begin(t, &nobody_quarantined);
+            core.begin(t, &holders);
             for w in 0..k {
                 let replicas: Vec<(u32, Vec<f32>)> = assignment
                     .graph()

@@ -502,13 +502,14 @@ impl MessagePassingCluster {
             }
 
             // Frames from quarantined workers are refused on arrival:
-            // worker file sets are fixed at spawn, so the PS ignores the
-            // replicas rather than reassigning them over the wire.
-            let quarantined: Vec<bool> = (0..k)
-                .map(|w| {
-                    ledger
-                        .as_ref()
-                        .is_some_and(|ledger| ledger.is_quarantined(w))
+            // worker file sets are fixed at spawn, so the PS drops them
+            // from the round's holder sets rather than reassigning their
+            // files over the wire.
+            let in_service = |w: &usize| !ledger.as_ref().is_some_and(|l| l.is_quarantined(*w));
+            let holders: Vec<Vec<usize>> = (0..f)
+                .map(|file| {
+                    let assigned = self.assignment.graph().workers_of(file);
+                    assigned.iter().copied().filter(in_service).collect()
                 })
                 .collect();
             // Every receive waits at most `receive_timeout` and the whole
@@ -527,7 +528,7 @@ impl MessagePassingCluster {
                 bytes_received += frame.len();
                 Some(frame)
             };
-            core.begin(t, &quarantined);
+            core.begin(t, &holders);
             while core.wants_more() {
                 let Some(frame) = recv() else {
                     break;
@@ -596,7 +597,7 @@ impl MessagePassingCluster {
                 bytes_received,
                 missing_votes: result.missing_votes,
                 degraded_votes: result.degraded_votes,
-                abandoned_files: result.abandoned_files,
+                abandoned_files: result.abandoned.len(),
                 deferred_files: result.deferred_files,
                 stale_folded: result.stale_folded,
                 suspicions,
@@ -1613,7 +1614,11 @@ mod tests {
             // Thread-free: a whole window of them is refused frame by
             // frame and closes the round without a single timeout.
             let mut core = RoundCore::new(assignment, d, &cfg);
-            core.begin(1, &vec![false; k]);
+            let graph = assignment.graph();
+            let holders: Vec<Vec<usize>> = (0..assignment.num_files())
+                .map(|file| graph.workers_of(file).to_vec())
+                .collect();
+            core.begin(1, &holders);
             for nth in 0..k * frames_per_worker {
                 assert!(core.wants_more(), "{wire:?}: frame {nth}");
                 assert_eq!(core.ingest(&retired(1, nth)), Err(Reject::Malformed));

@@ -1,17 +1,18 @@
 //! Thread-free, link-free properties of the round engine: for random
-//! fault plans, Byzantine sets, quarantine masks and frame arrival
-//! orders, across {batch, chunk} × {Barrier, Streaming, Bounded(0..=2)},
-//! a [`RoundResult`] is a function of the *set* of frames delivered in
-//! a round — never of their order — and Streaming and `Bounded{0}` are
-//! Barrier bit for bit (winners, audits, counters).
+//! fault plans, Byzantine sets, holder sets and arrival orders, across
+//! {batch, chunk} × {Barrier, Streaming, Bounded(0..=2)}, a
+//! [`RoundResult`] is a function of the *set* of replicas delivered in a
+//! round — never of their order, nor of the door they came through
+//! (encoded frames into `ingest`, slices into `offer`) — and Streaming
+//! and `Bounded{0}` are Barrier bit for bit (winners, audits, counters).
 
 use bytes::Bytes;
 use byz_aggregate::QuorumConfig;
-use byz_assign::MolsAssignment;
+use byz_assign::{DynamicAssignment, MolsAssignment};
 use byz_cluster::FaultPlan;
 use byz_wire::{
-    encode_gradient_batch, encode_gradient_chunks, Assignment, ChunkConfig, RoundCore, RoundMode,
-    RoundResult, ServerConfig, WireFormat,
+    encode_gradient_batch, encode_gradient_chunks, Assignment, ChunkConfig, Reject, RoundCore,
+    RoundMode, RoundResult, ServerConfig, WireFormat,
 };
 use proptest::prelude::*;
 
@@ -28,98 +29,195 @@ fn gradient(t: u64, file: usize, forged: bool) -> Vec<f32> {
         .collect()
 }
 
+/// A membership decision: who may vote on each file, and which files
+/// each worker therefore computes and uploads.
+struct Placement {
+    holders: Vec<Vec<usize>>,
+    files_of: Vec<Vec<usize>>,
+}
+
+impl Placement {
+    /// The assigned placement under a quarantine mask: masked workers
+    /// keep uploading, the PS drops them from every holder set.
+    fn masked(assignment: &Assignment, quarantined: &[bool]) -> Self {
+        let graph = assignment.graph();
+        let in_service = |w: &usize| !quarantined[*w];
+        Placement {
+            holders: (0..graph.num_files())
+                .map(|file| {
+                    let assigned = graph.workers_of(file).iter().copied();
+                    assigned.filter(in_service).collect()
+                })
+                .collect(),
+            files_of: (0..graph.num_workers())
+                .map(|w| graph.files_of(w).to_vec())
+                .collect(),
+        }
+    }
+
+    /// The placement repaired after `leaver` left and a worker with an id
+    /// past `K` joined: the joiner is a holder like any other.
+    fn repaired(assignment: &Assignment, leaver: usize, joiner: usize) -> Self {
+        let mut dynamic = DynamicAssignment::new(assignment.clone());
+        dynamic.apply(&[joiner], &[leaver]);
+        let graph = dynamic.graph();
+        Placement {
+            holders: (0..graph.num_files())
+                .map(|file| graph.workers_of(file).to_vec())
+                .collect(),
+            files_of: (0..dynamic.universe())
+                .map(|w| graph.files_of(w).to_vec())
+                .collect(),
+        }
+    }
+}
+
+/// One flush of worker `w`'s round-`t` upload: the replicas the plan does
+/// not drop whole.
+struct Flush {
+    w: usize,
+    t: u64,
+    replicas: Vec<(u32, Vec<f32>)>,
+}
+
 /// What worker `w` uploads for round `t`: the worker loop's protocol,
 /// restated without a link — replicas flush per file when streaming and
-/// once per round otherwise; a batch flush is one (possibly empty)
-/// frame, a chunk flush every undropped chunk of every replica.
-fn worker_frames(
-    assignment: &Assignment,
+/// once per round otherwise.
+fn worker_flushes(
+    files: &[usize],
     config: &ServerConfig,
     byzantine: &[usize],
     w: usize,
     t: u64,
-) -> Vec<Bytes> {
+) -> Vec<Flush> {
     let plan = &config.faults;
     if plan.is_crashed(w) {
         return Vec::new();
     }
-    let flush = |files: &[usize]| -> Vec<Bytes> {
-        let replicas: Vec<(u32, Vec<f32>)> = files
+    let flush = |files: &[usize]| Flush {
+        w,
+        t,
+        replicas: files
             .iter()
             .filter(|&&file| !plan.drops_replica(t, 0, w, file))
             .map(|&file| (file as u32, gradient(t, file, byzantine.contains(&w))))
-            .collect();
-        match config.wire {
-            WireFormat::Batched => {
-                let views: Vec<(u32, &[f32])> =
-                    replicas.iter().map(|(f, g)| (*f, g.as_slice())).collect();
-                vec![encode_gradient_batch(t, w as u32, &views)]
-            }
-            WireFormat::Chunked(cfg) => replicas
-                .iter()
-                .flat_map(|(file, g)| {
-                    let chunks = encode_gradient_chunks(t, w as u32, *file, g, &cfg);
-                    let kept = move |&(c, _): &(usize, Bytes)| {
-                        !plan.drops_chunk(t, 0, w, *file as usize, c)
-                    };
-                    chunks.into_iter().enumerate().filter(kept).map(|(_, f)| f)
-                })
-                .collect(),
-        }
+            .collect(),
     };
-    let files = assignment.graph().files_of(w);
     if config.mode == RoundMode::Streaming {
-        files
-            .iter()
-            .flat_map(|file| flush(std::slice::from_ref(file)))
-            .collect()
+        let per_file = files.iter().map(std::slice::from_ref);
+        per_file.map(flush).collect()
     } else {
-        flush(files)
+        vec![flush(files)]
     }
+}
+
+/// A flush on the wire: one (possibly empty) batch frame, or every
+/// undropped chunk of every replica.
+fn frames(flush: &Flush, config: &ServerConfig) -> Vec<Bytes> {
+    let Flush { w, t, replicas } = flush;
+    match config.wire {
+        WireFormat::Batched => {
+            let views: Vec<(u32, &[f32])> =
+                replicas.iter().map(|(f, g)| (*f, g.as_slice())).collect();
+            vec![encode_gradient_batch(*t, *w as u32, &views)]
+        }
+        WireFormat::Chunked(cfg) => replicas
+            .iter()
+            .flat_map(|(file, g)| {
+                let chunks = encode_gradient_chunks(*t, *w as u32, *file, g, &cfg);
+                let kept = move |&(c, _): &(usize, Bytes)| {
+                    !config.faults.drops_chunk(*t, 0, *w, *file as usize, c)
+                };
+                chunks.into_iter().enumerate().filter(kept).map(|(_, f)| f)
+            })
+            .collect(),
+    }
+}
+
+/// Fisher–Yates driven by an LCG: reaches any permutation.
+fn shuffle<T>(items: &mut [T], state: &mut u64) {
+    for i in (1..items.len()).rev() {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        items.swap(i, (*state >> 33) as usize % (i + 1));
+    }
+}
+
+/// How a round's deliveries reach the engine.
+#[derive(Clone, Copy)]
+enum Door {
+    /// Encoded frames into [`RoundCore::ingest`] (the wire PS).
+    Frames,
+    /// In-memory replicas into [`RoundCore::offer`] (the in-process
+    /// trainer); batched engines only.
+    Slices,
 }
 
 /// Drives [`ROUNDS`] rounds. A worker of staleness lag `λ` delivers its
 /// round-`o` uploads while the PS is in round `o + λ`; each round's
 /// deliveries arrive in an order drawn from `seed`.
 fn run(
-    assignment: &Assignment,
     config: &ServerConfig,
     byzantine: &[usize],
-    quarantined: &[bool],
+    placement: &Placement,
     seed: u64,
+    door: Door,
 ) -> Vec<RoundResult> {
+    let assignment = MolsAssignment::new(5, 3).unwrap().build();
     let max_staleness = match config.mode {
         RoundMode::BoundedStaleness { max_staleness } => max_staleness,
         _ => 0,
     };
-    let mut core = RoundCore::new(assignment, D, config);
+    let mut core = RoundCore::new(&assignment, D, config);
     let mut state = seed | 1;
     (1..=ROUNDS)
         .map(|t| {
-            let mut frames: Vec<Bytes> = (0..assignment.num_workers())
+            let flushes: Vec<Flush> = (0..placement.files_of.len())
                 .flat_map(|w| {
                     let lag =
                         (config.faults.straggle_factor(w).ceil() as u64 - 1).min(max_staleness);
                     let origin = t.checked_sub(lag).filter(|&origin| origin >= 1);
                     origin.map_or_else(Vec::new, |origin| {
-                        worker_frames(assignment, config, byzantine, w, origin)
+                        worker_flushes(&placement.files_of[w], config, byzantine, w, origin)
                     })
                 })
                 .collect();
-            // Fisher–Yates driven by an LCG: reaches any permutation.
-            for i in (1..frames.len()).rev() {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                frames.swap(i, (state >> 33) as usize % (i + 1));
-            }
-            core.begin(t, quarantined);
-            for frame in &frames {
-                let _ = core.ingest(frame);
+            core.begin(t, &placement.holders);
+            match door {
+                Door::Frames => {
+                    let mut frames: Vec<Bytes> =
+                        flushes.iter().flat_map(|f| frames(f, config)).collect();
+                    shuffle(&mut frames, &mut state);
+                    for frame in &frames {
+                        let _ = core.ingest(frame);
+                    }
+                }
+                Door::Slices => {
+                    let mut replicas: Vec<(usize, u64, u32, &[f32])> = flushes
+                        .iter()
+                        .flat_map(|f| f.replicas.iter().map(|(file, g)| (f.w, f.t, *file, &g[..])))
+                        .collect();
+                    shuffle(&mut replicas, &mut state);
+                    for (w, origin, file, replica) in replicas {
+                        let _ = core.offer(w, origin, file as usize, replica);
+                    }
+                }
             }
             core.close()
         })
         .collect()
+}
+
+fn fault_plan(seed: u64, drop_pct: u32, crashed: usize, stragglers: &[(usize, u32)]) -> FaultPlan {
+    let mut faults = FaultPlan::new(seed).drop_rate(f64::from(drop_pct) / 100.0);
+    if crashed < 15 {
+        faults = faults.crash(crashed);
+    }
+    for &(w, factor) in stragglers {
+        faults = faults.straggle(w, f64::from(factor));
+    }
+    faults
 }
 
 proptest! {
@@ -136,14 +234,9 @@ proptest! {
         order_b in 0u64..u64::MAX,
     ) {
         let assignment = MolsAssignment::new(5, 3).unwrap().build();
-        let mut faults = FaultPlan::new(plan_seed).drop_rate(f64::from(drop_pct) / 100.0);
-        if crashed < 15 {
-            faults = faults.crash(crashed);
-        }
-        for &(w, factor) in &stragglers {
-            faults = faults.straggle(w, f64::from(factor));
-        }
+        let faults = fault_plan(plan_seed, drop_pct, crashed, &stragglers);
         let quarantined: Vec<bool> = (0..15).map(|w| w == quarantined_worker).collect();
+        let placement = Placement::masked(&assignment, &quarantined);
 
         for wire in [WireFormat::Batched, WireFormat::Chunked(ChunkConfig::dense(8))] {
             let results = |mode: RoundMode, order: u64| {
@@ -154,7 +247,7 @@ proptest! {
                     quorum: QuorumConfig::strict(q_min),
                     ..ServerConfig::default()
                 };
-                run(&assignment, &config, &byzantine, &quarantined, order)
+                run(&config, &byzantine, &placement, order, Door::Frames)
             };
             let barrier = results(RoundMode::Barrier, order_a);
             prop_assert_eq!(&barrier, &results(RoundMode::Barrier, order_b), "{:?} barrier", wire);
@@ -170,4 +263,92 @@ proptest! {
             }
         }
     }
+
+    /// The in-process door: the same replica set closes to the same
+    /// result — winners, audits, every counter — whether it arrives as
+    /// batch frames or as offered slices, under a quarantine mask and on a
+    /// repaired placement whose joiner's id lies past `K`.
+    #[test]
+    fn offered_slices_close_like_ingested_frames(
+        plan_seed in 0u64..u64::MAX,
+        drop_pct in prop::sample::select(vec![0u32, 0, 10, 25]),
+        crashed in 0usize..30,
+        stragglers in prop::collection::vec((0usize..16, 1u32..4), 0..5),
+        byzantine in prop::collection::vec(0usize..16, 0..3),
+        quarantined_worker in 0usize..30,
+        leaver in 0usize..15,
+        q_min in 1usize..4,
+        order_a in 0u64..u64::MAX,
+        order_b in 0u64..u64::MAX,
+    ) {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        // The joiner's slot exists because the plan schedules it.
+        let faults = fault_plan(plan_seed, drop_pct, crashed, &stragglers).join_at(15, 1);
+        let quarantined: Vec<bool> = (0..15).map(|w| w == quarantined_worker).collect();
+        let placements = [
+            Placement::masked(&assignment, &quarantined),
+            Placement::repaired(&assignment, leaver, 15),
+        ];
+        for (nth, placement) in placements.iter().enumerate() {
+            for mode in [
+                RoundMode::Barrier,
+                RoundMode::Streaming,
+                RoundMode::BoundedStaleness { max_staleness: 1 },
+                RoundMode::BoundedStaleness { max_staleness: 2 },
+            ] {
+                let config = ServerConfig {
+                    mode,
+                    faults: faults.clone(),
+                    quorum: QuorumConfig::strict(q_min),
+                    ..ServerConfig::default()
+                };
+                let framed = run(&config, &byzantine, placement, order_a, Door::Frames);
+                let offered = run(&config, &byzantine, placement, order_b, Door::Slices);
+                prop_assert_eq!(framed, offered, "placement {} {:?}", nth, mode);
+            }
+        }
+    }
+}
+
+/// `offer` refuses a replica for the reason `ingest` records against the
+/// same replica as a batch entry.
+#[test]
+fn offer_and_ingest_refuse_for_the_same_reason() {
+    let assignment = MolsAssignment::new(5, 3).unwrap().build();
+    let config = ServerConfig {
+        mode: RoundMode::BoundedStaleness { max_staleness: 1 },
+        faults: FaultPlan::new(1).straggle(7, 2.0),
+        ..ServerConfig::default()
+    };
+    let placement = Placement::masked(&assignment, &[false; 15]);
+    let holder = placement.holders[0][0];
+    let outsider = (0..15).find(|w| !placement.holders[0].contains(w)).unwrap();
+    let late_file = placement.files_of[7][0];
+    // (worker, round stamp, file, replica length) → the gate's verdict.
+    let cases = [
+        (holder, 1, 0, D, Ok(())),
+        (holder, 1, 0, D, Err(Reject::Duplicate)),
+        (outsider, 1, 0, D, Err(Reject::NotHolder)),
+        (placement.holders[1][0], 1, 1, D + 1, Err(Reject::Shape)),
+        (7, 1, late_file, D, Err(Reject::Late)),
+        (holder, 2, 0, D, Err(Reject::WrongRound)),
+        (holder, 0, 0, D, Err(Reject::WrongRound)),
+        (15, 1, 0, D, Err(Reject::UnknownWorker)),
+        (holder, 1, 25, D, Err(Reject::UnknownFile)),
+    ];
+    let mut offered = RoundCore::new(&assignment, D, &config);
+    let mut framed = RoundCore::new(&assignment, D, &config);
+    offered.begin(1, &placement.holders);
+    framed.begin(1, &placement.holders);
+    for (w, t, file, len, expected) in cases {
+        let replica = vec![1.0f32; len];
+        assert_eq!(offered.offer(w, t, file, &replica), expected);
+        let frame = encode_gradient_batch(t, w as u32, &[(file as u32, &replica[..])]);
+        let through_frame = framed.ingest(&frame).and_then(|admitted| {
+            let refused = admitted.refused.first();
+            refused.map_or(Ok(()), |&(_, reason)| Err(reason))
+        });
+        assert_eq!(through_frame, expected, "worker {w} round {t} file {file}");
+    }
+    assert_eq!(offered.close(), framed.close());
 }
