@@ -142,11 +142,11 @@ where
         return;
     }
 
+    let f_ref: &(dyn Fn(Range<usize>) + Sync) = &f;
     // SAFETY: every job dispatched below signals `CallState::finish_one`
     // after running (even on panic, via catch_unwind), and this function
     // does not return until `remaining == 0`. The borrowed closure
     // therefore strictly outlives every use of the transmuted reference.
-    let f_ref: &(dyn Fn(Range<usize>) + Sync) = &f;
     let f_static: &'static (dyn Fn(Range<usize>) + Sync) = unsafe { std::mem::transmute(f_ref) };
 
     let state = Arc::new(CallState::new(n_chunks));
@@ -196,7 +196,12 @@ where
 
 /// Wrapper making a raw pointer range Sendable for disjoint-chunk writes.
 struct SendPtr<T>(*mut T);
+// SAFETY: the pointer is only dereferenced by chunk closures that each
+// write a disjoint sub-range of one live `&mut [T]`, and `T: Send`, so
+// moving the pointer to another thread moves no shared access.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: shared across the pool only to derive those disjoint ranges;
+// no two threads ever touch the same element.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {

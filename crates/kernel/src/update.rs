@@ -21,7 +21,12 @@ pub const UPDATE_CHUNK: usize = 16_384;
 
 /// Local copy of the pool's Send wrapper for disjoint raw-pointer writes.
 struct SendPtr<T>(*mut T);
+// SAFETY: the pointer is only dereferenced by chunk closures that each
+// write a disjoint sub-range of one live `&mut [T]`, and `T: Send`, so
+// moving the pointer to another thread moves no shared access.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: shared across the pool only to derive those disjoint ranges;
+// no two threads ever touch the same element.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {

@@ -20,12 +20,11 @@
 //! sending costs a header plus one checksum pass.
 //!
 //! Decoding is zero-copy: [`GradientBatchView`] keeps each entry's
-//! payload as a [`Bytes`] slice of the (refcounted) frame, so the bytes
-//! are copied exactly once — out of the frame and straight into the
-//! parameter server's round arena, via the bulk little-endian conversion
-//! in [`extend_f32s_le`](crate::extend_f32s_le). Truncated or corrupted
-//! frames fail with a [`WireError`] and degrade like dropped frames;
-//! nothing in this module panics on wire input.
+//! payload as a [`Bytes`] slice of the (refcounted) frame, and the
+//! parameter server votes those slices in place when they are 4-aligned
+//! (see [`RoundCore::ingest`](crate::RoundCore::ingest)). Truncated or
+//! corrupted frames fail with a [`WireError`] and degrade like dropped
+//! frames; nothing in this module panics on wire input.
 
 use crate::message::{check_frame, seal_in_place, BodyReader, KIND_GRADIENT_BATCH};
 use crate::{extend_f32s_le, put_f32s_le, WireError, FRAME_HEADER_LEN};
@@ -39,6 +38,10 @@ const ENTRY_HEADER_LEN: usize = 4 + 4;
 
 /// Frame offset of the first entry.
 const ENTRIES_START: usize = FRAME_HEADER_LEN + BATCH_PREFIX_LEN;
+
+/// Every entry payload's frame offset, mod 4 (entry lengths are whole
+/// floats): 1.
+pub(crate) const PAYLOAD_PHASE: usize = (ENTRIES_START + ENTRY_HEADER_LEN) % 4;
 
 /// Encodes one worker's whole round of gradient returns as a single
 /// checksummed frame. Entries keep the caller's order (ascending file
@@ -236,10 +239,15 @@ impl BatchEntry {
         self.payload.is_empty()
     }
 
-    /// Appends the gradient to `out` via the bulk little-endian path —
-    /// the single copy the payload ever takes on the receive side.
+    /// Appends the gradient to `out` via the bulk little-endian path.
     pub fn extend_into(&self, out: &mut Vec<f32>) {
         extend_f32s_le(out, &self.payload);
+    }
+
+    /// The payload as a refcounted slice of the frame, for the round
+    /// engine to vote in place.
+    pub(crate) fn payload(&self) -> &Bytes {
+        &self.payload
     }
 
     /// The gradient as an owned vector (allocates; prefer

@@ -197,6 +197,17 @@ pub fn read_f32s_le(raw: &[u8]) -> Vec<f32> {
     out
 }
 
+/// A fresh copy of `src` placed so that its byte `at` sits on a 4-byte
+/// boundary — where an `f32` run inside it must start to be read in
+/// place.
+pub(crate) fn copy_aligned(src: &[u8], at: usize) -> Bytes {
+    let mut buf = Vec::with_capacity(src.len() + 3);
+    let lead = (buf.as_ptr() as usize + at).wrapping_neg() % 4;
+    buf.resize(lead, 0);
+    buf.extend_from_slice(src);
+    Bytes::from(buf).slice(lead..lead + src.len())
+}
+
 /// Validates a frame's header and checksum and returns `(kind, body)`.
 ///
 /// This is the single header/integrity gate shared by [`Message::decode`]

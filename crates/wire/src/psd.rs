@@ -153,7 +153,7 @@ struct JobHandle {
     /// `slots[w]` holds worker `w`'s current write-half, if connected.
     slots: Vec<Mutex<Option<TcpStream>>>,
     gate: JobGate,
-    /// Round counter + params snapshot, refreshed by the PS loop as
+    /// Round counter + broadcast snapshot, refreshed by the PS loop as
     /// each round opens; reconnects read the round, joiners the model.
     gauge: RoundGauge,
     /// `files_of[w]`: the file set slot `w` serves under the job's
@@ -234,7 +234,7 @@ impl PsServer {
                 fan_in: fan_in_tx,
                 slots: (0..k).map(|_| Mutex::new(None)).collect(),
                 gate: JobGate::new(k),
-                gauge: RoundGauge::new(job.initial_params.clone()),
+                gauge: RoundGauge::new(&job.initial_params),
                 files_of: (0..k)
                     .map(|w| {
                         job.assignment
@@ -746,5 +746,81 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> io::Result<TcpLink
             Ok(link) => return Ok(link),
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode_model_broadcast;
+    use byz_assign::MolsAssignment;
+    use byz_data::{SyntheticConfig, SyntheticImages};
+    use byz_nn::FastMlp;
+    use rand::SeedableRng;
+
+    #[test]
+    fn bytes_sent_is_the_same_over_channels_and_loopback_tcp() {
+        let (train, _) = SyntheticImages::new(SyntheticConfig {
+            num_classes: 4,
+            channels: 1,
+            hw: 6,
+            train_samples: 400,
+            test_samples: 50,
+            noise: 0.4,
+            max_shift: 1,
+            seed: 5,
+        })
+        .generate();
+        let dims = vec![36usize, 8, 4];
+        let job = JobSpec {
+            job_id: 1,
+            assignment: MolsAssignment::new(5, 3).unwrap().build(),
+            dataset: Arc::new(train),
+            initial_params: FastMlp::new(&dims, &mut rand::rngs::StdRng::seed_from_u64(2))
+                .params_flat(),
+            model_dims: dims,
+            config: ServerConfig {
+                iterations: 3,
+                seed: 31,
+                ..ServerConfig::default()
+            },
+        };
+        let channel = MessagePassingCluster::new(
+            job.assignment.clone(),
+            Arc::clone(&job.dataset),
+            job.model_dims.clone(),
+        )
+        .train_run(job.initial_params.clone(), &job.config);
+
+        let server = PsServer::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let workers: Vec<_> = (0..15)
+            .map(|w| {
+                let spec = WorkerSpec::new(
+                    job.job_id,
+                    w,
+                    job.assignment.clone(),
+                    Arc::clone(&job.dataset),
+                    job.model_dims.clone(),
+                    job.config.clone(),
+                );
+                std::thread::spawn(move || run_tcp_worker(addr, &spec))
+            })
+            .collect();
+        let mut results = server
+            .serve(vec![job.clone()], Duration::from_secs(30))
+            .unwrap();
+        for worker in workers {
+            worker.join().unwrap().unwrap();
+        }
+        let tcp = results.remove(0).run;
+
+        let files = vec![vec![0u32; job.config.batch_size / 25]; 25];
+        let per_round = 15 * encode_model_broadcast(1, &job.initial_params, &files).len();
+        let sent = |run: &WireTrainingRun| -> Vec<usize> {
+            run.summaries.iter().map(|s| s.bytes_sent).collect()
+        };
+        assert_eq!(sent(&channel), vec![per_round; 3]);
+        assert_eq!(sent(&tcp), sent(&channel));
     }
 }

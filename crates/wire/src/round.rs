@@ -19,6 +19,7 @@
 
 use crate::batch::{decode_gradient_batch, BatchEntry};
 use crate::chunk::{decode_gradient_chunk, num_chunks, GradientChunkView};
+use crate::message::copy_aligned;
 use crate::server::{RoundMode, ServerConfig, WireFormat};
 use crate::voter::{ChunkIngest, ShardedFileVoter};
 use crate::Assignment;
@@ -156,26 +157,92 @@ impl From<RoundMode> for ClosePolicy {
 /// One payload on its way through the gate.
 #[derive(Clone, Copy)]
 enum Piece<'a> {
-    Entry(&'a BatchEntry),
+    /// A batch entry; `in_place` when its frame's payloads are 4-aligned
+    /// native-order floats, so the frame itself can back the vote.
+    Entry {
+        entry: &'a BatchEntry,
+        in_place: bool,
+    },
     Chunk(&'a GradientChunkView),
     /// A whole replica already in memory ([`RoundCore::offer`]).
     Floats(&'a [f32]),
 }
 
-/// Whole replicas (batch entries, offered slices). Each is written
-/// straight into its sender's flat buffer — cleared, never reallocated
-/// in steady state — and a slot lists its replicas as `(worker, start)`
-/// views into them.
+impl Piece<'_> {
+    /// The same payload, to be stored as a copy: a parked file outlives
+    /// the round, so it never holds a view of a frame.
+    fn detached(self) -> Self {
+        match self {
+            Piece::Entry { entry, .. } => Piece::Entry {
+                entry,
+                in_place: false,
+            },
+            other => other,
+        }
+    }
+}
+
+/// Where the gate stored an admitted payload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Landed {
+    /// The open round's store, where it may complete an eager vote.
+    Open,
+    /// A parked file's store.
+    Parked,
+}
+
+/// The rule's copy case, and the only place the engine copies a whole
+/// replica: just that payload, into a fresh 4-aligned allocation, in
+/// native order.
+fn copied(piece: Piece<'_>) -> Bytes {
+    let native = match piece {
+        Piece::Entry { entry, .. } if cfg!(target_endian = "little") => entry.raw(),
+        // A big-endian host reads the wire's little-endian words first.
+        Piece::Entry { entry, .. } => return copied(Piece::Floats(&entry.to_vec())),
+        // SAFETY: `f32` has no padding and `u8` alignment 1, so the run
+        // of floats is readable as its `4·len` native-order bytes.
+        Piece::Floats(replica) => unsafe {
+            std::slice::from_raw_parts(replica.as_ptr().cast::<u8>(), replica.len() * 4)
+        },
+        Piece::Chunk(_) => unreachable!("a chunk is never stored whole"),
+    };
+    copy_aligned(native, 0)
+}
+
+/// A stored replica as the vote reads it.
+fn floats(run: &Bytes) -> &[f32] {
+    // SAFETY: every bit pattern is a valid `f32`, and `align_to` only
+    // reinterprets the aligned middle of the bytes; the store keeps
+    // every run 4-aligned and a whole number of floats long, which the
+    // assert checks.
+    let (head, floats, tail) = unsafe { run.align_to::<f32>() };
+    assert!(
+        head.is_empty() && tail.is_empty(),
+        "a stored replica is a 4-aligned run of whole floats"
+    );
+    floats
+}
+
+/// Whole replicas (batch entries, offered slices), each a refcounted
+/// 4-aligned native-order run of `model_len` floats: a slice of the
+/// frame it arrived in when [`RoundCore::ingest`]'s view-or-copy rule
+/// allows, a fresh copy of just that payload otherwise. A slot lists its
+/// replicas as `(worker, run)`.
 struct FlatStore {
     model_len: usize,
-    buffers: Vec<Vec<f32>>,
-    slots: Vec<Vec<(usize, usize)>>,
+    slots: Vec<Vec<(usize, Bytes)>>,
 }
 
 impl FlatStore {
-    /// Books a `len`-float replica into `slot` and hands back the
-    /// sender's buffer for the caller to append it to.
-    fn put(&mut self, slot: usize, worker: usize, len: usize) -> Result<&mut Vec<f32>, Reject> {
+    /// Stores `worker`'s `len`-float `piece` in `slot`: a view of its
+    /// frame for an in-place entry, a copy otherwise.
+    fn put(
+        &mut self,
+        slot: usize,
+        worker: usize,
+        len: usize,
+        piece: Piece<'_>,
+    ) -> Result<(), Reject> {
         if self.slots[slot].iter().any(|&(w, _)| w == worker) {
             return Err(Reject::Duplicate);
         }
@@ -184,14 +251,31 @@ impl FlatStore {
         if len != self.model_len {
             return Err(Reject::Shape);
         }
-        self.slots[slot].push((worker, self.buffers[worker].len()));
-        Ok(&mut self.buffers[worker])
+        let run = match piece {
+            Piece::Entry {
+                entry,
+                in_place: true,
+            } => entry.payload().clone(),
+            _ => copied(piece),
+        };
+        self.slots[slot].push((worker, run));
+        Ok(())
+    }
+
+    /// Swaps `worker`'s replica in `slot` for a copy, releasing its frame.
+    fn detach(&mut self, slot: usize, worker: usize) {
+        for (w, run) in &mut self.slots[slot] {
+            if *w == worker {
+                *run = copied(Piece::Floats(floats(run)));
+            }
+        }
     }
 
     fn replicas(&self, slot: usize) -> Vec<(usize, &[f32])> {
-        let view =
-            |&(w, start): &(usize, usize)| (w, &self.buffers[w][start..start + self.model_len]);
-        self.slots[slot].iter().map(view).collect()
+        self.slots[slot]
+            .iter()
+            .map(|(w, run)| (*w, floats(run)))
+            .collect()
     }
 }
 
@@ -207,11 +291,10 @@ enum ReplicaStore {
 use ReplicaStore::{Flat, Sharded};
 
 impl ReplicaStore {
-    fn new(wire: WireFormat, files: Range<usize>, workers: usize, model_len: usize) -> Self {
+    fn new(wire: WireFormat, files: Range<usize>, model_len: usize) -> Self {
         match wire {
             WireFormat::Batched => Flat(FlatStore {
                 model_len,
-                buffers: vec![Vec::new(); workers],
                 slots: vec![Vec::new(); files.len()],
             }),
             WireFormat::Chunked(cfg) => Sharded(
@@ -222,12 +305,10 @@ impl ReplicaStore {
         }
     }
 
+    /// Drops every replica, and with them every frame the store pinned.
     fn reset(&mut self) {
         match self {
-            Flat(flat) => {
-                flat.buffers.iter_mut().for_each(Vec::clear);
-                flat.slots.iter_mut().for_each(Vec::clear);
-            }
+            Flat(flat) => flat.slots.iter_mut().for_each(Vec::clear),
             Sharded(voters) => voters.iter_mut().for_each(ShardedFileVoter::reset),
         }
     }
@@ -235,12 +316,8 @@ impl ReplicaStore {
     /// Stores `worker`'s payload for `slot`; the first delivery wins.
     fn put(&mut self, slot: usize, worker: usize, piece: Piece<'_>) -> Result<(), Reject> {
         match (self, piece) {
-            (Flat(flat), Piece::Entry(entry)) => flat
-                .put(slot, worker, entry.len())
-                .map(|buffer| entry.extend_into(buffer)),
-            (Flat(flat), Piece::Floats(replica)) => flat
-                .put(slot, worker, replica.len())
-                .map(|buffer| buffer.extend_from_slice(replica)),
+            (Flat(flat), Piece::Entry { entry, .. }) => flat.put(slot, worker, entry.len(), piece),
+            (Flat(flat), Piece::Floats(replica)) => flat.put(slot, worker, replica.len(), piece),
             (Sharded(voters), Piece::Chunk(view)) => match voters[slot].ingest(view) {
                 ChunkIngest::Accepted => Ok(()),
                 ChunkIngest::Duplicate => Err(Reject::Duplicate),
@@ -255,6 +332,13 @@ impl ReplicaStore {
         match self {
             Flat(flat) => flat.slots[slot].clear(),
             Sharded(voters) => voters[slot].reset(),
+        }
+    }
+
+    /// Swaps `worker`'s whole replica in `slot` for a copy.
+    fn detach(&mut self, slot: usize, worker: usize) {
+        if let Flat(flat) = self {
+            flat.detach(slot, worker);
         }
     }
 
@@ -385,7 +469,7 @@ impl RoundCore {
             holders: vec![Vec::new(); f],
             file_lag: vec![0; f],
             attempts: vec![1; f],
-            store: ReplicaStore::new(config.wire, 0..f, universe, model_len),
+            store: ReplicaStore::new(config.wire, 0..f, model_len),
             outcomes: vec![None; f],
             on_time_frames: 0,
             entries_seen: 0,
@@ -452,12 +536,7 @@ impl RoundCore {
                     lag: self.file_lag[file],
                     holders: live.clone(),
                     awaited,
-                    store: ReplicaStore::new(
-                        self.wire,
-                        file..file + 1,
-                        self.lag.len(),
-                        self.model_len,
-                    ),
+                    store: ReplicaStore::new(self.wire, file..file + 1, self.model_len),
                 });
             }
             self.holders[file].clone_from(live);
@@ -480,6 +559,12 @@ impl RoundCore {
     /// sender is a live holder that has not delivered it before, and it
     /// has the model's shape.
     ///
+    /// A batch entry the open round admits is voted where it lies, inside
+    /// the frame, if the frame's payloads are 4-aligned native-order
+    /// floats and the gate admitted every one of its entries; otherwise
+    /// it is copied out, so a frame pins no more memory than its sender
+    /// had admitted, and never past [`close`](Self::close).
+    ///
     /// # Errors
     ///
     /// The [`Reject`] reason when the whole frame is refused; a batch
@@ -489,20 +574,35 @@ impl RoundCore {
             WireFormat::Batched => {
                 let batch = decode_gradient_batch(frame).map_err(|_| self.garbage())?;
                 let w = self.sender(batch.worker)?;
+                let aligned = |e: &BatchEntry| e.raw().as_ptr().cast::<f32>().is_aligned();
+                let in_place = cfg!(target_endian = "little") && batch.entries.iter().all(aligned);
                 let mut admitted = Admitted::default();
+                let mut opened = Vec::new();
                 for entry in &batch.entries {
                     let file = entry.file as usize;
-                    match self.whole(w, batch.iteration, file, Piece::Entry(entry)) {
-                        Ok(()) => admitted.accepted += 1,
+                    match self.whole(w, batch.iteration, file, Piece::Entry { entry, in_place }) {
+                        Ok(landed) => {
+                            admitted.accepted += 1;
+                            opened.extend((landed == Landed::Open).then_some(file));
+                        }
                         Err(reason) => admitted.refused.push((entry.file, reason)),
                     }
                 }
+                // Decided per frame, before any of its entries can
+                // complete an eager vote.
+                if in_place && !admitted.refused.is_empty() {
+                    opened.iter().for_each(|&file| self.store.detach(file, w));
+                }
+                opened.into_iter().for_each(|file| self.settle(file));
                 Ok(admitted)
             }
             WireFormat::Chunked(_) => {
                 let view = decode_gradient_chunk(frame).map_err(|_| self.garbage())?;
                 let w = self.sender(view.worker)?;
-                self.put(w, view.iteration, view.file as usize, Piece::Chunk(&view))?;
+                let file = view.file as usize;
+                if self.put(w, view.iteration, file, Piece::Chunk(&view))? == Landed::Open {
+                    self.settle(file);
+                }
                 Ok(Admitted {
                     accepted: 1,
                     ..Admitted::default()
@@ -525,7 +625,10 @@ impl RoundCore {
         if w >= self.lag.len() {
             return Err(Reject::UnknownWorker);
         }
-        self.whole(w, t, file, Piece::Floats(replica))
+        if self.whole(w, t, file, Piece::Floats(replica))? == Landed::Open {
+            self.settle(file);
+        }
+        Ok(())
     }
 
     /// Whether the gate refuses `worker`'s replica of `file` in the open
@@ -548,11 +651,11 @@ impl RoundCore {
     /// A whole replica through the gate, with the arrival accounting
     /// [`close`](Self::close) reads: delivered on time by an assigned
     /// holder, whether or not it may vote.
-    fn whole(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<(), Reject> {
+    fn whole(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<Landed, Reject> {
         let verdict = self.put(w, t, file, piece);
         let on_time = t == self.t && self.lag[w] == 0;
         self.entries_seen +=
-            usize::from(on_time && matches!(verdict, Ok(()) | Err(Reject::Quarantined)));
+            usize::from(on_time && matches!(verdict, Ok(_) | Err(Reject::Quarantined)));
         verdict
     }
 
@@ -564,7 +667,7 @@ impl RoundCore {
     }
 
     /// The gate for one payload of known worker `w`, stamped round `t`.
-    fn put(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<(), Reject> {
+    fn put(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<Landed, Reject> {
         if file >= self.assigned.len() {
             return Err(Reject::UnknownFile);
         }
@@ -579,11 +682,11 @@ impl RoundCore {
             if !parked.holders.contains(&w) {
                 return Err(Reject::NotHolder);
             }
-            parked.store.put(0, w, piece)?;
+            parked.store.put(0, w, piece.detached())?;
             if parked.store.complete_workers(0).contains(&w) {
                 parked.awaited.retain(|&awaited| awaited != w);
             }
-            return Ok(());
+            return Ok(Landed::Parked);
         }
         if t != self.t {
             return Err(Reject::WrongRound);
@@ -601,8 +704,13 @@ impl RoundCore {
             });
         }
         self.store.put(file, w, piece)?;
-        // Eager finalize: every live holder's replica is complete, and
-        // the gate admits nobody else, so the vote can never change.
+        Ok(Landed::Open)
+    }
+
+    /// Eager finalize: every live holder's replica of the open round's
+    /// `file` is complete, and the gate admits nobody else, so the vote
+    /// can never change.
+    fn settle(&mut self, file: usize) {
         if self.policy.eager_finalize
             && self.outcomes[file].is_none()
             && self.store.complete_workers(file).len() == self.holders[file].len()
@@ -611,7 +719,6 @@ impl RoundCore {
             self.outcomes[file] = self.store.vote(&[file], self.q_min, &self.holders).pop();
             self.vote_ns += start.elapsed().as_nanos() as u64;
         }
-        Ok(())
     }
 
     /// The files of the open round — on-time and parked alike — that
@@ -724,7 +831,7 @@ impl RoundCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_gradient_batch;
+    use crate::BatchFrameBuilder;
     use byz_aggregate::{QuorumConfig, ReplicaVerdict};
     use byz_assign::MolsAssignment;
 
@@ -854,50 +961,117 @@ mod tests {
         assert_eq!(second.stale_folded, 4);
     }
 
-    #[test]
-    fn flat_store_buffers_stop_growing_after_the_first_round() {
-        // The batched wire's allocation contract: every worker's flat
-        // buffer is sized by round 1 (`l` entries of `d` floats) and only
-        // cleared afterwards, so a steady-state round decodes into memory
-        // it already owns.
-        const D: usize = 1031;
-        let assignment = MolsAssignment::new(5, 3).unwrap().build();
-        let (k, l) = (assignment.num_workers(), assignment.load());
-        let mut core = RoundCore::new(&assignment, D, &ServerConfig::default());
-        let capacities = |core: &RoundCore| -> Vec<usize> {
-            match &core.store {
-                Flat(flat) => flat.buffers.iter().map(Vec::capacity).collect(),
-                Sharded(_) => unreachable!("the default wire is batched"),
-            }
-        };
-        let holders = core.assigned.clone();
-        let mut after_first = Vec::new();
-        for t in 1..=3u64 {
-            core.begin(t, &holders);
-            for w in 0..k {
-                let replicas: Vec<(u32, Vec<f32>)> = assignment
-                    .graph()
-                    .files_of(w)
-                    .iter()
-                    .map(|&file| (file as u32, vec![(t as usize * 31 + file) as f32; D]))
-                    .collect();
-                let views: Vec<(u32, &[f32])> =
-                    replicas.iter().map(|(f, g)| (*f, g.as_slice())).collect();
-                let admitted = core
-                    .ingest(&encode_gradient_batch(t, w as u32, &views))
-                    .unwrap();
-                assert_eq!(admitted.accepted, l);
-            }
-            assert!(!core.wants_more());
-            let result = core.close();
-            assert_eq!(result.winners.len(), assignment.num_files());
-            assert_eq!(result.missing_votes, 0);
-            if t == 1 {
-                after_first = capacities(&core);
-                assert!(after_first.iter().all(|&c| c >= l * D));
-            } else {
-                assert_eq!(capacities(&core), after_first, "round {t} reallocated");
-            }
+    // The batched store's contract, checked by pointer ranges like
+    // `batch.rs::payloads_are_views_not_copies`: the open round votes
+    // each replica inside its frame when every entry of an aligned frame
+    // was admitted there, and holds a copy of just the payload otherwise.
+
+    /// Worker `w`'s round-`t` frame, built in place the way a worker
+    /// builds it: one [`replica`]-valued entry per file of `files`.
+    fn built(t: u64, w: usize, files: &[usize]) -> Bytes {
+        let mut builder = BatchFrameBuilder::new(files.len(), files.len() * 4);
+        for &file in files {
+            builder.next_slot(4).copy_from_slice(&replica(t, file));
+            builder.commit(file as u32);
         }
+        builder.finish(t, w as u32)
+    }
+
+    /// Every whole replica `store` holds, as `(worker, run)`.
+    fn runs(store: &ReplicaStore) -> Vec<(usize, &Bytes)> {
+        match store {
+            Flat(flat) => flat
+                .slots
+                .iter()
+                .flatten()
+                .map(|(w, run)| (*w, run))
+                .collect(),
+            Sharded(_) => unreachable!("the batched wire"),
+        }
+    }
+
+    /// Whether `run`'s bytes lie inside `frame`'s.
+    fn inside(run: &Bytes, frame: &Bytes) -> bool {
+        let (at, base) = (run.as_ptr() as usize, frame.as_ptr() as usize);
+        at >= base && at + run.len() <= base + frame.len()
+    }
+
+    fn files_of(holders: &[Vec<usize>], w: usize) -> Vec<usize> {
+        (0..holders.len())
+            .filter(|&file| holders[file].contains(&w))
+            .collect()
+    }
+
+    #[test]
+    fn admitted_replicas_are_voted_inside_their_frames_until_close() {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let mut core = RoundCore::new(&assignment, 4, &ServerConfig::default());
+        let holders = core.assigned.clone();
+        for t in 1..=2 {
+            core.begin(t, &holders);
+            let frames: Vec<Bytes> = (0..15)
+                .map(|w| built(t, w, &files_of(&holders, w)))
+                .collect();
+            for frame in &frames {
+                assert_eq!(core.ingest(frame).unwrap().accepted, 5);
+            }
+            let held = runs(&core.store);
+            assert_eq!(held.len(), 75);
+            for (w, run) in held {
+                assert!(inside(run, &frames[w]), "worker {w}'s replica was copied");
+            }
+            let result = core.close();
+            assert_eq!(result.winners.len(), 25);
+            for (slot, winner) in result.voted.iter().zip(&result.winners) {
+                assert_eq!(winner, &replica(t, slot.file));
+            }
+            assert!(runs(&core.store).is_empty(), "close released every frame");
+        }
+    }
+
+    #[test]
+    fn a_frame_with_a_refused_entry_leaves_only_a_copy_behind() {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let mut core = RoundCore::new(&assignment, 4, &ServerConfig::default());
+        let holders = core.assigned.clone();
+        core.begin(1, &holders);
+        // One file worker 0 holds, padded with four it does not.
+        let held = files_of(&holders, 0)[0];
+        let padding = (0..25).filter(|file| !holders[*file].contains(&0));
+        let files: Vec<usize> = std::iter::once(held).chain(padding.take(4)).collect();
+        let frame = built(1, 0, &files);
+        let admitted = core.ingest(&frame).unwrap();
+        assert_eq!(admitted.accepted, 1);
+        let refused = admitted.refused.iter().map(|&(_, reason)| reason);
+        assert_eq!(refused.collect::<Vec<_>>(), vec![Reject::NotHolder; 4]);
+        let held_runs = runs(&core.store);
+        assert_eq!(held_runs.len(), 1);
+        let (_, run) = held_runs[0];
+        assert!(!inside(run, &frame), "the frame outlived its ingest");
+        assert_eq!(floats(run), replica(1, held));
+    }
+
+    #[test]
+    fn a_parked_entry_is_a_copy_and_its_on_time_siblings_are_views() {
+        let (mut core, holders) = bounded_engine();
+        core.begin(1, &holders);
+        // A worker sharing one file with the straggler: that file parks,
+        // its other four vote on time.
+        let parked = |file: &usize| holders[*file].contains(&STRAGGLER);
+        let w = (0..15)
+            .find(|&w| w != STRAGGLER && files_of(&holders, w).iter().any(parked))
+            .unwrap();
+        let frame = built(1, w, &files_of(&holders, w));
+        assert_eq!(core.ingest(&frame).unwrap().accepted, 5);
+        let on_time = runs(&core.store);
+        assert_eq!(on_time.len(), 4);
+        assert!(on_time.iter().all(|(_, run)| inside(run, &frame)));
+        let backlog: Vec<(usize, &Bytes)> =
+            core.backlog.iter().flat_map(|p| runs(&p.store)).collect();
+        assert_eq!(backlog.len(), 1);
+        assert!(
+            !inside(backlog[0].1, &frame),
+            "a parked file pinned a frame"
+        );
     }
 }

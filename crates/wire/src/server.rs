@@ -199,6 +199,9 @@ pub struct RoundSummary {
     pub frames_received: usize,
     /// Bytes received by the PS this round.
     pub bytes_received: usize,
+    /// Bytes the PS sent this round: the broadcast frame's length times
+    /// the worker links it was handed to.
+    pub bytes_sent: usize,
     /// Replica votes that never arrived (crashed workers, dropped or
     /// deadline-expired frames).
     pub missing_votes: usize,
@@ -269,30 +272,44 @@ const IDLE_RECV_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Live-round observability shared between a job's PS loop and its
 /// connection-admission path (socket deployment only): the iteration
-/// counter stamps reconnect handshakes, and the params snapshot arms
-/// join grants with the current model.
+/// counter stamps reconnect handshakes, and the model snapshot arms join
+/// grants with the current model.
 pub(crate) struct RoundGauge {
     /// Round the PS loop is currently on (0 before training starts).
     pub(crate) round: AtomicU64,
-    /// The model as of the current round's broadcast.
-    pub(crate) params: Mutex<Vec<f32>>,
+    /// The current round's encoded broadcast — the frame the PS sent, so
+    /// refreshing it is a refcount bump.
+    broadcast: Mutex<Bytes>,
 }
 
 impl RoundGauge {
-    pub(crate) fn new(initial_params: Vec<f32>) -> Self {
+    pub(crate) fn new(initial_params: &[f32]) -> Self {
         RoundGauge {
             round: AtomicU64::new(0),
-            params: Mutex::new(initial_params),
+            broadcast: Mutex::new(encode_model_broadcast(0, initial_params, &[])),
         }
     }
 
-    /// The current params snapshot, recovering from poisoning (the
-    /// writer replaces the value wholesale, so a poisoned snapshot is
-    /// still internally consistent).
+    /// Publishes round `t` and the broadcast that opens it.
+    fn refresh(&self, t: u64, broadcast: &Bytes) {
+        self.round.store(t, Ordering::SeqCst);
+        // Poisoning cannot corrupt the snapshot (the writer replaces it
+        // wholesale), so recover rather than panic.
+        match self.broadcast.lock() {
+            Ok(mut snapshot) => snapshot.clone_from(broadcast),
+            Err(poisoned) => poisoned.into_inner().clone_from(broadcast),
+        }
+    }
+
+    /// The model as of the current round's broadcast, decoded.
     pub(crate) fn params_snapshot(&self) -> Vec<f32> {
-        match self.params.lock() {
+        let broadcast = match self.broadcast.lock() {
             Ok(guard) => guard.clone(),
             Err(poisoned) => poisoned.into_inner().clone(),
+        };
+        match Message::decode(&broadcast) {
+            Ok(Message::ModelBroadcast { params, .. }) => params,
+            _ => unreachable!("the gauge holds a broadcast the PS encoded"),
         }
     }
 }
@@ -445,9 +462,9 @@ impl MessagePassingCluster {
     ///
     /// `gauge`, when present, is refreshed as each round opens: the
     /// iteration counter stamps `current_round` into reconnect
-    /// handshakes, and the params snapshot arms join grants with the
-    /// current model (socket deployments only — in-process runs pass
-    /// `None` and skip the per-round clone).
+    /// handshakes, and the round's broadcast frame arms join grants with
+    /// the current model (socket deployments only — in-process runs pass
+    /// `None`).
     pub(crate) fn ps_loop(
         &self,
         initial_params: Vec<f32>,
@@ -479,23 +496,20 @@ impl MessagePassingCluster {
         let mut next_files: Option<Vec<Vec<u32>>> = None;
 
         for t in 1..=config.iterations as u64 {
-            if let Some(gauge) = gauge {
-                gauge.round.store(t, Ordering::SeqCst);
-                // Poisoning cannot corrupt the snapshot (the writer
-                // replaces it wholesale), so recover rather than panic.
-                match gauge.params.lock() {
-                    Ok(mut snapshot) => *snapshot = params.clone(),
-                    Err(poisoned) => *poisoned.into_inner() = params.clone(),
-                }
-            }
             let files = next_files.take().unwrap_or_else(&mut sample_files);
             let broadcast = encode_model_broadcast(t, &params, &files);
+            if let Some(gauge) = gauge {
+                gauge.refresh(t, &broadcast);
+            }
+            let mut bytes_sent = 0;
             for tx in to_workers {
                 // A closed channel means the worker thread is gone — the
                 // same observable failure as a crash, and the receive
                 // timeout already covers missing replies. The clone is a
                 // refcount bump, not a copy of the model.
-                let _ = tx.send(broadcast.clone());
+                if tx.send(broadcast.clone()).is_ok() {
+                    bytes_sent += broadcast.len();
+                }
             }
             if config.mode == RoundMode::Streaming {
                 next_files = Some(sample_files());
@@ -595,6 +609,7 @@ impl MessagePassingCluster {
                 non_strict_votes: result.non_strict_votes,
                 frames_received,
                 bytes_received,
+                bytes_sent,
                 missing_votes: result.missing_votes,
                 degraded_votes: result.degraded_votes,
                 abandoned_files: result.abandoned.len(),
@@ -1641,6 +1656,34 @@ mod tests {
         for s in &summaries {
             // 15 batch frames, each with 5 full gradients on board.
             assert!(s.bytes_received > 15 * crate::FRAME_HEADER_LEN);
+        }
+    }
+
+    #[test]
+    fn bytes_sent_is_the_broadcast_times_the_links() {
+        let dims = vec![36usize, 8, 4];
+        let cluster = MessagePassingCluster::new(
+            MolsAssignment::new(5, 3).unwrap().build(),
+            dataset(),
+            dims.clone(),
+        );
+        for wire in [
+            WireFormat::Batched,
+            WireFormat::Chunked(ChunkConfig::dense(128)),
+        ] {
+            let cfg = ServerConfig {
+                wire,
+                ..config(3, vec![0, 5])
+            };
+            let params = initial_params(&dims);
+            // The frame's length depends on shapes only: the model and
+            // 25 files of `batch_size / 25` sample indices.
+            let files = vec![vec![0u32; cfg.batch_size / 25]; 25];
+            let frame = encode_model_broadcast(1, &params, &files).len();
+            let (_, summaries) = cluster.train(params, &cfg);
+            for s in &summaries {
+                assert_eq!(s.bytes_sent, 15 * frame, "{wire:?} round {}", s.iteration);
+            }
         }
     }
 }

@@ -27,8 +27,9 @@
 //! [`LinkError::Closed`] — the same degraded path a dropped channel
 //! takes.
 
+use crate::batch::PAYLOAD_PHASE;
 use crate::link::{Link, LinkError};
-use crate::message::FRAME_HEADER_LEN;
+use crate::message::{copy_aligned, FRAME_HEADER_LEN};
 use bytes::Bytes;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -164,7 +165,9 @@ impl StreamDecoder {
         if payload.len() < declared {
             return Ok(None);
         }
-        let frame = Bytes::copy_from_slice(&payload[..declared]);
+        // Placed so that batch payloads land 4-aligned: the PS votes
+        // them inside the frame.
+        let frame = copy_aligned(&payload[..declared], PAYLOAD_PHASE);
         self.consumed += LENGTH_PREFIX_LEN + declared;
         if self.consumed == self.buf.len() {
             self.buf.clear();

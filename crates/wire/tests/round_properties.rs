@@ -3,7 +3,8 @@
 //! {batch, chunk} × {Barrier, Streaming, Bounded(0..=2)}, a
 //! [`RoundResult`] is a function of the *set* of replicas delivered in a
 //! round — never of their order, nor of the door they came through
-//! (encoded frames into `ingest`, slices into `offer`) — and Streaming
+//! (frames into `ingest`, voted in place or copied out, slices into
+//! `offer`) — and Streaming
 //! and `Bounded{0}` are Barrier bit for bit (winners, audits, counters).
 
 use bytes::Bytes;
@@ -11,8 +12,9 @@ use byz_aggregate::QuorumConfig;
 use byz_assign::{DynamicAssignment, MolsAssignment};
 use byz_cluster::FaultPlan;
 use byz_wire::{
-    encode_gradient_batch, encode_gradient_chunks, Assignment, ChunkConfig, Reject, RoundCore,
-    RoundMode, RoundResult, ServerConfig, WireFormat,
+    decode_gradient_batch, encode_gradient_batch, encode_gradient_chunks, write_frame, Assignment,
+    BatchFrameBuilder, ChunkConfig, Reject, RoundCore, RoundMode, RoundResult, ServerConfig,
+    StreamDecoder, WireFormat,
 };
 use proptest::prelude::*;
 
@@ -145,13 +147,54 @@ fn shuffle<T>(items: &mut [T], state: &mut u64) {
 }
 
 /// How a round's deliveries reach the engine.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Door {
-    /// Encoded frames into [`RoundCore::ingest`] (the wire PS).
+    /// Encoded frames into [`RoundCore::ingest`] (the wire PS). A batch
+    /// frame from `encode_gradient_batch` has misaligned payloads, so the
+    /// engine copies them.
     Frames,
+    /// Batch frames built in place by [`BatchFrameBuilder`], as a worker
+    /// sends them: aligned, so voted inside the frame.
+    Built,
+    /// [`Door::Frames`]' frames through `write_frame` and a
+    /// [`StreamDecoder`], as the TCP PS receives them: realigned.
+    Streamed,
     /// In-memory replicas into [`RoundCore::offer`] (the in-process
     /// trainer); batched engines only.
     Slices,
+}
+
+/// `flush` as one batch frame built in place.
+fn built(flush: &Flush) -> Bytes {
+    let floats = flush.replicas.iter().map(|(_, g)| g.len()).sum();
+    let mut builder = BatchFrameBuilder::new(flush.replicas.len(), floats);
+    for (file, g) in &flush.replicas {
+        builder.next_slot(g.len()).copy_from_slice(g);
+        builder.commit(*file);
+    }
+    builder.finish(flush.t, flush.w as u32)
+}
+
+/// `frames` written to one byte stream and read back in random-sized
+/// segments.
+fn streamed(frames: &[Bytes], state: &mut u64) -> Vec<Bytes> {
+    let mut stream = Vec::new();
+    for frame in frames {
+        write_frame(&mut stream, frame).expect("Vec<u8> write cannot fail");
+    }
+    let mut decoder = StreamDecoder::new();
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < stream.len() {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let end = (at + 1 + (*state >> 40) as usize % 512).min(stream.len());
+        decoder.feed(&stream[at..end]);
+        at = end;
+        while let Some(frame) = decoder.next_frame().expect("a clean stream decodes") {
+            out.push(frame);
+        }
+    }
+    out
 }
 
 /// Drives [`ROUNDS`] rounds. A worker of staleness lag `λ` delivers its
@@ -164,6 +207,22 @@ fn run(
     seed: u64,
     door: Door,
 ) -> Vec<RoundResult> {
+    deliver(config, byzantine, placement, seed, door).0
+}
+
+/// One whole replica's fate at the gate: `(worker, round stamp, file,
+/// verdict)`.
+type Verdict = (usize, u64, u32, Result<(), Reject>);
+
+/// [`run`], plus the gate's verdict on every whole replica delivered
+/// (batched wire), in `(worker, round stamp, file)` order.
+fn deliver(
+    config: &ServerConfig,
+    byzantine: &[usize],
+    placement: &Placement,
+    seed: u64,
+    door: Door,
+) -> (Vec<RoundResult>, Vec<Verdict>) {
     let assignment = MolsAssignment::new(5, 3).unwrap().build();
     let max_staleness = match config.mode {
         RoundMode::BoundedStaleness { max_staleness } => max_staleness,
@@ -171,42 +230,65 @@ fn run(
     };
     let mut core = RoundCore::new(&assignment, D, config);
     let mut state = seed | 1;
-    (1..=ROUNDS)
-        .map(|t| {
-            let flushes: Vec<Flush> = (0..placement.files_of.len())
-                .flat_map(|w| {
-                    let lag =
-                        (config.faults.straggle_factor(w).ceil() as u64 - 1).min(max_staleness);
-                    let origin = t.checked_sub(lag).filter(|&origin| origin >= 1);
-                    origin.map_or_else(Vec::new, |origin| {
-                        worker_flushes(&placement.files_of[w], config, byzantine, w, origin)
-                    })
+    let mut verdicts = Vec::new();
+    let mut results = Vec::new();
+    for t in 1..=ROUNDS {
+        let flushes: Vec<Flush> = (0..placement.files_of.len())
+            .flat_map(|w| {
+                let lag = (config.faults.straggle_factor(w).ceil() as u64 - 1).min(max_staleness);
+                let origin = t.checked_sub(lag).filter(|&origin| origin >= 1);
+                origin.map_or_else(Vec::new, |origin| {
+                    worker_flushes(&placement.files_of[w], config, byzantine, w, origin)
                 })
-                .collect();
-            core.begin(t, &placement.holders);
-            match door {
-                Door::Frames => {
-                    let mut frames: Vec<Bytes> =
-                        flushes.iter().flat_map(|f| frames(f, config)).collect();
-                    shuffle(&mut frames, &mut state);
-                    for frame in &frames {
-                        let _ = core.ingest(frame);
-                    }
+            })
+            .collect();
+        core.begin(t, &placement.holders);
+        match door {
+            Door::Frames | Door::Built | Door::Streamed => {
+                let mut frames: Vec<Bytes> = match door {
+                    Door::Built => flushes.iter().map(built).collect(),
+                    _ => flushes.iter().flat_map(|f| frames(f, config)).collect(),
+                };
+                shuffle(&mut frames, &mut state);
+                if let Door::Streamed = door {
+                    frames = streamed(&frames, &mut state);
                 }
-                Door::Slices => {
-                    let mut replicas: Vec<(usize, u64, u32, &[f32])> = flushes
-                        .iter()
-                        .flat_map(|f| f.replicas.iter().map(|(file, g)| (f.w, f.t, *file, &g[..])))
-                        .collect();
-                    shuffle(&mut replicas, &mut state);
-                    for (w, origin, file, replica) in replicas {
-                        let _ = core.offer(w, origin, file as usize, replica);
+                for frame in &frames {
+                    let admitted = core.ingest(frame);
+                    let Ok(batch) = decode_gradient_batch(frame) else {
+                        continue;
+                    };
+                    for entry in &batch.entries {
+                        let refused = match &admitted {
+                            Ok(admitted) => admitted.refused.iter().find(|r| r.0 == entry.file),
+                            Err(_) => unreachable!("every sender is a worker slot"),
+                        };
+                        let verdict = refused.map_or(Ok(()), |&(_, reason)| Err(reason));
+                        verdicts.push((
+                            batch.worker as usize,
+                            batch.iteration,
+                            entry.file,
+                            verdict,
+                        ));
                     }
                 }
             }
-            core.close()
-        })
-        .collect()
+            Door::Slices => {
+                let mut replicas: Vec<(usize, u64, u32, &[f32])> = flushes
+                    .iter()
+                    .flat_map(|f| f.replicas.iter().map(|(file, g)| (f.w, f.t, *file, &g[..])))
+                    .collect();
+                shuffle(&mut replicas, &mut state);
+                for (w, origin, file, replica) in replicas {
+                    let verdict = core.offer(w, origin, file as usize, replica);
+                    verdicts.push((w, origin, file, verdict));
+                }
+            }
+        }
+        results.push(core.close());
+    }
+    verdicts.sort_by_key(|&(w, t, file, _)| (w, t, file));
+    (results, verdicts)
 }
 
 fn fault_plan(seed: u64, drop_pct: u32, crashed: usize, stragglers: &[(usize, u32)]) -> FaultPlan {
@@ -305,6 +387,44 @@ proptest! {
                 let framed = run(&config, &byzantine, placement, order_a, Door::Frames);
                 let offered = run(&config, &byzantine, placement, order_b, Door::Slices);
                 prop_assert_eq!(framed, offered, "placement {} {:?}", nth, mode);
+            }
+        }
+    }
+
+    /// Where the engine keeps a replica is invisible: voted inside an
+    /// aligned frame, copied out of a misaligned one, read off a TCP
+    /// byte stream or offered in memory, the same replica set closes to
+    /// the same results — winner bits, audits, every counter — and meets
+    /// the same verdict at the gate.
+    #[test]
+    fn in_place_copied_streamed_and_offered_replicas_vote_alike(
+        plan_seed in 0u64..u64::MAX,
+        drop_pct in prop::sample::select(vec![0u32, 0, 10, 25]),
+        crashed in 0usize..30,
+        stragglers in prop::collection::vec((0usize..15, 1u32..4), 0..5),
+        byzantine in prop::collection::vec(0usize..15, 0..3),
+        quarantined_worker in 0usize..30,
+        q_min in 1usize..4,
+        order in 0u64..u64::MAX,
+    ) {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let quarantined: Vec<bool> = (0..15).map(|w| w == quarantined_worker).collect();
+        let placement = Placement::masked(&assignment, &quarantined);
+        for mode in [
+            RoundMode::Barrier,
+            RoundMode::Streaming,
+            RoundMode::BoundedStaleness { max_staleness: 1 },
+        ] {
+            let config = ServerConfig {
+                mode,
+                faults: fault_plan(plan_seed, drop_pct, crashed, &stragglers),
+                quorum: QuorumConfig::strict(q_min),
+                ..ServerConfig::default()
+            };
+            let in_place = deliver(&config, &byzantine, &placement, order, Door::Built);
+            for door in [Door::Frames, Door::Streamed, Door::Slices] {
+                let other = deliver(&config, &byzantine, &placement, order, door);
+                prop_assert_eq!(&in_place, &other, "{:?} {:?}", door, mode);
             }
         }
     }

@@ -9,7 +9,10 @@
 //! never silently desynchronize ahead of the real frame boundary.
 
 use bytes::Bytes;
-use byz_wire::{encode_gradient_batch, write_frame, CodecError, Message, StreamDecoder};
+use byz_wire::{
+    decode_gradient_batch, encode_gradient_batch, is_gradient_batch, write_frame, CodecError,
+    Message, StreamDecoder,
+};
 use proptest::prelude::*;
 
 fn arbitrary_frame() -> impl Strategy<Value = Bytes> {
@@ -90,6 +93,35 @@ proptest! {
         prop_assert_eq!(out.len(), frames.len());
         for (got, want) in out.iter().zip(&frames) {
             prop_assert_eq!(got.as_ref(), want.as_ref());
+        }
+    }
+
+    /// Whatever the segmentation, every batch frame comes out of the
+    /// decoder with its payloads 4-aligned, so the PS votes them in
+    /// place.
+    #[test]
+    fn batch_payloads_come_out_aligned_under_any_segmentation(
+        frames in arbitrary_frames(),
+        cuts in prop::collection::vec(any::<usize>(), 0..48),
+    ) {
+        let stream = stream_of(&frames);
+        let mut points: Vec<usize> = cuts.iter().map(|i| i % (stream.len() + 1)).collect();
+        points.sort_unstable();
+        points.push(stream.len());
+
+        let mut decoder = StreamDecoder::new();
+        let mut out = Vec::new();
+        let mut prev = 0;
+        for point in points {
+            decoder.feed(&stream[prev..point]);
+            prev = point;
+            drain(&mut decoder, &mut out).expect("clean stream must decode");
+        }
+        for frame in out.iter().filter(|frame| is_gradient_batch(frame)) {
+            let batch = decode_gradient_batch(frame).expect("a written batch frame decodes");
+            for entry in &batch.entries {
+                prop_assert!(entry.raw().as_ptr().cast::<f32>().is_aligned());
+            }
         }
     }
 }
