@@ -1,7 +1,6 @@
 //! End-to-end training iteration cost for the three pipelines (the
 //! wall-clock substance behind Figure 12, measured on this simulator).
 
-use byz_nn::FastMlp;
 use byzshield::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -36,12 +35,13 @@ fn bench_file_gradient(c: &mut Criterion) {
     let (train, _) = experiments::standard_dataset(3);
     let mut rng = StdRng::seed_from_u64(5);
     let sample_len: usize = train.item_shape().iter().product();
-    let model = Mlp::new(&[sample_len, 64, 10], &mut rng);
-    let oracle = FileGradientOracle::new(&model, &train, InputLayout::Flat);
-    let params = flatten_params(&model.parameters());
+    let model = FastMlp::new(&[sample_len, 64, 10], &mut rng);
     let file: Vec<usize> = (0..12).collect();
     c.bench_function("file_gradient_12_samples", |b| {
-        b.iter(|| oracle.file_gradient(std::hint::black_box(&params), &file))
+        b.iter(|| {
+            let (x, labels) = train.gather(std::hint::black_box(&file));
+            model.gradient_sum(&x, file.len(), &labels)
+        })
     });
 }
 

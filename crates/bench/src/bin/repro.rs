@@ -354,7 +354,7 @@ fn table3_distortion() {
 /// communication / aggregation for baseline median, ByzShield and DETOX
 /// median-of-means (the ALIE, q = 3, K = 25 setup), from two sources: the
 /// calibrated [`CostModel`] at the EC2 cluster's geometry, and measured
-/// gradient times of this repo's own oracle on the synthetic task.
+/// gradient times of this repo's `FastMlp` on the synthetic task.
 fn fig12_iteration_time() {
     println!("Figure 12: per-iteration time estimate (ALIE attack, median defenses, q = 3)\n");
 
@@ -396,11 +396,13 @@ fn fig12_iteration_time() {
     let (train, _) = experiments::standard_dataset(7);
     let mut rng = StdRng::seed_from_u64(1);
     let sample_len: usize = train.item_shape().iter().product();
-    let net = Mlp::new(&[sample_len, 64, 10], &mut rng);
-    let params = flatten_params(&net.parameters());
-    let oracle = FileGradientOracle::new(&net, &train, InputLayout::Flat);
+    let net = FastMlp::new(&[sample_len, 64, 10], &mut rng);
+    let file_gradient = |samples: &[usize]| {
+        let (x, labels) = train.gather(samples);
+        net.gradient_sum(&x, samples.len(), &labels)
+    };
     // Untimed: spawns the kernel pool and sizes the scratch buffers.
-    std::hint::black_box(oracle.file_gradient(&params, &[0]));
+    std::hint::black_box(file_gradient(&[0]));
 
     for (name, assignment) in [
         ("Median (r = 1)", baseline),
@@ -415,7 +417,7 @@ fn fig12_iteration_time() {
                 let start = Instant::now();
                 for &file in assignment.graph().files_of(worker) {
                     let samples: Vec<usize> = (file * per_file..(file + 1) * per_file).collect();
-                    std::hint::black_box(oracle.file_gradient(&params, &samples));
+                    std::hint::black_box(file_gradient(&samples));
                     gradients += 1;
                 }
                 start.elapsed()

@@ -15,7 +15,7 @@
 //! exactly as in the paper's evaluation ("we chose the q Byzantines such
 //! that ε̂ is maximized").
 
-use crate::{Defense, InputLayout, Trainer, TrainingConfig, TrainingError};
+use crate::{Defense, Trainer, TrainingConfig, TrainingError};
 use byz_aggregate::{
     Aggregator, Bulyan, CoordinateMedian, Mean, MedianOfMeans, MultiKrum, SignSgdMajority,
     TrimmedMean,
@@ -24,7 +24,7 @@ use byz_assign::{Assignment, FrcAssignment, MolsAssignment, RamanujanAssignment}
 use byz_attack::{Alie, AttackVector, ByzantineSelector, ConstantAttack, ReversedGradient};
 use byz_data::{SyntheticConfig, SyntheticImages};
 use byz_distortion::cmax_auto;
-use byz_nn::{Mlp, StepDecaySchedule};
+use byz_nn::{FastMlp, StepDecaySchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -340,7 +340,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Curve {
     let defense = build_defense(spec.scheme, spec.aggregator, &assignment, spec.q);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x11);
     let sample_len: usize = train.item_shape().iter().product();
-    let model = Mlp::new(&[sample_len, 64, 10], &mut rng);
+    let mut model = FastMlp::new(&[sample_len, 64, 10], &mut rng);
 
     let config = TrainingConfig {
         batch_size: BATCH_SIZE,
@@ -361,11 +361,10 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Curve {
         },
     };
     let mut trainer = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         assignment,
-        InputLayout::Flat,
         selector,
         spec.attack.build(),
         defense,

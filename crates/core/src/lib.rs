@@ -54,12 +54,10 @@
 mod checkpoint;
 pub mod experiments;
 mod metrics;
-mod oracle;
 mod protocol;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use metrics::{evaluate_accuracy, gradients_differ, GradientMoments};
-pub use oracle::{FileGradientOracle, InputLayout};
 pub use protocol::{
     AbandonedFile, Defense, IterationRecord, MembershipOutcome, ReputationOutcome, RoundOutcome,
     Trainer, TrainingConfig, TrainingError, TrainingHistory,
@@ -73,8 +71,8 @@ pub mod prelude {
     };
     pub use crate::{
         evaluate_accuracy, gradients_differ, AbandonedFile, Checkpoint, CheckpointError, Defense,
-        FileGradientOracle, InputLayout, IterationRecord, MembershipOutcome, ReputationOutcome,
-        RoundOutcome, Trainer, TrainingConfig, TrainingError, TrainingHistory,
+        IterationRecord, MembershipOutcome, ReputationOutcome, RoundOutcome, Trainer,
+        TrainingConfig, TrainingError, TrainingHistory,
     };
     pub use byz_aggregate::{
         aggregate_winners, gradient_fingerprint, majority_vote, quorum_vote, quorum_vote_audited,
@@ -101,13 +99,10 @@ pub mod prelude {
         SurvivingDistortion,
     };
     pub use byz_draco::{CyclicCode, DracoError, FrcCode};
-    pub use byz_nn::{
-        flatten_params, load_params, num_params, MiniResNet, Mlp, Module, Sgd, StepDecaySchedule,
-    };
+    pub use byz_nn::{FastMlp, StepDecaySchedule};
     pub use byz_reputation::{
         LedgerError, QuarantineEvent, ReputationConfig, ReputationLedger, WorkerStanding,
     };
-    pub use byz_tensor::Tensor;
     pub use byz_wire::{
         packed_sign_majority, run_tcp_joiner, run_tcp_worker, ChunkConfig, ChunkScheme, Handshake,
         HandshakeError, JobResult, JobSpec, JoinGrant, Link, LinkError, LocalAttack, Message,

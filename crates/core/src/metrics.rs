@@ -1,37 +1,24 @@
 //! Evaluation metrics and gradient statistics.
 
-use crate::InputLayout;
 use byz_data::Dataset;
-use byz_nn::{load_params, Module};
+use byz_nn::FastMlp;
 
-/// Top-1 accuracy of a model (at the given flat parameters) over the
-/// first `max_samples` samples of `dataset`, evaluated in mini-batches.
-pub fn evaluate_accuracy<M: Module>(
-    model: &M,
-    params: &[f32],
-    dataset: &Dataset,
-    layout: InputLayout,
-    max_samples: usize,
-) -> f64 {
-    let tensors = model.parameters();
-    load_params(&tensors, params);
+/// Top-1 accuracy of `model` over the first `max_samples` samples of
+/// `dataset`, evaluated in mini-batches.
+pub fn evaluate_accuracy(model: &FastMlp, dataset: &Dataset, max_samples: usize) -> f64 {
     let n = dataset.len().min(max_samples);
     if n == 0 {
         return 0.0;
     }
-    let mut correct = 0usize;
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + 256).min(n);
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, labels) = match layout {
-            InputLayout::Flat => dataset.gather_flat(&indices),
-            InputLayout::Image => dataset.gather(&indices),
-        };
-        let preds = model.forward(&x).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
+    let correct: usize = (0..n)
+        .step_by(256)
+        .map(|start| {
+            let indices: Vec<usize> = (start..n.min(start + 256)).collect();
+            let (x, labels) = dataset.gather(&indices);
+            let preds = model.predict(&x, indices.len());
+            preds.iter().zip(&labels).filter(|(p, l)| p == l).count()
+        })
+        .sum();
     correct as f64 / n as f64
 }
 

@@ -1,6 +1,6 @@
 //! The end-to-end training protocol (paper Algorithm 1).
 
-use crate::{evaluate_accuracy, FileGradientOracle, GradientMoments, InputLayout};
+use crate::{evaluate_accuracy, GradientMoments};
 use byz_aggregate::{
     gradient_fingerprint, AggregationError, Aggregator, QuorumConfig, QuorumError, VoteAudit,
 };
@@ -9,7 +9,8 @@ use byz_attack::{AttackContext, AttackVector, ByzantineSelector};
 use byz_cluster::{FaultPlan, RetryPolicy};
 use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_distortion::{binomial_saturating, cmax_graph_exhaustive, count_distorted};
-use byz_nn::{flatten_params, Module, Sgd, StepDecaySchedule};
+use byz_kernel::sgd_momentum_step;
+use byz_nn::{FastMlp, StepDecaySchedule};
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
 use byz_wire::{
     apply_scheme, num_chunks, ChunkConfig, ChunkScheme, FileSlot, RoundCore, RoundMode,
@@ -47,7 +48,8 @@ impl fmt::Debug for Defense {
 /// Training-run configuration.
 #[derive(Debug, Clone)]
 pub struct TrainingConfig {
-    /// Batch size `b` per iteration (must be divisible by `f`).
+    /// Batch size `b` per iteration (at least 1, at most the training
+    /// set's size, and divisible by `f`).
     pub batch_size: usize,
     /// Number of synchronous SGD iterations `T`.
     pub iterations: usize,
@@ -252,6 +254,8 @@ pub enum TrainingError {
         iteration: usize,
         source: AggregationError,
     },
+    /// The batch size is zero or exceeds the training set.
+    BatchSizeOutOfRange { batch: usize, samples: usize },
     /// The batch size is not divisible by the file count.
     BatchNotDivisible { batch: usize, files: usize },
     /// `q` exceeds the number of workers.
@@ -270,6 +274,12 @@ impl fmt::Display for TrainingError {
         match self {
             TrainingError::DefenseInapplicable { iteration, source } => {
                 write!(f, "defense inapplicable at iteration {iteration}: {source}")
+            }
+            TrainingError::BatchSizeOutOfRange { batch, samples } => {
+                write!(
+                    f,
+                    "batch size {batch} outside 1..={samples} training samples"
+                )
             }
             TrainingError::BatchNotDivisible { batch, files } => {
                 write!(f, "batch size {batch} not divisible into {files} files")
@@ -447,37 +457,39 @@ fn membership_report(
 ///
 /// Each iteration:
 /// 1. sample a batch and split it into `f` files (`byz-data`);
-/// 2. compute the true per-file gradients (each file once — honest
-///    replicas are bit-identical, see [`FileGradientOracle`]);
+/// 2. compute the true per-file gradients with the model the deployed
+///    workers run (each file once — honest replicas are bit-identical,
+///    see [`FastMlp::gradient_sum`]);
 /// 3. choose the Byzantine set (random / omniscient / fixed) and replace
 ///    every replica held by a Byzantine worker with the attack payload;
 /// 4. run the defense: the round engine the wire PS deploys
 ///    ([`RoundCore`], driven here as its zero-latency link) votes every
 ///    file over the replicas that arrive, then the aggregator combines
 ///    the winners;
-/// 5. update the model through SGD-with-momentum and the step-decay
-///    schedule.
-pub struct Trainer<'a, M: Module> {
-    model: &'a M,
+/// 5. update the flat parameters with the parameter server's
+///    SGD-with-momentum kernel under the step-decay schedule, and load
+///    them into the model.
+///
+/// The run leaves the final parameters in the model it was given.
+pub struct Trainer<'a> {
+    model: &'a mut FastMlp,
     train: &'a Dataset,
     test: &'a Dataset,
     assignment: Assignment,
-    layout: InputLayout,
     selector: ByzantineSelector,
     attack: Box<dyn AttackVector>,
     defense: Defense,
     config: TrainingConfig,
 }
 
-impl<'a, M: Module> Trainer<'a, M> {
+impl<'a> Trainer<'a> {
     /// Assembles a trainer. See the crate example for typical wiring.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        model: &'a M,
+        model: &'a mut FastMlp,
         train: &'a Dataset,
         test: &'a Dataset,
         assignment: Assignment,
-        layout: InputLayout,
         selector: ByzantineSelector,
         attack: Box<dyn AttackVector>,
         defense: Defense,
@@ -488,7 +500,6 @@ impl<'a, M: Module> Trainer<'a, M> {
             train,
             test,
             assignment,
-            layout,
             selector,
             attack,
             defense,
@@ -508,31 +519,19 @@ impl<'a, M: Module> Trainer<'a, M> {
     /// Returns [`TrainingError`] on configuration problems or when the
     /// defense becomes inapplicable (paper Section 6.1's constraints).
     pub fn run(&mut self) -> Result<TrainingHistory, TrainingError> {
+        self.check_config()?;
         let f = self.assignment.num_files();
         let k = self.assignment.num_workers();
         let q = self.config.num_byzantine;
-        if !self.config.batch_size.is_multiple_of(f) {
-            return Err(TrainingError::BatchNotDivisible {
-                batch: self.config.batch_size,
-                files: f,
-            });
-        }
-        if q > k {
-            return Err(TrainingError::TooManyByzantine { q, workers: k });
-        }
-
         let start = Instant::now();
-        let oracle = FileGradientOracle::new(self.model, self.train, self.layout);
-        let params_tensors = self.model.parameters();
-        let mut opt = Sgd::new(
-            params_tensors.clone(),
-            self.config.lr_schedule,
-            self.config.momentum,
-        );
         let mut sampler =
             BatchSampler::new(self.train.len(), self.config.batch_size, self.config.seed);
         let mut history = TrainingHistory::default();
-        let mut params = flatten_params(&params_tensors);
+        // The model always holds `params`; the schedule advances once
+        // per applied update, so a round with no fold leaves it alone.
+        let mut params = self.model.params_flat();
+        let mut velocity = vec![0.0f32; params.len()];
+        let mut updates = 0;
 
         // Reputation state: the ledger plus the *effective* placement.
         // The placement starts as the scheme's graph and is canonically
@@ -597,7 +596,10 @@ impl<'a, M: Module> Trainer<'a, M> {
             let compute_start = Instant::now();
             let true_grads: Vec<Vec<f32>> = files
                 .iter()
-                .map(|file| oracle.file_gradient(&params, file))
+                .map(|file| {
+                    let (x, labels) = self.train.gather(file);
+                    self.model.gradient_sum(&x, file.len(), &labels).1
+                })
                 .collect();
             let compute_time = compute_start.elapsed();
 
@@ -703,12 +705,15 @@ impl<'a, M: Module> Trainer<'a, M> {
             // 5. Model update. File gradients are SUMS over b/f samples;
             //    the aggregate approximates a per-file sum, so scaling by
             //    f/b yields a per-sample mean-gradient step (Algorithm 1,
-            //    line 17). The scale folds into the chunk-parallel kernel
-            //    step, bit-identical to pre-scaling the gradient.
-            let scale = f as f32 / self.config.batch_size as f32;
+            //    line 17). The scale folds into the PS's chunk-parallel
+            //    kernel step, bit-identical to pre-scaling the gradient.
             if let Some(gradient) = &aggregated {
-                opt.step_with_scaled_gradient(gradient, scale);
-                params = flatten_params(&params_tensors);
+                let scale = f as f32 / self.config.batch_size as f32;
+                let lr = self.config.lr_schedule.rate_at(updates) as f32;
+                let momentum = self.config.momentum;
+                sgd_momentum_step(&mut params, &mut velocity, gradient, scale, lr, momentum);
+                self.model.set_params(&params);
+                updates += 1;
             }
 
             // Bookkeeping. Without faults ε̂ keeps its predictive meaning
@@ -725,7 +730,7 @@ impl<'a, M: Module> Trainer<'a, M> {
             };
             let evaluate = self.config.eval_every != 0 && t % self.config.eval_every == 0;
             let (test_accuracy, train_loss) = if evaluate {
-                let (accuracy, loss) = self.evaluate(&oracle, &params);
+                let (accuracy, loss) = self.evaluate();
                 (Some(accuracy), loss)
             } else {
                 (None, None)
@@ -745,12 +750,29 @@ impl<'a, M: Module> Trainer<'a, M> {
             });
         }
 
-        let (accuracy, loss) = self.evaluate(&oracle, &params);
+        let (accuracy, loss) = self.evaluate();
         history.final_accuracy = accuracy;
         history.final_loss = loss.unwrap_or(0.0);
         history.total_time = start.elapsed();
         history.ledger = ledger;
         Ok(history)
+    }
+
+    /// The configuration errors a run reports before its first round.
+    fn check_config(&self) -> Result<(), TrainingError> {
+        let (batch, samples) = (self.config.batch_size, self.train.len());
+        let (files, workers) = (self.assignment.num_files(), self.assignment.num_workers());
+        let q = self.config.num_byzantine;
+        if !(1..=samples).contains(&batch) {
+            return Err(TrainingError::BatchSizeOutOfRange { batch, samples });
+        }
+        if !batch.is_multiple_of(files) {
+            return Err(TrainingError::BatchNotDivisible { batch, files });
+        }
+        if q > workers {
+            return Err(TrainingError::TooManyByzantine { q, workers });
+        }
+        Ok(())
     }
 
     /// Cluster churn: realizes round `t`'s member set and reports the
@@ -851,11 +873,17 @@ impl<'a, M: Module> Trainer<'a, M> {
         dropped
     }
 
-    /// Test accuracy and mean probe-set training loss at `params`.
-    fn evaluate(&self, oracle: &FileGradientOracle<'_, M>, params: &[f32]) -> (f64, Option<f64>) {
+    /// Test accuracy, and the mean training loss over the probe set (the
+    /// first `eval_samples` training samples; `None` when that is empty).
+    fn evaluate(&self) -> (f64, Option<f64>) {
         let samples = self.config.eval_samples;
-        let accuracy = evaluate_accuracy(self.model, params, self.test, self.layout, samples);
-        (accuracy, oracle.probe_loss(params, samples).map(f64::from))
+        let accuracy = evaluate_accuracy(self.model, self.test, samples);
+        let n = self.train.len().min(samples);
+        let probe = (n > 0).then(|| {
+            let (x, labels) = self.train.gather(&(0..n).collect::<Vec<_>>());
+            f64::from(self.model.gradient_sum(&x, n, &labels).0 / n as f32)
+        });
+        (accuracy, probe)
     }
 }
 

@@ -6,7 +6,7 @@
 //! smooth random template image, and every sample is its class template
 //! plus a random spatial shift and pixel noise. The task difficulty is
 //! controlled by the noise level, and — like CIFAR — it is learnable by a
-//! small CNN or MLP but not linearly trivial for high noise.
+//! small MLP but not linearly trivial for high noise.
 //!
 //! [`Dataset`] holds normalized flat samples; [`BatchSampler`] yields the
 //! per-iteration batches `B_t`, and [`split_batch_into_files`] partitions a
@@ -18,8 +18,6 @@ mod synthetic;
 
 pub use batch::{split_batch_into_files, BatchSampler};
 pub use synthetic::{SyntheticConfig, SyntheticImages};
-
-use byz_tensor::Tensor;
 
 /// An in-memory labelled dataset of equally-shaped samples.
 #[derive(Debug, Clone)]
@@ -100,27 +98,18 @@ impl Dataset {
         &self.data[i * n..(i + 1) * n]
     }
 
-    /// Assembles the samples at `indices` into a `[b, …item_shape]` tensor
-    /// plus the label vector — the form consumed by models.
-    pub fn gather(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let n = self.sample_len();
-        let mut data = Vec::with_capacity(indices.len() * n);
+    /// Assembles the samples at `indices`, each flattened to
+    /// [`sample_len`](Self::sample_len) values, into one row-major
+    /// `b × sample_len` buffer plus the label vector — the form
+    /// `FastMlp::gradient_sum` and `FastMlp::predict` take.
+    pub fn gather(&self, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
+        let mut data = Vec::with_capacity(indices.len() * self.sample_len());
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
             data.extend_from_slice(self.sample(i));
             labels.push(self.labels[i]);
         }
-        let mut shape = vec![indices.len()];
-        shape.extend_from_slice(&self.item_shape);
-        (Tensor::from_vec(shape, data), labels)
-    }
-
-    /// Like [`Dataset::gather`] but flattening each sample to 1-D (for
-    /// MLPs): output shape `[b, sample_len]`.
-    pub fn gather_flat(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let (t, labels) = self.gather(indices);
-        let b = indices.len();
-        (t.reshape(vec![b, self.sample_len()]), labels)
+        (data, labels)
     }
 
     /// Normalizes the dataset in place to zero mean, unit variance
@@ -186,9 +175,8 @@ mod tests {
     #[test]
     fn gather_shapes() {
         let d = tiny();
-        let (t, labels) = d.gather(&[2, 0]);
-        assert_eq!(t.shape(), &[2, 2]);
-        assert_eq!(t.to_vec(), vec![4.0, 5.0, 0.0, 1.0]);
+        let (x, labels) = d.gather(&[2, 0]);
+        assert_eq!(x, vec![4.0, 5.0, 0.0, 1.0]);
         assert_eq!(labels, vec![0, 0]);
     }
 

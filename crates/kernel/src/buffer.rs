@@ -1,6 +1,6 @@
 //! Thread-local scratch-buffer reuse.
 //!
-//! Autograd backward closures and per-coordinate aggregation loops need
+//! GEMM packing panels and per-coordinate aggregation loops need
 //! short-lived `f32` buffers on every call. Allocating a fresh `Vec` per
 //! op dominates small-op cost; instead each thread keeps a small stack of
 //! recycled buffers and [`with_scratch`] hands out a zeroed slice.

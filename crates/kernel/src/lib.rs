@@ -4,8 +4,8 @@
 //! per-worker compute, so the speed of the gradient/aggregation kernels
 //! directly governs the reproduced per-iteration timing curves (Fig. 12).
 //! This crate concentrates those kernels in one place so every consumer
-//! (`byz-tensor`, `byz-nn`, `byz-aggregate`, `byz-cluster`) shares the
-//! same machinery:
+//! (`byz-nn`'s MLP, `byz-aggregate`'s vote and median, the parameter
+//! server's and the trainer's model update) shares the same machinery:
 //!
 //! * [`pool`] — a persistent, lazily-initialized worker pool over
 //!   crossbeam channels with a [`parallel_chunks`] primitive for
@@ -16,8 +16,8 @@
 //!   (`out += A·B`) with fused [`matmul_transa`] / [`matmul_transb`]
 //!   variants so backward passes never materialize transposed operands.
 //! * [`buffer`] — a thread-local [`with_scratch`] buffer pool so hot
-//!   loops (autograd backward closures, per-coordinate aggregation
-//!   columns) stop allocating a fresh `Vec` per call.
+//!   loops (GEMM packing panels, per-coordinate aggregation columns)
+//!   stop allocating a fresh `Vec` per call.
 //! * [`select`] — order-statistic kernels: O(n) selection
 //!   ([`median_select`], [`trimmed_sum_select`]) replacing full
 //!   per-coordinate sorts, and a vectorized many-columns-at-once
@@ -53,4 +53,4 @@ pub use buffer::with_scratch;
 pub use matmul::{matmul, matmul_naive, matmul_transa, matmul_transb};
 pub use pool::{num_threads, parallel_chunks, parallel_chunks_mut};
 pub use select::{median_select, sort_columns, trimmed_sum_select};
-pub use update::{sgd_momentum_step, sgd_momentum_velocity_step, UPDATE_CHUNK};
+pub use update::{sgd_momentum_step, UPDATE_CHUNK};

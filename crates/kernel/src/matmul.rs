@@ -33,8 +33,8 @@
 //! per-element arithmetic exactly, so which path ran is unobservable in
 //! the bits.
 //!
-//! All entry points *accumulate* (`out += …`): the autograd engine adds
-//! into gradient buffers, so `+=` is the primitive. Callers wanting a
+//! All entry points *accumulate* (`out += …`): the MLP forward pass
+//! accumulates onto a broadcast bias, so `+=` is the primitive. Callers wanting a
 //! plain product zero `out` first. [`matmul_transa`] / [`matmul_transb`]
 //! fuse the transposes the backward pass needs (`dB = Aᵀ·G`,
 //! `dA = G·Bᵀ`) into the packing closures, so no transposed copy is ever

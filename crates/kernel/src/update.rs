@@ -79,48 +79,6 @@ pub fn sgd_momentum_step(
     });
 }
 
-/// Velocity-and-step variant for optimizers that apply steps through a
-/// tensor interface instead of updating a flat parameter vector in place:
-///
-/// ```text
-/// v[i]    = momentum * v[i] + gradient[i] * scale
-/// step[i] = lr * v[i]
-/// ```
-///
-/// Same determinism contract as [`sgd_momentum_step`].
-///
-/// # Panics
-///
-/// Panics if the three slices disagree in length.
-pub fn sgd_momentum_velocity_step(
-    velocity: &mut [f32],
-    step: &mut [f32],
-    gradient: &[f32],
-    scale: f32,
-    lr: f32,
-    momentum: f32,
-) {
-    assert_eq!(velocity.len(), gradient.len(), "velocity/gradient length");
-    assert_eq!(velocity.len(), step.len(), "velocity/step length");
-    let v_base = SendPtr(velocity.as_mut_ptr());
-    let s_base = SendPtr(step.as_mut_ptr());
-    parallel_chunks(gradient.len(), UPDATE_CHUNK, |range| {
-        let len = range.end - range.start;
-        // SAFETY: disjoint in-bounds ranges from parallel_chunks.
-        let (v, s) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(v_base.get().add(range.start), len),
-                std::slice::from_raw_parts_mut(s_base.get().add(range.start), len),
-            )
-        };
-        let g = &gradient[range];
-        for ((vi, si), gi) in v.iter_mut().zip(s.iter_mut()).zip(g) {
-            *vi = momentum * *vi + gi * scale;
-            *si = lr * *vi;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,26 +123,6 @@ mod tests {
             assert_eq!(bits(&p_kernel), bits(&p_ref), "params len={len}");
             assert_eq!(bits(&v_kernel), bits(&v_ref), "velocity len={len}");
         }
-    }
-
-    #[test]
-    fn velocity_step_matches_in_place_form() {
-        let len = 2 * UPDATE_CHUNK + 5;
-        let grad = synth(len, 0.9);
-        let mut p = synth(len, 4.2);
-        let mut v_inplace = synth(len, 5.5);
-        let mut v_split = v_inplace.clone();
-        let mut step = vec![0.0f32; len];
-        let mut p_split = p.clone();
-
-        sgd_momentum_step(&mut p, &mut v_inplace, &grad, 0.25, 0.1, 0.85);
-        sgd_momentum_velocity_step(&mut v_split, &mut step, &grad, 0.25, 0.1, 0.85);
-        for (pi, si) in p_split.iter_mut().zip(&step) {
-            *pi -= si;
-        }
-
-        assert_eq!(bits(&v_inplace), bits(&v_split));
-        assert_eq!(bits(&p), bits(&p_split));
     }
 
     #[test]

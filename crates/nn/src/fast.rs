@@ -1,13 +1,13 @@
 //! A hand-differentiated MLP with no interior mutability.
 //!
-//! The autograd [`Mlp`](crate::Mlp) is built on `Rc<RefCell<…>>` graph
-//! nodes and therefore cannot be shared across the threaded cluster
-//! engine. [`FastMlp`] is the same network — identical parameter layout,
-//! identical forward math — with the backward pass written out by hand
-//! over plain `Vec<f32>` buffers. It is `Send + Sync`, substantially
-//! faster, and cross-validated against the autograd implementation in
-//! this module's tests (and property-tested in
-//! `tests/fast_vs_autograd.rs`).
+//! [`FastMlp`] is the one model in the workspace: the in-process
+//! `byzshield::Trainer` (every paper figure), the message-passing and
+//! socket workers and the deployed `byzshield-worker` all compute their
+//! per-file gradients with [`FastMlp::gradient_sum`]. The backward pass
+//! is written out by hand over plain `Vec<f32>` buffers, so the model is
+//! `Send + Sync` and a worker thread owns its copy outright.
+//! `tests/fast_mlp_reference.rs` checks it against an independent f64
+//! scalar-loop reference, itself checked by central differences.
 
 use byz_kernel::{matmul, matmul_transa, matmul_transb};
 use rand::Rng;
@@ -23,9 +23,20 @@ fn broadcast_bias(out: &mut [f32], bias: &[f32], batch: usize) {
 
 /// A ReLU MLP with explicit forward/backward passes.
 ///
-/// Parameter layout (matching [`crate::Mlp`]'s flat vector): for each
-/// layer `i`, the weight matrix `[dims[i] × dims[i+1]]` row-major,
-/// followed by the bias `[dims[i+1]]`.
+/// Parameter layout (the flat vector the parameter server broadcasts,
+/// aggregates and updates): for each layer `i`, the weight matrix
+/// `[dims[i] × dims[i+1]]` row-major, followed by the bias `[dims[i+1]]`.
+///
+/// Each layer's forward pass writes the bias into the output rows and
+/// then accumulates `x·W` onto it with the blocked GEMM, which adds one
+/// `KC` = 256-deep partial dot product to the output at a time. Up to
+/// 256 inputs per layer the bias is therefore added once, to the
+/// finished dot product — bit-for-bit what a matmul-then-add-bias
+/// forward computes; on wider layers the bias joins the first partial
+/// sum before the second is added, and the two orders may differ in the
+/// last bit. (The trainer's results matched the autograd MLP this model
+/// replaced bit for bit because every trainer geometry in the repository
+/// has at most 256 inputs per layer.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct FastMlp {
     dims: Vec<usize>,
@@ -34,9 +45,10 @@ pub struct FastMlp {
 }
 
 impl FastMlp {
-    /// Builds with Kaiming-uniform init from the given RNG (the same
-    /// scheme as [`crate::Linear::new`], so seeds produce comparable
-    /// networks).
+    /// Builds with Kaiming-uniform init from the given RNG: per layer,
+    /// `fan_in · fan_out` weights drawn row-major from
+    /// `U(−√(6/fan_in), √(6/fan_in))`, biases zero. Every parameter
+    /// fingerprint in the repository depends on this draw order.
     ///
     /// # Panics
     ///
@@ -74,7 +86,7 @@ impl FastMlp {
     }
 
     /// Serializes all parameters into one flat vector (weights-then-bias
-    /// per layer — the same wire layout as the autograd model).
+    /// per layer — the wire layout).
     pub fn params_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
         for (w, b) in &self.layers {
@@ -145,9 +157,20 @@ impl FastMlp {
     /// Combined forward/backward pass for the summed cross-entropy loss
     /// over the batch: returns `(loss_sum, flat_gradient)`.
     ///
-    /// The gradient layout matches [`FastMlp::params_flat`]. The *sum*
-    /// (not mean) convention matches the per-file gradients of paper
-    /// Algorithm 1.
+    /// With one file's samples this is paper Algorithm 1, line 7:
+    /// `g_{t,i} = Σ_{j ∈ B_{t,i}} ∇l_j(w_t)` — the *sum* over the file,
+    /// not the mean (the parameter server scales the aggregate by `f/b`);
+    /// `loss_sum / batch` is the mean cross-entropy. The gradient layout
+    /// matches [`FastMlp::params_flat`].
+    ///
+    /// Honest workers assigned the same file call this with identical
+    /// inputs, and the computation is deterministic — at any
+    /// `BYZ_KERNEL_THREADS` — so their returned gradients are
+    /// bit-identical: the exact-equality property the majority vote
+    /// relies on (paper Section 2). The in-process trainer therefore
+    /// computes each file's gradient once per iteration and shares it
+    /// among that file's honest replicas, which is indistinguishable from
+    /// `r` independent honest computations.
     ///
     /// # Panics
     ///
@@ -258,69 +281,95 @@ impl FastMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flatten_params, grad_vector, load_params, zero_grads, Mlp, Module};
-    use byz_tensor::Tensor;
+    use crate::StepDecaySchedule;
+    use byz_kernel::sgd_momentum_step;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A deterministic `batch × n_in` input and its labels.
+    fn batch_of(n_in: usize, n_out: usize, batch: usize) -> (Vec<f32>, Vec<usize>) {
+        let x = (0..batch * n_in)
+            .map(|i| ((i * 7) % 11) as f32 * 0.2 - 1.0)
+            .collect();
+        (x, (0..batch).map(|s| (s * 2 + 1) % n_out).collect())
+    }
+
     #[test]
-    fn layout_matches_autograd_mlp() {
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
-        let fast = FastMlp::new(&[6, 4, 3], &mut rng_a);
-        let auto = Mlp::new(&[6, 4, 3], &mut rng_b);
+    fn layout_is_weights_then_bias_in_draw_order() {
+        // Per layer, `fan_in · fan_out` weights drawn row-major within the
+        // Kaiming bound, then a zero bias: the flat wire layout.
+        let fast = FastMlp::new(&[6, 4, 3], &mut StdRng::seed_from_u64(3));
         assert_eq!(fast.num_params(), 6 * 4 + 4 + 4 * 3 + 3);
-        // Same RNG stream + same init scheme ⇒ identical flat parameters.
-        assert_eq!(fast.params_flat(), flatten_params(&auto.parameters()));
-    }
-
-    #[test]
-    fn logits_match_autograd() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let fast = FastMlp::new(&[6, 5, 3], &mut rng);
-        let auto = {
-            let mut rng = StdRng::seed_from_u64(0);
-            let m = Mlp::new(&[6, 5, 3], &mut rng);
-            load_params(&m.parameters(), &fast.params_flat());
-            m
-        };
-        let x: Vec<f32> = (0..12).map(|i| (i as f32) * 0.3 - 1.5).collect();
-        let fast_logits = fast.logits(&x, 2);
-        let auto_logits = auto
-            .forward(&Tensor::from_vec(vec![2, 6], x.clone()))
-            .to_vec();
-        for (a, b) in fast_logits.iter().zip(&auto_logits) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut expected = Vec::new();
+        for (fan_in, fan_out) in [(6usize, 4usize), (4, 3)] {
+            let bound = (6.0 / fan_in as f32).sqrt();
+            expected.extend((0..fan_in * fan_out).map(|_| rng.gen_range(-bound..bound)));
+            expected.resize(expected.len() + fan_out, 0.0);
         }
+        assert_eq!(fast.params_flat(), expected);
     }
 
     #[test]
-    fn gradient_matches_autograd() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let fast = FastMlp::new(&[6, 5, 3], &mut rng);
-        let auto = {
-            let mut rng = StdRng::seed_from_u64(0);
-            let m = Mlp::new(&[6, 5, 3], &mut rng);
-            load_params(&m.parameters(), &fast.params_flat());
-            m
-        };
+    fn logits_match_a_hand_computed_forward() {
+        // W1 = [[1, -1], [2, 0.5]] (input-major), b1 = [0.5, -1];
+        // W2 = [[1, 2], [-1, 3]], b2 = [0.25, -0.5]. Sample 0's second
+        // hidden unit is negative before the ReLU; every value is exact.
+        let mut m = FastMlp::new(&[2, 2, 2], &mut StdRng::seed_from_u64(0));
+        m.set_params(&[
+            1.0, -1.0, 2.0, 0.5, 0.5, -1.0, 1.0, 2.0, -1.0, 3.0, 0.25, -0.5,
+        ]);
+        let x = [1.0f32, 2.0, -1.0, 0.5];
+        // Sample 0: h = relu([5.5, -1]) = [5.5, 0]; sample 1: h = [0.5, 0.25].
+        assert_eq!(m.logits(&x, 2), vec![5.75, 10.5, 0.5, 1.25]);
+        assert_eq!(m.predict(&x, 2), vec![1, 1]);
+    }
+
+    #[test]
+    fn gradient_matches_central_differences() {
+        let mut model = FastMlp::new(&[6, 5, 3], &mut StdRng::seed_from_u64(5));
         let x: Vec<f32> = (0..18).map(|i| ((i * 7) % 11) as f32 * 0.2 - 1.0).collect();
         let labels = [2usize, 0, 1];
-
-        let (fast_loss, fast_grad) = fast.gradient_sum(&x, 3, &labels);
-
-        let tensors = auto.parameters();
-        zero_grads(&tensors);
-        let logits = auto.forward(&Tensor::from_vec(vec![3, 6], x));
-        let loss = logits.cross_entropy(&labels).scale(3.0); // sum convention
-        loss.backward();
-        let auto_grad = grad_vector(&tensors);
-
-        assert!((fast_loss - loss.item()).abs() < 1e-4, "loss mismatch");
-        assert_eq!(fast_grad.len(), auto_grad.len());
-        for (i, (a, b)) in fast_grad.iter().zip(&auto_grad).enumerate() {
-            assert!((a - b).abs() < 1e-4, "grad[{i}]: {a} vs {b}");
+        let (_, grad) = model.gradient_sum(&x, 3, &labels);
+        let params = model.params_flat();
+        let eps = 1e-3f32;
+        for i in 0..params.len() {
+            let mut shifted = params.clone();
+            shifted[i] = params[i] + eps;
+            model.set_params(&shifted);
+            let up = model.gradient_sum(&x, 3, &labels).0;
+            shifted[i] = params[i] - eps;
+            model.set_params(&shifted);
+            let down = model.gradient_sum(&x, 3, &labels).0;
+            let numeric = (f64::from(up) - f64::from(down)) / (2.0 * f64::from(eps));
+            let analytic = f64::from(grad[i]);
+            assert!(
+                (numeric - analytic).abs() < 5e-3,
+                "grad[{i}]: analytic {analytic} vs numeric {numeric}"
+            );
         }
+    }
+
+    #[test]
+    fn mlp_learns_a_separable_task() {
+        // Two clusters in 2-D, separated within a few momentum-SGD steps
+        // on the mean loss: the trainer's update rule.
+        let mut m = FastMlp::new(&[2, 8, 2], &mut StdRng::seed_from_u64(42));
+        let schedule = StepDecaySchedule::new(0.5, 1.0, 1000);
+        let x = [1.0f32, 1.0, 1.2, 0.8, -1.0, -1.0, -0.8, -1.2];
+        let labels = [0usize, 0, 1, 1];
+        let mut params = m.params_flat();
+        let mut velocity = vec![0.0f32; params.len()];
+        let mut last = f32::INFINITY;
+        for t in 0..60 {
+            let (loss_sum, grad) = m.gradient_sum(&x, 4, &labels);
+            last = loss_sum / 4.0;
+            let lr = schedule.rate_at(t) as f32;
+            sgd_momentum_step(&mut params, &mut velocity, &grad, 0.25, lr, 0.9);
+            m.set_params(&params);
+        }
+        assert!(last < 0.1, "loss did not drop: {last}");
+        assert_eq!(m.predict(&x, 4), vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -345,6 +394,55 @@ mod tests {
                 assert!(grad.iter().any(|g| *g != 0.0));
             }
         }
+    }
+
+    #[test]
+    fn gradient_is_deterministic() {
+        let model = FastMlp::new(&[16, 8, 3], &mut StdRng::seed_from_u64(0));
+        let (x, labels) = batch_of(16, 3, 3);
+        let (l1, g1) = model.gradient_sum(&x, 3, &labels);
+        let (l2, g2) = model.gradient_sum(&x, 3, &labels);
+        assert_eq!(l1.to_bits(), l2.to_bits());
+        assert_eq!(g1, g2, "honest replicas must agree bit-exactly");
+        assert_eq!(g1.len(), model.num_params());
+    }
+
+    #[test]
+    fn file_gradients_sum_to_batch_gradient() {
+        // Σ over files of the file gradients equals the whole-batch summed
+        // gradient (the linearity Algorithm 1 exploits).
+        let model = FastMlp::new(&[16, 8, 3], &mut StdRng::seed_from_u64(0));
+        let (x, labels) = batch_of(16, 3, 4);
+        let (_, whole) = model.gradient_sum(&x, 4, &labels);
+        let (_, g01) = model.gradient_sum(&x[..32], 2, &labels[..2]);
+        let (_, g23) = model.gradient_sum(&x[32..], 2, &labels[2..]);
+        for i in 0..whole.len() {
+            assert!(
+                (whole[i] - (g01[i] + g23[i])).abs() < 1e-3,
+                "linearity violated at {i}: {} vs {}",
+                whole[i],
+                g01[i] + g23[i]
+            );
+        }
+    }
+
+    #[test]
+    fn gradient_depends_on_params() {
+        let mut model = FastMlp::new(&[16, 8, 3], &mut StdRng::seed_from_u64(0));
+        let (x, labels) = batch_of(16, 3, 2);
+        let before = model.gradient_sum(&x, 2, &labels).1;
+        let mut params = model.params_flat();
+        params[0] += 1.0;
+        model.set_params(&params);
+        assert_ne!(before, model.gradient_sum(&x, 2, &labels).1);
+    }
+
+    #[test]
+    fn loss_is_finite_and_positive() {
+        let model = FastMlp::new(&[16, 8, 3], &mut StdRng::seed_from_u64(0));
+        let (x, labels) = batch_of(16, 3, 5);
+        let loss = model.gradient_sum(&x, 5, &labels).0;
+        assert!(loss.is_finite() && loss > 0.0);
     }
 
     #[test]

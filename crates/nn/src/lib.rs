@@ -1,47 +1,41 @@
-//! Neural-network layers, reference models and optimizers.
+//! The model every ByzShield worker trains, and its learning-rate
+//! schedule.
 //!
-//! This crate supplies the training substrate that stands in for the
-//! paper's PyTorch + ResNet-18 stack:
+//! This crate stands in for the paper's PyTorch + ResNet-18 stack:
 //!
-//! * [`Module`] — the forward/parameters abstraction, plus [`Sequential`];
-//! * layers — [`Linear`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`],
-//!   [`Flatten`], and a [`Residual`] wrapper for ResNet-style blocks;
-//! * models — [`Mlp`] and [`MiniResNet`] (a small residual CNN used by the
-//!   image-classification experiments);
-//! * optimization — [`Sgd`] with momentum and the paper's step-decay
-//!   learning-rate schedule [`StepDecaySchedule`] (Appendix A.6 notation
-//!   `(x, y, z)`: start at `x`, multiply by `y` every `z` iterations);
-//! * parameter plumbing — [`flatten_params`] / [`load_params`] to move a
-//!   model's weights through the parameter-server wire format (a flat
-//!   `Vec<f32>`, which is also what attacks and aggregators operate on).
+//! * [`FastMlp`] — a ReLU MLP with a hand-written backward pass over flat
+//!   `Vec<f32>` buffers. Its flat parameter vector is the wire format the
+//!   parameter server broadcasts, aggregates and updates, and
+//!   [`FastMlp::gradient_sum`] is the per-file gradient of paper
+//!   Algorithm 1, line 7 — for the in-process trainer and the deployed
+//!   workers alike;
+//! * [`StepDecaySchedule`] — the paper's step-decay learning rate
+//!   (Appendix A.6 notation `(x, y, z)`: start at `x`, multiply by `y`
+//!   every `z` iterations).
 //!
 //! # Example
 //!
 //! ```
-//! use byz_nn::{Mlp, Module, Sgd, StepDecaySchedule};
-//! use byz_tensor::Tensor;
+//! use byz_nn::{FastMlp, StepDecaySchedule};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let mut rng = StdRng::seed_from_u64(0);
-//! let model = Mlp::new(&[4, 8, 3], &mut rng);
-//! let mut opt = Sgd::new(model.parameters(), StepDecaySchedule::new(0.1, 0.95, 20), 0.9);
+//! let mut model = FastMlp::new(&[4, 8, 3], &mut StdRng::seed_from_u64(0));
+//! let schedule = StepDecaySchedule::new(0.1, 0.95, 20);
 //!
-//! let x = Tensor::from_vec(vec![2, 4], vec![0.1; 8]);
-//! let loss = model.forward(&x).cross_entropy(&[0, 2]);
-//! loss.backward();
-//! opt.step();
+//! // One plain SGD step on the summed loss of a two-sample batch.
+//! let x = [0.1f32; 8];
+//! let (loss, gradient) = model.gradient_sum(&x, 2, &[0, 2]);
+//! let lr = schedule.rate_at(0) as f32;
+//! let mut params = model.params_flat();
+//! for (p, g) in params.iter_mut().zip(&gradient) {
+//!     *p -= lr * g;
+//! }
+//! model.set_params(&params);
+//! assert!(model.gradient_sum(&x, 2, &[0, 2]).0 < loss);
 //! ```
 
 mod fast;
-mod layers;
-mod models;
-mod module;
 mod optim;
-mod params;
 
 pub use fast::FastMlp;
-pub use layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Residual, Tanh};
-pub use models::{MiniResNet, Mlp};
-pub use module::{Module, Sequential};
-pub use optim::{Sgd, StepDecaySchedule};
-pub use params::{flatten_params, grad_vector, load_params, num_params, zero_grads};
+pub use optim::StepDecaySchedule;

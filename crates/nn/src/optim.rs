@@ -1,6 +1,5 @@
-//! SGD with momentum and the paper's step-decay learning-rate schedule.
-
-use byz_tensor::Tensor;
+//! The paper's step-decay learning-rate schedule (the trainer's optimizer
+//! itself is `byz_kernel::sgd_momentum_step` over flat vectors).
 
 /// The `(x, y, z)` learning-rate schedule of the paper's Appendix A.6:
 /// start at rate `x` and multiply by `y` every `z` iterations.
@@ -38,123 +37,6 @@ impl StepDecaySchedule {
     }
 }
 
-/// Mini-batch SGD with classical (heavy-ball) momentum:
-///
-/// ```text
-/// v ← µ·v + g
-/// w ← w − η_t·v
-/// ```
-pub struct Sgd {
-    params: Vec<Tensor>,
-    velocity: Vec<Vec<f32>>,
-    schedule: StepDecaySchedule,
-    momentum: f32,
-    iteration: usize,
-}
-
-impl Sgd {
-    /// Creates the optimizer over the given parameter tensors.
-    pub fn new(params: Vec<Tensor>, schedule: StepDecaySchedule, momentum: f32) -> Self {
-        let velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        Sgd {
-            params,
-            velocity,
-            schedule,
-            momentum,
-            iteration: 0,
-        }
-    }
-
-    /// Current iteration counter.
-    pub fn iteration(&self) -> usize {
-        self.iteration
-    }
-
-    /// Learning rate that the *next* [`Sgd::step`] will use.
-    pub fn current_rate(&self) -> f64 {
-        self.schedule.rate_at(self.iteration)
-    }
-
-    /// Applies one update from the gradients accumulated on the parameter
-    /// tensors, then clears them and advances the schedule.
-    pub fn step(&mut self) {
-        let lr = self.current_rate() as f32;
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let Some(grad) = p.grad_vec() else {
-                continue;
-            };
-            let mut step = Vec::with_capacity(grad.len());
-            for (vi, gi) in v.iter_mut().zip(&grad) {
-                *vi = self.momentum * *vi + gi;
-                step.push(lr * *vi);
-            }
-            p.apply_step(&step);
-            p.zero_grad();
-        }
-        self.iteration += 1;
-    }
-
-    /// Applies one update from an *external* flat gradient vector (the
-    /// parameter server's aggregated gradient) instead of the local
-    /// autograd gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gradient.len()` differs from the total parameter count.
-    pub fn step_with_gradient(&mut self, gradient: &[f32]) {
-        let lr = self.current_rate() as f32;
-        let mut offset = 0usize;
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let n = p.len();
-            let grad = &gradient[offset..offset + n];
-            let mut step = Vec::with_capacity(n);
-            for (vi, gi) in v.iter_mut().zip(grad) {
-                *vi = self.momentum * *vi + gi;
-                step.push(lr * *vi);
-            }
-            p.apply_step(&step);
-            p.zero_grad();
-            offset += n;
-        }
-        assert_eq!(offset, gradient.len(), "gradient length mismatch");
-        self.iteration += 1;
-    }
-
-    /// Like [`Sgd::step_with_gradient`], but folds the `f/b` gradient
-    /// scaling into the update and runs it chunk-parallel on the
-    /// `byz-kernel` pool:
-    ///
-    /// ```text
-    /// v ← µ·v + g·scale
-    /// w ← w − η_t·v
-    /// ```
-    ///
-    /// Bitwise identical to scaling the gradient up front and calling
-    /// [`Sgd::step_with_gradient`], at any `BYZ_KERNEL_THREADS` — the
-    /// per-coordinate arithmetic (`g·scale` rounded once, then the
-    /// momentum recurrence) is the same sequence of f32 operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gradient.len()` differs from the total parameter count.
-    pub fn step_with_scaled_gradient(&mut self, gradient: &[f32], scale: f32) {
-        let lr = self.current_rate() as f32;
-        let mut offset = 0usize;
-        let mut step = Vec::new();
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let n = p.len();
-            let grad = &gradient[offset..offset + n];
-            step.resize(n, 0.0);
-            byz_kernel::sgd_momentum_velocity_step(v, &mut step, grad, scale, lr, self.momentum);
-            p.apply_step(&step);
-            p.zero_grad();
-            offset += n;
-        }
-        assert_eq!(offset, gradient.len(), "gradient length mismatch");
-        self.iteration += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,92 +50,5 @@ mod tests {
         assert_eq!(s.rate_at(25), 0.025);
         let c = StepDecaySchedule::constant(0.2);
         assert_eq!(c.rate_at(1_000_000), 0.2);
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        // Minimize (w − 3)² from w = 0.
-        let w = Tensor::from_vec(vec![1], vec![0.0]).requires_grad();
-        let mut opt = Sgd::new(vec![w.clone()], StepDecaySchedule::constant(0.1), 0.0);
-        for _ in 0..100 {
-            let diff = w.sub(&Tensor::scalar(3.0));
-            let loss = diff.mul(&diff).sum();
-            loss.backward();
-            opt.step();
-        }
-        assert!((w.to_vec()[0] - 3.0).abs() < 1e-3);
-        assert_eq!(opt.iteration(), 100);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        // With the same rate and step count, momentum should close more of
-        // the gap on an ill-conditioned quadratic.
-        let run = |momentum: f32| {
-            let w = Tensor::from_vec(vec![1], vec![0.0]).requires_grad();
-            let mut opt = Sgd::new(vec![w.clone()], StepDecaySchedule::constant(0.01), momentum);
-            for _ in 0..40 {
-                let diff = w.sub(&Tensor::scalar(1.0));
-                let loss = diff.mul(&diff).sum();
-                loss.backward();
-                opt.step();
-            }
-            (w.to_vec()[0] - 1.0).abs()
-        };
-        assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
-    fn step_with_external_gradient() {
-        let w = Tensor::from_vec(vec![2], vec![1.0, 2.0]).requires_grad();
-        let mut opt = Sgd::new(vec![w.clone()], StepDecaySchedule::constant(0.5), 0.0);
-        opt.step_with_gradient(&[2.0, -2.0]);
-        assert_eq!(w.to_vec(), vec![0.0, 3.0]);
-    }
-
-    #[test]
-    fn scaled_step_matches_prescaled_step_bitwise() {
-        // Two tensors so the offset walk is exercised; enough coordinates
-        // to span several kernel chunks.
-        let n0 = 40_000;
-        let n1 = 123;
-        let data0: Vec<f32> = (0..n0).map(|i| (i as f32 * 0.013).cos()).collect();
-        let data1: Vec<f32> = (0..n1).map(|i| (i as f32 * 0.31).sin()).collect();
-        let grad: Vec<f32> = (0..n0 + n1)
-            .map(|i| (i as f32 * 0.07).sin() * 3.0)
-            .collect();
-        let scale = 25.0f32 / 96.0;
-
-        let make = || {
-            let t0 = Tensor::from_vec(vec![n0], data0.clone()).requires_grad();
-            let t1 = Tensor::from_vec(vec![n1], data1.clone()).requires_grad();
-            Sgd::new(vec![t0, t1], StepDecaySchedule::new(0.1, 0.5, 2), 0.9)
-        };
-
-        let mut a = make();
-        let mut b = make();
-        for _ in 0..4 {
-            let scaled: Vec<f32> = grad.iter().map(|g| g * scale).collect();
-            a.step_with_gradient(&scaled);
-            b.step_with_scaled_gradient(&grad, scale);
-        }
-        for (pa, pb) in a.params.iter().zip(&b.params) {
-            let bits = |t: &Tensor| t.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(pa), bits(pb));
-        }
-        for (va, vb) in a.velocity.iter().zip(&b.velocity) {
-            assert_eq!(
-                va.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                vb.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gradient length mismatch")]
-    fn external_gradient_length_checked() {
-        let w = Tensor::from_vec(vec![2], vec![1.0, 2.0]).requires_grad();
-        let mut opt = Sgd::new(vec![w], StepDecaySchedule::constant(0.5), 0.0);
-        opt.step_with_gradient(&[1.0, 2.0, 3.0]);
     }
 }

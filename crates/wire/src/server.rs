@@ -719,7 +719,7 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                     if samples.iter().any(|&i| i >= ctx.dataset.len()) {
                         continue;
                     }
-                    let (x, labels) = gather_flat(&ctx.dataset, &samples);
+                    let (x, labels) = ctx.dataset.gather(&samples);
                     // The replica — true or forged — written once, into
                     // wherever it is going.
                     let compute = |gradient: &mut [f32]| {
@@ -871,19 +871,6 @@ fn rand_stub() -> impl rand::Rng {
     rand::rngs::StdRng::seed_from_u64(0)
 }
 
-/// Flattened gather without depending on tensors (workers are plain
-/// threads over `Vec<f32>`).
-fn gather_flat(dataset: &Dataset, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
-    let n = dataset.sample_len();
-    let mut x = Vec::with_capacity(indices.len() * n);
-    let mut labels = Vec::with_capacity(indices.len());
-    for &i in indices {
-        x.extend_from_slice(dataset.sample(i));
-        labels.push(dataset.label(i));
-    }
-    (x, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,7 +914,7 @@ mod tests {
         let mut model = FastMlp::new(dims, &mut rand::rngs::StdRng::seed_from_u64(0));
         model.set_params(params);
         let idx: Vec<usize> = (0..n).collect();
-        let (x, labels) = gather_flat(data, &idx);
+        let (x, labels) = data.gather(&idx);
         let preds = model.predict(&x, n);
         preds.iter().zip(&labels).filter(|(p, l)| p == l).count() as f64 / n as f64
     }

@@ -19,7 +19,7 @@ fn main() {
     })
     .generate();
     let mut rng = StdRng::seed_from_u64(5);
-    let model = Mlp::new(&[64, 32, 5], &mut rng);
+    let mut model = FastMlp::new(&[64, 32, 5], &mut rng);
     let byzantine = vec![0usize, 5, 10];
     let cfg = TrainingConfig {
         batch_size: 100,
@@ -39,11 +39,10 @@ fn main() {
         ReputationConfig::default().min_evidence,
     );
     let history = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(byzantine.clone()),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),

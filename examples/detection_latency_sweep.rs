@@ -18,7 +18,7 @@ fn run(attack: Box<dyn AttackVector>, byz: Vec<usize>, faults: FaultPlan) -> Tra
     })
     .generate();
     let mut rng = StdRng::seed_from_u64(5);
-    let model = Mlp::new(&[64, 32, 5], &mut rng);
+    let mut model = FastMlp::new(&[64, 32, 5], &mut rng);
     let cfg = TrainingConfig {
         batch_size: 100,
         iterations: 60,
@@ -32,11 +32,10 @@ fn run(attack: Box<dyn AttackVector>, byz: Vec<usize>, faults: FaultPlan) -> Tra
         ..TrainingConfig::default()
     };
     Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(byz),
         attack,
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),

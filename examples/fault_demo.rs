@@ -16,7 +16,7 @@ fn main() {
     })
     .generate();
     let mut rng = StdRng::seed_from_u64(5);
-    let model = Mlp::new(&[64, 32, 5], &mut rng);
+    let mut model = FastMlp::new(&[64, 32, 5], &mut rng);
     let cfg = TrainingConfig {
         batch_size: 100,
         iterations: 20,
@@ -29,11 +29,10 @@ fn main() {
         ..TrainingConfig::default()
     };
     let history = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(vec![0, 5]),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),

@@ -26,8 +26,8 @@ fn main() {
 
     // Model: an MLP over flattened pixels.
     let mut rng = StdRng::seed_from_u64(7);
-    let model = Mlp::new(&[144, 64, 10], &mut rng);
-    println!("model parameters: {}", num_params(&model.parameters()));
+    let mut model = FastMlp::new(&[144, 64, 10], &mut rng);
+    println!("model parameters: {}", model.num_params());
 
     // Placement: the paper's K = 25 cluster (Ramanujan Case 2, r = l = 5).
     let assignment = RamanujanAssignment::new(5, 5)
@@ -57,15 +57,7 @@ fn main() {
     };
 
     let mut trainer = Trainer::new(
-        &model,
-        &train,
-        &test,
-        assignment,
-        InputLayout::Flat,
-        selector,
-        attack,
-        defense,
-        config,
+        &mut model, &train, &test, assignment, selector, attack, defense, config,
     );
 
     let history = trainer
@@ -92,13 +84,12 @@ fn main() {
     // Contrast: the same adversary against plain averaging diverges or
     // stalls — run it and see.
     let mut rng = StdRng::seed_from_u64(7);
-    let naive_model = Mlp::new(&[144, 64, 10], &mut rng);
+    let mut naive_model = FastMlp::new(&[144, 64, 10], &mut rng);
     let naive = Trainer::new(
-        &naive_model,
+        &mut naive_model,
         &train,
         &test,
         FrcAssignment::new(25, 1).expect("valid parameters").build(),
-        InputLayout::Flat,
         ByzantineSelector::Omniscient,
         Box::new(ConstantAttack { value: -100.0 }),
         Defense::Direct(Box::new(Mean)),

@@ -44,13 +44,12 @@ fn small_dataset() -> (Dataset, Dataset) {
 fn run_trainer(cfg: TrainingConfig, byzantine: Vec<usize>) -> TrainingHistory {
     let (train, test) = small_dataset();
     let mut rng = StdRng::seed_from_u64(9);
-    let model = Mlp::new(&[64, 32, 5], &mut rng);
+    let mut model = FastMlp::new(&[64, 32, 5], &mut rng);
     Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(byzantine),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
@@ -255,7 +254,7 @@ fn zero_staleness_is_bit_identical_to_barrier_wire() {
     );
     let initial = {
         let mut rng = StdRng::seed_from_u64(2);
-        flatten_params(&Mlp::new(&dims, &mut rng).parameters())
+        FastMlp::new(&dims, &mut rng).params_flat()
     };
     for wire in [
         WireFormat::Batched,
@@ -319,7 +318,7 @@ fn bounded_staleness_outpaces_barrier_under_straggler() {
     );
     let initial = {
         let mut rng = StdRng::seed_from_u64(2);
-        flatten_params(&Mlp::new(&dims, &mut rng).parameters())
+        FastMlp::new(&dims, &mut rng).params_flat()
     };
     let barrier_cfg = ServerConfig {
         iterations: 4,
@@ -369,7 +368,7 @@ fn tcp_joiner_matches_channel_baseline() {
     let assignment = MolsAssignment::new(5, 3).unwrap().build();
     let initial = {
         let mut rng = StdRng::seed_from_u64(2);
-        flatten_params(&Mlp::new(&dims, &mut rng).parameters())
+        FastMlp::new(&dims, &mut rng).params_flat()
     };
     let job = JobSpec {
         job_id: 1,

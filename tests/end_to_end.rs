@@ -20,9 +20,9 @@ fn small_dataset() -> (Dataset, Dataset) {
     .generate()
 }
 
-fn mlp(seed: u64) -> Mlp {
+fn mlp(seed: u64) -> FastMlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[64, 32, 5], &mut rng)
+    FastMlp::new(&[64, 32, 5], &mut rng)
 }
 
 fn config(iterations: usize, q: usize) -> TrainingConfig {
@@ -44,14 +44,13 @@ fn config(iterations: usize, q: usize) -> TrainingConfig {
 #[test]
 fn clean_training_converges() {
     let (train, test) = small_dataset();
-    let model = mlp(1);
+    let mut model = mlp(1);
     let assignment = MolsAssignment::new(5, 3).unwrap().build();
     let mut trainer = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         assignment,
-        InputLayout::Flat,
         ByzantineSelector::Fixed(vec![]),
         Box::new(ReversedGradient::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
@@ -77,13 +76,12 @@ fn byzshield_survives_where_detox_breaks() {
     let q = 6;
 
     let run = |assignment: Assignment, defense: Defense| {
-        let model = mlp(2);
+        let mut model = mlp(2);
         let mut trainer = Trainer::new(
-            &model,
+            &mut model,
             &train,
             &test,
             assignment,
-            InputLayout::Flat,
             ByzantineSelector::Omniscient,
             Box::new(ConstantAttack::default()),
             defense,
@@ -126,13 +124,12 @@ fn exact_recovery_when_q_below_threshold() {
     let (train, test) = small_dataset();
 
     let run = |q: usize| {
-        let model = mlp(3);
+        let mut model = mlp(3);
         let mut trainer = Trainer::new(
-            &model,
+            &mut model,
             &train,
             &test,
             MolsAssignment::new(5, 3).unwrap().build(),
-            InputLayout::Flat,
             ByzantineSelector::Omniscient,
             Box::new(ConstantAttack::default()),
             Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
@@ -156,13 +153,12 @@ fn exact_recovery_when_q_below_threshold() {
 #[test]
 fn inapplicable_defense_is_reported() {
     let (train, test) = small_dataset();
-    let model = mlp(4);
+    let mut model = mlp(4);
     let mut trainer = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         FrcAssignment::new(15, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Omniscient,
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(Bulyan { num_byzantine: 1 })),
@@ -176,14 +172,13 @@ fn inapplicable_defense_is_reported() {
 #[test]
 fn config_errors() {
     let (train, test) = small_dataset();
-    let model = mlp(5);
+    let mut model = mlp(5);
     // f = 25 does not divide b = 90.
     let mut trainer = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(vec![]),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
@@ -200,13 +195,12 @@ fn config_errors() {
         }
     ));
 
-    let model = mlp(6);
+    let mut model = mlp(6);
     let mut trainer = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(vec![]),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
@@ -218,26 +212,64 @@ fn config_errors() {
     ));
 }
 
-/// Training with a CNN (the MiniResNet CIFAR stand-in) through the image
-/// layout also works end to end.
+/// A batch size the sampler cannot draw — zero, or more samples than the
+/// training set holds — is a configuration error, not a panic.
 #[test]
-fn cnn_training_end_to_end() {
+fn batch_size_out_of_range_is_an_error() {
     let (train, test) = small_dataset();
-    let mut rng = StdRng::seed_from_u64(8);
-    let model = MiniResNet::new(1, 8, 4, 5, &mut rng);
-    let mut trainer = Trainer::new(
-        &model,
+    for batch in [0, 825] {
+        let mut model = mlp(7);
+        let mut trainer = Trainer::new(
+            &mut model,
+            &train,
+            &test,
+            MolsAssignment::new(5, 3).unwrap().build(),
+            ByzantineSelector::Fixed(vec![]),
+            Box::new(Alie::default()),
+            Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+            TrainingConfig {
+                batch_size: batch,
+                ..config(5, 0)
+            },
+        );
+        assert_eq!(
+            trainer.run().unwrap_err(),
+            TrainingError::BatchSizeOutOfRange {
+                batch,
+                samples: 800
+            }
+        );
+    }
+}
+
+/// The learning-rate schedule counts applied updates, not rounds. Every
+/// worker lags one round under bounded staleness, so round 1 defers all
+/// its files and folds nothing, and round 2 applies the first update — at
+/// the schedule's first rate, the only nonzero one.
+#[test]
+fn a_round_without_a_fold_does_not_advance_the_schedule() {
+    let (train, test) = small_dataset();
+    let mut model = mlp(10);
+    let initial = model.params_flat();
+    let history = Trainer::new(
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Image,
-        ByzantineSelector::Omniscient,
-        Box::new(ReversedGradient::default()),
+        ByzantineSelector::Fixed(vec![]),
+        Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
-        config(15, 2),
-    );
-    let history = trainer.run().unwrap();
-    assert_eq!(history.records.len(), 15);
-    // q = 2 < r = 3 ⇒ at most 1 distorted file per iteration (Claim 2).
-    assert!(history.records.iter().all(|r| r.distorted_files <= 1));
+        TrainingConfig {
+            lr_schedule: StepDecaySchedule::new(0.05, 0.0, 1),
+            faults: (0..15).fold(FaultPlan::new(12), |plan, w| plan.straggle(w, 2.0)),
+            mode: RoundMode::BoundedStaleness { max_staleness: 1 },
+            ..config(3, 0)
+        },
+    )
+    .run()
+    .unwrap();
+    assert_eq!(history.records[0].outcome.deferred, 25);
+    assert!(history.records[0].outcome.is_collapsed());
+    assert_eq!(history.records[1].outcome.stale_folded, 25);
+    assert_ne!(model.params_flat(), initial);
 }

@@ -26,9 +26,9 @@ fn small_dataset() -> (Dataset, Dataset) {
     .generate()
 }
 
-fn mlp(seed: u64) -> Mlp {
+fn mlp(seed: u64) -> FastMlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[64, 32, 5], &mut rng)
+    FastMlp::new(&[64, 32, 5], &mut rng)
 }
 
 fn config(iterations: usize, q: usize, faults: FaultPlan) -> TrainingConfig {
@@ -54,13 +54,12 @@ fn run_under_plan(
     byzantine: Vec<usize>,
 ) -> Result<TrainingHistory, TrainingError> {
     let (train, test) = small_dataset();
-    let model = mlp(model_seed);
+    let mut model = mlp(model_seed);
     Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(byzantine),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),

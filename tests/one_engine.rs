@@ -19,13 +19,12 @@ fn run(cfg: TrainingConfig, selector: ByzantineSelector) -> TrainingHistory {
         seed: 2024,
     })
     .generate();
-    let model = Mlp::new(&[64, 16, 5], &mut StdRng::seed_from_u64(3));
+    let mut model = FastMlp::new(&[64, 16, 5], &mut StdRng::seed_from_u64(3));
     Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         selector,
         Box::new(ConstantAttack { value: -50.0 }),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),

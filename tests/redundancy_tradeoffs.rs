@@ -20,13 +20,12 @@ fn real_file_gradients(num_files: usize) -> Vec<Vec<f32>> {
     })
     .generate();
     let mut rng = StdRng::seed_from_u64(4);
-    let model = Mlp::new(&[36, 12, 4], &mut rng);
-    let oracle = FileGradientOracle::new(&model, &train, InputLayout::Flat);
-    let params = flatten_params(&model.parameters());
+    let model = FastMlp::new(&[36, 12, 4], &mut rng);
     (0..num_files)
         .map(|i| {
             let samples: Vec<usize> = (i * 8..(i + 1) * 8).collect();
-            oracle.file_gradient(&params, &samples)
+            let (x, labels) = train.gather(&samples);
+            model.gradient_sum(&x, samples.len(), &labels).1
         })
         .collect()
 }

@@ -27,9 +27,9 @@ fn small_dataset() -> (Dataset, Dataset) {
     .generate()
 }
 
-fn mlp(seed: u64) -> Mlp {
+fn mlp(seed: u64) -> FastMlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[64, 24, 5], &mut rng)
+    FastMlp::new(&[64, 24, 5], &mut rng)
 }
 
 fn config(iterations: usize, q: usize, faults: FaultPlan) -> TrainingConfig {
@@ -54,13 +54,12 @@ fn run(
     attack: Box<dyn AttackVector>,
 ) -> TrainingHistory {
     let (train, test) = small_dataset();
-    let model = mlp(8);
+    let mut model = mlp(8);
     Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(byzantine),
         attack,
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),

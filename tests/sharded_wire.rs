@@ -33,9 +33,9 @@ fn small_dataset() -> (Dataset, Dataset) {
     .generate()
 }
 
-fn mlp(seed: u64) -> Mlp {
+fn mlp(seed: u64) -> FastMlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[64, 32, 5], &mut rng)
+    FastMlp::new(&[64, 32, 5], &mut rng)
 }
 
 fn config(iterations: usize, q: usize, chunking: Option<ChunkConfig>) -> TrainingConfig {
@@ -57,13 +57,12 @@ fn config(iterations: usize, q: usize, chunking: Option<ChunkConfig>) -> Trainin
 /// fresh model and returns the history plus the final flat parameters.
 fn run(model_seed: u64, cfg: TrainingConfig, byzantine: Vec<usize>) -> (TrainingHistory, Vec<f32>) {
     let (train, test) = small_dataset();
-    let model = mlp(model_seed);
+    let mut model = mlp(model_seed);
     let history = Trainer::new(
-        &model,
+        &mut model,
         &train,
         &test,
         MolsAssignment::new(5, 3).unwrap().build(),
-        InputLayout::Flat,
         ByzantineSelector::Fixed(byzantine),
         Box::new(Alie::default()),
         Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
@@ -71,7 +70,7 @@ fn run(model_seed: u64, cfg: TrainingConfig, byzantine: Vec<usize>) -> (Training
     )
     .run()
     .expect("training must complete");
-    (history, flatten_params(&model.parameters()))
+    (history, model.params_flat())
 }
 
 #[test]

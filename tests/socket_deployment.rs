@@ -40,7 +40,7 @@ fn dataset() -> Dataset {
 
 fn initial_params(dims: &[usize]) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(2);
-    flatten_params(&Mlp::new(dims, &mut rng).parameters())
+    FastMlp::new(dims, &mut rng).params_flat()
 }
 
 /// The paper's K = 15 cluster (l = 5, r = 3, 25 files).

@@ -46,7 +46,7 @@ fn streaming_wire_matches_barrier_for_both_formats() {
     );
     let initial = {
         let mut rng = StdRng::seed_from_u64(2);
-        flatten_params(&Mlp::new(&dims, &mut rng).parameters())
+        FastMlp::new(&dims, &mut rng).params_flat()
     };
     for wire in [
         WireFormat::Batched,
