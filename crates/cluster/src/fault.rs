@@ -197,21 +197,6 @@ impl FaultPlan {
         self
     }
 
-    /// The round at which `worker` joins, if it is a scheduled joiner.
-    pub fn joins_at(&self, worker: usize) -> Option<u64> {
-        self.joins.get(&worker).copied()
-    }
-
-    /// The round at which `worker` leaves, if it is scheduled to depart.
-    pub fn leaves_at(&self, worker: usize) -> Option<u64> {
-        self.leaves.get(&worker).copied()
-    }
-
-    /// Whether the plan schedules any membership change.
-    pub fn has_churn(&self) -> bool {
-        !self.joins.is_empty() || !self.leaves.is_empty()
-    }
-
     /// Whether `worker` is a cluster member during `round`: it has
     /// joined (workers without a `join_at` entry are founding members)
     /// and has not yet left. Crashes are orthogonal — a crashed member
@@ -235,15 +220,6 @@ impl FaultPlan {
     /// workers: founding ids plus every scheduled joiner's id.
     pub fn membership_universe(&self, k: usize) -> usize {
         self.joins.keys().map(|&w| w + 1).max().unwrap_or(0).max(k)
-    }
-
-    /// The rounds at which membership changes (some worker joins or
-    /// leaves), ascending and deduplicated — the rounds the dynamic
-    /// assignment layer must re-realize the placement.
-    pub fn churn_rounds(&self) -> Vec<u64> {
-        let mut rounds: BTreeSet<u64> = self.joins.values().copied().collect();
-        rounds.extend(self.leaves.values().copied());
-        rounds.into_iter().collect()
     }
 
     /// The plan's seed.
@@ -529,10 +505,8 @@ mod tests {
             .join_at(5, 2)
             .leave_at(1, 3)
             .leave_at(5, 6);
-        assert!(plan.has_churn());
         assert!(!plan.is_trivial());
         assert_eq!(plan.membership_universe(4), 6);
-        assert_eq!(plan.churn_rounds(), vec![2, 3, 6]);
 
         assert_eq!(plan.members_at(4, 0), vec![0, 1, 2, 3]);
         assert_eq!(plan.members_at(4, 2), vec![0, 1, 2, 3, 5]);

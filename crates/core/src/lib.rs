@@ -104,10 +104,9 @@ pub mod prelude {
         LedgerError, QuarantineEvent, ReputationConfig, ReputationLedger, WorkerStanding,
     };
     pub use byz_wire::{
-        packed_sign_majority, run_tcp_joiner, run_tcp_worker, ChunkConfig, ChunkScheme, Handshake,
-        HandshakeError, JobResult, JobSpec, JoinGrant, Link, LinkError, LocalAttack, Message,
-        MessagePassingCluster, PackedSigns, PsServer, RejectReason, RoundMode, RoundSummary,
-        ServerConfig, SparsifyConfig, StreamDecoder, TcpLink, WireError, WireFormat,
-        WireTrainingRun, WorkerSpec,
+        packed_sign_majority, run_tcp_worker, ChunkConfig, ChunkScheme, Handshake, HandshakeError,
+        JobResult, JobSpec, Link, LinkError, LocalAttack, Message, MessagePassingCluster,
+        PackedSigns, PsServer, RejectReason, RoundMode, RoundSummary, ServerConfig, SparsifyConfig,
+        StreamDecoder, TcpLink, WireError, WireFormat, WireTrainingRun, WorkerSpec,
     };
 }

@@ -13,7 +13,7 @@
 //! retry budget) if the connection drops mid-run.
 
 use byz_psd::{DeploySpec, SpecError};
-use byz_wire::{run_tcp_joiner, run_tcp_worker};
+use byz_wire::run_tcp_worker;
 
 const USAGE: &str = "usage: byzshield-worker connect=ADDR worker=N <key=value>...";
 
@@ -51,25 +51,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let spec = DeploySpec::parse(&spec_tokens)?;
     let worker_spec = spec.worker_spec(worker)?;
-    if spec.is_joiner(worker) {
-        // A scheduled joiner enters the live job through the join
-        // handshake: the PS ships it the current round, the current
-        // model and its (possibly repaired) file set, so the slot can
-        // be filled mid-run without restarting the deployment.
-        println!(
-            "worker {worker} join-handshaking into live job {} at {connect}",
-            spec.job_id,
-        );
-        run_tcp_joiner(connect.parse()?, &worker_spec)?;
-    } else {
-        println!(
-            "worker {worker} joining job {} at {connect} ({} of {} files)",
-            spec.job_id,
-            worker_spec.assignment.load(),
-            worker_spec.assignment.num_files(),
-        );
-        run_tcp_worker(connect.parse()?, &worker_spec)?;
-    }
+    println!(
+        "worker {worker} joining job {} at {connect} ({} of {} files)",
+        spec.job_id,
+        worker_spec.assignment.load(),
+        worker_spec.assignment.num_files(),
+    );
+    run_tcp_worker(connect.parse()?, &worker_spec)?;
     println!("worker {worker}: job {} complete", spec.job_id);
     Ok(())
 }

@@ -57,7 +57,8 @@ pub struct DeploySpec {
     pub r: usize,
     /// Protocol rounds (`iters=`).
     pub iterations: usize,
-    /// Batch size (`batch=`); must be divisible by `l²`.
+    /// Batch size (`batch=`); must be divisible by `l²` and at most
+    /// `samples`.
     pub batch_size: usize,
     /// Learning rate (`lr=`).
     pub learning_rate: f32,
@@ -83,15 +84,6 @@ pub struct DeploySpec {
     /// (`fault-seed=`).
     pub drop_rate: f64,
     pub fault_seed: u64,
-    /// Scheduled joins (`joins=3:4,7:6`): worker id → first round it is
-    /// a member. A join-scheduled worker process enters through the join
-    /// handshake and receives its model snapshot and file set from the
-    /// PS instead of deriving them locally.
-    pub joins: Vec<(usize, u64)>,
-    /// Scheduled departures (`leaves=2:5`): worker id → first round it
-    /// is gone. Membership, not a crash: the placement layer re-homes
-    /// the departed worker's files.
-    pub leaves: Vec<(usize, u64)>,
     /// Modelled stragglers (`straggle=3:4.0`): worker id → latency
     /// multiplier ≥ 1. Under bounded staleness the plan's straggle
     /// factors decide which workers arrive late and by how many rounds.
@@ -129,8 +121,6 @@ impl Default for DeploySpec {
             attack: LocalAttack::Constant { value: -100.0 },
             drop_rate: 0.0,
             fault_seed: 7,
-            joins: Vec::new(),
-            leaves: Vec::new(),
             stragglers: Vec::new(),
             reputation: false,
             wire: WireFormat::Batched,
@@ -173,8 +163,6 @@ impl DeploySpec {
                 "attack" => spec.attack = parse_attack(value)?,
                 "drops" => spec.drop_rate = parse_num(key, value)?,
                 "fault-seed" => spec.fault_seed = parse_num(key, value)?,
-                "joins" => spec.joins = parse_pairs(key, value)?,
-                "leaves" => spec.leaves = parse_pairs(key, value)?,
                 "straggle" => spec.stragglers = parse_pairs(key, value)?,
                 "reputation" => spec.reputation = parse_bool(value)?,
                 "wire" => spec.wire = parse_wire(value)?,
@@ -206,6 +194,12 @@ impl DeploySpec {
                 self.batch_size
             ));
         }
+        if self.batch_size > self.samples {
+            return err(format!(
+                "batch={} exceeds the dataset's samples={}",
+                self.batch_size, self.samples
+            ));
+        }
         match self.dims.as_slice() {
             [first, .., last] => {
                 if *first != self.hw * self.hw {
@@ -229,20 +223,14 @@ impl DeploySpec {
         if !(0.0..1.0).contains(&self.drop_rate) {
             return err(format!("drops={} must be in [0, 1)", self.drop_rate));
         }
-        // Socket deployments route churn through the job's fixed slot
-        // table, so every scheduled member must name an in-range slot.
-        for (kind, pairs) in [("joins", &self.joins), ("leaves", &self.leaves)] {
-            if let Some(&(w, _)) = pairs.iter().find(|&&(w, _)| w >= k) {
-                return err(format!("{kind} worker {w} outside cluster of K={k}"));
+        for &(w, m) in &self.stragglers {
+            if w >= k {
+                return err(format!("straggle worker {w} outside cluster of K={k}"));
             }
-        }
-        // `contains` rejects NaN along with sub-unit multipliers.
-        if let Some(&(w, m)) = self
-            .stragglers
-            .iter()
-            .find(|&&(_, m)| !(1.0..).contains(&m))
-        {
-            return err(format!("straggle={w}:{m} needs a multiplier ≥ 1"));
+            // `contains` rejects NaN along with sub-unit multipliers.
+            if !(1.0..).contains(&m) {
+                return err(format!("straggle={w}:{m} needs a multiplier ≥ 1"));
+            }
         }
         Ok(())
     }
@@ -290,23 +278,11 @@ impl DeploySpec {
         FastMlp::new(&self.dims, &mut rng).params_flat()
     }
 
-    /// Whether `worker` enters the job through the join handshake (its
-    /// first member round is scheduled) rather than the seed handshake.
-    pub fn is_joiner(&self, worker: usize) -> bool {
-        self.joins.iter().any(|&(w, _)| w == worker)
-    }
-
     /// The protocol configuration both sides run.
     pub fn server_config(&self) -> ServerConfig {
         let mut faults = byz_cluster::FaultPlan::new(self.fault_seed);
         if self.drop_rate > 0.0 {
             faults = faults.drop_rate(self.drop_rate);
-        }
-        for &(w, round) in &self.joins {
-            faults = faults.join_at(w, round);
-        }
-        for &(w, round) in &self.leaves {
-            faults = faults.leave_at(w, round);
         }
         for &(w, multiplier) in &self.stragglers {
             faults = faults.straggle(w, multiplier);
@@ -391,8 +367,8 @@ fn parse_dims(value: &str) -> Result<Vec<usize>, SpecError> {
         .collect()
 }
 
-/// Parses `w:v,w:v,…` pairs — worker id to a per-worker value (a round
-/// for `joins=`/`leaves=`, a latency multiplier for `straggle=`).
+/// Parses `w:v,w:v,…` pairs — worker id to a per-worker value (the
+/// latency multiplier of `straggle=`).
 fn parse_pairs<T: std::str::FromStr>(key: &str, value: &str) -> Result<Vec<(usize, T)>, SpecError> {
     if value.is_empty() {
         return Ok(Vec::new());
@@ -502,18 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn churn_and_bounded_mode_parse() {
-        let spec = DeploySpec::parse(&toks(
-            "mode=bounded:2 joins=3:4,7:6 leaves=2:5 straggle=3:4.0,9:2.5",
-        ))
-        .unwrap();
+    fn bounded_mode_and_stragglers_parse() {
+        let spec = DeploySpec::parse(&toks("mode=bounded:2 straggle=3:4.0,9:2.5")).unwrap();
         assert_eq!(spec.mode, RoundMode::BoundedStaleness { max_staleness: 2 });
-        assert!(spec.is_joiner(3) && spec.is_joiner(7) && !spec.is_joiner(2));
         let faults = spec.server_config().faults;
-        assert_eq!(faults.joins_at(3), Some(4));
-        assert_eq!(faults.joins_at(7), Some(6));
-        assert_eq!(faults.leaves_at(2), Some(5));
-        assert!(faults.has_churn());
         assert_eq!(faults.straggle_factor(3), 4.0);
         assert_eq!(faults.straggle_factor(9), 2.5);
         assert_eq!(faults.straggle_factor(0), 1.0);
@@ -528,20 +496,22 @@ mod tests {
     #[test]
     fn inconsistent_specs_are_rejected() {
         for bad in [
-            "batch=90",           // not a multiple of l² = 25
-            "dims=10x16x4",       // input ≠ hw²
-            "dims=36x16x7",       // output ≠ classes
-            "byzantine=99",       // outside K = 15
-            "drops=1.5",          // not a probability
-            "mystery=1",          // unknown key
-            "attack=downgrade:2", // unknown attack
-            "wire=pigeon",        // unknown wire format
-            "iters",              // not key=value
-            "mode=bounded",       // bounded needs :<s>
-            "joins=99:2",         // joiner outside the slot table
-            "leaves=15:3",        // leaver outside K = 15
-            "joins=3-2",          // not worker:round
-            "straggle=3:0.5",     // multiplier below 1
+            "batch=90",            // not a multiple of l² = 25
+            "dims=10x16x4",        // input ≠ hw²
+            "dims=36x16x7",        // output ≠ classes
+            "byzantine=99",        // outside K = 15
+            "drops=1.5",           // not a probability
+            "mystery=1",           // unknown key
+            "attack=downgrade:2",  // unknown attack
+            "wire=pigeon",         // unknown wire format
+            "iters",               // not key=value
+            "mode=bounded",        // bounded needs :<s>
+            "joins=3:4",           // retired: no socket process acts on churn
+            "leaves=2:4",          // retired, likewise
+            "straggle=3-2",        // not worker:multiplier
+            "straggle=3:0.5",      // multiplier below 1
+            "straggle=15:4.0",     // straggler outside K = 15
+            "samples=10 batch=25", // batch larger than the dataset
         ] {
             assert!(DeploySpec::parse(&toks(bad)).is_err(), "`{bad}` parsed");
         }

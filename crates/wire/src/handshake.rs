@@ -2,18 +2,18 @@
 //!
 //! A fresh (or reconnecting) worker connection opens with exactly one
 //! [`Hello`] frame naming the job it belongs to and which worker slot it
-//! claims. The PS answers with either a [`Welcome`] — carrying the round
-//! the job is currently on, so a rejoining worker resumes mid-training
-//! without replaying history — or a [`Reject`] with a typed reason. Only
-//! after `Welcome` does round traffic start; the dealer-style router
-//! uses the `(job_id, worker)` pair from `Hello` to patch the connection
-//! into that job's channel fabric.
+//! claims. The PS answers with either a [`Welcome`] echoing that pair or
+//! a [`Reject`] with a typed reason. Only after `Welcome` does round
+//! traffic start; the dealer-style router uses the `(job_id, worker)`
+//! pair from `Hello` to patch the connection into that job's channel
+//! fabric. A reconnecting worker needs nothing more: it resumes at the
+//! next broadcast, which carries the round and the model.
 //!
 //! ```text
 //!   worker                               PS
 //!     | ---- Hello { job, worker } ----> |    (one frame, first bytes)
 //!     |                                  |  route on job_id
-//!     | <--- Welcome { round, K } ------ |    (or Reject { reason })
+//!     | <--- Welcome { job, worker } --- |    (or Reject { reason })
 //!     | <========= round frames =======> |
 //! ```
 //!
@@ -24,8 +24,7 @@
 
 use crate::link::{Link, LinkError};
 use crate::message::{
-    check_frame, put_f32s_le, read_f32s_le, seal_frame, BodyReader, WireError, KIND_HELLO,
-    KIND_JOIN_REQUEST, KIND_JOIN_WELCOME, KIND_REJECT, KIND_WELCOME,
+    check_frame, seal_frame, BodyReader, WireError, KIND_HELLO, KIND_REJECT, KIND_WELCOME,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -87,11 +86,6 @@ pub enum Handshake {
         job_id: u64,
         /// Echo of the admitted worker slot.
         worker: u32,
-        /// Round the job is currently on (0 before training starts). A
-        /// reconnecting worker resumes here — it never replays rounds.
-        current_round: u64,
-        /// Total worker count of the job, for sanity display.
-        cluster_size: u32,
     },
     /// PS → worker: refused; the connection closes after this frame.
     Reject {
@@ -99,33 +93,6 @@ pub enum Handshake {
         job_id: u64,
         /// Why the connection was refused.
         reason: RejectReason,
-    },
-    /// Worker → PS: like [`Handshake::Hello`], but the sender is a *new*
-    /// process taking over the slot mid-training — it holds none of the
-    /// job's state and asks the PS to ship everything a member needs.
-    JoinRequest {
-        /// Which job this connection joins.
-        job_id: u64,
-        /// Which worker slot it takes over.
-        worker: u32,
-    },
-    /// PS → worker: admission for a joiner, carrying the state a fresh
-    /// process cannot derive on its own — the round the job is on, the
-    /// current model parameters, and the (possibly repaired) file set
-    /// the slot is expected to serve. Round traffic follows.
-    JoinWelcome {
-        /// Echo of the admitted job.
-        job_id: u64,
-        /// Echo of the admitted worker slot.
-        worker: u32,
-        /// Round the job is currently on; the joiner contributes from
-        /// the next broadcast.
-        current_round: u64,
-        /// The model as of the current round, so the joiner starts warm
-        /// instead of waiting a full broadcast behind.
-        params: Vec<f32>,
-        /// File indices this slot serves under the live placement.
-        files: Vec<u32>,
     },
 }
 
@@ -139,45 +106,15 @@ impl Handshake {
                 body.put_u32_le(*worker);
                 seal_frame(KIND_HELLO, body)
             }
-            Handshake::Welcome {
-                job_id,
-                worker,
-                current_round,
-                cluster_size,
-            } => {
+            Handshake::Welcome { job_id, worker } => {
                 body.put_u64_le(*job_id);
                 body.put_u32_le(*worker);
-                body.put_u64_le(*current_round);
-                body.put_u32_le(*cluster_size);
                 seal_frame(KIND_WELCOME, body)
             }
             Handshake::Reject { job_id, reason } => {
                 body.put_u64_le(*job_id);
                 body.put_u8(reason.code());
                 seal_frame(KIND_REJECT, body)
-            }
-            Handshake::JoinRequest { job_id, worker } => {
-                body.put_u64_le(*job_id);
-                body.put_u32_le(*worker);
-                seal_frame(KIND_JOIN_REQUEST, body)
-            }
-            Handshake::JoinWelcome {
-                job_id,
-                worker,
-                current_round,
-                params,
-                files,
-            } => {
-                body.put_u64_le(*job_id);
-                body.put_u32_le(*worker);
-                body.put_u64_le(*current_round);
-                body.put_u32_le(params.len() as u32);
-                put_f32s_le(&mut body, params);
-                body.put_u32_le(files.len() as u32);
-                for &file in files {
-                    body.put_u32_le(file);
-                }
-                seal_frame(KIND_JOIN_WELCOME, body)
             }
         }
     }
@@ -186,8 +123,8 @@ impl Handshake {
     ///
     /// # Errors
     ///
-    /// [`WireError::UnknownKind`] when the frame is a round message, the
-    /// usual integrity errors otherwise.
+    /// [`WireError::UnknownKind`] when the frame is a round message or of
+    /// a retired handshake kind, the usual integrity errors otherwise.
     pub fn decode(frame: &[u8]) -> Result<Handshake, WireError> {
         let (kind, body) = check_frame(frame)?;
         let mut body = BodyReader::new(body);
@@ -199,8 +136,6 @@ impl Handshake {
             KIND_WELCOME => Ok(Handshake::Welcome {
                 job_id: body.u64_le()?,
                 worker: body.u32_le()?,
-                current_round: body.u64_le()?,
-                cluster_size: body.u32_le()?,
             }),
             KIND_REJECT => {
                 let job_id = body.u64_le()?;
@@ -208,31 +143,6 @@ impl Handshake {
                 Ok(Handshake::Reject {
                     job_id,
                     reason: RejectReason::from_code(code)?,
-                })
-            }
-            KIND_JOIN_REQUEST => Ok(Handshake::JoinRequest {
-                job_id: body.u64_le()?,
-                worker: body.u32_le()?,
-            }),
-            KIND_JOIN_WELCOME => {
-                let job_id = body.u64_le()?;
-                let worker = body.u32_le()?;
-                let current_round = body.u64_le()?;
-                let n = body.u32_le()? as usize;
-                let params =
-                    read_f32s_le(body.take(n.checked_mul(4).ok_or(WireError::MalformedBody)?)?);
-                let nf = body.u32_le()? as usize;
-                let raw = body.take(nf.checked_mul(4).ok_or(WireError::MalformedBody)?)?;
-                let files = raw
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect();
-                Ok(Handshake::JoinWelcome {
-                    job_id,
-                    worker,
-                    current_round,
-                    params,
-                    files,
                 })
             }
             other => Err(WireError::UnknownKind(other)),
@@ -270,8 +180,6 @@ impl std::error::Error for HandshakeError {}
 /// Runs the worker side of the handshake on a fresh connection: send
 /// `Hello`, await `Welcome`.
 ///
-/// Returns the `current_round` the job is on.
-///
 /// # Errors
 ///
 /// [`HandshakeError::Rejected`] when the PS refused, transport/protocol
@@ -281,7 +189,7 @@ pub fn client_handshake(
     job_id: u64,
     worker: u32,
     timeout: Duration,
-) -> Result<u64, HandshakeError> {
+) -> Result<(), HandshakeError> {
     link.send(Handshake::Hello { job_id, worker }.encode())
         .map_err(HandshakeError::Link)?;
     let frame = link.recv_timeout(timeout).map_err(HandshakeError::Link)?;
@@ -289,54 +197,7 @@ pub fn client_handshake(
         Handshake::Welcome {
             job_id: jid,
             worker: w,
-            current_round,
-            ..
-        } if jid == job_id && w == worker => Ok(current_round),
-        Handshake::Reject { reason, .. } => Err(HandshakeError::Rejected(reason)),
-        _ => Err(HandshakeError::UnexpectedFrame),
-    }
-}
-
-/// Everything a [`Handshake::JoinWelcome`] granted a joiner: the live
-/// job state a fresh process needs to start serving its slot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JoinGrant {
-    /// Round the job is currently on.
-    pub current_round: u64,
-    /// Current model parameters.
-    pub params: Vec<f32>,
-    /// File indices the slot serves under the live placement.
-    pub files: Vec<usize>,
-}
-
-/// Runs the worker side of the *join* handshake on a fresh connection:
-/// send `JoinRequest`, await `JoinWelcome` with the live job state.
-///
-/// # Errors
-///
-/// [`HandshakeError::Rejected`] when the PS refused, transport/protocol
-/// errors otherwise.
-pub fn client_join_handshake(
-    link: &mut dyn Link,
-    job_id: u64,
-    worker: u32,
-    timeout: Duration,
-) -> Result<JoinGrant, HandshakeError> {
-    link.send(Handshake::JoinRequest { job_id, worker }.encode())
-        .map_err(HandshakeError::Link)?;
-    let frame = link.recv_timeout(timeout).map_err(HandshakeError::Link)?;
-    match Handshake::decode(&frame).map_err(HandshakeError::Protocol)? {
-        Handshake::JoinWelcome {
-            job_id: jid,
-            worker: w,
-            current_round,
-            params,
-            files,
-        } if jid == job_id && w == worker => Ok(JoinGrant {
-            current_round,
-            params,
-            files: files.into_iter().map(|f| f as usize).collect(),
-        }),
+        } if jid == job_id && w == worker => Ok(()),
         Handshake::Reject { reason, .. } => Err(HandshakeError::Rejected(reason)),
         _ => Err(HandshakeError::UnexpectedFrame),
     }
@@ -357,23 +218,10 @@ mod tests {
             Handshake::Welcome {
                 job_id: 7,
                 worker: 3,
-                current_round: 42,
-                cluster_size: 15,
             },
             Handshake::Reject {
                 job_id: 7,
                 reason: RejectReason::BadWorker,
-            },
-            Handshake::JoinRequest {
-                job_id: 7,
-                worker: 9,
-            },
-            Handshake::JoinWelcome {
-                job_id: 7,
-                worker: 9,
-                current_round: 42,
-                params: vec![1.5, -2.25, 0.0],
-                files: vec![3, 8, 13, 18, 23],
             },
         ] {
             assert_eq!(Handshake::decode(&hs.encode()).unwrap(), hs);
@@ -387,6 +235,21 @@ mod tests {
             Handshake::decode(&frame),
             Err(WireError::UnknownKind(_))
         ));
+    }
+
+    #[test]
+    fn retired_join_kinds_are_unknown() {
+        // Kinds 11 and 12 carried the retired join handshake; a frame of
+        // either kind, well-formed and correctly sealed, is garbage now.
+        for kind in [11, 12] {
+            let mut body = BytesMut::new();
+            body.put_u64_le(7);
+            body.put_u32_le(9);
+            assert_eq!(
+                Handshake::decode(&seal_frame(kind, body)),
+                Err(WireError::UnknownKind(kind))
+            );
+        }
     }
 
     #[test]
@@ -405,15 +268,15 @@ mod tests {
                 Handshake::Welcome {
                     job_id: 1,
                     worker: 2,
-                    current_round: 5,
-                    cluster_size: 15,
                 }
                 .encode(),
             )
             .unwrap();
         });
-        let round = client_handshake(&mut worker, 1, 2, Duration::from_secs(1)).unwrap();
-        assert_eq!(round, 5);
+        assert_eq!(
+            client_handshake(&mut worker, 1, 2, Duration::from_secs(1)),
+            Ok(())
+        );
         server.join().unwrap();
     }
 

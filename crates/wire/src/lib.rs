@@ -54,15 +54,13 @@ pub use chunk::{
     ChunkScheme, GradientChunkView, SparseChunk, SparsifyConfig, CHUNK_PREFIX_LEN,
 };
 pub use compress::{packed_sign_majority, PackedSigns};
-pub use handshake::{
-    client_handshake, client_join_handshake, Handshake, HandshakeError, JoinGrant, RejectReason,
-};
+pub use handshake::{client_handshake, Handshake, HandshakeError, RejectReason};
 pub use link::{channel_link_pair, ChannelLink, Link, LinkError};
 pub use message::{
     encode_model_broadcast, extend_f32s_le, put_f32s_le, read_f32s_le, Message, WireError,
     FRAME_HEADER_LEN,
 };
-pub use psd::{run_tcp_joiner, run_tcp_worker, JobResult, JobSpec, PsServer, WorkerSpec};
+pub use psd::{run_tcp_worker, JobResult, JobSpec, PsServer, WorkerSpec};
 pub use round::{Admitted, FileSlot, Reject, RoundCore, RoundResult};
 pub use server::{
     LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, WireFormat,

@@ -29,18 +29,20 @@ pub const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 8;
 
 const KIND_MODEL_BROADCAST: u8 = 1;
 const KIND_SHUTDOWN: u8 = 3;
-// Kinds 2, 4 and 5 are retired (never reused): `UnknownKind` to every decoder.
 pub(crate) const KIND_GRADIENT_BATCH: u8 = 6;
 pub(crate) const KIND_GRADIENT_CHUNK: u8 = 7;
-// Kinds 8–12 are the socket-transport handshake (hello / welcome /
-// reject / join-request / join-welcome), decoded in
-// [`crate::handshake`]; `Message::decode` reports them as `UnknownKind`
-// on purpose — they never appear inside a round.
+// Kinds 8–10 are the socket-transport handshake (hello / welcome /
+// reject), decoded in [`crate::handshake`]; `Message::decode` reports
+// them as `UnknownKind` on purpose — they never appear inside a round.
 pub(crate) const KIND_HELLO: u8 = 8;
 pub(crate) const KIND_WELCOME: u8 = 9;
 pub(crate) const KIND_REJECT: u8 = 10;
-pub(crate) const KIND_JOIN_REQUEST: u8 = 11;
-pub(crate) const KIND_JOIN_WELCOME: u8 = 12;
+// Retired kinds, never reused — `UnknownKind` to every decoder:
+//   2  per-file gradient return
+//   4  vote-on-hash announce
+//   5  vote-on-hash payload pull
+//   11 join request   (a second way into a job, shipping a file set the
+//   12 join welcome    spec already gives and a model the broadcast does)
 
 /// Errors from frame decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]

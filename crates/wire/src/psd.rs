@@ -32,14 +32,11 @@
 //! or half-open connection degrades the affected replicas through the
 //! usual missing-frame accounting (the round completes under the PS
 //! round deadline), and a reconnecting worker re-enters through the
-//! handshake, is told the current round, and resumes at the next
-//! broadcast.
+//! same `Hello` and resumes at the next broadcast.
 
-use crate::handshake::{
-    client_handshake, client_join_handshake, Handshake, HandshakeError, RejectReason,
-};
+use crate::handshake::{client_handshake, Handshake, HandshakeError, RejectReason};
 use crate::link::{Link, LinkError};
-use crate::server::{worker_loop, MessagePassingCluster, RoundGauge, ServerConfig, WorkerExit};
+use crate::server::{worker_loop, MessagePassingCluster, ServerConfig, WorkerExit};
 use crate::tcp::TcpLink;
 use crate::{Assignment, WireTrainingRun};
 use bytes::Bytes;
@@ -153,12 +150,6 @@ struct JobHandle {
     /// `slots[w]` holds worker `w`'s current write-half, if connected.
     slots: Vec<Mutex<Option<TcpStream>>>,
     gate: JobGate,
-    /// Round counter + broadcast snapshot, refreshed by the PS loop as
-    /// each round opens; reconnects read the round, joiners the model.
-    gauge: RoundGauge,
-    /// `files_of[w]`: the file set slot `w` serves under the job's
-    /// placement — shipped to joiners, who hold no local assignment.
-    files_of: Vec<Vec<u32>>,
     finished: AtomicBool,
     round_deadline: Duration,
 }
@@ -234,17 +225,6 @@ impl PsServer {
                 fan_in: fan_in_tx,
                 slots: (0..k).map(|_| Mutex::new(None)).collect(),
                 gate: JobGate::new(k),
-                gauge: RoundGauge::new(&job.initial_params),
-                files_of: (0..k)
-                    .map(|w| {
-                        job.assignment
-                            .graph()
-                            .files_of(w)
-                            .iter()
-                            .map(|&file| file as u32)
-                            .collect()
-                    })
-                    .collect(),
                 finished: AtomicBool::new(false),
                 round_deadline: job.config.round_deadline,
             });
@@ -303,7 +283,6 @@ impl PsServer {
                             &job.config,
                             slot_txs,
                             fan_in_rx,
-                            Some(&handle.gauge),
                         );
                         // Job over: tell connected workers, then flip the
                         // finished flag (in that order — slot writers drain
@@ -402,15 +381,11 @@ fn admit_connection(
 ) -> Option<std::thread::JoinHandle<()>> {
     let mut link = TcpLink::from_stream(stream);
     let hello = link.recv_timeout(HELLO_TIMEOUT).ok()?;
-    // A `Hello` is a known slot reconnecting with its own local state; a
-    // `JoinRequest` is a fresh process taking the slot over mid-training
-    // and asking for the live job state it cannot derive.
-    let (job_id, worker, joining) = match Handshake::decode(&hello) {
-        Ok(Handshake::Hello { job_id, worker }) => (job_id, worker, false),
-        Ok(Handshake::JoinRequest { job_id, worker }) => (job_id, worker, true),
-        // Anything else — a confused or hostile peer. Drop silently;
-        // the protocol offers it nothing to talk to.
-        _ => return None,
+    // `Hello` is the only way in. Anything else — a retired join
+    // request, a round frame, garbage — comes from a confused or hostile
+    // peer: drop it silently, touching no slot.
+    let Ok(Handshake::Hello { job_id, worker }) = Handshake::decode(&hello) else {
+        return None;
     };
     let reject = |mut link: TcpLink, reason: RejectReason| {
         let _ = link.send(Handshake::Reject { job_id, reason }.encode());
@@ -429,23 +404,8 @@ fn admit_connection(
     // The admission reply goes out BEFORE the write-half is installed in
     // the slot: the slot writer only touches installed streams, so the
     // worker is guaranteed to read it before any round frame.
-    let reply = if joining {
-        Handshake::JoinWelcome {
-            job_id,
-            worker,
-            current_round: handle.gauge.round.load(Ordering::SeqCst),
-            params: handle.gauge.params_snapshot(),
-            files: handle.files_of[w].clone(),
-        }
-    } else {
-        Handshake::Welcome {
-            job_id,
-            worker,
-            current_round: handle.gauge.round.load(Ordering::SeqCst),
-            cluster_size: handle.slots.len() as u32,
-        }
-    };
-    link.send(reply.encode()).ok()?;
+    link.send(Handshake::Welcome { job_id, worker }.encode())
+        .ok()?;
 
     let write_half = link.stream().try_clone().ok()?;
     {
@@ -628,7 +588,7 @@ impl Link for ChaosLink<'_> {
 
 /// Runs one worker over TCP until its job shuts down: connect (with
 /// retry), handshake, protocol loop; on a lost connection, reconnect
-/// through a fresh handshake and resume at the current round.
+/// through a fresh handshake and resume at the next broadcast.
 ///
 /// # Errors
 ///
@@ -636,31 +596,12 @@ impl Link for ChaosLink<'_> {
 /// out, [`ClusterError::Transport`] for unrecoverable socket or
 /// handshake failures.
 pub fn run_tcp_worker(addr: SocketAddr, spec: &WorkerSpec) -> Result<(), ClusterError> {
-    run_tcp_member(addr, spec, false)
-}
-
-/// Runs a *joining* worker over TCP: a fresh process taking over a slot
-/// of a live job. It enters through the join handshake — receiving the
-/// current round, the current model parameters and the (possibly
-/// repaired) file set for its slot from the PS instead of deriving them
-/// from local state — then runs the ordinary protocol loop and
-/// contributes from the next broadcast. Reconnects re-join, picking up
-/// whatever placement the PS then serves.
-///
-/// # Errors
-///
-/// Same surface as [`run_tcp_worker`].
-pub fn run_tcp_joiner(addr: SocketAddr, spec: &WorkerSpec) -> Result<(), ClusterError> {
-    run_tcp_member(addr, spec, true)
-}
-
-fn run_tcp_member(addr: SocketAddr, spec: &WorkerSpec, joining: bool) -> Result<(), ClusterError> {
     let cluster = MessagePassingCluster::new(
         spec.assignment.clone(),
         Arc::clone(&spec.dataset),
         spec.model_dims.clone(),
     );
-    let mut ctx = cluster.worker_context(spec.worker_id, &spec.config);
+    let ctx = cluster.worker_context(spec.worker_id, &spec.config);
     let disconnect_round = spec.config.faults.disconnects_at(spec.worker_id);
     let stall_round = spec.config.faults.stalls_from(spec.worker_id);
     let mut disconnect_fired = false;
@@ -676,21 +617,7 @@ fn run_tcp_member(addr: SocketAddr, spec: &WorkerSpec, joining: bool) -> Result<
             fired: &mut disconnect_fired,
             round: 0,
         };
-        let admitted = if joining {
-            client_join_handshake(&mut link, spec.job_id, spec.worker_id as u32, HELLO_TIMEOUT).map(
-                |grant| {
-                    // The grant's file set overrides the local
-                    // assignment: the PS is the placement authority for
-                    // a joiner, and a repair may have moved files onto
-                    // this slot since the job was specced.
-                    ctx.my_files = grant.files;
-                },
-            )
-        } else {
-            client_handshake(&mut link, spec.job_id, spec.worker_id as u32, HELLO_TIMEOUT)
-                .map(|_current_round| ())
-        };
-        match admitted {
+        match client_handshake(&mut link, spec.job_id, spec.worker_id as u32, HELLO_TIMEOUT) {
             Ok(()) => {}
             // The job ran to completion while this worker was away —
             // a clean exit, not a failure.
@@ -724,7 +651,7 @@ fn run_tcp_member(addr: SocketAddr, spec: &WorkerSpec, joining: bool) -> Result<
                 attempts_left -= 1;
                 std::thread::sleep(spec.reconnect_backoff);
                 // Loop around: fresh connect, fresh handshake, resume at
-                // whatever round the job has reached.
+                // the next broadcast.
             }
         }
     }
@@ -822,5 +749,49 @@ mod tests {
         };
         assert_eq!(sent(&channel), vec![per_round; 3]);
         assert_eq!(sent(&tcp), sent(&channel));
+    }
+
+    #[test]
+    fn retired_join_request_is_dropped_without_touching_the_slot() {
+        use bytes::{BufMut, BytesMut};
+        use std::io::Read;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (fan_in, _fan_in_rx) = unbounded();
+        let handle = Arc::new(JobHandle {
+            fan_in,
+            slots: (0..15).map(|_| Mutex::new(None)).collect(),
+            gate: JobGate::new(15),
+            finished: AtomicBool::new(false),
+            round_deadline: Duration::from_secs(5),
+        });
+        let handles = HashMap::from([(1u64, Arc::clone(&handle))]);
+
+        // Slot 9 holds an honest worker's live stream.
+        let honest = TcpStream::connect(addr).unwrap();
+        *handle.slots[9].lock().unwrap() = Some(listener.accept().unwrap().0);
+
+        // A second peer opens with a sealed kind-11 frame (the retired
+        // join request) claiming the same slot.
+        let mut rogue = TcpStream::connect(addr).unwrap();
+        let mut body = BytesMut::new();
+        body.put_u64_le(1);
+        body.put_u32_le(9);
+        crate::tcp::write_frame(&mut rogue, &crate::message::seal_frame(11, body)).unwrap();
+        let (rogue_at_ps, _) = listener.accept().unwrap();
+
+        assert!(admit_connection(rogue_at_ps, &handles).is_none());
+        rogue
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(rogue.read(&mut [0u8; 64]).unwrap(), 0, "no reply, just EOF");
+        let slot = handle.slots[9].lock().unwrap();
+        assert_eq!(
+            slot.as_ref().unwrap().peer_addr().unwrap(),
+            honest.local_addr().unwrap(),
+            "slot 9 still holds the honest stream"
+        );
+        assert_eq!(handle.gate.wait(Duration::ZERO), Err(0), "no slot marked");
     }
 }

@@ -13,8 +13,7 @@ use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_nn::FastMlp;
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Attacks computable from a worker's *local* view (no collusion channel
@@ -270,50 +269,6 @@ pub(crate) enum WorkerExit {
 /// fast a worker notices a dead transport.
 const IDLE_RECV_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// Live-round observability shared between a job's PS loop and its
-/// connection-admission path (socket deployment only): the iteration
-/// counter stamps reconnect handshakes, and the model snapshot arms join
-/// grants with the current model.
-pub(crate) struct RoundGauge {
-    /// Round the PS loop is currently on (0 before training starts).
-    pub(crate) round: AtomicU64,
-    /// The current round's encoded broadcast — the frame the PS sent, so
-    /// refreshing it is a refcount bump.
-    broadcast: Mutex<Bytes>,
-}
-
-impl RoundGauge {
-    pub(crate) fn new(initial_params: &[f32]) -> Self {
-        RoundGauge {
-            round: AtomicU64::new(0),
-            broadcast: Mutex::new(encode_model_broadcast(0, initial_params, &[])),
-        }
-    }
-
-    /// Publishes round `t` and the broadcast that opens it.
-    fn refresh(&self, t: u64, broadcast: &Bytes) {
-        self.round.store(t, Ordering::SeqCst);
-        // Poisoning cannot corrupt the snapshot (the writer replaces it
-        // wholesale), so recover rather than panic.
-        match self.broadcast.lock() {
-            Ok(mut snapshot) => snapshot.clone_from(broadcast),
-            Err(poisoned) => poisoned.into_inner().clone_from(broadcast),
-        }
-    }
-
-    /// The model as of the current round's broadcast, decoded.
-    pub(crate) fn params_snapshot(&self) -> Vec<f32> {
-        let broadcast = match self.broadcast.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        };
-        match Message::decode(&broadcast) {
-            Ok(Message::ModelBroadcast { params, .. }) => params,
-            _ => unreachable!("the gauge holds a broadcast the PS encoded"),
-        }
-    }
-}
-
 /// A parameter server plus `K` worker threads, communicating exclusively
 /// through framed [`Message`]s over channels.
 pub struct MessagePassingCluster {
@@ -372,8 +327,11 @@ impl MessagePassingCluster {
     ///
     /// # Panics
     ///
-    /// Panics if the batch size is not divisible by the file count, or
-    /// if a worker thread panics.
+    /// Panics if the batch size is not divisible by the file count or
+    /// lies outside `1..=dataset.len()`, or if a worker thread panics.
+    /// The batch checks run before any worker is spawned: a PS that
+    /// panicked inside the scope would leave its workers waiting on
+    /// senders that are never dropped.
     pub fn train_run(&self, initial_params: Vec<f32>, config: &ServerConfig) -> WireTrainingRun {
         let k = self.assignment.num_workers();
         let f = self.assignment.num_files();
@@ -381,6 +339,12 @@ impl MessagePassingCluster {
             config.batch_size % f,
             0,
             "batch size must be divisible by the file count"
+        );
+        assert!(
+            (1..=self.dataset.len()).contains(&config.batch_size),
+            "batch size {} outside 1..={} (the dataset size)",
+            config.batch_size,
+            self.dataset.len()
         );
 
         // Frames travel as refcounted `Bytes`: broadcasting one encoded
@@ -401,7 +365,7 @@ impl MessagePassingCluster {
             }
             drop(to_ps);
 
-            let result = self.ps_loop(initial_params, config, &to_workers, &from_workers, None);
+            let result = self.ps_loop(initial_params, config, &to_workers, &from_workers);
 
             let bye = Message::Shutdown.encode();
             for tx in &to_workers {
@@ -459,19 +423,12 @@ impl MessagePassingCluster {
     /// run executes this identical loop on the identical frame multiset
     /// — which is what makes TCP ≡ channel bit-identity a structural
     /// property instead of a test-enforced hope.
-    ///
-    /// `gauge`, when present, is refreshed as each round opens: the
-    /// iteration counter stamps `current_round` into reconnect
-    /// handshakes, and the round's broadcast frame arms join grants with
-    /// the current model (socket deployments only — in-process runs pass
-    /// `None`).
     pub(crate) fn ps_loop(
         &self,
         initial_params: Vec<f32>,
         config: &ServerConfig,
         to_workers: &[Sender<Bytes>],
         from_workers: &Receiver<Bytes>,
-        gauge: Option<&RoundGauge>,
     ) -> WireTrainingRun {
         let k = self.assignment.num_workers();
         let f = self.assignment.num_files();
@@ -498,9 +455,6 @@ impl MessagePassingCluster {
         for t in 1..=config.iterations as u64 {
             let files = next_files.take().unwrap_or_else(&mut sample_files);
             let broadcast = encode_model_broadcast(t, &params, &files);
-            if let Some(gauge) = gauge {
-                gauge.refresh(t, &broadcast);
-            }
             let mut bytes_sent = 0;
             for tx in to_workers {
                 // A closed channel means the worker thread is gone — the
@@ -937,6 +891,22 @@ mod tests {
         assert!(summaries.iter().all(|s| s.missing_votes == 0));
         let acc = accuracy(&params, &dims, &data, 200);
         assert!(acc > 0.5, "train accuracy only {acc}");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=400 (the dataset size)")]
+    fn train_run_refuses_a_batch_larger_than_the_dataset_before_spawning() {
+        let dims = vec![36usize, 16, 4];
+        let cluster = MessagePassingCluster::new(
+            MolsAssignment::new(5, 3).unwrap().build(),
+            dataset(),
+            dims.clone(),
+        );
+        let cfg = ServerConfig {
+            batch_size: 425,
+            ..config(1, vec![])
+        };
+        cluster.train_run(initial_params(&dims), &cfg);
     }
 
     #[test]
@@ -1464,7 +1434,7 @@ mod tests {
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let initial = initial_params(&self.dims);
                     self.cluster
-                        .ps_loop(initial, config, &to_workers, &from_workers, None)
+                        .ps_loop(initial, config, &to_workers, &from_workers)
                 }));
                 for tx in &to_workers {
                     let _ = tx.send(Message::Shutdown.encode());

@@ -14,13 +14,10 @@
 //! 4. under a straggler, bounded staleness buys wall-clock rounds/s at
 //!    the PS without a loss regression.
 //!
-//! The TCP plane is covered by the joiner conformance test: a worker
-//! entering through the join handshake (current round + params + file
-//! set granted by the PS) must land on the channel baseline bit for bit.
+//! Churn is an in-process axis: a socket job admits workers only through
+//! `Hello` into its spec's fixed slot table (`tests/socket_deployment.rs`).
 
-use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 use byzshield::prelude::*;
@@ -354,81 +351,4 @@ fn bounded_staleness_outpaces_barrier_under_straggler() {
          ({}x)",
         barrier_ns as f64 / bounded_ns as f64,
     );
-}
-
-/// TCP joiner conformance: a worker that enters through the join
-/// handshake — receiving the current round, the model snapshot and its
-/// file set from the PS instead of deriving them locally — must land the
-/// job on the channel baseline bit for bit.
-#[test]
-fn tcp_joiner_matches_channel_baseline() {
-    let dims = vec![64usize, 16, 5];
-    let (train, _) = small_dataset();
-    let data = Arc::new(train);
-    let assignment = MolsAssignment::new(5, 3).unwrap().build();
-    let initial = {
-        let mut rng = StdRng::seed_from_u64(2);
-        FastMlp::new(&dims, &mut rng).params_flat()
-    };
-    let job = JobSpec {
-        job_id: 1,
-        assignment: assignment.clone(),
-        dataset: Arc::clone(&data),
-        model_dims: dims.clone(),
-        initial_params: initial.clone(),
-        config: ServerConfig {
-            iterations: 4,
-            seed: 21,
-            ..ServerConfig::default()
-        },
-    };
-
-    let channel = MessagePassingCluster::new(assignment.clone(), Arc::clone(&data), dims.clone())
-        .train_run(initial, &job.config);
-
-    let server = PsServer::bind("127.0.0.1:0".parse().unwrap()).expect("bind loopback");
-    let addr: SocketAddr = server.local_addr().expect("local addr");
-    let mut workers = Vec::new();
-    for w in 0..assignment.num_workers() {
-        let spec = WorkerSpec::new(
-            job.job_id,
-            w,
-            assignment.clone(),
-            Arc::clone(&data),
-            dims.clone(),
-            job.config.clone(),
-        );
-        // Worker 9 enters through the join handshake; everyone else
-        // through the seed handshake. The joiner's granted file set is
-        // its slot's placement, so the run must be indistinguishable.
-        workers.push(thread::spawn(move || {
-            if w == 9 {
-                run_tcp_joiner(addr, &spec)
-            } else {
-                run_tcp_worker(addr, &spec)
-            }
-        }));
-    }
-    let results = server
-        .serve(vec![job], Duration::from_secs(30))
-        .expect("serve completes");
-    for worker in workers {
-        worker
-            .join()
-            .expect("worker thread panicked")
-            .expect("worker exited with error");
-    }
-
-    let tcp = &results[0].run;
-    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&tcp.params),
-        bits(&channel.params),
-        "joiner-admitted TCP run diverged from the channel baseline"
-    );
-    assert_eq!(tcp.summaries.len(), channel.summaries.len());
-    for (a, b) in tcp.summaries.iter().zip(&channel.summaries) {
-        assert_eq!(a.missing_votes, b.missing_votes);
-        assert_eq!(a.abandoned_files, b.abandoned_files);
-    }
 }
