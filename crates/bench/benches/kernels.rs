@@ -16,10 +16,19 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
     // 256³ is the acceptance shape; the others are FastMlp layer shapes
-    // (batch × input × hidden, batch × hidden × classes).
-    for &(m, k, n) in &[(256usize, 256usize, 256usize), (64, 784, 64), (64, 64, 10)] {
+    // (batch × input × hidden, batch × hidden × classes), the last two
+    // `compute_heavy`'s 512-sample replica on the 256 → 256 → 10 MLP.
+    let shapes = [
+        (256usize, 256usize, 256usize),
+        (64, 784, 64),
+        (64, 64, 10),
+        (512, 256, 256),
+        (512, 256, 10),
+    ];
+    for (m, k, n) in shapes {
         let a = filled(m * k, 1);
         let b = filled(k * n, 2);
+        let g = filled(m * n, 3);
         let label = format!("{m}x{k}x{n}");
         group.bench_with_input(BenchmarkId::new("naive", &label), &(), |bench, ()| {
             let mut out = vec![0.0f32; m * n];
@@ -42,6 +51,21 @@ fn bench_matmul(c: &mut Criterion) {
                 byz_kernel::matmul(
                     std::hint::black_box(&a),
                     std::hint::black_box(&b),
+                    &mut out,
+                    m,
+                    k,
+                    n,
+                );
+            })
+        });
+        // The layer's weight gradient `Aᵀ·G` (k×n, m deep).
+        group.bench_with_input(BenchmarkId::new("transa", &label), &(), |bench, ()| {
+            let mut out = vec![0.0f32; k * n];
+            bench.iter(|| {
+                out.fill(0.0);
+                byz_kernel::matmul_transa(
+                    std::hint::black_box(&a),
+                    std::hint::black_box(&g),
                     &mut out,
                     m,
                     k,

@@ -56,10 +56,25 @@ fn bench_replica_gradient(c: &mut Criterion) {
     });
 }
 
+/// One replica of `compute_heavy`: a 512-sample file on the 256×256×10
+/// MLP, where the two 512×256×256 GEMMs dominate.
+fn bench_batch_gradient(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(11);
+    let model = FastMlp::new(&[256, 256, 10], &mut rng);
+    let x: Vec<f32> = (0..512 * 256)
+        .map(|i| (i % 23) as f32 / 23.0 - 0.4)
+        .collect();
+    let labels: Vec<usize> = (0..512).map(|s| s % 10).collect();
+    c.bench_function("fast_mlp_gradient_sum_batch512_256x256x10", |b| {
+        b.iter(|| model.gradient_sum(std::hint::black_box(&x), 512, &labels))
+    });
+}
+
 criterion_group!(
     benches,
     bench_training,
     bench_file_gradient,
-    bench_replica_gradient
+    bench_replica_gradient,
+    bench_batch_gradient
 );
 criterion_main!(benches);

@@ -5,25 +5,40 @@
 //! (`KC`×`NC` of B, `MC`×`KC` of A), and the innermost computation is a
 //! register-resident `mr`×`nr` micro-kernel.
 //!
-//! The register tile is selected once at runtime: on x86-64 with AVX2 and
-//! FMA a 6×16 micro-kernel written with `std::arch` intrinsics (twelve
-//! 8-lane accumulators — the classic BLIS/Haswell shape); elsewhere a
-//! portable 4×8 kernel whose inner loop is written to auto-vectorize on
-//! the target's baseline (SSE2, NEON, …). Both accumulate the full
-//! `kc`-deep dot products in registers, which is where the win over the
-//! naive row-scaled triple loop comes from: the naive loop streams the
-//! whole output row through memory once per depth step, the micro-kernel
-//! touches C exactly once per `KC` block.
+//! The register tile is selected from the CPU, probed once per process:
+//!
+//! * x86-64 with AVX-512F: an 8×32 micro-kernel — sixteen 16-lane
+//!   `__m512` accumulators, two B vectors and eight broadcast A values
+//!   per depth step — for every product but a small one, which stays on
+//!   the AVX2 tile (a lone 512-bit burst costs the core more than it
+//!   saves);
+//! * x86-64 with AVX2 and FMA: a 6×16 micro-kernel (twelve 8-lane
+//!   accumulators — the classic BLIS/Haswell shape);
+//! * elsewhere a portable 4×8 kernel whose inner loop is written to
+//!   auto-vectorize on the target's baseline (SSE2, NEON, …).
+//!
+//! Each accumulates the full `kc`-deep dot products in registers, which is
+//! where the win over the naive row-scaled triple loop comes from: the
+//! naive loop streams the whole output row through memory once per depth
+//! step, the micro-kernel touches C exactly once per `KC` block.
+//!
+//! **The rounding contract.** Every tile computes each output element, per
+//! `KC` block, as one multiply-add chain started from +0 in ascending
+//! depth order, and adds the chain to `out` once; the blocks are taken in
+//! ascending order. Tile shape, path (blocked, narrow, skinny), `MC`,
+//! `NC` and the thread count therefore never reach the bits — only `KC`
+//! and whether the multiply-add is fused do. The AVX-512 and AVX2 tiles
+//! both fuse, so they are bitwise equal (the tests pin it) and honest
+//! replicas computed on AVX2 and AVX-512 hosts vote together. The
+//! portable tile rounds the product before the add, so a host without FMA
+//! computes different bits from an FMA host: in a mixed fleet that host's
+//! honest replicas would be outvoted.
 //!
 //! Large products additionally fan row-blocks out across the persistent
 //! [`crate::pool`]. The row partition depends only on the shapes (blocks
-//! of `MC` rows), each output element is written by exactly one task, and
-//! the `KC` blocks are accumulated in ascending order — so results are
-//! bitwise identical no matter how many threads the pool has (including
-//! the inline single-thread path). The micro-kernel choice is a
-//! process-wide constant, so repeated runs on one machine are bitwise
-//! reproducible too; across machines, FMA vs. mul+add rounding may
-//! differ — the same caveat as any BLAS.
+//! of `MC` rows) and each output element is written by exactly one task,
+//! so results are bitwise identical no matter how many threads the pool
+//! has (including the inline single-thread path).
 //!
 //! Skinny products — at most `SKINNY` rows (a small-batch forward
 //! pass) or at most `SKINNY` deep (the rank-`batch` weight gradient) —
@@ -31,14 +46,18 @@
 //! operand through one axpy kernel on the calling thread, with no
 //! packing, no scratch and no pool, and reproduces the blocked path's
 //! per-element arithmetic exactly, so which path ran is unobservable in
-//! the bits.
+//! the bits. Narrow products — at most `NARROW` (16) columns, a
+//! classifier head — take the AVX-512 tile's narrow kernel where there is
+//! one: B is packed as a single 16-wide panel and A read in place, since
+//! packing A would cost more than the few lanes of work it feeds.
 //!
 //! All entry points *accumulate* (`out += …`): the MLP forward pass
 //! accumulates onto a broadcast bias, so `+=` is the primitive. Callers wanting a
 //! plain product zero `out` first. [`matmul_transa`] / [`matmul_transb`]
 //! fuse the transposes the backward pass needs (`dB = Aᵀ·G`,
-//! `dA = G·Bᵀ`) into the packing closures, so no transposed copy is ever
-//! materialized.
+//! `dA = G·Bᵀ`) into packing: each operand is a strided `View`, packed
+//! with `copy_from_slice` where its runs are contiguous and gathered
+//! where they are not, so no transposed copy is ever materialized.
 
 use crate::buffer::with_scratch;
 use crate::pool::parallel_chunks_mut;
@@ -51,9 +70,14 @@ const KC: usize = 256;
 /// Columns of B (and C) per cache block — the B block is `KC`×`NC`.
 const NC: usize = 256;
 
-/// Below this many multiply-adds the whole product runs on the calling
-/// thread — the fan-out bookkeeping would dominate.
-const PARALLEL_THRESHOLD: usize = 1 << 16;
+/// Below this many multiply-adds a product is small: it runs on the
+/// calling thread — the fan-out bookkeeping would dominate — and on
+/// 256-bit vectors even where the AVX-512 tile exists. A lone burst of
+/// 512-bit FMAs between scalar work costs the core a power and frequency
+/// transition that outlasts the product: batch-1 replicas, whose one
+/// blocked product is 1×10×256, lost 16 % of `straggler_sparse_bounded`'s
+/// rounds/s to the wide tile.
+const SMALL_PRODUCT: usize = 1 << 16;
 
 /// Products with at most this many rows, or at most this much depth, take
 /// the pack-free path. Measured (`cargo bench --bench kernels`, group
@@ -104,14 +128,35 @@ type MicroKernel = unsafe fn(
 type SkinnyRow =
     unsafe fn(a: &[f32], a_stride: usize, b: &[f32], ldb: usize, kc: usize, out: &mut [f32]);
 
+/// Up to [`NARROW_MR`] rows of a product at most [`NARROW`] columns wide:
+/// `out[i·ldo + j] += Σ_{p<kc} A(i,p) · bpan[p·NARROW + j]` for `i < h`,
+/// `j < w`, with A read in place through its view and B packed as one
+/// zero-padded `NARROW`-wide panel — per element, the arithmetic of the
+/// paired [`MicroKernel`] on one `KC` block.
+///
+/// # Safety
+///
+/// Callable only if the CPU features it was compiled for are present
+/// (guaranteed by [`tile`]); the slice bounds are checked.
+type NarrowKernel =
+    unsafe fn(a: View, bpan: &[f32], kc: usize, h: usize, w: usize, out: &mut [f32], ldo: usize);
+
+/// Columns a narrow product may have: one 16-lane vector.
+const NARROW: usize = 16;
+
+/// Rows per narrow-kernel call: eight independent FMA chains cover the
+/// FMA latency without running out of general registers for row pointers.
+const NARROW_MR: usize = 8;
+
 /// The register tile selected for this process, with the skinny kernel
-/// that rounds the same way.
+/// that rounds the same way and, where there is one, the narrow kernel.
 #[derive(Clone, Copy)]
 struct Tile {
     mr: usize,
     nr: usize,
     micro: MicroKernel,
     skinny: SkinnyRow,
+    narrow: Option<NarrowKernel>,
 }
 
 const PORTABLE_TILE: Tile = Tile {
@@ -119,6 +164,7 @@ const PORTABLE_TILE: Tile = Tile {
     nr: 8,
     micro: micro_4x8_portable,
     skinny: skinny_row_portable,
+    narrow: None,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -127,19 +173,89 @@ const AVX2_FMA_TILE: Tile = Tile {
     nr: 16,
     micro: micro_6x16_avx2_fma,
     skinny: skinny_row_avx2_fma,
+    narrow: None,
 };
 
-/// Detects the best available micro-kernel once per process.
-fn tile() -> Tile {
-    static TILE: OnceLock<Tile> = OnceLock::new();
-    *TILE.get_or_init(|| {
+/// The wide tile. Its skinny pairing is the AVX2 one: both fuse the
+/// multiply-add, so they round alike.
+#[cfg(target_arch = "x86_64")]
+const AVX512_TILE: Tile = Tile {
+    mr: 8,
+    nr: 32,
+    micro: micro_8x32_avx512,
+    skinny: skinny_row_avx2_fma,
+    narrow: Some(narrow_8x16_avx512),
+};
+
+/// Whether this CPU runs [`AVX2_FMA_TILE`].
+#[cfg(target_arch = "x86_64")]
+fn has_avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Whether this CPU runs [`AVX512_TILE`] (its skinny kernel needs AVX2).
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    has_avx2_fma() && std::arch::is_x86_feature_detected!("avx512f")
+}
+
+/// The register tile for a product of `macs` multiply-adds. The CPU is
+/// probed once per process; the size only matters on AVX-512 hosts,
+/// where a [`SMALL_PRODUCT`] keeps to the AVX2 tile (the same bits).
+fn tile(macs: usize) -> Tile {
+    static TILES: OnceLock<(Tile, Tile)> = OnceLock::new();
+    let (small, large) = *TILES.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return AVX2_FMA_TILE;
+        if has_avx512() {
+            return (AVX2_FMA_TILE, AVX512_TILE);
+        } else if has_avx2_fma() {
+            return (AVX2_FMA_TILE, AVX2_FMA_TILE);
         }
-        PORTABLE_TILE
-    })
+        (PORTABLE_TILE, PORTABLE_TILE)
+    });
+    if macs < SMALL_PRODUCT {
+        small
+    } else {
+        large
+    }
+}
+
+/// A read-only strided matrix: element `(i, j)` is `data[i·rs + j·cs]`.
+/// Row-major operands have `cs = 1`, transposed ones `rs = 1`; indexing
+/// goes through the slice, so a view too short for its shape panics.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> View<'a> {
+    /// `data` read as a row-major matrix `cols` wide.
+    fn row_major(data: &'a [f32], cols: usize) -> Self {
+        View {
+            data,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
+    /// The transpose of `data` read as a row-major matrix `cols` wide.
+    fn transposed(data: &'a [f32], cols: usize) -> Self {
+        View {
+            data,
+            rs: 1,
+            cs: cols,
+        }
+    }
+
+    /// The same matrix with its first `i0` rows and `j0` columns dropped.
+    fn sub(self, i0: usize, j0: usize) -> Self {
+        View {
+            data: &self.data[i0 * self.rs + j0 * self.cs..],
+            ..self
+        }
+    }
 }
 
 /// `out += A·B` — the seed's naive i-k-j loop (with zero-skip), kept as
@@ -168,10 +284,11 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
     assert_eq!(b.len(), k * n, "rhs shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
+    let a = View::row_major(a, k);
     if is_skinny(m, k) {
-        gemm_skinny(m, k, n, a, k, 1, b, out, tile());
+        gemm_skinny(m, k, n, a, b, out, tile(m * k * n));
     } else {
-        gemm(m, k, n, &|i, p| a[i * k + p], &|p, j| b[p * n + j], out);
+        gemm(m, k, n, a, View::row_major(b, n), out);
     }
 }
 
@@ -181,10 +298,11 @@ pub fn matmul_transa(a: &[f32], g: &[f32], out: &mut [f32], m: usize, k: usize, 
     assert_eq!(a.len(), m * k, "lhs shape mismatch");
     assert_eq!(g.len(), m * n, "grad shape mismatch");
     assert_eq!(out.len(), k * n, "output shape mismatch");
+    let at = View::transposed(a, k);
     if is_skinny(k, m) {
-        gemm_skinny(k, m, n, a, 1, k, g, out, tile());
+        gemm_skinny(k, m, n, at, g, out, tile(m * k * n));
     } else {
-        gemm(k, m, n, &|t, i| a[i * k + t], &|i, j| g[i * n + j], out);
+        gemm(k, m, n, at, View::row_major(g, n), out);
     }
 }
 
@@ -194,7 +312,7 @@ pub fn matmul_transb(g: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, 
     assert_eq!(g.len(), m * n, "grad shape mismatch");
     assert_eq!(b.len(), k * n, "rhs shape mismatch");
     assert_eq!(out.len(), m * k, "output shape mismatch");
-    gemm(m, n, k, &|i, j| g[i * n + j], &|j, t| b[t * n + j], out);
+    gemm(m, n, k, View::row_major(g, n), View::transposed(b, n), out);
 }
 
 /// The shape rule: few rows or little depth leaves the blocked tile
@@ -204,18 +322,15 @@ fn is_skinny(rows: usize, depth: usize) -> bool {
 }
 
 /// Pack-free `out[i·cols + j] += Σ_p A(i,p) · b[p·cols + j]` on the
-/// calling thread, with `A(i,p) = a[i·a_row + p·a_depth]` (so the same
-/// loop serves `A·B` and `Aᵀ·G`) and B row-major. Bitwise identical to
-/// [`gemm_serial`] with the same tile: `KC` blocks in ascending order,
-/// each accumulated from zero and added to `out` once.
-#[allow(clippy::too_many_arguments)]
+/// calling thread, with A any view (so the same loop serves `A·B` and
+/// `Aᵀ·G`) and B row-major. Bitwise identical to [`gemm_serial`] with the
+/// same tile: `KC` blocks in ascending order, each accumulated from zero
+/// and added to `out` once.
 fn gemm_skinny(
     rows: usize,
     depth: usize,
     cols: usize,
-    a: &[f32],
-    a_row: usize,
-    a_depth: usize,
+    a: View,
     b: &[f32],
     out: &mut [f32],
     t: Tile,
@@ -227,62 +342,76 @@ fn gemm_skinny(
             let w = jb.min(cols - jc);
             let b_block = &b[pc * cols + jc..];
             for i in 0..rows {
-                let a_row_block = &a[i * a_row + pc * a_depth..];
+                let a_row_block = &a.data[i * a.rs + pc * a.cs..];
                 let out_row = &mut out[i * cols + jc..][..w];
-                // SAFETY: `t` comes from `tile()` (or a test that checked
+                // SAFETY: `t` comes from `tile` (or a test that checked
                 // the features itself), so the kernel's CPU features are
                 // present.
-                unsafe { (t.skinny)(a_row_block, a_depth, b_block, cols, kc, out_row) };
+                unsafe { (t.skinny)(a_row_block, a.cs, b_block, cols, kc, out_row) };
             }
         }
     }
 }
 
-/// Shared driver: `out[i·cols + j] += Σ_p a_get(i,p) · b_get(p,j)`.
+/// Shared driver: `out[i·cols + j] += Σ_p A(i,p) · B(p,j)`.
 ///
-/// Small products run serially; large ones split `out` into blocks of
-/// `MC` rows on the pool. The split depends only on the shapes, so the
-/// result is identical for every pool size.
-fn gemm<A, B>(rows: usize, depth: usize, cols: usize, a_get: &A, b_get: &B, out: &mut [f32])
-where
-    A: Fn(usize, usize) -> f32 + Sync,
-    B: Fn(usize, usize) -> f32 + Sync,
-{
+/// Products at most [`NARROW`] wide go to the tile's narrow kernel when
+/// it has one. Other products under [`SMALL_PRODUCT`] run serially; large ones split `out`
+/// into blocks of `MC` rows on the pool. The split depends only on the
+/// shapes, so the result is identical for every pool size.
+fn gemm(rows: usize, depth: usize, cols: usize, a: View, b: View, out: &mut [f32]) {
     if rows == 0 || depth == 0 || cols == 0 {
         return;
     }
-    let t = tile();
-    if rows * depth * cols < PARALLEL_THRESHOLD || rows <= MC {
-        gemm_serial(rows, depth, cols, a_get, b_get, out, t);
+    let macs = rows * depth * cols;
+    let t = tile(macs);
+    if cols <= NARROW {
+        if let Some(narrow) = t.narrow {
+            gemm_narrow(rows, depth, cols, a, b, out, narrow);
+            return;
+        }
+    }
+    if macs < SMALL_PRODUCT || rows <= MC {
+        gemm_serial(rows, depth, cols, a, b, out, t);
         return;
     }
     parallel_chunks_mut(out, MC * cols, |start, piece| {
-        let i0 = start / cols;
-        gemm_serial(
-            piece.len() / cols,
-            depth,
-            cols,
-            &|i, p| a_get(i0 + i, p),
-            b_get,
-            piece,
-            t,
-        );
+        let a = a.sub(start / cols, 0);
+        gemm_serial(piece.len() / cols, depth, cols, a, b, piece, t);
+    });
+}
+
+/// A product at most [`NARROW`] columns wide (a classifier head, or its
+/// weight gradient) on the calling thread: the blocked tile would pack all
+/// of A to fill a few of its lanes, so B alone is packed, one `KC` block
+/// at a time, and A is read in place. Bitwise identical to
+/// [`gemm_serial`] on a tile that rounds like `narrow`.
+fn gemm_narrow(
+    rows: usize,
+    depth: usize,
+    cols: usize,
+    a: View,
+    b: View,
+    out: &mut [f32],
+    narrow: NarrowKernel,
+) {
+    with_scratch(KC.min(depth) * NARROW, |bp| {
+        for pc in (0..depth).step_by(KC) {
+            let kc = KC.min(depth - pc);
+            pack_b(bp, b, pc, 0, kc, cols, NARROW);
+            for i0 in (0..rows).step_by(NARROW_MR) {
+                let h = NARROW_MR.min(rows - i0);
+                // SAFETY: `narrow` comes from `tile` (or a test that
+                // checked the features itself), so its CPU features are
+                // present.
+                unsafe { narrow(a.sub(i0, pc), bp, kc, h, cols, &mut out[i0 * cols..], cols) };
+            }
+        }
     });
 }
 
 /// One thread's worth of blocked GEMM over a row-slice of C.
-fn gemm_serial<A, B>(
-    rows: usize,
-    depth: usize,
-    cols: usize,
-    a_get: &A,
-    b_get: &B,
-    out: &mut [f32],
-    t: Tile,
-) where
-    A: Fn(usize, usize) -> f32 + ?Sized,
-    B: Fn(usize, usize) -> f32 + ?Sized,
-{
+fn gemm_serial(rows: usize, depth: usize, cols: usize, a: View, b: View, out: &mut [f32], t: Tile) {
     // Panel buffers for the largest block this shape has, rounded up to
     // whole mr/nr panels (packing writes the zero padding itself).
     let kc_max = KC.min(depth);
@@ -293,11 +422,11 @@ fn gemm_serial<A, B>(
                 let n_panels = nc.div_ceil(t.nr);
                 for pc in (0..depth).step_by(KC) {
                     let kc = KC.min(depth - pc);
-                    pack_b(bp, b_get, pc, jc, kc, nc, t.nr);
+                    pack_b(bp, b, pc, jc, kc, nc, t.nr);
                     for ic in (0..rows).step_by(MC) {
                         let mc = MC.min(rows - ic);
                         let m_panels = mc.div_ceil(t.mr);
-                        pack_a(ap, a_get, ic, pc, mc, kc, t.mr);
+                        pack_a(ap, a, ic, pc, mc, kc, t.mr);
                         for jp in 0..n_panels {
                             let j0 = jp * t.nr;
                             let w = t.nr.min(nc - j0);
@@ -307,7 +436,7 @@ fn gemm_serial<A, B>(
                                 let h = t.mr.min(mc - i0);
                                 let apan = &ap[ip * kc * t.mr..];
                                 let c = out[(ic + i0) * cols + jc + j0..].as_mut_ptr();
-                                // SAFETY: `tile()` only returns kernels
+                                // SAFETY: `tile` only returns kernels
                                 // whose CPU features were detected; the
                                 // panels hold `kc` packed steps and `c`
                                 // addresses an in-bounds h×w region of
@@ -326,23 +455,29 @@ fn gemm_serial<A, B>(
 
 /// Packs the `kc`×`nc` block of B at `(pc, jc)` into `nr`-wide column
 /// panels: `bp[panel·kc·nr + p·nr + l] = B[pc+p, jc+panel·nr+l]`, zero
-/// padded past `nc`.
-fn pack_b<B>(bp: &mut [f32], b_get: &B, pc: usize, jc: usize, kc: usize, nc: usize, nr: usize)
-where
-    B: Fn(usize, usize) -> f32 + ?Sized,
-{
-    for panel in 0..nc.div_ceil(nr) {
-        let j0 = panel * nr;
-        let w = nr.min(nc - j0);
-        let dst = &mut bp[panel * kc * nr..(panel + 1) * kc * nr];
-        for p in 0..kc {
-            let row = &mut dst[p * nr..(p + 1) * nr];
-            for (l, slot) in row.iter_mut().enumerate() {
-                *slot = if l < w {
-                    b_get(pc + p, jc + j0 + l)
-                } else {
-                    0.0
-                };
+/// padded past `nc`. A row-major B's panel rows are copied whole; a
+/// transposed B is gathered one panel column at a time, walking B's
+/// contiguous storage.
+fn pack_b(bp: &mut [f32], b: View, pc: usize, jc: usize, kc: usize, nc: usize, nr: usize) {
+    let panels = bp[..nc.div_ceil(nr) * kc * nr].chunks_exact_mut(kc * nr);
+    for (panel, dst) in panels.enumerate() {
+        let j0 = jc + panel * nr;
+        let w = nr.min(jc + nc - j0);
+        if b.cs == 1 {
+            for (p, row) in dst.chunks_exact_mut(nr).enumerate() {
+                let src = &b.data[(pc + p) * b.rs + j0..][..w];
+                row[..w].copy_from_slice(src);
+                row[w..].fill(0.0);
+            }
+        } else {
+            for l in 0..w {
+                let src = &b.data[pc * b.rs + (j0 + l) * b.cs..];
+                for (p, slot) in dst[l..].iter_mut().step_by(nr).enumerate() {
+                    *slot = src[p * b.rs];
+                }
+            }
+            for row in dst.chunks_exact_mut(nr) {
+                row[w..].fill(0.0);
             }
         }
     }
@@ -350,23 +485,29 @@ where
 
 /// Packs the `mc`×`kc` block of A at `(ic, pc)` into `mr`-tall row
 /// panels: `ap[panel·kc·mr + p·mr + r] = A[ic+panel·mr+r, pc+p]`, zero
-/// padded past `mc`.
-fn pack_a<A>(ap: &mut [f32], a_get: &A, ic: usize, pc: usize, mc: usize, kc: usize, mr: usize)
-where
-    A: Fn(usize, usize) -> f32 + ?Sized,
-{
-    for panel in 0..mc.div_ceil(mr) {
-        let i0 = panel * mr;
-        let h = mr.min(mc - i0);
-        let dst = &mut ap[panel * kc * mr..(panel + 1) * kc * mr];
-        for p in 0..kc {
-            let col = &mut dst[p * mr..(p + 1) * mr];
-            for (r, slot) in col.iter_mut().enumerate() {
-                *slot = if r < h {
-                    a_get(ic + i0 + r, pc + p)
-                } else {
-                    0.0
-                };
+/// padded past `mc`. A transposed A's panel columns are copied whole; a
+/// row-major A is gathered one panel row at a time, walking A's
+/// contiguous storage.
+fn pack_a(ap: &mut [f32], a: View, ic: usize, pc: usize, mc: usize, kc: usize, mr: usize) {
+    let panels = ap[..mc.div_ceil(mr) * kc * mr].chunks_exact_mut(kc * mr);
+    for (panel, dst) in panels.enumerate() {
+        let i0 = ic + panel * mr;
+        let h = mr.min(ic + mc - i0);
+        if a.rs == 1 {
+            for (p, col) in dst.chunks_exact_mut(mr).enumerate() {
+                let src = &a.data[(pc + p) * a.cs + i0..][..h];
+                col[..h].copy_from_slice(src);
+                col[h..].fill(0.0);
+            }
+        } else {
+            for r in 0..h {
+                let src = &a.data[(i0 + r) * a.rs + pc * a.cs..];
+                for (p, slot) in dst[r..].iter_mut().step_by(mr).enumerate() {
+                    *slot = src[p * a.cs];
+                }
+            }
+            for col in dst.chunks_exact_mut(mr) {
+                col[h..].fill(0.0);
             }
         }
     }
@@ -571,6 +712,118 @@ unsafe fn micro_6x16_avx2_fma(
     }
 }
 
+/// 8×32 AVX-512F micro-kernel: sixteen 16-lane accumulators, two B loads
+/// and eight A broadcasts per depth step. The same `vfmadd` chain per
+/// element as [`micro_6x16_avx2_fma`], so the two are bitwise equal;
+/// ragged right edges store through lane masks. (Measured against 12×32
+/// and 14×32 on 512×256×256, `cargo bench --bench kernels`: all within
+/// 3 %; 8 rows divide `MC`, so no row panel is padding.)
+///
+/// # Safety
+///
+/// See [`MicroKernel`]. Requires AVX-512F (checked by [`tile`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn micro_8x32_avx512(
+    apan: *const f32,
+    bpan: *const f32,
+    c: *mut f32,
+    ldc: usize,
+    kc: usize,
+    h: usize,
+    w: usize,
+) {
+    use std::arch::x86_64::*;
+    const MR: usize = 8;
+    const NR: usize = 32;
+    let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+    for p in 0..kc {
+        let b0 = _mm512_loadu_ps(bpan.add(p * NR));
+        let b1 = _mm512_loadu_ps(bpan.add(p * NR + 16));
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let ai = _mm512_set1_ps(*apan.add(p * MR + i));
+            acc_row[0] = _mm512_fmadd_ps(ai, b0, acc_row[0]);
+            acc_row[1] = _mm512_fmadd_ps(ai, b1, acc_row[1]);
+        }
+    }
+    // Lane masks for the two halves of a `w`-wide row; a masked load or
+    // store touches no memory in its cleared lanes.
+    let (lo, hi) = (lane_mask(w), lane_mask(w.saturating_sub(16)));
+    for (i, acc_row) in acc.iter().enumerate().take(h) {
+        let row = c.add(i * ldc);
+        _mm512_mask_storeu_ps(
+            row,
+            lo,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(lo, row), acc_row[0]),
+        );
+        if w > 16 {
+            let row = row.add(16);
+            _mm512_mask_storeu_ps(
+                row,
+                hi,
+                _mm512_add_ps(_mm512_maskz_loadu_ps(hi, row), acc_row[1]),
+            );
+        }
+    }
+}
+
+/// The 16-lane mask with the low `min(n, 16)` lanes set.
+#[cfg(target_arch = "x86_64")]
+fn lane_mask(n: usize) -> u16 {
+    ((1u32 << n.min(16)) - 1) as u16
+}
+
+/// 8-row AVX-512F narrow kernel: one 16-lane accumulator per row, one B
+/// load and eight A broadcasts per depth step, each element the same
+/// `vfmadd` chain as [`micro_8x32_avx512`]'s.
+///
+/// # Safety
+///
+/// See [`NarrowKernel`]. Requires AVX-512F (checked by [`tile`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn narrow_8x16_avx512(
+    a: View,
+    bpan: &[f32],
+    kc: usize,
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    use std::arch::x86_64::*;
+    if kc == 0 || h == 0 || w == 0 {
+        return;
+    }
+    assert!(h <= NARROW_MR && w <= NARROW, "narrow tile overflow");
+    assert!(
+        a.data.len() > (h - 1) * a.rs + (kc - 1) * a.cs,
+        "lhs too short"
+    );
+    assert!(bpan.len() >= kc * NARROW, "rhs panel too short");
+    assert!(out.len() >= (h - 1) * ldo + w, "output too short");
+    // SAFETY (whole body): the asserts above bound every read of A at
+    // `i < h`, `p < kc`, of the panel at `p < kc`, and every write of
+    // `out` at `i < h`, `j < w` (the masked load/store touch only the `w`
+    // live lanes). Rows past `h` re-read row `h − 1` and are not stored,
+    // which keeps the row loop fixed-size.
+    let rows: [*const f32; NARROW_MR] =
+        std::array::from_fn(|i| a.data.as_ptr().add(i.min(h - 1) * a.rs));
+    let mut acc = [_mm512_setzero_ps(); NARROW_MR];
+    for p in 0..kc {
+        let bv = _mm512_loadu_ps(bpan.as_ptr().add(p * NARROW));
+        for (acc_i, row) in acc.iter_mut().zip(&rows) {
+            *acc_i = _mm512_fmadd_ps(_mm512_set1_ps(*row.add(p * a.cs)), bv, *acc_i);
+        }
+    }
+    let mask = lane_mask(w);
+    for (i, acc_i) in acc.iter().enumerate().take(h) {
+        let dst = out.as_mut_ptr().add(i * ldo);
+        let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst), *acc_i);
+        _mm512_mask_storeu_ps(dst, mask, sum);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,50 +952,195 @@ mod tests {
         let a = spiky(rows * depth, seed);
         let b = spiky(depth * cols, seed.wrapping_add(1));
         let dirty = spiky(rows * cols, seed.wrapping_add(2));
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let b_get = |p: usize, j: usize| b[p * cols + j];
+        let b_rows = View::row_major(&b, cols);
 
         // A·B: `a` is rows×depth row-major.
+        let a_rows = View::row_major(&a, depth);
         let mut want = dirty.clone();
-        gemm_serial(
-            rows,
-            depth,
-            cols,
-            &|i, p| a[i * depth + p],
-            &b_get,
-            &mut want,
-            t,
-        );
+        gemm_serial(rows, depth, cols, a_rows, b_rows, &mut want, t);
         let mut got = dirty.clone();
-        gemm_skinny(rows, depth, cols, &a, depth, 1, &b, &mut got, t);
+        gemm_skinny(rows, depth, cols, a_rows, &b, &mut got, t);
         assert_eq!(bits(&got), bits(&want), "A·B {rows}x{depth}x{cols}");
 
         // Aᵀ·G: the same buffer read as depth×rows row-major.
+        let a_t = View::transposed(&a, rows);
         let mut want = dirty.clone();
-        gemm_serial(
-            rows,
-            depth,
-            cols,
-            &|i, p| a[p * rows + i],
-            &b_get,
-            &mut want,
-            t,
-        );
+        gemm_serial(rows, depth, cols, a_t, b_rows, &mut want, t);
         let mut got = dirty;
-        gemm_skinny(rows, depth, cols, &a, 1, rows, &b, &mut got, t);
+        gemm_skinny(rows, depth, cols, a_t, &b, &mut got, t);
         assert_eq!(bits(&got), bits(&want), "Aᵀ·G {rows}x{depth}x{cols}");
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The wide tile if this CPU runs it; otherwise says, on stderr, that
+    /// the wide cases were skipped rather than passing silently.
+    fn wide_tile() -> Option<Tile> {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            return Some(AVX512_TILE);
+        }
+        eprintln!("skipped: no avx512f on this CPU, the 8x32 tile is not exercised");
+        None
+    }
+
     /// Every tile this CPU can run: the portable pairing always, so it is
-    /// pinned on AVX2 boxes too.
+    /// pinned on FMA boxes too.
     fn runnable_tiles() -> Vec<Tile> {
         let mut tiles = vec![PORTABLE_TILE];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
+        if has_avx2_fma() {
             tiles.push(AVX2_FMA_TILE);
         }
+        tiles.extend(wide_tile());
         tiles
+    }
+
+    /// `gemm_serial` on tile `t` — and, for a narrow product, `t`'s narrow
+    /// kernel — against the AVX2 tile in the three layouts the public entry
+    /// points use (A·B, Aᵀ·G, G·Bᵀ), accumulating into the same dirty `out`.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_tile_is_avx2(t: Tile, rows: usize, depth: usize, cols: usize, seed: u32) {
+        let a = spiky(rows * depth, seed);
+        let b = spiky(depth * cols, seed.wrapping_add(1));
+        let dirty = spiky(rows * cols, seed.wrapping_add(2));
+        let layouts = [
+            ("A·B", View::row_major(&a, depth), View::row_major(&b, cols)),
+            (
+                "Aᵀ·G",
+                View::transposed(&a, rows),
+                View::row_major(&b, cols),
+            ),
+            (
+                "G·Bᵀ",
+                View::row_major(&a, depth),
+                View::transposed(&b, depth),
+            ),
+        ];
+        for (name, av, bv) in layouts {
+            let mut want = dirty.clone();
+            gemm_serial(rows, depth, cols, av, bv, &mut want, AVX2_FMA_TILE);
+            let mut got = dirty.clone();
+            gemm_serial(rows, depth, cols, av, bv, &mut got, t);
+            assert_eq!(bits(&got), bits(&want), "{name} {rows}x{depth}x{cols}");
+            if cols <= NARROW {
+                if let Some(narrow) = t.narrow {
+                    let mut got = dirty.clone();
+                    gemm_narrow(rows, depth, cols, av, bv, &mut got, narrow);
+                    let shape = format!("{rows}x{depth}x{cols}");
+                    assert_eq!(bits(&got), bits(&want), "narrow {name} {shape}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn small_products_stay_on_256_bit_vectors() {
+        if wide_tile().is_some() {
+            assert_eq!(tile(SMALL_PRODUCT - 1).nr, AVX2_FMA_TILE.nr);
+            assert_eq!(tile(SMALL_PRODUCT).nr, AVX512_TILE.nr);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_tile_matches_avx2_on_the_compute_heavy_layers() {
+        // FastMlp 256 → 256 → 10 at batch 512: the hidden layer and the
+        // head, forward and both backward layouts.
+        if let Some(t) = wide_tile() {
+            assert_tile_is_avx2(t, 512, 256, 256, 3);
+            assert_tile_is_avx2(t, 512, 256, 10, 4);
+        }
+    }
+
+    #[test]
+    fn chains_start_from_positive_zero() {
+        // −0·1 summed onto a −0 `out` gives +0 only if the chain starts at
+        // +0 — the rounding contract's start value, on every path.
+        let (rows, depth) = (9usize, 3usize);
+        let a = vec![-0.0f32; rows * depth];
+        let av = View::row_major(&a, depth);
+        for cols in [NARROW, 33] {
+            let b = vec![1.0f32; depth * cols];
+            let bv = View::row_major(&b, cols);
+            for t in runnable_tiles() {
+                let positive = |out: &[f32]| out.iter().all(|v| v.to_bits() == 0);
+                let mut out = vec![-0.0f32; rows * cols];
+                gemm_serial(rows, depth, cols, av, bv, &mut out, t);
+                assert!(positive(&out), "blocked mr={} cols={cols}", t.mr);
+                let mut out = vec![-0.0f32; rows * cols];
+                gemm_skinny(rows, depth, cols, av, &b, &mut out, t);
+                assert!(positive(&out), "skinny mr={} cols={cols}", t.mr);
+                if cols <= NARROW {
+                    if let Some(narrow) = t.narrow {
+                        let mut out = vec![-0.0f32; rows * cols];
+                        gemm_narrow(rows, depth, cols, av, bv, &mut out, narrow);
+                        assert!(positive(&out), "narrow mr={}", t.mr);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `rows`×`depth` block of `get` cut into `width`-tall panels, each
+    /// laid out depth-major and zero-padded past `rows`: what `pack_a`
+    /// writes for A and `pack_b` for Bᵀ, by plain indexing.
+    fn panels_reference(
+        get: impl Fn(usize, usize) -> f32,
+        rows: usize,
+        depth: usize,
+        width: usize,
+    ) -> Vec<f32> {
+        let mut out = Vec::new();
+        for panel in 0..rows.div_ceil(width) {
+            for p in 0..depth {
+                for l in 0..width {
+                    let i = panel * width + l;
+                    out.push(if i < rows { get(i, p) } else { 0.0 });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packing_matches_an_index_reference() {
+        // A 37×45 matrix `m`, stored row-major in `src` and transposed in
+        // `src_t`, packed from an interior corner so neither offset nor
+        // block edge lines up with a panel. Scratch starts as NaN, so
+        // padding that packing does not write shows.
+        let (rows, cols) = (37usize, 45usize);
+        let src: Vec<f32> = (0..rows * cols).map(|x| x as f32).collect();
+        let mut src_t = vec![0.0f32; rows * cols];
+        for i in 0..rows {
+            for j in 0..cols {
+                src_t[j * rows + i] = src[i * cols + j];
+            }
+        }
+        let m = |i: usize, j: usize| src[i * cols + j];
+        let views = [
+            ("row-major", View::row_major(&src, cols)),
+            ("transposed", View::transposed(&src_t, rows)),
+        ];
+        let (i0, j0, h, d) = (3usize, 5usize, 31usize, 29usize);
+        for width in [4usize, 6, 8, 14, 16, 32] {
+            let len = h.div_ceil(width) * d * width;
+            for (name, v) in views {
+                // A block: h rows from i0, d deep from j0.
+                let mut ap = vec![f32::NAN; len];
+                pack_a(&mut ap, v, i0, j0, h, d, width);
+                let want = panels_reference(|r, p| m(i0 + r, j0 + p), h, d, width);
+                assert_eq!(bits(&ap), bits(&want), "pack_a {name} mr={width}");
+                // B block: d deep from i0, h wide from j0 (h ≤ cols − j0).
+                let mut bp = vec![f32::NAN; len];
+                pack_b(&mut bp, v, i0, j0, d, h, width);
+                let want = panels_reference(|l, p| m(i0 + p, j0 + l), h, d, width);
+                assert_eq!(bits(&bp), bits(&want), "pack_b {name} nr={width}");
+            }
+        }
     }
 
     proptest! {
@@ -766,6 +1164,26 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every FMA tile is the AVX2 tile, bit for bit: rows straddling
+        /// both tiles' `mr` and `MC`, depths straddling `KC`, columns
+        /// straddling both `nr` and `NC`, spiky operands, dirty `out`.
+        #[test]
+        fn fma_tiles_match_avx2_bitwise(
+            rows in prop::sample::select(vec![1usize, 5, 6, 7, 8, 9, 13, 17, 127, 128, 129]),
+            depth in prop::sample::select(vec![1usize, 9, 255, 256, 257, 513]),
+            cols in prop::sample::select(vec![1usize, 10, 15, 16, 17, 31, 32, 33, 255, 256, 257]),
+            seed in 0u32..10_000,
+        ) {
+            if let Some(t) = wide_tile() {
+                assert_tile_is_avx2(t, rows, depth, cols, seed);
+            }
+        }
+    }
+
     #[test]
     fn public_entry_points_agree_across_the_shape_rule() {
         // `matmul` / `matmul_transa` one step either side of SKINNY
@@ -775,15 +1193,14 @@ mod tests {
             let a = filled(m * k, 11);
             let b = filled(k * n, 12);
             let g = filled(m * n, 13);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
             let mut want = vec![0.5f32; m * n];
             gemm(
                 m,
                 k,
                 n,
-                &|i, p| a[i * k + p],
-                &|p, j| b[p * n + j],
+                View::row_major(&a, k),
+                View::row_major(&b, n),
                 &mut want,
             );
             let mut got = vec![0.5f32; m * n];
@@ -795,8 +1212,8 @@ mod tests {
                 k,
                 m,
                 n,
-                &|t, i| a[i * k + t],
-                &|i, j| g[i * n + j],
+                View::transposed(&a, k),
+                View::row_major(&g, n),
                 &mut want,
             );
             let mut got = vec![0.5f32; k * n];
@@ -807,7 +1224,7 @@ mod tests {
 
     #[test]
     fn parallel_path_is_deterministic() {
-        // Big enough to cross PARALLEL_THRESHOLD and span several MC row
+        // Big enough to cross SMALL_PRODUCT and span several MC row
         // blocks: repeated runs must agree bitwise.
         let (m, k, n) = (150usize, 64usize, 48usize);
         let a = filled(m * k, 7);
