@@ -15,7 +15,7 @@
 //! exactly as in the paper's evaluation ("we chose the q Byzantines such
 //! that ε̂ is maximized").
 
-use crate::{Defense, Trainer, TrainingConfig, TrainingError};
+use crate::{Trainer, TrainingConfig, TrainingError};
 use byz_aggregate::{
     Aggregator, Bulyan, CoordinateMedian, Mean, MedianOfMeans, MultiKrum, SignSgdMajority,
     TrimmedMean,
@@ -268,19 +268,21 @@ pub fn worst_case_corrupted_operands(
     }
 }
 
-/// Builds the defense pipeline for a spec.
-pub fn build_defense(
+/// Builds the second-stage aggregation rule for a spec; the vote in
+/// front of it is the round's, whatever the scheme (a baseline's `r = 1`
+/// placement makes each returned gradient its file's winner).
+pub fn build_aggregator(
     scheme: SchemeSpec,
     aggregator: AggregatorKind,
     assignment: &Assignment,
     q: usize,
-) -> Defense {
+) -> Box<dyn Aggregator> {
     let c = worst_case_corrupted_operands(scheme, assignment, q);
     let operands = match scheme {
         SchemeSpec::Baseline => assignment.num_workers(),
         _ => assignment.num_files(),
     };
-    let rule: Box<dyn Aggregator> = match aggregator {
+    match aggregator {
         AggregatorKind::Median => Box::new(CoordinateMedian),
         AggregatorKind::MedianOfMeans => Box::new(MedianOfMeans {
             num_groups: (2 * c + 1).min(operands).max(1),
@@ -293,10 +295,6 @@ pub fn build_defense(
         AggregatorKind::SignSgd => Box::new(SignSgdMajority),
         AggregatorKind::TrimmedMean => Box::new(TrimmedMean { trim: c }),
         AggregatorKind::Mean => Box::new(Mean),
-    };
-    match scheme {
-        SchemeSpec::Baseline => Defense::Direct(rule),
-        _ => Defense::VoteThenAggregate(rule),
     }
 }
 
@@ -330,14 +328,14 @@ fn default_lr(aggregator: AggregatorKind) -> StepDecaySchedule {
     }
 }
 
-/// Runs one experiment and returns its accuracy curve. Defense
+/// Runs one experiment and returns its accuracy curve. Aggregator
 /// inapplicability (e.g. Bulyan with too few operands) is reported inside
 /// the curve rather than as a hard error, because the paper's figures
 /// treat those as "cannot be paired" annotations.
 pub fn run_experiment(spec: &ExperimentSpec) -> Curve {
     let (train, test) = standard_dataset(spec.seed);
     let assignment = build_assignment(spec.scheme, spec.cluster);
-    let defense = build_defense(spec.scheme, spec.aggregator, &assignment, spec.q);
+    let aggregator = build_aggregator(spec.scheme, spec.aggregator, &assignment, spec.q);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x11);
     let sample_len: usize = train.item_shape().iter().product();
     let mut model = FastMlp::new(&[sample_len, 64, 10], &mut rng);
@@ -367,7 +365,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Curve {
         assignment,
         selector,
         spec.attack.build(),
-        defense,
+        aggregator,
         config,
     );
 

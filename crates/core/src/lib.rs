@@ -23,10 +23,10 @@
 //! This crate ties the substrates together into the paper's Algorithm 1:
 //!
 //! * [`Trainer`] / [`TrainingConfig`] — the end-to-end protocol with
-//!   pluggable assignment, attack, Byzantine selection and defense;
-//! * [`Defense`] — ByzShield-style (vote → aggregate), DETOX-style
-//!   (vote → hierarchical aggregate) and baseline (direct aggregate)
-//!   pipelines;
+//!   pluggable assignment, attack, Byzantine selection and aggregation
+//!   rule: every scheme votes each file over its replicas first
+//!   (ByzShield, DETOX, and a baseline on its `r = 1` placement), then
+//!   aggregates the winners;
 //! * [`experiments`] — preconfigured drivers that regenerate the paper's
 //!   figures (accuracy-vs-iteration curves under ALIE / constant /
 //!   reversed-gradient attacks);
@@ -51,16 +51,14 @@
 //! assert_eq!(frc_epsilon(3, 3, 15), 0.2);
 //! ```
 
-mod checkpoint;
 pub mod experiments;
 mod metrics;
 mod protocol;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use metrics::{evaluate_accuracy, gradients_differ, GradientMoments};
 pub use protocol::{
-    AbandonedFile, Defense, IterationRecord, MembershipOutcome, ReputationOutcome, RoundOutcome,
-    Trainer, TrainingConfig, TrainingError, TrainingHistory,
+    AbandonedFile, IterationRecord, MembershipOutcome, ReputationOutcome, RoundOutcome, Trainer,
+    TrainingConfig, TrainingError, TrainingHistory,
 };
 
 /// One-stop imports for applications and experiments.
@@ -70,9 +68,8 @@ pub mod prelude {
         SchemeSpec, SelectorKind,
     };
     pub use crate::{
-        evaluate_accuracy, gradients_differ, AbandonedFile, Checkpoint, CheckpointError, Defense,
-        IterationRecord, MembershipOutcome, ReputationOutcome, RoundOutcome, Trainer,
-        TrainingConfig, TrainingError, TrainingHistory,
+        evaluate_accuracy, gradients_differ, AbandonedFile, IterationRecord, MembershipOutcome,
+        ReputationOutcome, RoundOutcome, Trainer, TrainingConfig, TrainingError, TrainingHistory,
     };
     pub use byz_aggregate::{
         aggregate_winners, gradient_fingerprint, majority_vote, quorum_vote, quorum_vote_audited,
@@ -104,9 +101,9 @@ pub mod prelude {
         LedgerError, QuarantineEvent, ReputationConfig, ReputationLedger, WorkerStanding,
     };
     pub use byz_wire::{
-        packed_sign_majority, run_tcp_worker, ChunkConfig, ChunkScheme, Handshake, HandshakeError,
-        JobResult, JobSpec, Link, LinkError, LocalAttack, Message, MessagePassingCluster,
-        PackedSigns, PsServer, RejectReason, RoundMode, RoundSummary, ServerConfig, SparsifyConfig,
-        StreamDecoder, TcpLink, WireError, WireFormat, WireTrainingRun, WorkerSpec,
+        packed_sign_majority, run_tcp_worker, Handshake, HandshakeError, JobResult, JobSpec, Link,
+        LinkError, LocalAttack, Message, MessagePassingCluster, PackedSigns, PsServer,
+        RejectReason, RoundSummary, ServerConfig, SparsifyConfig, StreamDecoder, TcpLink,
+        WireError, WireFormat, WireTrainingRun, WorkerSpec,
     };
 }

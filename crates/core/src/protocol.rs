@@ -12,38 +12,10 @@ use byz_distortion::{binomial_saturating, cmax_graph_exhaustive, count_distorted
 use byz_kernel::sgd_momentum_step;
 use byz_nn::{FastMlp, StepDecaySchedule};
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
-use byz_wire::{
-    apply_scheme, num_chunks, ChunkConfig, ChunkScheme, FileSlot, RoundCore, RoundMode,
-    RoundResult, ServerConfig,
-};
+use byz_wire::{FileSlot, RoundCore, RoundResult, ServerConfig};
 use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
-
-/// How the parameter server combines the returned gradients.
-pub enum Defense {
-    /// ByzShield / DETOX style: per-file majority vote (Eq. 3), then the
-    /// given robust aggregator over the `f` vote winners. ByzShield pairs
-    /// this with [`CoordinateMedian`](byz_aggregate::CoordinateMedian);
-    /// DETOX with [`MedianOfMeans`](byz_aggregate::MedianOfMeans) or
-    /// Multi-Krum.
-    VoteThenAggregate(Box<dyn Aggregator>),
-    /// Baseline style, for a replication-1 assignment: a file's single
-    /// replica is its own vote, so the aggregator sees the workers'
-    /// returns as they arrived. The round takes no evidence from those
-    /// votes — no audits for the reputation ledger, and ε̂ stays
-    /// predictive.
-    Direct(Box<dyn Aggregator>),
-}
-
-impl fmt::Debug for Defense {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Defense::VoteThenAggregate(a) => write!(f, "VoteThenAggregate({})", a.name()),
-            Defense::Direct(a) => write!(f, "Direct({})", a.name()),
-        }
-    }
-}
 
 /// Training-run configuration.
 #[derive(Debug, Clone)]
@@ -66,7 +38,9 @@ pub struct TrainingConfig {
     pub eval_samples: usize,
     /// Seed for batch sampling.
     pub seed: u64,
-    /// Benign-fault injection plan (crashes, stragglers, replica drops).
+    /// Benign-fault injection plan: crashes, replica drops and churn.
+    /// (Stragglers, chunk drops and connection faults shape the wire's
+    /// rounds only; the barrier round here never waits.)
     /// [`FaultPlan::none`] disables injection and preserves the exact
     /// no-fault protocol behaviour bit for bit.
     pub faults: FaultPlan,
@@ -79,39 +53,8 @@ pub struct TrainingConfig {
     /// every round's vote audits, quarantined workers stop being polled
     /// and their files are greedily re-replicated onto survivors
     /// (`byz_assign::reassign_quarantined`). `None` (the default)
-    /// preserves the pre-reputation protocol bit for bit. Only the
-    /// voting defense produces audit evidence; [`Defense::Direct`]
-    /// ignores reputation.
+    /// preserves the pre-reputation protocol bit for bit.
     pub reputation: Option<ReputationConfig>,
-    /// Gradient wire chunking: when set, replicas travel (conceptually)
-    /// as fixed-size coordinate chunks under the given [`ChunkConfig`] —
-    /// replica payloads pass through the config's compression scheme
-    /// ([`apply_scheme`]: identity for dense, seeded top-k or sign
-    /// planes otherwise), and the fault plan additionally rolls
-    /// per-chunk message loss — a replica with *any* chunk lost degrades
-    /// exactly like a dropped whole replica. Votes, degraded-quorum,
-    /// retry and reputation semantics are untouched. `None` (the
-    /// default) preserves the unchunked protocol bit for bit.
-    pub chunking: Option<ChunkConfig>,
-    /// Round scheduling, handed to the round engine
-    /// ([`byz_wire::RoundCore`]) this trainer drives:
-    ///
-    /// * [`RoundMode::Barrier`] (the default) — strict synchronous
-    ///   rounds, votes as one batch when the round closes.
-    /// * [`RoundMode::Streaming`] — a file votes the moment its last
-    ///   live holder delivered; the result is `Barrier`'s bit for bit.
-    /// * [`RoundMode::BoundedStaleness`] — rounds close on the on-time
-    ///   quorum. A worker's deterministic lag is
-    ///   [`FaultPlan::staleness_lag`]; a file with at least `q_min` live
-    ///   lag-0 holders votes at its own round over those on-time
-    ///   replicas (late holders audit `Absent`), while a file below the
-    ///   on-time quorum is parked, votes over *all* live holders and
-    ///   folds `lag` rounds later, discounted by `1/(1 + lag)`, after the
-    ///   fold round's on-time winners in `(origin round, file)` order.
-    ///   With no stragglers in the fault plan — and always with
-    ///   `max_staleness = 0` — the schedule is bit-identical to
-    ///   [`RoundMode::Barrier`].
-    pub mode: RoundMode,
 }
 
 impl Default for TrainingConfig {
@@ -129,8 +72,6 @@ impl Default for TrainingConfig {
             quorum: QuorumConfig::default(),
             retry: RetryPolicy::default(),
             reputation: None,
-            chunking: None,
-            mode: RoundMode::Barrier,
         }
     }
 }
@@ -147,13 +88,8 @@ pub struct AbandonedFile {
     pub error: QuorumError,
 }
 
-/// Degradation report for one protocol round. A file is booked in the
-/// round its vote *folds* in (the wire's `RoundSummary` convention): a
-/// file deferred under [`RoundMode::BoundedStaleness`] counts under
-/// `deferred` at its origin round and under `full_quorum` / `degraded` /
-/// `retried` / `abandoned` `lag` rounds later, so
-/// `full_quorum + degraded + abandoned.len()` is `f` minus this round's
-/// deferrals plus the earlier ones due now.
+/// Degradation report for one protocol round: every file is booked
+/// once, so `full_quorum + degraded + abandoned.len()` is `f`.
 ///
 /// Every field is a pure function of the fault-plan seed and the round
 /// index — no clocks, no thread ordering — so two runs with identical
@@ -174,21 +110,7 @@ pub struct RoundOutcome {
     pub dropped_replicas: usize,
     /// Workers crashed for the whole round.
     pub crashed_workers: usize,
-    /// Files parked this round: below the on-time quorum, so the vote is
-    /// over all live holders and folds `lag` rounds later — won or
-    /// abandoned, it is booked there. Always zero outside
-    /// [`RoundMode::BoundedStaleness`].
-    pub deferred: usize,
-    /// Files parked in *earlier* rounds whose winner folded into this
-    /// round's update (discounted by `1/(1 + lag)`); each also counts
-    /// under `full_quorum` or `degraded`. Always zero outside
-    /// [`RoundMode::BoundedStaleness`].
-    pub stale_folded: usize,
-    /// Files given up after exhausting the retry budget: this round's
-    /// on-time files and the parked ones due now, the latter with their
-    /// origin round's attempts. (A [`TrainingError::RoundCollapsed`]
-    /// payload therefore lists on-time abandonments only — the round's
-    /// own parked files are counted under `deferred`.)
+    /// Files given up after exhausting the retry budget.
     pub abandoned: Vec<AbandonedFile>,
 }
 
@@ -198,9 +120,8 @@ impl RoundOutcome {
         self.full_quorum + self.degraded
     }
 
-    /// `true` when no winner folded this round, so it produced no
-    /// gradient. Every [`TrainingError::RoundCollapsed`] payload is; so
-    /// is a round that deferred all its votes, which is not an error.
+    /// `true` when no file reached quorum this round, so it produced no
+    /// gradient: exactly the [`TrainingError::RoundCollapsed`] payloads.
     pub fn is_collapsed(&self) -> bool {
         self.surviving_files() == 0
     }
@@ -312,13 +233,14 @@ pub struct IterationRecord {
     pub distorted_files: usize,
     /// Distorted fraction ε̂ this iteration. Under an active fault plan
     /// or ledger this is *measured* on the engine's winners (those whose
-    /// fingerprint is not the honest payload's / winners folded this
-    /// round); otherwise it is the predictive `count_distorted / f`.
+    /// fingerprint is not the round's true gradient's / files that
+    /// reached quorum); otherwise it is the predictive
+    /// `count_distorted / f`.
     pub epsilon_hat: f64,
     /// Degradation report for this round's gather + vote.
     pub outcome: RoundOutcome,
     /// Reputation report for this round (`None` when reputation is
-    /// disabled or the defense is [`Defense::Direct`]).
+    /// disabled).
     pub reputation: Option<ReputationOutcome>,
     /// Membership report, present only on rounds where cluster churn
     /// changed the effective placement.
@@ -349,8 +271,8 @@ pub struct TrainingHistory {
     pub final_loss: f64,
     /// Total wall-clock training time.
     pub total_time: Duration,
-    /// The final reputation ledger (`None` when reputation is disabled).
-    /// Its serialized bytes travel with format-v2 checkpoints.
+    /// The final reputation ledger (`None` when reputation is disabled);
+    /// [`ReputationLedger::to_bytes`] serializes it.
     pub ledger: Option<ReputationLedger>,
 }
 
@@ -463,9 +385,11 @@ fn membership_report(
 /// 3. choose the Byzantine set (random / omniscient / fixed) and replace
 ///    every replica held by a Byzantine worker with the attack payload;
 /// 4. run the defense: the round engine the wire PS deploys
-///    ([`RoundCore`], driven here as its zero-latency link) votes every
-///    file over the replicas that arrive, then the aggregator combines
-///    the winners;
+///    ([`RoundCore`], driven here as its zero-latency link on the
+///    barrier schedule) votes every file over the replicas that arrive,
+///    then the aggregator combines the winners. A baseline is the same
+///    round on an `r = 1` placement, where each file's single replica is
+///    its own winner;
 /// 5. update the flat parameters with the parameter server's
 ///    SGD-with-momentum kernel under the step-decay schedule, and load
 ///    them into the model.
@@ -478,7 +402,7 @@ pub struct Trainer<'a> {
     assignment: Assignment,
     selector: ByzantineSelector,
     attack: Box<dyn AttackVector>,
-    defense: Defense,
+    aggregator: Box<dyn Aggregator>,
     config: TrainingConfig,
 }
 
@@ -492,7 +416,7 @@ impl<'a> Trainer<'a> {
         assignment: Assignment,
         selector: ByzantineSelector,
         attack: Box<dyn AttackVector>,
-        defense: Defense,
+        aggregator: Box<dyn Aggregator>,
         config: TrainingConfig,
     ) -> Self {
         Trainer {
@@ -502,7 +426,7 @@ impl<'a> Trainer<'a> {
             assignment,
             selector,
             attack,
-            defense,
+            aggregator,
             config,
         }
     }
@@ -516,8 +440,9 @@ impl<'a> Trainer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainingError`] on configuration problems or when the
-    /// defense becomes inapplicable (paper Section 6.1's constraints).
+    /// Returns [`TrainingError`] on configuration problems, when a round
+    /// collapses, or when the aggregator becomes inapplicable (paper
+    /// Section 6.1's constraints).
     pub fn run(&mut self) -> Result<TrainingHistory, TrainingError> {
         self.check_config()?;
         let f = self.assignment.num_files();
@@ -527,11 +452,9 @@ impl<'a> Trainer<'a> {
         let mut sampler =
             BatchSampler::new(self.train.len(), self.config.batch_size, self.config.seed);
         let mut history = TrainingHistory::default();
-        // The model always holds `params`; the schedule advances once
-        // per applied update, so a round with no fold leaves it alone.
+        // The model always holds `params`.
         let mut params = self.model.params_flat();
         let mut velocity = vec![0.0f32; params.len()];
-        let mut updates = 0;
 
         // Reputation state: the ledger plus the *effective* placement.
         // The placement starts as the scheme's graph and is canonically
@@ -548,41 +471,21 @@ impl<'a> Trainer<'a> {
         // legacy repair cadence.
         let mut plan_members: Vec<usize> = (0..k).collect();
         // The round engine the wire PS deploys. This loop is its second
-        // driver, the zero-latency link: replicas are offered in memory,
-        // whole (a chunked wire is modelled by what the codec and the
-        // per-chunk drops leave of them).
+        // driver, the zero-latency link: whole replicas are offered in
+        // memory, on the barrier schedule.
         let plan = &self.config.faults;
         let mut core = RoundCore::new(
             &self.assignment,
             params.len(),
             &ServerConfig {
-                mode: self.config.mode,
                 quorum: self.config.quorum,
                 faults: plan.clone(),
                 ..ServerConfig::default()
             },
         );
-        // `Direct` runs the same round (one replica per file is its own
-        // vote) but takes no evidence from it: no audits, predictive ε̂.
-        let (voting, aggregator) = match &self.defense {
-            Defense::VoteThenAggregate(aggregator) => (true, aggregator),
-            Defense::Direct(aggregator) => (false, aggregator),
-        };
-        // ε̂ is measured — winners compared with the honest payload —
-        // under an active fault plan or an active ledger. The reference
-        // is kept as one fingerprint per (round, file): a stale winner is
-        // judged against its origin round's.
-        let measure = voting && (!plan.is_trivial() || ledger.is_some());
-        let mut honest_hashes: Vec<Vec<u64>> = Vec::new();
-        // Under a lossy chunk scheme every payload passes through the
-        // same deterministic compression, so the honest replicas of a
-        // file stay bit-identical *after* compression — the vote still
-        // works by exact equality, and the compressed payload is the
-        // reference: sparsification error is not Byzantine distortion.
-        let lossy = self
-            .config
-            .chunking
-            .filter(|cfg| cfg.scheme != ChunkScheme::Dense);
+        // ε̂ is measured — winners compared with the round's true
+        // gradients — under an active fault plan or an active ledger.
+        let measure = !plan.is_trivial() || ledger.is_some();
 
         for t in 1..=self.config.iterations {
             // 0. Cluster churn, realized before anything is polled.
@@ -614,26 +517,15 @@ impl<'a> Trainer<'a> {
             let moments =
                 GradientMoments::compute(&true_grads.iter().map(Vec::as_slice).collect::<Vec<_>>());
             let predicted_distorted = count_distorted(&self.assignment, &byzantine);
-            let wire_grads: Option<Vec<Vec<f32>>> =
-                lossy.map(|cfg| true_grads.iter().map(|g| apply_scheme(g, &cfg)).collect());
-            let honest_grads = wire_grads.as_ref().unwrap_or(&true_grads);
-            honest_hashes.push(if measure {
-                honest_grads
-                    .iter()
-                    .map(|g| gradient_fingerprint(g))
-                    .collect()
-            } else {
-                Vec::new()
-            });
             // The replica worker `w` returns for `file`, as the PS sees
             // it (Eq. 2). Honest replicas borrow the shared gradient;
             // every attack forges deterministically from the context, so
             // a re-vote wave re-sends the same payload.
             let replica = |w: usize, file: usize| -> Cow<'_, [f32]> {
                 if !is_byz[w] {
-                    return Cow::Borrowed(&honest_grads[file]);
+                    return Cow::Borrowed(&true_grads[file]);
                 }
-                let forged = self.attack.forge(&AttackContext {
+                Cow::Owned(self.attack.forge(&AttackContext {
                     true_gradient: &true_grads[file],
                     honest_mean: &moments.mean,
                     honest_std: &moments.std,
@@ -641,29 +533,20 @@ impl<'a> Trainer<'a> {
                     num_byzantine: q,
                     iteration: t,
                     file,
-                });
-                Cow::Owned(match lossy {
-                    Some(cfg) => apply_scheme(&forged, &cfg),
-                    None => forged,
-                })
+                }))
             };
 
-            // 4. Defense: the engine's round over whatever replicas
-            //    arrive, then the aggregator over its winners.
+            // 4. The engine's round over whatever replicas arrive, then
+            //    the aggregator over its winners.
             let agg_start = Instant::now();
             let holders: Vec<Vec<usize>> = (0..f)
                 .map(|file| dynamic.graph().workers_of(file).to_vec())
                 .collect();
             core.begin(t as u64, &holders);
-            let dropped_replicas =
-                self.deliver(&mut core, t as u64, &holders, params.len(), &replica);
-            let hopeless = core.below_quorum().len();
+            let dropped_replicas = self.deliver(&mut core, t as u64, &holders, &replica);
             let result = core.close();
             let outcome = round_outcome(&result, plan.num_crashed(), dropped_replicas);
-            // No file of this round can still reach quorum and no stale
-            // winner folded. (All winners deferred is not a collapse: the
-            // round produced evidence but no gradient; parameters hold.)
-            if hopeless == f && result.stale_folded == 0 {
+            if result.voted.is_empty() {
                 return Err(TrainingError::RoundCollapsed {
                     iteration: t,
                     outcome: Box::new(outcome),
@@ -671,14 +554,14 @@ impl<'a> Trainer<'a> {
             }
             let measured = measure.then(|| {
                 let distorted = |(slot, audit): &(&FileSlot, &VoteAudit)| {
-                    audit.winner_hash != honest_hashes[slot.origin as usize - 1][slot.file]
+                    audit.winner_hash != gradient_fingerprint(&true_grads[slot.file])
                 };
                 let votes = result.voted.iter().zip(&result.audits);
                 (votes.filter(distorted).count(), result.voted.len())
             });
-            let aggregated = (!result.winners.is_empty())
-                .then(|| aggregator.aggregate(&result.winners))
-                .transpose()
+            let gradient = self
+                .aggregator
+                .aggregate(&result.winners)
                 .map_err(|source| TrainingError::DefenseInapplicable {
                     iteration: t,
                     source,
@@ -690,7 +573,7 @@ impl<'a> Trainer<'a> {
             // updates; on a quarantine, re-realize the placement so the
             // flagged workers stop being polled and their files regain
             // full replication on the surviving members.
-            let reputation = ledger.as_mut().filter(|_| voting).map(|ledger| {
+            let reputation = ledger.as_mut().map(|ledger| {
                 let events = ledger.observe_round(t as u64, &result.audits);
                 if events.iter().any(QuarantineEvent::is_quarantine) {
                     sync_membership(&mut dynamic, &plan_members, &ledger.quarantined_workers());
@@ -707,25 +590,17 @@ impl<'a> Trainer<'a> {
             //    f/b yields a per-sample mean-gradient step (Algorithm 1,
             //    line 17). The scale folds into the PS's chunk-parallel
             //    kernel step, bit-identical to pre-scaling the gradient.
-            if let Some(gradient) = &aggregated {
-                let scale = f as f32 / self.config.batch_size as f32;
-                let lr = self.config.lr_schedule.rate_at(updates) as f32;
-                let momentum = self.config.momentum;
-                sgd_momentum_step(&mut params, &mut velocity, gradient, scale, lr, momentum);
-                self.model.set_params(&params);
-                updates += 1;
-            }
+            let scale = f as f32 / self.config.batch_size as f32;
+            let lr = self.config.lr_schedule.rate_at(t - 1) as f32;
+            let momentum = self.config.momentum;
+            sgd_momentum_step(&mut params, &mut velocity, &gradient, scale, lr, momentum);
+            self.model.set_params(&params);
 
             // Bookkeeping. Without faults ε̂ keeps its predictive meaning
             // (`count_distorted / f`); with faults it is measured over
             // the files that actually reached quorum.
             let (distorted_files, epsilon_hat) = match measured {
-                // `surviving` can be zero only when every winner was
-                // deferred under bounded staleness; report ε̂ = 0 for
-                // such a no-fold round rather than dividing by zero.
-                Some((distorted, surviving)) => {
-                    (distorted, distorted as f64 / surviving.max(1) as f64)
-                }
+                Some((distorted, surviving)) => (distorted, distorted as f64 / surviving as f64),
                 None => (predicted_distorted, predicted_distorted as f64 / f as f64),
             };
             let evaluate = self.config.eval_every != 0 && t % self.config.eval_every == 0;
@@ -823,29 +698,16 @@ impl<'a> Trainer<'a> {
     /// The link of round `t`: offers the open round every replica the
     /// fault plan delivers, then re-requests the files still below quorum
     /// in up to `max_retries` re-vote waves, each with re-rolled drops
-    /// (the rolls key on the wave index). Crashed workers never send, and
-    /// an on-time file never waits for a straggler. Returns the deliveries
-    /// lost to drops across all waves.
+    /// (the rolls key on the wave index). Crashed workers never send.
+    /// Returns the deliveries lost to drops across all waves.
     fn deliver<'g>(
         &self,
         core: &mut RoundCore,
         t: u64,
         holders: &[Vec<usize>],
-        model_len: usize,
         replica: &dyn Fn(usize, usize) -> Cow<'g, [f32]>,
     ) -> usize {
         let plan = &self.config.faults;
-        // A delivery is lost when the whole replica drops, or — under a
-        // chunked wire — when *any* of its chunk frames drops: an
-        // incomplete replica casts no vote, exactly like an absent one.
-        let chunks = self
-            .config
-            .chunking
-            .map_or(0, |cfg| num_chunks(model_len, cfg.span_len()));
-        let lost = |attempt: u32, w: usize, file: usize| {
-            plan.drops_replica(t, attempt, w, file)
-                || (0..chunks).any(|c| plan.drops_chunk(t, attempt, w, file, c))
-        };
         let mut dropped = 0;
         for attempt in 0..=self.config.quorum.max_retries as u32 {
             let wave = match attempt {
@@ -857,10 +719,10 @@ impl<'a> Trainer<'a> {
                     core.reopen(file);
                 }
                 for &w in &holders[file] {
-                    if plan.is_crashed(w) || core.is_late(w, file) {
+                    if plan.is_crashed(w) {
                         continue;
                     }
-                    if lost(attempt, w, file) {
+                    if plan.drops_replica(t, attempt, w, file) {
                         dropped += 1;
                     } else {
                         // The gate refuses only what could not vote on
@@ -887,8 +749,7 @@ impl<'a> Trainer<'a> {
     }
 }
 
-/// The engine's closed round as the trainer's degradation report. Every
-/// vote is booked in the round it folds in, as on the wire.
+/// The engine's closed round as the trainer's degradation report.
 fn round_outcome(
     result: &RoundResult,
     crashed_workers: usize,
@@ -902,8 +763,6 @@ fn round_outcome(
         retry_waves: retried.map(|slot| slot.attempts - 1).max().unwrap_or(0),
         dropped_replicas,
         crashed_workers,
-        deferred: result.deferred_files,
-        stale_folded: result.stale_folded,
         abandoned: result
             .abandoned
             .iter()

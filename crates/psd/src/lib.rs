@@ -217,6 +217,18 @@ impl DeploySpec {
             }
             _ => return err("dims needs at least two layers"),
         }
+        // `>` rejects NaN along with zero and negative rates.
+        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
+            return err(format!(
+                "lr={} must be finite and positive",
+                self.learning_rate
+            ));
+        }
+        if let WireFormat::Chunked(cfg) = self.wire {
+            if cfg.chunk_len == 0 {
+                return err("wire=chunked:0 needs at least one coordinate per chunk");
+            }
+        }
         if let Some(&w) = self.byzantine.iter().find(|&&w| w >= k) {
             return err(format!("byzantine worker {w} outside cluster of K={k}"));
         }
@@ -512,6 +524,10 @@ mod tests {
             "straggle=3:0.5",      // multiplier below 1
             "straggle=15:4.0",     // straggler outside K = 15
             "samples=10 batch=25", // batch larger than the dataset
+            "wire=chunked:0",      // no coordinates per chunk
+            "lr=NaN",              // not a rate
+            "lr=inf",              // not finite
+            "lr=-0.05",            // not positive
         ] {
             assert!(DeploySpec::parse(&toks(bad)).is_err(), "`{bad}` parsed");
         }

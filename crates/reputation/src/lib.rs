@@ -428,8 +428,8 @@ impl ReputationLedger {
     }
 
     /// Serializes the ledger to a self-checking byte buffer
-    /// (little-endian, FNV-1a checksum) — the payload `Checkpoint`
-    /// format v2 embeds.
+    /// (little-endian, FNV-1a checksum) — what a wire run reports as its
+    /// ledger bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.workers.len() * 50);
         out.extend_from_slice(&MAGIC.to_le_bytes());

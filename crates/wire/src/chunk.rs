@@ -217,8 +217,8 @@ pub fn sparsify_top_k(chunk: &[f32], k: usize, seed: u64, chunk_start: usize) ->
 }
 
 /// Applies the negotiated scheme to a whole gradient and returns the
-/// values the PS will densify — the in-process reference both the
-/// trainer and the equivalence tests use. Dense and Signs-free schemes:
+/// values the PS will densify — the in-process reference the codec
+/// and voter tests compare the wire against. Dense and Signs-free schemes:
 /// for [`ChunkScheme::Dense`] this is the identity; for
 /// [`ChunkScheme::TopK`] each chunk keeps its top-k (respecting the
 /// dense fallback); for [`ChunkScheme::Signs`] coordinates collapse to

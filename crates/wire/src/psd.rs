@@ -46,6 +46,7 @@ use crossbeam::channel::{unbounded, Sender};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -184,20 +185,23 @@ impl PsServer {
     /// thread, and each admitted connection its reader thread.
     ///
     /// A job whose workers do not all complete the handshake within
-    /// `ready_timeout` fails the whole call with
-    /// [`ClusterError::HandshakeTimeout`] — a server whose cluster never
-    /// assembled is a deployment error, not a degraded round.
+    /// `ready_timeout` fails with [`ClusterError::HandshakeTimeout`] — a
+    /// server whose cluster never assembled is a deployment error, not a
+    /// degraded round.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::HandshakeTimeout`] as above,
-    /// [`ClusterError::Transport`] for listener-level socket failures.
+    /// Any failed job fails the whole call: every job still runs to its
+    /// end, then the first error in job order is returned and every
+    /// job's result is dropped. [`ClusterError::HandshakeTimeout`] as
+    /// above; [`ClusterError::Transport`] for listener-level socket
+    /// failures and for a PS thread that panicked (the panic does not
+    /// propagate).
     ///
     /// # Panics
     ///
     /// Panics if two jobs share a `job_id` (a caller bug, caught before
-    /// any socket work). A panicking PS thread fails its own job with
-    /// [`ClusterError::Transport`] instead of propagating.
+    /// any socket work).
     pub fn serve(
         &self,
         jobs: Vec<JobSpec>,
@@ -240,112 +244,116 @@ impl PsServer {
         let handles = &handles;
         let stop_ref = &stop;
 
-        let outcome = crossbeam::thread::scope(|scope| {
-            // Slot writers: one thread per (job, worker), draining the
-            // PS loop's sender into whatever connection holds the slot.
-            for (_, handle, _, slot_rxs, _) in &job_records {
-                for (worker, rx) in slot_rxs.iter().enumerate() {
+        // A PS thread's panic is joined below as its job's error; any
+        // other scoped thread's is re-raised when the scope ends, and
+        // lands here.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                // Slot writers: one thread per (job, worker), draining the
+                // PS loop's sender into whatever connection holds the slot.
+                for (_, handle, _, slot_rxs, _) in &job_records {
+                    for (worker, rx) in slot_rxs.iter().enumerate() {
+                        let handle = Arc::clone(handle);
+                        let rx = rx.clone();
+                        scope.spawn(move || slot_writer(&handle, worker, &rx));
+                    }
+                }
+
+                // The accept loop: admit, handshake, route.
+                let accept_thread = scope.spawn(move || {
+                    accept_loop(&self.listener, handles, stop_ref);
+                });
+
+                // One PS thread per job — running the identical protocol
+                // loop the channel transport runs.
+                let mut job_threads = Vec::with_capacity(job_records.len());
+                for (job, handle, slot_txs, _, fan_in_rx) in &job_records {
                     let handle = Arc::clone(handle);
-                    let rx = rx.clone();
-                    scope.spawn(move |_| slot_writer(&handle, worker, &rx));
-                }
-            }
-
-            // The accept loop: admit, handshake, route.
-            let accept_thread = scope.spawn(move |_| {
-                accept_loop(&self.listener, handles, stop_ref);
-            });
-
-            // One PS thread per job — running the identical protocol
-            // loop the channel transport runs.
-            let mut job_threads = Vec::with_capacity(job_records.len());
-            for (job, handle, slot_txs, _, fan_in_rx) in &job_records {
-                let handle = Arc::clone(handle);
-                job_threads.push((
-                    job.job_id,
-                    scope.spawn(move |_| -> Result<WireTrainingRun, ClusterError> {
-                        let k = job.assignment.num_workers();
-                        if let Err(connected) = handle.gate.wait(ready_timeout) {
+                    job_threads.push((
+                        job.job_id,
+                        scope.spawn(move || -> Result<WireTrainingRun, ClusterError> {
+                            let k = job.assignment.num_workers();
+                            if let Err(connected) = handle.gate.wait(ready_timeout) {
+                                handle.finished.store(true, Ordering::SeqCst);
+                                return Err(ClusterError::HandshakeTimeout {
+                                    job_id: job.job_id,
+                                    connected,
+                                    expected: k,
+                                });
+                            }
+                            let cluster = MessagePassingCluster::new(
+                                job.assignment.clone(),
+                                Arc::clone(&job.dataset),
+                                job.model_dims.clone(),
+                            );
+                            let run = cluster.ps_loop(
+                                job.initial_params.clone(),
+                                &job.config,
+                                slot_txs,
+                                fan_in_rx,
+                            );
+                            // Job over: tell connected workers, then flip the
+                            // finished flag (in that order — slot writers drain
+                            // their queues after seeing the flag, so the bye
+                            // frames are already enqueued when they exit).
+                            let bye = crate::Message::Shutdown.encode();
+                            for tx in slot_txs {
+                                let _ = tx.send(bye.clone());
+                            }
                             handle.finished.store(true, Ordering::SeqCst);
-                            return Err(ClusterError::HandshakeTimeout {
-                                job_id: job.job_id,
-                                connected,
-                                expected: k,
-                            });
-                        }
-                        let cluster = MessagePassingCluster::new(
-                            job.assignment.clone(),
-                            Arc::clone(&job.dataset),
-                            job.model_dims.clone(),
-                        );
-                        let run = cluster.ps_loop(
-                            job.initial_params.clone(),
-                            &job.config,
-                            slot_txs,
-                            fan_in_rx,
-                        );
-                        // Job over: tell connected workers, then flip the
-                        // finished flag (in that order — slot writers drain
-                        // their queues after seeing the flag, so the bye
-                        // frames are already enqueued when they exit).
-                        let bye = crate::Message::Shutdown.encode();
-                        for tx in slot_txs {
-                            let _ = tx.send(bye.clone());
-                        }
-                        handle.finished.store(true, Ordering::SeqCst);
-                        Ok(run)
-                    }),
-                ));
-            }
+                            Ok(run)
+                        }),
+                    ));
+                }
 
-            let mut results = Vec::with_capacity(job_threads.len());
-            let mut first_err = None;
-            for (job_id, thread) in job_threads {
-                match thread.join() {
-                    Ok(Ok(run)) => results.push(JobResult { job_id, run }),
-                    Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                    // A panicked PS thread fails its own job as a typed
-                    // error; sibling jobs still return their results.
-                    Err(_) => {
-                        first_err = first_err.or(Some(ClusterError::Transport(format!(
-                            "PS thread for job {job_id} panicked"
-                        ))));
-                    }
-                }
-            }
-            // Give slot writers a beat to flush the shutdown frames to
-            // still-connected workers, then tear everything down.
-            std::thread::sleep(Duration::from_millis(50));
-            stop_ref.store(true, Ordering::SeqCst);
-            for (_, handle, _, _, _) in &job_records {
-                handle.finished.store(true, Ordering::SeqCst);
-                // Writers watch `finished` rather than sender drops
-                // (they hold receiver clones); closing the sockets
-                // unblocks any in-flight write and tells lingering
-                // workers the run is over.
-                for slot in &handle.slots {
-                    if let Ok(mut guard) = slot.lock() {
-                        if let Some(stream) = guard.take() {
-                            let _ = stream.shutdown(std::net::Shutdown::Both);
+                let mut results = Vec::with_capacity(job_threads.len());
+                let mut first_err = None;
+                for (job_id, thread) in job_threads {
+                    match thread.join() {
+                        Ok(Ok(run)) => results.push(JobResult { job_id, run }),
+                        Ok(Err(e)) => first_err = first_err.or(Some(e)),
+                        // A panicked PS thread is a typed error like any
+                        // other job failure: it fails the whole call.
+                        Err(_) => {
+                            first_err = first_err.or(Some(ClusterError::Transport(format!(
+                                "PS thread for job {job_id} panicked"
+                            ))));
                         }
                     }
                 }
-            }
-            // A panicked accept thread means no NEW connections were
-            // admitted — the jobs above already ran on whatever was
-            // connected, so degrade silently rather than die.
-            let _ = accept_thread.join();
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(results),
-            }
-        })
-        .unwrap_or_else(|_| {
+                // Give slot writers a beat to flush the shutdown frames to
+                // still-connected workers, then tear everything down.
+                std::thread::sleep(Duration::from_millis(50));
+                stop_ref.store(true, Ordering::SeqCst);
+                for (_, handle, _, _, _) in &job_records {
+                    handle.finished.store(true, Ordering::SeqCst);
+                    // Writers watch `finished` rather than sender drops
+                    // (they hold receiver clones); closing the sockets
+                    // unblocks any in-flight write and tells lingering
+                    // workers the run is over.
+                    for slot in &handle.slots {
+                        if let Ok(mut guard) = slot.lock() {
+                            if let Some(stream) = guard.take() {
+                                let _ = stream.shutdown(std::net::Shutdown::Both);
+                            }
+                        }
+                    }
+                }
+                // A panicked accept thread means no NEW connections were
+                // admitted — the jobs above already ran on whatever was
+                // connected, so degrade silently rather than die.
+                let _ = accept_thread.join();
+                match first_err {
+                    Some(e) => Err(e),
+                    None => Ok(results),
+                }
+            })
+        }));
+        outcome.unwrap_or_else(|_| {
             Err(ClusterError::Transport(
                 "PS server scope panicked".to_string(),
             ))
-        });
-        outcome
+        })
     }
 }
 

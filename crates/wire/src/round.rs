@@ -631,14 +631,6 @@ impl RoundCore {
         Ok(())
     }
 
-    /// Whether the gate refuses `worker`'s replica of `file` in the open
-    /// round as [`Reject::Late`]: the file votes on time and the worker
-    /// is a straggler. A driver that simulates its link sends no such
-    /// replica.
-    pub fn is_late(&self, worker: usize, file: usize) -> bool {
-        self.file_lag[file] == 0 && self.lag[worker] > 0
-    }
-
     /// Books a decoded frame against the on-time window and resolves its
     /// sender. Every frame that is not a known straggler's spends one of
     /// the window's expected frames.
@@ -721,48 +713,33 @@ impl RoundCore {
         }
     }
 
-    /// The files of the open round — on-time and parked alike — that
-    /// hold fewer complete replicas than the quorum floor, ascending:
-    /// exactly those [`close`](Self::close) abandons, now or at their fold
-    /// round, unless a re-vote wave ([`reopen`](Self::reopen)) or a late
-    /// delivery lifts them.
+    /// The open round's on-time files that hold fewer complete replicas
+    /// than the quorum floor, ascending: exactly those
+    /// [`close`](Self::close) abandons unless a re-vote wave
+    /// ([`reopen`](Self::reopen)) lifts them. Files parked this round are
+    /// not listed; their vote is settled at the fold round.
     pub fn below_quorum(&self) -> Vec<usize> {
-        let parked = |file| {
-            let now = |p: &&Parked| p.slot.origin == self.t && p.slot.file == file;
-            self.backlog.iter().find(now)
+        let below = |&file: &usize| {
+            self.file_lag[file] == 0 && self.store.complete_workers(file).len() < self.q_min.max(1)
         };
-        let complete = |file| match parked(file) {
-            Some(parked) => parked.store.complete_workers(0).len(),
-            None => self.store.complete_workers(file).len(),
-        };
-        let below = |&file: &usize| complete(file) < self.q_min.max(1);
         (0..self.assigned.len()).filter(below).collect()
     }
 
-    /// Starts `file`'s next vote wave in the open round: its slot forgets
-    /// every replica — each live holder is admitted once more — and its
-    /// attempt count, which [`RoundResult`] reports, goes up by one. The
-    /// driver re-requests the replicas; the engine never does.
+    /// Starts on-time `file`'s next vote wave in the open round: its slot
+    /// forgets every replica — each live holder is admitted once more —
+    /// and its attempt count, which [`RoundResult`] reports, goes up by
+    /// one. The driver re-requests the replicas; the engine never does.
+    /// A file parked this round is not reopened: its replicas live in the
+    /// backlog, which this leaves alone.
     pub fn reopen(&mut self, file: usize) {
-        let t = self.t;
-        let parked = self
-            .backlog
-            .iter_mut()
-            .find(|p| p.slot.origin == t && p.slot.file == file);
-        let (store, slot, attempts) = match parked {
-            Some(parked) => (&mut parked.store, 0, &mut parked.slot.attempts),
-            None => {
-                self.outcomes[file] = None;
-                (&mut self.store, file, &mut self.attempts[file])
-            }
-        };
-        *attempts += 1;
-        // The batched wire counted the on-time arrivals as they came
-        // (the chunked one counts at `close` and never gets above zero).
-        let on_time = |w: &&usize| self.lag[**w] == 0;
-        let forgotten = store.complete_workers(slot).iter().filter(on_time).count();
+        self.outcomes[file] = None;
+        self.attempts[file] += 1;
+        // The batched wire counted the on-time arrivals as they came (the
+        // chunked one counts at `close` and never gets above zero); the
+        // open store admits lag-0 senders only.
+        let forgotten = self.store.complete_workers(file).len();
         self.entries_seen = self.entries_seen.saturating_sub(forgotten);
-        store.forget(slot);
+        self.store.forget(file);
     }
 
     /// Closes the round: votes every on-time file not yet finalized and
@@ -857,12 +834,13 @@ mod tests {
     }
 
     /// Offers round `t`'s replica of every file in `files` from every
-    /// holder the gate does not refuse as late.
+    /// holder: the gate refuses the straggler's replica of an on-time
+    /// file as late and admits every other.
     fn offer_all(core: &mut RoundCore, holders: &[Vec<usize>], t: u64, files: &[usize]) {
         for &file in files {
             for &w in &holders[file] {
                 let verdict = core.offer(w, t, file, &replica(t, file));
-                let late = core.is_late(w, file);
+                let late = core.file_lag[file] == 0 && w == STRAGGLER;
                 assert_eq!(verdict, if late { Err(Reject::Late) } else { Ok(()) });
             }
         }
@@ -871,33 +849,29 @@ mod tests {
     #[test]
     fn reopen_forgets_the_slot_then_admits_each_holder_once() {
         let (mut core, holders) = bounded_engine();
-        let parked: Vec<usize> = (0..25)
-            .filter(|&f| holders[f].contains(&STRAGGLER))
+        let on_time: Vec<usize> = (0..25)
+            .filter(|&f| !holders[f].contains(&STRAGGLER))
             .collect();
-        let on_time: Vec<usize> = (0..25).filter(|f| !parked.contains(f)).collect();
         core.begin(1, &holders);
-        // One on-time and one parked file get a first wave that falls
-        // short; both are reopened and the second wave is complete.
-        for file in [on_time[0], parked[0]] {
-            let first = holders[file][0];
-            assert_eq!(core.offer(first, 1, file, &replica(1, file)), Ok(()));
-            assert_eq!(
-                core.offer(first, 1, file, &replica(1, file)),
-                Err(Reject::Duplicate)
-            );
-            assert!(core.below_quorum().contains(&file));
-            core.reopen(file);
-        }
+        // An on-time file gets a first wave that falls short; it is
+        // reopened and the second wave is complete.
+        let file = on_time[0];
+        let first = holders[file][0];
+        assert_eq!(core.offer(first, 1, file, &replica(1, file)), Ok(()));
+        assert_eq!(
+            core.offer(first, 1, file, &replica(1, file)),
+            Err(Reject::Duplicate)
+        );
+        assert!(core.below_quorum().contains(&file));
+        core.reopen(file);
         offer_all(&mut core, &holders, 1, &(0..25).collect::<Vec<_>>());
-        for file in [on_time[0], parked[0]] {
-            for &w in &holders[file] {
-                let again = core.offer(w, 1, file, &replica(1, file));
-                assert_eq!(again, Err(Reject::Duplicate), "file {file} worker {w}");
-            }
+        for &w in &holders[file] {
+            let again = core.offer(w, 1, file, &replica(1, file));
+            assert_eq!(again, Err(Reject::Duplicate), "worker {w}");
         }
         assert!(core.below_quorum().is_empty());
 
-        // The attempt count reaches the result: now for the on-time file …
+        // The attempt count reaches the result …
         let first = core.close();
         assert_eq!((first.deferred_files, first.stale_folded), (5, 0));
         assert_eq!(
@@ -909,15 +883,16 @@ mod tests {
             reopened.map(|s| (s.origin, s.file, s.attempts)).collect()
         };
         assert_eq!(first.voted.len(), 20);
-        assert_eq!(waves(&first), vec![(1, on_time[0], 2)]);
+        assert_eq!(waves(&first), vec![(1, file, 2)]);
         let all_agreed = |audit: &VoteAudit| audit.count(ReplicaVerdict::Agreed) == 3;
         assert!(first.audits.iter().all(all_agreed));
-        // … and one round later, travelling with the parked file.
+        // … and stays with its round: the next one starts every file,
+        // and the parked ones fold, at one wave.
         core.begin(2, &holders);
         offer_all(&mut core, &holders, 2, &on_time);
         let second = core.close();
         assert_eq!((second.voted.len(), second.stale_folded), (25, 5));
-        assert_eq!(waves(&second), vec![(1, parked[0], 2)]);
+        assert!(waves(&second).is_empty());
         assert!(second.abandoned.is_empty());
     }
 
@@ -941,7 +916,8 @@ mod tests {
         for &w in holders[stranded].iter().filter(|&&w| w != STRAGGLER) {
             core.offer(w, 1, stranded, &replica(1, stranded)).unwrap();
         }
-        let mut expected = vec![thin, empty, stranded];
+        // The parked file is not listed: its vote waits for the fold.
+        let mut expected = vec![thin, empty];
         expected.sort_unstable();
         assert_eq!(core.below_quorum(), expected);
 

@@ -352,13 +352,13 @@ impl MessagePassingCluster {
         let (to_ps, from_workers): (Sender<Bytes>, Receiver<Bytes>) = unbounded();
         let mut to_workers: Vec<Sender<Bytes>> = Vec::with_capacity(k);
 
-        let mut run = crossbeam::thread::scope(|scope| {
+        let mut run = std::thread::scope(|scope| {
             for worker_id in 0..k {
                 let (tx, rx): (Sender<Bytes>, Receiver<Bytes>) = unbounded();
                 to_workers.push(tx);
                 let ctx = self.worker_context(worker_id, config);
                 let to_ps = to_ps.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut link = ChannelLink::new(to_ps, rx);
                     worker_loop(&ctx, &mut link)
                 });
@@ -372,8 +372,7 @@ impl MessagePassingCluster {
                 let _ = tx.send(bye.clone());
             }
             result
-        })
-        .expect("worker thread panicked");
+        });
 
         // A bounded-staleness PS never waits for a late worker whose
         // files all made the on-time quorum, so how many of that
@@ -1403,19 +1402,19 @@ mod tests {
         fn train(&self, config: &ServerConfig, script: Script<'_>) -> WireTrainingRun {
             let (to_ps, from_workers) = unbounded::<Bytes>();
             let mut to_workers = Vec::new();
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for worker_id in 0..self.cluster.assignment.num_workers() {
                     let (tx, rx) = unbounded::<Bytes>();
                     to_workers.push(tx);
                     let to_ps = to_ps.clone();
                     if worker_id != Self::ID as usize {
                         let ctx = self.cluster.worker_context(worker_id, config);
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             worker_loop(&ctx, &mut ChannelLink::new(to_ps, rx));
                         });
                         continue;
                     }
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         while let Ok(frame) = rx.recv() {
                             match Message::decode(&frame) {
                                 Ok(Message::ModelBroadcast { iteration, .. }) => {
@@ -1441,7 +1440,6 @@ mod tests {
                 }
                 run.expect("the PS panicked")
             })
-            .expect("worker thread panicked")
         }
 
         /// The attack must leave params, every counter and every audit

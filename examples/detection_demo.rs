@@ -45,7 +45,7 @@ fn main() {
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(byzantine.clone()),
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         cfg,
     )
     .run()

@@ -38,7 +38,7 @@ fn run(attack: Box<dyn AttackVector>, byz: Vec<usize>, faults: FaultPlan) -> Tra
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(byz),
         attack,
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         cfg,
     )
     .run()

@@ -35,7 +35,7 @@ fn main() {
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(vec![0, 5]),
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         cfg,
     )
     .run()

@@ -8,6 +8,7 @@
 //! ```
 
 use byz_nn::FastMlp;
+use byz_wire::RoundMode;
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -40,9 +40,9 @@ fn main() {
     let selector = ByzantineSelector::Omniscient;
     let attack = Box::new(ConstantAttack { value: -100.0 });
 
-    // Defense: ByzShield = majority vote per file, then coordinate-wise
-    // median across the 25 vote winners.
-    let defense = Defense::VoteThenAggregate(Box::new(CoordinateMedian));
+    // Aggregation: ByzShield = majority vote per file (the round's),
+    // then coordinate-wise median across the 25 vote winners.
+    let aggregator = Box::new(CoordinateMedian);
 
     let config = TrainingConfig {
         batch_size: 300,
@@ -57,7 +57,7 @@ fn main() {
     };
 
     let mut trainer = Trainer::new(
-        &mut model, &train, &test, assignment, selector, attack, defense, config,
+        &mut model, &train, &test, assignment, selector, attack, aggregator, config,
     );
 
     let history = trainer
@@ -92,7 +92,7 @@ fn main() {
         FrcAssignment::new(25, 1).expect("valid parameters").build(),
         ByzantineSelector::Omniscient,
         Box::new(ConstantAttack { value: -100.0 }),
-        Defense::Direct(Box::new(Mean)),
+        Box::new(Mean),
         TrainingConfig {
             batch_size: 300,
             iterations: 150,

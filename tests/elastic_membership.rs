@@ -5,12 +5,12 @@
 //! 1. churn is a *placement* event — a graceful leave repairs the
 //!    assignment without perturbing what honest training learns, and a
 //!    joiner starts contributing the round it is admitted;
-//! 2. the full chaos matrix (churn × ALIE × quarantine) is
-//!    bit-reproducible: any cell rerun lands on the identical history,
-//!    ledger and membership reports, at any `BYZ_KERNEL_THREADS`
-//!    (CI runs 1 and 4) and under both wire formats;
+//! 2. the chaos run (churn × ALIE × quarantine) is bit-reproducible: a
+//!    rerun lands on the identical history, ledger and membership
+//!    reports, at any `BYZ_KERNEL_THREADS` (CI runs 1 and 4);
 //! 3. `RoundMode::BoundedStaleness { max_staleness: 0 }` is the barrier
-//!    round, bit for bit, on the trainer and on the wire;
+//!    round, bit for bit, on the wire (the trainer runs only the barrier
+//!    round);
 //! 4. under a straggler, bounded staleness buys wall-clock rounds/s at
 //!    the PS without a loss regression.
 //!
@@ -20,6 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use byz_wire::{ChunkConfig, RoundMode};
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +50,7 @@ fn run_trainer(cfg: TrainingConfig, byzantine: Vec<usize>) -> TrainingHistory {
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(byzantine),
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         cfg,
     )
     .run()
@@ -160,12 +161,11 @@ fn leave_repairs_placement_and_joiner_contributes_on_admission() {
     }
 }
 
-/// (2) Every cell of the churn × ALIE × quarantine matrix — both
-/// chunking settings crossed with all three round modes — reruns to the
-/// bit-identical history, membership reports and ledger included.
+/// (2) The churn × ALIE × quarantine run reruns to the bit-identical
+/// history, membership reports and ledger included.
 #[test]
 fn churn_alie_quarantine_matrix_is_bit_reproducible() {
-    let config = |mode: RoundMode, chunking: Option<ChunkConfig>| TrainingConfig {
+    let config = || TrainingConfig {
         batch_size: 100,
         iterations: 8,
         lr_schedule: StepDecaySchedule::new(0.05, 0.96, 30),
@@ -177,65 +177,20 @@ fn churn_alie_quarantine_matrix_is_bit_reproducible() {
         faults: FaultPlan::new(5)
             .leave_at(7, 4)
             .join_at(15, 3)
-            .straggle(2, 4.0)
             .drop_rate(0.08),
         reputation: Some(ReputationConfig::default()),
-        chunking,
-        mode,
         ..TrainingConfig::default()
     };
-    for chunking in [None, Some(ChunkConfig::dense(128))] {
-        for mode in [
-            RoundMode::Barrier,
-            RoundMode::Streaming,
-            RoundMode::BoundedStaleness { max_staleness: 1 },
-        ] {
-            let label = format!("{mode:?} / chunking {}", chunking.is_some());
-            let first = run_trainer(config(mode, chunking), vec![0, 5]);
-            let second = run_trainer(config(mode, chunking), vec![0, 5]);
-            assert_histories_bit_identical(&label, &first, &second);
-            assert!(
-                first.records.iter().any(|r| r.membership.is_some()),
-                "{label}: churn plan produced no membership report"
-            );
-        }
-    }
+    let first = run_trainer(config(), vec![0, 5]);
+    let second = run_trainer(config(), vec![0, 5]);
+    assert_histories_bit_identical("churn × ALIE × quarantine", &first, &second);
+    assert!(
+        first.records.iter().any(|r| r.membership.is_some()),
+        "churn plan produced no membership report"
+    );
 }
 
-/// (3a) `max_staleness = 0` *is* the barrier round on the trainer: every
-/// worker's lag clamps to zero, nothing defers, nothing folds late.
-#[test]
-fn zero_staleness_is_bit_identical_to_barrier_trainer() {
-    let config = |mode: RoundMode, chunking: Option<ChunkConfig>| TrainingConfig {
-        batch_size: 100,
-        iterations: 8,
-        lr_schedule: StepDecaySchedule::new(0.05, 0.96, 30),
-        momentum: 0.9,
-        num_byzantine: 2,
-        eval_every: 4,
-        eval_samples: 200,
-        seed: 77,
-        faults: FaultPlan::new(5).crash(11).straggle(2, 4.0).drop_rate(0.1),
-        reputation: Some(ReputationConfig::default()),
-        chunking,
-        mode,
-        ..TrainingConfig::default()
-    };
-    for chunking in [None, Some(ChunkConfig::dense(128))] {
-        let barrier = run_trainer(config(RoundMode::Barrier, chunking), vec![0, 5]);
-        let bounded = run_trainer(
-            config(RoundMode::BoundedStaleness { max_staleness: 0 }, chunking),
-            vec![0, 5],
-        );
-        assert_histories_bit_identical(
-            &format!("chunking {}", chunking.is_some()),
-            &barrier,
-            &bounded,
-        );
-    }
-}
-
-/// (3b) `max_staleness = 0` is the barrier round on the wire, for both
+/// (3) `max_staleness = 0` is the barrier round on the wire, for both
 /// wire formats, with drops, a straggler and reputation active: same
 /// parameters, same vote-derived summary fields, and zero staleness
 /// accounting.

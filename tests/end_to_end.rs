@@ -53,7 +53,7 @@ fn clean_training_converges() {
         assignment,
         ByzantineSelector::Fixed(vec![]),
         Box::new(ReversedGradient::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         config(120, 0),
     );
     let history = trainer.run().unwrap();
@@ -75,7 +75,7 @@ fn byzshield_survives_where_detox_breaks() {
     let (train, test) = small_dataset();
     let q = 6;
 
-    let run = |assignment: Assignment, defense: Defense| {
+    let run = |assignment: Assignment, aggregator: Box<dyn Aggregator>| {
         let mut model = mlp(2);
         let mut trainer = Trainer::new(
             &mut model,
@@ -84,7 +84,7 @@ fn byzshield_survives_where_detox_breaks() {
             assignment,
             ByzantineSelector::Omniscient,
             Box::new(ConstantAttack::default()),
-            defense,
+            aggregator,
             config(120, q),
         );
         trainer.run().unwrap()
@@ -92,11 +92,11 @@ fn byzshield_survives_where_detox_breaks() {
 
     let byzshield = run(
         MolsAssignment::new(5, 3).unwrap().build(),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
     );
     let detox = run(
         FrcAssignment::new(15, 3).unwrap().build(),
-        Defense::VoteThenAggregate(Box::new(MedianOfMeans { num_groups: 5 })),
+        Box::new(MedianOfMeans { num_groups: 5 }),
     );
 
     // Distortion: ByzShield 12/25 = 0.48 (Table 3) vs FRC 3·3/15 = 0.6.
@@ -132,7 +132,7 @@ fn exact_recovery_when_q_below_threshold() {
             MolsAssignment::new(5, 3).unwrap().build(),
             ByzantineSelector::Omniscient,
             Box::new(ConstantAttack::default()),
-            Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+            Box::new(CoordinateMedian),
             config(40, q),
         );
         trainer.run().unwrap()
@@ -161,7 +161,7 @@ fn inapplicable_defense_is_reported() {
         FrcAssignment::new(15, 3).unwrap().build(),
         ByzantineSelector::Omniscient,
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(Bulyan { num_byzantine: 1 })),
+        Box::new(Bulyan { num_byzantine: 1 }),
         config(5, 3),
     );
     let err = trainer.run().unwrap_err();
@@ -181,7 +181,7 @@ fn config_errors() {
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(vec![]),
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         TrainingConfig {
             batch_size: 90,
             ..config(5, 0)
@@ -203,7 +203,7 @@ fn config_errors() {
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(vec![]),
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         config(5, 99),
     );
     assert!(matches!(
@@ -226,7 +226,7 @@ fn batch_size_out_of_range_is_an_error() {
             MolsAssignment::new(5, 3).unwrap().build(),
             ByzantineSelector::Fixed(vec![]),
             Box::new(Alie::default()),
-            Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+            Box::new(CoordinateMedian),
             TrainingConfig {
                 batch_size: batch,
                 ..config(5, 0)
@@ -240,36 +240,4 @@ fn batch_size_out_of_range_is_an_error() {
             }
         );
     }
-}
-
-/// The learning-rate schedule counts applied updates, not rounds. Every
-/// worker lags one round under bounded staleness, so round 1 defers all
-/// its files and folds nothing, and round 2 applies the first update — at
-/// the schedule's first rate, the only nonzero one.
-#[test]
-fn a_round_without_a_fold_does_not_advance_the_schedule() {
-    let (train, test) = small_dataset();
-    let mut model = mlp(10);
-    let initial = model.params_flat();
-    let history = Trainer::new(
-        &mut model,
-        &train,
-        &test,
-        MolsAssignment::new(5, 3).unwrap().build(),
-        ByzantineSelector::Fixed(vec![]),
-        Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
-        TrainingConfig {
-            lr_schedule: StepDecaySchedule::new(0.05, 0.0, 1),
-            faults: (0..15).fold(FaultPlan::new(12), |plan, w| plan.straggle(w, 2.0)),
-            mode: RoundMode::BoundedStaleness { max_staleness: 1 },
-            ..config(3, 0)
-        },
-    )
-    .run()
-    .unwrap();
-    assert_eq!(history.records[0].outcome.deferred, 25);
-    assert!(history.records[0].outcome.is_collapsed());
-    assert_eq!(history.records[1].outcome.stale_folded, 25);
-    assert_ne!(model.params_flat(), initial);
 }

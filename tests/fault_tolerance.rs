@@ -62,7 +62,7 @@ fn run_under_plan(
         MolsAssignment::new(5, 3).unwrap().build(),
         ByzantineSelector::Fixed(byzantine),
         Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         cfg,
     )
     .run()

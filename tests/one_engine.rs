@@ -1,7 +1,7 @@
 //! `Trainer::run` as a driver of the deployed round engine
 //! (`byz_wire::RoundCore`): what the trainer reports is what the engine
-//! decided — the wire's booking convention under bounded staleness, and
-//! the paper's Eq. 3 counted on live rounds from the engine's winners.
+//! decided — the paper's Eq. 3 counted on live rounds from the engine's
+//! winners.
 
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ fn run(cfg: TrainingConfig, selector: ByzantineSelector) -> TrainingHistory {
         MolsAssignment::new(5, 3).unwrap().build(),
         selector,
         Box::new(ConstantAttack { value: -50.0 }),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
+        Box::new(CoordinateMedian),
         cfg,
     )
     .run()
@@ -43,40 +43,6 @@ fn config(iterations: usize, q: usize) -> TrainingConfig {
         eval_samples: 50,
         ..TrainingConfig::default()
     }
-}
-
-/// One booking convention: a file is booked in the round its vote folds
-/// in. With `q_min = 3` the lag-1 straggler's five files defer every
-/// round, so every round accounts for `f` files minus the ones it parks
-/// plus the ones parked the round before — won or abandoned (drops are
-/// on, so some are).
-#[test]
-fn deferred_files_are_booked_at_their_fold_round() {
-    let history = run(
-        TrainingConfig {
-            faults: FaultPlan::new(10).straggle(7, 2.0).drop_rate(0.1),
-            quorum: QuorumConfig::strict(3),
-            mode: RoundMode::BoundedStaleness { max_staleness: 1 },
-            ..config(6, 0)
-        },
-        ByzantineSelector::Fixed(vec![]),
-    );
-    let mut parked_before = 0;
-    let mut abandoned_stale = 0;
-    for rec in &history.records {
-        let o = &rec.outcome;
-        assert_eq!(o.deferred, 5, "round {}", rec.iteration);
-        assert_eq!(
-            o.full_quorum + o.degraded + o.abandoned.len(),
-            25 - o.deferred + parked_before,
-            "round {}",
-            rec.iteration
-        );
-        assert!(o.stale_folded <= parked_before);
-        abandoned_stale += parked_before - o.stale_folded;
-        parked_before = o.deferred;
-    }
-    assert!(abandoned_stale > 0, "drops abandoned no parked file");
 }
 
 /// Paper Eq. 3 on the running round: under the omniscient selector the

@@ -1,173 +1,20 @@
-//! Tier-1 pins for the gradient wire (batched and chunked) and for
-//! pool-parallel / sharded voting.
+//! Tier-1 pins for the gradient wire codecs (batched and chunked) and
+//! for pool-parallel / sharded voting.
 //!
-//! The chunked wire is only admissible because it changes *nothing*
-//! observable when lossless: a dense-chunked trainer must produce
-//! bit-identical parameters, vote outcomes and audits to the unchunked
-//! one at any shard width, and a corrupt or lost chunk must degrade its
-//! replica exactly like a dropped whole replica — never a panic, never
-//! a poisoned vote. The same holds for the batched frame codec and the
-//! pool-parallel vote: same winners, same `VoteAudit` verdicts, in the
-//! same order, as per-file votes over the replicas as computed.
+//! A corrupt or lost chunk must degrade its replica exactly like a
+//! dropped whole replica — never a panic, never a poisoned vote. The
+//! batched frame codec and the pool-parallel vote must give the same
+//! winners, with the same `VoteAudit` verdicts in the same order, as
+//! per-file votes over the replicas as computed. (That the chunked wire
+//! trains like the batched one is pinned on the deployed path, in
+//! `byz_wire`'s server tests.)
 
 use byz_aggregate::{quorum_vote_all_audited, quorum_vote_audited, QuorumOutcome, VoteInput};
 use byz_wire::{
     decode_gradient_batch, decode_gradient_chunk, encode_gradient_batch, encode_gradient_chunks,
-    ShardedFileVoter,
+    ChunkConfig, ShardedFileVoter,
 };
 use byzshield::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn small_dataset() -> (Dataset, Dataset) {
-    SyntheticImages::new(SyntheticConfig {
-        num_classes: 5,
-        channels: 1,
-        hw: 8,
-        train_samples: 800,
-        test_samples: 200,
-        noise: 0.5,
-        max_shift: 1,
-        seed: 2024,
-    })
-    .generate()
-}
-
-fn mlp(seed: u64) -> FastMlp {
-    let mut rng = StdRng::seed_from_u64(seed);
-    FastMlp::new(&[64, 32, 5], &mut rng)
-}
-
-fn config(iterations: usize, q: usize, chunking: Option<ChunkConfig>) -> TrainingConfig {
-    TrainingConfig {
-        batch_size: 100,
-        iterations,
-        lr_schedule: StepDecaySchedule::new(0.05, 0.96, 30),
-        momentum: 0.9,
-        num_byzantine: q,
-        eval_every: 3,
-        eval_samples: 200,
-        seed: 77,
-        chunking,
-        ..TrainingConfig::default()
-    }
-}
-
-/// Runs ByzShield (MOLS K = 15, r = 3, vote → coordinate median) on a
-/// fresh model and returns the history plus the final flat parameters.
-fn run(model_seed: u64, cfg: TrainingConfig, byzantine: Vec<usize>) -> (TrainingHistory, Vec<f32>) {
-    let (train, test) = small_dataset();
-    let mut model = mlp(model_seed);
-    let history = Trainer::new(
-        &mut model,
-        &train,
-        &test,
-        MolsAssignment::new(5, 3).unwrap().build(),
-        ByzantineSelector::Fixed(byzantine),
-        Box::new(Alie::default()),
-        Defense::VoteThenAggregate(Box::new(CoordinateMedian)),
-        cfg,
-    )
-    .run()
-    .expect("training must complete");
-    (history, model.params_flat())
-}
-
-#[test]
-fn dense_chunked_trainer_is_bit_identical_to_unchunked() {
-    // Dense chunking is lossless and the fault plan rolls no drops, so
-    // the sharded vote must reproduce the whole-vector protocol bit for
-    // bit — same winners, same outcomes, same trained parameters — at
-    // several shard widths including ones that straddle the model size.
-    let (base_hist, base_params) = run(9, config(4, 2, None), vec![0, 5]);
-    for chunk_len in [1usize << 30, 977, 64] {
-        let cfg = config(4, 2, Some(ChunkConfig::dense(chunk_len)));
-        let (hist, params) = run(9, cfg, vec![0, 5]);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&base_params),
-            bits(&params),
-            "params diverged at chunk_len {chunk_len}"
-        );
-        for (a, b) in base_hist.records.iter().zip(&hist.records) {
-            assert_eq!(a.outcome, b.outcome, "round {} outcome", a.iteration);
-            assert_eq!(a.distorted_files, b.distorted_files);
-            assert_eq!(a.epsilon_hat.to_bits(), b.epsilon_hat.to_bits());
-        }
-        assert_eq!(base_hist.final_accuracy, hist.final_accuracy);
-    }
-}
-
-#[test]
-fn chunked_trainer_under_faults_is_deterministic_and_degrades() {
-    // With message loss the chunked wire rolls per-chunk drops on top of
-    // per-replica ones: more deliveries are lost than in unchunked mode,
-    // every loss degrades through the usual quorum policy, and two runs
-    // from the same seed stay bit-identical.
-    let faults = FaultPlan::new(0xC0FFEE).crash(11).drop_rate(0.08);
-    let chunked = TrainingConfig {
-        faults: faults.clone(),
-        ..config(5, 2, Some(ChunkConfig::dense(512)))
-    };
-    let unchunked = TrainingConfig {
-        faults,
-        ..config(5, 2, None)
-    };
-    let (h1, p1) = run(9, chunked.clone(), vec![0, 5]);
-    let (h2, p2) = run(9, chunked, vec![0, 5]);
-    let (h0, _) = run(9, unchunked, vec![0, 5]);
-
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&p1), bits(&p2), "chunked runs must be reproducible");
-    for (a, b) in h1.records.iter().zip(&h2.records) {
-        assert_eq!(a.outcome, b.outcome);
-    }
-    let dropped = |h: &TrainingHistory| -> usize {
-        h.records.iter().map(|r| r.outcome.dropped_replicas).sum()
-    };
-    assert!(
-        dropped(&h1) >= dropped(&h0),
-        "per-chunk rolls can only add losses: {} < {}",
-        dropped(&h1),
-        dropped(&h0)
-    );
-    // Losses degrade quorums; they never collapse the run (r = 3,
-    // q_min = 2 tolerates one lost replica per file).
-    assert!(h1.records.iter().all(|r| r.outcome.abandoned.is_empty()));
-}
-
-#[test]
-fn sparsified_trainer_keeps_votes_unanimous() {
-    // Seeded top-k is deterministic, so honest replicas stay
-    // bit-identical after compression: every file still reaches a full
-    // quorum and the measured distortion tracks only the Byzantine
-    // minority, not the sparsification error.
-    let cfg = TrainingConfig {
-        faults: FaultPlan::new(7).drop_rate(0.02),
-        ..config(
-            4,
-            0,
-            Some(ChunkConfig {
-                chunk_len: 512,
-                scheme: ChunkScheme::TopK(SparsifyConfig::top_k(64, 0xB12)),
-            }),
-        )
-    };
-    let (hist, params) = run(9, cfg, vec![]);
-    assert!(params.iter().all(|p| p.is_finite()));
-    for r in &hist.records {
-        assert!(r.outcome.abandoned.is_empty(), "round {}", r.iteration);
-        // No Byzantine workers: every winner is an honest compressed
-        // replica, so the measured distortion must be exactly zero —
-        // sparsification error never counts as Byzantine distortion.
-        assert_eq!(r.distorted_files, 0, "round {}", r.iteration);
-        assert!(
-            r.outcome.full_quorum + r.outcome.degraded == 25,
-            "round {}: every file votes",
-            r.iteration
-        );
-    }
-}
 
 #[test]
 fn corrupt_chunk_degrades_like_a_dropped_replica_end_to_end() {

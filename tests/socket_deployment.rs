@@ -12,13 +12,15 @@
 //! connection degrade through the existing missing-replica accounting —
 //! the round completes under the PS deadline, nothing panics or hangs —
 //! and that a reconnecting worker is readmitted at the current round
-//! without corrupting the ledger.
+//! without corrupting the ledger. A PS thread that panics fails `serve`
+//! with a typed error and frees its workers.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use byz_wire::{ChunkConfig, RoundMode};
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -332,4 +334,45 @@ fn half_open_connection_degrades_like_drops() {
     }
     let bytes = run.ledger_bytes.expect("reputation was on");
     assert!(ReputationLedger::from_bytes(&bytes).is_ok());
+}
+
+/// A job whose PS thread panics fails `serve` with a typed error — no
+/// panic escapes, nothing hangs — and its workers still terminate. The
+/// panic is a batch larger than the dataset: `serve` does not pre-check
+/// it, and the PS loop's sampler asserts it once every worker is in.
+#[test]
+fn a_panicking_ps_thread_fails_serve_and_frees_its_workers() {
+    let data = Arc::new(dataset());
+    let config = ServerConfig {
+        iterations: 2,
+        batch_size: data.len() + 25,
+        ..ServerConfig::default()
+    };
+    let spec = job(6, &data, config);
+    let server = PsServer::bind("127.0.0.1:0".parse().unwrap()).expect("bind loopback");
+    let addr: SocketAddr = server.local_addr().expect("local addr");
+    let workers: Vec<_> = (0..spec.assignment.num_workers())
+        .map(|w| {
+            let mut worker = WorkerSpec::new(
+                spec.job_id,
+                w,
+                spec.assignment.clone(),
+                Arc::clone(&spec.dataset),
+                spec.model_dims.clone(),
+                spec.config.clone(),
+            );
+            // A lost link ends the worker at once instead of redialling
+            // a server that is done.
+            worker.reconnect_attempts = 0;
+            thread::spawn(move || run_tcp_worker(addr, &worker))
+        })
+        .collect();
+    let outcome = server.serve(vec![spec], Duration::from_secs(30));
+    assert!(
+        matches!(outcome, Err(ClusterError::Transport(_))),
+        "{outcome:?}"
+    );
+    for (w, worker) in workers.into_iter().enumerate() {
+        assert!(worker.join().is_ok(), "worker {w} panicked");
+    }
 }

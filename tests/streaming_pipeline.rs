@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use byz_wire::{ChunkConfig, RoundMode};
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
