@@ -46,7 +46,8 @@
 //! out-of-range indices, non-monotone indices, ragged geometry and
 //! trailing bytes all decode to [`WireError::MalformedBody`].
 
-use crate::message::{check_frame, seal_in_place, BodyReader, KIND_GRADIENT_CHUNK};
+use crate::message::{check_frame, put_u32s_le, seal_in_place, BodyReader, KIND_GRADIENT_CHUNK};
+use crate::topk::with_top_k;
 use crate::{extend_f32s_le, put_f32s_le, PackedSigns, WireError, FRAME_HEADER_LEN};
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -171,17 +172,6 @@ impl SparseChunk {
     }
 }
 
-/// Mixes the sparsifier seed with a coordinate's global index into a
-/// tie-break key (splitmix64 finalizer) — a fixed function of
-/// `(seed, coordinate)` only, so every honest worker ranks equal
-/// magnitudes identically.
-fn tie_key(seed: u64, global_index: u64) -> u64 {
-    let mut z = seed ^ global_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic top-k of one chunk by |value|.
 ///
 /// Selection order is a strict total order — magnitude descending
@@ -190,30 +180,15 @@ fn tie_key(seed: u64, global_index: u64) -> u64 {
 /// so the kept set is a pure function of `(values, k, seed, start)` and
 /// honest replicas stay **bit-identical** after sparsification.
 /// `chunk_start` is the chunk's global coordinate offset (it feeds the
-/// tie key, making the ranking independent of chunk boundaries).
+/// tie key, making the ranking independent of chunk boundaries). The set
+/// is found in `O(len)` by a sampled bound and a threshold select (see
+/// the `topk` module); the frame encoder uses the same selector.
 pub fn sparsify_top_k(chunk: &[f32], k: usize, seed: u64, chunk_start: usize) -> SparseChunk {
-    let len = chunk.len();
-    let rank = |i: &u32| {
-        let i = *i;
-        let mag = chunk[i as usize].to_bits() & 0x7fff_ffff;
-        // Descending magnitude = ascending (!mag); pack tie keys below.
-        (!mag, tie_key(seed, (chunk_start + i as usize) as u64), i)
-    };
-    let mut order: Vec<u32> = (0..len as u32).collect();
-    let kept: &mut [u32] = if k >= len {
-        &mut order
-    } else if k == 0 {
-        &mut []
-    } else {
-        let (head, _, _) = order.select_nth_unstable_by_key(k, rank);
-        head
-    };
-    kept.sort_unstable();
-    SparseChunk {
-        range_len: len,
-        values: kept.iter().map(|&i| chunk[i as usize]).collect(),
-        indices: kept.to_vec(),
-    }
+    with_top_k(chunk, k, seed, chunk_start, |indices, values| SparseChunk {
+        range_len: chunk.len(),
+        indices: indices.to_vec(),
+        values: values.iter().map(|&bits| f32::from_bits(bits)).collect(),
+    })
 }
 
 /// Applies the negotiated scheme to a whole gradient and returns the
@@ -249,8 +224,14 @@ pub fn apply_scheme(gradient: &[f32], cfg: &ChunkConfig) -> Vec<f32> {
 }
 
 /// Encodes chunk `chunk_index` of one `(worker, file)` replica under the
-/// negotiated config, writing into `scratch` (cleared first) so frame
-/// allocations can be recycled round over round.
+/// negotiated config, writing into `scratch` (cleared first). A top-k
+/// chunk's kept indices and values go straight from the selector's
+/// per-thread scratch into the frame.
+///
+/// The worker's send path passes a fresh `BytesMut` per chunk: a frame
+/// handed to a [`Link`](crate::Link) never comes back. A caller that still
+/// holds the only handle to an earlier frame may pass its allocation
+/// back in (`BytesMut::try_from`).
 ///
 /// # Panics
 ///
@@ -275,15 +256,9 @@ pub fn encode_gradient_chunk_into(
     let range = &gradient[start..start + len];
 
     // Resolve the payload encoding (TopK may fall back to dense).
-    let sparse = match cfg.scheme {
-        ChunkScheme::TopK(sp) if !sp.keeps_dense(len) => {
-            Some(sparsify_top_k(range, sp.k, sp.seed, start))
-        }
-        _ => None,
-    };
-    let (encoding, payload_len) = match (&cfg.scheme, &sparse) {
-        (_, Some(sp)) => (ENC_SPARSE, sp.wire_len()),
-        (ChunkScheme::Signs, _) => (ENC_SIGNS, 2 * len.div_ceil(8)),
+    let (encoding, payload_len) = match cfg.scheme {
+        ChunkScheme::TopK(sp) if !sp.keeps_dense(len) => (ENC_SPARSE, 4 + 8 * sp.k.min(len)),
+        ChunkScheme::Signs => (ENC_SIGNS, 2 * len.div_ceil(8)),
         _ => (ENC_DENSE, len * 4),
     };
 
@@ -300,13 +275,13 @@ pub fn encode_gradient_chunk_into(
     scratch.put_u32_le(len as u32);
     scratch.put_u32_le(gradient.len() as u32);
     scratch.put_u8(encoding);
-    match (&sparse, encoding) {
-        (Some(sp), _) => {
-            scratch.put_u32_le(sp.indices.len() as u32);
-            for &i in &sp.indices {
-                scratch.put_u32_le(i);
-            }
-            put_f32s_le(&mut scratch, &sp.values);
+    match (cfg.scheme, encoding) {
+        (ChunkScheme::TopK(sp), ENC_SPARSE) => {
+            with_top_k(range, sp.k, sp.seed, start, |indices, values| {
+                scratch.put_u32_le(indices.len() as u32);
+                put_u32s_le(&mut scratch, indices);
+                put_u32s_le(&mut scratch, values);
+            });
         }
         (_, ENC_SIGNS) => {
             let packed = PackedSigns::pack(range);
@@ -316,13 +291,15 @@ pub fn encode_gradient_chunk_into(
         }
         _ => put_f32s_le(&mut scratch, range),
     }
+    debug_assert_eq!(scratch.len(), FRAME_HEADER_LEN + body_len);
 
     seal_in_place(KIND_GRADIENT_CHUNK, &mut scratch);
     scratch.freeze()
 }
 
-/// Encodes every chunk of one replica (fresh allocations; the streaming
-/// paths use [`encode_gradient_chunk_into`] with recycled scratch).
+/// Encodes every chunk of one replica, each into a fresh allocation —
+/// what the worker's send path does one chunk at a time with
+/// [`encode_gradient_chunk_into`].
 pub fn encode_gradient_chunks(
     iteration: u64,
     worker: u32,
@@ -529,6 +506,7 @@ pub fn decode_gradient_chunk(frame: &Bytes) -> Result<GradientChunkView, WireErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::{tie_key, SAMPLE_STRIDE};
     use proptest::prelude::*;
 
     fn dense_cfg(chunk_len: usize) -> ChunkConfig {
@@ -632,16 +610,199 @@ mod tests {
 
     #[test]
     fn equal_magnitude_ties_break_by_seed_not_position() {
-        // Four coordinates of equal magnitude: the kept pair must be a
-        // pure function of the seed, identical across "workers".
+        // Four coordinates of equal magnitude: the kept pair is the two
+        // smallest tie keys of the global indices 64..68. Seed 123 keeps
+        // the last two positions, seed 2 the first two, so neither a
+        // position order nor a seed-blind order passes both.
         let chunk = [2.0f32, -2.0, 2.0, 2.0];
-        let a = sparsify_top_k(&chunk, 2, 123, 64);
-        let b = sparsify_top_k(&chunk, 2, 123, 64);
-        assert_eq!(a, b);
-        let other_seed = sparsify_top_k(&chunk, 2, 124, 64);
-        // (Different seeds may pick a different pair — not asserted
-        // which, only that each seed is self-consistent.)
-        assert_eq!(other_seed, sparsify_top_k(&chunk, 2, 124, 64));
+        let by_tie_key = |seed: u64| {
+            let mut order: Vec<u32> = (0..4).collect();
+            order.sort_by_key(|&i| tie_key(seed, 64 + u64::from(i)));
+            let mut pair = order[..2].to_vec();
+            pair.sort_unstable();
+            pair
+        };
+        for (seed, pair) in [(123u64, [2u32, 3]), (2, [0, 1])] {
+            assert_eq!(by_tie_key(seed), pair, "seed {seed}");
+            let kept = sparsify_top_k(&chunk, 2, seed, 64);
+            assert_eq!(kept.indices, pair, "seed {seed}");
+            assert_eq!(
+                bits(&kept.values),
+                bits(&[chunk[pair[0] as usize], chunk[pair[1] as usize]])
+            );
+        }
+    }
+
+    /// The comparison-order selector [`sparsify_top_k`] replaced, kept as
+    /// its oracle: a `select_nth` over `(!magnitude, tie key, index)` —
+    /// the order's definition, hashed on every comparison — then a sort
+    /// of the kept set.
+    fn reference_top_k(chunk: &[f32], k: usize, seed: u64, chunk_start: usize) -> SparseChunk {
+        let len = chunk.len();
+        let rank = |i: &u32| {
+            let i = *i;
+            let mag = chunk[i as usize].to_bits() & 0x7fff_ffff;
+            (!mag, tie_key(seed, (chunk_start + i as usize) as u64), i)
+        };
+        let mut order: Vec<u32> = (0..len as u32).collect();
+        let kept: &mut [u32] = if k >= len {
+            &mut order
+        } else if k == 0 {
+            &mut []
+        } else {
+            let (head, _, _) = order.select_nth_unstable_by_key(k, rank);
+            head
+        };
+        kept.sort_unstable();
+        SparseChunk {
+            range_len: len,
+            values: kept.iter().map(|&i| chunk[i as usize]).collect(),
+            indices: kept.to_vec(),
+        }
+    }
+
+    fn assert_top_k_is_reference(chunk: &[f32], k: usize, seed: u64, start: usize) {
+        let got = sparsify_top_k(chunk, k, seed, start);
+        let want = reference_top_k(chunk, k, seed, start);
+        let case = format!("len {} k {k} seed {seed} start {start}", chunk.len());
+        assert_eq!(got.range_len, want.range_len, "{case}");
+        assert_eq!(got.indices, want.indices, "{case}");
+        assert_eq!(bits(&got.values), bits(&want.values), "{case}");
+    }
+
+    /// The oracle's value families.
+    const FAMILIES: usize = 5;
+
+    /// `len` values of one family: 0 arbitrary bit patterns (NaN
+    /// payloads, ±∞ and subnormals salted in), 1 a ±0 mix, 2 all zero,
+    /// 3 few distinct magnitudes, 4 gradient-like (half exact zeros).
+    fn family_chunk(family: usize, len: usize, seed: u64) -> Vec<f32> {
+        const SPECIAL: [u32; 8] = [
+            0x7fc0_0000, // quiet NaN
+            0xffc0_0001, // negative NaN, payload 1
+            0x7f80_0001, // signalling NaN
+            0x7f80_0000, // +∞
+            0xff80_0000, // −∞
+            0x0000_0001, // smallest subnormal
+            0x8040_0000, // negative subnormal
+            0x8000_0000, // −0
+        ];
+        (0..len as u64)
+            .map(|i| {
+                let r = tie_key(seed, i);
+                let pick = |n: u64| (r >> 40) as usize % n as usize;
+                match family {
+                    0 if r.is_multiple_of(16) => f32::from_bits(SPECIAL[pick(8)]),
+                    0 => f32::from_bits(r as u32),
+                    1 => [0.0, -0.0, 0.75, -0.75][pick(4)],
+                    2 => 0.0,
+                    3 => [1.0, -1.0, 2.0, -2.0, 0.5, f32::NAN][pick(6)],
+                    _ if r.is_multiple_of(2) => 0.0,
+                    _ => (r >> 32) as i32 as f32 * 1e-12,
+                }
+            })
+            .collect()
+    }
+
+    /// The `k`s the oracle checks at length `len`.
+    fn oracle_ks(len: usize) -> [usize; 7] {
+        [
+            0,
+            1,
+            len / 10,
+            (len / 2).saturating_sub(1),
+            len.saturating_sub(1),
+            len,
+            len + 3,
+        ]
+    }
+
+    #[test]
+    fn top_k_matches_the_reference_at_the_edge_lengths() {
+        for len in [0usize, 1, 2, 15, 16, 17, 4095, 4096, 4097] {
+            for family in 0..FAMILIES {
+                for k in oracle_ks(len) {
+                    for seed in [0u64, 0xB12] {
+                        let chunk = family_chunk(family, len, seed ^ len as u64);
+                        assert_top_k_is_reference(&chunk, k, seed, 8192);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_falls_back_when_the_sampled_bound_admits_too_few() {
+        // The sampled coordinates are large, the rest tiny: whichever
+        // sampled magnitude the bound is, it admits at most the 241
+        // sampled coordinates, not 410.
+        let chunk: Vec<f32> = (0..4096)
+            .map(|i| {
+                if i % SAMPLE_STRIDE == 0 {
+                    1000.0 + i as f32
+                } else {
+                    i as f32 * 1e-3
+                }
+            })
+            .collect();
+        let least_sampled = chunk
+            .iter()
+            .step_by(SAMPLE_STRIDE)
+            .fold(f32::INFINITY, |m, &v| m.min(v));
+        assert!(chunk.iter().filter(|&&v| v >= least_sampled).count() < 410);
+        assert_top_k_is_reference(&chunk, 410, 9, 4096);
+    }
+
+    #[test]
+    fn top_k_frames_of_real_gradients_match_the_reference_bytes() {
+        // The sparse workload's geometry: FastMlp 1024×256×10, one
+        // sample per replica, 4096-float chunks keeping 410.
+        use byz_data::{SyntheticConfig, SyntheticImages};
+        use byz_nn::FastMlp;
+        use rand::SeedableRng;
+        let (data, _) = SyntheticImages::new(SyntheticConfig {
+            num_classes: 10,
+            channels: 1,
+            hw: 32,
+            train_samples: 3,
+            test_samples: 1,
+            noise: 0.4,
+            max_shift: 1,
+            seed: 11,
+        })
+        .generate();
+        let model = FastMlp::new(&[1024, 256, 10], &mut rand::rngs::StdRng::seed_from_u64(5));
+        let (chunk_len, k, seed) = (4096, 410, 0x5EED);
+        let cfg = sparse_cfg(chunk_len, k, seed);
+        let mut g = vec![0.0f32; model.num_params()];
+        let chunks = num_chunks(g.len(), chunk_len);
+        for sample in 0..3u32 {
+            let (x, labels) = data.gather(&[sample as usize]);
+            model.gradient_sum_into(&x, 1, &labels, &mut g);
+            // ReLU-masked rows: a large share of exact zeros.
+            assert!(g.iter().filter(|&&v| v == 0.0).count() * 4 > g.len());
+            let frames = encode_gradient_chunks(4, 2, sample, &g, &cfg);
+            assert_eq!(frames.len(), chunks);
+            for (index, frame) in frames.iter().enumerate() {
+                let (start, len) = chunk_span(g.len(), chunk_len, index);
+                let want = reference_top_k(&g[start..start + len], k, seed, start);
+                let mut body = BytesMut::new();
+                body.put_u64_le(4);
+                body.put_u32_le(2);
+                body.put_u32_le(sample);
+                body.put_u32_le(index as u32);
+                body.put_u32_le(chunks as u32);
+                body.put_u32_le(start as u32);
+                body.put_u32_le(len as u32);
+                body.put_u32_le(g.len() as u32);
+                body.put_u8(ENC_SPARSE);
+                body.put_u32_le(want.indices.len() as u32);
+                put_u32s_le(&mut body, &want.indices);
+                put_f32s_le(&mut body, &want.values);
+                let want = crate::message::seal_frame(KIND_GRADIENT_CHUNK, body);
+                assert_eq!(frame, &want, "sample {sample} chunk {index}");
+            }
+        }
     }
 
     #[test]
@@ -855,6 +1016,20 @@ mod tests {
             let a = encode_gradient_chunks(5, 0, 7, &g, &cfg);
             let b = encode_gradient_chunks(5, 0, 7, &g, &cfg);
             prop_assert_eq!(a, b);
+        }
+
+        /// The threshold select keeps exactly the oracle's set, indices
+        /// and value bits, at any length up to 5000 and every family.
+        #[test]
+        fn top_k_matches_the_reference_at_any_length(
+            len in 0usize..=5000,
+            family in 0usize..FAMILIES,
+            which_k in 0usize..7,
+            seed in any::<u64>(),
+            start in 0usize..1_000_000,
+        ) {
+            let chunk = family_chunk(family, len, seed.rotate_left(17));
+            assert_top_k_is_reference(&chunk, oracle_ks(len)[which_k], seed, start);
         }
 
         /// Every strict prefix and every single-byte corruption of a

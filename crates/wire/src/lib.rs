@@ -42,6 +42,7 @@ mod psd;
 mod round;
 mod server;
 mod tcp;
+mod topk;
 mod voter;
 
 pub use batch::{

@@ -130,16 +130,23 @@ pub(crate) fn frame_checksum(kind: u8, body: &[u8]) -> u64 {
     hash
 }
 
-/// Appends `values` to `out` as little-endian `f32`s in one bulk copy.
+/// The bit patterns of `values`, in place.
+pub(crate) fn f32_bits(values: &[f32]) -> &[u32] {
+    // SAFETY: f32 and u32 have the same size and alignment, and every bit
+    // pattern is a valid u32.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), values.len()) }
+}
+
+/// Appends `values` to `out` as little-endian `u32`s in one bulk copy.
 ///
 /// On little-endian targets the in-memory representation *is* the wire
 /// representation, so the whole run is a single `memcpy`; big-endian
 /// targets fall back to a conversion loop.
-pub fn put_f32s_le(out: &mut BytesMut, values: &[f32]) {
+pub(crate) fn put_u32s_le(out: &mut BytesMut, values: &[u32]) {
     #[cfg(target_endian = "little")]
     {
-        // SAFETY: f32 has no padding and u8 has alignment 1, so viewing
-        // the f32 run as raw bytes is always valid for reads.
+        // SAFETY: u32 has no padding and u8 has alignment 1, so viewing
+        // the u32 run as raw bytes is always valid for reads.
         let raw =
             unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), values.len() * 4) };
         out.extend_from_slice(raw);
@@ -148,9 +155,15 @@ pub fn put_f32s_le(out: &mut BytesMut, values: &[f32]) {
     {
         out.reserve(values.len() * 4);
         for &v in values {
-            out.put_f32_le(v);
+            out.put_u32_le(v);
         }
     }
+}
+
+/// Appends `values` to `out` as little-endian `f32`s in one bulk copy
+/// (their bit patterns through `put_u32s_le`).
+pub fn put_f32s_le(out: &mut BytesMut, values: &[f32]) {
+    put_u32s_le(out, f32_bits(values));
 }
 
 /// Decodes a run of little-endian `f32` bytes into `out` (appended), in
