@@ -46,7 +46,7 @@ pub use majority::{majority_vote, MajorityOutcome};
 pub use median::{CoordinateMedian, Mean, MedianOfMeans, TrimmedMean};
 pub use quorum::{
     aggregate_winners, quorum_vote, quorum_vote_all_audited, quorum_vote_audited, Provenance,
-    QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit, VoteInput,
+    QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit, VoteInput,
 };
 pub use sharded::fold_shard_votes;
 pub use signsgd::SignSgdMajority;

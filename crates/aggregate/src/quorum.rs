@@ -9,14 +9,12 @@
 //! (`byzshield::Trainer`) and the message-passing server
 //! (`byz_wire::MessagePassingCluster`):
 //!
-//! * [`QuorumConfig`] — the minimum replica count `q_min` a file needs
-//!   before its vote is accepted, and the retry bound for files below it;
 //! * [`quorum_vote`] — exact-equality majority over the replicas that
 //!   arrived, with deterministic tie-breaking by smallest supporting
-//!   worker id;
+//!   worker id, refused below the minimum replica count `q_min`;
 //! * [`QuorumOutcome`] / [`Provenance`] — the winning gradient plus how
-//!   it was obtained (full replica set, degraded subset, or after
-//!   retries), so downstream aggregation can account for provenance;
+//!   it was obtained (full replica set or degraded subset), so
+//!   downstream aggregation can account for provenance;
 //! * [`aggregate_winners`] — feeds a winner set of mixed provenance into
 //!   any [`Aggregator`].
 
@@ -86,41 +84,6 @@ impl VoteAudit {
             }
         }
         self.replicas.sort_by_key(|(w, _)| *w);
-    }
-}
-
-/// Minimum-quorum and retry policy for degraded rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuorumConfig {
-    /// Minimum number of received replicas required to vote on a file.
-    /// `1` accepts any survivor (availability-first); `r` demands the
-    /// full replica set (consistency-first). Guarantee: with at most
-    /// `⌈q_min/2⌉ − 1` Byzantine replicas among those received, the vote
-    /// is the honest gradient.
-    pub q_min: usize,
-    /// How many times a below-quorum file is re-requested from its
-    /// surviving workers before being abandoned for the round.
-    pub max_retries: usize,
-}
-
-impl Default for QuorumConfig {
-    fn default() -> Self {
-        // Accept any surviving replica, retry twice: the most available
-        // policy that still bounds per-round work.
-        QuorumConfig {
-            q_min: 1,
-            max_retries: 2,
-        }
-    }
-}
-
-impl QuorumConfig {
-    /// A consistency-first policy: require `q_min` replicas, no retries.
-    pub fn strict(q_min: usize) -> Self {
-        QuorumConfig {
-            q_min,
-            max_retries: 0,
-        }
     }
 }
 

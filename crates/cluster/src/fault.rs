@@ -1,10 +1,10 @@
 //! Deterministic fault injection for cluster rounds.
 //!
 //! A [`FaultPlan`] marks workers crashed (they never return anything),
-//! stragglers (their compute time is modelled as a latency multiplier fed
-//! into [`CostModel`](crate::CostModel)), or message-droppers (individual
-//! file replicas are lost with a configured probability). Every decision
-//! is a pure function of `(seed, round, attempt, worker, file)`, so a
+//! stragglers (a latency multiplier the message-passing server turns
+//! into upload delay and bounded-staleness lag), or message-droppers
+//! (individual file replicas are lost with a configured probability).
+//! Every decision is a pure function of `(seed, round, worker, file)`, so a
 //! plan replays bit-identically: the same seed produces the same crashed
 //! set, the same dropped replicas, and therefore the same degraded-round
 //! outcome — the reproducibility the chaos test suite pins.
@@ -16,16 +16,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Errors from fault-aware cluster queries and from the socket
-/// deployment layer (`byz-wire`'s TCP transport reports peer and
-/// transport failures through this type so that a remote worker dying is
-/// an *error*, never a panic — the same class of observable failure as a
-/// crashed in-process worker).
+/// Errors from the socket deployment layer (`byz-wire`'s TCP transport
+/// reports peer and transport failures through this type so that a
+/// remote worker dying is an *error*, never a panic — the same class of
+/// observable failure as a crashed in-process worker).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
-    /// Every worker is crashed (or the cluster is empty): there is no
-    /// straggler time, no surviving compute, nothing to estimate.
-    NoSurvivingWorkers,
     /// A remote peer's connection was lost and could not be
     /// re-established within the reconnect budget.
     PeerDisconnected {
@@ -50,12 +46,6 @@ pub enum ClusterError {
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterError::NoSurvivingWorkers => {
-                write!(
-                    f,
-                    "no surviving workers: the cluster is empty or fully crashed"
-                )
-            }
             ClusterError::PeerDisconnected { worker } => {
                 write!(f, "worker {worker}'s connection was lost for good")
             }
@@ -133,9 +123,12 @@ impl FaultPlan {
     }
 
     /// Marks a worker a straggler with the given latency multiplier
-    /// (≥ 1.0; values below 1 are clamped). The multiplier scales the
-    /// worker's modelled compute time in [`CostModel`](crate::CostModel)
-    /// estimates — it does not change what the worker computes.
+    /// (≥ 1.0; values below 1 are clamped). The message-passing server
+    /// delays the worker's uploads by `straggler_unit × (multiplier − 1)`
+    /// and derives its bounded-staleness lag from it
+    /// ([`FaultPlan::staleness_lag`]); the in-process trainer's barrier
+    /// round never waits and ignores it. It never changes what the
+    /// worker computes.
     pub fn straggle(mut self, worker: usize, multiplier: f64) -> Self {
         self.stragglers.insert(worker, multiplier.max(1.0));
         self
@@ -143,7 +136,7 @@ impl FaultPlan {
 
     /// Sets the per-replica message drop probability, clamped to the
     /// closed interval `[0, 1]` (NaN counts as 0): each
-    /// `(round, attempt, worker, file)` replica is independently lost
+    /// `(round, worker, file)` replica is independently lost
     /// with this probability, decided by a hash of the plan seed. At
     /// `1.0` every replica is lost.
     pub fn drop_rate(mut self, rate: f64) -> Self {
@@ -280,23 +273,16 @@ impl FaultPlan {
             .min(max_staleness)
     }
 
-    /// The configured per-replica drop probability.
-    pub fn replica_drop_rate(&self) -> f64 {
-        self.drop_rate
-    }
-
     /// Whether the replica of `file` computed by `worker` is lost in
-    /// transit during `(round, attempt)`. Deterministic in all five
-    /// inputs; retries (`attempt > 0`) re-roll the loss, modelling an
-    /// independent retransmission.
-    pub fn drops_replica(&self, round: u64, attempt: u32, worker: usize, file: usize) -> bool {
+    /// transit during `round`. Deterministic in the plan seed and all
+    /// three inputs.
+    pub fn drops_replica(&self, round: u64, worker: usize, file: usize) -> bool {
         if self.drop_rate <= 0.0 {
             return false;
         }
         let h = splitmix64(
             self.seed
                 ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
                 ^ (worker as u64).wrapping_mul(0x1656_67B1_9E37_79F9)
                 ^ (file as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
         );
@@ -312,21 +298,13 @@ impl FaultPlan {
     /// exactly like a lost whole replica; the extra mixing constant
     /// keeps the per-chunk rolls independent of the per-replica ones
     /// (chunk 0's fate is not the batched frame's fate).
-    pub fn drops_chunk(
-        &self,
-        round: u64,
-        attempt: u32,
-        worker: usize,
-        file: usize,
-        chunk: usize,
-    ) -> bool {
+    pub fn drops_chunk(&self, round: u64, worker: usize, file: usize, chunk: usize) -> bool {
         if self.drop_rate <= 0.0 {
             return false;
         }
         let h = splitmix64(
             self.seed
                 ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ u64::from(attempt).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
                 ^ (worker as u64).wrapping_mul(0x1656_67B1_9E37_79F9)
                 ^ (chunk as u64)
                     .wrapping_add(1)
@@ -338,34 +316,10 @@ impl FaultPlan {
     }
 
     /// Whether `worker`'s replica of `file` reaches the parameter server
-    /// in `(round, attempt)` — i.e. the worker is alive and the message
-    /// is not dropped.
-    pub fn replica_arrives(&self, round: u64, attempt: u32, worker: usize, file: usize) -> bool {
-        !self.is_crashed(worker) && !self.drops_replica(round, attempt, worker, file)
-    }
-
-    /// The surviving (non-crashed) workers of a `k`-worker cluster,
-    /// ascending.
-    pub fn surviving_workers(&self, k: usize) -> Vec<usize> {
-        (0..k).filter(|w| !self.is_crashed(*w)).collect()
-    }
-
-    /// The largest modelled latency multiplier among surviving workers —
-    /// the factor by which the synchronous barrier stretches.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoSurvivingWorkers`] if all `k` workers crashed
-    /// (or `k == 0`): an all-crashed round has no straggler time, and
-    /// modelling it as `0s` would silently hide a dead cluster.
-    pub fn max_surviving_straggle(&self, k: usize) -> Result<f64, ClusterError> {
-        (0..k)
-            .filter(|w| !self.is_crashed(*w))
-            .map(|w| self.straggle_factor(w))
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.max(x)))
-            })
-            .ok_or(ClusterError::NoSurvivingWorkers)
+    /// in `round` — i.e. the worker is alive and the message is not
+    /// dropped.
+    pub fn replica_arrives(&self, round: u64, worker: usize, file: usize) -> bool {
+        !self.is_crashed(worker) && !self.drops_replica(round, worker, file)
     }
 }
 
@@ -388,9 +342,8 @@ mod tests {
         assert!(plan.is_trivial());
         assert!(!plan.is_crashed(0));
         assert_eq!(plan.straggle_factor(3), 1.0);
-        assert!(!plan.drops_replica(7, 0, 2, 11));
-        assert!(plan.replica_arrives(7, 0, 2, 11));
-        assert_eq!(plan.surviving_workers(3), vec![0, 1, 2]);
+        assert!(!plan.drops_replica(7, 2, 11));
+        assert!((0..3).all(|w| plan.replica_arrives(7, w, 11)));
     }
 
     #[test]
@@ -400,7 +353,7 @@ mod tests {
         let c = FaultPlan::new(43).drop_rate(0.3);
         let pattern = |p: &FaultPlan| -> Vec<bool> {
             (0..200)
-                .map(|i| p.drops_replica(i / 50, 0, (i % 10) as usize, (i % 25) as usize))
+                .map(|i| p.drops_replica(i / 50, (i % 10) as usize, (i % 25) as usize))
                 .collect()
         };
         assert_eq!(pattern(&a), pattern(&b), "same seed ⇒ same drops");
@@ -410,13 +363,12 @@ mod tests {
     #[test]
     fn chunk_drops_are_deterministic_and_independent_of_replica_drops() {
         let plan = FaultPlan::new(42).drop_rate(0.3);
-        assert!(!FaultPlan::none().drops_chunk(7, 0, 2, 11, 3));
+        assert!(!FaultPlan::none().drops_chunk(7, 2, 11, 3));
         let roll = |p: &FaultPlan| -> Vec<bool> {
             (0..400)
                 .map(|i| {
                     p.drops_chunk(
                         i / 100,
-                        0,
                         (i % 5) as usize,
                         (i % 25) as usize,
                         (i % 8) as usize,
@@ -435,15 +387,11 @@ mod tests {
         // Chunk 0's fate must not simply mirror the whole-replica roll —
         // the rolls use distinct mixing, so they should disagree somewhere.
         let disagree =
-            (0..400u64).any(|i| plan.drops_chunk(i, 0, 1, 2, 0) != plan.drops_replica(i, 0, 1, 2));
+            (0..400u64).any(|i| plan.drops_chunk(i, 1, 2, 0) != plan.drops_replica(i, 1, 2));
         assert!(
             disagree,
             "per-chunk rolls are independent of per-replica rolls"
         );
-        // Retry waves re-roll chunk losses, like replica losses do.
-        let reroll =
-            (0..400u64).any(|i| plan.drops_chunk(i, 0, 1, 2, 3) != plan.drops_chunk(i, 1, 1, 2, 3));
-        assert!(reroll, "attempt index participates in the chunk roll");
     }
 
     #[test]
@@ -451,20 +399,34 @@ mod tests {
         let plan = FaultPlan::new(7).drop_rate(0.2);
         let n = 10_000;
         let dropped = (0..n)
-            .filter(|&i| plan.drops_replica(i as u64, 0, i % 13, i % 29))
+            .filter(|&i| plan.drops_replica(i as u64, i % 13, i % 29))
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.02, "observed drop rate {rate}");
     }
 
     #[test]
-    fn retries_reroll_drops() {
-        let plan = FaultPlan::new(11).drop_rate(0.5);
-        // Some replica must differ between attempt 0 and attempt 1.
-        let differs = (0..100).any(|i| {
-            plan.drops_replica(3, 0, i % 10, i % 25) != plan.drops_replica(3, 1, i % 10, i % 25)
-        });
-        assert!(differs, "attempt number must re-roll the drop decision");
+    fn drop_rolls_are_pinned() {
+        // Bit `i` of each mask is the roll for round `i / 16`, worker
+        // `i % 15`, file `7i mod 25` and chunk `i % 6`. The masks are
+        // golden: changing the hash re-rolls every seeded fault run.
+        let golden = [
+            (0x1, 0x8072_23d2_0524_8308_u64, 0x2803_0686_8856_4608_u64),
+            (0x2a, 0x1028_8b0c_0884_4816, 0x0926_9b83_0c10_6073),
+            (0xb12, 0x4c06_2252_b601_c002, 0x4b00_0622_6001_2b89),
+        ];
+        for (seed, replicas, chunks) in golden {
+            let plan = FaultPlan::new(seed).drop_rate(0.3);
+            let (mut rolled_replicas, mut rolled_chunks) = (0u64, 0u64);
+            for i in 0..64u64 {
+                let (round, worker, file) = (i / 16, (i % 15) as usize, (i * 7 % 25) as usize);
+                let chunk = (i % 6) as usize;
+                rolled_replicas |= u64::from(plan.drops_replica(round, worker, file)) << i;
+                rolled_chunks |= u64::from(plan.drops_chunk(round, worker, file, chunk)) << i;
+            }
+            assert_eq!(rolled_replicas, replicas, "replica rolls, seed {seed:#x}");
+            assert_eq!(rolled_chunks, chunks, "chunk rolls, seed {seed:#x}");
+        }
     }
 
     #[test]
@@ -477,24 +439,9 @@ mod tests {
         assert_eq!(plan.num_crashed(), 3);
         assert_eq!(plan.straggle_factor(1), 3.5);
         assert_eq!(plan.straggle_factor(0), 1.0);
-        assert_eq!(plan.surviving_workers(8), vec![0, 1, 3, 4, 6]);
-        assert_eq!(plan.max_surviving_straggle(8), Ok(3.5));
         // Crashed workers never deliver, even with drop_rate 0.
-        assert!(!plan.replica_arrives(0, 0, 2, 0));
-        assert!(plan.replica_arrives(0, 0, 0, 0));
-    }
-
-    #[test]
-    fn all_crashed_is_an_explicit_error() {
-        let plan = FaultPlan::new(0).crash_many(0..4);
-        assert_eq!(
-            plan.max_surviving_straggle(4),
-            Err(ClusterError::NoSurvivingWorkers)
-        );
-        assert_eq!(
-            FaultPlan::none().max_surviving_straggle(0),
-            Err(ClusterError::NoSurvivingWorkers)
-        );
+        let arriving: Vec<usize> = (0..8).filter(|&w| plan.replica_arrives(0, w, 0)).collect();
+        assert_eq!(arriving, vec![0, 1, 3, 4, 6]);
     }
 
     #[test]
@@ -530,14 +477,14 @@ mod tests {
         // delivering.
         assert!(plan.is_member(4, 1));
         assert!(plan.members_at(4, 1).contains(&4));
-        assert!(!plan.replica_arrives(1, 0, 4, 0));
+        assert!(!plan.replica_arrives(1, 4, 0));
     }
 
     #[test]
     fn straggle_clamped_and_drop_rate_clamped() {
         let plan = FaultPlan::new(0).straggle(0, 0.25).drop_rate(1.5);
         assert_eq!(plan.straggle_factor(0), 1.0);
-        assert_eq!(plan.replica_drop_rate(), 1.0);
+        assert!((0..100).all(|round| plan.drops_replica(round, 0, 0)));
     }
 
     #[test]
@@ -545,15 +492,12 @@ mod tests {
         let never = FaultPlan::new(3).drop_rate(-0.5);
         let always = FaultPlan::new(3).drop_rate(1.0);
         let nan = FaultPlan::new(3).drop_rate(f64::NAN);
-        assert_eq!(never.replica_drop_rate(), 0.0);
-        assert_eq!(always.replica_drop_rate(), 1.0);
-        assert_eq!(nan.replica_drop_rate(), 0.0);
         assert!(nan.is_trivial(), "a NaN rate injects nothing");
         for i in 0..500usize {
             let (round, w, f, c) = (i as u64 / 25, i % 15, i % 25, i % 7);
-            assert!(!never.drops_replica(round, 0, w, f));
-            assert!(!nan.drops_replica(round, 0, w, f) && !nan.drops_chunk(round, 0, w, f, c));
-            assert!(always.drops_replica(round, 0, w, f) && always.drops_chunk(round, 0, w, f, c));
+            assert!(!never.drops_replica(round, w, f) && !never.drops_chunk(round, w, f, c));
+            assert!(!nan.drops_replica(round, w, f) && !nan.drops_chunk(round, w, f, c));
+            assert!(always.drops_replica(round, w, f) && always.drops_chunk(round, w, f, c));
         }
     }
 }

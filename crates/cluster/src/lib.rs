@@ -14,17 +14,15 @@
 //!   replaces Byzantine workers' returns after the honest gradients are
 //!   known (the omniscient attack model).
 //! * [`CostModel`] converts the cluster's geometry (model broadcast, `l`
-//!   gradient uploads per worker, PS aggregation passes, and under a
-//!   plan the straggler stretch and [`RetryPolicy`] waves) into the
+//!   gradient uploads per worker, PS aggregation passes) into the
 //!   per-iteration computation/communication/aggregation split of the
 //!   paper's Figure 12; [`PhaseTimings`] is the measured counterpart a
 //!   wire PS reports.
 //!
-//! [`ClusterError`] is the shared error type for "nobody survived" and
-//! for socket-deployment failures.
+//! [`ClusterError`] is the error type of socket-deployment failures.
 
 mod fault;
 mod timing;
 
 pub use fault::{ClusterError, FaultPlan};
-pub use timing::{CostModel, IterationTimeEstimate, PhaseTimings, RetryPolicy};
+pub use timing::{CostModel, IterationTimeEstimate, PhaseTimings};

@@ -1,7 +1,6 @@
 //! Per-iteration time modelling (paper Section 6.2 "Training Time" and
 //! Figure 12).
 
-use crate::{ClusterError, FaultPlan};
 use byz_assign::Assignment;
 use std::time::Duration;
 
@@ -58,15 +57,12 @@ pub struct IterationTimeEstimate {
     pub communication: Duration,
     /// PS-side voting + robust aggregation.
     pub aggregation: Duration,
-    /// Retry backoff + retransmission time for files whose quorum
-    /// collapsed (zero in fault-free iterations).
-    pub retry: Duration,
 }
 
 impl IterationTimeEstimate {
     /// Total modelled iteration time.
     pub fn total(&self) -> Duration {
-        self.computation + self.communication + self.aggregation + self.retry
+        self.computation + self.communication + self.aggregation
     }
 }
 
@@ -122,44 +118,6 @@ impl PhaseTimings {
     }
 }
 
-/// Bounded-retry backoff policy for files whose quorum collapsed: the PS
-/// re-requests the file's replicas from its surviving workers, waiting
-/// `backoff_base · backoff_factor^(attempt−1)` before attempt `attempt`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Exponential backoff base delay (wait before the first retry).
-    pub backoff_base: Duration,
-    /// Backoff growth factor per further attempt (≥ 1).
-    pub backoff_factor: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            backoff_base: Duration::from_millis(50),
-            backoff_factor: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The modelled wait before retry `attempt` (1-based). Attempt 0 is
-    /// the original transmission and has no delay.
-    pub fn delay(&self, attempt: u32) -> Duration {
-        if attempt == 0 {
-            return Duration::ZERO;
-        }
-        let factor = self.backoff_factor.max(1.0).powi(attempt as i32 - 1);
-        Duration::from_secs_f64(self.backoff_base.as_secs_f64() * factor)
-    }
-
-    /// Total backoff spent running `waves` retry waves (attempts
-    /// `1..=waves`).
-    pub fn total_backoff(&self, waves: u32) -> Duration {
-        (1..=waves).map(|a| self.delay(a)).sum()
-    }
-}
-
 impl CostModel {
     /// Models one iteration for a redundancy scheme with the given
     /// assignment, batch size `b`, and an aggregation pass over
@@ -200,68 +158,7 @@ impl CostModel {
             computation: Duration::from_secs_f64(computation),
             communication: Duration::from_secs_f64(communication),
             aggregation: Duration::from_secs_f64(aggregation),
-            retry: Duration::ZERO,
         }
-    }
-
-    /// Models one iteration under a [`FaultPlan`]: the synchronous
-    /// barrier stretches to the slowest *surviving* straggler, crashed
-    /// workers upload nothing, dropped replicas shrink the expected
-    /// upload volume, and `retry_waves`/`retried_files` account for the
-    /// bounded-retry protocol (backoff waits plus retransmission of the
-    /// retried files' gradients).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoSurvivingWorkers`] when the plan crashes every
-    /// worker — there is no meaningful iteration time for a dead cluster,
-    /// and the pre-fault code path's silent `0s` straggler estimate is
-    /// exactly the failure mode this method exists to remove.
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_faulty(
-        &self,
-        assignment: &Assignment,
-        batch_size: usize,
-        aggregated_vectors: usize,
-        aggregation_ops_per_value: f64,
-        plan: &FaultPlan,
-        retry_waves: u32,
-        retried_files: usize,
-        policy: &RetryPolicy,
-    ) -> Result<IterationTimeEstimate, ClusterError> {
-        let base = self.estimate(
-            assignment,
-            batch_size,
-            aggregated_vectors,
-            aggregation_ops_per_value,
-        );
-        let k = assignment.num_workers();
-        let survivors = plan.surviving_workers(k).len();
-        let straggle = plan.max_surviving_straggle(k)?;
-
-        let computation = base.computation.as_secs_f64() * straggle;
-
-        // Broadcast still fans out to all K workers (the PS cannot know
-        // who crashed before sending); uploads come only from survivors,
-        // thinned by the expected drop rate.
-        let model_bytes = self.model_dim as f64 * self.bytes_per_param;
-        let per_frame = self.latency + model_bytes / self.bandwidth;
-        let l = assignment.load() as f64;
-        let downlink = k as f64 * per_frame;
-        let uplink = survivors as f64 * l * per_frame * (1.0 - plan.replica_drop_rate());
-        let communication = downlink + uplink;
-
-        // Retries: each wave waits its backoff, then the retried files'
-        // surviving replicas are retransmitted.
-        let retransmit = retried_files as f64 * per_frame;
-        let retry = policy.total_backoff(retry_waves).as_secs_f64() + retransmit;
-
-        Ok(IterationTimeEstimate {
-            computation: Duration::from_secs_f64(computation),
-            communication: Duration::from_secs_f64(communication),
-            aggregation: base.aggregation,
-            retry: Duration::from_secs_f64(retry),
-        })
     }
 
     /// Models one iteration of a *baseline* (no redundancy) scheme on `K`
@@ -284,7 +181,6 @@ impl CostModel {
             computation: Duration::from_secs_f64(computation),
             communication: Duration::from_secs_f64(communication),
             aggregation: Duration::from_secs_f64(aggregation),
-            retry: Duration::ZERO,
         }
     }
 }
@@ -328,93 +224,6 @@ mod tests {
             est.total(),
             est.computation + est.communication + est.aggregation
         );
-    }
-
-    #[test]
-    fn stragglers_stretch_the_barrier() {
-        let model = CostModel::default();
-        let assignment = RamanujanAssignment::new(5, 5).unwrap().build();
-        let clean = model.estimate(&assignment, 750, 25, 1.0);
-        let plan = FaultPlan::new(0).straggle(3, 4.0);
-        let slow = model
-            .estimate_faulty(
-                &assignment,
-                750,
-                25,
-                1.0,
-                &plan,
-                0,
-                0,
-                &RetryPolicy::default(),
-            )
-            .unwrap();
-        assert!(
-            (slow.computation.as_secs_f64() / clean.computation.as_secs_f64() - 4.0).abs() < 1e-9,
-            "barrier must stretch by the straggler factor"
-        );
-        // A crashed straggler no longer holds the barrier.
-        let crashed = model
-            .estimate_faulty(
-                &assignment,
-                750,
-                25,
-                1.0,
-                &plan.crash(3),
-                0,
-                0,
-                &RetryPolicy::default(),
-            )
-            .unwrap();
-        assert_eq!(crashed.computation, clean.computation);
-        assert!(crashed.communication < clean.communication);
-    }
-
-    #[test]
-    fn all_crashed_estimate_is_an_error() {
-        let model = CostModel::default();
-        let assignment = RamanujanAssignment::new(5, 5).unwrap().build();
-        let k = assignment.num_workers();
-        let plan = FaultPlan::new(0).crash_many(0..k);
-        assert_eq!(
-            model
-                .estimate_faulty(
-                    &assignment,
-                    750,
-                    25,
-                    1.0,
-                    &plan,
-                    0,
-                    0,
-                    &RetryPolicy::default()
-                )
-                .unwrap_err(),
-            ClusterError::NoSurvivingWorkers
-        );
-    }
-
-    #[test]
-    fn retry_backoff_is_exponential_and_accounted() {
-        let policy = RetryPolicy {
-            backoff_base: Duration::from_millis(100),
-            backoff_factor: 2.0,
-        };
-        assert_eq!(policy.delay(0), Duration::ZERO);
-        assert_eq!(policy.delay(1), Duration::from_millis(100));
-        assert_eq!(policy.delay(2), Duration::from_millis(200));
-        assert_eq!(policy.total_backoff(3), Duration::from_millis(700));
-
-        let model = CostModel::default();
-        let assignment = RamanujanAssignment::new(5, 5).unwrap().build();
-        let plan = FaultPlan::new(1).drop_rate(0.1);
-        let none = model
-            .estimate_faulty(&assignment, 750, 25, 1.0, &plan, 0, 0, &policy)
-            .unwrap();
-        let some = model
-            .estimate_faulty(&assignment, 750, 25, 1.0, &plan, 2, 4, &policy)
-            .unwrap();
-        assert_eq!(none.retry, Duration::ZERO);
-        assert!(some.retry >= Duration::from_millis(300));
-        assert!(some.total() > none.total());
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub mod prelude {
     pub use byz_aggregate::{
         aggregate_winners, gradient_fingerprint, majority_vote, quorum_vote, quorum_vote_audited,
         Aggregator, Auror, Bulyan, CoordinateMedian, GeometricMedian, Krum, Mean, MedianOfMeans,
-        MultiKrum, Provenance, QuorumConfig, QuorumError, QuorumOutcome, ReplicaVerdict,
-        SignSgdMajority, TrimmedMean, VoteAudit,
+        MultiKrum, Provenance, QuorumError, QuorumOutcome, ReplicaVerdict, SignSgdMajority,
+        TrimmedMean, VoteAudit,
     };
     pub use byz_assign::{
         reassign_quarantined, Assignment, DynamicAssignment, FrcAssignment, MembershipPatch,
@@ -86,7 +86,7 @@ pub mod prelude {
         RandomNoise, ReversedGradient, Sleeper,
     };
     pub use byz_cluster::{
-        ClusterError, CostModel, FaultPlan, IterationTimeEstimate, PhaseTimings, RetryPolicy,
+        ClusterError, CostModel, FaultPlan, IterationTimeEstimate, PhaseTimings,
     };
     pub use byz_data::{BatchSampler, Dataset, SyntheticConfig, SyntheticImages};
     pub use byz_distortion::{

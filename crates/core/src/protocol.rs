@@ -1,12 +1,10 @@
 //! The end-to-end training protocol (paper Algorithm 1).
 
 use crate::{evaluate_accuracy, GradientMoments};
-use byz_aggregate::{
-    gradient_fingerprint, AggregationError, Aggregator, QuorumConfig, QuorumError, VoteAudit,
-};
+use byz_aggregate::{gradient_fingerprint, AggregationError, Aggregator, QuorumError, VoteAudit};
 use byz_assign::{Assignment, DynamicAssignment};
 use byz_attack::{AttackContext, AttackVector, ByzantineSelector};
-use byz_cluster::{FaultPlan, RetryPolicy};
+use byz_cluster::FaultPlan;
 use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_distortion::{binomial_saturating, cmax_graph_exhaustive, count_distorted};
 use byz_kernel::sgd_momentum_step;
@@ -44,11 +42,11 @@ pub struct TrainingConfig {
     /// [`FaultPlan::none`] disables injection and preserves the exact
     /// no-fault protocol behaviour bit for bit.
     pub faults: FaultPlan,
-    /// Degradation policy: minimum per-file quorum and retry budget.
-    pub quorum: QuorumConfig,
-    /// Modelled backoff schedule for re-vote waves (accounted in
-    /// [`IterationRecord::retry_time`]; the simulator never sleeps).
-    pub retry: RetryPolicy,
+    /// Degradation policy: the minimum number of arrived replicas for a
+    /// file's vote to count — the wire's [`ServerConfig::q_min`], with
+    /// its `⌈q_min/2⌉ − 1` guarantee. A file below it is abandoned for
+    /// the round, never re-requested.
+    pub q_min: usize,
     /// Vote-audit reputation: when set, a [`ReputationLedger`] folds
     /// every round's vote audits, quarantined workers stop being polled
     /// and their files are greedily re-replicated onto survivors
@@ -69,22 +67,18 @@ impl Default for TrainingConfig {
             eval_samples: 1_000,
             seed: 0xB12,
             faults: FaultPlan::none(),
-            quorum: QuorumConfig::default(),
-            retry: RetryPolicy::default(),
+            q_min: 1,
             reputation: None,
         }
     }
 }
 
-/// A file whose vote never reached quorum, with the error seen on its
-/// final attempt.
+/// A file whose vote never reached quorum, with why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbandonedFile {
     /// File index in `0..f`.
     pub file: usize,
-    /// Vote attempts made (1 initial + retries).
-    pub attempts: u32,
-    /// Why the final attempt failed.
+    /// Why the vote failed.
     pub error: QuorumError,
 }
 
@@ -101,16 +95,12 @@ pub struct RoundOutcome {
     pub full_quorum: usize,
     /// Files voted from a partial replica set (`q_min ≤ arrived < r`).
     pub degraded: usize,
-    /// Files that reached quorum only after at least one retry wave.
-    pub retried: usize,
-    /// Deepest retry wave used this round (0 = no retries anywhere).
-    pub retry_waves: u32,
-    /// Replica deliveries lost to message drops across all attempts
-    /// (crashed workers are not counted — they never send).
+    /// Replica deliveries lost to message drops (crashed workers are not
+    /// counted — they never send).
     pub dropped_replicas: usize,
     /// Workers crashed for the whole round.
     pub crashed_workers: usize,
-    /// Files given up after exhausting the retry budget.
+    /// Files that had fewer than `q_min` replicas arrive.
     pub abandoned: Vec<AbandonedFile>,
 }
 
@@ -182,8 +172,8 @@ pub enum TrainingError {
     /// `q` exceeds the number of workers.
     TooManyByzantine { q: usize, workers: usize },
     /// No file in the round reached its minimum quorum — e.g. every
-    /// worker crashed, or drops pushed all files below `q_min` for the
-    /// whole retry budget. The outcome records exactly what was lost.
+    /// worker crashed, or drops pushed all files below `q_min`. The
+    /// outcome records exactly what was lost.
     RoundCollapsed {
         iteration: usize,
         outcome: Box<RoundOutcome>,
@@ -254,9 +244,6 @@ pub struct IterationRecord {
     pub compute_time: Duration,
     /// Wall-clock time spent on voting + aggregation this iteration.
     pub aggregate_time: Duration,
-    /// Modelled backoff added by this round's re-vote waves (zero when
-    /// nothing was retried; the simulator itself never sleeps).
-    pub retry_time: Duration,
 }
 
 /// The full history of a training run.
@@ -478,7 +465,7 @@ impl<'a> Trainer<'a> {
             &self.assignment,
             params.len(),
             &ServerConfig {
-                quorum: self.config.quorum,
+                q_min: self.config.q_min,
                 faults: plan.clone(),
                 ..ServerConfig::default()
             },
@@ -519,8 +506,7 @@ impl<'a> Trainer<'a> {
             let predicted_distorted = count_distorted(&self.assignment, &byzantine);
             // The replica worker `w` returns for `file`, as the PS sees
             // it (Eq. 2). Honest replicas borrow the shared gradient;
-            // every attack forges deterministically from the context, so
-            // a re-vote wave re-sends the same payload.
+            // every attack forges deterministically from the context.
             let replica = |w: usize, file: usize| -> Cow<'_, [f32]> {
                 if !is_byz[w] {
                     return Cow::Borrowed(&true_grads[file]);
@@ -567,7 +553,6 @@ impl<'a> Trainer<'a> {
                     source,
                 })?;
             let aggregate_time = agg_start.elapsed();
-            let retry_time = self.config.retry.total_backoff(outcome.retry_waves);
 
             // Reputation fold: turn this round's audits into suspicion
             // updates; on a quarantine, re-realize the placement so the
@@ -621,7 +606,6 @@ impl<'a> Trainer<'a> {
                 train_loss,
                 compute_time,
                 aggregate_time,
-                retry_time,
             });
         }
 
@@ -696,10 +680,9 @@ impl<'a> Trainer<'a> {
     }
 
     /// The link of round `t`: offers the open round every replica the
-    /// fault plan delivers, then re-requests the files still below quorum
-    /// in up to `max_retries` re-vote waves, each with re-rolled drops
-    /// (the rolls key on the wave index). Crashed workers never send.
-    /// Returns the deliveries lost to drops across all waves.
+    /// fault plan delivers, once — like the wire, the round votes over
+    /// what arrived. Crashed workers never send. Returns the deliveries
+    /// lost to drops.
     fn deliver<'g>(
         &self,
         core: &mut RoundCore,
@@ -709,26 +692,14 @@ impl<'a> Trainer<'a> {
     ) -> usize {
         let plan = &self.config.faults;
         let mut dropped = 0;
-        for attempt in 0..=self.config.quorum.max_retries as u32 {
-            let wave = match attempt {
-                0 => (0..holders.len()).collect(),
-                _ => core.below_quorum(),
-            };
-            for file in wave {
-                if attempt > 0 {
-                    core.reopen(file);
-                }
-                for &w in &holders[file] {
-                    if plan.is_crashed(w) {
-                        continue;
-                    }
-                    if plan.drops_replica(t, attempt, w, file) {
-                        dropped += 1;
-                    } else {
-                        // The gate refuses only what could not vote on
-                        // the wire either (a forgery of the wrong shape).
-                        let _ = core.offer(w, t, file, &replica(w, file));
-                    }
+        for (file, holders) in holders.iter().enumerate() {
+            for &w in holders.iter().filter(|&&w| !plan.is_crashed(w)) {
+                if plan.drops_replica(t, w, file) {
+                    dropped += 1;
+                } else {
+                    // The gate refuses only what could not vote on the
+                    // wire either (a forgery of the wrong shape).
+                    let _ = core.offer(w, t, file, &replica(w, file));
                 }
             }
         }
@@ -755,12 +726,9 @@ fn round_outcome(
     crashed_workers: usize,
     dropped_replicas: usize,
 ) -> RoundOutcome {
-    let retried = result.voted.iter().filter(|slot| slot.attempts > 1);
     RoundOutcome {
         full_quorum: result.voted.len() - result.degraded_votes,
         degraded: result.degraded_votes,
-        retried: retried.clone().count(),
-        retry_waves: retried.map(|slot| slot.attempts - 1).max().unwrap_or(0),
         dropped_replicas,
         crashed_workers,
         abandoned: result
@@ -768,7 +736,6 @@ fn round_outcome(
             .iter()
             .map(|&(slot, error)| AbandonedFile {
                 file: slot.file,
-                attempts: slot.attempts,
                 error,
             })
             .collect(),

@@ -217,6 +217,9 @@ impl DeploySpec {
             }
             _ => return err("dims needs at least two layers"),
         }
+        if self.classes == 0 {
+            return err("classes must be positive");
+        }
         // `>` rejects NaN along with zero and negative rates.
         if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
             return err(format!(
@@ -235,6 +238,7 @@ impl DeploySpec {
         if !(0.0..1.0).contains(&self.drop_rate) {
             return err(format!("drops={} must be in [0, 1)", self.drop_rate));
         }
+        let unit = self.server_config().straggler_unit;
         for &(w, m) in &self.stragglers {
             if w >= k {
                 return err(format!("straggle worker {w} outside cluster of K={k}"));
@@ -242,6 +246,11 @@ impl DeploySpec {
             // `contains` rejects NaN along with sub-unit multipliers.
             if !(1.0..).contains(&m) {
                 return err(format!("straggle={w}:{m} needs a multiplier ≥ 1"));
+            }
+            // A worker sleeps `straggler_unit × (m − 1)` per broadcast:
+            // an infinite or huge multiplier is no `Duration`.
+            if Duration::try_from_secs_f64(unit.as_secs_f64() * (m - 1.0)).is_err() {
+                return err(format!("straggle={w}:{m} needs a finite delay"));
             }
         }
         Ok(())
@@ -511,6 +520,7 @@ mod tests {
             "batch=90",            // not a multiple of l² = 25
             "dims=10x16x4",        // input ≠ hw²
             "dims=36x16x7",        // output ≠ classes
+            "classes=0",           // no labels to draw
             "byzantine=99",        // outside K = 15
             "drops=1.5",           // not a probability
             "mystery=1",           // unknown key
@@ -523,6 +533,8 @@ mod tests {
             "straggle=3-2",        // not worker:multiplier
             "straggle=3:0.5",      // multiplier below 1
             "straggle=15:4.0",     // straggler outside K = 15
+            "straggle=3:inf",      // an endless delay
+            "straggle=3:1e30",     // a delay no Duration holds
             "samples=10 batch=25", // batch larger than the dataset
             "wire=chunked:0",      // no coordinates per chunk
             "lr=NaN",              // not a rate

@@ -4,9 +4,9 @@
 //! `wants_more()` → `close()` → [`RoundResult`].
 //!
 //! [`RoundCore`] owns everything a round decides on — the replica store,
-//! the per-file outcome slots and attempt counts, the bounded-staleness
-//! backlog and the canonical fold of counters and audits — and knows
-//! nothing about where replicas come from: the channel PS and the TCP PS
+//! the per-file outcome slots, the bounded-staleness backlog and the
+//! canonical fold of counters and audits — and knows nothing about
+//! where replicas come from: the channel PS and the TCP PS
 //! feed it frames, the in-process trainer (`byzshield::Trainer::run`, the
 //! zero-latency link) feeds it slices, and each driver names the round's
 //! live holder sets. The three [`RoundMode`]s are one private
@@ -73,9 +73,6 @@ pub struct FileSlot {
     pub origin: u64,
     /// File index in `0..f`.
     pub file: usize,
-    /// Vote waves the file went through: 1 + its
-    /// [`reopen`](RoundCore::reopen)s.
-    pub attempts: u32,
 }
 
 /// What a closed round hands its driver: a function of the *set* of
@@ -327,14 +324,6 @@ impl ReplicaStore {
         }
     }
 
-    /// Forgets every replica of `slot` (a re-vote wave starts over).
-    fn forget(&mut self, slot: usize) {
-        match self {
-            Flat(flat) => flat.slots[slot].clear(),
-            Sharded(voters) => voters[slot].reset(),
-        }
-    }
-
     /// Swaps `worker`'s whole replica in `slot` for a copy.
     fn detach(&mut self, slot: usize, worker: usize) {
         if let Flat(flat) = self {
@@ -413,8 +402,6 @@ pub struct RoundCore {
     holders: Vec<Vec<usize>>,
     /// Rounds each file's vote is deferred by; 0 = votes on time.
     file_lag: Vec<u64>,
-    /// Vote waves each on-time file is in (1 + its reopens).
-    attempts: Vec<u32>,
     store: ReplicaStore,
     outcomes: Vec<Option<Vote>>,
     on_time_frames: usize,
@@ -455,7 +442,7 @@ impl RoundCore {
         RoundCore {
             wire: config.wire,
             policy,
-            q_min: config.quorum.q_min,
+            q_min: config.q_min,
             model_len,
             faults: config.faults.clone(),
             chunks,
@@ -468,7 +455,6 @@ impl RoundCore {
             t: 0,
             holders: vec![Vec::new(); f],
             file_lag: vec![0; f],
-            attempts: vec![1; f],
             store: ReplicaStore::new(config.wire, 0..f, model_len),
             outcomes: vec![None; f],
             on_time_frames: 0,
@@ -494,7 +480,6 @@ impl RoundCore {
         assert_eq!(holders.len(), self.assigned.len(), "one set per file");
         self.t = t;
         self.outcomes.fill(None);
-        self.attempts.fill(1);
         (self.on_time_frames, self.entries_seen, self.vote_ns) = (0, 0, 0);
         for (file, live) in holders.iter().enumerate() {
             // A file votes on time iff at least `q_min` of its live
@@ -522,17 +507,13 @@ impl RoundCore {
                     .filter(|&w| {
                         !self.faults.is_crashed(w)
                             && self.lag[w] > 0
-                            && !self.faults.drops_replica(t, 0, w, file)
+                            && !self.faults.drops_replica(t, w, file)
                             && (0..self.chunks.unwrap_or(0))
-                                .all(|c| !self.faults.drops_chunk(t, 0, w, file, c))
+                                .all(|c| !self.faults.drops_chunk(t, w, file, c))
                     })
                     .collect();
                 self.backlog.push(Parked {
-                    slot: FileSlot {
-                        origin: t,
-                        file,
-                        attempts: 1,
-                    },
+                    slot: FileSlot { origin: t, file },
                     lag: self.file_lag[file],
                     holders: live.clone(),
                     awaited,
@@ -713,35 +694,6 @@ impl RoundCore {
         }
     }
 
-    /// The open round's on-time files that hold fewer complete replicas
-    /// than the quorum floor, ascending: exactly those
-    /// [`close`](Self::close) abandons unless a re-vote wave
-    /// ([`reopen`](Self::reopen)) lifts them. Files parked this round are
-    /// not listed; their vote is settled at the fold round.
-    pub fn below_quorum(&self) -> Vec<usize> {
-        let below = |&file: &usize| {
-            self.file_lag[file] == 0 && self.store.complete_workers(file).len() < self.q_min.max(1)
-        };
-        (0..self.assigned.len()).filter(below).collect()
-    }
-
-    /// Starts on-time `file`'s next vote wave in the open round: its slot
-    /// forgets every replica — each live holder is admitted once more —
-    /// and its attempt count, which [`RoundResult`] reports, goes up by
-    /// one. The driver re-requests the replicas; the engine never does.
-    /// A file parked this round is not reopened: its replicas live in the
-    /// backlog, which this leaves alone.
-    pub fn reopen(&mut self, file: usize) {
-        self.outcomes[file] = None;
-        self.attempts[file] += 1;
-        // The batched wire counted the on-time arrivals as they came (the
-        // chunked one counts at `close` and never gets above zero); the
-        // open store admits lag-0 senders only.
-        let forgotten = self.store.complete_workers(file).len();
-        self.entries_seen = self.entries_seen.saturating_sub(forgotten);
-        self.store.forget(file);
-    }
-
     /// Closes the round: votes every on-time file not yet finalized and
     /// every parked file due now over whatever arrived, and folds
     /// winners, audits and counters in canonical order.
@@ -776,7 +728,6 @@ impl RoundCore {
             let slot = FileSlot {
                 origin: self.t,
                 file,
-                attempts: self.attempts[file],
             };
             let vote = self.outcomes[file].take().expect("voted above");
             result.fold(slot, vote, 0);
@@ -809,7 +760,6 @@ impl RoundCore {
 mod tests {
     use super::*;
     use crate::BatchFrameBuilder;
-    use byz_aggregate::{QuorumConfig, ReplicaVerdict};
     use byz_assign::MolsAssignment;
 
     const STRAGGLER: usize = 7;
@@ -821,7 +771,7 @@ mod tests {
         let config = ServerConfig {
             mode: RoundMode::BoundedStaleness { max_staleness: 1 },
             faults: FaultPlan::new(1).straggle(STRAGGLER, 2.0),
-            quorum: QuorumConfig::strict(3),
+            q_min: 3,
             ..ServerConfig::default()
         };
         let core = RoundCore::new(&assignment, 4, &config);
@@ -847,56 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn reopen_forgets_the_slot_then_admits_each_holder_once() {
-        let (mut core, holders) = bounded_engine();
-        let on_time: Vec<usize> = (0..25)
-            .filter(|&f| !holders[f].contains(&STRAGGLER))
-            .collect();
-        core.begin(1, &holders);
-        // An on-time file gets a first wave that falls short; it is
-        // reopened and the second wave is complete.
-        let file = on_time[0];
-        let first = holders[file][0];
-        assert_eq!(core.offer(first, 1, file, &replica(1, file)), Ok(()));
-        assert_eq!(
-            core.offer(first, 1, file, &replica(1, file)),
-            Err(Reject::Duplicate)
-        );
-        assert!(core.below_quorum().contains(&file));
-        core.reopen(file);
-        offer_all(&mut core, &holders, 1, &(0..25).collect::<Vec<_>>());
-        for &w in &holders[file] {
-            let again = core.offer(w, 1, file, &replica(1, file));
-            assert_eq!(again, Err(Reject::Duplicate), "worker {w}");
-        }
-        assert!(core.below_quorum().is_empty());
-
-        // The attempt count reaches the result …
-        let first = core.close();
-        assert_eq!((first.deferred_files, first.stale_folded), (5, 0));
-        assert_eq!(
-            first.missing_votes, 5,
-            "the straggler's; no wave counts twice"
-        );
-        let waves = |result: &RoundResult| -> Vec<(u64, usize, u32)> {
-            let reopened = result.voted.iter().filter(|slot| slot.attempts != 1);
-            reopened.map(|s| (s.origin, s.file, s.attempts)).collect()
-        };
-        assert_eq!(first.voted.len(), 20);
-        assert_eq!(waves(&first), vec![(1, file, 2)]);
-        let all_agreed = |audit: &VoteAudit| audit.count(ReplicaVerdict::Agreed) == 3;
-        assert!(first.audits.iter().all(all_agreed));
-        // … and stays with its round: the next one starts every file,
-        // and the parked ones fold, at one wave.
-        core.begin(2, &holders);
-        offer_all(&mut core, &holders, 2, &on_time);
-        let second = core.close();
-        assert_eq!((second.voted.len(), second.stale_folded), (25, 5));
-        assert!(waves(&second).is_empty());
-        assert!(second.abandoned.is_empty());
-    }
-
-    #[test]
     fn below_quorum_is_what_close_abandons_now_or_at_the_fold() {
         let (mut core, holders) = bounded_engine();
         let parked: Vec<usize> = (0..25)
@@ -916,10 +816,6 @@ mod tests {
         for &w in holders[stranded].iter().filter(|&&w| w != STRAGGLER) {
             core.offer(w, 1, stranded, &replica(1, stranded)).unwrap();
         }
-        // The parked file is not listed: its vote waits for the fold.
-        let mut expected = vec![thin, empty];
-        expected.sort_unstable();
-        assert_eq!(core.below_quorum(), expected);
 
         let abandoned = |result: &RoundResult| -> Vec<(u64, usize, QuorumError)> {
             let each = result.abandoned.iter();

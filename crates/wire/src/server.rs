@@ -7,7 +7,7 @@ use crate::message::encode_model_broadcast;
 use crate::round::RoundCore;
 use crate::{Assignment, Message};
 use bytes::{Bytes, BytesMut};
-use byz_aggregate::{Aggregator, CoordinateMedian, QuorumConfig, VoteAudit};
+use byz_aggregate::{Aggregator, CoordinateMedian, VoteAudit};
 use byz_cluster::{FaultPlan, PhaseTimings};
 use byz_data::{split_batch_into_files, BatchSampler, Dataset};
 use byz_nn::FastMlp;
@@ -131,7 +131,12 @@ pub struct ServerConfig {
     pub faults: FaultPlan,
     /// Degradation policy shared with the in-process protocol: the
     /// minimum number of arrived replicas for a file's vote to count.
-    pub quorum: QuorumConfig,
+    /// `1` accepts any survivor (availability-first); `r` demands the
+    /// full replica set (consistency-first). Guarantee: with at most
+    /// `⌈q_min/2⌉ − 1` Byzantine replicas among those received, the vote
+    /// is the honest gradient. A file below it is abandoned for the
+    /// round, never re-requested.
+    pub q_min: usize,
     /// How gradients are framed. [`WireFormat::Batched`] preserves the
     /// pre-chunking protocol bit-for-bit; [`WireFormat::Chunked`] streams
     /// fixed-size chunk frames and votes shard-wise at the PS.
@@ -173,7 +178,7 @@ impl Default for ServerConfig {
             byzantine: Vec::new(),
             attack: LocalAttack::Constant { value: -100.0 },
             faults: FaultPlan::none(),
-            quorum: QuorumConfig::default(),
+            q_min: 1,
             wire: WireFormat::Batched,
             mode: RoundMode::Barrier,
             receive_timeout: Duration::from_millis(500),
@@ -683,9 +688,7 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                     };
                     // Deterministic message loss: same hash, same seed →
                     // the same replicas vanish in the simulator and here.
-                    let dropped = ctx
-                        .plan
-                        .drops_replica(iteration, 0, ctx.worker_id, file_idx);
+                    let dropped = ctx.plan.drops_replica(iteration, ctx.worker_id, file_idx);
                     outbox.put(file_idx as u32, !dropped, compute);
                     if ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
                         return WorkerExit::LinkClosed;
@@ -798,7 +801,7 @@ fn send_replica_chunks(
     for chunk_index in 0..n {
         if ctx
             .plan
-            .drops_chunk(iteration, 0, ctx.worker_id, file as usize, chunk_index)
+            .drops_chunk(iteration, ctx.worker_id, file as usize, chunk_index)
         {
             continue;
         }
@@ -1254,7 +1257,7 @@ mod tests {
         );
         let cfg = ServerConfig {
             faults: FaultPlan::new(0).crash(3),
-            quorum: QuorumConfig::strict(3),
+            q_min: 3,
             receive_timeout: Duration::from_millis(500),
             ..config(3, vec![])
         };

@@ -8,7 +8,6 @@
 //! and `Bounded{0}` are Barrier bit for bit (winners, audits, counters).
 
 use bytes::Bytes;
-use byz_aggregate::QuorumConfig;
 use byz_assign::{DynamicAssignment, MolsAssignment};
 use byz_cluster::FaultPlan;
 use byz_wire::{
@@ -101,7 +100,7 @@ fn worker_flushes(
         t,
         replicas: files
             .iter()
-            .filter(|&&file| !plan.drops_replica(t, 0, w, file))
+            .filter(|&&file| !plan.drops_replica(t, w, file))
             .map(|&file| (file as u32, gradient(t, file, byzantine.contains(&w))))
             .collect(),
     };
@@ -128,7 +127,7 @@ fn frames(flush: &Flush, config: &ServerConfig) -> Vec<Bytes> {
             .flat_map(|(file, g)| {
                 let chunks = encode_gradient_chunks(*t, *w as u32, *file, g, &cfg);
                 let kept = move |&(c, _): &(usize, Bytes)| {
-                    !config.faults.drops_chunk(*t, 0, *w, *file as usize, c)
+                    !config.faults.drops_chunk(*t, *w, *file as usize, c)
                 };
                 chunks.into_iter().enumerate().filter(kept).map(|(_, f)| f)
             })
@@ -326,7 +325,7 @@ proptest! {
                     wire,
                     mode,
                     faults: faults.clone(),
-                    quorum: QuorumConfig::strict(q_min),
+                    q_min,
                     ..ServerConfig::default()
                 };
                 run(&config, &byzantine, &placement, order, Door::Frames)
@@ -381,7 +380,7 @@ proptest! {
                 let config = ServerConfig {
                     mode,
                     faults: faults.clone(),
-                    quorum: QuorumConfig::strict(q_min),
+                    q_min,
                     ..ServerConfig::default()
                 };
                 let framed = run(&config, &byzantine, placement, order_a, Door::Frames);
@@ -418,7 +417,7 @@ proptest! {
             let config = ServerConfig {
                 mode,
                 faults: fault_plan(plan_seed, drop_pct, crashed, &stragglers),
-                quorum: QuorumConfig::strict(q_min),
+                q_min,
                 ..ServerConfig::default()
             };
             let in_place = deliver(&config, &byzantine, &placement, order, Door::Built);

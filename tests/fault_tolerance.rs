@@ -3,7 +3,7 @@
 //! bit-reproducibility assertions.
 //!
 //! Everything here is seeded: a [`FaultPlan`] decides every lost replica
-//! as a pure function of `(seed, round, attempt, worker, file)`, so two
+//! as a pure function of `(seed, round, worker, file)`, so two
 //! runs with the same configuration must produce *bit-identical*
 //! [`RoundOutcome`]s — and any nondeterminism sneaking into the fault
 //! path fails the suite.
@@ -183,10 +183,7 @@ fn all_crashed_cluster_returns_typed_error() {
 #[test]
 fn strict_quorum_abandons_thin_files_but_run_continues() {
     let cfg = TrainingConfig {
-        quorum: QuorumConfig {
-            q_min: 3,
-            max_retries: 1,
-        },
+        q_min: 3,
         ..config(5, 0, FaultPlan::new(2).crash(3))
     };
     let history = run_under_plan(2, cfg, vec![]).unwrap();
@@ -198,34 +195,7 @@ fn strict_quorum_abandons_thin_files_but_run_continues() {
             .abandoned
             .iter()
             .all(|a| matches!(a.error, QuorumError::QuorumNotMet { got: 2, needed: 3 })));
-        // Each abandoned file burned its full retry budget.
-        assert!(rec.outcome.abandoned.iter().all(|a| a.attempts == 2));
         assert_eq!(rec.outcome.surviving_files(), 20);
-    }
-}
-
-/// Message drops are re-rolled per retry wave: with a generous retry
-/// budget, files that missed their quorum on the first attempt usually
-/// recover, and the backoff is accounted in the iteration record.
-#[test]
-fn retries_recover_dropped_quorums() {
-    let cfg = TrainingConfig {
-        quorum: QuorumConfig {
-            q_min: 3, // all replicas must arrive → drops force retries
-            max_retries: 8,
-        },
-        ..config(6, 0, FaultPlan::new(11).drop_rate(0.08))
-    };
-    let history = run_under_plan(4, cfg, vec![]).unwrap();
-    let retried: usize = history.records.iter().map(|r| r.outcome.retried).sum();
-    assert!(retried > 0, "8% drops at q_min = r should force retries");
-    for rec in &history.records {
-        if rec.outcome.retry_waves > 0 {
-            assert!(
-                rec.retry_time > std::time::Duration::ZERO,
-                "retry waves must be charged backoff time"
-            );
-        }
     }
 }
 

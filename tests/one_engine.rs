@@ -7,8 +7,10 @@ use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn run(cfg: TrainingConfig, selector: ByzantineSelector) -> TrainingHistory {
-    let (train, test) = SyntheticImages::new(SyntheticConfig {
+const DIMS: [usize; 3] = [64, 16, 5];
+
+fn data() -> (Dataset, Dataset) {
+    SyntheticImages::new(SyntheticConfig {
         num_classes: 5,
         channels: 1,
         hw: 8,
@@ -18,8 +20,16 @@ fn run(cfg: TrainingConfig, selector: ByzantineSelector) -> TrainingHistory {
         max_shift: 1,
         seed: 2024,
     })
-    .generate();
-    let mut model = FastMlp::new(&[64, 16, 5], &mut StdRng::seed_from_u64(3));
+    .generate()
+}
+
+fn model() -> FastMlp {
+    FastMlp::new(&DIMS, &mut StdRng::seed_from_u64(3))
+}
+
+fn run(cfg: TrainingConfig, selector: ByzantineSelector) -> TrainingHistory {
+    let (train, test) = data();
+    let mut model = model();
     Trainer::new(
         &mut model,
         &train,
@@ -69,4 +79,51 @@ fn live_distorted_files_are_table3_cmax() {
             assert_eq!(rec.epsilon_hat, c_max as f64 / 25.0, "q = {q}");
         }
     }
+}
+
+/// One degradation policy on both drivers: the in-process trainer and the
+/// message-passing cluster vote over what arrived, so under the same
+/// placement, batch seed and fault plan every round abandons and degrades
+/// the same files — neither driver re-requests a replica the other loses.
+#[test]
+fn trainer_and_wire_degrade_alike_under_one_plan() {
+    let plan = FaultPlan::new(11).crash(0).drop_rate(0.1);
+    let (iterations, seed, q_min) = (6, 77, 3);
+    let history = run(
+        TrainingConfig {
+            faults: plan.clone(),
+            seed,
+            q_min,
+            ..config(iterations, 0)
+        },
+        ByzantineSelector::Fixed(vec![]),
+    );
+    let wire = MessagePassingCluster::new(
+        MolsAssignment::new(5, 3).unwrap().build(),
+        std::sync::Arc::new(data().0),
+        DIMS.to_vec(),
+    )
+    .train_run(
+        model().params_flat(),
+        &ServerConfig {
+            batch_size: 100,
+            iterations,
+            faults: plan,
+            q_min,
+            seed,
+            ..ServerConfig::default()
+        },
+    );
+    let trainer: Vec<(usize, usize)> = history
+        .records
+        .iter()
+        .map(|r| (r.outcome.abandoned.len(), r.outcome.degraded))
+        .collect();
+    let wire: Vec<(usize, usize)> = wire
+        .summaries
+        .iter()
+        .map(|s| (s.abandoned_files, s.degraded_votes))
+        .collect();
+    assert!(trainer.iter().any(|&(abandoned, _)| abandoned > 5));
+    assert_eq!(trainer, wire);
 }

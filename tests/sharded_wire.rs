@@ -88,7 +88,7 @@ fn arriving_replicas(
                 .graph()
                 .workers_of(file)
                 .iter()
-                .filter(|&&w| plan.replica_arrives(round, 0, w, file))
+                .filter(|&&w| plan.replica_arrives(round, w, file))
                 .map(|&w| (w, toy_compute(params, file)))
                 .collect()
         })
