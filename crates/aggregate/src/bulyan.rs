@@ -1,5 +1,7 @@
 //! Bulyan (El Mhamdi et al. 2018).
 
+use std::cmp::Ordering;
+
 use crate::{check_input, AggregationError, Aggregator, Krum};
 
 /// Bulyan: repeatedly runs Krum to select `θ = n − 2c` gradients, then for
@@ -54,7 +56,7 @@ impl Aggregator for Bulyan {
         for j in 0..d {
             column.clear();
             column.extend(selected.iter().map(|g| g[j]));
-            column.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            column.sort_by(nan_last);
             let median = if theta % 2 == 1 {
                 column[theta / 2]
             } else {
@@ -78,6 +80,14 @@ impl Aggregator for Bulyan {
         }
         Ok(out)
     }
+}
+
+/// A total order for the column sort that equals `partial_cmp` on
+/// NaN-free values (±0 stay `Equal`, so NaN-free columns keep their
+/// order and the output its bits) and puts every NaN last.
+fn nan_last(a: &f32, b: &f32) -> Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 #[cfg(test)]
@@ -122,6 +132,36 @@ mod tests {
             (out[2] - 1.0).abs() < 1e-3,
             "coordinate attack leaked: {out:?}"
         );
+    }
+
+    #[test]
+    fn one_nan_gradient_does_not_panic_the_column_sort() {
+        // Krum never selects the NaN row, but once the pool shrinks
+        // below Krum's 2c + 3 the fallback takes it. Without a total
+        // order the column sort then panics at these n ("user-provided
+        // comparison function does not correctly implement a total
+        // order").
+        for n in [43usize, 47, 50, 55] {
+            let mut grads: Vec<Vec<f32>> = (0..n)
+                .map(|i| (0..64).map(|j| 0.01 * ((i * 7 + j) % 13) as f32).collect())
+                .collect();
+            grads[0] = vec![f32::NAN; 64];
+            let out = Bulyan { num_byzantine: 10 }.aggregate(&grads).unwrap();
+            assert_eq!(out.len(), 64);
+        }
+    }
+
+    #[test]
+    fn nan_last_orders_like_partial_cmp_without_nan() {
+        let values = [-1.0f32, -0.0, 0.0, 2.5, f32::INFINITY, f32::NEG_INFINITY];
+        for a in values {
+            for b in values {
+                assert_eq!(Some(nan_last(&a, &b)), a.partial_cmp(&b), "{a} vs {b}");
+            }
+            assert_eq!(nan_last(&a, &f32::NAN), Ordering::Less);
+            assert_eq!(nan_last(&f32::NAN, &a), Ordering::Greater);
+        }
+        assert_eq!(nan_last(&f32::NAN, &-f32::NAN), Ordering::Equal);
     }
 
     #[test]

@@ -29,6 +29,10 @@ impl Krum {
         for i in 0..n {
             for j in (i + 1)..n {
                 let d = dist_sq(&gradients[i], &gradients[j]);
+                // A NaN distance (a NaN coordinate, or ∞ − ∞) ranks as
+                // the farthest, so a NaN gradient scores ∞ and is never
+                // chosen over a finite one.
+                let d = if d.is_nan() { f64::INFINITY } else { d };
                 dists[i * n + j] = d;
                 dists[j * n + i] = d;
             }
@@ -44,7 +48,7 @@ impl Krum {
                     w += 1;
                 }
             }
-            row.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            row.sort_by(f64::total_cmp);
             scores.push(row[..neighbours].iter().sum());
         }
         Ok(scores)
@@ -58,11 +62,7 @@ impl Krum {
     ) -> Result<Vec<usize>, AggregationError> {
         let scores = self.scores(gradients)?;
         let mut order: Vec<usize> = (0..gradients.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[a]
-                .partial_cmp(&scores[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
         order.truncate(count);
         Ok(order)
     }
@@ -152,6 +152,32 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// `n` gradients near the origin, the first one all NaN.
+    fn cluster_with_nan_first(n: usize) -> Vec<Vec<f32>> {
+        let mut grads: Vec<Vec<f32>> = (0..n)
+            .map(|i| (0..64).map(|j| 0.01 * ((i * 7 + j) % 13) as f32).collect())
+            .collect();
+        grads[0] = vec![f32::NAN; 64];
+        grads
+    }
+
+    #[test]
+    fn nan_gradient_never_wins_krum() {
+        for n in [15usize, 25, 40, 64] {
+            let grads = cluster_with_nan_first(n);
+            let c = 5;
+            let krum = Krum { num_byzantine: c }.aggregate(&grads).unwrap();
+            assert!(krum.iter().all(|v| v.is_finite()), "krum n={n}: {krum:?}");
+            let multi = MultiKrum {
+                num_byzantine: c,
+                num_selected: n - c,
+            }
+            .aggregate(&grads)
+            .unwrap();
+            assert!(multi.iter().all(|v| v.is_finite()), "multi-krum n={n}");
+        }
     }
 
     #[test]

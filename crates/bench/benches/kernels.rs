@@ -154,6 +154,20 @@ fn bench_coordinate_median(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // The deployed shape: the wire workloads' f = 25 vote winners of
+    // d = 264 970 coordinates, the PS's once-per-round median.
+    let mut group = c.benchmark_group("coordinate_median_deployed");
+    group.sample_size(20);
+    let winners: Vec<Vec<f32>> = (0..25).map(|i| filled(264_970, i as u64)).collect();
+    group.bench_function("n25_d264970", |b| {
+        b.iter(|| {
+            CoordinateMedian
+                .aggregate(std::hint::black_box(&winners))
+                .unwrap()
+        })
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_matmul, bench_skinny, bench_coordinate_median);

@@ -20,9 +20,11 @@
 //!   stop allocating a fresh `Vec` per call.
 //! * [`select`] — order-statistic kernels: O(n) selection
 //!   ([`median_select`], [`trimmed_sum_select`]) replacing full
-//!   per-coordinate sorts, and a vectorized many-columns-at-once
-//!   sorting network ([`sort_columns`]) for the coordinate-median
-//!   hot path.
+//!   per-coordinate sorts, and [`MedianNetwork`], the coordinate-median
+//!   hot path: Batcher's sorting network pruned to the comparators that
+//!   reach the middle row, run 16 coordinates at a time on the widest
+//!   vector path the CPU has (AVX-512F, AVX2 or baseline, probed once),
+//!   with the same bits as reading the middle of a full sort.
 //! * [`update`] — chunk-parallel SGD-with-momentum steps
 //!   ([`sgd_momentum_step`]) so the post-aggregation model update stops
 //!   being a single-threaded walk over every parameter.
@@ -52,5 +54,5 @@ pub use bits::{bits_eq, gradient_fingerprint, FingerprintFold};
 pub use buffer::with_scratch;
 pub use matmul::{matmul, matmul_naive, matmul_transa, matmul_transb};
 pub use pool::{num_threads, parallel_chunks, parallel_chunks_mut};
-pub use select::{median_select, sort_columns, trimmed_sum_select};
+pub use select::{median_select, trimmed_sum_select, MedianNetwork};
 pub use update::{sgd_momentum_step, UPDATE_CHUNK};

@@ -9,20 +9,39 @@
 //!   vectorized path is tested against, and the production path for
 //!   rules that need an *unordered* partition (trimmed mean).
 //!
-//! * [`sort_columns`] — sorts many columns at once: an `n`×`width`
-//!   row-major block goes through Batcher's odd-even mergesort network,
-//!   where each compare-exchange is a `min`/`max` sweep across two
-//!   contiguous rows. The network's O(n log² n) comparator count loses
-//!   to introselect asymptotically, but every comparator is a branchless
-//!   `width`-lane SIMD operation, so for the small `n` (15–25 workers)
-//!   and huge `d` of robust aggregation it is several times faster than
-//!   running introselect per column.
+//! * [`MedianNetwork`] — the coordinate-wise median of `n` equal-length
+//!   rows, 16 coordinates at a time. It is Batcher's odd-even mergesort
+//!   network for `n`, pruned backwards to the comparators whose outputs
+//!   can reach the middle row (and the row below it for even `n`): 113
+//!   of 140 comparators at `n = 25`, 49 of 59 at `n = 15`. Each pass
+//!   loads 16 adjacent coordinates of every row straight from the rows
+//!   into a small local block, applies every kept comparator as a
+//!   16-lane `f32::min`/`f32::max` pair, and writes the middle row (or
+//!   the midpoint of the two middle rows). One generic body is compiled
+//!   for AVX-512F, for AVX2 and for the baseline target, and the widest
+//!   one this CPU runs is picked once per process; on AVX-512 a
+//!   comparator is one `vminps`/`vmaxps` pair plus the NaN fix-up on a
+//!   single register.
+//!
+//! Why the bits never depend on the path or the pruning: each kept
+//! comparator performs the min/max the full network performs, on the
+//! same operands in the same order, and a dropped comparator's outputs
+//! never reach a middle row. So every median equals the middle row of
+//! the fully sorted network — the oracle the tests hold every compiled
+//! path to, for inputs mixing NaN, ±0 and ±∞.
 //!
 //! NaN handling differs deliberately: the selection helpers order NaN
 //! via `total_cmp` (above +∞, landing at the trimmed extremes), while
-//! `sort_columns` uses `f32::min`/`f32::max`, which *drop* a NaN operand
+//! the network uses `f32::min`/`f32::max`, which *drop* a NaN operand
 //! in favor of the other value — a Byzantine NaN payload cannot poison
 //! the median either way, and nothing panics.
+
+use std::sync::OnceLock;
+
+use crate::buffer::with_scratch;
+
+#[cfg(test)]
+mod oracle;
 
 /// Median of a mutable slice (rearranges it). Average of the two middle
 /// order statistics for even lengths. Expected O(n).
@@ -76,31 +95,18 @@ pub fn trimmed_sum_select(values: &mut [f32], trim: usize) -> (f32, usize) {
     (kept.iter().sum(), kept.len())
 }
 
-/// Sorts each column of an `n`×`width` row-major block ascending (row 0
-/// smallest) with Batcher's odd-even mergesort network.
-///
-/// Every compare-exchange in the network is applied to two whole rows as
-/// an element-wise `min`/`max` sweep — contiguous, branchless, and
-/// auto-vectorized — so all `width` columns are sorted simultaneously.
-/// The comparator sequence depends only on `n`, making the data movement
-/// (and therefore every downstream float operation) fully deterministic.
-///
-/// NaN: `f32::min`/`f32::max` return the non-NaN operand, so a NaN is
-/// replaced by its comparison partner's value as it meets the network —
-/// the surviving block stays NaN-free (robust aggregation treats NaN as
-/// a discardable Byzantine payload).
-///
-/// # Panics
-///
-/// Panics if `block.len() != n * width`.
-pub fn sort_columns(block: &mut [f32], n: usize, width: usize) {
-    assert_eq!(block.len(), n * width, "block must be n × width");
-    if n <= 1 {
-        return;
-    }
-    // Batcher's odd-even mergesort for arbitrary n: merge runs of p
-    // doubling; within a merge, comparator stride k halves from p. A
-    // pair (a, a+k) is exchanged only when both land in the same 2p run.
+/// Coordinates one [`MedianNetwork`] pass carries: one 512-bit register
+/// of `f32`.
+const MEDIAN_LANES: usize = 16;
+
+/// The comparators `(lo, hi)` of Batcher's odd-even mergesort for `n`
+/// inputs, in the order they apply. After a comparator, `lo` holds the
+/// minimum and `hi` the maximum.
+fn batcher_comparators(n: usize) -> Vec<(usize, usize)> {
+    let mut comparators = Vec::new();
+    // Merge runs of p doubling; within a merge, comparator stride k
+    // halves from p. A pair (a, a+k) is exchanged only when both land in
+    // the same 2p run.
     let mut p = 1;
     while p < n {
         let mut k = p;
@@ -110,7 +116,7 @@ pub fn sort_columns(block: &mut [f32], n: usize, width: usize) {
                 for i in 0..k.min(n - j - k) {
                     let a = i + j;
                     if a / (2 * p) == (a + k) / (2 * p) {
-                        compare_exchange_rows(block, a, a + k, width);
+                        comparators.push((a, a + k));
                     }
                 }
                 j += 2 * k;
@@ -119,26 +125,307 @@ pub fn sort_columns(block: &mut [f32], n: usize, width: usize) {
         }
         p *= 2;
     }
+    comparators
 }
 
-/// One comparator of the network: row `lo` takes the element-wise
-/// minimum, row `hi` the maximum.
-#[inline]
-fn compare_exchange_rows(block: &mut [f32], lo: usize, hi: usize, width: usize) {
-    debug_assert!(lo < hi);
-    let (head, tail) = block.split_at_mut(hi * width);
-    let row_lo = &mut head[lo * width..(lo + 1) * width];
-    let row_hi = &mut tail[..width];
-    for (x, y) in row_lo.iter_mut().zip(row_hi.iter_mut()) {
-        let (a, b) = (*x, *y);
-        *x = a.min(b);
-        *y = a.max(b);
+/// The coordinate-wise median of a fixed number of rows: Batcher's
+/// odd-even mergesort network, pruned to the comparators that reach the
+/// middle row(s). Built once per row count, then run over any number of
+/// coordinates; see the [module docs](self) for why its output is
+/// bit-identical to reading the middle of a full sort.
+#[derive(Debug, Clone)]
+pub struct MedianNetwork {
+    rows: usize,
+    comparators: Vec<(usize, usize)>,
+}
+
+impl MedianNetwork {
+    /// The pruned network for `rows` inputs.
+    pub fn new(rows: usize) -> Self {
+        // Walk the full network backwards: a comparator stays when either
+        // output is read later (or is a middle row), and then both of its
+        // inputs are read.
+        let mut live = vec![false; rows];
+        if rows > 0 {
+            // One middle row for odd `rows`, two for even.
+            live[(rows - 1) / 2] = true;
+            live[rows / 2] = true;
+        }
+        let mut comparators: Vec<(usize, usize)> = batcher_comparators(rows)
+            .into_iter()
+            .rev()
+            .filter(|&(lo, hi)| {
+                let kept = live[lo] || live[hi];
+                if kept {
+                    live[lo] = true;
+                    live[hi] = true;
+                }
+                kept
+            })
+            .collect();
+        comparators.reverse();
+        MedianNetwork { rows, comparators }
     }
+
+    /// Writes the median of `rows[·][j]` to `out[j]` for every `j`: the
+    /// middle order statistic for an odd row count, the midpoint
+    /// `0.5·(lo + hi)` of the two middle ones for an even count. A NaN
+    /// is dropped for its partner at each comparator it meets.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows` holds as many rows as the network was built
+    /// for, each as long as `out`, and at least one when `out` is not
+    /// empty.
+    pub fn median(&self, rows: &[&[f32]], out: &mut [f32]) {
+        assert_eq!(rows.len(), self.rows, "one row per network input");
+        assert!(
+            rows.iter().all(|r| r.len() == out.len()),
+            "every row must be as long as the output"
+        );
+        if out.is_empty() {
+            return;
+        }
+        assert!(self.rows > 0, "median of zero rows");
+        self.median_on(MedianPath::detected(), rows, out);
+    }
+
+    /// [`median`](Self::median) on a given compiled path; `path` must be
+    /// one this CPU supports.
+    fn median_on(&self, path: MedianPath, rows: &[&[f32]], out: &mut [f32]) {
+        with_scratch(self.rows * MEDIAN_LANES, |scratch| {
+            let (block, _) = scratch.as_chunks_mut::<MEDIAN_LANES>();
+            let comparators = &self.comparators[..];
+            match path {
+                MedianPath::Portable => median_body(comparators, rows, out, block),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Avx2` is only chosen where the CPU reports AVX2.
+                MedianPath::Avx2 => unsafe { median_avx2(comparators, rows, out, block) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Avx512` is only chosen where the CPU reports
+                // AVX-512F.
+                MedianPath::Avx512 => unsafe { median_avx512(comparators, rows, out, block) },
+            }
+        });
+    }
+}
+
+/// The compiled variants of the median body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MedianPath {
+    /// The baseline target (SSE2 on x86-64).
+    Portable,
+    /// Two 256-bit registers per comparator side.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// One 512-bit register per comparator side.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl MedianPath {
+    /// The widest path this CPU runs, probed once per process.
+    fn detected() -> MedianPath {
+        static PATH: OnceLock<MedianPath> = OnceLock::new();
+        *PATH.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return MedianPath::Avx512;
+            } else if std::arch::is_x86_feature_detected!("avx2") {
+                return MedianPath::Avx2;
+            }
+            MedianPath::Portable
+        })
+    }
+}
+
+/// The median body every path compiles: per [`MEDIAN_LANES`]-wide group,
+/// load the group of every row into `block`, run the comparators, write
+/// the middle. The ragged tail group leaves the previous group's values
+/// in its unused lanes and writes only its own; lanes never mix, so
+/// they cannot leak.
+#[inline(always)]
+fn median_body(
+    comparators: &[(usize, usize)],
+    rows: &[&[f32]],
+    out: &mut [f32],
+    block: &mut [[f32; MEDIAN_LANES]],
+) {
+    let n = rows.len();
+    let mid = n / 2;
+    for (g, dst) in out.chunks_mut(MEDIAN_LANES).enumerate() {
+        let at = g * MEDIAN_LANES;
+        let w = dst.len();
+        if w == MEDIAN_LANES {
+            for (lanes, row) in block.iter_mut().zip(rows) {
+                lanes.copy_from_slice(&row[at..at + MEDIAN_LANES]);
+            }
+        } else {
+            for (lanes, row) in block.iter_mut().zip(rows) {
+                lanes[..w].copy_from_slice(&row[at..]);
+            }
+        }
+        for &(lo, hi) in comparators {
+            let (mut x, mut y) = (block[lo], block[hi]);
+            for (a, b) in x.iter_mut().zip(y.iter_mut()) {
+                let (p, q) = (*a, *b);
+                *a = p.min(q);
+                *b = p.max(q);
+            }
+            block[lo] = x;
+            block[hi] = y;
+        }
+        if n % 2 == 1 {
+            dst.copy_from_slice(&block[mid][..w]);
+        } else {
+            for ((o, &p), &q) in dst.iter_mut().zip(&block[mid - 1]).zip(&block[mid]) {
+                *o = 0.5 * (p + q);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn median_avx2(
+    comparators: &[(usize, usize)],
+    rows: &[&[f32]],
+    out: &mut [f32],
+    block: &mut [[f32; MEDIAN_LANES]],
+) {
+    median_body(comparators, rows, out, block);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn median_avx512(
+    comparators: &[(usize, usize)],
+    rows: &[&[f32]],
+    out: &mut [f32],
+    block: &mut [[f32; MEDIAN_LANES]],
+) {
+    median_body(comparators, rows, out, block);
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{mixed_rows, sort_columns, sorted_median, FAMILIES};
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every compiled median path this CPU runs; a path whose feature is
+    /// absent is reported as `skipped:` instead of passing silently.
+    fn median_paths() -> Vec<MedianPath> {
+        let mut paths = vec![MedianPath::Portable];
+        #[cfg(target_arch = "x86_64")]
+        for (feature, present, path) in [
+            (
+                "avx2",
+                std::arch::is_x86_feature_detected!("avx2"),
+                MedianPath::Avx2,
+            ),
+            (
+                "avx512f",
+                std::arch::is_x86_feature_detected!("avx512f"),
+                MedianPath::Avx512,
+            ),
+        ] {
+            if present {
+                paths.push(path);
+            } else {
+                eprintln!("skipped: no {feature} on this CPU, its median path is not exercised");
+            }
+        }
+        paths
+    }
+
+    /// Asserts that every path's median of `rows` equals the full-sort
+    /// oracle's, bit for bit.
+    fn assert_paths_match_oracle(rows: &[Vec<f32>], what: &str) {
+        let rows: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        let d = rows.first().map_or(0, |r| r.len());
+        let want = if rows.is_empty() {
+            Vec::new()
+        } else {
+            sorted_median(&rows)
+        };
+        let network = MedianNetwork::new(rows.len());
+        for path in median_paths() {
+            let mut got = vec![7.0f32; d];
+            if d > 0 {
+                network.median_on(path, &rows, &mut got);
+            }
+            for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{what} {path:?} coordinate {j}: {g} vs {w}"
+                );
+            }
+        }
+    }
+
+    /// Output lengths at the 16-lane and 4096-coordinate chunk edges.
+    const EDGE_LENGTHS: [usize; 22] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 4095, 4096, 4097, 9000,
+    ];
+
+    #[test]
+    fn median_network_prunes_to_the_middle_rows() {
+        for (n, full, kept) in [(25, 140, 113), (15, 59, 49), (1, 0, 0), (2, 1, 1)] {
+            assert_eq!(batcher_comparators(n).len(), full, "n={n}");
+            assert_eq!(MedianNetwork::new(n).comparators.len(), kept, "n={n}");
+        }
+    }
+
+    #[test]
+    fn median_network_matches_full_sort_for_every_n() {
+        for n in 1..=40usize {
+            for family in 0..FAMILIES {
+                for d in [1usize, 15, 16, 17, 33] {
+                    let rows = mixed_rows(n, d, family, (n * 131 + d) as u64);
+                    assert_paths_match_oracle(&rows, &format!("n={n} d={d} family={family}"));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn median_network_matches_full_sort_oracle(
+            n in 1usize..=40,
+            d in prop::sample::select(EDGE_LENGTHS.to_vec()),
+            family in 0..FAMILIES,
+            seed in any::<u64>(),
+        ) {
+            let rows = mixed_rows(n, d, family, seed);
+            assert_paths_match_oracle(&rows, &format!("n={n} d={d} family={family} seed={seed}"));
+        }
+    }
+
+    #[test]
+    fn median_network_drops_nan_for_its_partner() {
+        let rows: [&[f32]; 5] = [&[1.0], &[f32::NAN], &[2.0], &[1.5], &[1.2]];
+        let mut out = [0.0f32];
+        MedianNetwork::new(5).median(&rows, &mut out);
+        assert!(out[0].is_finite(), "got {}", out[0]);
+    }
+
+    #[test]
+    fn median_network_handles_empty_output() {
+        MedianNetwork::new(0).median(&[], &mut []);
+        let rows: [&[f32]; 3] = [&[], &[], &[]];
+        MedianNetwork::new(3).median(&rows, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per network input")]
+    fn median_network_rejects_a_wrong_row_count() {
+        let rows: [&[f32]; 2] = [&[1.0], &[2.0]];
+        MedianNetwork::new(3).median(&rows, &mut [0.0]);
+    }
 
     fn median_sorted(values: &[f32]) -> f32 {
         let mut v = values.to_vec();

@@ -1,12 +1,12 @@
 //! Property tests for the compute-kernel layer: the blocked/tiled
 //! matmul (including its pooled parallel path) agrees with the naive
 //! reference, the fused-transpose variants agree with materialized
-//! transposes, and the vectorized sorting network agrees with scalar
+//! transposes, and the pruned median network agrees with scalar
 //! selection — bitwise, where determinism is the contract.
 
 use byz_kernel::{
     matmul, matmul_naive, matmul_transa, matmul_transb, median_select, parallel_chunks_mut,
-    sort_columns,
+    MedianNetwork,
 };
 use proptest::prelude::*;
 
@@ -110,23 +110,18 @@ proptest! {
         width in 1usize..20,
         seed in 0u32..10_000,
     ) {
-        // The network path the coordinate-median takes: sort an n×width
-        // block, read the middle row(s). Must equal per-column scalar
-        // selection exactly (same order statistics, same midpoint
-        // arithmetic).
+        // The network path the coordinate-median takes: the pruned
+        // network over n rows of width coordinates. Must equal
+        // per-column scalar selection exactly (same order statistics,
+        // same midpoint arithmetic).
         let block = filled(n * width, seed);
-        let mut sorted = block.clone();
-        sort_columns(&mut sorted, n, width);
-        let mid = n / 2;
-        for c in 0..width {
+        let rows: Vec<&[f32]> = block.chunks(width).collect();
+        let mut got = vec![0.0f32; width];
+        MedianNetwork::new(n).median(&rows, &mut got);
+        for (c, g) in got.iter().enumerate() {
             let mut column: Vec<f32> = (0..n).map(|r| block[r * width + c]).collect();
             let want = median_select(&mut column);
-            let got = if n % 2 == 1 {
-                sorted[mid * width + c]
-            } else {
-                0.5 * (sorted[(mid - 1) * width + c] + sorted[mid * width + c])
-            };
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "column {}", c);
+            prop_assert_eq!(g.to_bits(), want.to_bits(), "column {}", c);
         }
     }
 
