@@ -67,7 +67,10 @@ pub use server::{
     LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, WireFormat,
     WireTrainingRun,
 };
-pub use tcp::{write_frame, CodecError, StreamDecoder, TcpLink, LENGTH_PREFIX_LEN, MAX_FRAME_LEN};
+pub use tcp::{
+    write_frame, CodecError, StreamDecoder, TcpLink, LENGTH_PREFIX_LEN, MAX_FRAME_LEN,
+    READ_BLOCK_LEN,
+};
 pub use voter::{ChunkIngest, ShardedFileVoter};
 
 pub use byz_assign::Assignment;

@@ -9,9 +9,9 @@
 //!
 //! Failure semantics are deliberately channel-shaped on every transport:
 //!
-//! * a send to a dead peer yields [`LinkError::Closed`] — callers treat
-//!   it like the `let _ = tx.send(..)` of the channel transport (the
-//!   round degrades; nothing panics);
+//! * a send (or flush) to a dead peer yields [`LinkError::Closed`] —
+//!   callers treat it like the `let _ = tx.send(..)` of the channel
+//!   transport (the round degrades; nothing panics);
 //! * a receive that outlives its deadline yields [`LinkError::Timeout`],
 //!   exactly mirroring `crossbeam`'s `RecvTimeoutError::Timeout`;
 //! * a byte-stream that desyncs (only possible on real sockets) yields
@@ -58,6 +58,30 @@ pub trait Link: Send {
     /// [`LinkError::Closed`] when the peer is gone. Implementations must
     /// not block forever on a dead peer.
     fn send(&mut self, frame: Bytes) -> Result<(), LinkError>;
+
+    /// Queues one frame for the next [`flush`](Self::flush). A transport
+    /// that coalesces writes may hold the frame until then, until its
+    /// queue fills, or until the next receive or drop; by default the
+    /// frame is sent at once. Queued frames keep their order relative to
+    /// [`send`](Self::send)s.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](Self::send); a transport that holds the frame may
+    /// report a dead peer only at the write that carries it.
+    fn queue(&mut self, frame: Bytes) -> Result<(), LinkError> {
+        self.send(frame)
+    }
+
+    /// Sends every queued frame. Transports that never queue do nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Closed`] when the peer is gone; the queued frames are
+    /// lost with it.
+    fn flush(&mut self) -> Result<(), LinkError> {
+        Ok(())
+    }
 
     /// Waits up to `timeout` for the next frame.
     ///

@@ -153,6 +153,9 @@ struct JobHandle {
     gate: JobGate,
     finished: AtomicBool,
     round_deadline: Duration,
+    /// Longest frame an admitted worker may declare: the job's largest
+    /// legal upload.
+    max_upload: usize,
 }
 
 /// A TCP parameter server hosting multiple concurrent jobs on one port.
@@ -225,12 +228,20 @@ impl PsServer {
                 slot_txs.push(tx);
                 slot_rxs.push(rx);
             }
+            let load = (0..k)
+                .map(|w| job.assignment.graph().files_of(w).len())
+                .max()
+                .unwrap_or(0);
             let handle = Arc::new(JobHandle {
                 fan_in: fan_in_tx,
                 slots: (0..k).map(|_| Mutex::new(None)).collect(),
                 gate: JobGate::new(k),
                 finished: AtomicBool::new(false),
                 round_deadline: job.config.round_deadline,
+                max_upload: job
+                    .config
+                    .wire
+                    .max_upload_frame_len(load, job.initial_params.len()),
             });
             assert!(
                 handles.insert(job.job_id, Arc::clone(&handle)).is_none(),
@@ -409,11 +420,15 @@ fn admit_connection(
     if w >= handle.slots.len() {
         return reject(link, RejectReason::BadWorker);
     }
-    // The admission reply goes out BEFORE the write-half is installed in
-    // the slot: the slot writer only touches installed streams, so the
-    // worker is guaranteed to read it before any round frame.
+    // The admission reply is on the wire (`send` flushes) BEFORE the
+    // write-half is installed in the slot: the slot writer only touches
+    // installed streams, so the worker is guaranteed to read it before
+    // any round frame.
     link.send(Handshake::Welcome { job_id, worker }.encode())
         .ok()?;
+    // From here on the peer is a worker of this job: nothing it may
+    // upload is longer than the job's largest legal frame.
+    link.set_max_frame_len(handle.max_upload);
 
     let write_half = link.stream().try_clone().ok()?;
     {
@@ -559,9 +574,9 @@ impl WorkerSpec {
 ///   exactly how a half-open connection looks from the PS: a healthy
 ///   socket that never delivers.
 /// * `disconnect_at(w, r)`: the first upload of round `r` is let
-///   through, then the socket is cut — a mid-round disconnect. The
-///   `fired` flag lives in the caller so the fault fires once across
-///   reconnects.
+///   through (flushed onto the wire), then the socket is cut — a
+///   mid-round disconnect. The `fired` flag lives in the caller so the
+///   fault fires once across reconnects.
 struct ChaosLink<'a> {
     inner: TcpLink,
     disconnect_round: Option<u64>,
@@ -570,18 +585,39 @@ struct ChaosLink<'a> {
     round: u64,
 }
 
-impl Link for ChaosLink<'_> {
-    fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
+impl ChaosLink<'_> {
+    /// Hands one upload to `pass` (the inner link's `send` or `queue`)
+    /// unless the connection has stalled, and fires the disconnect.
+    fn upload(
+        &mut self,
+        frame: Bytes,
+        pass: fn(&mut TcpLink, Bytes) -> Result<(), LinkError>,
+    ) -> Result<(), LinkError> {
         if self.stall_round.is_some_and(|s| self.round >= s) {
             // Half-open wire: the worker believes it uploaded.
             return Ok(());
         }
-        let result = self.inner.send(frame);
+        let result = pass(&mut self.inner, frame);
         if result.is_ok() && !*self.fired && self.disconnect_round == Some(self.round) {
             *self.fired = true;
+            let _ = self.inner.flush();
             self.inner.shutdown();
         }
         result
+    }
+}
+
+impl Link for ChaosLink<'_> {
+    fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
+        self.upload(frame, <TcpLink as Link>::send)
+    }
+
+    fn queue(&mut self, frame: Bytes) -> Result<(), LinkError> {
+        self.upload(frame, <TcpLink as Link>::queue)
+    }
+
+    fn flush(&mut self) -> Result<(), LinkError> {
+        self.inner.flush()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError> {
@@ -688,6 +724,7 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> io::Result<TcpLink
 mod tests {
     use super::*;
     use crate::encode_model_broadcast;
+    use crate::tcp::MAX_FRAME_LEN;
     use byz_assign::MolsAssignment;
     use byz_data::{SyntheticConfig, SyntheticImages};
     use byz_nn::FastMlp;
@@ -759,6 +796,95 @@ mod tests {
         assert_eq!(sent(&tcp), sent(&channel));
     }
 
+    /// A 15-slot job with the given upload budget, and its fan-in.
+    fn job_handle(max_upload: usize) -> (Arc<JobHandle>, crossbeam::channel::Receiver<Bytes>) {
+        let (fan_in, fan_in_rx) = unbounded();
+        let handle = Arc::new(JobHandle {
+            fan_in,
+            slots: (0..15).map(|_| Mutex::new(None)).collect(),
+            gate: JobGate::new(15),
+            finished: AtomicBool::new(false),
+            round_deadline: Duration::from_secs(5),
+            max_upload,
+        });
+        (handle, fan_in_rx)
+    }
+
+    #[test]
+    fn welcome_reaches_the_worker_before_the_first_broadcast() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (handle, _fan_in_rx) = job_handle(MAX_FRAME_LEN);
+        let handles = HashMap::from([(1u64, Arc::clone(&handle))]);
+        let mut worker = TcpLink::connect(addr, Duration::from_secs(5)).unwrap();
+        worker
+            .send(
+                Handshake::Hello {
+                    job_id: 1,
+                    worker: 4,
+                }
+                .encode(),
+            )
+            .unwrap();
+        let reader = admit_connection(listener.accept().unwrap().0, &handles).expect("admitted");
+        // The slot writer's first frame, written the moment the slot is
+        // installed.
+        let broadcast = encode_model_broadcast(1, &[0.5; 64], &[vec![0]]);
+        write_to_slot(&handle, 4, &broadcast);
+        let first = worker.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            Handshake::decode(&first),
+            Ok(Handshake::Welcome {
+                job_id: 1,
+                worker: 4
+            })
+        );
+        assert_eq!(
+            worker.recv_timeout(Duration::from_secs(5)).unwrap(),
+            broadcast
+        );
+        handle.finished.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+    }
+
+    #[test]
+    fn admitted_worker_declaring_an_oversized_upload_is_cut_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // wire_dense's shape: l = 5 files of d = 264 970 floats.
+        let budget = crate::WireFormat::Batched.max_upload_frame_len(5, 264_970);
+        let (handle, fan_in_rx) = job_handle(budget);
+        let handles = HashMap::from([(1u64, handle)]);
+        let mut rogue = TcpLink::connect(addr, Duration::from_secs(5)).unwrap();
+        let ps_side = std::thread::spawn(move || {
+            let stream = listener.accept().unwrap().0;
+            admit_connection(stream, &handles).expect("admitted")
+        });
+        client_handshake(&mut rogue, 1, 4, Duration::from_secs(5)).unwrap();
+        let reader = ps_side.join().unwrap();
+
+        // A 64 MiB declaration behind a valid magic, then a block of
+        // filler the PS must not wait for.
+        let mut raw = rogue.stream().try_clone().unwrap();
+        let mut bogus = (64u32 << 20).to_le_bytes().to_vec();
+        bogus.extend_from_slice(&crate::Message::Shutdown.encode()[..4]);
+        bogus.resize(crate::tcp::READ_BLOCK_LEN, 0xAB);
+        let _ = std::io::Write::write_all(&mut raw, &bogus);
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !reader.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(reader.is_finished(), "the reader still waits on the frame");
+        reader.join().unwrap();
+        assert_eq!(
+            rogue.recv_timeout(Duration::from_secs(5)),
+            Err(LinkError::Closed),
+            "the PS closed the connection"
+        );
+        assert!(fan_in_rx.try_recv().is_err(), "nothing reached the job");
+    }
+
     #[test]
     fn retired_join_request_is_dropped_without_touching_the_slot() {
         use bytes::{BufMut, BytesMut};
@@ -766,14 +892,7 @@ mod tests {
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (fan_in, _fan_in_rx) = unbounded();
-        let handle = Arc::new(JobHandle {
-            fan_in,
-            slots: (0..15).map(|_| Mutex::new(None)).collect(),
-            gate: JobGate::new(15),
-            finished: AtomicBool::new(false),
-            round_deadline: Duration::from_secs(5),
-        });
+        let (handle, _fan_in_rx) = job_handle(MAX_FRAME_LEN);
         let handles = HashMap::from([(1u64, Arc::clone(&handle))]);
 
         // Slot 9 holds an honest worker's live stream.

@@ -1,9 +1,11 @@
 //! The threaded message-passing parameter server.
 
 use crate::batch::BatchFrameBuilder;
-use crate::chunk::{encode_gradient_chunk_into, num_chunks, ChunkConfig};
+use crate::chunk::{
+    encode_gradient_chunk_into, num_chunks, ChunkConfig, ChunkScheme, CHUNK_PREFIX_LEN,
+};
 use crate::link::{ChannelLink, Link, LinkError};
-use crate::message::encode_model_broadcast;
+use crate::message::{encode_model_broadcast, FRAME_HEADER_LEN};
 use crate::round::RoundCore;
 use crate::{Assignment, Message};
 use bytes::{Bytes, BytesMut};
@@ -63,6 +65,30 @@ pub enum WireFormat {
     /// decode state to O(chunk) instead of O(d); a lost or corrupt chunk
     /// degrades its replica exactly like a lost whole replica.
     Chunked(ChunkConfig),
+}
+
+impl WireFormat {
+    /// The longest frame a worker holding `load` files of a `d`-float
+    /// model uploads on this wire — the reader budget for an admitted
+    /// socket worker.
+    pub(crate) fn max_upload_frame_len(&self, load: usize, d: usize) -> usize {
+        match self {
+            // Batch prefix (iteration, worker, count), then per file its
+            // (file, len) header and d floats.
+            WireFormat::Batched => FRAME_HEADER_LEN + 8 + 4 + 4 + load * (4 + 4 + 4 * d),
+            WireFormat::Chunked(cfg) => {
+                let range = cfg.span_len().min(d);
+                let payload = match cfg.scheme {
+                    ChunkScheme::Dense => 4 * range,
+                    // Top-k (count, then index and value per kept
+                    // coordinate), or its dense fallback.
+                    ChunkScheme::TopK(sp) => (4 * range).max(4 + 8 * sp.k.min(range)),
+                    ChunkScheme::Signs => 2 * range.div_ceil(8),
+                };
+                FRAME_HEADER_LEN + CHUNK_PREFIX_LEN + payload
+            }
+        }
+    }
 }
 
 /// How the PS schedules the stages of a round.
@@ -763,8 +789,9 @@ impl Outbox {
     /// Sends the replicas put since the last flush. The batched wire
     /// seals them as ONE frame — sent even when every entry was dropped:
     /// the frame itself is cheap and keeps the PS's frame accounting
-    /// deterministic — and the chunked wire streams each replica's chunk
-    /// frames.
+    /// deterministic — and the chunked wire queues each replica's chunk
+    /// frames. Either way the link is flushed, so what was put leaves
+    /// here: a streaming round releases each file at its boundary.
     fn flush(
         &mut self,
         ctx: &WorkerContext,
@@ -773,23 +800,24 @@ impl Outbox {
     ) -> Result<(), LinkError> {
         match self {
             Outbox::Frame { builder, .. } => {
-                link.send(builder.finish(iteration, ctx.worker_id as u32))
+                link.queue(builder.finish(iteration, ctx.worker_id as u32))?;
             }
             Outbox::Chunks { cfg, ready, .. } => {
                 ready.drain(..).try_for_each(|(file, gradient)| {
-                    send_replica_chunks(ctx, link, iteration, file, &gradient, cfg)
-                })
+                    queue_replica_chunks(ctx, link, iteration, file, &gradient, cfg)
+                })?;
             }
         }
+        link.flush()
     }
 }
 
-/// Streams one replica's gradient as independent chunk frames. Message
+/// Queues one replica's gradient as independent chunk frames. Message
 /// loss rolls per chunk (a lost chunk strands its replica at the PS,
-/// which degrades it like a lost whole replica). Every in-flight buffer
-/// is chunk-sized: the worker never serializes more than one chunk's
-/// worth of gradient at a time.
-fn send_replica_chunks(
+/// which degrades it like a lost whole replica). Each chunk is encoded
+/// into its own chunk-sized frame; a coalescing link holds at most about
+/// 256 KiB of them before it writes.
+fn queue_replica_chunks(
     ctx: &WorkerContext,
     link: &mut dyn Link,
     iteration: u64,
@@ -814,7 +842,7 @@ fn send_replica_chunks(
             cfg,
             BytesMut::new(),
         );
-        link.send(frame)?;
+        link.queue(frame)?;
     }
     Ok(())
 }
@@ -835,6 +863,46 @@ mod tests {
     use byz_assign::MolsAssignment;
     use byz_data::{SyntheticConfig, SyntheticImages};
     use rand::SeedableRng;
+
+    #[test]
+    fn upload_budget_is_the_longest_frame_each_wire_sends() {
+        let d = 1000;
+        let gradient: Vec<f32> = (0..d).map(|i| (i as f32 * 0.37).sin()).collect();
+        // Batched: one frame with every file of a load-5 worker.
+        let files: Vec<(u32, &[f32])> = (0..5).map(|f| (f, gradient.as_slice())).collect();
+        assert_eq!(
+            encode_gradient_batch(1, 0, &files).len(),
+            WireFormat::Batched.max_upload_frame_len(5, d)
+        );
+        assert_eq!(
+            WireFormat::Batched.max_upload_frame_len(5, 264_970),
+            5_299_473
+        );
+        // Chunked: the longest chunk frame of each scheme, over chunk
+        // lengths shorter and longer than the model.
+        for chunk_len in [1, 7, 256, 4096] {
+            for scheme in [
+                ChunkScheme::Dense,
+                ChunkScheme::Signs,
+                ChunkScheme::TopK(SparsifyConfig::top_k(3, 9)),
+                ChunkScheme::TopK(SparsifyConfig::top_k(200, 9)),
+            ] {
+                let cfg = ChunkConfig { chunk_len, scheme };
+                let longest = (0..num_chunks(d, chunk_len))
+                    .map(|i| {
+                        encode_gradient_chunk_into(1, 0, 0, &gradient, i, &cfg, BytesMut::new())
+                            .len()
+                    })
+                    .max()
+                    .unwrap();
+                let budget = WireFormat::Chunked(cfg).max_upload_frame_len(5, d);
+                assert!(longest <= budget, "{cfg:?}: {longest} > {budget}");
+                if !matches!(scheme, ChunkScheme::TopK(_)) {
+                    assert_eq!(longest, budget, "{cfg:?}: budget is not tight");
+                }
+            }
+        }
+    }
 
     fn dataset() -> Arc<Dataset> {
         let (train, _) = SyntheticImages::new(SyntheticConfig {

@@ -11,28 +11,35 @@
 //! [`StreamDecoder`] reassembles frames from arbitrarily segmented reads
 //! (1-byte drips, coalesced bursts, frames straddling read boundaries)
 //! and refuses to guess when the bytes stop looking like frames: a
-//! declared length past [`MAX_FRAME_LEN`], a too-short declared length,
-//! or a payload that does not open with the frame magic all yield a
-//! typed [`CodecError`] — never a panic, never a silent resync. The
-//! magic check matters because a desynced length prefix would otherwise
-//! have the decoder patiently buffering gigabytes of misaligned garbage;
-//! checking the first four payload bytes catches the desync at the point
-//! of corruption (a forged magic in random garbage is a 2⁻³² event, and
+//! declared length past the decoder's cap ([`MAX_FRAME_LEN`] unless a
+//! tighter one is set), a too-short declared length, or a payload that
+//! does not open with the frame magic all yield a typed [`CodecError`]
+//! — never a panic, never a silent resync. The magic check matters
+//! because a desynced length prefix would otherwise have the decoder
+//! patiently buffering gigabytes of misaligned garbage; checking the
+//! first four payload bytes catches the desync at the point of
+//! corruption (a forged magic in random garbage is a 2⁻³² event, and
 //! the per-frame checksum still backstops it).
 //!
-//! [`TcpLink`] wraps a connected stream into the [`Link`] shape: writes
-//! are `write_all` (partial writes retried by the stdlib loop), reads
-//! run under `set_read_timeout` slices so a receive deadline maps onto
-//! the PS round deadline, and every hard I/O error collapses to
+//! The decoder reads in blocks and hands frames out as slices of them;
+//! [`StreamDecoder`] states the rules that bound what that pins.
+//!
+//! [`TcpLink`] wraps a connected stream into the [`Link`] shape. Frames
+//! passed to [`Link::queue`] wait, refcounted and uncopied, until about
+//! 256 KiB is queued or the caller flushes; then one vectored write
+//! sends every queued `[prefix, frame]` pair. [`Link::send`], a receive
+//! and dropping the link flush too. Reads run under a socket read
+//! timeout (set only when its value changes) so a receive deadline maps
+//! onto the PS round deadline, and every hard I/O error collapses to
 //! [`LinkError::Closed`] — the same degraded path a dropped channel
 //! takes.
 
-use crate::batch::PAYLOAD_PHASE;
+use crate::batch::{is_gradient_batch, PAYLOAD_PHASE};
 use crate::link::{Link, LinkError};
 use crate::message::{copy_aligned, FRAME_HEADER_LEN};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -43,14 +50,30 @@ pub const LENGTH_PREFIX_LEN: usize = 4;
 /// is treated as a desynced or hostile stream, not a frame to buffer.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
 
+/// Size of the blocks a [`StreamDecoder`] reads into: the most one read
+/// takes off the socket while frames are small.
+pub const READ_BLOCK_LEN: usize = 256 * 1024;
+
+/// Retired blocks a [`StreamDecoder`] keeps for reuse.
+const SPARE_BLOCKS: usize = 2;
+
+/// Queued bytes at which a [`TcpLink`] writes without waiting for a
+/// flush.
+const QUEUE_BYTES: usize = 256 * 1024;
+
+/// Queued frames at which a [`TcpLink`] writes without waiting for a
+/// flush: two slices each keeps one vectored write within Linux's
+/// 1024-slice `IOV_MAX`.
+const QUEUE_FRAMES: usize = 512;
+
 /// Errors from the length-delimited stream codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
-    /// Declared frame length exceeds [`MAX_FRAME_LEN`].
+    /// Declared frame length exceeds the decoder's cap.
     FrameTooLarge {
         /// The length the prefix declared.
         declared: usize,
-        /// The codec's ceiling.
+        /// The decoder's cap ([`MAX_FRAME_LEN`] unless narrowed).
         max: usize,
     },
     /// Declared frame length cannot even hold a frame header.
@@ -95,38 +118,118 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// The block a [`StreamDecoder`] holds its pending bytes in.
+#[derive(Debug)]
+enum Block {
+    /// Still being filled; frames leave it as copies.
+    Open(BytesMut),
+    /// Frames are being cut from it as slices; it takes no more bytes.
+    Frozen(Bytes),
+}
+
+impl Block {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Block::Open(block) => block,
+            Block::Frozen(block) => block,
+        }
+    }
+}
+
 /// Incremental reassembler of length-prefixed frames from a byte stream.
 ///
-/// Feed it whatever the socket hands you ([`feed`](Self::feed)), then
-/// drain complete frames ([`next_frame`](Self::next_frame)). On clean
-/// connection close, [`close`](Self::close) verifies nothing was left
-/// stranded mid-frame.
-#[derive(Debug, Default)]
+/// Read the socket into it ([`read_from`](Self::read_from)) or feed it
+/// bytes ([`feed`](Self::feed)), then drain complete frames
+/// ([`next_frame`](Self::next_frame)). On clean connection close,
+/// [`close`](Self::close) verifies nothing was left stranded mid-frame.
+///
+/// Bytes land straight in a [`READ_BLOCK_LEN`] block, and the whole
+/// frames in it come out as [`Bytes`] slices of that block — no scratch
+/// buffer, no per-frame copy. Three rules bound what that costs:
+///
+/// * **Pin bound.** A block is cut into slices only when the frames
+///   sliced from it fill at least half of it, so together they never pin
+///   more than twice their own bytes. Frames that fill less (a tiny
+///   frame in a nearly empty block) are copied out, and the block keeps
+///   filling.
+/// * **Alignment.** A batch frame whose payload would sit off a 4-byte
+///   boundary is copied to an aligned allocation, so the PS still votes
+///   batch replicas inside their frame. Pending bytes move to the next
+///   block at the offset that aligns a batch frame they start.
+/// * **Growth.** A block grows only with the bytes that arrived — to at
+///   most twice the pending bytes, and no further than the end of the
+///   frame they start — never with a declared length alone.
+///
+/// A block is reused once every frame cut from it has been dropped: the
+/// current block takes bytes again where it is, and up to two retired
+/// blocks wait as spares, largest first — so a worker's megabyte
+/// broadcast grows its block once, not every round.
+#[derive(Debug)]
 pub struct StreamDecoder {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already handed out as frames (drained lazily so a
-    /// burst of small frames does not memmove the buffer per frame).
-    consumed: usize,
+    block: Block,
+    /// Pending stream bytes are `block[start..filled]`.
+    start: usize,
+    filled: usize,
+    /// End of the run of whole frames the last cut decision covered.
+    run_end: usize,
+    /// Retired blocks, largest first, reusable once unique.
+    spares: Vec<Bytes>,
+    /// Largest declared frame length accepted.
+    max_frame: usize,
+}
+
+impl Default for StreamDecoder {
+    fn default() -> Self {
+        StreamDecoder {
+            block: Block::Open(BytesMut::new()),
+            start: 0,
+            filled: 0,
+            run_end: 0,
+            spares: Vec::new(),
+            max_frame: MAX_FRAME_LEN,
+        }
+    }
 }
 
 impl StreamDecoder {
-    /// A decoder with an empty buffer.
+    /// A decoder with no block yet, capped at [`MAX_FRAME_LEN`].
     pub fn new() -> Self {
         StreamDecoder::default()
     }
 
-    /// Appends raw stream bytes to the reassembly buffer.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        if self.consumed > 0 && self.consumed == self.buf.len() {
-            self.buf.clear();
-            self.consumed = 0;
+    /// Narrows the largest declared frame length the decoder accepts
+    /// (never past [`MAX_FRAME_LEN`]); a longer declaration fails with
+    /// [`CodecError::FrameTooLarge`] as soon as its prefix is visible.
+    pub fn set_max_frame_len(&mut self, max: usize) {
+        self.max_frame = max.min(MAX_FRAME_LEN);
+    }
+
+    /// Reads once from `reader` straight into the decoder's block.
+    /// Returns the byte count; `0` means end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the reader's error; the decoder is unchanged by it.
+    pub fn read_from<R: Read + ?Sized>(&mut self, reader: &mut R) -> std::io::Result<usize> {
+        let n = reader.read(self.room())?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// Appends raw stream bytes, as if read from a socket.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let room = self.room();
+            let n = room.len().min(bytes.len());
+            room[..n].copy_from_slice(&bytes[..n]);
+            self.filled += n;
+            bytes = &bytes[n..];
         }
-        self.buf.extend_from_slice(bytes);
     }
 
     /// Number of bytes buffered but not yet returned as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.consumed
+        self.filled - self.start
     }
 
     /// Pops the next complete frame, if the buffer holds one.
@@ -138,46 +241,27 @@ impl StreamDecoder {
     /// A [`CodecError`] means the stream is desynced and the connection
     /// must be abandoned — the decoder makes no attempt to resync.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, CodecError> {
-        let pending = &self.buf[self.consumed..];
-        if pending.len() < LENGTH_PREFIX_LEN {
+        let pending = &self.block.bytes()[self.start..self.filled];
+        let Some(declared) = declared_len(pending, self.max_frame)? else {
+            return Ok(None);
+        };
+        let (at, end) = (
+            self.start + LENGTH_PREFIX_LEN,
+            self.start + LENGTH_PREFIX_LEN + declared,
+        );
+        if end > self.filled {
             return Ok(None);
         }
-        let declared =
-            u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        if declared > MAX_FRAME_LEN {
-            return Err(CodecError::FrameTooLarge {
-                declared,
-                max: MAX_FRAME_LEN,
-            });
+        if self.start >= self.run_end {
+            self.cut_decision();
         }
-        if declared < FRAME_HEADER_LEN {
-            return Err(CodecError::FrameTooShort { declared });
-        }
-        let payload = &pending[LENGTH_PREFIX_LEN..];
-        // Check frame alignment as soon as the magic is visible — do not
-        // wait for a possibly-garbage multi-megabyte "frame" to buffer.
-        if payload.len() >= 4 {
-            let magic = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
-            if magic != crate::message::MAGIC {
-                return Err(CodecError::BadFrameMagic(magic));
-            }
-        }
-        if payload.len() < declared {
-            return Ok(None);
-        }
-        // Placed so that batch payloads land 4-aligned: the PS votes
-        // them inside the frame.
-        let frame = copy_aligned(&payload[..declared], PAYLOAD_PHASE);
-        self.consumed += LENGTH_PREFIX_LEN + declared;
-        if self.consumed == self.buf.len() {
-            self.buf.clear();
-            self.consumed = 0;
-        } else if self.consumed >= (1 << 20) && self.consumed * 2 >= self.buf.len() {
-            // Reclaim buffer space once the dead prefix dominates.
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
-        }
-        Ok(Some(frame))
+        self.start = end;
+        Ok(Some(match &self.block {
+            Block::Frozen(block) if !misaligned_batch(&block[at..end]) => block.slice(at..end),
+            // Placed so that batch payloads land 4-aligned: the PS votes
+            // them inside the frame.
+            block => copy_aligned(&block.bytes()[at..end], PAYLOAD_PHASE),
+        }))
     }
 
     /// Declares the stream cleanly closed.
@@ -191,6 +275,180 @@ impl StreamDecoder {
             buffered => Err(CodecError::TruncatedStream { buffered }),
         }
     }
+
+    /// Decides how the run of whole frames at `start` leaves the block:
+    /// as slices — freezing the block — when the frames that would be
+    /// sliced fill at least half of it, as copies otherwise.
+    fn cut_decision(&mut self) {
+        let bytes = self.block.bytes();
+        let (mut at, mut sliced) = (self.start, 0);
+        while let Ok(Some(declared)) = declared_len(&bytes[at..self.filled], self.max_frame) {
+            let end = at + LENGTH_PREFIX_LEN + declared;
+            if end > self.filled {
+                break;
+            }
+            if !misaligned_batch(&bytes[at + LENGTH_PREFIX_LEN..end]) {
+                sliced += declared;
+            }
+            at = end;
+        }
+        self.run_end = at;
+        if let Block::Open(block) = &mut self.block {
+            if 2 * sliced >= block.len() {
+                self.block = Block::Frozen(std::mem::take(block).freeze());
+            }
+        }
+    }
+
+    /// The writable space after `filled`, at least one byte. A full block,
+    /// or a frozen one that frames still hold, hands its pending tail to
+    /// a compacted, fresh or larger block first.
+    fn room(&mut self) -> &mut [u8] {
+        // A frozen block whose frames have all been dropped takes bytes
+        // again, where it is.
+        self.block = match std::mem::replace(&mut self.block, Block::Open(BytesMut::new())) {
+            Block::Frozen(block) => {
+                BytesMut::try_from(block).map_or_else(Block::Frozen, Block::Open)
+            }
+            open => open,
+        };
+        let tail = self.filled - self.start;
+        let next_len = self.next_block_len(tail);
+        let moved = match &mut self.block {
+            Block::Open(block) if !block.is_empty() && (tail == 0 || self.filled < block.len()) => {
+                if tail == 0 {
+                    // Nothing pending: restart at the block's aligned lead.
+                    self.start = lead(block);
+                    self.filled = self.start;
+                }
+                tail == 0
+            }
+            Block::Open(block) if !block.is_empty() && next_len <= block.len() => {
+                // Full, with dead bytes before the tail: compact.
+                let lead = lead(block);
+                block.copy_within(self.start..self.filled, lead);
+                self.start = lead;
+                self.filled = lead + tail;
+                true
+            }
+            _ => {
+                let mut fresh = self.fresh_block(next_len);
+                let lead = lead(&fresh);
+                fresh[lead..lead + tail]
+                    .copy_from_slice(&self.block.bytes()[self.start..self.filled]);
+                let old = std::mem::replace(&mut self.block, Block::Open(fresh));
+                self.retire(old);
+                self.start = lead;
+                self.filled = lead + tail;
+                true
+            }
+        };
+        if moved {
+            self.run_end = self.start;
+        }
+        match &mut self.block {
+            Block::Open(block) => &mut block[self.filled..],
+            Block::Frozen(_) => unreachable!("room() always leaves an open block"),
+        }
+    }
+
+    /// Length of the block the `tail` pending bytes move to: twice the
+    /// bytes that arrived, capped at the end of the frame they start
+    /// (plus alignment slack), and never below [`READ_BLOCK_LEN`].
+    fn next_block_len(&self, tail: usize) -> usize {
+        let pending = &self.block.bytes()[self.start..self.filled];
+        let frame_end = match declared_len(pending, self.max_frame) {
+            Ok(Some(declared)) if LENGTH_PREFIX_LEN + declared > tail => {
+                LENGTH_PREFIX_LEN + declared + 3
+            }
+            _ => usize::MAX,
+        };
+        (2 * tail).min(frame_end).max(READ_BLOCK_LEN)
+    }
+
+    /// A writable block of at least `len` bytes: the largest spare no
+    /// frame holds any more, or a new zero-filled one.
+    fn fresh_block(&mut self, len: usize) -> BytesMut {
+        for i in 0..self.spares.len() {
+            if self.spares[i].len() < len {
+                break;
+            }
+            match BytesMut::try_from(std::mem::take(&mut self.spares[i])) {
+                Ok(block) => {
+                    self.spares.remove(i);
+                    return block;
+                }
+                Err(busy) => self.spares[i] = busy,
+            }
+        }
+        zeroed(len)
+    }
+
+    /// Keeps a block the decoder is done with as a spare, largest first.
+    /// With [`SPARE_BLOCKS`] kept, it replaces the smallest spare if it
+    /// is larger and is dropped otherwise: the older spares are the ones
+    /// whose frames are likeliest to have been dropped already.
+    fn retire(&mut self, old: Block) {
+        let block = match old {
+            Block::Open(block) => block.freeze(),
+            Block::Frozen(block) => block,
+        };
+        if block.is_empty() {
+            return;
+        }
+        if self.spares.len() == SPARE_BLOCKS {
+            if self.spares.last().is_some_and(|s| s.len() >= block.len()) {
+                return;
+            }
+            self.spares.pop();
+        }
+        let at = self.spares.partition_point(|s| s.len() >= block.len());
+        self.spares.insert(at, block);
+    }
+}
+
+/// The declared length of the frame whose prefix opens `pending`,
+/// validated against `max` and, once visible, the frame magic.
+/// `Ok(None)` until the prefix is complete.
+fn declared_len(pending: &[u8], max: usize) -> Result<Option<usize>, CodecError> {
+    let Some(prefix) = pending.first_chunk::<LENGTH_PREFIX_LEN>() else {
+        return Ok(None);
+    };
+    let declared = u32::from_le_bytes(*prefix) as usize;
+    if declared > max {
+        return Err(CodecError::FrameTooLarge { declared, max });
+    }
+    if declared < FRAME_HEADER_LEN {
+        return Err(CodecError::FrameTooShort { declared });
+    }
+    // Check frame alignment as soon as the magic is visible — do not
+    // wait for a possibly-garbage multi-megabyte "frame" to buffer.
+    if let Some(magic) = pending[LENGTH_PREFIX_LEN..].first_chunk::<4>() {
+        let magic = u32::from_le_bytes(*magic);
+        if magic != crate::message::MAGIC {
+            return Err(CodecError::BadFrameMagic(magic));
+        }
+    }
+    Ok(Some(declared))
+}
+
+/// Whether `frame` is a batch frame whose payloads would sit off a
+/// 4-byte boundary where it lies.
+fn misaligned_batch(frame: &[u8]) -> bool {
+    is_gradient_batch(frame) && !(frame.as_ptr() as usize + PAYLOAD_PHASE).is_multiple_of(4)
+}
+
+/// Where pending bytes start in `block`: the offset that puts a batch
+/// frame's payloads, behind its length prefix, on a 4-byte boundary.
+fn lead(block: &[u8]) -> usize {
+    (block.as_ptr() as usize + LENGTH_PREFIX_LEN + PAYLOAD_PHASE).wrapping_neg() % 4
+}
+
+/// A zero-filled block of `len` bytes, from the allocator's zeroed
+/// memory.
+fn zeroed(len: usize) -> BytesMut {
+    BytesMut::try_from(Bytes::from(vec![0u8; len]))
+        .expect("the only handle to a whole buffer converts without a copy")
 }
 
 /// Writes one frame to `w` behind its length prefix.
@@ -207,11 +465,38 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
     w.write_all(frame)
 }
 
+/// Writes every `(prefix, frame)` pair with vectored writes, advancing
+/// past partial writes.
+fn write_queued<W: Write>(
+    w: &mut W,
+    queued: &[([u8; LENGTH_PREFIX_LEN], Bytes)],
+) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = queued
+        .iter()
+        .flat_map(|(prefix, frame)| [IoSlice::new(prefix), IoSlice::new(frame)])
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// A [`Link`] over one connected TCP stream.
 pub struct TcpLink {
     stream: TcpStream,
     decoder: StreamDecoder,
-    scratch: Box<[u8; 64 * 1024]>,
+    /// Frames awaiting the next vectored write, behind their prefixes.
+    queued: Vec<([u8; LENGTH_PREFIX_LEN], Bytes)>,
+    /// Wire bytes in `queued`.
+    queued_bytes: usize,
+    /// The read timeout currently set on the socket.
+    read_timeout: Option<Duration>,
     /// Set once the peer is known dead so later calls fail fast instead
     /// of re-poking a broken socket.
     dead: bool,
@@ -220,13 +505,16 @@ pub struct TcpLink {
 impl TcpLink {
     /// Wraps an already-connected stream. `TCP_NODELAY` is applied
     /// best-effort: protocol frames are latency-bound, not
-    /// throughput-bound, and Nagle would serialize the vote rounds.
+    /// throughput-bound, and Nagle would serialize the vote rounds —
+    /// the link does its own coalescing (see [`Link::queue`]).
     pub fn from_stream(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
         TcpLink {
             stream,
             decoder: StreamDecoder::new(),
-            scratch: Box::new([0u8; 64 * 1024]),
+            queued: Vec::new(),
+            queued_bytes: 0,
+            read_timeout: None,
             dead: false,
         }
     }
@@ -246,50 +534,95 @@ impl TcpLink {
         &self.stream
     }
 
-    /// Hard-closes both directions of the connection.
+    /// Narrows the largest frame this link accepts from its peer (see
+    /// [`StreamDecoder::set_max_frame_len`]).
+    pub fn set_max_frame_len(&mut self, max: usize) {
+        self.decoder.set_max_frame_len(max);
+    }
+
+    /// Hard-closes both directions of the connection; queued frames are
+    /// discarded.
     pub fn shutdown(&mut self) {
         self.dead = true;
+        self.queued.clear();
+        self.queued_bytes = 0;
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Marks the peer dead and reports it.
+    fn closed(&mut self) -> LinkError {
+        self.dead = true;
+        LinkError::Closed
     }
 }
 
 impl Link for TcpLink {
     fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
+        self.queue(frame)?;
+        self.flush()
+    }
+
+    fn queue(&mut self, frame: Bytes) -> Result<(), LinkError> {
         if self.dead {
             return Err(LinkError::Closed);
         }
-        write_frame(&mut self.stream, &frame).map_err(|_| {
-            self.dead = true;
-            LinkError::Closed
-        })
+        let Ok(len) = u32::try_from(frame.len()) else {
+            return Err(self.closed());
+        };
+        self.queued_bytes += LENGTH_PREFIX_LEN + frame.len();
+        self.queued.push((len.to_le_bytes(), frame));
+        if self.queued_bytes >= QUEUE_BYTES || self.queued.len() >= QUEUE_FRAMES {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    fn flush(&mut self) -> Result<(), LinkError> {
+        if self.dead {
+            return Err(LinkError::Closed);
+        }
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        let written = write_queued(&mut self.stream, &self.queued);
+        self.queued.clear();
+        self.queued_bytes = 0;
+        written.map_err(|_| self.closed())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError> {
-        if self.dead {
-            return Err(LinkError::Closed);
-        }
-        // A frame may already be buffered from a previous read burst.
-        match self.decoder.next_frame() {
-            Ok(Some(frame)) => return Ok(frame),
-            Ok(None) => {}
-            Err(e) => {
-                self.shutdown();
-                return Err(LinkError::Desync(e));
-            }
-        }
+        // Whatever this side queued goes out before it waits on the peer.
+        self.flush()?;
         let deadline = Instant::now() + timeout;
+        let mut first_read = true;
         loop {
+            // A frame may already be buffered from a previous read.
+            match self.decoder.next_frame() {
+                Ok(Some(frame)) => return Ok(frame),
+                Ok(None) => {}
+                Err(e) => {
+                    self.shutdown();
+                    return Err(LinkError::Desync(e));
+                }
+            }
             let remaining = deadline.saturating_duration_since(Instant::now());
+            // set_read_timeout(Some(0)) is an error on std sockets.
             if remaining.is_zero() {
                 return Err(LinkError::Timeout);
             }
-            // set_read_timeout(Some(0)) is an error on std sockets; the
-            // zero case is already handled above.
-            if self.stream.set_read_timeout(Some(remaining)).is_err() {
-                self.dead = true;
-                return Err(LinkError::Closed);
+            // A call's first read waits the whole `timeout`, so a caller
+            // that waits in equal slices sets the socket timeout once;
+            // later reads of the same call wait out what is left.
+            let wait = if first_read { timeout } else { remaining };
+            first_read = false;
+            if self.read_timeout != Some(wait) {
+                if self.stream.set_read_timeout(Some(wait)).is_err() {
+                    return Err(self.closed());
+                }
+                self.read_timeout = Some(wait);
             }
-            match self.stream.read(&mut self.scratch[..]) {
+            match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => {
                     self.dead = true;
                     return match self.decoder.close() {
@@ -297,27 +630,20 @@ impl Link for TcpLink {
                         Err(e) => Err(LinkError::Desync(e)),
                     };
                 }
-                Ok(n) => {
-                    self.decoder.feed(&self.scratch[..n]);
-                    match self.decoder.next_frame() {
-                        Ok(Some(frame)) => return Ok(frame),
-                        Ok(None) => continue,
-                        Err(e) => {
-                            self.shutdown();
-                            return Err(LinkError::Desync(e));
-                        }
-                    }
-                }
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     return Err(LinkError::Timeout);
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return Err(LinkError::Closed);
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(self.closed()),
             }
         }
+    }
+}
+
+impl Drop for TcpLink {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -429,7 +755,8 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             let mut link = TcpLink::from_stream(stream);
             let f = link.recv_timeout(Duration::from_secs(5)).unwrap();
-            link.send(f).unwrap();
+            // Queued, never flushed: dropping the link sends it.
+            link.queue(f).unwrap();
         });
         let mut link = TcpLink::connect(addr, Duration::from_secs(5)).unwrap();
         let frame = crate::encode_gradient_batch(1, 2, &[(3, &[0.5; 100])]);
@@ -453,6 +780,163 @@ mod tests {
         assert_eq!(
             link.recv_timeout(Duration::from_millis(50)),
             Err(LinkError::Timeout)
+        );
+    }
+
+    /// A connected `(client, server)` pair of links on loopback.
+    fn link_pair() -> (TcpLink, TcpLink) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client =
+            TcpLink::connect(listener.local_addr().unwrap(), Duration::from_secs(5)).unwrap();
+        let server = TcpLink::from_stream(listener.accept().unwrap().0);
+        (client, server)
+    }
+
+    #[test]
+    fn queued_frame_waits_for_flush() {
+        let (mut client, mut server) = link_pair();
+        let frame = Message::Shutdown.encode();
+        client.queue(frame.clone()).unwrap();
+        assert_eq!(
+            server.recv_timeout(Duration::from_millis(50)),
+            Err(LinkError::Timeout),
+            "a queued frame stays queued until a flush"
+        );
+        client.flush().unwrap();
+        assert_eq!(server.recv_timeout(Duration::from_secs(5)).unwrap(), frame);
+    }
+
+    #[test]
+    fn receive_flushes_queued_frames_first() {
+        let (mut client, mut server) = link_pair();
+        let frame = Message::Shutdown.encode();
+        client.queue(frame.clone()).unwrap();
+        assert_eq!(
+            client.recv_timeout(Duration::from_millis(10)),
+            Err(LinkError::Timeout)
+        );
+        assert_eq!(server.recv_timeout(Duration::from_secs(5)).unwrap(), frame);
+    }
+
+    #[test]
+    fn full_queue_writes_without_a_flush() {
+        let (mut client, mut server) = link_pair();
+        let frame = crate::encode_gradient_batch(1, 2, &[(3, &[0.5; 4096])]);
+        let count = QUEUE_BYTES / frame.len() + 1;
+        for _ in 0..count {
+            client.queue(frame.clone()).unwrap();
+        }
+        for _ in 0..count {
+            assert_eq!(server.recv_timeout(Duration::from_secs(5)).unwrap(), frame);
+        }
+        // Nothing was left behind in the queue.
+        assert!(client.queued.is_empty());
+    }
+
+    #[test]
+    fn dead_peer_surfaces_as_closed_at_flush() {
+        let (mut client, server) = link_pair();
+        drop(server);
+        let frame = crate::encode_gradient_batch(1, 2, &[(3, &[0.5; 4096])]);
+        // The first writes may land in the socket buffer before the
+        // peer's reset arrives; a dead peer fails a flush within a few.
+        let mut outcome = Ok(());
+        for _ in 0..100 {
+            client.queue(frame.clone()).unwrap();
+            outcome = client.flush();
+            if outcome.is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(outcome, Err(LinkError::Closed));
+        assert_eq!(
+            client.queue(frame),
+            Err(LinkError::Closed),
+            "dead links fail fast"
+        );
+    }
+
+    /// A Read stub handing out one scripted chunk per call.
+    struct Script(std::collections::VecDeque<Vec<u8>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(mut chunk) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.0.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn narrowed_cap_refuses_within_one_block() {
+        // A 64 MiB declaration followed by a stream of bytes: the
+        // decoder refuses it at the prefix, having read one block.
+        let mut stream = ((64usize << 20) as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&Message::Shutdown.encode()[..4]);
+        stream.resize(4 * READ_BLOCK_LEN, 0xAB);
+        let mut reader = Script(std::collections::VecDeque::from([stream]));
+        let mut dec = StreamDecoder::new();
+        dec.set_max_frame_len(5_299_473);
+        let read = dec.read_from(&mut reader).unwrap();
+        assert!(read <= READ_BLOCK_LEN);
+        assert_eq!(
+            dec.next_frame(),
+            Err(CodecError::FrameTooLarge {
+                declared: 64 << 20,
+                max: 5_299_473
+            })
+        );
+    }
+
+    #[test]
+    fn a_large_frame_grows_its_block_with_the_bytes_that_arrived() {
+        let frame = crate::encode_gradient_batch(1, 2, &[(3, &vec![0.25f32; 300_000])]);
+        let wire = wire_bytes(std::slice::from_ref(&frame));
+        let mut dec = StreamDecoder::new();
+        let mut arrived = 0;
+        for piece in wire.chunks(4096) {
+            let room = dec.room().len();
+            // Room offered never exceeds the bytes that arrived plus one
+            // standard block.
+            assert!(
+                room <= arrived + READ_BLOCK_LEN,
+                "room {room} after {arrived} bytes"
+            );
+            dec.feed(piece);
+            arrived += piece.len();
+        }
+        let got = dec.next_frame().unwrap().unwrap();
+        assert_eq!(got, frame);
+        let view = crate::decode_gradient_batch(&got).unwrap();
+        assert!(view.entries[0].raw().as_ptr().cast::<f32>().is_aligned());
+        dec.close().unwrap();
+    }
+
+    #[test]
+    fn spare_blocks_are_reused_once_their_frames_drop() {
+        let frame = crate::encode_gradient_batch(1, 2, &[(3, &[0.5; 4096])]);
+        let wire = wire_bytes(&vec![frame.clone(); 64]);
+        let mut dec = StreamDecoder::new();
+        let mut blocks = std::collections::HashSet::new();
+        for piece in wire.chunks(READ_BLOCK_LEN) {
+            dec.feed(piece);
+            blocks.insert(dec.block.bytes().as_ptr() as usize);
+            while let Some(got) = dec.next_frame().unwrap() {
+                assert_eq!(got, frame);
+            }
+        }
+        assert!(dec.spares.len() <= SPARE_BLOCKS);
+        assert!(
+            blocks.len() <= 3,
+            "{} blocks for a stream drained as it arrived",
+            blocks.len()
         );
     }
 }

@@ -7,13 +7,53 @@
 //! hostile input (trailing garbage, random bytes) it must surface a
 //! typed [`CodecError`] or keep waiting for more bytes — never panic,
 //! never silently desynchronize ahead of the real frame boundary.
+//!
+//! Read through [`StreamDecoder::read_from`], the bytes land in the
+//! decoder's own blocks: the block-reader properties below watch where
+//! each read lands to check which frames come out as slices of a block
+//! and how much of a block such slices pin.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use byz_wire::{
-    decode_gradient_batch, encode_gradient_batch, is_gradient_batch, write_frame, CodecError,
-    Message, StreamDecoder,
+    decode_gradient_batch, encode_gradient_batch, encode_gradient_chunk_into, is_gradient_batch,
+    num_chunks, write_frame, ChunkConfig, ChunkScheme, CodecError, Message, SparsifyConfig,
+    StreamDecoder, LENGTH_PREFIX_LEN, READ_BLOCK_LEN,
 };
 use proptest::prelude::*;
+use std::io::Read;
+
+/// `len` seeded gradient values in (−1e3, 1e3), with repeats so top-k
+/// sees ties.
+fn seeded_gradient(seed: u64, len: usize) -> Vec<f32> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) % 2001) as f32 - 1000.0
+        })
+        .collect()
+}
+
+/// One chunk frame of a seeded replica: dense, top-k sparse (or its
+/// dense fallback) or sign bits.
+fn chunk_frame(max_len: usize) -> impl Strategy<Value = Bytes> {
+    (any::<u64>(), 1usize..max_len, 1usize..max_len, 0u8..3).prop_map(
+        |(seed, d, chunk_len, scheme)| {
+            let gradient = seeded_gradient(seed, d);
+            let scheme = match scheme {
+                0 => ChunkScheme::Dense,
+                1 => ChunkScheme::TopK(SparsifyConfig::top_k(chunk_len / 8 + 1, seed)),
+                _ => ChunkScheme::Signs,
+            };
+            let cfg = ChunkConfig { chunk_len, scheme };
+            let index = (seed >> 7) as usize % num_chunks(d, chunk_len);
+            let worker = (seed >> 32) as u32;
+            encode_gradient_chunk_into(seed, worker, 3, &gradient, index, &cfg, BytesMut::new())
+        },
+    )
+}
 
 fn arbitrary_frame() -> impl Strategy<Value = Bytes> {
     prop_oneof![
@@ -40,6 +80,7 @@ fn arbitrary_frame() -> impl Strategy<Value = Bytes> {
                 .encode()
             }),
         Just(Message::Shutdown.encode()),
+        chunk_frame(96),
     ]
 }
 
@@ -203,6 +244,179 @@ proptest! {
         let _ = decoder.close();
         let _ = dead;
     }
+}
+
+/// Where one read landed: stream bytes `[at, at + len)` were written to
+/// `addr..addr + len`, inside the block that ends at `block_end`.
+struct Landing {
+    at: usize,
+    len: usize,
+    addr: usize,
+    block_end: usize,
+}
+
+/// A socket stand-in: serves `stream` in reads of the scripted sizes
+/// (cycled, and never past what the decoder offers) and records where
+/// each read landed.
+struct Segmented<'a> {
+    stream: &'a [u8],
+    sizes: &'a [usize],
+    at: usize,
+    landings: Vec<Landing>,
+}
+
+impl Read for Segmented<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.landings.len() % self.sizes.len()];
+        let len = size.min(buf.len()).min(self.stream.len() - self.at);
+        buf[..len].copy_from_slice(&self.stream[self.at..self.at + len]);
+        if len > 0 {
+            self.landings.push(Landing {
+                at: self.at,
+                len,
+                addr: buf.as_ptr() as usize,
+                block_end: buf.as_ptr() as usize + buf.len(),
+            });
+        }
+        self.at += len;
+        Ok(len)
+    }
+}
+
+impl Segmented<'_> {
+    /// The read that delivered stream byte `offset`.
+    fn landing(&self, offset: usize) -> &Landing {
+        let i = self.landings.partition_point(|l| l.at + l.len <= offset);
+        &self.landings[i]
+    }
+
+    /// Where stream byte `offset` landed.
+    fn addr(&self, offset: usize) -> usize {
+        let landing = self.landing(offset);
+        landing.addr + (offset - landing.at)
+    }
+}
+
+/// Reads `stream` through the block reader, draining after every read
+/// as a socket link does. Returns the frames, each with the index of the
+/// read that completed it, and the reader's record.
+fn read_blocks<'a>(stream: &'a [u8], sizes: &'a [usize]) -> (Vec<(Bytes, usize)>, Segmented<'a>) {
+    let mut reader = Segmented {
+        stream,
+        sizes,
+        at: 0,
+        landings: Vec::new(),
+    };
+    let mut decoder = StreamDecoder::new();
+    let mut out = Vec::new();
+    while decoder
+        .read_from(&mut reader)
+        .expect("the stub never fails")
+        > 0
+    {
+        while let Some(frame) = decoder.next_frame().expect("clean stream must decode") {
+            out.push((frame, reader.landings.len() - 1));
+        }
+    }
+    assert_eq!(decoder.close(), Ok(()), "clean stream ended mid-frame?");
+    (out, reader)
+}
+
+/// Asserts the pin bound: in every block, the frames held as slices of
+/// it fill at least half of it.
+fn assert_pin_bound(frames: &[(Bytes, usize)], ends: &[usize], reader: &Segmented<'_>) {
+    let mut sliced: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    for ((frame, _), &end) in frames.iter().zip(ends) {
+        let last = frame.as_ptr() as usize + frame.len() - 1;
+        if last == reader.addr(end - 1) {
+            *sliced.entry(reader.landing(end - 1).block_end).or_default() += frame.len();
+        }
+    }
+    for (block, bytes) in sliced {
+        assert!(
+            2 * bytes >= READ_BLOCK_LEN,
+            "block ending at {block:#x} pinned by {bytes} bytes of frames"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The block reader under arbitrary read sizes, frames straddling
+    /// blocks: exact frames, 4-aligned batch payloads, zero-copy slices
+    /// for frames that arrived inside one block alongside at least half
+    /// a block of frames, and no block pinned by less than half its size.
+    #[test]
+    fn block_reader_cuts_exact_aligned_slices(
+        frames in prop::collection::vec(prop_oneof![arbitrary_frame(), chunk_frame(8192)], 0..160),
+        sizes in prop::collection::vec(
+            prop_oneof![1usize..64, 1usize..8192, 1usize..2 * READ_BLOCK_LEN],
+            1..24,
+        ),
+    ) {
+        let stream = stream_of(&frames);
+        let (out, reader) = read_blocks(&stream, &sizes);
+        prop_assert_eq!(out.len(), frames.len());
+        // Stream offsets where each frame (after its prefix) ends.
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, frame| {
+                *at += LENGTH_PREFIX_LEN + frame.len();
+                Some(*at)
+            })
+            .collect();
+        // Bytes of non-batch frames each read completed.
+        let mut completed = vec![0usize; reader.landings.len()];
+        for (frame, read) in &out {
+            if !is_gradient_batch(frame) {
+                completed[*read] += frame.len();
+            }
+        }
+        for (((got, read), want), &end) in out.iter().zip(&frames).zip(&ends) {
+            prop_assert_eq!(got.as_ref(), want.as_ref());
+            if is_gradient_batch(got) {
+                let batch = decode_gradient_batch(got).expect("a written batch frame decodes");
+                for entry in &batch.entries {
+                    prop_assert!(entry.raw().as_ptr().cast::<f32>().is_aligned());
+                }
+                continue;
+            }
+            let start = end - want.len() - LENGTH_PREFIX_LEN;
+            let arrived_in_one_block = reader.landing(start).block_end
+                == reader.landing(end - 1).block_end
+                && reader.addr(end - 1).checked_sub(reader.addr(start)) == Some(end - 1 - start);
+            if arrived_in_one_block && 2 * completed[*read] >= READ_BLOCK_LEN {
+                prop_assert_eq!(
+                    got.as_ptr() as usize + got.len() - 1,
+                    reader.addr(end - 1),
+                    "frame copied out of a block it filled with its neighbours"
+                );
+            }
+        }
+        assert_pin_bound(&out, &ends, &reader);
+    }
+}
+
+/// A stream of 21-byte frames, one per read, held as they come out: no
+/// block may be pinned by less than half its size — so tiny frames in
+/// nearly empty blocks leave as copies.
+#[test]
+fn tiny_frames_never_pin_a_block() {
+    // A shutdown frame with four trailing bytes: 21 bytes, valid magic.
+    let mut tiny = Message::Shutdown.encode().to_vec();
+    tiny.extend_from_slice(&[1, 2, 3, 4]);
+    assert_eq!(tiny.len(), 21);
+    let frames = vec![Bytes::from(tiny); 3 * READ_BLOCK_LEN / 25];
+    let stream = stream_of(&frames);
+    let (out, reader) = read_blocks(&stream, &[LENGTH_PREFIX_LEN + 21]);
+    assert_eq!(out.len(), frames.len());
+    assert_eq!(reader.landings.len(), frames.len(), "one frame per read");
+    let ends: Vec<usize> = (1..=frames.len()).map(|i| i * 25).collect();
+    for ((got, _), want) in out.iter().zip(&frames) {
+        assert_eq!(got, want);
+    }
+    assert_pin_bound(&out, &ends, &reader);
 }
 
 /// The error taxonomy is part of the public contract: a peer speaking a
