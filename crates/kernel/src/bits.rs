@@ -11,6 +11,9 @@
 //!   **absolute** index in the vector, not by its place in the slice
 //!   being folded.
 //!
+//! Beside them sits the wire's frame checksum, [`ChecksumFold`]: the same
+//! FNV step over 64 lanes of bytes, at vector width.
+//!
 //! # Why the fold composes across shards
 //!
 //! Word `w` (coordinates `2w`, `2w + 1`) always lands in lane `w % 8`,
@@ -22,6 +25,8 @@
 //! over the whole vector. [`FingerprintFold::finish`] combines the lanes
 //! with the total length. Hence feeding the ranges of any partition in
 //! ascending order equals [`gradient_fingerprint`] of the whole.
+
+use std::sync::OnceLock;
 
 /// The raw storage of a run of f32s.
 fn as_bytes(values: &[f32]) -> &[u8] {
@@ -154,6 +159,233 @@ pub fn gradient_fingerprint(gradient: &[f32]) -> u64 {
     fold.finish()
 }
 
+/// Lanes of the frame checksum: one per 8-byte word of a row.
+pub const CHECKSUM_LANES: usize = 64;
+
+/// Bytes per checksum row — [`CHECKSUM_LANES`] little-endian words.
+pub const CHECKSUM_ROW: usize = 8 * CHECKSUM_LANES;
+
+/// Every lane's state before the first row: the FNV offset basis,
+/// rotated so no two lanes start equal. Lane 0 is further seeded by the
+/// caller's byte in [`ChecksumFold::new`].
+const CHECKSUM_START: [u64; CHECKSUM_LANES] = {
+    let mut lanes = [0u64; CHECKSUM_LANES];
+    let mut i = 0;
+    while i < CHECKSUM_LANES {
+        lanes[i] = OFFSET.rotate_left(i as u32);
+        i += 1;
+    }
+    lanes
+};
+
+/// Resumable 64-lane FNV over bytes — the frame checksum.
+///
+/// Lane `i` folds words `i, i + 64, …` of the input (the `i`-th word of
+/// every 512-byte row) with the FNV step `(lane ^ w) · P`, and lane 0
+/// starts from the seed byte. [`rows`](Self::rows) folds whole rows, in
+/// any number of calls; [`finish`](Self::finish) folds a last partial
+/// row's whole words into lanes 0, 1, … in order, then the lanes into
+/// one hash (lane 0 first), then the last < 8 bytes one at a time.
+///
+/// Each step is a bijection of its lane's state for a fixed word, and an
+/// injection of the word for a fixed state, so a corruption confined to
+/// one lane — any single-bit flip, any change to one word — always
+/// changes the hash. Words are read little-endian, so the value does not
+/// depend on the platform, and every compiled path ([`ChecksumPath`])
+/// computes the same function.
+#[derive(Debug, Clone)]
+pub struct ChecksumFold {
+    lanes: [u64; CHECKSUM_LANES],
+}
+
+impl ChecksumFold {
+    /// The fold over no bytes, seeded by `seed`.
+    pub fn new(seed: u8) -> Self {
+        let mut lanes = CHECKSUM_START;
+        lanes[0] = (OFFSET ^ u64::from(seed)).wrapping_mul(PRIME);
+        ChecksumFold { lanes }
+    }
+
+    /// Folds whole rows, on the widest path this CPU runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of [`CHECKSUM_ROW`].
+    pub fn rows(&mut self, rows: &[u8]) {
+        self.rows_on(ChecksumPath::detected(), rows);
+    }
+
+    /// [`rows`](Self::rows) on a given path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU lacks the path's features, or if `rows.len()`
+    /// is not a multiple of [`CHECKSUM_ROW`].
+    pub fn rows_on(&mut self, path: ChecksumPath, rows: &[u8]) {
+        assert!(
+            rows.len().is_multiple_of(CHECKSUM_ROW),
+            "checksum rows must be whole {CHECKSUM_ROW}-byte rows"
+        );
+        assert!(path.is_supported(), "{path:?} is not supported by this CPU");
+        let lanes = &mut self.lanes;
+        match path {
+            ChecksumPath::Portable => rows_portable(lanes, rows),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the path was just checked against this CPU's features.
+            ChecksumPath::Avx2 => unsafe { rows_avx2(lanes, rows) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the path was just checked against this CPU's features.
+            ChecksumPath::Avx512 => unsafe { rows_avx512(lanes, rows) },
+        }
+    }
+
+    /// The checksum of everything folded so far followed by `tail`, a
+    /// last partial row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` is a whole row or longer.
+    pub fn finish(&self, tail: &[u8]) -> u64 {
+        assert!(tail.len() < CHECKSUM_ROW, "the tail is a partial row");
+        let mut lanes = self.lanes;
+        let mut words = tail.chunks_exact(8);
+        for (lane, w) in lanes.iter_mut().zip(&mut words) {
+            let w = u64::from_le_bytes(w.try_into().expect("8-byte word"));
+            *lane = (*lane ^ w).wrapping_mul(PRIME);
+        }
+        let mut hash = lanes[0];
+        for &lane in &lanes[1..] {
+            hash = (hash ^ lane).wrapping_mul(PRIME);
+        }
+        for &b in words.remainder() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        hash
+    }
+}
+
+/// The 64-lane checksum of `bytes` seeded by `seed` (see
+/// [`ChecksumFold`]), in one call.
+pub fn lane_checksum(seed: u8, bytes: &[u8]) -> u64 {
+    lane_checksum_on(ChecksumPath::detected(), seed, bytes)
+}
+
+/// [`lane_checksum`] on a given path.
+///
+/// # Panics
+///
+/// Panics if this CPU lacks the path's features.
+pub fn lane_checksum_on(path: ChecksumPath, seed: u8, bytes: &[u8]) -> u64 {
+    let whole = bytes.len() - bytes.len() % CHECKSUM_ROW;
+    let mut fold = ChecksumFold::new(seed);
+    fold.rows_on(path, &bytes[..whole]);
+    fold.finish(&bytes[whole..])
+}
+
+/// The compiled variants of the checksum's row fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChecksumPath {
+    /// The baseline target: eight scalar lanes at a time, over blocks of
+    /// rows that stay in L1.
+    Portable,
+    /// 32 lanes (eight 256-bit registers) at a time.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// All 64 lanes in eight 512-bit registers, multiplied by `vpmullq`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl ChecksumPath {
+    /// The widest path this CPU runs, probed once per process.
+    pub fn detected() -> ChecksumPath {
+        static PATH: OnceLock<ChecksumPath> = OnceLock::new();
+        *PATH.get_or_init(|| {
+            ChecksumPath::compiled()
+                .into_iter()
+                .rev()
+                .find(|path| path.is_supported())
+                .expect("the portable path runs everywhere")
+        })
+    }
+
+    /// Every compiled path, narrowest first — supported by this CPU or
+    /// not.
+    pub fn compiled() -> Vec<ChecksumPath> {
+        vec![
+            ChecksumPath::Portable,
+            #[cfg(target_arch = "x86_64")]
+            ChecksumPath::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            ChecksumPath::Avx512,
+        ]
+    }
+
+    /// Whether this CPU has the path's target features.
+    pub fn is_supported(self) -> bool {
+        match self {
+            ChecksumPath::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            ChecksumPath::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            ChecksumPath::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+            }
+        }
+    }
+}
+
+/// The row fold every path compiles: `G` lanes at a time held in
+/// registers, over blocks of `BLOCK` rows, so a group narrower than the
+/// row re-reads its block from L1 rather than from memory. A group is
+/// `G / C` runs of `C` neighbouring lanes spread evenly over the row:
+/// the vector paths take one contiguous run (`C = G`) their registers
+/// load whole; the portable path takes eight lanes a row-eighth apart
+/// (`C = 1`), which no vectorizer packs into the baseline target's
+/// 64-bit-multiply-less vectors and which therefore stay eight
+/// independent scalar multiply chains.
+#[inline(always)]
+fn rows_body<const G: usize, const C: usize, const BLOCK: usize>(
+    lanes: &mut [u64; CHECKSUM_LANES],
+    rows: &[u8],
+) {
+    let spacing = CHECKSUM_LANES / G * C;
+    let lane = |g: usize, k: usize| k / C * spacing + g * C + k % C;
+    for block in rows.chunks(BLOCK * CHECKSUM_ROW) {
+        for g in 0..CHECKSUM_LANES / G {
+            let mut acc: [u64; G] = std::array::from_fn(|k| lanes[lane(g, k)]);
+            for row in block.chunks_exact(CHECKSUM_ROW) {
+                let row: &[u8; CHECKSUM_ROW] = row.try_into().expect("one row");
+                for (k, a) in acc.iter_mut().enumerate() {
+                    let at = 8 * lane(g, k);
+                    let w = u64::from_le_bytes(row[at..at + 8].try_into().expect("8-byte word"));
+                    *a = (*a ^ w).wrapping_mul(PRIME);
+                }
+            }
+            for (k, &a) in acc.iter().enumerate() {
+                lanes[lane(g, k)] = a;
+            }
+        }
+    }
+}
+
+fn rows_portable(lanes: &mut [u64; CHECKSUM_LANES], rows: &[u8]) {
+    rows_body::<8, 1, 8>(lanes, rows);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_avx2(lanes: &mut [u64; CHECKSUM_LANES], rows: &[u8]) {
+    rows_body::<32, 32, 8>(lanes, rows);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn rows_avx512(lanes: &mut [u64; CHECKSUM_LANES], rows: &[u8]) {
+    rows_body::<64, 64, 64>(lanes, rows);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +416,105 @@ mod tests {
             gradient_fingerprint(&[0.0; 8]),
             gradient_fingerprint(&[0.0; 16])
         );
+    }
+
+    /// The checksum's definition one word at a time: word `i` into lane
+    /// `i % 64` (a partial last row's words land in lanes 0, 1, …), then
+    /// the lanes in order, then the bytes past the last whole word.
+    fn checksum_reference(seed: u8, bytes: &[u8]) -> u64 {
+        let mut lanes = ChecksumFold::new(seed).lanes;
+        let mut words = bytes.chunks_exact(8);
+        for (i, w) in (&mut words).enumerate() {
+            let lane = &mut lanes[i % CHECKSUM_LANES];
+            *lane = (*lane ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+        }
+        let mut hash = lanes[0];
+        for &lane in &lanes[1..] {
+            hash = (hash ^ lane).wrapping_mul(PRIME);
+        }
+        for &b in words.remainder() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        hash
+    }
+
+    /// The compiled checksum paths this CPU runs; a missing feature is
+    /// reported, not silently passed.
+    fn checksum_paths() -> Vec<ChecksumPath> {
+        let mut paths = Vec::new();
+        for path in ChecksumPath::compiled() {
+            if path.is_supported() {
+                paths.push(path);
+            } else {
+                eprintln!("skipped: {path:?} is not supported by this CPU, its checksum path is not exercised");
+            }
+        }
+        paths
+    }
+
+    #[test]
+    fn every_checksum_path_matches_the_definition() {
+        // Every length from empty to three rows + 17 bytes, at every
+        // misalignment of the first word: a frame body starts at frame
+        // offset 17.
+        let max = 3 * CHECKSUM_ROW + 17;
+        let data: Vec<u8> = (0..max as u64 + 8)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+            .collect();
+        let paths = checksum_paths();
+        assert_eq!(paths[0], ChecksumPath::Portable);
+        for start in 0..8 {
+            for len in 0..=max {
+                let bytes = &data[start..start + len];
+                let want = checksum_reference(0x5a, bytes);
+                for &path in &paths {
+                    assert_eq!(
+                        lane_checksum_on(path, 0x5a, bytes),
+                        want,
+                        "{path:?}, start {start}, {len} bytes"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            lane_checksum(0x5a, &data[3..]),
+            checksum_reference(0x5a, &data[3..])
+        );
+    }
+
+    #[test]
+    fn checksum_rows_fold_across_calls() {
+        // A builder folds rows as its entries land: any split of the rows
+        // into calls is one call.
+        let data: Vec<u8> = (0..7 * CHECKSUM_ROW + 100)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let whole = 7 * CHECKSUM_ROW;
+        let want = lane_checksum(6, &data);
+        for split in [0, 1, 3, 7] {
+            let mut fold = ChecksumFold::new(6);
+            fold.rows(&data[..split * CHECKSUM_ROW]);
+            fold.rows(&[]);
+            fold.rows(&data[split * CHECKSUM_ROW..whole]);
+            assert_eq!(
+                fold.finish(&data[whole..]),
+                want,
+                "split after {split} rows"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_seed_and_length_matter() {
+        assert_ne!(lane_checksum(1, &[]), lane_checksum(3, &[]));
+        assert_ne!(lane_checksum(1, &[]), lane_checksum(1, &[0]));
+        assert_ne!(lane_checksum(1, &[0; 8]), lane_checksum(1, &[0; 9]));
+    }
+
+    #[test]
+    #[should_panic(expected = "whole 512-byte rows")]
+    fn checksum_rows_refuse_a_partial_row() {
+        ChecksumFold::new(0).rows(&[0; CHECKSUM_ROW + 8]);
     }
 
     proptest! {

@@ -32,7 +32,9 @@
 //!   (one `memcmp` over the f32 storage) and [`FingerprintFold`], a
 //!   word-wise multi-lane hash whose lanes are keyed by absolute
 //!   coordinate offset, so shard-wise folds equal the whole-vector
-//!   [`gradient_fingerprint`].
+//!   [`gradient_fingerprint`]; and [`ChecksumFold`] / [`lane_checksum`],
+//!   the wire's 64-lane frame checksum, one body compiled for AVX-512F+DQ,
+//!   AVX2 and baseline and dispatched once per process.
 //!
 //! # Determinism contract
 //!
@@ -50,7 +52,10 @@ pub mod pool;
 pub mod select;
 pub mod update;
 
-pub use bits::{bits_eq, gradient_fingerprint, FingerprintFold};
+pub use bits::{
+    bits_eq, gradient_fingerprint, lane_checksum, lane_checksum_on, ChecksumFold, ChecksumPath,
+    FingerprintFold, CHECKSUM_LANES, CHECKSUM_ROW,
+};
 pub use buffer::with_scratch;
 pub use matmul::{matmul, matmul_naive, matmul_transa, matmul_transb};
 pub use pool::{num_threads, parallel_chunks, parallel_chunks_mut};

@@ -113,6 +113,34 @@ impl FastMlp {
         }
     }
 
+    /// Loads parameters from their little-endian bytes — the layout of
+    /// [`params_flat`](Self::params_flat) on the wire — with one copy
+    /// into the layers and no staging vector. Bit-identical to
+    /// [`set_params`](Self::set_params) of the decoded floats.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bytes` holds exactly `4 · num_params()` bytes.
+    pub fn set_params_le(&mut self, bytes: &[u8]) {
+        assert_eq!(
+            bytes.len(),
+            4 * self.num_params(),
+            "parameter length mismatch"
+        );
+        let mut rest = bytes;
+        for (w, b) in &mut self.layers {
+            for dst in [w, b] {
+                let (src, tail) = rest.split_at(4 * dst.len());
+                // One straight loop per run (a chained iterator would
+                // branch per element and not vectorize).
+                for (d, s) in dst.iter_mut().zip(src.chunks_exact(4)) {
+                    *d = f32::from_le_bytes(s.try_into().expect("4-byte word"));
+                }
+                rest = tail;
+            }
+        }
+    }
+
     /// Forward pass: logits for a batch `x` of shape `[batch, dims[0]]`
     /// (flat row-major).
     ///
@@ -452,6 +480,32 @@ mod tests {
         let flat: Vec<f32> = (0..m.num_params()).map(|i| i as f32 * 0.1).collect();
         m.set_params(&flat);
         assert_eq!(m.params_flat(), flat);
+    }
+
+    #[test]
+    fn set_params_le_loads_the_same_bits() {
+        // NaN payloads, signed zeros and denormals load as their exact
+        // bits, as they do through `set_params`.
+        let mut m = FastMlp::new(&[4, 3, 2], &mut StdRng::seed_from_u64(1));
+        let bits: Vec<u32> = (0..m.num_params() as u32)
+            .map(|i| match i % 4 {
+                0 => 0x7fc0_0000 | i,
+                1 => 0x8000_0000,
+                2 => i,
+                _ => (i as f32 * -0.3).to_bits(),
+            })
+            .collect();
+        let bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+        m.set_params_le(&bytes);
+        let loaded: Vec<u32> = m.params_flat().iter().map(|p| p.to_bits()).collect();
+        assert_eq!(loaded, bits);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter length mismatch")]
+    fn set_params_le_refuses_a_short_vector() {
+        let mut m = FastMlp::new(&[4, 3, 2], &mut StdRng::seed_from_u64(1));
+        m.set_params_le(&vec![0u8; 4 * m.num_params() - 4]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!
 //! A worker that computes its gradients anyway can compute them *inside*
 //! the frame: [`BatchFrameBuilder`] hands out each entry's payload as an
-//! aligned `&mut [f32]` slot, so the gradient bytes are written once and
-//! sending costs a header plus one checksum pass.
+//! aligned `&mut [f32]` slot, so the gradient bytes are written once,
+//! and folds each committed entry into the frame checksum while it is
+//! still in cache — sending costs a header, not a second pass.
 //!
 //! Decoding is zero-copy: [`GradientBatchView`] keeps each entry's
 //! payload as a [`Bytes`] slice of the (refcounted) frame, and the
@@ -26,9 +27,10 @@
 //! corrupted frames fail with a [`WireError`] and degrade like dropped
 //! frames; nothing in this module panics on wire input.
 
-use crate::message::{check_frame, seal_in_place, BodyReader, KIND_GRADIENT_BATCH};
+use crate::message::{check_frame, seal_in_place, write_header, BodyReader, KIND_GRADIENT_BATCH};
 use crate::{extend_f32s_le, put_f32s_le, WireError, FRAME_HEADER_LEN};
 use bytes::{BufMut, Bytes, BytesMut};
+use byz_kernel::{ChecksumFold, CHECKSUM_ROW};
 
 /// Fixed body bytes before the entries (`iteration + worker + count`).
 const BATCH_PREFIX_LEN: usize = 8 + 4 + 4;
@@ -74,42 +76,48 @@ pub fn encode_gradient_batch_into(
         scratch.put_u32_le(gradient.len() as u32);
         put_f32s_le(&mut scratch, gradient);
     }
-    seal_batch(&mut scratch, iteration, worker, entries.len() as u32);
+    put_prefix(&mut scratch, iteration, worker, entries.len() as u32);
+    seal_in_place(KIND_GRADIENT_BATCH, &mut scratch);
     scratch.freeze()
 }
 
-/// Writes the batch prefix and the frame header over the first
-/// [`ENTRIES_START`] bytes of `frame`, whose entries are already in place
-/// — the one header/checksum path of the copying encoder and the
-/// [`BatchFrameBuilder`].
-fn seal_batch(frame: &mut [u8], iteration: u64, worker: u32, count: u32) {
+/// Writes the batch prefix over its placeholder in `frame`.
+fn put_prefix(frame: &mut [u8], iteration: u64, worker: u32, count: u32) {
     let prefix = &mut frame[FRAME_HEADER_LEN..ENTRIES_START];
     prefix[..8].copy_from_slice(&iteration.to_le_bytes());
     prefix[8..12].copy_from_slice(&worker.to_le_bytes());
     prefix[12..].copy_from_slice(&count.to_le_bytes());
-    seal_in_place(KIND_GRADIENT_BATCH, frame);
 }
 
 /// Builds one worker's batch frame *around* its gradients: each entry's
 /// payload is handed out as a `&mut [f32]` slot inside the frame buffer,
-/// the caller computes (or forges) the gradient there, and
-/// [`finish`](Self::finish) only writes the header and runs the checksum
-/// — no staging `Vec` per gradient, no copy into the frame. The frame is
-/// byte-identical to [`encode_gradient_batch`] over the committed entries.
+/// the caller computes (or forges) the gradient there, and the frame is
+/// sealed as it grows — no staging `Vec` per gradient, no copy into the
+/// frame, no second pass over it. The frame is byte-identical to
+/// [`encode_gradient_batch`] over the committed entries.
 ///
 /// ```text
-/// let slot = builder.next_slot(d);   // payload of the next entry
+/// builder.begin(iteration, worker, uploads); // the prefix, count included
+/// let slot = builder.next_slot(d);           // payload of the next entry
 /// model.gradient_sum_into(.., slot);
-/// builder.commit(file);              // or don't: the slot is handed out again
+/// builder.commit(file);                      // or don't: the slot is handed out again
 /// ..
-/// link.send(builder.finish(iteration, worker));
+/// link.send(builder.finish());
 /// ```
+///
+/// The frame's `(iteration, worker, entries)` prefix opens the first
+/// checksum row, so [`begin`](Self::begin) announces it before any slot;
+/// [`commit`](Self::commit) then folds every whole 512-byte body row up
+/// to the entry's end while the entry is still hot, and
+/// [`finish`](Self::finish) folds the partial last row and writes the
+/// header. Committing more entries than were begun, or finishing with
+/// fewer, is a caller bug and panics: the prefix was already hashed.
 ///
 /// Every payload sits at frame offset ≡ 1 (mod 4) (17-byte header,
 /// 16-byte prefix, 8-byte entry headers), so the frame starts `lead`
 /// bytes into the allocation, `lead` chosen from the buffer's address to
 /// put the payloads on 4-byte boundaries. The buffer is zero-initialised
-/// and sized once, at the first slot, so slots never move.
+/// and sized once, at `begin`, so slots never move.
 #[derive(Debug)]
 pub struct BatchFrameBuilder {
     /// Most entries / payload floats one frame may hold.
@@ -123,12 +131,23 @@ pub struct BatchFrameBuilder {
     count: u32,
     /// Floats in the slot handed out since the last commit.
     pending: Option<usize>,
+    /// The frame between `begin` and `finish`.
+    open: Option<OpenFrame>,
+}
+
+/// A begun frame's announced entry count and its checksum so far.
+#[derive(Debug)]
+struct OpenFrame {
+    entries: u32,
+    fold: ChecksumFold,
+    /// Body bytes folded: whole rows only.
+    folded: usize,
 }
 
 impl BatchFrameBuilder {
     /// A builder for frames of at most `max_entries` entries totalling
     /// at most `max_floats` payload coordinates. Allocates nothing until
-    /// the first slot (or `finish`) of each frame.
+    /// each frame's [`begin`](Self::begin).
     pub fn new(max_entries: usize, max_floats: usize) -> Self {
         BatchFrameBuilder {
             max_entries,
@@ -138,17 +157,38 @@ impl BatchFrameBuilder {
             len: ENTRIES_START,
             count: 0,
             pending: None,
+            open: None,
         }
     }
 
-    fn ensure_buf(&mut self) {
-        if self.buf.is_empty() {
-            let frame_cap =
-                ENTRIES_START + self.max_entries * ENTRY_HEADER_LEN + self.max_floats * 4;
-            self.buf = vec![0u8; 3 + frame_cap];
-            let first_payload = self.buf.as_ptr() as usize + ENTRIES_START + ENTRY_HEADER_LEN;
-            self.lead = first_payload.wrapping_neg() % 4;
-        }
+    /// Opens a frame of exactly `entries` entries from `worker` for
+    /// `iteration`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame is already open or `entries` exceeds the
+    /// capacity given to [`new`](Self::new).
+    pub fn begin(&mut self, iteration: u64, worker: u32, entries: usize) {
+        assert!(self.open.is_none(), "begin follows finish");
+        assert!(
+            entries <= self.max_entries,
+            "{entries} entries exceed the builder's capacity"
+        );
+        let frame_cap = ENTRIES_START + self.max_entries * ENTRY_HEADER_LEN + self.max_floats * 4;
+        self.buf = vec![0u8; 3 + frame_cap];
+        let first_payload = self.buf.as_ptr() as usize + ENTRIES_START + ENTRY_HEADER_LEN;
+        self.lead = first_payload.wrapping_neg() % 4;
+        put_prefix(
+            &mut self.buf[self.lead..],
+            iteration,
+            worker,
+            entries as u32,
+        );
+        self.open = Some(OpenFrame {
+            entries: entries as u32,
+            fold: ChecksumFold::new(KIND_GRADIENT_BATCH),
+            folded: 0,
+        });
     }
 
     /// The payload of the next entry: `len` coordinates inside the frame,
@@ -157,10 +197,10 @@ impl BatchFrameBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the slot would exceed the capacity given to
-    /// [`new`](Self::new).
+    /// Panics outside `begin`…`finish`, or if the slot would exceed the
+    /// capacity given to [`new`](Self::new).
     pub fn next_slot(&mut self, len: usize) -> &mut [f32] {
-        self.ensure_buf();
+        assert!(self.open.is_some(), "next_slot follows begin");
         let start = self.lead + self.len + ENTRY_HEADER_LEN;
         assert!(
             (self.count as usize) < self.max_entries && start + len * 4 <= self.buf.len(),
@@ -179,41 +219,58 @@ impl BatchFrameBuilder {
     }
 
     /// Keeps the slot handed out by the last [`next_slot`](Self::next_slot)
-    /// as the frame's next entry, for `file`.
+    /// as the frame's next entry, for `file`, and folds the frame's whole
+    /// checksum rows up to the entry's end.
     ///
     /// # Panics
     ///
-    /// Panics if no slot is outstanding.
+    /// Panics if no slot is outstanding, or if the frame already holds
+    /// the entries [`begin`](Self::begin) announced.
     pub fn commit(&mut self, file: u32) {
         let len = self.pending.take().expect("commit follows next_slot");
-        let header = &mut self.buf[self.lead + self.len..][..ENTRY_HEADER_LEN];
-        header[..4].copy_from_slice(&file.to_le_bytes());
-        header[4..].copy_from_slice(&(len as u32).to_le_bytes());
+        let open = self.open.as_mut().expect("commit follows begin");
+        assert!(
+            self.count < open.entries,
+            "commit past the {} entries begun",
+            open.entries
+        );
+        let frame = &mut self.buf[self.lead..];
+        let entry = &mut frame[self.len..self.len + ENTRY_HEADER_LEN + len * 4];
+        entry[..4].copy_from_slice(&file.to_le_bytes());
+        entry[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+        // The slot was filled as native f32s; the wire is little-endian.
+        #[cfg(target_endian = "big")]
+        for word in entry[ENTRY_HEADER_LEN..].chunks_exact_mut(4) {
+            word.reverse();
+        }
         self.len += ENTRY_HEADER_LEN + len * 4;
         self.count += 1;
+        let body = &frame[FRAME_HEADER_LEN..self.len];
+        let whole = body.len() - body.len() % CHECKSUM_ROW;
+        open.fold.rows(&body[open.folded..whole]);
+        open.folded = whole;
     }
 
-    /// Seals the committed entries into a frame (an empty batch when
-    /// nothing was committed) and resets the builder for the next one.
-    pub fn finish(&mut self, iteration: u64, worker: u32) -> Bytes {
-        self.ensure_buf();
+    /// Seals the frame — folds the last partial checksum row and writes
+    /// the header — and resets the builder for the next one.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a [`begin`](Self::begin), or if fewer entries were
+    /// committed than it announced.
+    pub fn finish(&mut self) -> Bytes {
+        let open = self.open.take().expect("finish follows begin");
+        assert!(
+            self.count == open.entries,
+            "finish after {} of the {} entries begun",
+            self.count,
+            open.entries
+        );
         let (lead, len) = (self.lead, self.len);
         let mut buf = std::mem::take(&mut self.buf);
         let frame = &mut buf[lead..lead + len];
-        // The slots were filled as native f32s; the wire is little-endian.
-        #[cfg(target_endian = "big")]
-        {
-            let mut at = ENTRIES_START;
-            while at < len {
-                let n = u32::from_le_bytes(frame[at + 4..at + 8].try_into().expect("4 bytes"));
-                at += ENTRY_HEADER_LEN;
-                for word in frame[at..at + n as usize * 4].chunks_exact_mut(4) {
-                    word.reverse();
-                }
-                at += n as usize * 4;
-            }
-        }
-        seal_batch(frame, iteration, worker, self.count);
+        let checksum = open.fold.finish(&frame[FRAME_HEADER_LEN + open.folded..]);
+        write_header(KIND_GRADIENT_BATCH, checksum, frame);
         *self = BatchFrameBuilder::new(self.max_entries, self.max_floats);
         Bytes::from(buf).slice(lead..lead + len)
     }
@@ -302,7 +359,7 @@ pub fn decode_gradient_batch(frame: &Bytes) -> Result<GradientBatchView, WireErr
         return Err(WireError::UnknownKind(kind));
     }
     // Body offset within the frame, for zero-copy payload slicing.
-    let body_start = frame.len() - body.len();
+    let body_start = FRAME_HEADER_LEN;
 
     let mut reader = BodyReader::new(body);
     let iteration = reader.u64_le()?;
@@ -417,6 +474,8 @@ mod tests {
     fn build_in_place(iteration: u64, worker: u32, grads: &[(u32, Vec<f32>, bool)]) -> Bytes {
         let floats = grads.iter().map(|(_, g, _)| g.len()).sum();
         let mut builder = BatchFrameBuilder::new(grads.len(), floats);
+        let kept = grads.iter().filter(|(_, _, keep)| *keep).count();
+        builder.begin(iteration, worker, kept);
         for (file, grad, keep) in grads {
             let slot = builder.next_slot(grad.len());
             assert_eq!(slot.as_ptr() as usize % 4, 0, "slot is 4-aligned");
@@ -425,7 +484,7 @@ mod tests {
                 builder.commit(*file);
             }
         }
-        builder.finish(iteration, worker)
+        builder.finish()
     }
 
     #[test]
@@ -433,7 +492,9 @@ mod tests {
         // The "every replica dropped" frame, with and without slots
         // having been handed out.
         let want = encode_gradient_batch(4, 9, &[]);
-        assert_eq!(BatchFrameBuilder::new(0, 0).finish(4, 9), want);
+        let mut empty = BatchFrameBuilder::new(0, 0);
+        empty.begin(4, 9, 0);
+        assert_eq!(empty.finish(), want);
         let dropped = [(1u32, vec![1.0f32; 5], false), (2, vec![2.0; 3], false)];
         assert_eq!(build_in_place(4, 9, &dropped), want);
     }
@@ -442,9 +503,10 @@ mod tests {
     fn builder_resets_between_frames() {
         let mut builder = BatchFrameBuilder::new(2, 8);
         for round in 1..=3u64 {
+            builder.begin(round, 1, 1);
             builder.next_slot(3).copy_from_slice(&[round as f32; 3]);
             builder.commit(7);
-            let frame = builder.finish(round, 1);
+            let frame = builder.finish();
             let want = encode_gradient_batch(round, 1, &[(7, &[round as f32; 3])]);
             assert_eq!(frame, want);
         }
@@ -454,7 +516,55 @@ mod tests {
     #[should_panic(expected = "slot exceeds the builder's capacity")]
     fn builder_refuses_slots_past_its_capacity() {
         let mut builder = BatchFrameBuilder::new(1, 4);
+        builder.begin(0, 0, 1);
         builder.next_slot(5);
+    }
+
+    #[test]
+    fn builder_frame_is_the_encoded_frame_across_row_boundaries() {
+        // 128 floats are one 512-byte checksum row: d = 127, 128, 129
+        // put entry ends just before, on and after row boundaries, and
+        // the deployed d = 264 970 folds thousands of rows per commit.
+        for d in [1usize, 127, 128, 129, 264_970] {
+            for n in 0..=5u32 {
+                let grads: Vec<(u32, Vec<f32>, bool)> = (0..n)
+                    .map(|f| {
+                        let g = (0..d)
+                            .map(|i| (i as f32 + 0.5) * (f as f32 - 2.5))
+                            .collect();
+                        (3 * f + 1, g, true)
+                    })
+                    .collect();
+                let kept: Vec<(u32, Vec<f32>)> =
+                    grads.iter().map(|(f, g, _)| (*f, g.clone())).collect();
+                assert_eq!(
+                    build_in_place(11, 7, &grads),
+                    encode_pairs(11, 7, &kept),
+                    "d = {d}, {n} entries"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "commit past the 2 entries begun")]
+    fn builder_refuses_a_commit_past_the_count_begun() {
+        let mut builder = BatchFrameBuilder::new(4, 4);
+        builder.begin(1, 0, 2);
+        for file in 0..3 {
+            builder.next_slot(1)[0] = 1.0;
+            builder.commit(file);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finish after 1 of the 2 entries begun")]
+    fn builder_refuses_to_finish_short_of_the_count_begun() {
+        let mut builder = BatchFrameBuilder::new(4, 4);
+        builder.begin(1, 0, 2);
+        builder.next_slot(1)[0] = 1.0;
+        builder.commit(0);
+        builder.finish();
     }
 
     #[test]

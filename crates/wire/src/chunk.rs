@@ -426,7 +426,7 @@ pub fn decode_gradient_chunk(frame: &Bytes) -> Result<GradientChunkView, WireErr
     if kind != KIND_GRADIENT_CHUNK {
         return Err(WireError::UnknownKind(kind));
     }
-    let body_start = frame.len() - body.len();
+    let body_start = FRAME_HEADER_LEN;
 
     let mut reader = BodyReader::new(body);
     let iteration = reader.u64_le()?;

@@ -128,25 +128,31 @@ impl Handshake {
     pub fn decode(frame: &[u8]) -> Result<Handshake, WireError> {
         let (kind, body) = check_frame(frame)?;
         let mut body = BodyReader::new(body);
-        match kind {
-            KIND_HELLO => Ok(Handshake::Hello {
+        let handshake = match kind {
+            KIND_HELLO => Handshake::Hello {
                 job_id: body.u64_le()?,
                 worker: body.u32_le()?,
-            }),
-            KIND_WELCOME => Ok(Handshake::Welcome {
+            },
+            KIND_WELCOME => Handshake::Welcome {
                 job_id: body.u64_le()?,
                 worker: body.u32_le()?,
-            }),
+            },
             KIND_REJECT => {
                 let job_id = body.u64_le()?;
                 let code = body.take(1)?[0];
-                Ok(Handshake::Reject {
+                Handshake::Reject {
                     job_id,
                     reason: RejectReason::from_code(code)?,
-                })
+                }
             }
-            other => Err(WireError::UnknownKind(other)),
+            other => return Err(WireError::UnknownKind(other)),
+        };
+        // Every body byte is a field: nothing the checksum covered goes
+        // unread.
+        if body.remaining() != 0 {
+            return Err(WireError::MalformedBody);
         }
+        Ok(handshake)
     }
 }
 
@@ -226,6 +232,19 @@ mod tests {
         ] {
             assert_eq!(Handshake::decode(&hs.encode()).unwrap(), hs);
         }
+    }
+
+    #[test]
+    fn unread_body_bytes_are_malformed() {
+        let mut body = BytesMut::new();
+        body.put_u64_le(7);
+        body.put_u32_le(9);
+        assert!(Handshake::decode(&seal_frame(KIND_HELLO, body.clone())).is_ok());
+        body.put_u8(0);
+        assert_eq!(
+            Handshake::decode(&seal_frame(KIND_HELLO, body)),
+            Err(WireError::MalformedBody)
+        );
     }
 
     #[test]

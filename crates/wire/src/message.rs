@@ -6,16 +6,20 @@
 //! magic: u32 = 0xB1Z5 (0xB125_51ED)   | sanity marker
 //! kind:  u8                            | message discriminant
 //! body_len: u32                        | length of the body in bytes
-//! checksum: u64                        | 4-lane word FNV over kind + body
+//! checksum: u64                        | 64-lane word FNV over kind + body
 //! body: [u8; body_len]
 //! ```
 //!
+//! A frame is exactly its header and its declared body: a byte past the
+//! body is refused ([`WireError::TrailingBytes`]), so every byte a
+//! decoder slices out is one the checksum covered.
+//!
 //! The codec is built for the round hot path: `f32` runs are moved with
 //! bulk byte copies (never per-element `put_f32_le` loops), checksums
-//! fold the body eight bytes at a time across four independent lanes
-//! (never one multiply per byte — at gradient sizes the checksum, not
-//! the copy, is the wire's CPU bound), and decoding slices payloads out
-//! of the refcounted frame where a view suffices (see the
+//! fold the body a 512-byte row at a time across 64 independent lanes
+//! at vector width ([`byz_kernel::ChecksumFold`] — at gradient sizes the
+//! checksum, not the copy, is the wire's CPU bound), and decoding slices
+//! payloads out of the refcounted frame where a view suffices (see the
 //! [`batch`](crate::batch) codec).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -57,6 +61,9 @@ pub enum WireError {
     ChecksumMismatch { expected: u64, computed: u64 },
     /// Body shorter than its declared length.
     BodyTruncated { declared: usize, got: usize },
+    /// Bytes past the declared body: the checksum does not cover them,
+    /// so the frame is refused rather than read.
+    TrailingBytes { declared: usize, got: usize },
     /// The body's internal structure disagrees with its own length
     /// fields (a batch entry running past the body end, a count that
     /// cannot fit, …) — corruption the checksum cannot rule out when the
@@ -81,6 +88,12 @@ impl fmt::Display for WireError {
             WireError::BodyTruncated { declared, got } => {
                 write!(f, "body truncated: declared {declared} bytes, got {got}")
             }
+            WireError::TrailingBytes { declared, got } => {
+                write!(
+                    f,
+                    "frame overruns its body: declared {declared} bytes, got {got}"
+                )
+            }
             WireError::MalformedBody => write!(f, "body structure inconsistent with its length"),
         }
     }
@@ -88,46 +101,20 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// Checksum of a frame: a four-lane word-folded FNV over the kind byte
-/// then the body.
+/// Checksum of a frame: the 64-lane word FNV of
+/// [`byz_kernel::ChecksumFold`] over the body, seeded by the kind byte.
 ///
-/// The seed's byte-at-a-time FNV-1a put one dependent multiply on every
-/// body byte, capping the wire at a few hundred MB/s — at K = 25,
-/// d = 1M a round moves ~1 GB through encode + verify, which made the
-/// checksum (not the copy) the round's serial bottleneck. This variant
-/// consumes 32-byte blocks across four independent FNV lanes (the
-/// multiply chains pipeline instead of serializing), folds the lanes,
-/// and finishes the tail byte-wise. Little-endian word loads keep the
-/// value platform-independent.
+/// Lane `i` folds body words `i, i + 64, …` (512-byte rows), so the
+/// multiply chains are independent and the kernel runs at vector width
+/// on whichever path the CPU has, every path computing the same value.
+/// [`BatchFrameBuilder`](crate::BatchFrameBuilder) folds the same rows
+/// while its entries land.
 ///
-/// The checksum is protocol-internal — encode and verify are the only
-/// users and both call this one function — so the constant change from
-/// the seed's scheme is invisible outside the frame.
+/// The checksum is protocol-internal — encode and verify both go
+/// through this kernel — so its definition can change without changing
+/// anything outside the frame's 8 checksum bytes.
 pub(crate) fn frame_checksum(kind: u8, body: &[u8]) -> u64 {
-    let mut lanes = [
-        (FNV_OFFSET ^ u64::from(kind)).wrapping_mul(FNV_PRIME),
-        FNV_OFFSET.rotate_left(17),
-        FNV_OFFSET.rotate_left(31),
-        FNV_OFFSET.rotate_left(47),
-    ];
-    let mut blocks = body.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-            *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
-        }
-    }
-    let mut hash = lanes[0];
-    for &lane in &lanes[1..] {
-        hash = (hash ^ lane).wrapping_mul(FNV_PRIME);
-    }
-    for &b in blocks.remainder() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
+    byz_kernel::lane_checksum(kind, body)
 }
 
 /// The bit patterns of `values`, in place.
@@ -223,7 +210,8 @@ pub(crate) fn copy_aligned(src: &[u8], at: usize) -> Bytes {
     Bytes::from(buf).slice(lead..lead + src.len())
 }
 
-/// Validates a frame's header and checksum and returns `(kind, body)`.
+/// Validates a frame's header, length and checksum and returns
+/// `(kind, body)`; the body is always `frame[FRAME_HEADER_LEN..]`.
 ///
 /// This is the single header/integrity gate shared by [`Message::decode`]
 /// and the batched-gradient codec — any byte-level corruption is caught
@@ -249,7 +237,13 @@ pub(crate) fn check_frame(frame: &[u8]) -> Result<(u8, &[u8]), WireError> {
             got: header.len(),
         });
     }
-    let body = &header[..body_len];
+    if header.len() > body_len {
+        return Err(WireError::TrailingBytes {
+            declared: body_len,
+            got: header.len(),
+        });
+    }
+    let body = header;
     let computed = frame_checksum(kind, body);
     if computed != checksum {
         return Err(WireError::ChecksumMismatch {
@@ -314,11 +308,19 @@ pub(crate) fn seal_frame(kind: u8, body: BytesMut) -> Bytes {
 /// the single-pass counterpart of [`seal_frame`], for encoders that size
 /// the frame up front and never stage the body separately.
 pub(crate) fn seal_in_place(kind: u8, frame: &mut [u8]) {
+    let checksum = frame_checksum(kind, &frame[FRAME_HEADER_LEN..]);
+    write_header(kind, checksum, frame);
+}
+
+/// Writes the header of `frame` — its [`FRAME_HEADER_LEN`] placeholder
+/// bytes followed by the body — given the body's checksum, folded by
+/// the caller (see [`BatchFrameBuilder`](crate::BatchFrameBuilder)).
+pub(crate) fn write_header(kind: u8, checksum: u64, frame: &mut [u8]) {
     let (header, body) = frame.split_at_mut(FRAME_HEADER_LEN);
     header[..4].copy_from_slice(&MAGIC.to_le_bytes());
     header[4] = kind;
     header[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[9..].copy_from_slice(&frame_checksum(kind, body).to_le_bytes());
+    header[9..].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Encodes a [`Message::ModelBroadcast`] from borrowed parts — the PS
@@ -382,16 +384,50 @@ impl Message {
     /// # Errors
     ///
     /// See [`WireError`]: truncation, bad magic, unknown kind, checksum
-    /// mismatch, inconsistent body structure.
+    /// mismatch, trailing bytes, inconsistent body structure.
     pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
+        Ok(match MessageView::decode(frame)? {
+            MessageView::ModelBroadcast {
+                iteration,
+                params,
+                files,
+            } => Message::ModelBroadcast {
+                iteration,
+                params: read_f32s_le(params),
+                files,
+            },
+            MessageView::Shutdown => Message::Shutdown,
+        })
+    }
+}
+
+/// A decoded [`Message`] whose broadcast parameters stay in the frame as
+/// their little-endian bytes — the worker loads them into its model with
+/// one copy ([`byz_nn::FastMlp::set_params_le`]) instead of staging a
+/// parameter `Vec` first.
+#[derive(Debug)]
+pub(crate) enum MessageView<'a> {
+    /// [`Message::ModelBroadcast`], parameters borrowed.
+    ModelBroadcast {
+        iteration: u64,
+        /// The parameters: `4 · n` little-endian `f32` bytes.
+        params: &'a [u8],
+        files: Vec<Vec<u32>>,
+    },
+    /// [`Message::Shutdown`].
+    Shutdown,
+}
+
+impl<'a> MessageView<'a> {
+    /// [`Message::decode`], borrowing the parameters from `frame`.
+    pub(crate) fn decode(frame: &'a [u8]) -> Result<MessageView<'a>, WireError> {
         let (kind, body) = check_frame(frame)?;
         let mut body = BodyReader::new(body);
         match kind {
             KIND_MODEL_BROADCAST => {
                 let iteration = body.u64_le()?;
                 let n = body.u32_le()? as usize;
-                let params =
-                    read_f32s_le(body.take(n.checked_mul(4).ok_or(WireError::MalformedBody)?)?);
+                let params = body.take(n.checked_mul(4).ok_or(WireError::MalformedBody)?)?;
                 let nf = body.u32_le()? as usize;
                 let mut files = Vec::with_capacity(nf.min(body.remaining() / 4));
                 for _ in 0..nf {
@@ -403,13 +439,17 @@ impl Message {
                             .collect(),
                     );
                 }
-                Ok(Message::ModelBroadcast {
+                if body.remaining() != 0 {
+                    return Err(WireError::MalformedBody);
+                }
+                Ok(MessageView::ModelBroadcast {
                     iteration,
                     params,
                     files,
                 })
             }
-            KIND_SHUTDOWN => Ok(Message::Shutdown),
+            KIND_SHUTDOWN if body.remaining() == 0 => Ok(MessageView::Shutdown),
+            KIND_SHUTDOWN => Err(WireError::MalformedBody),
             other => Err(WireError::UnknownKind(other)),
         }
     }
@@ -531,6 +571,147 @@ mod tests {
                 Message::decode(&frame).unwrap_err(),
                 WireError::UnknownKind(kind)
             );
+        }
+    }
+
+    /// Whether a decoder accepts a frame.
+    type Decodes = fn(&Bytes) -> bool;
+
+    /// One valid frame of every kind a decoder reads, each through the
+    /// decoder that reads it.
+    fn every_decoder() -> Vec<(&'static str, Bytes, Decodes)> {
+        use crate::{decode_gradient_batch, decode_gradient_chunk, encode_gradient_batch};
+        use crate::{encode_gradient_chunks, ChunkConfig, Handshake};
+        let g: Vec<f32> = (0..8).map(|i| i as f32).collect();
+        let broadcast = encode_model_broadcast(3, &g, &[vec![1, 2]]);
+        let chunk = encode_gradient_chunks(3, 1, 0, &g, &ChunkConfig::dense(8)).remove(0);
+        let hello = Handshake::Hello {
+            job_id: 9,
+            worker: 1,
+        }
+        .encode();
+        vec![
+            ("broadcast", broadcast, |f| Message::decode(f).is_ok()),
+            ("shutdown", Message::Shutdown.encode(), |f| {
+                Message::decode(f).is_ok()
+            }),
+            ("batch", encode_gradient_batch(3, 1, &[(0, &g)]), |f| {
+                decode_gradient_batch(f).is_ok()
+            }),
+            ("chunk", chunk, |f| decode_gradient_chunk(f).is_ok()),
+            ("handshake", hello, |f| Handshake::decode(f).is_ok()),
+        ]
+    }
+
+    #[test]
+    fn an_appended_byte_is_refused_by_every_decoder() {
+        // Bytes past the declared body are not covered by the checksum;
+        // a decoder that read them would vote bytes nobody verified.
+        for (what, frame, decodes) in every_decoder() {
+            assert!(decodes(&frame), "{what}: the frame itself decodes");
+            let mut longer = BytesMut::from_bytes(&frame);
+            longer.put_u8(0);
+            let longer = longer.freeze();
+            assert!(!decodes(&longer), "{what}: an appended byte decoded");
+            assert_eq!(
+                check_frame(&longer).unwrap_err(),
+                WireError::TrailingBytes {
+                    declared: frame.len() - FRAME_HEADER_LEN,
+                    got: frame.len() - FRAME_HEADER_LEN + 1,
+                },
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_broadcast_with_unread_body_bytes_is_refused() {
+        let mut body = BytesMut::new();
+        body.put_u64_le(1);
+        body.put_u32_le(1);
+        put_f32s_le(&mut body, &[2.0]);
+        body.put_u32_le(0); // no files
+        let whole = seal_frame(KIND_MODEL_BROADCAST, body.clone());
+        assert!(Message::decode(&whole).is_ok());
+        body.put_u32_le(7); // inside the checksummed body, read by no field
+        let frame = seal_frame(KIND_MODEL_BROADCAST, body);
+        assert_eq!(
+            Message::decode(&frame).unwrap_err(),
+            WireError::MalformedBody
+        );
+        let shutdown = seal_frame(KIND_SHUTDOWN, BytesMut::from(&[0u8][..]));
+        assert_eq!(
+            Message::decode(&shutdown).unwrap_err(),
+            WireError::MalformedBody
+        );
+    }
+
+    /// A broadcast frame whose body spans three checksum rows and a
+    /// ragged tail.
+    fn three_row_frame() -> Bytes {
+        let params: Vec<f32> = (0..400).map(|i| (i as f32 * 0.7).sin()).collect();
+        encode_model_broadcast(5, &params, &[vec![4, 8, 15], vec![16, 23, 42]])
+    }
+
+    #[test]
+    fn checksum_refuses_every_single_bit_flip() {
+        let frame = three_row_frame();
+        assert!(frame.len() > FRAME_HEADER_LEN + 3 * byz_kernel::CHECKSUM_ROW);
+        for bit in 0..frame.len() * 8 {
+            let mut bytes = BytesMut::from_bytes(&frame);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert!(check_frame(&bytes).is_err(), "bit {bit} flipped unnoticed");
+        }
+    }
+
+    #[test]
+    fn checksum_refuses_word_swaps_and_row_moves() {
+        let frame = three_row_frame();
+        let word = |i: usize| FRAME_HEADER_LEN + 8 * i;
+        let swapped = |i: usize, j: usize| {
+            let mut bytes = BytesMut::from_bytes(&frame);
+            for k in 0..8 {
+                bytes.swap(word(i) + k, word(j) + k);
+            }
+            assert_ne!(
+                frame[word(i)..word(i) + 8],
+                frame[word(j)..word(j) + 8],
+                "words {i} and {j} differ"
+            );
+            bytes
+        };
+        let lanes = byz_kernel::CHECKSUM_LANES;
+        for i in [0, 5, 63, 64, 100, 130] {
+            // Two words in different lanes trade places.
+            for j in [i + 1, i + 37] {
+                assert!(matches!(
+                    check_frame(&swapped(i, j)),
+                    Err(WireError::ChecksumMismatch { .. })
+                ));
+            }
+            // A word moves into the next row, where its lane's next word
+            // moves up to take its place.
+            assert!(matches!(
+                check_frame(&swapped(i, i + lanes)),
+                Err(WireError::ChecksumMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn checksum_frame_refuses_truncation_and_extension() {
+        let frame = three_row_frame();
+        assert!(check_frame(&frame).is_ok());
+        for cut in 0..frame.len() {
+            assert!(check_frame(&frame[..cut]).is_err(), "cut at {cut}");
+        }
+        for extra in 1..=9 {
+            let mut longer = BytesMut::from_bytes(&frame);
+            longer.extend_from_slice(&vec![0u8; extra]);
+            assert!(matches!(
+                check_frame(&longer),
+                Err(WireError::TrailingBytes { .. })
+            ));
         }
     }
 

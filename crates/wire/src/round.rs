@@ -842,11 +842,12 @@ mod tests {
     /// builds it: one [`replica`]-valued entry per file of `files`.
     fn built(t: u64, w: usize, files: &[usize]) -> Bytes {
         let mut builder = BatchFrameBuilder::new(files.len(), files.len() * 4);
+        builder.begin(t, w as u32, files.len());
         for &file in files {
             builder.next_slot(4).copy_from_slice(&replica(t, file));
             builder.commit(file as u32);
         }
-        builder.finish(t, w as u32)
+        builder.finish()
     }
 
     /// Every whole replica `store` holds, as `(worker, run)`.

@@ -5,7 +5,7 @@ use crate::chunk::{
     encode_gradient_chunk_into, num_chunks, ChunkConfig, ChunkScheme, CHUNK_PREFIX_LEN,
 };
 use crate::link::{ChannelLink, Link, LinkError};
-use crate::message::{encode_model_broadcast, FRAME_HEADER_LEN};
+use crate::message::{encode_model_broadcast, MessageView, FRAME_HEADER_LEN};
 use crate::round::RoundCore;
 use crate::{Assignment, Message};
 use bytes::{Bytes, BytesMut};
@@ -643,6 +643,13 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
     let mut rng = rand_stub();
     let mut model = FastMlp::new(&ctx.dims, &mut rng);
     let param_len = model.num_params();
+    // Computed replicas wait in `outbox` and leave through its `flush` —
+    // after every file when the PS finalizes votes eagerly, once per
+    // round otherwise (bounded staleness is a PS-side schedule: the
+    // worker sends what it would in barrier mode, straggler delay and
+    // all). It lives as long as the connection, so the chunked wire
+    // computes every replica into one reused buffer.
+    let mut outbox = Outbox::new(ctx, param_len);
 
     // Run until shutdown or the link dies. A frame that fails to decode
     // (corrupt, or of a kind the PS never sends) is ignored — a corrupted
@@ -655,12 +662,12 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
             Err(LinkError::Timeout) => continue,
             Err(LinkError::Closed | LinkError::Desync(_)) => return WorkerExit::LinkClosed,
         };
-        let Ok(message) = Message::decode(&frame) else {
+        let Ok(message) = MessageView::decode(&frame) else {
             continue;
         };
         match message {
-            Message::Shutdown => return WorkerExit::Shutdown,
-            Message::ModelBroadcast {
+            MessageView::Shutdown => return WorkerExit::Shutdown,
+            MessageView::ModelBroadcast {
                 iteration,
                 params,
                 files,
@@ -670,7 +677,7 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                 // from anything claiming to be a PS. A model of the
                 // wrong dimension cannot be trained on; skipping the
                 // round degrades it like a dropped broadcast.
-                if params.len() != param_len {
+                if params.len() != 4 * param_len {
                     continue;
                 }
                 if ctx.is_crashed {
@@ -683,44 +690,50 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                     // message-dropper.
                     std::thread::sleep(ctx.delay);
                 }
-                model.set_params(&params);
-                // Computed replicas collect in `outbox` and leave
-                // through its `flush` — after every file when the PS
-                // finalizes votes eagerly, once per round otherwise
-                // (bounded staleness is a PS-side schedule: the worker
-                // sends what it would in barrier mode, straggler delay
-                // and all).
-                let mut outbox = Outbox::new(ctx, param_len);
-                for &file_idx in &ctx.my_files {
-                    // Bounds gates for forged broadcasts: a file table
-                    // that does not cover this worker's assignment, or
-                    // sample indices outside the local dataset, degrade
-                    // the file — they must never index-panic the worker.
-                    let Some(file_samples) = files.get(file_idx) else {
-                        continue;
-                    };
-                    let samples: Vec<usize> = file_samples.iter().map(|&i| i as usize).collect();
-                    if samples.iter().any(|&i| i >= ctx.dataset.len()) {
-                        continue;
+                model.set_params_le(params);
+                // What this round uploads is known before any compute.
+                // Bounds gates for forged broadcasts: a file table that
+                // does not cover this worker's assignment, or sample
+                // indices outside the local dataset, skip the file — they
+                // must never index-panic the worker. Deterministic message
+                // loss: same hash, same seed → the same replicas vanish
+                // in the simulator and here (a lost replica is still
+                // computed).
+                let uploads: Vec<(u32, Vec<usize>, bool)> = ctx
+                    .my_files
+                    .iter()
+                    .filter_map(|&file| {
+                        let samples: Vec<usize> =
+                            files.get(file)?.iter().map(|&i| i as usize).collect();
+                        if samples.iter().any(|&i| i >= ctx.dataset.len()) {
+                            return None;
+                        }
+                        let keep = !ctx.plan.drops_replica(iteration, ctx.worker_id, file);
+                        Some((file as u32, samples, keep))
+                    })
+                    .collect();
+                if !ctx.flush_per_file {
+                    let kept = uploads.iter().filter(|(_, _, keep)| *keep).count();
+                    outbox.begin(ctx, iteration, kept);
+                }
+                for (file, samples, keep) in &uploads {
+                    if ctx.flush_per_file {
+                        outbox.begin(ctx, iteration, usize::from(*keep));
                     }
-                    let (x, labels) = ctx.dataset.gather(&samples);
+                    let (x, labels) = ctx.dataset.gather(samples);
                     // The replica — true or forged — written once, into
                     // wherever it is going.
-                    let compute = |gradient: &mut [f32]| {
+                    outbox.put(ctx, *file, *keep, |gradient| {
                         model.gradient_sum_into(&x, samples.len(), &labels, gradient);
                         if ctx.is_byz {
                             ctx.attack.forge(gradient);
                         }
-                    };
-                    // Deterministic message loss: same hash, same seed →
-                    // the same replicas vanish in the simulator and here.
-                    let dropped = ctx.plan.drops_replica(iteration, ctx.worker_id, file_idx);
-                    outbox.put(file_idx as u32, !dropped, compute);
-                    if ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
+                    });
+                    if ctx.flush_per_file && outbox.flush(link).is_err() {
                         return WorkerExit::LinkClosed;
                     }
                 }
-                if !ctx.flush_per_file && outbox.flush(ctx, link, iteration).is_err() {
+                if !ctx.flush_per_file && outbox.flush(link).is_err() {
                     return WorkerExit::LinkClosed;
                 }
             }
@@ -728,19 +741,24 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
     }
 }
 
-/// Where a worker's replicas (`len` floats each) live between compute
-/// and upload: on the batched wire inside the outgoing frame itself, on
-/// the chunked wire (whose frames are cut per chunk at send time) in
-/// owned vectors.
+/// Where a worker's replicas (`len` floats each) are computed and wait
+/// for upload. The batched wire computes each replica inside the
+/// outgoing frame itself, which checksums it as it commits. The chunked
+/// wire computes every replica into one reused buffer and cuts its chunk
+/// frames (sealed as each payload is copied) at once, while the replica
+/// is still in cache; what waits for `flush` is frames, not gradients.
 enum Outbox {
     Frame {
         len: usize,
-        builder: BatchFrameBuilder,
+        builder: Box<BatchFrameBuilder>,
     },
     Chunks {
-        len: usize,
         cfg: ChunkConfig,
-        ready: Vec<(u32, Vec<f32>)>,
+        iteration: u64,
+        /// The replica being encoded; `gradient_sum_into` overwrites
+        /// every coordinate, so nothing is cleared between replicas.
+        replica: Vec<f32>,
+        frames: Vec<Bytes>,
     },
 }
 
@@ -755,20 +773,41 @@ impl Outbox {
         match ctx.wire {
             WireFormat::Batched => Outbox::Frame {
                 len,
-                builder: BatchFrameBuilder::new(group, group * len),
+                builder: Box::new(BatchFrameBuilder::new(group, group * len)),
             },
             WireFormat::Chunked(cfg) => Outbox::Chunks {
-                len,
                 cfg,
-                ready: Vec::with_capacity(group),
+                iteration: 0,
+                replica: vec![0.0; len],
+                frames: Vec::new(),
             },
+        }
+    }
+
+    /// Opens the next flush of round `iteration`, which keeps `uploads`
+    /// of the replicas put into it.
+    fn begin(&mut self, ctx: &WorkerContext, iteration: u64, uploads: usize) {
+        match self {
+            Outbox::Frame { builder, .. } => {
+                builder.begin(iteration, ctx.worker_id as u32, uploads);
+            }
+            Outbox::Chunks { iteration: at, .. } => *at = iteration,
         }
     }
 
     /// Runs `compute` on the destination of `file`'s replica; a replica
     /// that is not kept (message loss) is computed all the same and then
-    /// forgotten.
-    fn put(&mut self, file: u32, keep: bool, compute: impl FnOnce(&mut [f32])) {
+    /// forgotten. A kept replica on the chunked wire becomes its chunk
+    /// frames here, message loss rolling per chunk (a lost chunk strands
+    /// its replica at the PS, which degrades it like a lost whole
+    /// replica).
+    fn put(
+        &mut self,
+        ctx: &WorkerContext,
+        file: u32,
+        keep: bool,
+        compute: impl FnOnce(&mut [f32]),
+    ) {
         match self {
             Outbox::Frame { len, builder } => {
                 compute(builder.next_slot(*len));
@@ -776,75 +815,53 @@ impl Outbox {
                     builder.commit(file);
                 }
             }
-            Outbox::Chunks { len, ready, .. } => {
-                let mut gradient = vec![0.0f32; *len];
-                compute(&mut gradient);
-                if keep {
-                    ready.push((file, gradient));
+            Outbox::Chunks {
+                cfg,
+                iteration,
+                replica,
+                frames,
+            } => {
+                compute(replica);
+                if !keep {
+                    return;
+                }
+                let worker = ctx.worker_id;
+                for chunk in 0..num_chunks(replica.len(), cfg.span_len()) {
+                    if ctx
+                        .plan
+                        .drops_chunk(*iteration, worker, file as usize, chunk)
+                    {
+                        continue;
+                    }
+                    frames.push(encode_gradient_chunk_into(
+                        *iteration,
+                        worker as u32,
+                        file,
+                        replica,
+                        chunk,
+                        cfg,
+                        BytesMut::new(),
+                    ));
                 }
             }
         }
     }
 
-    /// Sends the replicas put since the last flush. The batched wire
-    /// seals them as ONE frame — sent even when every entry was dropped:
-    /// the frame itself is cheap and keeps the PS's frame accounting
-    /// deterministic — and the chunked wire queues each replica's chunk
+    /// Sends what was put since the last [`begin`](Self::begin). The
+    /// batched wire seals it as ONE frame — sent even when every entry
+    /// was dropped: the frame itself is cheap and keeps the PS's frame
+    /// accounting deterministic — and the chunked wire queues its chunk
     /// frames. Either way the link is flushed, so what was put leaves
     /// here: a streaming round releases each file at its boundary.
-    fn flush(
-        &mut self,
-        ctx: &WorkerContext,
-        link: &mut dyn Link,
-        iteration: u64,
-    ) -> Result<(), LinkError> {
+    fn flush(&mut self, link: &mut dyn Link) -> Result<(), LinkError> {
         match self {
-            Outbox::Frame { builder, .. } => {
-                link.queue(builder.finish(iteration, ctx.worker_id as u32))?;
-            }
-            Outbox::Chunks { cfg, ready, .. } => {
-                ready.drain(..).try_for_each(|(file, gradient)| {
-                    queue_replica_chunks(ctx, link, iteration, file, &gradient, cfg)
-                })?;
+            Outbox::Frame { builder, .. } => link.queue(builder.finish())?,
+            Outbox::Chunks { frames, .. } => {
+                frames.drain(..).try_for_each(|frame| link.queue(frame))?;
             }
         }
         link.flush()
     }
-}
-
-/// Queues one replica's gradient as independent chunk frames. Message
-/// loss rolls per chunk (a lost chunk strands its replica at the PS,
-/// which degrades it like a lost whole replica). Each chunk is encoded
-/// into its own chunk-sized frame; a coalescing link holds at most about
-/// 256 KiB of them before it writes.
-fn queue_replica_chunks(
-    ctx: &WorkerContext,
-    link: &mut dyn Link,
-    iteration: u64,
-    file: u32,
-    gradient: &[f32],
-    cfg: &ChunkConfig,
-) -> Result<(), LinkError> {
-    let n = num_chunks(gradient.len(), cfg.span_len());
-    for chunk_index in 0..n {
-        if ctx
-            .plan
-            .drops_chunk(iteration, ctx.worker_id, file as usize, chunk_index)
-        {
-            continue;
-        }
-        let frame = encode_gradient_chunk_into(
-            iteration,
-            ctx.worker_id as u32,
-            file,
-            gradient,
-            chunk_index,
-            cfg,
-            BytesMut::new(),
-        );
-        link.queue(frame)?;
-    }
-    Ok(())
 }
 
 /// Deterministic tiny RNG for worker-side model construction (the
@@ -859,7 +876,8 @@ fn rand_stub() -> impl rand::Rng {
 mod tests {
     use super::*;
     use crate::batch::encode_gradient_batch;
-    use crate::chunk::{ChunkScheme, SparsifyConfig};
+    use crate::chunk::{encode_gradient_chunks, ChunkScheme, SparsifyConfig};
+    use crate::link::channel_link_pair;
     use byz_assign::MolsAssignment;
     use byz_data::{SyntheticConfig, SyntheticImages};
     use rand::SeedableRng;
@@ -1683,6 +1701,98 @@ mod tests {
             // 15 batch frames, each with 5 full gradients on board.
             assert!(s.bytes_received > 15 * crate::FRAME_HEADER_LEN);
         }
+    }
+
+    /// The chunked outbox computes every replica into one reused buffer
+    /// and cuts its chunk frames at once; they must be the frames
+    /// `encode_gradient_chunks` cuts from a freshly computed replica,
+    /// minus the same per-replica and per-chunk drops — whatever the
+    /// buffer held before (NaN here), for every chunk scheme, honest or
+    /// forged.
+    #[test]
+    fn chunk_outbox_frames_are_the_encoded_frames() {
+        let data = dataset();
+        let dims = vec![36usize, 16, 4];
+        let model = FastMlp::new(&dims, &mut rand::rngs::StdRng::seed_from_u64(4));
+        let d = model.num_params();
+        let table: Vec<Vec<u32>> = (0..5).map(|f| vec![3 * f, 3 * f + 1]).collect();
+        let schemes = [
+            ChunkScheme::Dense,
+            ChunkScheme::TopK(SparsifyConfig::top_k(8, 9)),
+            ChunkScheme::Signs,
+        ];
+        let (mut dropped_chunks, mut dropped_replicas) = (0, 0);
+        for scheme in schemes {
+            for (is_byz, drop_rate) in [(false, 0.0), (false, 0.3), (true, 0.3)] {
+                let cfg = ChunkConfig {
+                    chunk_len: 64,
+                    scheme,
+                };
+                let ctx = WorkerContext {
+                    worker_id: 2,
+                    my_files: vec![0, 2, 3, 4],
+                    dataset: Arc::clone(&data),
+                    dims: dims.clone(),
+                    is_byz,
+                    is_crashed: false,
+                    attack: LocalAttack::ReversedGradient { magnitude: 3.0 },
+                    wire: WireFormat::Chunked(cfg),
+                    flush_per_file: false,
+                    plan: FaultPlan::new(17).drop_rate(drop_rate),
+                    delay: Duration::ZERO,
+                    idle_timeout: Duration::from_millis(10),
+                };
+                let mut outbox = Outbox::new(&ctx, d);
+                let Outbox::Chunks { replica, .. } = &mut outbox else {
+                    unreachable!("a chunked wire's outbox")
+                };
+                replica.fill(f32::NAN);
+                let (mut worker_end, mut ps_end) = channel_link_pair();
+                let mut want = Vec::new();
+                for t in [1u64, 2] {
+                    let kept = ctx.my_files.iter();
+                    let kept = kept.filter(|&&f| !ctx.plan.drops_replica(t, 2, f)).count();
+                    outbox.begin(&ctx, t, kept);
+                    for &file in &ctx.my_files {
+                        let samples: Vec<usize> = table[file].iter().map(|&i| i as usize).collect();
+                        let (x, labels) = data.gather(&samples);
+                        let keep = !ctx.plan.drops_replica(t, 2, file);
+                        outbox.put(&ctx, file as u32, keep, |g| {
+                            model.gradient_sum_into(&x, samples.len(), &labels, g);
+                            if is_byz {
+                                ctx.attack.forge(g);
+                            }
+                        });
+                        if !keep {
+                            dropped_replicas += 1;
+                            continue;
+                        }
+                        let mut g = model.gradient_sum(&x, samples.len(), &labels).1;
+                        if is_byz {
+                            ctx.attack.forge(&mut g);
+                        }
+                        let frames = encode_gradient_chunks(t, 2, file as u32, &g, &cfg);
+                        for (chunk, frame) in frames.into_iter().enumerate() {
+                            if ctx.plan.drops_chunk(t, 2, file, chunk) {
+                                dropped_chunks += 1;
+                            } else {
+                                want.push(frame);
+                            }
+                        }
+                    }
+                    outbox.flush(&mut worker_end).unwrap();
+                }
+                let mut got = Vec::new();
+                while let Ok(frame) = ps_end.recv_timeout(Duration::from_millis(10)) {
+                    got.push(frame);
+                }
+                assert_eq!(
+                    got, want,
+                    "{scheme:?}, byzantine {is_byz}, drops {drop_rate}"
+                );
+            }
+        }
+        assert!(dropped_chunks > 0 && dropped_replicas > 0);
     }
 
     #[test]

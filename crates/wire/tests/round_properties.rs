@@ -167,11 +167,12 @@ enum Door {
 fn built(flush: &Flush) -> Bytes {
     let floats = flush.replicas.iter().map(|(_, g)| g.len()).sum();
     let mut builder = BatchFrameBuilder::new(flush.replicas.len(), floats);
+    builder.begin(flush.t, flush.w as u32, flush.replicas.len());
     for (file, g) in &flush.replicas {
         builder.next_slot(g.len()).copy_from_slice(g);
         builder.commit(*file);
     }
-    builder.finish(flush.t, flush.w as u32)
+    builder.finish()
 }
 
 /// `frames` written to one byte stream and read back in random-sized
