@@ -127,3 +127,79 @@ fn trainer_and_wire_degrade_alike_under_one_plan() {
     assert!(trainer.iter().any(|&(abandoned, _)| abandoned > 5));
     assert_eq!(trainer, wire);
 }
+
+/// One loop, two deliveries: the in-process trainer (constant learning
+/// rate, median) and the channel PS train the same parameters bit for
+/// bit and fold the same ledger, on a clean run, under a fixed attack
+/// the ledger only watches, and under drops plus a crash. They part ways
+/// only once a quarantine fires: the trainer repairs the placement, the
+/// PS filters the holder sets.
+#[test]
+fn trainer_and_channel_ps_train_the_same_bits() {
+    let (iterations, seed) = (8, 31);
+    let watching = ReputationConfig {
+        min_evidence: u64::MAX,
+        ..ReputationConfig::default()
+    };
+    let cases = [
+        (vec![], None, FaultPlan::none()),
+        (vec![0, 5], Some(watching), FaultPlan::none()),
+        (vec![], None, FaultPlan::new(7).drop_rate(0.08).crash(3)),
+    ];
+    for (byzantine, reputation, faults) in cases {
+        let (train, test) = data();
+        let mut model = model();
+        let history = Trainer::new(
+            &mut model,
+            &train,
+            &test,
+            MolsAssignment::new(5, 3).unwrap().build(),
+            ByzantineSelector::Fixed(byzantine.clone()),
+            Box::new(ConstantAttack { value: -50.0 }),
+            Box::new(CoordinateMedian),
+            TrainingConfig {
+                lr_schedule: StepDecaySchedule::new(0.05, 1.0, 0),
+                num_byzantine: byzantine.len(),
+                seed,
+                faults: faults.clone(),
+                reputation,
+                ..config(iterations, 0)
+            },
+        )
+        .run()
+        .unwrap();
+        let wire = MessagePassingCluster::new(
+            MolsAssignment::new(5, 3).unwrap().build(),
+            std::sync::Arc::new(train),
+            DIMS.to_vec(),
+        )
+        .train_run(
+            self::model().params_flat(),
+            &ServerConfig {
+                batch_size: 100,
+                iterations,
+                learning_rate: 0.05,
+                byzantine: byzantine.clone(),
+                attack: LocalAttack::Constant { value: -50.0 },
+                faults,
+                seed,
+                reputation,
+                ..ServerConfig::default()
+            },
+        );
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&model.params_flat()),
+            bits(&wire.params),
+            "{byzantine:?}"
+        );
+        assert_eq!(
+            history.ledger.as_ref().map(ReputationLedger::to_bytes),
+            wire.ledger_bytes,
+            "{byzantine:?}"
+        );
+        if let Some(ledger) = &history.ledger {
+            assert!(ledger.quarantined_workers().is_empty());
+        }
+    }
+}
