@@ -3,8 +3,9 @@
 //! The paper runs PyTorch + MPICH on EC2; this workspace runs the same
 //! protocol in-process or over `byz-wire` (DESIGN.md §2 documents the
 //! substitution). This crate holds the two pieces the round engine
-//! (`byz_wire::RoundCore`) and its drivers (`byzshield::Trainer::run`
-//! in-process, `ps_loop` on the wire) share:
+//! (`byz_wire::RoundCore`), its session (`byz_wire::Session`) and the
+//! session's two callers (`byzshield::Trainer::run` in-process, the PS
+//! loop on the wire) share:
 //!
 //! * [`FaultPlan`] deterministically marks workers crashed, stragglers,
 //!   message-droppers, disconnecting/stalling peers, joiners or leavers.

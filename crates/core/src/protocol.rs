@@ -1,17 +1,15 @@
 //! The end-to-end training protocol (paper Algorithm 1).
 
 use crate::{evaluate_accuracy, GradientMoments};
-use byz_aggregate::{gradient_fingerprint, AggregationError, Aggregator, QuorumError, VoteAudit};
+use byz_aggregate::{gradient_fingerprint, AggregationError, Aggregator, QuorumError};
 use byz_assign::{Assignment, DynamicAssignment};
 use byz_attack::{AttackContext, AttackVector, ByzantineSelector};
 use byz_cluster::FaultPlan;
-use byz_data::{split_batch_into_files, BatchSampler, Dataset};
+use byz_data::Dataset;
 use byz_distortion::{binomial_saturating, cmax_graph_exhaustive, count_distorted};
-use byz_kernel::sgd_momentum_step;
 use byz_nn::{FastMlp, StepDecaySchedule};
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
-use byz_wire::{FileSlot, RoundCore, RoundResult, ServerConfig};
-use std::borrow::Cow;
+use byz_wire::{Delivery, RoundCore, RoundResult, ServerConfig, Session};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -242,7 +240,8 @@ pub struct IterationRecord {
     pub train_loss: Option<f64>,
     /// Wall-clock time spent computing gradients this iteration.
     pub compute_time: Duration,
-    /// Wall-clock time spent on voting + aggregation this iteration.
+    /// Wall-clock time of the round's engine span: replica delivery,
+    /// votes, aggregation and the update.
     pub aggregate_time: Duration,
 }
 
@@ -362,7 +361,8 @@ fn membership_report(
     }
 }
 
-/// The synchronous Byzantine-robust trainer (paper Algorithm 1).
+/// The synchronous Byzantine-robust trainer (paper Algorithm 1): the
+/// [`Session`] the wire PS runs, over an in-memory delivery.
 ///
 /// Each iteration:
 /// 1. sample a batch and split it into `f` files (`byz-data`);
@@ -371,15 +371,12 @@ fn membership_report(
 ///    see [`FastMlp::gradient_sum`]);
 /// 3. choose the Byzantine set (random / omniscient / fixed) and replace
 ///    every replica held by a Byzantine worker with the attack payload;
-/// 4. run the defense: the round engine the wire PS deploys
-///    ([`RoundCore`], driven here as its zero-latency link on the
-///    barrier schedule) votes every file over the replicas that arrive,
-///    then the aggregator combines the winners. A baseline is the same
-///    round on an `r = 1` placement, where each file's single replica is
-///    its own winner;
-/// 5. update the flat parameters with the parameter server's
-///    SGD-with-momentum kernel under the step-decay schedule, and load
-///    them into the model.
+/// 4. offer the round engine ([`RoundCore`]) every replica the fault
+///    plan delivers (the zero-latency link, on the barrier schedule); it
+///    votes every file, then the aggregator combines the winners. A
+///    baseline is the same round on an `r = 1` placement;
+/// 5. take the PS's SGD-with-momentum step at the step-decay schedule's
+///    rate, and load the parameters into the model.
 ///
 /// The run leaves the final parameters in the model it was given.
 pub struct Trainer<'a> {
@@ -432,165 +429,73 @@ impl<'a> Trainer<'a> {
     /// Section 6.1's constraints).
     pub fn run(&mut self) -> Result<TrainingHistory, TrainingError> {
         self.check_config()?;
-        let f = self.assignment.num_files();
-        let k = self.assignment.num_workers();
-        let q = self.config.num_byzantine;
         let start = Instant::now();
-        let mut sampler =
-            BatchSampler::new(self.train.len(), self.config.batch_size, self.config.seed);
+        let config = &self.config;
+        // The engine's barrier round on the batched wire; the rate comes
+        // from the schedule, round by round.
+        let session_config = ServerConfig {
+            batch_size: config.batch_size,
+            momentum: config.momentum,
+            faults: config.faults.clone(),
+            q_min: config.q_min,
+            seed: config.seed,
+            reputation: config.reputation,
+            ..ServerConfig::default()
+        };
+        let params = self.model.params_flat();
+        let mut session = Session::new(&self.assignment, self.train.len(), params, &session_config);
+        let mut link = InMemory {
+            model: &mut *self.model,
+            train: self.train,
+            assignment: &self.assignment,
+            selector: &self.selector,
+            attack: &*self.attack,
+            config,
+            dynamic: DynamicAssignment::new(self.assignment.clone()),
+            plan_members: (0..self.assignment.num_workers()).collect(),
+            true_grads: Vec::new(),
+            compute_time: Duration::ZERO,
+            predicted_distorted: 0,
+            dropped: 0,
+            membership: None,
+        };
         let mut history = TrainingHistory::default();
-        // The model always holds `params`.
-        let mut params = self.model.params_flat();
-        let mut velocity = vec![0.0f32; params.len()];
 
-        // Reputation state: the ledger plus the *effective* placement.
-        // The placement starts as the scheme's graph and is canonically
-        // re-realized (`DynamicAssignment`) after every quarantine and
-        // every churn event; with reputation disabled and no churn it is
-        // never touched, so the protocol is bit-identical to before.
-        let mut ledger = self
-            .config
-            .reputation
-            .map(|cfg| ReputationLedger::new(k, cfg));
-        let mut dynamic = DynamicAssignment::new(self.assignment.clone());
-        // The fault plan's member set as last realized; churn syncs fire
-        // only when this changes, so quarantine-only runs keep the exact
-        // legacy repair cadence.
-        let mut plan_members: Vec<usize> = (0..k).collect();
-        // The round engine the wire PS deploys. This loop is its second
-        // driver, the zero-latency link: whole replicas are offered in
-        // memory, on the barrier schedule.
-        let plan = &self.config.faults;
-        let mut core = RoundCore::new(
-            &self.assignment,
-            params.len(),
-            &ServerConfig {
-                q_min: self.config.q_min,
-                faults: plan.clone(),
-                ..ServerConfig::default()
-            },
-        );
-        // ε̂ is measured — winners compared with the round's true
-        // gradients — under an active fault plan or an active ledger.
-        let measure = !plan.is_trivial() || ledger.is_some();
-
-        for t in 1..=self.config.iterations {
-            // 0. Cluster churn, realized before anything is polled.
-            let membership = self.realize_churn(t, &mut plan_members, &mut ledger, &mut dynamic);
-            // 1. Batch → files.
-            let batch = sampler.next_batch();
-            let files = split_batch_into_files(&batch, f);
-
-            // 2. True per-file gradients (computed once; honest replicas
-            //    are identical by construction).
-            let compute_start = Instant::now();
-            let true_grads: Vec<Vec<f32>> = files
-                .iter()
-                .map(|file| {
-                    let (x, labels) = self.train.gather(file);
-                    self.model.gradient_sum(&x, file.len(), &labels).1
-                })
-                .collect();
-            let compute_time = compute_start.elapsed();
-
-            // 3. Byzantine selection + forgery. The flag vector spans
-            //    the membership universe (joiners extend it past K); the
-            //    selector itself still draws from the founding set.
-            let byzantine = self.selector.select(&self.assignment, q, t);
-            let mut is_byz = vec![false; dynamic.universe()];
-            for &w in &byzantine {
-                is_byz[w] = true;
-            }
-            let moments =
-                GradientMoments::compute(&true_grads.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            let predicted_distorted = count_distorted(&self.assignment, &byzantine);
-            // The replica worker `w` returns for `file`, as the PS sees
-            // it (Eq. 2). Honest replicas borrow the shared gradient;
-            // every attack forges deterministically from the context.
-            let replica = |w: usize, file: usize| -> Cow<'_, [f32]> {
-                if !is_byz[w] {
-                    return Cow::Borrowed(&true_grads[file]);
-                }
-                Cow::Owned(self.attack.forge(&AttackContext {
-                    true_gradient: &true_grads[file],
-                    honest_mean: &moments.mean,
-                    honest_std: &moments.std,
-                    num_workers: k,
-                    num_byzantine: q,
+        for t in 1..=config.iterations {
+            let lr = config.lr_schedule.rate_at(t - 1) as f32;
+            let round = session
+                .round(&mut link, &*self.aggregator, lr)
+                .map_err(|source| TrainingError::DefenseInapplicable {
                     iteration: t,
-                    file,
-                }))
-            };
-
-            // 4. The engine's round over whatever replicas arrive, then
-            //    the aggregator over its winners.
-            let agg_start = Instant::now();
-            let holders: Vec<Vec<usize>> = (0..f)
-                .map(|file| dynamic.graph().workers_of(file).to_vec())
-                .collect();
-            core.begin(t as u64, &holders);
-            let dropped_replicas = self.deliver(&mut core, t as u64, &holders, &replica);
-            let result = core.close();
-            let outcome = round_outcome(&result, plan.num_crashed(), dropped_replicas);
+                    source,
+                })?;
+            let result = &round.result;
+            let outcome = round_outcome(result, config.faults.num_crashed(), link.dropped);
             if result.voted.is_empty() {
                 return Err(TrainingError::RoundCollapsed {
                     iteration: t,
                     outcome: Box::new(outcome),
                 });
             }
-            let measured = measure.then(|| {
-                let distorted = |(slot, audit): &(&FileSlot, &VoteAudit)| {
-                    audit.winner_hash != gradient_fingerprint(&true_grads[slot.file])
-                };
-                let votes = result.voted.iter().zip(&result.audits);
-                (votes.filter(distorted).count(), result.voted.len())
-            });
-            let gradient = self
-                .aggregator
-                .aggregate(&result.winners)
-                .map_err(|source| TrainingError::DefenseInapplicable {
-                    iteration: t,
-                    source,
-                })?;
-            let aggregate_time = agg_start.elapsed();
-
-            // Reputation fold: turn this round's audits into suspicion
-            // updates; on a quarantine, re-realize the placement so the
-            // flagged workers stop being polled and their files regain
-            // full replication on the surviving members.
-            let reputation = ledger.as_mut().map(|ledger| {
-                let events = ledger.observe_round(t as u64, &result.audits);
-                if events.iter().any(QuarantineEvent::is_quarantine) {
-                    sync_membership(&mut dynamic, &plan_members, &ledger.quarantined_workers());
+            // On a quarantine, re-realize the placement so the flagged
+            // workers stop being polled and their files regain full
+            // replication on the surviving members.
+            let reputation = session.ledger().map(|ledger| {
+                let quarantined = ledger.quarantined_workers();
+                if round.events.iter().any(QuarantineEvent::is_quarantine) {
+                    sync_membership(&mut link.dynamic, &link.plan_members, &quarantined);
                 }
                 ReputationOutcome {
                     suspicions: ledger.suspicions(),
-                    events,
-                    quarantined: ledger.quarantined_workers(),
+                    events: round.events,
+                    quarantined,
                 }
             });
-
-            // 5. Model update. File gradients are SUMS over b/f samples;
-            //    the aggregate approximates a per-file sum, so scaling by
-            //    f/b yields a per-sample mean-gradient step (Algorithm 1,
-            //    line 17). The scale folds into the PS's chunk-parallel
-            //    kernel step, bit-identical to pre-scaling the gradient.
-            let scale = f as f32 / self.config.batch_size as f32;
-            let lr = self.config.lr_schedule.rate_at(t - 1) as f32;
-            let momentum = self.config.momentum;
-            sgd_momentum_step(&mut params, &mut velocity, &gradient, scale, lr, momentum);
-            self.model.set_params(&params);
-
-            // Bookkeeping. Without faults ε̂ keeps its predictive meaning
-            // (`count_distorted / f`); with faults it is measured over
-            // the files that actually reached quorum.
-            let (distorted_files, epsilon_hat) = match measured {
-                Some((distorted, surviving)) => (distorted, distorted as f64 / surviving as f64),
-                None => (predicted_distorted, predicted_distorted as f64 / f as f64),
-            };
-            let evaluate = self.config.eval_every != 0 && t % self.config.eval_every == 0;
+            let (distorted_files, epsilon_hat) = link.distortion(result);
+            link.model.set_params(session.params());
+            let evaluate = config.eval_every != 0 && t % config.eval_every == 0;
             let (test_accuracy, train_loss) = if evaluate {
-                let (accuracy, loss) = self.evaluate();
+                let (accuracy, loss) = evaluate_model(link.model, self.test, self.train, config);
                 (Some(accuracy), loss)
             } else {
                 (None, None)
@@ -601,19 +506,19 @@ impl<'a> Trainer<'a> {
                 epsilon_hat,
                 outcome,
                 reputation,
-                membership,
+                membership: link.membership.take(),
                 test_accuracy,
                 train_loss,
-                compute_time,
-                aggregate_time,
+                compute_time: link.compute_time,
+                aggregate_time: Duration::from_nanos(round.timings.round_ns),
             });
         }
 
-        let (accuracy, loss) = self.evaluate();
+        let (accuracy, loss) = evaluate_model(link.model, self.test, self.train, config);
         history.final_accuracy = accuracy;
         history.final_loss = loss.unwrap_or(0.0);
         history.total_time = start.elapsed();
-        history.ledger = ledger;
+        history.ledger = session.into_parts().1;
         Ok(history)
     }
 
@@ -633,91 +538,175 @@ impl<'a> Trainer<'a> {
         }
         Ok(())
     }
+}
+
+/// The trainer's [`Delivery`], the zero-latency link: workers compute in
+/// memory, and the engine is offered every replica the fault plan
+/// delivers, once — like the wire, the round votes over what arrived.
+/// Crashed workers never send.
+struct InMemory<'r> {
+    model: &'r mut FastMlp,
+    train: &'r Dataset,
+    assignment: &'r Assignment,
+    selector: &'r ByzantineSelector,
+    attack: &'r dyn AttackVector,
+    config: &'r TrainingConfig,
+    /// The effective placement, re-realized after every quarantine and
+    /// churn event (never touched without either).
+    dynamic: DynamicAssignment,
+    /// The fault plan's member set as last realized.
+    plan_members: Vec<usize>,
+    // This round's true gradients, compute time, `count_distorted`,
+    // drops and churn report.
+    true_grads: Vec<Vec<f32>>,
+    compute_time: Duration,
+    predicted_distorted: usize,
+    dropped: usize,
+    membership: Option<MembershipOutcome>,
+}
+
+impl Delivery for InMemory<'_> {
+    /// Computes the true per-file gradients, each file once: honest
+    /// replicas are identical by construction. The model already holds
+    /// the parameters (the trainer loads them after every step). Then
+    /// realizes round `t`'s churn and polls the effective placement.
+    fn send(
+        &mut self,
+        t: u64,
+        _params: &[f32],
+        files: &[Vec<usize>],
+        ledger: Option<&mut ReputationLedger>,
+    ) -> Vec<Vec<usize>> {
+        let start = Instant::now();
+        self.true_grads = files
+            .iter()
+            .map(|file| {
+                let (x, labels) = self.train.gather(file);
+                self.model.gradient_sum(&x, file.len(), &labels).1
+            })
+            .collect();
+        self.compute_time = start.elapsed();
+        self.membership = self.realize_churn(t, ledger);
+        let graph = self.dynamic.graph();
+        (0..self.dynamic.num_files())
+            .map(|file| graph.workers_of(file).to_vec())
+            .collect()
+    }
+
+    fn collect(&mut self, t: u64, core: &mut RoundCore, _opened: Instant) -> Option<Instant> {
+        // The selector draws from the founding set; joiners are honest.
+        let (k, q) = (self.assignment.num_workers(), self.config.num_byzantine);
+        let byzantine = self.selector.select(self.assignment, q, t as usize);
+        self.predicted_distorted = count_distorted(self.assignment, &byzantine);
+        let grads: Vec<&[f32]> = self.true_grads.iter().map(Vec::as_slice).collect();
+        let moments = GradientMoments::compute(&grads);
+        let plan = &self.config.faults;
+        self.dropped = 0;
+        for (file, &true_gradient) in grads.iter().enumerate() {
+            for &w in self.dynamic.graph().workers_of(file) {
+                if plan.is_crashed(w) {
+                    continue;
+                }
+                if plan.drops_replica(t, w, file) {
+                    self.dropped += 1;
+                    continue;
+                }
+                // The replica worker `w` returns for `file`, as the PS
+                // sees it (Eq. 2): every attack forges deterministically
+                // from the context.
+                let forged;
+                let replica = if byzantine.contains(&w) {
+                    forged = self.attack.forge(&AttackContext {
+                        true_gradient,
+                        honest_mean: &moments.mean,
+                        honest_std: &moments.std,
+                        num_workers: k,
+                        num_byzantine: q,
+                        iteration: t as usize,
+                        file,
+                    });
+                    &forged
+                } else {
+                    true_gradient
+                };
+                // The gate refuses only what could not vote on the wire
+                // either (a forgery of the wrong shape).
+                let _ = core.offer(w, t, file, replica);
+            }
+        }
+        None
+    }
+}
+
+impl InMemory<'_> {
+    /// The round's distorted files and ε̂: under an active fault plan or
+    /// ledger measured (winners against the true gradients, over the
+    /// voted files), otherwise the predictive `count_distorted / f`.
+    fn distortion(&self, result: &RoundResult) -> (usize, f64) {
+        if self.config.faults.is_trivial() && self.config.reputation.is_none() {
+            let (distorted, f) = (self.predicted_distorted, self.true_grads.len());
+            return (distorted, distorted as f64 / f as f64);
+        }
+        let votes = result.voted.iter().zip(&result.audits);
+        let distorted = votes
+            .filter(|(slot, audit)| {
+                audit.winner_hash != gradient_fingerprint(&self.true_grads[slot.file])
+            })
+            .count();
+        (distorted, distorted as f64 / result.voted.len() as f64)
+    }
 
     /// Cluster churn: realizes round `t`'s member set and reports the
     /// change, if the fault plan schedules one. The realization is a pure
     /// function of (base assignment, member set), so join/leave order and
     /// batching cannot perturb the placement.
     fn realize_churn(
-        &self,
-        t: usize,
-        current: &mut Vec<usize>,
-        ledger: &mut Option<ReputationLedger>,
-        dynamic: &mut DynamicAssignment,
+        &mut self,
+        t: u64,
+        ledger: Option<&mut ReputationLedger>,
     ) -> Option<MembershipOutcome> {
-        let plan = &self.config.faults;
-        let members = plan.members_at(self.assignment.num_workers(), t as u64);
-        if members == *current {
+        let k = self.assignment.num_workers();
+        let members = self.config.faults.members_at(k, t);
+        if members == self.plan_members {
             return None;
         }
         let newly = |now: &[usize], before: &[usize]| -> Vec<usize> {
             now.iter()
-                .copied()
                 .filter(|w| !before.contains(w))
+                .copied()
                 .collect()
         };
-        let (joined, left) = (newly(&members, current), newly(current, &members));
-        if let Some(ledger) = ledger.as_mut() {
-            for &w in &joined {
-                ledger.admit_worker(w);
-            }
-            for &w in &left {
-                ledger.depart_worker(w, t as u64);
-            }
+        let joined = newly(&members, &self.plan_members);
+        let left = newly(&self.plan_members, &members);
+        let mut quarantined = Vec::new();
+        if let Some(ledger) = ledger {
+            joined.iter().for_each(|&w| ledger.admit_worker(w));
+            left.iter().for_each(|&w| ledger.depart_worker(w, t));
+            quarantined = ledger.quarantined_workers();
         }
-        let quarantined = ledger
-            .as_ref()
-            .map(ReputationLedger::quarantined_workers)
-            .unwrap_or_default();
-        sync_membership(dynamic, &members, &quarantined);
-        *current = members;
-        Some(membership_report(
-            dynamic,
-            joined,
-            left,
-            self.config.num_byzantine,
-        ))
+        sync_membership(&mut self.dynamic, &members, &quarantined);
+        self.plan_members = members;
+        let q = self.config.num_byzantine;
+        Some(membership_report(&self.dynamic, joined, left, q))
     }
+}
 
-    /// The link of round `t`: offers the open round every replica the
-    /// fault plan delivers, once — like the wire, the round votes over
-    /// what arrived. Crashed workers never send. Returns the deliveries
-    /// lost to drops.
-    fn deliver<'g>(
-        &self,
-        core: &mut RoundCore,
-        t: u64,
-        holders: &[Vec<usize>],
-        replica: &dyn Fn(usize, usize) -> Cow<'g, [f32]>,
-    ) -> usize {
-        let plan = &self.config.faults;
-        let mut dropped = 0;
-        for (file, holders) in holders.iter().enumerate() {
-            for &w in holders.iter().filter(|&&w| !plan.is_crashed(w)) {
-                if plan.drops_replica(t, w, file) {
-                    dropped += 1;
-                } else {
-                    // The gate refuses only what could not vote on the
-                    // wire either (a forgery of the wrong shape).
-                    let _ = core.offer(w, t, file, &replica(w, file));
-                }
-            }
-        }
-        dropped
-    }
-
-    /// Test accuracy, and the mean training loss over the probe set (the
-    /// first `eval_samples` training samples; `None` when that is empty).
-    fn evaluate(&self) -> (f64, Option<f64>) {
-        let samples = self.config.eval_samples;
-        let accuracy = evaluate_accuracy(self.model, self.test, samples);
-        let n = self.train.len().min(samples);
-        let probe = (n > 0).then(|| {
-            let (x, labels) = self.train.gather(&(0..n).collect::<Vec<_>>());
-            f64::from(self.model.gradient_sum(&x, n, &labels).0 / n as f32)
-        });
-        (accuracy, probe)
-    }
+/// Test accuracy, and the mean training loss over the probe set (the
+/// first `eval_samples` training samples; `None` when that is empty).
+fn evaluate_model(
+    model: &FastMlp,
+    test: &Dataset,
+    train: &Dataset,
+    config: &TrainingConfig,
+) -> (f64, Option<f64>) {
+    let samples = config.eval_samples;
+    let accuracy = evaluate_accuracy(model, test, samples);
+    let n = train.len().min(samples);
+    let probe = (n > 0).then(|| {
+        let (x, labels) = train.gather(&(0..n).collect::<Vec<_>>());
+        f64::from(model.gradient_sum(&x, n, &labels).0 / n as f32)
+    });
+    (accuracy, probe)
 }
 
 /// The engine's closed round as the trainer's degradation report.

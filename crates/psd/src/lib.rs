@@ -95,9 +95,9 @@ pub struct DeploySpec {
     /// Round scheduling (`mode=barrier`, `mode=streaming` or
     /// `mode=bounded:N` for bounded staleness with `max_staleness = N`).
     pub mode: RoundMode,
-    /// PS receive window in milliseconds (`recv-ms=`).
+    /// PS receive window in milliseconds (`recv-ms=`, positive).
     pub receive_timeout_ms: u64,
-    /// Hard PS round deadline in milliseconds (`deadline-ms=`).
+    /// Hard PS round deadline in milliseconds (`deadline-ms=`, positive).
     pub round_deadline_ms: u64,
 }
 
@@ -226,6 +226,10 @@ impl DeploySpec {
                 "lr={} must be finite and positive",
                 self.learning_rate
             ));
+        }
+        // A zero window abandons every file while uploads pile up unread.
+        if self.receive_timeout_ms == 0 || self.round_deadline_ms == 0 {
+            return err("recv-ms and deadline-ms must be positive");
         }
         if let WireFormat::Chunked(cfg) = self.wire {
             if cfg.chunk_len == 0 {
@@ -543,6 +547,15 @@ mod tests {
         ] {
             assert!(DeploySpec::parse(&toks(bad)).is_err(), "`{bad}` parsed");
         }
+    }
+
+    #[test]
+    fn zero_receive_windows_are_rejected() {
+        for bad in ["recv-ms=0", "deadline-ms=0"] {
+            let e = DeploySpec::parse(&toks(bad)).unwrap_err();
+            assert!(e.0.contains("must be positive"), "`{bad}`: {e}");
+        }
+        assert!(DeploySpec::parse(&toks("recv-ms=1 deadline-ms=1")).is_ok());
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //!    majority-votes each file over the replicas that arrived, applies
 //!    coordinate-wise median over the winners, and updates the model.
 //!
-//! The PS side of steps 2–3 is one transport-free state machine,
-//! [`RoundCore`]: every deployment (threads over channels, processes over
-//! TCP) feeds it the frames it receives, the in-process trainer
-//! (`byzshield::Trainer`) offers it replicas in memory, and its admission
-//! gate is the only way a payload reaches a vote.
+//! The loop itself is written once, as [`Session`]: the PS and the
+//! trainer each run it over their own [`Delivery`]. The PS side of steps 2–3 is one transport-free
+//! state machine, [`RoundCore`]: every deployment (threads over
+//! channels, processes over TCP) feeds it the frames it receives, the
+//! in-process trainer (`byzshield::Trainer`) offers it replicas in
+//! memory, and its admission gate is the only way a payload reaches a
+//! vote.
 //!
 //! Every frame carries a checksum; corrupted or truncated frames are
 //! rejected at decode time ([`WireError`]), so transport-level integrity
@@ -41,6 +43,7 @@ mod message;
 mod psd;
 mod round;
 mod server;
+mod session;
 mod tcp;
 mod topk;
 mod voter;
@@ -67,6 +70,7 @@ pub use server::{
     LocalAttack, MessagePassingCluster, RoundMode, RoundSummary, ServerConfig, WireFormat,
     WireTrainingRun,
 };
+pub use session::{Delivery, Session, SessionRound};
 pub use tcp::{
     write_frame, CodecError, StreamDecoder, TcpLink, LENGTH_PREFIX_LEN, MAX_FRAME_LEN,
     READ_BLOCK_LEN,

@@ -9,10 +9,11 @@
 //! job's channel fabric — jobs never share protocol state, only the
 //! port.
 //!
-//! The load-bearing design decision is that the networked PS runs the
-//! *exact same* [`MessagePassingCluster::ps_loop`] as the in-process
-//! transport, still typed against crossbeam channels. TCP exists purely
-//! at the edges:
+//! The load-bearing design decision is that the networked PS drives the
+//! *exact same* [`Session`](crate::Session) over the exact same channel
+//! delivery as the in-process transport (`MessagePassingCluster`'s PS
+//! loop, still typed against crossbeam channels). TCP exists purely at
+//! the edges:
 //!
 //! * one **reader thread per connection** decodes length-delimited
 //!   frames off the socket and forwards them into the job's fan-in

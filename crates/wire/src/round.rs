@@ -6,10 +6,11 @@
 //! [`RoundCore`] owns everything a round decides on — the replica store,
 //! the per-file outcome slots, the bounded-staleness backlog and the
 //! canonical fold of counters and audits — and knows nothing about
-//! where replicas come from: the channel PS and the TCP PS
-//! feed it frames, the in-process trainer (`byzshield::Trainer::run`, the
-//! zero-latency link) feeds it slices, and each driver names the round's
-//! live holder sets. The three [`RoundMode`]s are one private
+//! where replicas come from. One caller opens and closes it, the
+//! [`Session`](crate::Session) round; the session's delivery names the
+//! round's live holder sets and feeds it — frames from the channel and
+//! TCP PS, slices from the in-process trainer (`byzshield::Trainer`,
+//! the zero-latency link). The three [`RoundMode`]s are one private
 //! `ClosePolicy`, the two [`WireFormat`]s two replica stores the policy
 //! never looks inside. One private gate sits behind
 //! [`RoundCore::ingest`] and [`RoundCore::offer`], the only ways a payload

@@ -7,11 +7,12 @@ use crate::chunk::{
 use crate::link::{ChannelLink, Link, LinkError};
 use crate::message::{encode_model_broadcast, MessageView, FRAME_HEADER_LEN};
 use crate::round::RoundCore;
+use crate::session::{Delivery, Session};
 use crate::{Assignment, Message};
 use bytes::{Bytes, BytesMut};
-use byz_aggregate::{Aggregator, CoordinateMedian, VoteAudit};
+use byz_aggregate::{CoordinateMedian, VoteAudit};
 use byz_cluster::{FaultPlan, PhaseTimings};
-use byz_data::{split_batch_into_files, BatchSampler, Dataset};
+use byz_data::Dataset;
 use byz_nn::FastMlp;
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -107,9 +108,8 @@ pub enum RoundMode {
     /// Pipelined: workers emit each file's frames as soon as that file's
     /// gradient is computed, the PS finalizes each file's vote the
     /// moment its last live replica completes (stragglers only delay
-    /// their own files), and the next round's batch split is prefetched
-    /// while workers compute. Vote work hides inside the collection
-    /// window instead of serializing after it.
+    /// their own files). Vote work hides inside the collection window
+    /// instead of serializing after it.
     Streaming,
     /// Bounded staleness: the PS closes each round once the *on-time*
     /// quorum of files finalizes, never waiting for stragglers. A
@@ -441,10 +441,9 @@ impl MessagePassingCluster {
         }
     }
 
-    /// The parameter-server side of the protocol: a thin driver around
-    /// the round engine — broadcast, feed received frames to
-    /// [`RoundCore::ingest`] inside the receive window, close, then
-    /// median + momentum step, reputation fold and summary.
+    /// The parameter-server side of the protocol: a [`Session`] over the
+    /// [`Fabric`] delivery, stepping along the coordinate median at the
+    /// configured learning rate, one [`RoundSummary`] per round.
     ///
     /// Deliberately typed against channels on both sides: the socket
     /// deployment adapts TCP connections *into* exactly these channels
@@ -460,157 +459,128 @@ impl MessagePassingCluster {
         to_workers: &[Sender<Bytes>],
         from_workers: &Receiver<Bytes>,
     ) -> WireTrainingRun {
-        let k = self.assignment.num_workers();
-        let f = self.assignment.num_files();
-        let mut params = initial_params;
-        let mut velocity = vec![0.0f32; params.len()];
-        let mut sampler = BatchSampler::new(self.dataset.len(), config.batch_size, config.seed);
-        let mut summaries = Vec::with_capacity(config.iterations);
-        let mut ledger = config.reputation.map(|cfg| ReputationLedger::new(k, cfg));
-        let mut core = RoundCore::new(&self.assignment, params.len(), config);
-
-        // Double-buffered batch split: in streaming mode round t+1's
-        // split is drawn right after round t's broadcast, hiding it
-        // under worker compute. The sampler is advanced in the same
-        // sequence either way, so both modes see identical batches.
-        let mut sample_files = move || -> Vec<Vec<u32>> {
-            let batch = sampler.next_batch();
-            split_batch_into_files(&batch, f)
-                .into_iter()
-                .map(|file| file.into_iter().map(|i| i as u32).collect())
-                .collect()
+        let mut session =
+            Session::new(&self.assignment, self.dataset.len(), initial_params, config);
+        let mut fabric = Fabric {
+            assignment: &self.assignment,
+            config,
+            to_workers,
+            from_workers,
+            bytes_sent: 0,
+            frames_received: 0,
+            bytes_received: 0,
         };
-        let mut next_files: Option<Vec<Vec<u32>>> = None;
-
-        for t in 1..=config.iterations as u64 {
-            let files = next_files.take().unwrap_or_else(&mut sample_files);
-            let broadcast = encode_model_broadcast(t, &params, &files);
-            let mut bytes_sent = 0;
-            for tx in to_workers {
-                // A closed channel means the worker thread is gone — the
-                // same observable failure as a crash, and the receive
-                // timeout already covers missing replies. The clone is a
-                // refcount bump, not a copy of the model.
-                if tx.send(broadcast.clone()).is_ok() {
-                    bytes_sent += broadcast.len();
-                }
-            }
-            if config.mode == RoundMode::Streaming {
-                next_files = Some(sample_files());
-            }
-
-            // Frames from quarantined workers are refused on arrival:
-            // worker file sets are fixed at spawn, so the PS drops them
-            // from the round's holder sets rather than reassigning their
-            // files over the wire.
-            let in_service = |w: &usize| !ledger.as_ref().is_some_and(|l| l.is_quarantined(*w));
-            let holders: Vec<Vec<usize>> = (0..f)
-                .map(|file| {
-                    let assigned = self.assignment.graph().workers_of(file);
-                    assigned.iter().copied().filter(in_service).collect()
-                })
-                .collect();
-            // Every receive waits at most `receive_timeout` and the whole
-            // round at most `round_deadline`; a frame that misses either
-            // is treated exactly like a dropped one.
-            let round_start = Instant::now();
-            let (mut frames_received, mut bytes_received) = (0usize, 0usize);
-            let mut first_frame: Option<Instant> = None;
-            let mut recv = || -> Option<Bytes> {
-                let left = config.round_deadline.checked_sub(round_start.elapsed())?;
-                let frame = from_workers
-                    .recv_timeout(left.min(config.receive_timeout))
-                    .ok()?;
-                first_frame.get_or_insert_with(Instant::now);
-                frames_received += 1;
-                bytes_received += frame.len();
-                Some(frame)
-            };
-            core.begin(t, &holders);
-            while core.wants_more() {
-                let Some(frame) = recv() else {
-                    break;
-                };
-                // A refused frame or entry casts no vote: it degrades its
-                // replica exactly like a dropped one, and never panics
-                // the PS.
-                let _ = core.ingest(&frame);
-            }
-            let collect_end = Instant::now();
-            let result = core.close();
-            let vote_ns = core.vote_ns();
-
-            let update_start = Instant::now();
-            if !result.winners.is_empty() {
-                // Invariant expect: `winners` is non-empty and every
-                // winner has the model's dimension — the admission gate
-                // (batched entries, chunk voters sized to the model)
-                // enforces the latter even against arbitrary socket
-                // peers. A failure here is a kernel bug, not reachable
-                // input, and must stay a panic.
-                let aggregated = CoordinateMedian
-                    .aggregate(&result.winners)
+        let summaries = (1..=config.iterations)
+            .map(|iteration| {
+                // Invariant expect: the session aggregates only non-empty
+                // winner sets, and the admission gate sizes every winner to
+                // the model even against arbitrary socket peers.
+                let round = session
+                    .round(&mut fabric, &CoordinateMedian, config.learning_rate)
                     .expect("median is always applicable");
-                let scale = f as f32 / config.batch_size as f32;
-                // Chunk-parallel on the kernel pool; elementwise, so
-                // bit-identical to the scalar loop at any thread count.
-                byz_kernel::sgd_momentum_step(
-                    &mut params,
-                    &mut velocity,
-                    &aggregated,
-                    scale,
-                    config.learning_rate,
-                    config.momentum,
-                );
-            }
-            let update_ns = update_start.elapsed().as_nanos() as u64;
-
-            let (suspicions, reputation_events, quarantined_workers) = match ledger.as_mut() {
-                Some(ledger) => {
-                    let events = ledger.observe_round(t, &result.audits);
-                    (ledger.suspicions(), events, ledger.quarantined_workers())
+                let ledger = session.ledger();
+                let result = round.result;
+                RoundSummary {
+                    iteration,
+                    non_strict_votes: result.non_strict_votes,
+                    frames_received: fabric.frames_received,
+                    bytes_received: fabric.bytes_received,
+                    bytes_sent: fabric.bytes_sent,
+                    missing_votes: result.missing_votes,
+                    degraded_votes: result.degraded_votes,
+                    abandoned_files: result.abandoned.len(),
+                    deferred_files: result.deferred_files,
+                    stale_folded: result.stale_folded,
+                    suspicions: ledger.map(ReputationLedger::suspicions).unwrap_or_default(),
+                    reputation_events: round.events,
+                    quarantined_workers: ledger
+                        .map(ReputationLedger::quarantined_workers)
+                        .unwrap_or_default(),
+                    audits: result.audits,
+                    timings: round.timings,
                 }
-                None => (Vec::new(), Vec::new(), Vec::new()),
-            };
-
-            // First frame marks the end of (observed) worker compute,
-            // `collect_end` the end of the wire window; `vote_ns` is vote
-            // CPU wherever it ran — inside the window when files
-            // finalize eagerly, after it otherwise.
-            let timings = PhaseTimings {
-                compute_ns: first_frame.map_or(0, |first| {
-                    first.duration_since(round_start).as_nanos() as u64
-                }),
-                wire_ns: first_frame.map_or(0, |first| {
-                    collect_end.saturating_duration_since(first).as_nanos() as u64
-                }),
-                vote_ns,
-                update_ns,
-                round_ns: round_start.elapsed().as_nanos() as u64,
-            };
-            summaries.push(RoundSummary {
-                iteration: t as usize,
-                non_strict_votes: result.non_strict_votes,
-                frames_received,
-                bytes_received,
-                bytes_sent,
-                missing_votes: result.missing_votes,
-                degraded_votes: result.degraded_votes,
-                abandoned_files: result.abandoned.len(),
-                deferred_files: result.deferred_files,
-                stale_folded: result.stale_folded,
-                suspicions,
-                reputation_events,
-                quarantined_workers,
-                audits: result.audits,
-                timings,
-            });
-        }
+            })
+            .collect();
+        let (params, ledger) = session.into_parts();
         WireTrainingRun {
             params,
             summaries,
             ledger_bytes: ledger.as_ref().map(ReputationLedger::to_bytes),
         }
+    }
+}
+
+/// The PS's [`Delivery`]: one broadcast per round over the worker
+/// channels, then whatever the fan-in brings inside the receive window,
+/// with the traffic it counted.
+struct Fabric<'a> {
+    assignment: &'a Assignment,
+    config: &'a ServerConfig,
+    to_workers: &'a [Sender<Bytes>],
+    from_workers: &'a Receiver<Bytes>,
+    bytes_sent: usize,
+    frames_received: usize,
+    bytes_received: usize,
+}
+
+impl Delivery for Fabric<'_> {
+    /// Broadcasts, then names the assigned holders minus the
+    /// quarantined: worker file sets are fixed at spawn, so the PS drops
+    /// a quarantined worker's replicas from the vote rather than
+    /// reassigning its files over the wire.
+    fn send(
+        &mut self,
+        t: u64,
+        params: &[f32],
+        files: &[Vec<usize>],
+        ledger: Option<&mut ReputationLedger>,
+    ) -> Vec<Vec<usize>> {
+        let files: Vec<Vec<u32>> = files
+            .iter()
+            .map(|file| file.iter().map(|&i| i as u32).collect())
+            .collect();
+        let broadcast = encode_model_broadcast(t, params, &files);
+        self.bytes_sent = 0;
+        for tx in self.to_workers {
+            // A closed channel means the worker thread is gone — the
+            // same observable failure as a crash, and the receive
+            // timeout already covers missing replies. The clone is a
+            // refcount bump, not a copy of the model.
+            if tx.send(broadcast.clone()).is_ok() {
+                self.bytes_sent += broadcast.len();
+            }
+        }
+        let in_service = |w: &usize| !ledger.as_ref().is_some_and(|l| l.is_quarantined(*w));
+        (0..self.assignment.num_files())
+            .map(|file| {
+                let assigned = self.assignment.graph().workers_of(file);
+                assigned.iter().copied().filter(in_service).collect()
+            })
+            .collect()
+    }
+
+    /// Every receive waits at most `receive_timeout` and the whole round
+    /// at most `round_deadline`; a frame that misses either is treated
+    /// exactly like a dropped one.
+    fn collect(&mut self, _t: u64, core: &mut RoundCore, opened: Instant) -> Option<Instant> {
+        (self.frames_received, self.bytes_received) = (0, 0);
+        let mut first = None;
+        while core.wants_more() {
+            let Some(left) = self.config.round_deadline.checked_sub(opened.elapsed()) else {
+                break;
+            };
+            let wait = left.min(self.config.receive_timeout);
+            let Ok(frame) = self.from_workers.recv_timeout(wait) else {
+                break;
+            };
+            first.get_or_insert_with(Instant::now);
+            self.frames_received += 1;
+            self.bytes_received += frame.len();
+            // A refused frame or entry casts no vote: it degrades its
+            // replica exactly like a dropped one, and never panics the PS.
+            let _ = core.ingest(&frame);
+        }
+        first
     }
 }
 

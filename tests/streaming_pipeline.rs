@@ -1,8 +1,8 @@
 //! Bit-identity pin for the pipelined streaming round engine.
 //!
 //! Streaming changes *when* work runs — per-file vote finalize inside
-//! the collection window, update overlapped with late votes, next
-//! round's split prefetched — but never *what* any stage sees. This pins
+//! the collection window, update overlapped with late votes — but never
+//! *what* any stage sees. This pins
 //! that contract on the message-passing wire
 //! (`ServerConfig::mode = RoundMode::Streaming`), with Byzantine
 //! workers, a straggler, message drops, reputation and both wire formats
