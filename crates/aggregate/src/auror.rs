@@ -1,6 +1,6 @@
 //! Auror (Shen et al. 2016): per-coordinate 2-means filtering.
 
-use crate::{check_input, AggregationError, Aggregator};
+use crate::{check_dims, AggregationError, Aggregator};
 
 /// Auror: for each coordinate, cluster the values into two groups with
 /// 1-D 2-means; if the cluster centres are farther apart than
@@ -29,8 +29,8 @@ impl Aggregator for Auror {
         "auror"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         let n = gradients.len();
         let mut out = vec![0.0f32; d];
         let mut column = vec![0.0f32; n];

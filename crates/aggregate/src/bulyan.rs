@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{check_input, AggregationError, Aggregator, Krum};
+use crate::{check_dims, AggregationError, Aggregator, Krum};
 
 /// Bulyan: repeatedly runs Krum to select `θ = n − 2c` gradients, then for
 /// each coordinate averages the `θ − 2c` values closest to the median of
@@ -19,8 +19,8 @@ impl Aggregator for Bulyan {
         "bulyan"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         let n = gradients.len();
         let c = self.num_byzantine;
         let needed = 4 * c + 3;
@@ -34,8 +34,8 @@ impl Aggregator for Bulyan {
 
         // Selection phase: θ = n − 2c gradients chosen by iterated Krum.
         let theta = n - 2 * c;
-        let mut pool: Vec<Vec<f32>> = gradients.to_vec();
-        let mut selected: Vec<Vec<f32>> = Vec::with_capacity(theta);
+        let mut pool: Vec<&[f32]> = gradients.to_vec();
+        let mut selected: Vec<&[f32]> = Vec::with_capacity(theta);
         for _ in 0..theta {
             let krum = Krum { num_byzantine: c };
             let winner = if pool.len() >= 2 * c + 3 {

@@ -1,7 +1,7 @@
 //! Geometric median via the Weiszfeld algorithm (Minsker 2015,
 //! Chen et al. 2017).
 
-use crate::{check_input, AggregationError, Aggregator, Mean};
+use crate::{check_dims, AggregationError, Aggregator, Mean};
 
 /// Geometric median: the point minimizing the sum of Euclidean distances
 /// to the input gradients, approximated by Weiszfeld fixed-point
@@ -28,11 +28,11 @@ impl Aggregator for GeometricMedian {
         "geometric-median"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         // Start from the arithmetic mean.
         let mut current: Vec<f64> = Mean
-            .aggregate(gradients)?
+            .aggregate_slices(gradients)?
             .into_iter()
             .map(f64::from)
             .collect();
@@ -50,7 +50,7 @@ impl Aggregator for GeometricMedian {
                     .max(1e-12);
                 let w = 1.0 / dist;
                 denom += w;
-                for (nu, x) in numer.iter_mut().zip(g) {
+                for (nu, x) in numer.iter_mut().zip(g.iter()) {
                     *nu += w * f64::from(*x);
                 }
             }

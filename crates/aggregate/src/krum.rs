@@ -1,6 +1,6 @@
 //! Krum and Multi-Krum (Blanchard et al. 2017, Damaskinos et al. 2019).
 
-use crate::{check_input, dist_sq, AggregationError, Aggregator, Mean};
+use crate::{check_dims, dist_sq, AggregationError, Aggregator, Mean};
 
 /// Krum: scores each gradient by the sum of squared distances to its
 /// `n − c − 2` nearest neighbours and returns the single lowest-scoring
@@ -13,8 +13,8 @@ pub struct Krum {
 
 impl Krum {
     /// Krum scores for every gradient (exposed for Multi-Krum and Bulyan).
-    pub(crate) fn scores(&self, gradients: &[Vec<f32>]) -> Result<Vec<f64>, AggregationError> {
-        check_input(gradients)?;
+    pub(crate) fn scores(&self, gradients: &[&[f32]]) -> Result<Vec<f64>, AggregationError> {
+        check_dims(gradients)?;
         let n = gradients.len();
         let needed = 2 * self.num_byzantine + 3;
         if n < needed {
@@ -28,7 +28,7 @@ impl Krum {
         let mut dists = vec![0.0f64; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
-                let d = dist_sq(&gradients[i], &gradients[j]);
+                let d = dist_sq(gradients[i], gradients[j]);
                 // A NaN distance (a NaN coordinate, or ∞ − ∞) ranks as
                 // the farthest, so a NaN gradient scores ∞ and is never
                 // chosen over a finite one.
@@ -57,7 +57,7 @@ impl Krum {
     /// Indices of the `count` lowest-scoring gradients, best first.
     pub(crate) fn select(
         &self,
-        gradients: &[Vec<f32>],
+        gradients: &[&[f32]],
         count: usize,
     ) -> Result<Vec<usize>, AggregationError> {
         let scores = self.scores(gradients)?;
@@ -73,9 +73,9 @@ impl Aggregator for Krum {
         "krum"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
         let best = self.select(gradients, 1)?;
-        Ok(gradients[best[0]].clone())
+        Ok(gradients[best[0]].to_vec())
     }
 }
 
@@ -95,14 +95,14 @@ impl Aggregator for MultiKrum {
         "multi-krum"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
         let krum = Krum {
             num_byzantine: self.num_byzantine,
         };
         let m = self.num_selected.max(1).min(gradients.len());
         let chosen = krum.select(gradients, m)?;
-        let selected: Vec<Vec<f32>> = chosen.iter().map(|&i| gradients[i].clone()).collect();
-        Mean.aggregate(&selected)
+        let selected: Vec<&[f32]> = chosen.iter().map(|&i| gradients[i]).collect();
+        Mean.aggregate_slices(&selected)
     }
 }
 

@@ -21,11 +21,11 @@
 //!   minority cluster when the separation is large (Shen et al.);
 //! * [`Mean`] — plain averaging (the non-robust baseline).
 //!
-//! All rules implement the [`Aggregator`] trait over flat `f32` gradient
-//! vectors. Rules with applicability constraints (Multi-Krum's
-//! `n ≥ 2c + 3`, Bulyan's `n ≥ 4c + 3` — the limits the paper exploits in
-//! Section 6.1) report [`AggregationError::NotEnoughOperands`] instead of
-//! silently degrading.
+//! All rules implement the [`Aggregator`] trait over borrowed flat `f32`
+//! gradient vectors, so winners can be aggregated where they lie. Rules
+//! with applicability constraints (Multi-Krum's `n ≥ 2c + 3`, Bulyan's
+//! `n ≥ 4c + 3` — the limits the paper exploits in Section 6.1) report
+//! [`AggregationError::NotEnoughOperands`] instead of silently degrading.
 
 mod auror;
 mod bulyan;
@@ -45,8 +45,9 @@ pub use krum::{Krum, MultiKrum};
 pub use majority::{majority_vote, MajorityOutcome};
 pub use median::{CoordinateMedian, Mean, MedianOfMeans, TrimmedMean};
 pub use quorum::{
-    aggregate_winners, quorum_vote, quorum_vote_all_audited, quorum_vote_audited, Provenance,
-    QuorumError, QuorumOutcome, ReplicaVerdict, VoteAudit, VoteInput,
+    aggregate_winners, quorum_elect, quorum_elect_all, quorum_vote, quorum_vote_all_audited,
+    quorum_vote_audited, Election, Provenance, QuorumError, QuorumOutcome, ReplicaVerdict,
+    VoteAudit, VoteInput,
 };
 pub use sharded::fold_shard_votes;
 pub use signsgd::SignSgdMajority;
@@ -94,24 +95,39 @@ pub trait Aggregator {
     /// Human-readable rule name (used in experiment reports).
     fn name(&self) -> &'static str;
 
-    /// Aggregates the gradients into a single vector.
+    /// Aggregates the gradients, wherever they lie, into a single
+    /// vector.
     ///
     /// # Errors
     ///
     /// Returns [`AggregationError`] on empty/ragged input or when the
     /// rule's tolerance precondition fails.
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError>;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError>;
+
+    /// [`aggregate_slices`](Self::aggregate_slices) over owned vectors.
+    ///
+    /// # Errors
+    ///
+    /// As [`aggregate_slices`](Self::aggregate_slices).
+    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
+        self.aggregate_slices(&gradients.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    }
 }
 
 /// Validates common preconditions and returns the gradient dimension.
 pub(crate) fn check_input(gradients: &[Vec<f32>]) -> Result<usize, AggregationError> {
+    check_dims(gradients)
+}
+
+/// [`check_input`] over any gradient views.
+pub(crate) fn check_dims<G: AsRef<[f32]>>(gradients: &[G]) -> Result<usize, AggregationError> {
     let first = gradients.first().ok_or(AggregationError::Empty)?;
-    let d = first.len();
+    let d = first.as_ref().len();
     for g in gradients {
-        if g.len() != d {
+        if g.as_ref().len() != d {
             return Err(AggregationError::DimensionMismatch {
                 expected: d,
-                got: g.len(),
+                got: g.as_ref().len(),
             });
         }
     }

@@ -41,7 +41,7 @@ pub fn majority_vote(replicas: &[Vec<f32>]) -> Result<MajorityOutcome, Aggregati
     let slices: Vec<&[f32]> = replicas.iter().map(Vec::as_slice).collect();
     let vote = vote_sorted(&indices, &slices, replicas.len());
     Ok(MajorityOutcome {
-        value: vote.value,
+        value: replicas[vote.value].clone(),
         votes: vote.votes,
         is_strict: vote.is_strict,
         audit: vote.audit,

@@ -20,7 +20,7 @@
 
 use byz_kernel::{parallel_chunks_mut, trimmed_sum_select, with_scratch, MedianNetwork};
 
-use crate::{check_input, AggregationError, Aggregator};
+use crate::{check_dims, AggregationError, Aggregator};
 
 /// Coordinates per parallel task for the per-coordinate rules. Fixed (not
 /// derived from the pool size) so the chunk partition — and therefore the
@@ -37,12 +37,12 @@ impl Aggregator for Mean {
         "mean"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         let n = gradients.len() as f32;
         let mut out = vec![0.0f32; d];
         for g in gradients {
-            for (o, x) in out.iter_mut().zip(g) {
+            for (o, x) in out.iter_mut().zip(g.iter()) {
                 *o += x;
             }
         }
@@ -63,8 +63,8 @@ impl Aggregator for CoordinateMedian {
         "coordinate-median"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         let network = MedianNetwork::new(gradients.len());
         let mut out = vec![0.0f32; d];
         parallel_chunks_mut(&mut out, COORD_CHUNK, |start, piece| {
@@ -92,8 +92,8 @@ impl Aggregator for TrimmedMean {
         "trimmed-mean"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         let n = gradients.len();
         if n <= 2 * self.trim {
             return Err(AggregationError::NotEnoughOperands {
@@ -134,8 +134,8 @@ impl Aggregator for MedianOfMeans {
         "median-of-means"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        check_dims(gradients)?;
         let n = gradients.len();
         if self.num_groups == 0 || self.num_groups > n {
             return Err(AggregationError::NotEnoughOperands {
@@ -152,7 +152,7 @@ impl Aggregator for MedianOfMeans {
         let mut start = 0usize;
         for gidx in 0..self.num_groups {
             let size = base + usize::from(gidx < extra);
-            means.push(mean.aggregate(&gradients[start..start + size])?);
+            means.push(mean.aggregate_slices(&gradients[start..start + size])?);
             start += size;
         }
         CoordinateMedian.aggregate(&means)

@@ -15,6 +15,9 @@
 //! * [`QuorumOutcome`] / [`Provenance`] — the winning gradient plus how
 //!   it was obtained (full replica set or degraded subset), so
 //!   downstream aggregation can account for provenance;
+//! * [`quorum_elect`] / [`quorum_elect_all`] — the same vote, naming the
+//!   winning replica instead of copying it, for callers that already
+//!   hold every replica;
 //! * [`aggregate_winners`] — feeds a winner set of mixed provenance into
 //!   any [`Aggregator`].
 
@@ -146,10 +149,14 @@ pub enum Provenance {
 }
 
 /// Outcome of a degraded-quorum vote on one file.
+///
+/// `V` is how the winner is carried: its own copy (`Vec<f32>`, the
+/// default), its position among the voted replicas ([`Election`]), or
+/// any view a caller builds from that position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuorumOutcome {
+pub struct QuorumOutcome<V = Vec<f32>> {
     /// The winning gradient.
-    pub value: Vec<f32>,
+    pub value: V,
     /// Replicas that matched the winner bit-exactly.
     pub votes: usize,
     /// Replicas that arrived and were voted over.
@@ -166,6 +173,26 @@ pub struct QuorumOutcome {
     /// the winning-group hash. From [`quorum_vote`] it covers arrived
     /// replicas only; [`quorum_vote_audited`] extends it with absences.
     pub audit: VoteAudit,
+}
+
+/// A vote that names its winner instead of copying it: `value` is the
+/// index, in the slice that was voted over, of the winning group's
+/// smallest-worker replica.
+pub type Election = QuorumOutcome<usize>;
+
+impl<V> QuorumOutcome<V> {
+    /// The same outcome with its winner carried as `f(value)`.
+    pub fn map_value<W>(self, f: impl FnOnce(V) -> W) -> QuorumOutcome<W> {
+        QuorumOutcome {
+            value: f(self.value),
+            votes: self.votes,
+            received: self.received,
+            winner_worker: self.winner_worker,
+            is_strict: self.is_strict,
+            provenance: self.provenance,
+            audit: self.audit,
+        }
+    }
 }
 
 /// Exact-equality majority vote over the replicas that arrived.
@@ -193,18 +220,31 @@ pub fn quorum_vote<G: AsRef<[f32]>>(
     q_min: usize,
     expected: usize,
 ) -> Result<QuorumOutcome, QuorumError> {
-    let (workers, slices) = sorted_replicas(replicas, q_min)?;
-    Ok(vote_sorted(&workers, &slices, expected))
+    let election = elect(replicas, q_min, expected)?;
+    Ok(election.map_value(|at| replicas[at].1.as_ref().to_vec()))
+}
+
+/// [`quorum_vote`] without the copy: the winner as its index in
+/// `replicas`.
+fn elect<G: AsRef<[f32]>>(
+    replicas: &[(usize, G)],
+    q_min: usize,
+    expected: usize,
+) -> Result<Election, QuorumError> {
+    let order = sorted_replicas(replicas, q_min)?;
+    let workers: Vec<usize> = order.iter().map(|&at| replicas[at].0).collect();
+    let slices: Vec<&[f32]> = order.iter().map(|&at| replicas[at].1.as_ref()).collect();
+    Ok(vote_sorted(&workers, &slices, expected).map_value(|winner| order[winner]))
 }
 
 /// The gate every vote applies — at least one and at least `q_min`
 /// replicas, all of one dimension — and the deterministic scan order:
-/// the replicas' workers and payloads in ascending worker order,
-/// whatever order they arrived in.
+/// the replicas' indices in ascending worker order, whatever order they
+/// arrived in.
 fn sorted_replicas<G: AsRef<[f32]>>(
     replicas: &[(usize, G)],
     q_min: usize,
-) -> Result<(Vec<usize>, Vec<&[f32]>), QuorumError> {
+) -> Result<Vec<usize>, QuorumError> {
     if replicas.is_empty() {
         return Err(QuorumError::NoReplicas);
     }
@@ -221,14 +261,14 @@ fn sorted_replicas<G: AsRef<[f32]>>(
             got: bad.as_ref().len(),
         });
     }
-    let mut order: Vec<&(usize, G)> = replicas.iter().collect();
-    order.sort_by_key(|(w, _)| *w);
-    Ok(order.iter().map(|(w, g)| (*w, g.as_ref())).unzip())
+    let mut order: Vec<usize> = (0..replicas.len()).collect();
+    order.sort_by_key(|&at| replicas[at].0);
+    Ok(order)
 }
 
 /// Coordinates per block of the fused vote. A block of every replica
-/// (`r` × 16 KiB) stays cache-resident while it is compared, hashed and
-/// copied, so the vote streams each replica from memory once.
+/// (`r` × 16 KiB) stays cache-resident while it is compared and hashed,
+/// so the vote streams each replica from memory once.
 const VOTE_BLOCK: usize = 4096;
 
 /// The fused exact-equality vote over equal-length replicas in ascending
@@ -242,19 +282,15 @@ const VOTE_BLOCK: usize = 4096;
 /// its group is never read again). Votes, tie-break and verdicts all
 /// fall out of the final partition, so nothing is compared twice. The
 /// smallest worker's group wins every unanimous vote and every tie, so
-/// its blocks are hashed and copied out while they are still hot; only
-/// when a later group outvotes it is the winner re-read.
-pub(crate) fn vote_sorted(
-    workers: &[usize],
-    replicas: &[&[f32]],
-    expected: usize,
-) -> QuorumOutcome {
+/// its blocks are hashed while they are still hot; only when a later
+/// group outvotes it is the winner re-read. The winner is named by its
+/// position, never copied.
+pub(crate) fn vote_sorted(workers: &[usize], replicas: &[&[f32]], expected: usize) -> Election {
     let n = replicas.len();
     let d = replicas[0].len();
     // rep[j]: position of the first replica equal to the `j`-th so far.
     let mut rep = vec![0usize; n];
     let mut prev = rep.clone();
-    let mut value = Vec::with_capacity(d);
     let mut fold = FingerprintFold::new();
     for start in (0..d).step_by(VOTE_BLOCK) {
         let block = |j: usize| &replicas[j][start..(start + VOTE_BLOCK).min(d)];
@@ -267,16 +303,13 @@ pub(crate) fn vote_sorted(
             }
         }
         fold.update(block(0));
-        value.extend_from_slice(block(0));
     }
     let winner = first_maximal_group(&rep);
     if winner != 0 {
-        value.clear();
-        value.extend_from_slice(replicas[winner]);
         fold = FingerprintFold::new();
         fold.update(replicas[winner]);
     }
-    settle(workers, &rep, winner, expected, value, fold.finish())
+    settle(workers, &rep, winner, expected, winner, fold.finish())
 }
 
 /// The winning group of a partition. `rep[j]` is the position of the
@@ -294,14 +327,14 @@ pub(crate) fn first_maximal_group(rep: &[usize]) -> usize {
 /// Builds the outcome around a settled winner. The audit preserves what
 /// a plain vote throws away — the losers — read straight off the
 /// partition, in ascending worker order.
-pub(crate) fn settle(
+pub(crate) fn settle<V>(
     workers: &[usize],
     rep: &[usize],
     winner: usize,
     expected: usize,
-    value: Vec<f32>,
+    value: V,
     winner_hash: u64,
-) -> QuorumOutcome {
+) -> QuorumOutcome<V> {
     let received = workers.len();
     let votes = rep.iter().filter(|&&g| g == winner).count();
     let verdict = |g: usize| {
@@ -347,9 +380,25 @@ pub fn quorum_vote_audited<G: AsRef<[f32]>>(
     q_min: usize,
     expected_workers: &[usize],
 ) -> Result<QuorumOutcome, QuorumError> {
-    let mut outcome = quorum_vote(replicas, q_min, expected_workers.len())?;
-    outcome.audit.mark_absent(expected_workers);
-    Ok(outcome)
+    let election = quorum_elect(replicas, q_min, expected_workers)?;
+    Ok(election.map_value(|at| replicas[at].1.as_ref().to_vec()))
+}
+
+/// [`quorum_vote_audited`] without the copy: the winner as its index in
+/// `replicas`, for a caller that already holds every replica and can
+/// hand the winner on where it lies.
+///
+/// # Errors
+///
+/// Same as [`quorum_vote`].
+pub fn quorum_elect<G: AsRef<[f32]>>(
+    replicas: &[(usize, G)],
+    q_min: usize,
+    expected_workers: &[usize],
+) -> Result<Election, QuorumError> {
+    let mut election = elect(replicas, q_min, expected_workers.len())?;
+    election.audit.mark_absent(expected_workers);
+    Ok(election)
 }
 
 /// One file's vote input: its arrived `(worker, gradient)` replicas plus
@@ -373,15 +422,40 @@ pub fn quorum_vote_all_audited<G>(
 where
     G: AsRef<[f32]> + Sync,
 {
-    let mut out: Vec<Option<Result<QuorumOutcome, QuorumError>>> = vec![None; files.len()];
+    per_file(files, |(replicas, expected_workers)| {
+        quorum_vote_audited(replicas, q_min, expected_workers)
+    })
+}
+
+/// [`quorum_vote_all_audited`] without the copies: each file's winner as
+/// its index in that file's replicas ([`quorum_elect`]), with the same
+/// bit-identity at any thread count.
+pub fn quorum_elect_all<G>(
+    files: &[VoteInput<'_, G>],
+    q_min: usize,
+) -> Vec<Result<Election, QuorumError>>
+where
+    G: AsRef<[f32]> + Sync,
+{
+    per_file(files, |(replicas, expected_workers)| {
+        quorum_elect(replicas, q_min, expected_workers)
+    })
+}
+
+/// `vote` over every file on the kernel pool, one output slot per file.
+fn per_file<G, T>(files: &[VoteInput<'_, G>], vote: impl Fn(VoteInput<'_, G>) -> T + Sync) -> Vec<T>
+where
+    G: AsRef<[f32]> + Sync,
+    T: Send,
+{
+    let mut out: Vec<Option<T>> = (0..files.len()).map(|_| None).collect();
     let chunk = files
         .len()
         .div_ceil(byz_kernel::num_threads().max(1))
         .max(1);
     byz_kernel::parallel_chunks_mut(&mut out, chunk, |start, slots| {
         for (offset, slot) in slots.iter_mut().enumerate() {
-            let (replicas, expected_workers) = files[start + offset];
-            *slot = Some(quorum_vote_audited(replicas, q_min, expected_workers));
+            *slot = Some(vote(files[start + offset]));
         }
     });
     out.into_iter()
@@ -393,8 +467,8 @@ where
 ///
 /// Degraded rounds produce winners backed by fewer replicas; the
 /// aggregation rule itself is provenance-agnostic (it sees one vector per
-/// surviving file), so this helper simply moves the winners' values out
-/// of their outcomes — no payload is copied — and hands them to the rule.
+/// surviving file), so this helper simply lends the rule a view of each
+/// winner's value — no payload is copied.
 ///
 /// # Errors
 ///
@@ -404,8 +478,8 @@ pub fn aggregate_winners(
     aggregator: &dyn Aggregator,
     winners: Vec<QuorumOutcome>,
 ) -> Result<Vec<f32>, AggregationError> {
-    let values: Vec<Vec<f32>> = winners.into_iter().map(|w| w.value).collect();
-    aggregator.aggregate(&values)
+    let values: Vec<&[f32]> = winners.iter().map(|w| w.value.as_slice()).collect();
+    aggregator.aggregate_slices(&values)
 }
 
 #[cfg(test)]

@@ -12,10 +12,9 @@
 //!    `(num_shards)`-tuples of small integers instead of `d` floats;
 //! 3. the fold scans replicas in ascending worker order and keeps the
 //!    first maximal group — exactly [`quorum_vote`](crate::quorum_vote)'s
-//!    deterministic tie-break — and the winner hash is computed by
-//!    running [`FingerprintFold`] over the winner's shards in ascending
-//!    range order, which equals the whole-vector fingerprint because the
-//!    fold keys its lanes by absolute coordinate offset.
+//!    deterministic tie-break — and hands the winner's position to the
+//!    caller, which holds the shards and builds the winner and its
+//!    whole-vector [`gradient_fingerprint`](crate::gradient_fingerprint).
 //!
 //! The outcome (winner value, votes, provenance, **and the full
 //! [`VoteAudit`](crate::VoteAudit)**) is therefore bit-identical to the
@@ -24,51 +23,29 @@
 //! 2–3; the voter owns step 1.
 
 use crate::quorum::{first_maximal_group, settle, QuorumOutcome};
-use byz_kernel::FingerprintFold;
 
 /// Folds per-shard group ids into the final [`QuorumOutcome`].
 ///
 /// The caller is the chunked-wire voter
 /// (`byz_wire::ShardedFileVoter`): given, for each complete replica in
-/// ascending worker order, its tuple of per-shard group ids, plus a way
-/// to read the winning group's values for one shard, this reproduces
-/// [`quorum_vote`](crate::quorum_vote)'s grouping, tie-break, audit and
-/// fingerprint exactly. `shard_values(s, rep)` lends the values of shard
-/// `s` for the replica at position `rep`; only the winner's are read,
-/// once, straight into the outcome.
-pub fn fold_shard_votes<'a>(
+/// ascending worker order, its tuple of per-shard group ids, this
+/// reproduces [`quorum_vote`](crate::quorum_vote)'s grouping, tie-break
+/// and audit exactly. `winner(rep)` builds the outcome's value for the
+/// winning replica at position `rep`, with its fingerprint.
+pub fn fold_shard_votes<V>(
     workers: &[usize],
     keys: &[&[u32]],
     expected_workers: &[usize],
-    shards: usize,
-    shard_values: impl Fn(usize, usize) -> &'a [f32],
-) -> QuorumOutcome {
+    winner: impl FnOnce(usize) -> (V, u64),
+) -> QuorumOutcome<V> {
     debug_assert_eq!(workers.len(), keys.len());
     // Group whole replicas by their shard-id tuples.
     let rep: Vec<usize> = (0..keys.len())
         .map(|j| (0..j).find(|&k| keys[k] == keys[j]).unwrap_or(j))
         .collect();
-    let winner = first_maximal_group(&rep);
-
-    // Assemble the winner and its fingerprint shard by shard, in
-    // ascending range order.
-    let d: usize = (0..shards).map(|s| shard_values(s, winner).len()).sum();
-    let mut value = Vec::with_capacity(d);
-    let mut fold = FingerprintFold::new();
-    for s in 0..shards {
-        let shard = shard_values(s, winner);
-        fold.update(shard);
-        value.extend_from_slice(shard);
-    }
-
-    let mut outcome = settle(
-        workers,
-        &rep,
-        winner,
-        expected_workers.len(),
-        value,
-        fold.finish(),
-    );
+    let at = first_maximal_group(&rep);
+    let (value, hash) = winner(at);
+    let mut outcome = settle(workers, &rep, at, expected_workers.len(), value, hash);
     outcome.audit.mark_absent(expected_workers);
     outcome
 }

@@ -3,7 +3,7 @@
 use byz_kernel::parallel_chunks_mut;
 
 use crate::median::COORD_CHUNK;
-use crate::{check_input, AggregationError, Aggregator};
+use crate::{check_dims, AggregationError, Aggregator};
 
 /// signSGD aggregation: each worker effectively transmits only the sign of
 /// its gradient; the server outputs the coordinate-wise sign majority
@@ -17,8 +17,8 @@ impl Aggregator for SignSgdMajority {
         "signsgd-majority"
     }
 
-    fn aggregate(&self, gradients: &[Vec<f32>]) -> Result<Vec<f32>, AggregationError> {
-        let d = check_input(gradients)?;
+    fn aggregate_slices(&self, gradients: &[&[f32]]) -> Result<Vec<f32>, AggregationError> {
+        let d = check_dims(gradients)?;
         let mut out = vec![0.0f32; d];
         // Tallies are exact integer counts per coordinate, so the chunked
         // parallel evaluation is trivially identical to the serial one.

@@ -46,7 +46,9 @@
 //! out-of-range indices, non-monotone indices, ragged geometry and
 //! trailing bytes all decode to [`WireError::MalformedBody`].
 
-use crate::message::{check_frame, put_u32s_le, seal_in_place, BodyReader, KIND_GRADIENT_CHUNK};
+use crate::message::{
+    check_frame, float_bytes, put_u32s_le, seal_in_place, BodyReader, KIND_GRADIENT_CHUNK,
+};
 use crate::topk::with_top_k;
 use crate::{extend_f32s_le, put_f32s_le, PackedSigns, WireError, FRAME_HEADER_LEN};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -352,32 +354,94 @@ impl GradientChunkView {
     /// Sparse chunks zero-fill then scatter; sign chunks synthesize
     /// `{−1.0, 0.0, +1.0}` from the bit planes.
     pub fn densify_into(&self, out: &mut Vec<f32>) {
-        let len = self.range_len as usize;
         match &self.payload {
             ChunkPayload::Dense(raw) => extend_f32s_le(out, raw),
-            ChunkPayload::Sparse { indices, values } => {
+            _ => {
                 let base = out.len();
-                out.resize(base + len, 0.0);
+                out.resize(base + self.range_len as usize, 0.0);
+                self.densify_to(&mut out[base..]);
+            }
+        }
+    }
+
+    /// Writes the densified range over `out`, which must be exactly
+    /// `range_len` floats — how a voter lands a chunk in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `range_len` floats long.
+    pub fn densify_to(&self, out: &mut [f32]) {
+        assert_eq!(
+            out.len(),
+            self.range_len as usize,
+            "one float per coordinate"
+        );
+        match &self.payload {
+            ChunkPayload::Dense(raw) => {
+                for (o, w) in out.iter_mut().zip(raw.chunks_exact(4)) {
+                    *o = f32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+                }
+            }
+            ChunkPayload::Sparse { indices, values } => {
+                out.fill(0.0);
                 for (i, v) in indices.chunks_exact(4).zip(values.chunks_exact(4)) {
                     let idx = u32::from_le_bytes([i[0], i[1], i[2], i[3]]) as usize;
-                    out[base + idx] = f32::from_le_bytes([v[0], v[1], v[2], v[3]]);
+                    out[idx] = f32::from_le_bytes([v[0], v[1], v[2], v[3]]);
                 }
             }
             ChunkPayload::Signs { negative, zero } => {
                 const ONE_BITS: u32 = 1.0f32.to_bits();
-                out.reserve(len);
-                let mut remaining = len;
-                for (&neg, &zer) in negative.iter().zip(zero.iter()) {
-                    let lanes = remaining.min(8);
-                    for bit in 0..lanes {
+                let planes = negative.iter().zip(zero.iter());
+                for (lanes, (&neg, &zer)) in out.chunks_mut(8).zip(planes) {
+                    for (bit, o) in lanes.iter_mut().enumerate() {
                         let z = u32::from(zer >> bit) & 1;
                         let n = u32::from(neg >> bit) & 1;
-                        let bits = (ONE_BITS * (1 - z)) | ((n & (1 - z)) << 31);
-                        out.push(f32::from_bits(bits));
+                        *o = f32::from_bits((ONE_BITS * (1 - z)) | ((n & (1 - z)) << 31));
                     }
-                    remaining -= lanes;
                 }
             }
+        }
+    }
+
+    /// Whether the chunk densifies to exactly `resident`'s bits, read off
+    /// the payload without densifying anything; `None` where the payload
+    /// cannot tell (sign planes, or a dense payload on a big-endian host).
+    /// A dense payload is `resident`'s bytes; a sparse one lists exactly
+    /// `resident`'s coordinates that are not `+0.0`, whose count
+    /// `nonzero` gives on demand.
+    pub(crate) fn densifies_to(
+        &self,
+        resident: &[f32],
+        nonzero: impl FnOnce() -> usize,
+    ) -> Option<bool> {
+        match &self.payload {
+            ChunkPayload::Dense(raw) if cfg!(target_endian = "little") => {
+                Some(float_bytes(resident) == &raw[..])
+            }
+            ChunkPayload::Sparse { indices, values } => {
+                let mut listed_nonzero = 0;
+                for (i, v) in indices.chunks_exact(4).zip(values.chunks_exact(4)) {
+                    let at = u32::from_le_bytes([i[0], i[1], i[2], i[3]]) as usize;
+                    let bits = u32::from_le_bytes([v[0], v[1], v[2], v[3]]);
+                    if resident[at].to_bits() != bits {
+                        return Some(false);
+                    }
+                    listed_nonzero += usize::from(bits != 0);
+                }
+                Some(listed_nonzero == nonzero())
+            }
+            _ => None,
+        }
+    }
+
+    /// How many coordinates of the densified range are not `+0.0`, when
+    /// the payload says so without a scan: a sparse chunk's.
+    pub(crate) fn listed_nonzero(&self) -> Option<usize> {
+        match &self.payload {
+            ChunkPayload::Sparse { values, .. } => {
+                Some(values.chunks_exact(4).filter(|v| v != &[0; 4]).count())
+            }
+            _ => None,
         }
     }
 

@@ -210,6 +210,58 @@ pub(crate) fn copy_aligned(src: &[u8], at: usize) -> Bytes {
     Bytes::from(buf).slice(lead..lead + src.len())
 }
 
+/// The native-order bytes of a run of floats.
+pub(crate) fn float_bytes(values: &[f32]) -> &[u8] {
+    // SAFETY: `f32` has no padding and `u8` alignment 1, so the run of
+    // floats is readable as its `4·len` native-order bytes.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
+}
+
+/// A 4-aligned run of whole native-order floats, read in place.
+///
+/// # Panics
+///
+/// Panics if `run` is not 4-aligned or not a whole number of floats.
+pub(crate) fn floats(run: &[u8]) -> &[f32] {
+    // SAFETY: every bit pattern is a valid `f32`, and `align_to` only
+    // reinterprets the aligned middle of the bytes, which the assert
+    // checks is all of them.
+    let (head, floats, tail) = unsafe { run.align_to::<f32>() };
+    assert!(
+        head.is_empty() && tail.is_empty(),
+        "a 4-aligned run of whole floats"
+    );
+    floats
+}
+
+/// [`floats`], writable.
+pub(crate) fn floats_mut(run: &mut [u8]) -> &mut [f32] {
+    // SAFETY: as in `floats`.
+    let (head, floats, tail) = unsafe { run.align_to_mut::<f32>() };
+    assert!(
+        head.is_empty() && tail.is_empty(),
+        "a 4-aligned run of whole floats"
+    );
+    floats
+}
+
+/// Where `len` floats start 4-aligned inside `block`, an allocation of
+/// `4·len + 3` bytes.
+pub(crate) fn float_span(block: &[u8], len: usize) -> std::ops::Range<usize> {
+    let lead = block.as_ptr().align_offset(4);
+    lead..lead + 4 * len
+}
+
+/// A fresh 4-aligned run of `len` native-order floats, written by `fill`.
+pub(crate) fn aligned_floats(len: usize, fill: impl FnOnce(&mut [f32])) -> Bytes {
+    let mut block = vec![0u8; 4 * len + 3];
+    let span = float_span(&block, len);
+    fill(floats_mut(&mut block[span.clone()]));
+    Bytes::from(block).slice(span)
+}
+
 /// Validates a frame's header, length and checksum and returns
 /// `(kind, body)`; the body is always `frame[FRAME_HEADER_LEN..]`.
 ///

@@ -20,16 +20,17 @@
 
 use crate::batch::{decode_gradient_batch, BatchEntry};
 use crate::chunk::{decode_gradient_chunk, num_chunks, GradientChunkView};
-use crate::message::copy_aligned;
+use crate::message::{aligned_floats, copy_aligned, float_bytes, floats};
 use crate::server::{RoundMode, ServerConfig, WireFormat};
 use crate::voter::{ChunkIngest, ShardedFileVoter};
 use crate::Assignment;
 use bytes::Bytes;
 use byz_aggregate::{
-    quorum_vote_all_audited, Provenance, QuorumError, QuorumOutcome, VoteAudit, VoteInput,
+    quorum_elect_all, Provenance, QuorumError, QuorumOutcome, VoteAudit, VoteInput,
 };
 use byz_cluster::FaultPlan;
-use std::ops::Range;
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::time::Instant;
 
 /// Why the admission gate refused a frame, or one entry of a batch frame.
@@ -76,14 +77,35 @@ pub struct FileSlot {
     pub file: usize,
 }
 
+/// A vote's winning replica, read where the round held it: a slice of
+/// the frame it arrived in, the gate's copy, or a chunked file's assembly
+/// buffer. Holding it keeps that memory alive, so a caller drops its
+/// winners once it has aggregated them. Equality is bitwise.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Winner(Bytes);
+
+impl Deref for Winner {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        floats(&self.0)
+    }
+}
+
+impl fmt::Debug for Winner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// What a closed round hands its driver: a function of the *set* of
 /// replicas admitted, never of their arrival order or of when votes ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundResult {
-    /// This round's winners in ascending file order, then the stale
-    /// winners due now in (origin round, file) order, discounted by
-    /// `1/(1 + lag)`.
-    pub winners: Vec<Vec<f32>>,
+    /// This round's winners in ascending file order, each where the
+    /// round held it, then the stale winners due now in (origin round,
+    /// file) order, copied at a discount of `1/(1 + lag)`.
+    pub winners: Vec<Winner>,
     /// One audit per vote that elected a winner, in the same order.
     pub audits: Vec<VoteAudit>,
     /// Which file each winner is, in the same order.
@@ -103,8 +125,8 @@ pub struct RoundResult {
     pub stale_folded: usize,
 }
 
-/// One file's audited vote.
-type Vote = Result<QuorumOutcome, QuorumError>;
+/// One file's audited vote, its winner where the store holds it.
+type Vote = Result<QuorumOutcome<Bytes>, QuorumError>;
 
 impl RoundResult {
     /// Books one closed vote, `lag` rounds after its origin: an
@@ -120,12 +142,16 @@ impl RoundResult {
         self.degraded_votes +=
             usize::from(matches!(outcome.provenance, Provenance::Degraded { .. }));
         self.audits.push(outcome.audit);
-        let mut value = outcome.value;
+        let mut winner = outcome.value;
         if lag > 0 {
             let discount = 1.0 / (1.0 + lag as f32);
-            value.iter_mut().for_each(|v| *v *= discount);
+            winner = aligned_floats(winner.len() / 4, |out| {
+                for (o, v) in out.iter_mut().zip(floats(&winner)) {
+                    *o = v * discount;
+                }
+            });
         }
-        self.winners.push(value);
+        self.winners.push(Winner(winner));
     }
 }
 
@@ -197,28 +223,10 @@ fn copied(piece: Piece<'_>) -> Bytes {
         Piece::Entry { entry, .. } if cfg!(target_endian = "little") => entry.raw(),
         // A big-endian host reads the wire's little-endian words first.
         Piece::Entry { entry, .. } => return copied(Piece::Floats(&entry.to_vec())),
-        // SAFETY: `f32` has no padding and `u8` alignment 1, so the run
-        // of floats is readable as its `4·len` native-order bytes.
-        Piece::Floats(replica) => unsafe {
-            std::slice::from_raw_parts(replica.as_ptr().cast::<u8>(), replica.len() * 4)
-        },
+        Piece::Floats(replica) => float_bytes(replica),
         Piece::Chunk(_) => unreachable!("a chunk is never stored whole"),
     };
     copy_aligned(native, 0)
-}
-
-/// A stored replica as the vote reads it.
-fn floats(run: &Bytes) -> &[f32] {
-    // SAFETY: every bit pattern is a valid `f32`, and `align_to` only
-    // reinterprets the aligned middle of the bytes; the store keeps
-    // every run 4-aligned and a whole number of floats long, which the
-    // assert checks.
-    let (head, floats, tail) = unsafe { run.align_to::<f32>() };
-    assert!(
-        head.is_empty() && tail.is_empty(),
-        "a stored replica is a 4-aligned run of whole floats"
-    );
-    floats
 }
 
 /// Whole replicas (batch entries, offered slices), each a refcounted
@@ -281,8 +289,8 @@ impl FlatStore {
 /// files' worth, in whichever shape the wire delivers them.
 enum ReplicaStore {
     Flat(FlatStore),
-    /// Chunk frames: one incremental voter per slot; no replica is ever
-    /// materialized.
+    /// Chunk frames: one incremental voter per slot, assembling only its
+    /// file's groups and winner.
     Sharded(Vec<ShardedFileVoter>),
 }
 
@@ -332,18 +340,28 @@ impl ReplicaStore {
         }
     }
 
-    /// Workers whose replica for `slot` is complete.
-    fn complete_workers(&self, slot: usize) -> Vec<usize> {
+    /// How many replicas for `slot` are complete.
+    fn complete_count(&self, slot: usize) -> usize {
         match self {
-            Flat(flat) => flat.slots[slot].iter().map(|&(w, _)| w).collect(),
-            Sharded(voters) => voters[slot].complete_workers(),
+            Flat(flat) => flat.slots[slot].len(),
+            Sharded(voters) => voters[slot].complete_count(),
         }
     }
 
-    /// Audited votes for `slots` over whatever completed, index-aligned
-    /// with `slots`; `holders[slot]` is the slot's expected holder set.
-    /// Flat slots vote together on the kernel pool.
-    fn vote(&self, slots: &[usize], q_min: usize, holders: &[Vec<usize>]) -> Vec<Vote> {
+    /// Whether `worker`'s replica for `slot` is complete.
+    fn is_complete(&self, slot: usize, worker: usize) -> bool {
+        match self {
+            Flat(flat) => flat.slots[slot].iter().any(|&(w, _)| w == worker),
+            Sharded(voters) => voters[slot].is_complete(worker),
+        }
+    }
+
+    /// Audited votes for the ascending `slots` over whatever completed,
+    /// index-aligned with `slots`; `holders[slot]` is the slot's expected
+    /// holder set. The slots vote together on the kernel pool, one file
+    /// per output slot, and each winner stays where the store holds it.
+    fn vote(&mut self, slots: &[usize], q_min: usize, holders: &[Vec<usize>]) -> Vec<Vote> {
+        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]), "ascending slots");
         match self {
             Flat(flat) => {
                 let replicas: Vec<_> = slots.iter().map(|&slot| flat.replicas(slot)).collect();
@@ -352,12 +370,36 @@ impl ReplicaStore {
                     .zip(&replicas)
                     .map(|(&slot, replicas)| (replicas.as_slice(), holders[slot].as_slice()))
                     .collect();
-                quorum_vote_all_audited(&inputs, q_min)
+                let elections = quorum_elect_all(&inputs, q_min);
+                slots
+                    .iter()
+                    .zip(elections)
+                    .map(|(&slot, election)| {
+                        election.map(|e| e.map_value(|at| flat.slots[slot][at].1.clone()))
+                    })
+                    .collect()
             }
-            Sharded(voters) => slots
-                .iter()
-                .map(|&slot| voters[slot].finalize(q_min, &holders[slot]))
-                .collect(),
+            Sharded(voters) => {
+                let mut files: Vec<(&mut ShardedFileVoter, &[usize], Option<Vote>)> = voters
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(slot, _)| slots.binary_search(slot).is_ok())
+                    .map(|(slot, voter)| (voter, holders[slot].as_slice(), None))
+                    .collect();
+                let chunk = files
+                    .len()
+                    .div_ceil(byz_kernel::num_threads().max(1))
+                    .max(1);
+                byz_kernel::parallel_chunks_mut(&mut files, chunk, |_, files| {
+                    for (voter, holders, vote) in files {
+                        *vote = Some(voter.elect(q_min, holders));
+                    }
+                });
+                files
+                    .into_iter()
+                    .map(|(_, _, vote)| vote.expect("every file slot is written by one chunk"))
+                    .collect()
+            }
         }
     }
 }
@@ -545,7 +587,8 @@ impl RoundCore {
     /// the frame, if the frame's payloads are 4-aligned native-order
     /// floats and the gate admitted every one of its entries; otherwise
     /// it is copied out, so a frame pins no more memory than its sender
-    /// had admitted, and never past [`close`](Self::close).
+    /// had admitted, and, once [`close`](Self::close) returns, only
+    /// through a winner of its result.
     ///
     /// # Errors
     ///
@@ -657,7 +700,7 @@ impl RoundCore {
                 return Err(Reject::NotHolder);
             }
             parked.store.put(0, w, piece.detached())?;
-            if parked.store.complete_workers(0).contains(&w) {
+            if parked.store.is_complete(0, w) {
                 parked.awaited.retain(|&awaited| awaited != w);
             }
             return Ok(Landed::Parked);
@@ -687,7 +730,7 @@ impl RoundCore {
     fn settle(&mut self, file: usize) {
         if self.policy.eager_finalize
             && self.outcomes[file].is_none()
-            && self.store.complete_workers(file).len() == self.holders[file].len()
+            && self.store.complete_count(file) == self.holders[file].len()
         {
             let start = Instant::now();
             self.outcomes[file] = self.store.vote(&[file], self.q_min, &self.holders).pop();
@@ -716,9 +759,7 @@ impl RoundCore {
 
         let arrived = match &self.store {
             Flat(_) => self.entries_seen,
-            Sharded(_) => (0..f)
-                .map(|file| self.store.complete_workers(file).len())
-                .sum(),
+            Sharded(_) => (0..f).map(|file| self.store.complete_count(file)).sum(),
         };
         let mut result = RoundResult {
             missing_votes: self.expected_replicas.saturating_sub(arrived),
@@ -737,14 +778,14 @@ impl RoundCore {
             .into_iter()
             .partition(|p| p.slot.origin + p.lag <= self.t);
         self.backlog = kept;
-        for parked in due {
+        for mut parked in due {
             let holders = std::slice::from_ref(&parked.holders);
             // Still below quorum at its fold round (late drops, the
             // deadline): abandoned like an on-time quorum failure.
             let vote = parked.store.vote(&[0], self.q_min, holders).remove(0);
             result.fold(parked.slot, vote, parked.lag);
         }
-        // Release the round's replicas before the driver aggregates.
+        // Release every replica but the winners the result holds.
         self.store.reset();
         self.vote_ns += start.elapsed().as_nanos() as u64;
         result
@@ -760,7 +801,8 @@ impl RoundCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BatchFrameBuilder;
+    use crate::{BatchFrameBuilder, ChunkConfig};
+    use bytes::BytesMut;
     use byz_assign::MolsAssignment;
 
     const STRAGGLER: usize = 7;
@@ -897,9 +939,100 @@ mod tests {
             let result = core.close();
             assert_eq!(result.winners.len(), 25);
             for (slot, winner) in result.voted.iter().zip(&result.winners) {
-                assert_eq!(winner, &replica(t, slot.file));
+                assert_eq!(**winner, replica(t, slot.file));
             }
             assert!(runs(&core.store).is_empty(), "close released every frame");
+        }
+    }
+
+    /// Every worker's round-`t` upload as the wire carries it — one batch
+    /// frame per worker, or every chunk of every replica — each frame
+    /// the slice of a read block the way the socket reader cuts it, plus
+    /// those blocks.
+    fn uploads(wire: WireFormat, holders: &[Vec<usize>], t: u64) -> (Vec<Bytes>, Vec<Bytes>) {
+        let frames = (0..15).flat_map(|w| match wire {
+            WireFormat::Batched => vec![built(t, w, &files_of(holders, w))],
+            WireFormat::Chunked(cfg) => files_of(holders, w)
+                .into_iter()
+                .flat_map(|file| {
+                    let g = replica(t, file);
+                    crate::chunk::encode_gradient_chunks(t, w as u32, file as u32, &g, &cfg)
+                })
+                .collect(),
+        });
+        frames
+            .map(|frame| {
+                // Keep the frame's alignment, so batch payloads stay
+                // votable in place.
+                let mut block = vec![0u8; frame.len() + 3];
+                let lead = (frame.as_ptr() as usize).wrapping_sub(block.as_ptr() as usize) % 4;
+                block[lead..lead + frame.len()].copy_from_slice(&frame);
+                let block = Bytes::from(block);
+                (block.slice(lead..lead + frame.len()), block)
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn a_held_round_result_keeps_its_winners_through_the_next_round() {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        for wire in [
+            WireFormat::Batched,
+            WireFormat::Chunked(ChunkConfig::dense(3)),
+        ] {
+            let config = ServerConfig {
+                wire,
+                ..ServerConfig::default()
+            };
+            let mut core = RoundCore::new(&assignment, 4, &config);
+            let holders = core.assigned.clone();
+            let mut round = |t: u64| {
+                core.begin(t, &holders);
+                let (frames, blocks) = uploads(wire, &holders, t);
+                frames
+                    .iter()
+                    .for_each(|frame| assert!(core.ingest(frame).is_ok()));
+                (core.close(), blocks)
+            };
+            let winners_are = |result: &RoundResult, t: u64| {
+                let mut each = result.voted.iter().zip(&result.winners);
+                each.all(|(slot, winner)| **winner == replica(t, slot.file))
+            };
+            let (first, blocks) = round(1);
+            let (second, _) = round(2);
+            assert!(
+                winners_are(&first, 1),
+                "{wire:?}: round 1's winners were overwritten"
+            );
+            assert!(winners_are(&second, 2), "{wire:?}");
+            let at = |result: &RoundResult| -> Vec<*const f32> {
+                result.winners.iter().map(|w| w.as_ptr()).collect()
+            };
+            let (first_at, second_at) = (at(&first), at(&second));
+            assert!(first_at.iter().all(|p| !second_at.contains(p)), "{wire:?}");
+
+            // A block the held result reads a winner from stays pinned,
+            // and is reclaimable once the result drops.
+            let reclaimed: Vec<Result<BytesMut, Bytes>> =
+                blocks.into_iter().map(BytesMut::try_from).collect();
+            let pinned = reclaimed.iter().filter(|block| block.is_err()).count();
+            assert_eq!(pinned > 0, wire == WireFormat::Batched, "{wire:?}");
+            drop(first);
+            for block in reclaimed.into_iter().filter_map(Result::err) {
+                assert!(
+                    BytesMut::try_from(block).is_ok(),
+                    "{wire:?}: a frame outlived its result"
+                );
+            }
+
+            // With every result dropped, a chunked round reuses its
+            // files' buffers: steady state allocates no winner.
+            drop(second);
+            let (third, _) = round(3);
+            assert!(winners_are(&third, 3), "{wire:?}");
+            if wire != WireFormat::Batched {
+                assert_eq!(at(&third), second_at, "{wire:?}: a buffer was not reused");
+            }
         }
     }
 

@@ -3,8 +3,9 @@
 //! The PS and the trainer run the same round: sample a batch and split
 //! it into files, hand it to a [`Delivery`], open the [`RoundCore`] on
 //! the delivery's holder sets and let the delivery feed it, close,
-//! aggregate the winners, take the SGD-with-momentum step and fold the
-//! audits into the reputation ledger. Only delivery differs: the PS broadcasts and
+//! aggregate the winners where the round holds them, take the
+//! SGD-with-momentum step, release the winners and fold the audits into
+//! the reputation ledger. Only delivery differs: the PS broadcasts and
 //! ingests frames under its deadlines (over channels, which `PsServer`
 //! adapts sockets into); the in-process trainer (`byzshield::Trainer`)
 //! offers true and forged replicas in memory. Each caller passes its
@@ -42,7 +43,9 @@ pub trait Delivery {
 /// What one round of a [`Session`] decided.
 #[derive(Debug)]
 pub struct SessionRound {
-    /// The closed round's votes.
+    /// The closed round's votes. Its `winners` are empty: the session
+    /// released them after the step, and with them the round's frames and
+    /// assembly buffers.
     pub result: RoundResult,
     /// Standing changes the ledger fold fired (empty without reputation).
     pub events: Vec<QuarantineEvent>,
@@ -121,11 +124,12 @@ impl Session {
         self.core.begin(t, &holders);
         let first = delivery.collect(t, &mut self.core, opened);
         let collected = Instant::now();
-        let result = self.core.close();
+        let mut result = self.core.close();
 
         let update_start = Instant::now();
         if !result.winners.is_empty() {
-            let aggregate = aggregator.aggregate(&result.winners)?;
+            let winners: Vec<&[f32]> = result.winners.iter().map(|w| &**w).collect();
+            let aggregate = aggregator.aggregate_slices(&winners)?;
             // Chunk-parallel on the kernel pool; elementwise, so
             // bit-identical to the scalar loop at any thread count.
             byz_kernel::sgd_momentum_step(
@@ -137,6 +141,7 @@ impl Session {
                 self.momentum,
             );
         }
+        result.winners.clear();
         let update_ns = update_start.elapsed().as_nanos() as u64;
         let events = match self.ledger.as_mut() {
             Some(ledger) => ledger.observe_round(t, &result.audits),
