@@ -13,7 +13,9 @@
 //!   callers treat it like the `let _ = tx.send(..)` of the channel
 //!   transport (the round degrades; nothing panics);
 //! * a receive that outlives its deadline yields [`LinkError::Timeout`],
-//!   exactly mirroring `crossbeam`'s `RecvTimeoutError::Timeout`;
+//!   exactly mirroring `crossbeam`'s `RecvTimeoutError::Timeout` (a
+//!   [`try_recv`](Link::try_recv) with nothing arrived yet is a receive
+//!   whose deadline is now);
 //! * a byte-stream that desyncs (only possible on real sockets) yields
 //!   [`LinkError::Desync`] and the connection is abandoned — the peer
 //!   re-enters through the handshake, never through guesswork about
@@ -21,7 +23,7 @@
 
 use crate::tcp::CodecError;
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::fmt;
 use std::time::Duration;
 
@@ -92,6 +94,14 @@ pub trait Link: Send {
     /// stream lost frame framing (socket transports only).
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError>;
 
+    /// Returns the next frame if it has already arrived; never waits.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Timeout`] when no whole frame has arrived yet, and
+    /// otherwise as [`recv_timeout`](Self::recv_timeout).
+    fn try_recv(&mut self) -> Result<Bytes, LinkError>;
+
     /// Tells the link which protocol round the traffic now belongs to.
     /// Transports ignore this by default; the chaos link uses it to
     /// schedule connection faults against protocol time instead of
@@ -125,6 +135,14 @@ impl Link for ChannelLink {
             Ok(frame) => Ok(frame),
             Err(RecvTimeoutError::Timeout) => Err(LinkError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(LinkError::Closed),
+        }
+    }
+
+    fn try_recv(&mut self) -> Result<Bytes, LinkError> {
+        match self.rx.try_recv() {
+            Ok(frame) => Ok(frame),
+            Err(TryRecvError::Empty) => Err(LinkError::Timeout),
+            Err(TryRecvError::Disconnected) => Err(LinkError::Closed),
         }
     }
 }
@@ -174,5 +192,15 @@ mod tests {
             a.recv_timeout(Duration::from_millis(10)),
             Err(LinkError::Timeout)
         );
+        assert_eq!(a.try_recv(), Err(LinkError::Timeout));
+    }
+
+    #[test]
+    fn try_recv_takes_what_arrived_then_sees_the_close() {
+        let (mut a, mut b) = channel_link_pair();
+        b.send(Bytes::copy_from_slice(b"ping")).unwrap();
+        drop(b);
+        assert_eq!(&a.try_recv().unwrap()[..], b"ping");
+        assert_eq!(a.try_recv(), Err(LinkError::Closed));
     }
 }

@@ -625,6 +625,10 @@ impl Link for ChaosLink<'_> {
         self.inner.recv_timeout(timeout)
     }
 
+    fn try_recv(&mut self) -> Result<Bytes, LinkError> {
+        self.inner.try_recv()
+    }
+
     fn note_round(&mut self, round: u64) {
         self.round = round;
         self.inner.note_round(round);

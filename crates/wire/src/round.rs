@@ -166,14 +166,9 @@ struct ClosePolicy {
 
 impl From<RoundMode> for ClosePolicy {
     fn from(mode: RoundMode) -> Self {
-        let (eager_finalize, max_staleness) = match mode {
-            RoundMode::Barrier => (false, 0),
-            RoundMode::Streaming => (true, 0),
-            RoundMode::BoundedStaleness { max_staleness } => (false, max_staleness),
-        };
         ClosePolicy {
-            eager_finalize,
-            max_staleness,
+            eager_finalize: mode == RoundMode::Streaming,
+            max_staleness: mode.max_staleness(),
         }
     }
 }

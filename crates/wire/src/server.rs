@@ -16,6 +16,7 @@ use byz_data::Dataset;
 use byz_nn::FastMlp;
 use byz_reputation::{QuarantineEvent, ReputationConfig, ReputationLedger};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -130,6 +131,19 @@ pub enum RoundMode {
         /// than `s` rounds after their origin are discarded like drops.
         max_staleness: u64,
     },
+}
+
+impl RoundMode {
+    /// Rounds a replica may trail its origin and still be counted: `s`
+    /// under [`RoundMode::BoundedStaleness`], 0 otherwise. Once the PS
+    /// has begun a round past `t + s`, nothing stamped `t` reaches a
+    /// vote.
+    pub fn max_staleness(self) -> u64 {
+        match self {
+            RoundMode::Barrier | RoundMode::Streaming => 0,
+            RoundMode::BoundedStaleness { max_staleness } => max_staleness,
+        }
+    }
 }
 
 /// Training configuration for the message-passing server.
@@ -354,7 +368,9 @@ impl MessagePassingCluster {
     /// Uploads the PS had not dequeued when the last round closed — a
     /// bounded-staleness straggler it outran — are counted into that
     /// round's `frames_received` / `bytes_received` once the workers
-    /// have exited, so the run's traffic totals do not depend on timing.
+    /// have exited, so the run's traffic totals are what the workers
+    /// sent. A straggler skips the broadcasts the PS can no longer count
+    /// (see `worker_loop`), so how many it sends depends on timing.
     ///
     /// # Panics
     ///
@@ -364,6 +380,17 @@ impl MessagePassingCluster {
     /// panicked inside the scope would leave its workers waiting on
     /// senders that are never dropped.
     pub fn train_run(&self, initial_params: Vec<f32>, config: &ServerConfig) -> WireTrainingRun {
+        self.train_linked(initial_params, config, |_, link| link)
+    }
+
+    /// [`train_run`](Self::train_run), each worker running over
+    /// `wrap(worker, its channel link)`.
+    fn train_linked<L: Link>(
+        &self,
+        initial_params: Vec<f32>,
+        config: &ServerConfig,
+        wrap: impl Fn(usize, ChannelLink) -> L + Sync,
+    ) -> WireTrainingRun {
         let k = self.assignment.num_workers();
         let f = self.assignment.num_files();
         assert_eq!(
@@ -389,8 +416,9 @@ impl MessagePassingCluster {
                 to_workers.push(tx);
                 let ctx = self.worker_context(worker_id, config);
                 let to_ps = to_ps.clone();
+                let wrap = &wrap;
                 scope.spawn(move || {
-                    let mut link = ChannelLink::new(to_ps, rx);
+                    let mut link = wrap(worker_id, ChannelLink::new(to_ps, rx));
                     worker_loop(&ctx, &mut link)
                 });
             }
@@ -434,6 +462,7 @@ impl MessagePassingCluster {
             wire: config.wire,
             flush_per_file: config.mode == RoundMode::Streaming,
             plan: config.faults.clone(),
+            max_staleness: config.mode.max_staleness(),
             delay: config
                 .straggler_unit
                 .mul_f64(config.faults.straggle_factor(worker_id) - 1.0),
@@ -600,6 +629,9 @@ pub(crate) struct WorkerContext {
     /// rounds) instead of once per round.
     pub(crate) flush_per_file: bool,
     pub(crate) plan: FaultPlan,
+    /// The PS's horizon `s` ([`RoundMode::max_staleness`]): a broadcast
+    /// with one past `s` rounds newer queued behind it is moot.
+    pub(crate) max_staleness: u64,
     pub(crate) delay: Duration,
     pub(crate) idle_timeout: Duration,
 }
@@ -609,23 +641,33 @@ pub(crate) struct WorkerContext {
 /// Takes the context by reference because a socket worker re-enters the
 /// loop after a reconnect — the model replica is per-connection state
 /// (the next broadcast rebuilds it), the context is not.
+///
+/// The worker takes the newest work. Frames it received but has not
+/// handled wait in an [`Inbox`], and a broadcast of round `t` is
+/// *superseded* once a checksum-valid broadcast of a round past `t + s`
+/// or a `Shutdown` is queued behind it. The PS sends either only after
+/// closing round `t + s`, and from then on its gate refuses every
+/// replica stamped `t`: a superseded broadcast is dropped uncomputed and
+/// unsent, and no vote, audit or parameter changes. The inbox is
+/// drained without waiting when a broadcast is taken and again after its
+/// straggler delay; the delay is a wait on the link, so frames queue
+/// while it runs and a `Shutdown` ends the worker at once.
 pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExit {
     let mut rng = rand_stub();
     let mut model = FastMlp::new(&ctx.dims, &mut rng);
     let param_len = model.num_params();
     // Computed replicas wait in `outbox` and leave through its `flush` —
     // after every file when the PS finalizes votes eagerly, once per
-    // round otherwise (bounded staleness is a PS-side schedule: the
-    // worker sends what it would in barrier mode, straggler delay and
-    // all). It lives as long as the connection, so the chunked wire
-    // computes every replica into one reused buffer.
+    // round otherwise. It lives as long as the connection, so the
+    // chunked wire computes every replica into one reused buffer.
     let mut outbox = Outbox::new(ctx, param_len);
+    let mut inbox = Inbox::default();
 
     // Run until shutdown or the link dies. A frame that fails to decode
     // (corrupt, or of a kind the PS never sends) is ignored — a corrupted
     // broadcast degrades the worker's round, never kills it.
     loop {
-        let frame = match link.recv_timeout(ctx.idle_timeout) {
+        let frame = match inbox.next(link, ctx.idle_timeout) {
             Ok(frame) => frame,
             // An idle wire is not a fault: the PS simply has not
             // broadcast yet (or this worker is quarantined-adjacent slow).
@@ -653,12 +695,11 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                 if ctx.is_crashed {
                     continue; // fail-stop: receive but never respond
                 }
-                if !ctx.delay.is_zero() {
-                    // Straggler: hold the whole round's uploads back. If
-                    // the delay outlives the PS's receive window the
-                    // frames count as dropped — same policy as a
-                    // message-dropper.
-                    std::thread::sleep(ctx.delay);
+                if !inbox.still_counted(ctx, link, iteration) {
+                    if inbox.shutdown {
+                        return WorkerExit::Shutdown;
+                    }
+                    continue;
                 }
                 model.set_params_le(params);
                 // What this round uploads is known before any compute.
@@ -708,6 +749,76 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                 }
             }
         }
+    }
+}
+
+/// Frames a worker has received but not yet handled: the checksum-valid
+/// broadcasts, in arrival order, with their rounds. Anything else is
+/// dropped on arrival — a corrupt frame is ignored and never supersedes
+/// a broadcast — except that a `Shutdown` is remembered.
+#[derive(Default)]
+struct Inbox {
+    broadcasts: VecDeque<(u64, Bytes)>,
+    shutdown: bool,
+}
+
+impl Inbox {
+    /// The oldest queued broadcast, else the next frame off the link.
+    fn next(&mut self, link: &mut dyn Link, timeout: Duration) -> Result<Bytes, LinkError> {
+        match self.broadcasts.pop_front() {
+            Some((_, frame)) => Ok(frame),
+            None => link.recv_timeout(timeout),
+        }
+    }
+
+    /// Queues a broadcast, notes a `Shutdown`, drops anything else.
+    fn push(&mut self, frame: Bytes) {
+        match MessageView::decode(&frame) {
+            Ok(MessageView::ModelBroadcast { iteration, .. }) => {
+                self.broadcasts.push_back((iteration, frame));
+            }
+            Ok(MessageView::Shutdown) => self.shutdown = true,
+            Err(_) => {}
+        }
+    }
+
+    /// Queues every frame that has already arrived. A dead link ends the
+    /// drain like an empty one: the next receive or upload reports it.
+    fn drain(&mut self, link: &mut dyn Link) {
+        while let Ok(frame) = link.try_recv() {
+            self.push(frame);
+        }
+    }
+
+    /// Whether the broadcast of round `t` (just taken) is still counted
+    /// by some round once its straggler delay has passed. The delay holds
+    /// the round's uploads back — if it outlives the PS's receive window
+    /// they count as dropped, the same policy as a message-dropper —
+    /// while frames keep queueing; a `Shutdown` ends it early.
+    fn still_counted(&mut self, ctx: &WorkerContext, link: &mut dyn Link, t: u64) -> bool {
+        self.drain(link);
+        if !ctx.delay.is_zero() && !self.superseded(ctx, t) {
+            let deadline = Instant::now() + ctx.delay;
+            while !self.shutdown {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                match link.recv_timeout(left) {
+                    Ok(frame) => self.push(frame),
+                    Err(LinkError::Timeout) => {}
+                    Err(LinkError::Closed | LinkError::Desync(_)) => std::thread::sleep(left),
+                }
+            }
+            self.drain(link);
+        }
+        !self.superseded(ctx, t)
+    }
+
+    /// A `Shutdown` or a broadcast past `t + s` is queued.
+    fn superseded(&self, ctx: &WorkerContext, t: u64) -> bool {
+        let horizon = t.saturating_add(ctx.max_staleness);
+        self.shutdown || self.broadcasts.iter().any(|&(newer, _)| newer > horizon)
     }
 }
 
@@ -851,6 +962,7 @@ mod tests {
     use byz_assign::MolsAssignment;
     use byz_data::{SyntheticConfig, SyntheticImages};
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn upload_budget_is_the_longest_frame_each_wire_sends() {
@@ -1377,13 +1489,42 @@ mod tests {
         assert!(summaries.iter().all(|s| s.abandoned_files == 0));
     }
 
+    /// A channel link that counts the frames and bytes it hands on.
+    struct Counted<'a> {
+        inner: ChannelLink,
+        sent: &'a [AtomicUsize; 2],
+    }
+
+    impl Counted<'_> {
+        fn count(&self, frame: &Bytes) {
+            self.sent[0].fetch_add(1, Ordering::Relaxed);
+            self.sent[1].fetch_add(frame.len(), Ordering::Relaxed);
+        }
+    }
+
+    impl Link for Counted<'_> {
+        fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
+            self.count(&frame);
+            self.inner.send(frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError> {
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn try_recv(&mut self) -> Result<Bytes, LinkError> {
+            self.inner.try_recv()
+        }
+    }
+
     #[test]
     fn outrun_straggler_uploads_are_still_counted() {
         // q_min = 1, so no file defers and the bounded PS never waits for
         // the straggler: it closes its last round while the straggler is
-        // still sleeping on an earlier one. The run's traffic totals must
-        // still be everything the workers sent — what a barrier PS, which
-        // waits for every frame, counts round by round.
+        // still waiting out an earlier one. The run's traffic totals must
+        // still be everything the workers sent — and the straggler, whose
+        // uploads no round can count, sends fewer frames than under
+        // barrier.
         let data = dataset();
         let dims = vec![36usize, 8, 4];
         let cluster = MessagePassingCluster::new(
@@ -1391,6 +1532,7 @@ mod tests {
             data,
             dims.clone(),
         );
+        const STRAGGLER: usize = 2;
         for wire in [
             WireFormat::Batched,
             WireFormat::Chunked(ChunkConfig::dense(64)),
@@ -1401,20 +1543,134 @@ mod tests {
             };
             let bounded = ServerConfig {
                 mode: RoundMode::BoundedStaleness { max_staleness: 1 },
-                faults: FaultPlan::new(0).straggle(2, 4.0),
+                faults: FaultPlan::new(0).straggle(STRAGGLER, 4.0),
                 straggler_unit: Duration::from_millis(60),
                 ..barrier.clone()
             };
-            let (p_barrier, s_barrier) = cluster.train(initial_params(&dims), &barrier);
-            let (p_bounded, s_bounded) = cluster.train(initial_params(&dims), &bounded);
+            let counted = |config: &ServerConfig| {
+                let sent: Vec<[AtomicUsize; 2]> = (0..15).map(|_| Default::default()).collect();
+                let run = cluster.train_linked(initial_params(&dims), config, |w, inner| Counted {
+                    inner,
+                    sent: &sent[w],
+                });
+                let sent: Vec<[usize; 2]> = sent
+                    .iter()
+                    .map(|s| s.each_ref().map(|n| n.load(Ordering::Relaxed)))
+                    .collect();
+                (run.params, run.summaries, sent)
+            };
+            let (p_barrier, s_barrier, sent_barrier) = counted(&barrier);
+            let (p_bounded, s_bounded, sent_bounded) = counted(&bounded);
             assert_eq!(p_bounded, p_barrier, "{wire:?}");
             let totals = |s: &[RoundSummary]| {
-                s.iter().fold((0, 0), |(frames, bytes), r| {
-                    (frames + r.frames_received, bytes + r.bytes_received)
+                s.iter().fold([0, 0], |[frames, bytes], r| {
+                    [frames + r.frames_received, bytes + r.bytes_received]
                 })
             };
-            assert_eq!(totals(&s_bounded), totals(&s_barrier), "{wire:?}");
+            let sent_total = |sent: &[[usize; 2]]| {
+                sent.iter()
+                    .fold([0, 0], |[frames, bytes], s| [frames + s[0], bytes + s[1]])
+            };
+            assert_eq!(totals(&s_barrier), sent_total(&sent_barrier), "{wire:?}");
+            assert_eq!(totals(&s_bounded), sent_total(&sent_bounded), "{wire:?}");
+            assert!(
+                sent_bounded[STRAGGLER][0] < sent_barrier[STRAGGLER][0],
+                "{wire:?}: the straggler sent {} frames, {} under barrier",
+                sent_bounded[STRAGGLER][0],
+                sent_barrier[STRAGGLER][0]
+            );
         }
+    }
+
+    /// Worker 2 on the batched wire, holding files 0, 2, 3 and 4 of a
+    /// [`broadcast`], under `mode` and with a straggler `delay`.
+    fn scripted_worker(mode: RoundMode, delay: Duration) -> WorkerContext {
+        WorkerContext {
+            worker_id: 2,
+            my_files: vec![0, 2, 3, 4],
+            dataset: dataset(),
+            dims: vec![36, 8, 4],
+            is_byz: false,
+            is_crashed: false,
+            attack: LocalAttack::Constant { value: 0.0 },
+            wire: WireFormat::Batched,
+            flush_per_file: false,
+            plan: FaultPlan::none(),
+            max_staleness: mode.max_staleness(),
+            delay,
+            idle_timeout: Duration::from_millis(10),
+        }
+    }
+
+    /// Round `t`'s broadcast to a [`scripted_worker`].
+    fn broadcast(t: u64) -> Bytes {
+        let params = initial_params(&[36, 8, 4]);
+        let files: Vec<Vec<u32>> = (0..5).map(|f| vec![2 * f, 2 * f + 1]).collect();
+        encode_model_broadcast(t, &params, &files)
+    }
+
+    /// Runs the worker loop thread-free over `queued`, every frame in
+    /// its link before the loop starts; a script without a `Shutdown`
+    /// ends when the PS side hangs up. Returns how the loop ended and
+    /// the rounds of the frames it uploaded, in order.
+    fn run_scripted(ctx: &WorkerContext, queued: Vec<Bytes>) -> (WorkerExit, Vec<u64>) {
+        let (to_worker, from_ps) = unbounded();
+        let (to_ps, from_worker) = unbounded();
+        queued
+            .into_iter()
+            .for_each(|frame| to_worker.send(frame).unwrap());
+        drop(to_worker);
+        let exit = worker_loop(ctx, &mut ChannelLink::new(to_ps, from_ps));
+        let uploads = std::iter::from_fn(|| from_worker.try_recv().ok())
+            .map(|frame| crate::decode_gradient_batch(&frame).unwrap().iteration);
+        (exit, uploads.collect())
+    }
+
+    #[test]
+    fn a_queued_shutdown_supersedes_every_broadcast_before_it() {
+        let ctx = scripted_worker(RoundMode::Barrier, Duration::ZERO);
+        let script = vec![
+            broadcast(1),
+            broadcast(2),
+            broadcast(3),
+            Message::Shutdown.encode(),
+        ];
+        assert_eq!(run_scripted(&ctx, script), (WorkerExit::Shutdown, vec![]));
+    }
+
+    #[test]
+    fn a_worker_skips_the_rounds_past_the_horizon() {
+        let barrier = scripted_worker(RoundMode::Barrier, Duration::ZERO);
+        let queued = |rounds: &[u64]| rounds.iter().map(|&t| broadcast(t)).collect();
+        assert_eq!(
+            run_scripted(&barrier, queued(&[1, 2])),
+            (WorkerExit::LinkClosed, vec![2])
+        );
+        let bounded = RoundMode::BoundedStaleness { max_staleness: 1 };
+        for delay in [Duration::ZERO, Duration::from_millis(5)] {
+            let bounded = scripted_worker(bounded, delay);
+            assert_eq!(
+                run_scripted(&bounded, queued(&[1, 2])),
+                (WorkerExit::LinkClosed, vec![1, 2])
+            );
+            assert_eq!(
+                run_scripted(&bounded, queued(&[1, 2, 3])),
+                (WorkerExit::LinkClosed, vec![2, 3])
+            );
+        }
+    }
+
+    #[test]
+    fn a_corrupt_frame_supersedes_nothing() {
+        let ctx = scripted_worker(RoundMode::Barrier, Duration::ZERO);
+        let mut corrupt = BytesMut::from(&broadcast(99)[..]);
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 1;
+        let script = vec![broadcast(1), corrupt.freeze()];
+        assert_eq!(
+            run_scripted(&ctx, script),
+            (WorkerExit::LinkClosed, vec![1])
+        );
     }
 
     /// What the scripted worker uploads on the broadcast of round `t`.
@@ -1709,6 +1965,7 @@ mod tests {
                     wire: WireFormat::Chunked(cfg),
                     flush_per_file: false,
                     plan: FaultPlan::new(17).drop_rate(drop_rate),
+                    max_staleness: 0,
                     delay: Duration::ZERO,
                     idle_timeout: Duration::from_millis(10),
                 };

@@ -30,9 +30,10 @@
 //! sends every queued `[prefix, frame]` pair. [`Link::send`], a receive
 //! and dropping the link flush too. Reads run under a socket read
 //! timeout (set only when its value changes) so a receive deadline maps
-//! onto the PS round deadline, and every hard I/O error collapses to
-//! [`LinkError::Closed`] — the same degraded path a dropped channel
-//! takes.
+//! onto the PS round deadline; [`Link::try_recv`] reads only what the
+//! socket already holds, without blocking. Every hard I/O error
+//! collapses to [`LinkError::Closed`] — the same degraded path a dropped
+//! channel takes.
 
 use crate::batch::{is_gradient_batch, PAYLOAD_PHASE};
 use crate::link::{Link, LinkError};
@@ -554,6 +555,46 @@ impl TcpLink {
         self.dead = true;
         LinkError::Closed
     }
+
+    /// The next whole frame the decoder holds; a desynced stream shuts
+    /// the connection.
+    fn buffered_frame(&mut self) -> Result<Option<Bytes>, LinkError> {
+        self.decoder.next_frame().map_err(|e| {
+            self.shutdown();
+            LinkError::Desync(e)
+        })
+    }
+
+    /// Reads until a frame completes (`Some`) or a read would block or
+    /// times out (`None`).
+    fn read_until_frame(&mut self) -> Result<Option<Bytes>, LinkError> {
+        while self.read_some()? {
+            if let Some(frame) = self.buffered_frame()? {
+                return Ok(Some(frame));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Reads once into the decoder: `Ok(false)` when the read would
+    /// block or timed out, `Ok(true)` otherwise.
+    fn read_some(&mut self) -> Result<bool, LinkError> {
+        match self.decoder.read_from(&mut self.stream) {
+            Ok(0) => {
+                self.dead = true;
+                Err(match self.decoder.close() {
+                    Ok(()) => LinkError::Closed,
+                    Err(e) => LinkError::Desync(e),
+                })
+            }
+            Ok(_) => Ok(true),
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                Ok(false)
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
+            Err(_) => Err(self.closed()),
+        }
+    }
 }
 
 impl Link for TcpLink {
@@ -598,13 +639,8 @@ impl Link for TcpLink {
         let mut first_read = true;
         loop {
             // A frame may already be buffered from a previous read.
-            match self.decoder.next_frame() {
-                Ok(Some(frame)) => return Ok(frame),
-                Ok(None) => {}
-                Err(e) => {
-                    self.shutdown();
-                    return Err(LinkError::Desync(e));
-                }
+            if let Some(frame) = self.buffered_frame()? {
+                return Ok(frame);
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             // set_read_timeout(Some(0)) is an error on std sockets.
@@ -622,22 +658,28 @@ impl Link for TcpLink {
                 }
                 self.read_timeout = Some(wait);
             }
-            match self.decoder.read_from(&mut self.stream) {
-                Ok(0) => {
-                    self.dead = true;
-                    return match self.decoder.close() {
-                        Ok(()) => Err(LinkError::Closed),
-                        Err(e) => Err(LinkError::Desync(e)),
-                    };
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(LinkError::Timeout);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Err(self.closed()),
+            if !self.read_some()? {
+                return Err(LinkError::Timeout);
             }
         }
+    }
+
+    /// A frame the decoder holds, else whatever the socket has ready,
+    /// read without blocking until a frame completes or the read would
+    /// block. The socket's read timeout is left as it was.
+    fn try_recv(&mut self) -> Result<Bytes, LinkError> {
+        self.flush()?;
+        if let Some(frame) = self.buffered_frame()? {
+            return Ok(frame);
+        }
+        if self.stream.set_nonblocking(true).is_err() {
+            return Err(self.closed());
+        }
+        let frame = self.read_until_frame();
+        if self.stream.set_nonblocking(false).is_err() {
+            return Err(self.closed());
+        }
+        frame?.ok_or(LinkError::Timeout)
     }
 }
 
@@ -855,6 +897,68 @@ mod tests {
             Err(LinkError::Closed),
             "dead links fail fast"
         );
+    }
+
+    #[test]
+    fn try_recv_returns_a_frame_already_in_the_decoder() {
+        let (mut client, _server) = link_pair();
+        let frames = sample_frames();
+        client.decoder.feed(&wire_bytes(&frames[..2]));
+        assert_eq!(client.try_recv().unwrap(), frames[0]);
+        assert_eq!(client.try_recv().unwrap(), frames[1]);
+        assert_eq!(client.try_recv(), Err(LinkError::Timeout));
+    }
+
+    #[test]
+    fn try_recv_on_an_idle_socket_does_not_wait_out_the_read_timeout() {
+        let (mut client, _server) = link_pair();
+        // A long receive leaves a 10 s read timeout on the socket.
+        client
+            .stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client.read_timeout = Some(Duration::from_secs(10));
+        let started = Instant::now();
+        assert_eq!(client.try_recv(), Err(LinkError::Timeout));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            started.elapsed()
+        );
+        // The socket blocks again: a receive waits out its deadline.
+        let started = Instant::now();
+        assert_eq!(
+            client.recv_timeout(Duration::from_millis(100)),
+            Err(LinkError::Timeout)
+        );
+        assert!(started.elapsed() >= Duration::from_millis(90));
+    }
+
+    #[test]
+    fn try_recv_returns_a_large_frame_once_its_last_byte_arrived() {
+        let (mut client, server) = link_pair();
+        let frame = crate::encode_gradient_batch(1, 2, &[(3, &vec![0.5f32; 262_144])]);
+        let wire = wire_bytes(std::slice::from_ref(&frame));
+        let (head, last) = wire.split_at(wire.len() - 1);
+        let mut writer = server.stream();
+        for piece in head.chunks(100_000) {
+            writer.write_all(piece).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(client.try_recv(), Err(LinkError::Timeout));
+        }
+        writer.write_all(last).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let got = loop {
+            match client.try_recv() {
+                Ok(got) => break got,
+                Err(LinkError::Timeout) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("{e}"),
+            }
+        };
+        assert_eq!(got, frame);
+        assert_eq!(client.try_recv(), Err(LinkError::Timeout));
     }
 
     /// A Read stub handing out one scripted chunk per call.

@@ -472,3 +472,99 @@ fn offer_and_ingest_refuse_for_the_same_reason() {
     }
     assert_eq!(offered.close(), framed.close());
 }
+
+/// Drives `config` through [`ROUNDS`] + 2 rounds with no deliveries, so
+/// every parked file waits to its fold unfed, and at each round `t′`
+/// offers and ingests, from every holder of every file, a replica stamped
+/// each round `t` with `t + s < t′`: the gate must refuse them all, or a
+/// worker that skips a superseded broadcast could change a vote.
+fn assert_past_horizon_is_refused(config: &ServerConfig, placement: &Placement) {
+    let assignment = MolsAssignment::new(5, 3).unwrap().build();
+    let s = config.mode.max_staleness();
+    let mut core = RoundCore::new(&assignment, D, config);
+    let replica = gradient(0, 0, false);
+    for now in 1..=ROUNDS + 2 {
+        core.begin(now, &placement.holders);
+        for stale in (0..now).filter(|&t| t + s < now) {
+            for (file, holders) in placement.holders.iter().enumerate() {
+                for &w in holders {
+                    let frames = match config.wire {
+                        WireFormat::Batched => {
+                            let offered = core.offer(w, stale, file, &replica);
+                            assert_eq!(offered, Err(Reject::WrongRound), "{config:?}");
+                            let entry = [(file as u32, &replica[..])];
+                            vec![encode_gradient_batch(stale, w as u32, &entry)]
+                        }
+                        WireFormat::Chunked(cfg) => {
+                            encode_gradient_chunks(stale, w as u32, file as u32, &replica, &cfg)
+                        }
+                    };
+                    for frame in &frames {
+                        let refused = core.ingest(frame).and_then(|admitted| {
+                            assert_eq!(admitted.accepted, 0, "{config:?}");
+                            admitted.refused.first().map_or(Ok(()), |&(_, r)| Err(r))
+                        });
+                        assert_eq!(refused, Err(Reject::WrongRound), "{config:?} round {now}");
+                    }
+                }
+            }
+        }
+        core.close();
+    }
+}
+
+proptest! {
+    /// The worker's premise for skipping a superseded broadcast: once the
+    /// engine has begun a round past `t + s`, `ingest` and `offer` refuse
+    /// every replica stamped `t` — parked files included.
+    #[test]
+    fn the_gate_refuses_replicas_past_the_horizon(
+        plan_seed in 0u64..u64::MAX,
+        crashed in 0usize..30,
+        stragglers in prop::collection::vec((0usize..15, 1u32..5), 0..5),
+        q_min in 1usize..4,
+    ) {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let placement = Placement::masked(&assignment, &[false; 15]);
+        let faults = fault_plan(plan_seed, 0, crashed, &stragglers);
+        for wire in [WireFormat::Batched, WireFormat::Chunked(ChunkConfig::dense(8))] {
+            for mode in [
+                RoundMode::Barrier,
+                RoundMode::Streaming,
+                RoundMode::BoundedStaleness { max_staleness: 0 },
+                RoundMode::BoundedStaleness { max_staleness: 1 },
+                RoundMode::BoundedStaleness { max_staleness: 2 },
+            ] {
+                let config = ServerConfig { wire, mode, faults: faults.clone(), q_min, ..ServerConfig::default() };
+                assert_past_horizon_is_refused(&config, &placement);
+            }
+        }
+    }
+}
+
+/// [`assert_past_horizon_is_refused`] where files are sure to park with
+/// the longest lag the horizon allows: worker 7 trails by `s` rounds and
+/// every file needs all three holders.
+#[test]
+fn parked_files_refuse_past_the_horizon() {
+    let assignment = MolsAssignment::new(5, 3).unwrap().build();
+    let placement = Placement::masked(&assignment, &[false; 15]);
+    for wire in [
+        WireFormat::Batched,
+        WireFormat::Chunked(ChunkConfig::dense(8)),
+    ] {
+        for s in 1..=2 {
+            let config = ServerConfig {
+                wire,
+                mode: RoundMode::BoundedStaleness { max_staleness: s },
+                faults: FaultPlan::new(3).straggle(7, 4.0),
+                q_min: 3,
+                ..ServerConfig::default()
+            };
+            let mut core = RoundCore::new(&assignment, D, &config);
+            core.begin(1, &placement.holders);
+            assert_eq!(core.close().deferred_files, 5, "{config:?}");
+            assert_past_horizon_is_refused(&config, &placement);
+        }
+    }
+}
