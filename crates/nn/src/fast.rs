@@ -54,20 +54,29 @@ impl FastMlp {
     ///
     /// Panics with fewer than two widths.
     pub fn new<R: Rng + ?Sized>(dims: &[usize], rng: &mut R) -> Self {
+        let mut model = Self::zeroed(dims);
+        for (pair, (w, _)) in dims.windows(2).zip(&mut model.layers) {
+            let bound = (6.0 / pair[0] as f32).sqrt();
+            w.iter_mut().for_each(|x| *x = rng.gen_range(-bound..bound));
+        }
+        model
+    }
+
+    /// Builds the shape alone, every parameter zero: for a replica whose
+    /// parameters arrive before it computes anything (a wire worker's
+    /// model, which every broadcast overwrites).
+    ///
+    /// # Panics
+    ///
+    /// Panics with fewer than two widths.
+    pub fn zeroed(dims: &[usize]) -> Self {
         assert!(
             dims.len() >= 2,
             "an MLP needs at least input and output widths"
         );
         let layers = dims
             .windows(2)
-            .map(|pair| {
-                let (fan_in, fan_out) = (pair[0], pair[1]);
-                let bound = (6.0 / fan_in as f32).sqrt();
-                let w = (0..fan_in * fan_out)
-                    .map(|_| rng.gen_range(-bound..bound))
-                    .collect();
-                (w, vec![0.0; fan_out])
-            })
+            .map(|pair| (vec![0.0; pair[0] * pair[1]], vec![0.0; pair[1]]))
             .collect();
         FastMlp {
             dims: dims.to_vec(),

@@ -214,6 +214,20 @@ fn reference_gradient_matches_central_differences() {
     }
 }
 
+/// `FastMlp::zeroed` is `FastMlp::new`'s shape with no draw: once both
+/// load the same parameters they are the same model.
+#[test]
+fn zeroed_model_has_the_drawn_models_shape() {
+    let dims = [7, 5, 3];
+    let drawn = FastMlp::new(&dims, &mut StdRng::seed_from_u64(3));
+    let mut zeroed = FastMlp::zeroed(&dims);
+    assert_eq!(zeroed.dims(), drawn.dims());
+    assert_eq!(zeroed.num_params(), drawn.num_params());
+    assert!(zeroed.params_flat().iter().all(|p| p.to_bits() == 0));
+    zeroed.set_params(&drawn.params_flat());
+    assert_eq!(zeroed, drawn);
+}
+
 /// `FastMlp::new`'s draw order and bounds, pinned bit for bit: every
 /// initial broadcast — and so every parameter fingerprint the trainer,
 /// the wire tests and the deployment binaries print — depends on it.

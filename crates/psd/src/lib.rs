@@ -14,6 +14,10 @@
 //! byzshield-ps    listen=127.0.0.1:7001  job id=1 l=5 r=3 iters=10 …  job id=2 …
 //! byzshield-worker connect=127.0.0.1:7001 worker=0  id=1 l=5 r=3 iters=10 …
 //! ```
+//!
+//! One [`DeploySpec`] builds its dataset once: [`DeploySpec::job_spec`]
+//! and every [`DeploySpec::worker_spec`] share the same `Arc<Dataset>`,
+//! so a process hosting the PS and all its workers holds one copy.
 
 use byz_assign::{Assignment, MolsAssignment};
 use byz_data::{Dataset, SyntheticConfig, SyntheticImages};
@@ -25,7 +29,7 @@ use byz_wire::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A malformed or inconsistent deployment spec.
@@ -44,10 +48,45 @@ fn err<T>(msg: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError(msg.into()))
 }
 
+/// The generator inputs a dataset depends on: `classes`, `hw`,
+/// `samples`, `data_seed`.
+type DataKey = (usize, usize, usize, u64);
+
+/// The dataset a spec last built, with the inputs it was built from. It
+/// is a cache, not part of the spec: it compares equal to any other,
+/// and a clone starts from a copy of the cached pair.
+#[derive(Default)]
+struct DatasetMemo(Mutex<Option<(DataKey, Arc<Dataset>)>>);
+
+impl DatasetMemo {
+    /// The cached dataset when it was built from `key`, else `build`'s
+    /// (which then replaces the cache).
+    fn get_or_build(&self, key: DataKey, build: impl FnOnce() -> Dataset) -> Arc<Dataset> {
+        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match memo.as_ref() {
+            Some((built_from, data)) if *built_from == key => Arc::clone(data),
+            _ => Arc::clone(&memo.insert((key, Arc::new(build()))).1),
+        }
+    }
+}
+
+impl Clone for DatasetMemo {
+    fn clone(&self) -> Self {
+        let memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        DatasetMemo(Mutex::new(memo.clone()))
+    }
+}
+
+impl PartialEq for DatasetMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// Everything one job's processes must agree on, parsed from `key=value`
 /// tokens. Every field has a default, so `byzshield-ps listen=… job` is
 /// already a runnable (if boring) deployment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct DeploySpec {
     /// Job identity carried in the socket handshake (`id=`).
     pub job_id: u64,
@@ -99,6 +138,65 @@ pub struct DeploySpec {
     pub receive_timeout_ms: u64,
     /// Hard PS round deadline in milliseconds (`deadline-ms=`, positive).
     pub round_deadline_ms: u64,
+    /// What [`DeploySpec::dataset`] built last.
+    dataset_memo: DatasetMemo,
+}
+
+impl fmt::Debug for DeploySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Every field but the cache, so a new field cannot be missed.
+        let DeploySpec {
+            job_id,
+            l,
+            r,
+            iterations,
+            batch_size,
+            learning_rate,
+            seed,
+            params_seed,
+            data_seed,
+            classes,
+            hw,
+            samples,
+            dims,
+            byzantine,
+            attack,
+            drop_rate,
+            fault_seed,
+            stragglers,
+            reputation,
+            wire,
+            mode,
+            receive_timeout_ms,
+            round_deadline_ms,
+            dataset_memo: _,
+        } = self;
+        f.debug_struct("DeploySpec")
+            .field("job_id", job_id)
+            .field("l", l)
+            .field("r", r)
+            .field("iterations", iterations)
+            .field("batch_size", batch_size)
+            .field("learning_rate", learning_rate)
+            .field("seed", seed)
+            .field("params_seed", params_seed)
+            .field("data_seed", data_seed)
+            .field("classes", classes)
+            .field("hw", hw)
+            .field("samples", samples)
+            .field("dims", dims)
+            .field("byzantine", byzantine)
+            .field("attack", attack)
+            .field("drop_rate", drop_rate)
+            .field("fault_seed", fault_seed)
+            .field("stragglers", stragglers)
+            .field("reputation", reputation)
+            .field("wire", wire)
+            .field("mode", mode)
+            .field("receive_timeout_ms", receive_timeout_ms)
+            .field("round_deadline_ms", round_deadline_ms)
+            .finish()
+    }
 }
 
 impl Default for DeploySpec {
@@ -127,6 +225,7 @@ impl Default for DeploySpec {
             mode: RoundMode::Barrier,
             receive_timeout_ms: 500,
             round_deadline_ms: 5000,
+            dataset_memo: DatasetMemo::default(),
         }
     }
 }
@@ -280,21 +379,27 @@ impl DeploySpec {
         }
     }
 
-    /// The job's dataset, regenerated from the spec's data seed — every
-    /// process derives an identical replica.
+    /// The job's dataset, generated from the spec's data seed — every
+    /// process derives an identical replica. It is built once per spec:
+    /// later calls, [`job_spec`](Self::job_spec) and every
+    /// [`worker_spec`](Self::worker_spec) share it until `classes`, `hw`,
+    /// `samples` or `data_seed` changes.
     pub fn dataset(&self) -> Arc<Dataset> {
-        let (train, _) = SyntheticImages::new(SyntheticConfig {
-            num_classes: self.classes,
-            channels: 1,
-            hw: self.hw,
-            train_samples: self.samples,
-            test_samples: 1,
-            noise: 0.4,
-            max_shift: 1,
-            seed: self.data_seed,
+        let key = (self.classes, self.hw, self.samples, self.data_seed);
+        self.dataset_memo.get_or_build(key, || {
+            SyntheticImages::new(SyntheticConfig {
+                num_classes: self.classes,
+                channels: 1,
+                hw: self.hw,
+                train_samples: self.samples,
+                test_samples: 1,
+                noise: 0.4,
+                max_shift: 1,
+                seed: self.data_seed,
+            })
+            .generate()
+            .0
         })
-        .generate();
-        Arc::new(train)
     }
 
     /// The starting flat parameters, derived from the params seed.
@@ -556,6 +661,66 @@ mod tests {
             assert!(e.0.contains("must be positive"), "`{bad}`: {e}");
         }
         assert!(DeploySpec::parse(&toks("recv-ms=1 deadline-ms=1")).is_ok());
+    }
+
+    /// Every sample's value bits and label.
+    fn contents(data: &Dataset) -> (Vec<u32>, Vec<usize>) {
+        let (x, labels) = data.gather(&(0..data.len()).collect::<Vec<_>>());
+        (x.iter().map(|v| v.to_bits()).collect(), labels)
+    }
+
+    #[test]
+    fn one_spec_builds_one_dataset() {
+        let spec = DeploySpec::parse(&toks("data-seed=42 samples=300 hw=5 classes=3")).unwrap();
+        let shared = spec.job_spec().unwrap().dataset;
+        for w in 0..spec.num_workers() {
+            let worker = spec.worker_spec(w).unwrap().dataset;
+            assert!(Arc::ptr_eq(&shared, &worker), "worker {w} got its own copy");
+        }
+        let (fresh, _) = SyntheticImages::new(SyntheticConfig {
+            num_classes: 3,
+            channels: 1,
+            hw: 5,
+            train_samples: 300,
+            test_samples: 1,
+            noise: 0.4,
+            max_shift: 1,
+            seed: 42,
+        })
+        .generate();
+        assert_eq!(contents(&shared), contents(&fresh));
+        // The cache is no part of the spec.
+        let copy = spec.clone();
+        assert_eq!(
+            copy,
+            DeploySpec::parse(&toks("data-seed=42 samples=300 hw=5 classes=3")).unwrap()
+        );
+        assert!(Arc::ptr_eq(&copy.dataset(), &shared));
+        assert!(!format!("{spec:?}").contains("memo"));
+    }
+
+    #[test]
+    fn changed_generator_inputs_rebuild_the_dataset() {
+        let mut spec = DeploySpec::default();
+        let first = spec.dataset();
+        spec.data_seed += 1;
+        let reseeded = spec.dataset();
+        assert!(!Arc::ptr_eq(&first, &reseeded));
+        assert_ne!(contents(&first), contents(&reseeded));
+        assert!(Arc::ptr_eq(
+            &reseeded,
+            &spec.worker_spec(0).unwrap().dataset
+        ));
+        spec.samples = 250;
+        let resized = spec.job_spec().unwrap().dataset;
+        assert_eq!(resized.len(), 250);
+        assert_eq!(reseeded.len(), 400);
+        let fresh = DeploySpec {
+            data_seed: spec.data_seed,
+            samples: 250,
+            ..DeploySpec::default()
+        };
+        assert_eq!(contents(&resized), contents(&fresh.dataset()));
     }
 
     #[test]

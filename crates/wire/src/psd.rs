@@ -24,6 +24,16 @@
 //!   dropped, exactly the observable behaviour of sending to a crashed
 //!   in-process worker.
 //!
+//! A job ends by handoffs, not timers. Its PS thread queues `Shutdown`
+//! on every slot and drops its slot senders; each slot writer writes
+//! what was queued, sees its channel disconnect and half-closes the
+//! slot's connection, so `Shutdown` is the last frame before FIN.
+//! Readers keep reading (and, once the PS loop is gone, discarding)
+//! until the worker closes, so a late upload lands instead of drawing an
+//! RST. `serve` returns once every writer, reader and the accept loop
+//! are done; a peer that never closes is cut off one round deadline
+//! after the last job ended.
+//!
 //! Because the PS loop consumes the same frame multiset in both
 //! deployments and is arrival-order independent, a loopback-TCP run is
 //! bit-identical to a channel run — `TrainingHistory`, `VoteAudit`s and
@@ -43,25 +53,18 @@ use crate::{Assignment, WireTrainingRun};
 use bytes::Bytes;
 use byz_cluster::ClusterError;
 use byz_data::Dataset;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long the PS waits for a connection's `Hello` frame. Connections
 /// that dawdle are dropped — they can always reconnect and try again.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Read-slice granularity of connection reader threads. The protocol's
-/// real deadline is the PS round deadline, enforced where frames are
-/// *consumed* (the PS loop's collection window over the fan-in channel);
-/// readers poll in short slices only so they notice job completion and
-/// server shutdown promptly.
-const READER_POLL: Duration = Duration::from_millis(100);
 
 /// One training job hosted by a [`PsServer`].
 #[derive(Clone)]
@@ -151,12 +154,39 @@ struct JobHandle {
     fan_in: Sender<Bytes>,
     /// `slots[w]` holds worker `w`'s current write-half, if connected.
     slots: Vec<Mutex<Option<TcpStream>>>,
+    /// A handle on every connection the job admitted, to cut off a peer
+    /// that outstays the teardown (a slot's lock may be held by a writer
+    /// blocked on that very peer).
+    conns: Mutex<Vec<TcpStream>>,
     gate: JobGate,
     finished: AtomicBool,
-    round_deadline: Duration,
     /// Longest frame an admitted worker may declare: the job's largest
     /// legal upload.
     max_upload: usize,
+}
+
+impl JobHandle {
+    fn new(k: usize, max_upload: usize) -> (Self, Receiver<Bytes>) {
+        let (fan_in, fan_in_rx) = unbounded();
+        let handle = JobHandle {
+            fan_in,
+            slots: (0..k).map(|_| Mutex::new(None)).collect(),
+            conns: Mutex::new(Vec::new()),
+            gate: JobGate::new(k),
+            finished: AtomicBool::new(false),
+            max_upload,
+        };
+        (handle, fan_in_rx)
+    }
+
+    /// Shuts both directions of every connection the job admitted: a
+    /// blocked reader or writer returns at once.
+    fn cut_off(&self) {
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
+        for conn in conns {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// A TCP parameter server hosting multiple concurrent jobs on one port.
@@ -221,29 +251,17 @@ impl PsServer {
         let mut job_records = Vec::with_capacity(jobs.len());
         for job in jobs {
             let k = job.assignment.num_workers();
-            let (fan_in_tx, fan_in_rx) = unbounded();
-            let mut slot_rxs = Vec::with_capacity(k);
-            let mut slot_txs = Vec::with_capacity(k);
-            for _ in 0..k {
-                let (tx, rx) = unbounded();
-                slot_txs.push(tx);
-                slot_rxs.push(rx);
-            }
+            let (slot_txs, slot_rxs): (Vec<_>, Vec<_>) = (0..k).map(|_| unbounded()).unzip();
             let load = (0..k)
                 .map(|w| job.assignment.graph().files_of(w).len())
                 .max()
                 .unwrap_or(0);
-            let handle = Arc::new(JobHandle {
-                fan_in: fan_in_tx,
-                slots: (0..k).map(|_| Mutex::new(None)).collect(),
-                gate: JobGate::new(k),
-                finished: AtomicBool::new(false),
-                round_deadline: job.config.round_deadline,
-                max_upload: job
-                    .config
-                    .wire
-                    .max_upload_frame_len(load, job.initial_params.len()),
-            });
+            let max_upload = job
+                .config
+                .wire
+                .max_upload_frame_len(load, job.initial_params.len());
+            let (handle, fan_in_rx) = JobHandle::new(k, max_upload);
+            let handle = Arc::new(handle);
             assert!(
                 handles.insert(job.job_id, Arc::clone(&handle)).is_none(),
                 "duplicate job id {}",
@@ -251,6 +269,12 @@ impl PsServer {
             );
             job_records.push((job, handle, slot_txs, slot_rxs, fan_in_rx));
         }
+        // The teardown bound: the longest round deadline of any job.
+        let linger = job_records
+            .iter()
+            .map(|(job, ..)| job.config.round_deadline)
+            .max()
+            .unwrap_or_default();
 
         let stop = AtomicBool::new(false);
         let handles = &handles;
@@ -261,62 +285,42 @@ impl PsServer {
         // lands here.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
-                // Slot writers: one thread per (job, worker), draining the
-                // PS loop's sender into whatever connection holds the slot.
-                for (_, handle, _, slot_rxs, _) in &job_records {
-                    for (worker, rx) in slot_rxs.iter().enumerate() {
-                        let handle = Arc::clone(handle);
-                        let rx = rx.clone();
-                        scope.spawn(move || slot_writer(&handle, worker, &rx));
-                    }
-                }
+                // Every thread that still owns an end of a connection
+                // holds a clone: the slot writers, and the accept loop
+                // until it has joined its readers. Teardown waits for the
+                // last one to drop.
+                let (open, all_closed) = unbounded::<()>();
 
                 // The accept loop: admit, handshake, route.
+                let accept_open = open.clone();
                 let accept_thread = scope.spawn(move || {
+                    let _open = accept_open;
                     accept_loop(&self.listener, handles, stop_ref);
                 });
 
-                // One PS thread per job — running the identical protocol
-                // loop the channel transport runs.
                 let mut job_threads = Vec::with_capacity(job_records.len());
-                for (job, handle, slot_txs, _, fan_in_rx) in &job_records {
-                    let handle = Arc::clone(handle);
+                for (job, handle, slot_txs, slot_rxs, fan_in_rx) in job_records {
+                    // Slot writers: one thread per worker, draining the PS
+                    // loop's sender into whatever connection holds the slot.
+                    for (worker, rx) in slot_rxs.into_iter().enumerate() {
+                        let handle = Arc::clone(&handle);
+                        let open = open.clone();
+                        scope.spawn(move || {
+                            let _open = open;
+                            slot_writer(&handle, worker, &rx);
+                        });
+                    }
+                    // One PS thread per job — running the identical
+                    // protocol loop the channel transport runs.
+                    let job_id = job.job_id;
                     job_threads.push((
-                        job.job_id,
-                        scope.spawn(move || -> Result<WireTrainingRun, ClusterError> {
-                            let k = job.assignment.num_workers();
-                            if let Err(connected) = handle.gate.wait(ready_timeout) {
-                                handle.finished.store(true, Ordering::SeqCst);
-                                return Err(ClusterError::HandshakeTimeout {
-                                    job_id: job.job_id,
-                                    connected,
-                                    expected: k,
-                                });
-                            }
-                            let cluster = MessagePassingCluster::new(
-                                job.assignment.clone(),
-                                Arc::clone(&job.dataset),
-                                job.model_dims.clone(),
-                            );
-                            let run = cluster.ps_loop(
-                                job.initial_params.clone(),
-                                &job.config,
-                                slot_txs,
-                                fan_in_rx,
-                            );
-                            // Job over: tell connected workers, then flip the
-                            // finished flag (in that order — slot writers drain
-                            // their queues after seeing the flag, so the bye
-                            // frames are already enqueued when they exit).
-                            let bye = crate::Message::Shutdown.encode();
-                            for tx in slot_txs {
-                                let _ = tx.send(bye.clone());
-                            }
-                            handle.finished.store(true, Ordering::SeqCst);
-                            Ok(run)
+                        job_id,
+                        scope.spawn(move || {
+                            run_job(&job, &handle, slot_txs, fan_in_rx, ready_timeout)
                         }),
                     ));
                 }
+                drop(open);
 
                 let mut results = Vec::with_capacity(job_threads.len());
                 let mut first_err = None;
@@ -333,23 +337,17 @@ impl PsServer {
                         }
                     }
                 }
-                // Give slot writers a beat to flush the shutdown frames to
-                // still-connected workers, then tear everything down.
-                std::thread::sleep(Duration::from_millis(50));
+                // Every PS thread is gone, so every slot sender has
+                // dropped (a panicked thread's too) and the writers are
+                // handing `Shutdown` and FIN to their workers. Wait for
+                // the workers to close, then cut off whoever did not.
                 stop_ref.store(true, Ordering::SeqCst);
-                for (_, handle, _, _, _) in &job_records {
+                for handle in handles.values() {
                     handle.finished.store(true, Ordering::SeqCst);
-                    // Writers watch `finished` rather than sender drops
-                    // (they hold receiver clones); closing the sockets
-                    // unblocks any in-flight write and tells lingering
-                    // workers the run is over.
-                    for slot in &handle.slots {
-                        if let Ok(mut guard) = slot.lock() {
-                            if let Some(stream) = guard.take() {
-                                let _ = stream.shutdown(std::net::Shutdown::Both);
-                            }
-                        }
-                    }
+                }
+                let _ = all_closed.recv_timeout(linger);
+                for handle in handles.values() {
+                    handle.cut_off();
                 }
                 // A panicked accept thread means no NEW connections were
                 // admitted — the jobs above already ran on whatever was
@@ -367,6 +365,46 @@ impl PsServer {
             ))
         })
     }
+}
+
+/// One job's PS thread: waits for every slot, runs the PS loop, then
+/// queues `Shutdown` on every slot. The slot senders drop with the
+/// thread — on a panic too — and that is what ends the slot writers.
+fn run_job(
+    job: &JobSpec,
+    handle: &JobHandle,
+    slot_txs: Vec<Sender<Bytes>>,
+    fan_in_rx: Receiver<Bytes>,
+    ready_timeout: Duration,
+) -> Result<WireTrainingRun, ClusterError> {
+    if let Err(connected) = handle.gate.wait(ready_timeout) {
+        handle.finished.store(true, Ordering::SeqCst);
+        return Err(ClusterError::HandshakeTimeout {
+            job_id: job.job_id,
+            connected,
+            expected: job.assignment.num_workers(),
+        });
+    }
+    let cluster = MessagePassingCluster::new(
+        job.assignment.clone(),
+        Arc::clone(&job.dataset),
+        job.model_dims.clone(),
+    );
+    let run = cluster.ps_loop(
+        job.initial_params.clone(),
+        &job.config,
+        &slot_txs,
+        &fan_in_rx,
+    );
+    // From here on readers discard what arrives, and no worker is
+    // admitted.
+    drop(fan_in_rx);
+    handle.finished.store(true, Ordering::SeqCst);
+    let bye = crate::Message::Shutdown.encode();
+    for tx in &slot_txs {
+        let _ = tx.send(bye.clone());
+    }
+    Ok(run)
 }
 
 /// The accept loop: polls for connections until told to stop, runs the
@@ -432,14 +470,20 @@ fn admit_connection(
     link.set_max_frame_len(handle.max_upload);
 
     let write_half = link.stream().try_clone().ok()?;
+    let cut = link.stream().try_clone().ok()?;
     {
         let mut slot = handle.slots[w].lock().ok()?;
         // A reconnect replaces whatever stale stream the slot held; the
         // old connection's reader dies on its closed socket.
         if let Some(old) = slot.replace(write_half) {
-            let _ = old.shutdown(std::net::Shutdown::Both);
+            let _ = old.shutdown(Shutdown::Both);
         }
     }
+    handle
+        .conns
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(cut);
     handle.gate.mark(w);
 
     let handle = Arc::clone(handle);
@@ -449,29 +493,19 @@ fn admit_connection(
 }
 
 /// Pumps one admitted connection's frames into the job's fan-in channel
-/// until the connection dies or the job finishes. Which frames *count*
-/// is decided downstream by the PS loop's round deadline over the
-/// fan-in — the reader enforces no protocol deadline of its own, exactly
-/// as a crossbeam channel enforces none.
+/// until the worker closes it. Which frames *count* is decided
+/// downstream by the PS loop's round deadline over the fan-in — the
+/// reader enforces no protocol deadline of its own, exactly as a
+/// crossbeam channel enforces none. Once the PS loop has dropped the
+/// fan-in, frames are read and discarded: the connection stays intact
+/// until the worker has read its `Shutdown` and closed.
+///
+/// A dropped or desynced connection ends the reader; the worker's
+/// missing frames degrade its replicas through the PS's ordinary timeout
+/// accounting, and the worker may reconnect through a fresh handshake.
 fn connection_reader(mut link: TcpLink, handle: &JobHandle) {
-    let slice = READER_POLL.min(handle.round_deadline);
-    loop {
-        if handle.finished.load(Ordering::SeqCst) {
-            return;
-        }
-        match link.recv_timeout(slice) {
-            Ok(frame) => {
-                if handle.fan_in.send(frame).is_err() {
-                    return;
-                }
-            }
-            Err(LinkError::Timeout) => continue,
-            // A dropped or desynced connection ends the reader; the
-            // worker's missing frames degrade its replicas through the
-            // PS's ordinary timeout accounting, and the worker may
-            // reconnect through a fresh handshake.
-            Err(LinkError::Closed | LinkError::Desync(_)) => return,
-        }
+    while let Ok(frame) = link.recv() {
+        let _ = handle.fan_in.send(frame);
     }
 }
 
@@ -479,22 +513,17 @@ fn connection_reader(mut link: TcpLink, handle: &JobHandle) {
 /// currently holds the slot. No connection ⇒ the frame is dropped — the
 /// same fate as a frame sent to a crashed in-process worker, which is
 /// what keeps connection loss inside the existing fault model.
-fn slot_writer(handle: &JobHandle, worker: usize, rx: &crossbeam::channel::Receiver<Bytes>) {
-    loop {
-        match rx.recv_timeout(READER_POLL) {
-            Ok(frame) => write_to_slot(handle, worker, &frame),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if handle.finished.load(Ordering::SeqCst) {
-                    // The finished flag is set only after the shutdown
-                    // frames are enqueued, so draining here delivers
-                    // them before the writer exits.
-                    while let Ok(frame) = rx.try_recv() {
-                        write_to_slot(handle, worker, &frame);
-                    }
-                    return;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+///
+/// The channel disconnects when the job's PS thread ends, after it
+/// queued `Shutdown`; the writer then half-closes the slot's connection,
+/// so `Shutdown` is the last frame before FIN.
+fn slot_writer(handle: &JobHandle, worker: usize, rx: &Receiver<Bytes>) {
+    while let Ok(frame) = rx.recv() {
+        write_to_slot(handle, worker, &frame);
+    }
+    if let Ok(slot) = handle.slots[worker].lock() {
+        if let Some(stream) = slot.as_ref() {
+            let _ = stream.shutdown(Shutdown::Write);
         }
     }
 }
@@ -509,7 +538,7 @@ fn write_to_slot(handle: &JobHandle, worker: usize, frame: &Bytes) {
     if let Some(stream) = slot.as_mut() {
         if crate::tcp::write_frame(stream, frame).is_err() {
             if let Some(old) = slot.take() {
-                let _ = old.shutdown(std::net::Shutdown::Both);
+                let _ = old.shutdown(Shutdown::Both);
             }
         }
     }
@@ -802,17 +831,9 @@ mod tests {
     }
 
     /// A 15-slot job with the given upload budget, and its fan-in.
-    fn job_handle(max_upload: usize) -> (Arc<JobHandle>, crossbeam::channel::Receiver<Bytes>) {
-        let (fan_in, fan_in_rx) = unbounded();
-        let handle = Arc::new(JobHandle {
-            fan_in,
-            slots: (0..15).map(|_| Mutex::new(None)).collect(),
-            gate: JobGate::new(15),
-            finished: AtomicBool::new(false),
-            round_deadline: Duration::from_secs(5),
-            max_upload,
-        });
-        (handle, fan_in_rx)
+    fn job_handle(max_upload: usize) -> (Arc<JobHandle>, Receiver<Bytes>) {
+        let (handle, fan_in_rx) = JobHandle::new(15, max_upload);
+        (Arc::new(handle), fan_in_rx)
     }
 
     #[test]
@@ -848,7 +869,8 @@ mod tests {
             worker.recv_timeout(Duration::from_secs(5)).unwrap(),
             broadcast
         );
-        handle.finished.store(true, Ordering::SeqCst);
+        // The reader runs until the worker closes.
+        drop(worker);
         reader.join().unwrap();
     }
 

@@ -653,8 +653,8 @@ pub(crate) struct WorkerContext {
 /// straggler delay; the delay is a wait on the link, so frames queue
 /// while it runs and a `Shutdown` ends the worker at once.
 pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExit {
-    let mut rng = rand_stub();
-    let mut model = FastMlp::new(&ctx.dims, &mut rng);
+    // Every broadcast overwrites the parameters: only the shape matters.
+    let mut model = FastMlp::zeroed(&ctx.dims);
     let param_len = model.num_params();
     // Computed replicas wait in `outbox` and leave through its `flush` —
     // after every file when the PS finalizes votes eagerly, once per
@@ -943,14 +943,6 @@ impl Outbox {
         }
         link.flush()
     }
-}
-
-/// Deterministic tiny RNG for worker-side model construction (the
-/// parameters are overwritten by the first broadcast, so the values do
-/// not matter — only the shape does).
-fn rand_stub() -> impl rand::Rng {
-    use rand::SeedableRng;
-    rand::rngs::StdRng::seed_from_u64(0)
 }
 
 #[cfg(test)]

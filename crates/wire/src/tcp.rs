@@ -550,6 +550,30 @@ impl TcpLink {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
+    /// Waits as long as it takes for the next frame: no read timeout, so
+    /// only a frame, the peer's close or a shutdown of the socket
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError::Closed`] once the peer closed (or the socket was
+    /// shut down), [`LinkError::Desync`] on a corrupt stream.
+    pub fn recv(&mut self) -> Result<Bytes, LinkError> {
+        self.flush()?;
+        if self.read_timeout.is_some() {
+            if self.stream.set_read_timeout(None).is_err() {
+                return Err(self.closed());
+            }
+            self.read_timeout = None;
+        }
+        loop {
+            if let Some(frame) = self.buffered_frame()? {
+                return Ok(frame);
+            }
+            self.read_some()?;
+        }
+    }
+
     /// Marks the peer dead and reports it.
     fn closed(&mut self) -> LinkError {
         self.dead = true;
@@ -846,6 +870,24 @@ mod tests {
         );
         client.flush().unwrap();
         assert_eq!(server.recv_timeout(Duration::from_secs(5)).unwrap(), frame);
+    }
+
+    #[test]
+    fn blocking_receive_outwaits_an_earlier_timeout_and_ends_at_close() {
+        let (mut client, mut server) = link_pair();
+        assert_eq!(
+            server.recv_timeout(Duration::from_millis(10)),
+            Err(LinkError::Timeout)
+        );
+        let frame = Message::Shutdown.encode();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            client.send(frame).unwrap();
+            client.shutdown();
+        });
+        assert_eq!(server.recv().unwrap(), Message::Shutdown.encode());
+        assert_eq!(server.recv(), Err(LinkError::Closed));
+        sender.join().unwrap();
     }
 
     #[test]
