@@ -126,8 +126,8 @@ impl FaultPlan {
     /// (≥ 1.0; values below 1 are clamped). The message-passing server
     /// delays the worker's uploads by `straggler_unit × (multiplier − 1)`
     /// and derives its bounded-staleness lag from it
-    /// ([`FaultPlan::staleness_lag`]); the in-process trainer's barrier
-    /// round never waits and ignores it. It never changes what the
+    /// ([`FaultPlan::staleness_lag`]); the in-process trainer's
+    /// synchronous round never waits and ignores it. It never changes what the
     /// worker computes.
     pub fn straggle(mut self, worker: usize, multiplier: f64) -> Self {
         self.stragglers.insert(worker, multiplier.max(1.0));

@@ -69,12 +69,13 @@ impl IterationTimeEstimate {
 /// Measured wall-clock nanoseconds per round phase, as observed by the
 /// parameter server.
 ///
-/// In the barrier round mode the phases run back-to-back, so their sum is
-/// close to the round wall time ([`PhaseTimings::overlap_ratio`] ≈ 1). In
-/// the streaming mode votes run *inside* the collection window while
-/// later frames are still in flight, so the phase sum exceeds the wall
-/// time and the ratio rises above 1 — the ratio is the per-round
-/// observable for how much work the pipeline hid.
+/// On the batched wire the PS votes every file once the collection
+/// window closes, so the phases run back-to-back and their sum is close
+/// to the round wall time ([`PhaseTimings::overlap_ratio`] ≈ 1). On the
+/// chunked wire a file votes *inside* the window while later frames are
+/// still in flight, so the phase sum exceeds the wall time and the ratio
+/// rises above 1 — the ratio is the per-round observable for how much
+/// work the pipeline hid.
 ///
 /// Phase boundaries:
 /// * `compute_ns` — model broadcast until the first gradient frame
@@ -236,7 +237,7 @@ mod tests {
             round_ns: 200,
         };
         assert!((barrier.overlap_ratio() - 1.0).abs() < 1e-12);
-        // Streaming: votes ran inside the wire window, so the phase sum
+        // Chunked: votes ran inside the wire window, so the phase sum
         // exceeds the wall time.
         let streaming = PhaseTimings {
             round_ns: 170,

@@ -36,7 +36,8 @@ pub struct TrainingConfig {
     pub seed: u64,
     /// Benign-fault injection plan: crashes, replica drops and churn.
     /// (Stragglers, chunk drops and connection faults shape the wire's
-    /// rounds only; the barrier round here never waits.)
+    /// rounds only: the trainer offers whole replicas to the synchronous
+    /// round, which votes them at close and never waits.)
     /// [`FaultPlan::none`] disables injection and preserves the exact
     /// no-fault protocol behaviour bit for bit.
     pub faults: FaultPlan,
@@ -372,7 +373,7 @@ fn membership_report(
 /// 3. choose the Byzantine set (random / omniscient / fixed) and replace
 ///    every replica held by a Byzantine worker with the attack payload;
 /// 4. offer the round engine ([`RoundCore`]) every replica the fault
-///    plan delivers (the zero-latency link, on the barrier schedule); it
+///    plan delivers (the zero-latency link, the batched schedule); it
 ///    votes every file, then the aggregator combines the winners. A
 ///    baseline is the same round on an `r = 1` placement;
 /// 5. take the PS's SGD-with-momentum step at the step-decay schedule's
@@ -431,7 +432,7 @@ impl<'a> Trainer<'a> {
         self.check_config()?;
         let start = Instant::now();
         let config = &self.config;
-        // The engine's barrier round on the batched wire; the rate comes
+        // The engine's synchronous round on the batched wire; the rate comes
         // from the schedule, round by round.
         let session_config = ServerConfig {
             batch_size: config.batch_size,

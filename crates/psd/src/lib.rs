@@ -131,8 +131,13 @@ pub struct DeploySpec {
     pub reputation: bool,
     /// Wire format (`wire=batched` or `wire=chunked:256`).
     pub wire: WireFormat,
-    /// Round scheduling (`mode=barrier`, `mode=streaming` or
-    /// `mode=bounded:N` for bounded staleness with `max_staleness = N`).
+    /// How long a round waits for stragglers: `mode=streaming`, the
+    /// synchronous round, or `mode=bounded:N` for bounded staleness with
+    /// `max_staleness = N`. When votes run follows from `wire=`.
+    /// `mode=barrier` is accepted as another name for `mode=streaming`:
+    /// the benchmark's workload tokens still say it. A change to the
+    /// benchmark can drop the alias, and with it reduce `RoundMode` to
+    /// its `max_staleness`.
     pub mode: RoundMode,
     /// PS receive window in milliseconds (`recv-ms=`, positive).
     pub receive_timeout_ms: u64,
@@ -222,7 +227,7 @@ impl Default for DeploySpec {
             stragglers: Vec::new(),
             reputation: false,
             wire: WireFormat::Batched,
-            mode: RoundMode::Barrier,
+            mode: RoundMode::Streaming,
             receive_timeout_ms: 500,
             round_deadline_ms: 5000,
             dataset_memo: DatasetMemo::default(),
@@ -557,14 +562,13 @@ fn parse_wire(value: &str) -> Result<WireFormat, SpecError> {
 
 fn parse_mode(value: &str) -> Result<RoundMode, SpecError> {
     match value {
-        "barrier" => Ok(RoundMode::Barrier),
-        "streaming" => Ok(RoundMode::Streaming),
+        "streaming" | "barrier" => Ok(RoundMode::Streaming),
         other => match other.split_once(':') {
             Some(("bounded", s)) => Ok(RoundMode::BoundedStaleness {
                 max_staleness: parse_num("mode", s)?,
             }),
             _ => err(format!(
-                "mode=`{value}` (expected barrier, streaming or bounded:<s>)"
+                "mode=`{value}` (expected streaming, barrier or bounded:<s>)"
             )),
         },
     }
@@ -605,6 +609,13 @@ mod tests {
         assert!(matches!(spec.wire, WireFormat::Chunked(_)));
         assert!(spec.reputation);
         assert_eq!(spec.server_config().receive_timeout.as_millis(), 250);
+    }
+
+    #[test]
+    fn barrier_names_the_synchronous_round() {
+        let parsed = |mode: &str| DeploySpec::parse(&toks(mode)).unwrap();
+        assert_eq!(parsed("mode=barrier"), parsed("mode=streaming"));
+        assert_eq!(parsed("mode=barrier"), DeploySpec::default());
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! [`Session`](crate::Session) round; the session's delivery names the
 //! round's live holder sets and feeds it — frames from the channel and
 //! TCP PS, slices from the in-process trainer (`byzshield::Trainer`,
-//! the zero-latency link). The three [`RoundMode`]s are one private
-//! `ClosePolicy`, the two [`WireFormat`]s two replica stores the policy
-//! never looks inside. One private gate sits behind
+//! the zero-latency link). Of the [`RoundMode`](crate::RoundMode) the
+//! engine reads only the staleness horizon; each [`WireFormat`] is a
+//! replica store that also fixes when a file votes — a chunked file as
+//! soon as its last live holder completes it, a batched file at `close`,
+//! with every other file, on the kernel pool. One private gate sits behind
 //! [`RoundCore::ingest`] and [`RoundCore::offer`], the only ways a payload
 //! reaches a vote, so it is the one place that enforces what the paper's
 //! guarantee needs: **at most one replica per live holder in every file's
@@ -21,7 +23,7 @@
 use crate::batch::{decode_gradient_batch, BatchEntry};
 use crate::chunk::{decode_gradient_chunk, num_chunks, GradientChunkView};
 use crate::message::{aligned_floats, copy_aligned, float_bytes, floats};
-use crate::server::{RoundMode, ServerConfig, WireFormat};
+use crate::server::{ServerConfig, WireFormat};
 use crate::voter::{ChunkIngest, ShardedFileVoter};
 use crate::Assignment;
 use bytes::Bytes;
@@ -155,24 +157,6 @@ impl RoundResult {
     }
 }
 
-/// When a file's vote may close.
-#[derive(Debug, Clone, Copy)]
-struct ClosePolicy {
-    /// Vote a file in the window, once its last live holder delivered.
-    eager_finalize: bool,
-    /// Rounds a straggler's replica may trail its origin.
-    max_staleness: u64,
-}
-
-impl From<RoundMode> for ClosePolicy {
-    fn from(mode: RoundMode) -> Self {
-        ClosePolicy {
-            eager_finalize: mode == RoundMode::Streaming,
-            max_staleness: mode.max_staleness(),
-        }
-    }
-}
-
 /// One payload on its way through the gate.
 #[derive(Clone, Copy)]
 enum Piece<'a> {
@@ -204,7 +188,7 @@ impl Piece<'_> {
 /// Where the gate stored an admitted payload.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Landed {
-    /// The open round's store, where it may complete an eager vote.
+    /// The open round's store, where it may complete a chunked file.
     Open,
     /// A parked file's store.
     Parked,
@@ -418,7 +402,6 @@ struct Parked {
 /// doors share one gate and are the only ways a payload reaches a vote.
 pub struct RoundCore {
     wire: WireFormat,
-    policy: ClosePolicy,
     q_min: usize,
     model_len: usize,
     faults: FaultPlan,
@@ -443,9 +426,6 @@ pub struct RoundCore {
     store: ReplicaStore,
     outcomes: Vec<Option<Vote>>,
     on_time_frames: usize,
-    /// Batch entries that arrived on time (the batched wire's arrival
-    /// accounting; see [`RoundCore::close`]).
-    entries_seen: usize,
     vote_ns: u64,
 
     /// Parked files, in (origin round, file) order.
@@ -463,23 +443,18 @@ impl RoundCore {
             assignment.num_files(),
             assignment.load(),
         );
-        let policy = ClosePolicy::from(config.mode);
         let universe = config.faults.membership_universe(k);
         let lag: Vec<u64> = (0..universe)
-            .map(|w| config.faults.staleness_lag(w, policy.max_staleness))
+            .map(|w| config.faults.staleness_lag(w, config.mode.max_staleness()))
             .collect();
         let chunks = match config.wire {
             WireFormat::Batched => None,
             WireFormat::Chunked(cfg) => Some(num_chunks(model_len, cfg.span_len())),
         };
-        // A worker flushes per file when votes finalize eagerly and once
-        // per round otherwise; a flush is one batch frame, or every
-        // chunk of every flushed replica.
-        let flushes = if policy.eager_finalize { l } else { 1 };
-        let frames_per_worker = chunks.map_or(flushes, |chunks| l * chunks);
+        // One batch frame per worker, or every chunk of every replica.
+        let frames_per_worker = chunks.map_or(1, |chunks| l * chunks);
         RoundCore {
             wire: config.wire,
-            policy,
             q_min: config.q_min,
             model_len,
             faults: config.faults.clone(),
@@ -496,7 +471,6 @@ impl RoundCore {
             store: ReplicaStore::new(config.wire, 0..f, model_len),
             outcomes: vec![None; f],
             on_time_frames: 0,
-            entries_seen: 0,
             vote_ns: 0,
             backlog: Vec::new(),
         }
@@ -518,12 +492,12 @@ impl RoundCore {
         assert_eq!(holders.len(), self.assigned.len(), "one set per file");
         self.t = t;
         self.outcomes.fill(None);
-        (self.on_time_frames, self.entries_seen, self.vote_ns) = (0, 0, 0);
+        (self.on_time_frames, self.vote_ns) = (0, 0);
         for (file, live) in holders.iter().enumerate() {
             // A file votes on time iff at least `q_min` of its live
             // holders are lag-0; otherwise it defers by its slowest live
             // holder's lag. (All holders lag-0 but fewer than `q_min` of
-            // them stays on time and fails quorum like any barrier
+            // them stays on time and fails quorum like any synchronous
             // round.)
             let lags = live
                 .iter()
@@ -600,7 +574,7 @@ impl RoundCore {
                 let mut opened = Vec::new();
                 for entry in &batch.entries {
                     let file = entry.file as usize;
-                    match self.whole(w, batch.iteration, file, Piece::Entry { entry, in_place }) {
+                    match self.put(w, batch.iteration, file, Piece::Entry { entry, in_place }) {
                         Ok(landed) => {
                             admitted.accepted += 1;
                             opened.extend((landed == Landed::Open).then_some(file));
@@ -608,12 +582,11 @@ impl RoundCore {
                         Err(reason) => admitted.refused.push((entry.file, reason)),
                     }
                 }
-                // Decided per frame, before any of its entries can
-                // complete an eager vote.
+                // Decided per frame: a frame with a refused entry backs
+                // none of its votes.
                 if in_place && !admitted.refused.is_empty() {
                     opened.iter().for_each(|&file| self.store.detach(file, w));
                 }
-                opened.into_iter().for_each(|file| self.settle(file));
                 Ok(admitted)
             }
             WireFormat::Chunked(_) => {
@@ -645,10 +618,7 @@ impl RoundCore {
         if w >= self.lag.len() {
             return Err(Reject::UnknownWorker);
         }
-        if self.whole(w, t, file, Piece::Floats(replica))? == Landed::Open {
-            self.settle(file);
-        }
-        Ok(())
+        self.put(w, t, file, Piece::Floats(replica)).map(drop)
     }
 
     /// Books a decoded frame against the on-time window and resolves its
@@ -658,17 +628,6 @@ impl RoundCore {
         let lag = self.lag.get(worker as usize);
         self.on_time_frames += usize::from(lag.is_none_or(|&lag| lag == 0));
         lag.map(|_| worker as usize).ok_or(Reject::UnknownWorker)
-    }
-
-    /// A whole replica through the gate, with the arrival accounting
-    /// [`close`](Self::close) reads: delivered on time by an assigned
-    /// holder, whether or not it may vote.
-    fn whole(&mut self, w: usize, t: u64, file: usize, piece: Piece<'_>) -> Result<Landed, Reject> {
-        let verdict = self.put(w, t, file, piece);
-        let on_time = t == self.t && self.lag[w] == 0;
-        self.entries_seen +=
-            usize::from(on_time && matches!(verdict, Ok(_) | Err(Reject::Quarantined)));
-        verdict
     }
 
     /// An undecodable frame spends an expected frame too, so garbage
@@ -719,12 +678,14 @@ impl RoundCore {
         Ok(Landed::Open)
     }
 
-    /// Eager finalize: every live holder's replica of the open round's
-    /// `file` is complete, and the gate admits nobody else, so the vote
-    /// can never change.
+    /// Votes a chunked file of the open round in the window once every
+    /// live holder's replica is complete: the gate admits nobody else, so
+    /// the vote can never change. Only chunks call it. A batched file
+    /// waits for [`close`](Self::close), which votes all of them at once
+    /// on the kernel pool — one flat vote on the PS thread costs more
+    /// than the window it would hide in.
     fn settle(&mut self, file: usize) {
-        if self.policy.eager_finalize
-            && self.outcomes[file].is_none()
+        if self.outcomes[file].is_none()
             && self.store.complete_count(file) == self.holders[file].len()
         {
             let start = Instant::now();
@@ -737,10 +698,9 @@ impl RoundCore {
     /// every parked file due now over whatever arrived, and folds
     /// winners, audits and counters in canonical order.
     ///
-    /// `missing_votes` is `K·l` minus what arrived: a batched replica
-    /// when an on-time frame of this round delivered it for a file its
-    /// sender is assigned (even a quarantined sender's, which casts no
-    /// vote); a chunked one once all its chunks joined this round's vote.
+    /// `missing_votes` is `K·l` minus the replicas that joined one of
+    /// this round's on-time votes complete, on either wire: a quarantined
+    /// sender's replica and one that went to a parked file are missing.
     pub fn close(&mut self) -> RoundResult {
         let start = Instant::now();
         let f = self.assigned.len();
@@ -752,10 +712,7 @@ impl RoundCore {
             self.outcomes[file] = Some(outcome);
         }
 
-        let arrived = match &self.store {
-            Flat(_) => self.entries_seen,
-            Sharded(_) => (0..f).map(|file| self.store.complete_count(file)).sum(),
-        };
+        let arrived: usize = (0..f).map(|file| self.store.complete_count(file)).sum();
         let mut result = RoundResult {
             missing_votes: self.expected_replicas.saturating_sub(arrived),
             deferred_files: self.file_lag.iter().filter(|&&lag| lag > 0).count(),
@@ -796,7 +753,7 @@ impl RoundCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchFrameBuilder, ChunkConfig};
+    use crate::{BatchFrameBuilder, ChunkConfig, RoundMode};
     use bytes::BytesMut;
     use byz_assign::MolsAssignment;
 
@@ -1028,6 +985,45 @@ mod tests {
             if wire != WireFormat::Batched {
                 assert_eq!(at(&third), second_at, "{wire:?}: a buffer was not reused");
             }
+        }
+    }
+
+    #[test]
+    fn a_chunked_file_votes_once_its_holders_complete_and_a_batched_one_at_close() {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        for wire in [
+            WireFormat::Batched,
+            WireFormat::Chunked(ChunkConfig::dense(3)),
+        ] {
+            let config = ServerConfig {
+                wire,
+                ..ServerConfig::default()
+            };
+            let mut core = RoundCore::new(&assignment, 4, &config);
+            let holders = core.assigned.clone();
+            core.begin(1, &holders);
+            // Only file 0's holders upload: file 0 is complete, each of
+            // their other files has one replica of three.
+            let (frames, _) = uploads(wire, &holders, 1);
+            let is_from = |frame: &Bytes, w: u32| match wire {
+                WireFormat::Batched => decode_gradient_batch(frame).unwrap().worker == w,
+                WireFormat::Chunked(_) => decode_gradient_chunk(frame).unwrap().worker == w,
+            };
+            for frame in &frames {
+                if holders[0].iter().any(|&w| is_from(frame, w as u32)) {
+                    core.ingest(frame).unwrap();
+                }
+            }
+            let voted: Vec<usize> = (0..25).filter(|&f| core.outcomes[f].is_some()).collect();
+            let eager = if wire == WireFormat::Batched {
+                vec![]
+            } else {
+                vec![0]
+            };
+            assert_eq!(voted, eager, "{wire:?}");
+            let result = core.close();
+            assert_eq!(result.voted[0].file, 0);
+            assert_eq!(*result.winners[0], replica(1, 0));
         }
     }
 

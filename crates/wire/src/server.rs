@@ -53,11 +53,13 @@ impl LocalAttack {
     }
 }
 
-/// How gradients are laid out on the wire.
+/// How gradients are laid out on the wire, and with it when a round
+/// sends and votes them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireFormat {
     /// One frame per worker per round carrying all of its replicas
-    /// (the pre-chunking protocol, and the default).
+    /// (the pre-chunking protocol, and the default); the PS votes every
+    /// file at once when the round closes.
     Batched,
     /// Each replica streams as `num_chunks` independent
     /// `KIND_GRADIENT_CHUNK` frames covering disjoint coordinate
@@ -65,7 +67,9 @@ pub enum WireFormat {
     /// The PS votes incrementally per shard as chunks arrive
     /// ([`ShardedFileVoter`](crate::ShardedFileVoter)), holding peak
     /// decode state to O(chunk) instead of O(d); a lost or corrupt chunk
-    /// degrades its replica exactly like a lost whole replica.
+    /// degrades its replica exactly like a lost whole replica. Workers
+    /// flush each file's chunks as soon as it is computed, and the PS
+    /// votes a file as soon as its last live holder completes it.
     Chunked(ChunkConfig),
 }
 
@@ -93,24 +97,17 @@ impl WireFormat {
     }
 }
 
-/// How the PS schedules the stages of a round.
-///
-/// Both modes compute bit-identical parameters, vote outcomes, audits
-/// and reputation trajectories: streaming changes only *when* votes run,
-/// never what they see — outcomes land in per-file slots and every
-/// counter, audit and update is folded in canonical file order after the
-/// collection window closes.
+/// How long a round waits for its replicas: the one policy of the
+/// synchronous round. When votes run is not a mode but a property of
+/// the [`WireFormat`]: a chunked file votes as soon as its last live
+/// holder completes it, a batched round votes every file at close. Every
+/// mode folds counters, audits and the update in canonical file order,
+/// so no schedule changes a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoundMode {
-    /// Strict phases: collect every frame, then vote all files, then
-    /// update (the pre-pipelining protocol, and the default).
+    /// The paper's synchronous round: every replica is due in the round
+    /// it was computed for (the default).
     #[default]
-    Barrier,
-    /// Pipelined: workers emit each file's frames as soon as that file's
-    /// gradient is computed, the PS finalizes each file's vote the
-    /// moment its last live replica completes (stragglers only delay
-    /// their own files). Vote work hides inside the collection window
-    /// instead of serializing after it.
     Streaming,
     /// Bounded staleness: the PS closes each round once the *on-time*
     /// quorum of files finalizes, never waiting for stragglers. A
@@ -125,7 +122,7 @@ pub enum RoundMode {
     /// the winner discounted by `1/(1 + lag)`, in canonical
     /// `(origin round, file, shard)` order. With `max_staleness = 0`
     /// every lag is zero and the schedule is bit-identical to
-    /// [`RoundMode::Barrier`].
+    /// [`RoundMode::Streaming`].
     BoundedStaleness {
         /// Maximum admitted lateness `s` in rounds; gradients due later
         /// than `s` rounds after their origin are discarded like drops.
@@ -137,10 +134,10 @@ impl RoundMode {
     /// Rounds a replica may trail its origin and still be counted: `s`
     /// under [`RoundMode::BoundedStaleness`], 0 otherwise. Once the PS
     /// has begun a round past `t + s`, nothing stamped `t` reaches a
-    /// vote.
+    /// vote. This is all the round reads of a mode.
     pub fn max_staleness(self) -> u64 {
         match self {
-            RoundMode::Barrier | RoundMode::Streaming => 0,
+            RoundMode::Streaming => 0,
             RoundMode::BoundedStaleness { max_staleness } => max_staleness,
         }
     }
@@ -181,9 +178,9 @@ pub struct ServerConfig {
     /// pre-chunking protocol bit-for-bit; [`WireFormat::Chunked`] streams
     /// fixed-size chunk frames and votes shard-wise at the PS.
     pub wire: WireFormat,
-    /// Whether the round runs as strict barriers or as a pipeline
-    /// overlapping compute, wire, vote and update. Semantically
-    /// identical either way; see [`RoundMode`].
+    /// How long a round waits for stragglers: the synchronous round, or
+    /// bounded staleness. The wire format, not the mode, decides when
+    /// votes run; see [`RoundMode`].
     pub mode: RoundMode,
     /// How long the PS waits for a straggling frame before declaring the
     /// remaining replicas of the round missing.
@@ -220,7 +217,7 @@ impl Default for ServerConfig {
             faults: FaultPlan::none(),
             q_min: 1,
             wire: WireFormat::Batched,
-            mode: RoundMode::Barrier,
+            mode: RoundMode::Streaming,
             receive_timeout: Duration::from_millis(500),
             round_deadline: Duration::from_secs(5),
             straggler_unit: Duration::from_millis(1),
@@ -275,10 +272,10 @@ pub struct RoundSummary {
     /// round modes must agree on these byte for byte — the socket
     /// conformance suite compares them directly.
     pub audits: Vec<VoteAudit>,
-    /// Measured wall-clock phase split of this round. In
-    /// [`RoundMode::Streaming`] votes run inside the wire window, so
-    /// [`PhaseTimings::overlap_ratio`] rises above 1. Wall-clock values:
-    /// nondeterministic across runs.
+    /// Measured wall-clock phase split of this round. On the chunked
+    /// wire votes run inside the wire window, so
+    /// [`PhaseTimings::overlap_ratio`] rises above 1; a batched round
+    /// votes after it. Wall-clock values: nondeterministic across runs.
     pub timings: PhaseTimings,
 }
 
@@ -460,7 +457,6 @@ impl MessagePassingCluster {
             is_crashed: config.faults.is_crashed(worker_id),
             attack: config.attack,
             wire: config.wire,
-            flush_per_file: config.mode == RoundMode::Streaming,
             plan: config.faults.clone(),
             max_staleness: config.mode.max_staleness(),
             delay: config
@@ -625,9 +621,6 @@ pub(crate) struct WorkerContext {
     pub(crate) is_crashed: bool,
     pub(crate) attack: LocalAttack,
     pub(crate) wire: WireFormat,
-    /// Upload each file's replica the moment it is computed (streaming
-    /// rounds) instead of once per round.
-    pub(crate) flush_per_file: bool,
     pub(crate) plan: FaultPlan,
     /// The PS's horizon `s` ([`RoundMode::max_staleness`]): a broadcast
     /// with one past `s` rounds newer queued behind it is moot.
@@ -656,10 +649,10 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
     // Every broadcast overwrites the parameters: only the shape matters.
     let mut model = FastMlp::zeroed(&ctx.dims);
     let param_len = model.num_params();
-    // Computed replicas wait in `outbox` and leave through its `flush` —
-    // after every file when the PS finalizes votes eagerly, once per
-    // round otherwise. It lives as long as the connection, so the
-    // chunked wire computes every replica into one reused buffer.
+    // Computed replicas leave through `outbox`, on the schedule of the
+    // wire: a batched round as one frame at its end, a chunked one file
+    // by file. It lives as long as the connection, so the chunked wire
+    // computes every replica into one reused buffer.
     let mut outbox = Outbox::new(ctx, param_len);
     let mut inbox = Inbox::default();
 
@@ -723,28 +716,23 @@ pub(crate) fn worker_loop(ctx: &WorkerContext, link: &mut dyn Link) -> WorkerExi
                         Some((file as u32, samples, keep))
                     })
                     .collect();
-                if !ctx.flush_per_file {
-                    let kept = uploads.iter().filter(|(_, _, keep)| *keep).count();
-                    outbox.begin(ctx, iteration, kept);
-                }
+                let kept = uploads.iter().filter(|(_, _, keep)| *keep).count();
+                outbox.begin(ctx, iteration, kept);
                 for (file, samples, keep) in &uploads {
-                    if ctx.flush_per_file {
-                        outbox.begin(ctx, iteration, usize::from(*keep));
-                    }
                     let (x, labels) = ctx.dataset.gather(samples);
                     // The replica — true or forged — written once, into
                     // wherever it is going.
-                    outbox.put(ctx, *file, *keep, |gradient| {
+                    let put = outbox.put(ctx, link, *file, *keep, |gradient| {
                         model.gradient_sum_into(&x, samples.len(), &labels, gradient);
                         if ctx.is_byz {
                             ctx.attack.forge(gradient);
                         }
                     });
-                    if ctx.flush_per_file && outbox.flush(link).is_err() {
+                    if put.is_err() {
                         return WorkerExit::LinkClosed;
                     }
                 }
-                if !ctx.flush_per_file && outbox.flush(link).is_err() {
+                if outbox.end_round(link).is_err() {
                     return WorkerExit::LinkClosed;
                 }
             }
@@ -822,12 +810,14 @@ impl Inbox {
     }
 }
 
-/// Where a worker's replicas (`len` floats each) are computed and wait
-/// for upload. The batched wire computes each replica inside the
-/// outgoing frame itself, which checksums it as it commits. The chunked
-/// wire computes every replica into one reused buffer and cuts its chunk
-/// frames (sealed as each payload is copied) at once, while the replica
-/// is still in cache; what waits for `flush` is frames, not gradients.
+/// Where a worker's replicas (`len` floats each) are computed, and when
+/// they leave. The batched wire computes each replica inside the
+/// outgoing frame itself, which checksums it as it commits, and sends
+/// that one frame when the round ends. The chunked wire computes every
+/// replica into one reused buffer and cuts its chunk frames (sealed as
+/// each payload is copied) at once, while the replica is still in cache,
+/// and flushes them before the next file is computed: the PS votes a
+/// chunked file as soon as its last holder completes it.
 enum Outbox {
     Frame {
         len: usize,
@@ -839,34 +829,29 @@ enum Outbox {
         /// The replica being encoded; `gradient_sum_into` overwrites
         /// every coordinate, so nothing is cleared between replicas.
         replica: Vec<f32>,
-        frames: Vec<Bytes>,
     },
 }
 
 impl Outbox {
     fn new(ctx: &WorkerContext, len: usize) -> Self {
-        // Replicas per flush.
-        let group = if ctx.flush_per_file {
-            1
-        } else {
-            ctx.my_files.len()
-        };
         match ctx.wire {
-            WireFormat::Batched => Outbox::Frame {
-                len,
-                builder: Box::new(BatchFrameBuilder::new(group, group * len)),
-            },
+            WireFormat::Batched => {
+                let files = ctx.my_files.len();
+                Outbox::Frame {
+                    len,
+                    builder: Box::new(BatchFrameBuilder::new(files, files * len)),
+                }
+            }
             WireFormat::Chunked(cfg) => Outbox::Chunks {
                 cfg,
                 iteration: 0,
                 replica: vec![0.0; len],
-                frames: Vec::new(),
             },
         }
     }
 
-    /// Opens the next flush of round `iteration`, which keeps `uploads`
-    /// of the replicas put into it.
+    /// Opens round `iteration`, which keeps `uploads` of the replicas
+    /// put into it.
     fn begin(&mut self, ctx: &WorkerContext, iteration: u64, uploads: usize) {
         match self {
             Outbox::Frame { builder, .. } => {
@@ -881,30 +866,35 @@ impl Outbox {
     /// forgotten. A kept replica on the chunked wire becomes its chunk
     /// frames here, message loss rolling per chunk (a lost chunk strands
     /// its replica at the PS, which degrades it like a lost whole
-    /// replica).
+    /// replica), and they leave before this returns.
+    ///
+    /// # Errors
+    ///
+    /// The link's, when a chunked replica could not be sent.
     fn put(
         &mut self,
         ctx: &WorkerContext,
+        link: &mut dyn Link,
         file: u32,
         keep: bool,
         compute: impl FnOnce(&mut [f32]),
-    ) {
+    ) -> Result<(), LinkError> {
         match self {
             Outbox::Frame { len, builder } => {
                 compute(builder.next_slot(*len));
                 if keep {
                     builder.commit(file);
                 }
+                Ok(())
             }
             Outbox::Chunks {
                 cfg,
                 iteration,
                 replica,
-                frames,
             } => {
                 compute(replica);
                 if !keep {
-                    return;
+                    return Ok(());
                 }
                 let worker = ctx.worker_id;
                 for chunk in 0..num_chunks(replica.len(), cfg.span_len()) {
@@ -914,7 +904,7 @@ impl Outbox {
                     {
                         continue;
                     }
-                    frames.push(encode_gradient_chunk_into(
+                    link.queue(encode_gradient_chunk_into(
                         *iteration,
                         worker as u32,
                         file,
@@ -922,26 +912,25 @@ impl Outbox {
                         chunk,
                         cfg,
                         BytesMut::new(),
-                    ));
+                    ))?;
                 }
+                link.flush()
             }
         }
     }
 
-    /// Sends what was put since the last [`begin`](Self::begin). The
-    /// batched wire seals it as ONE frame — sent even when every entry
-    /// was dropped: the frame itself is cheap and keeps the PS's frame
-    /// accounting deterministic — and the chunked wire queues its chunk
-    /// frames. Either way the link is flushed, so what was put leaves
-    /// here: a streaming round releases each file at its boundary.
-    fn flush(&mut self, link: &mut dyn Link) -> Result<(), LinkError> {
+    /// Ends the round. The batched wire seals what was put as ONE frame
+    /// and flushes it — sent even when every entry was dropped: the
+    /// frame itself is cheap and keeps the PS's frame accounting
+    /// deterministic. The chunked wire has sent everything already.
+    fn end_round(&mut self, link: &mut dyn Link) -> Result<(), LinkError> {
         match self {
-            Outbox::Frame { builder, .. } => link.queue(builder.finish())?,
-            Outbox::Chunks { frames, .. } => {
-                frames.drain(..).try_for_each(|frame| link.queue(frame))?;
+            Outbox::Frame { builder, .. } => {
+                link.queue(builder.finish())?;
+                link.flush()
             }
+            Outbox::Chunks { .. } => Ok(()),
         }
-        link.flush()
     }
 }
 
@@ -1232,121 +1221,6 @@ mod tests {
         assert!(summaries.iter().all(|s| s.degraded_votes == 9));
     }
 
-    /// Streaming must change *when* votes run, never what they see: every
-    /// vote-derived field of the round summary has to agree with the
-    /// barrier run bit-for-bit (wall-clock timings are exempt).
-    fn assert_summaries_equivalent(barrier: &[RoundSummary], streaming: &[RoundSummary]) {
-        assert_eq!(barrier.len(), streaming.len());
-        for (a, b) in barrier.iter().zip(streaming) {
-            assert_eq!(a.iteration, b.iteration);
-            assert_eq!(a.non_strict_votes, b.non_strict_votes, "it {}", a.iteration);
-            assert_eq!(a.missing_votes, b.missing_votes, "it {}", a.iteration);
-            assert_eq!(a.degraded_votes, b.degraded_votes, "it {}", a.iteration);
-            assert_eq!(a.abandoned_files, b.abandoned_files, "it {}", a.iteration);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.suspicions), bits(&b.suspicions));
-            assert_eq!(a.quarantined_workers, b.quarantined_workers);
-            assert_eq!(a.reputation_events.len(), b.reputation_events.len());
-        }
-    }
-
-    #[test]
-    fn streaming_batched_wire_matches_barrier_bitwise() {
-        // Byzantine workers, message drops, a straggler AND reputation at
-        // once: the streaming round must still compute byte-identical
-        // parameters and identical vote/audit/ledger trajectories,
-        // because votes fold in canonical file order regardless of when
-        // they finalized.
-        let data = dataset();
-        let dims = vec![36usize, 8, 4];
-        let cluster = MessagePassingCluster::new(
-            MolsAssignment::new(5, 3).unwrap().build(),
-            Arc::clone(&data),
-            dims.clone(),
-        );
-        let barrier_cfg = ServerConfig {
-            faults: FaultPlan::new(7).drop_rate(0.08).straggle(4, 3.0),
-            reputation: Some(ReputationConfig::default()),
-            ..config(10, vec![0, 5])
-        };
-        let streaming_cfg = ServerConfig {
-            mode: RoundMode::Streaming,
-            ..barrier_cfg.clone()
-        };
-        let (p_barrier, s_barrier) = cluster.train(initial_params(&dims), &barrier_cfg);
-        let (p_streaming, s_streaming) = cluster.train(initial_params(&dims), &streaming_cfg);
-
-        assert_eq!(p_barrier, p_streaming, "modes must be bit-identical");
-        assert_summaries_equivalent(&s_barrier, &s_streaming);
-        // Streaming emits one single-entry frame per (worker, file) —
-        // dropped entries included, as empty frames — so the count stays
-        // deterministic at k·l instead of the barrier's k.
-        assert!(s_barrier.iter().all(|s| s.frames_received == 15));
-        assert!(s_streaming.iter().all(|s| s.frames_received == 15 * 5));
-    }
-
-    #[test]
-    fn streaming_chunked_wire_matches_barrier_bitwise() {
-        // Same property over the chunked wire: per-file eager finalize
-        // through ShardedFileVoter plus the sharded flush must agree with
-        // the barrier's vote-everything-at-the-end pass, frame for frame.
-        let data = dataset();
-        let dims = vec![36usize, 8, 4];
-        let cluster = MessagePassingCluster::new(
-            MolsAssignment::new(5, 3).unwrap().build(),
-            Arc::clone(&data),
-            dims.clone(),
-        );
-        let barrier_cfg = ServerConfig {
-            wire: WireFormat::Chunked(ChunkConfig::dense(128)),
-            faults: FaultPlan::new(11).drop_rate(0.05),
-            ..config(10, vec![0, 5])
-        };
-        let streaming_cfg = ServerConfig {
-            mode: RoundMode::Streaming,
-            ..barrier_cfg.clone()
-        };
-        let (p_barrier, s_barrier) = cluster.train(initial_params(&dims), &barrier_cfg);
-        let (p_streaming, s_streaming) = cluster.train(initial_params(&dims), &streaming_cfg);
-
-        assert_eq!(p_barrier, p_streaming, "modes must be bit-identical");
-        assert_summaries_equivalent(&s_barrier, &s_streaming);
-        // Chunk frames are emitted per file instead of per round, but the
-        // set of frames on the wire is identical.
-        for (a, b) in s_barrier.iter().zip(&s_streaming) {
-            assert_eq!(a.frames_received, b.frames_received);
-            assert_eq!(a.bytes_received, b.bytes_received);
-        }
-    }
-
-    #[test]
-    fn streaming_tolerates_crashed_workers_like_barrier() {
-        // Crashed workers send nothing in streaming mode (no empty
-        // frames), so the PS must fall back to the timeout exactly like
-        // the barrier wire — and report identical degradation accounting.
-        let data = dataset();
-        let dims = vec![36usize, 8, 4];
-        let cluster = MessagePassingCluster::new(
-            MolsAssignment::new(5, 3).unwrap().build(),
-            Arc::clone(&data),
-            dims.clone(),
-        );
-        let cfg = ServerConfig {
-            faults: FaultPlan::new(0).crash_many([3, 9]),
-            mode: RoundMode::Streaming,
-            receive_timeout: Duration::from_millis(300),
-            ..config(4, vec![])
-        };
-        let (_, summaries) = cluster.train(initial_params(&dims), &cfg);
-        // Same layout as `crashed_workers_are_tolerated`: 2 crashed
-        // workers × 5 files missing, 9 distinct files thinned; the 13
-        // survivors emit 5 single-entry frames each.
-        assert!(summaries.iter().all(|s| s.missing_votes == 10));
-        assert!(summaries.iter().all(|s| s.frames_received == 13 * 5));
-        assert!(summaries.iter().all(|s| s.abandoned_files == 0));
-        assert!(summaries.iter().all(|s| s.degraded_votes == 9));
-    }
-
     #[test]
     fn streaming_round_reports_phase_timings() {
         // The phase probes are wall-clock and thus nondeterministic, but
@@ -1359,11 +1233,7 @@ mod tests {
             Arc::clone(&data),
             dims.clone(),
         );
-        let cfg = ServerConfig {
-            mode: RoundMode::Streaming,
-            ..config(3, vec![])
-        };
-        let (_, summaries) = cluster.train(initial_params(&dims), &cfg);
+        let (_, summaries) = cluster.train(initial_params(&dims), &config(3, vec![]));
         for s in &summaries {
             let t = &s.timings;
             assert!(t.round_ns > 0, "round must take time");
@@ -1515,8 +1385,8 @@ mod tests {
         // the straggler: it closes its last round while the straggler is
         // still waiting out an earlier one. The run's traffic totals must
         // still be everything the workers sent — and the straggler, whose
-        // uploads no round can count, sends fewer frames than under
-        // barrier.
+        // uploads no round can count, sends fewer frames than in the
+        // synchronous round.
         let data = dataset();
         let dims = vec![36usize, 8, 4];
         let cluster = MessagePassingCluster::new(
@@ -1529,7 +1399,7 @@ mod tests {
             WireFormat::Batched,
             WireFormat::Chunked(ChunkConfig::dense(64)),
         ] {
-            let barrier = ServerConfig {
+            let synchronous = ServerConfig {
                 wire,
                 ..config(3, vec![])
             };
@@ -1537,7 +1407,7 @@ mod tests {
                 mode: RoundMode::BoundedStaleness { max_staleness: 1 },
                 faults: FaultPlan::new(0).straggle(STRAGGLER, 4.0),
                 straggler_unit: Duration::from_millis(60),
-                ..barrier.clone()
+                ..synchronous.clone()
             };
             let counted = |config: &ServerConfig| {
                 let sent: Vec<[AtomicUsize; 2]> = (0..15).map(|_| Default::default()).collect();
@@ -1551,9 +1421,9 @@ mod tests {
                     .collect();
                 (run.params, run.summaries, sent)
             };
-            let (p_barrier, s_barrier, sent_barrier) = counted(&barrier);
+            let (p_sync, s_sync, sent_sync) = counted(&synchronous);
             let (p_bounded, s_bounded, sent_bounded) = counted(&bounded);
-            assert_eq!(p_bounded, p_barrier, "{wire:?}");
+            assert_eq!(p_bounded, p_sync, "{wire:?}");
             let totals = |s: &[RoundSummary]| {
                 s.iter().fold([0, 0], |[frames, bytes], r| {
                     [frames + r.frames_received, bytes + r.bytes_received]
@@ -1563,13 +1433,13 @@ mod tests {
                 sent.iter()
                     .fold([0, 0], |[frames, bytes], s| [frames + s[0], bytes + s[1]])
             };
-            assert_eq!(totals(&s_barrier), sent_total(&sent_barrier), "{wire:?}");
+            assert_eq!(totals(&s_sync), sent_total(&sent_sync), "{wire:?}");
             assert_eq!(totals(&s_bounded), sent_total(&sent_bounded), "{wire:?}");
             assert!(
-                sent_bounded[STRAGGLER][0] < sent_barrier[STRAGGLER][0],
-                "{wire:?}: the straggler sent {} frames, {} under barrier",
+                sent_bounded[STRAGGLER][0] < sent_sync[STRAGGLER][0],
+                "{wire:?}: the straggler sent {} frames, {} when synchronous",
                 sent_bounded[STRAGGLER][0],
-                sent_barrier[STRAGGLER][0]
+                sent_sync[STRAGGLER][0]
             );
         }
     }
@@ -1586,7 +1456,6 @@ mod tests {
             is_crashed: false,
             attack: LocalAttack::Constant { value: 0.0 },
             wire: WireFormat::Batched,
-            flush_per_file: false,
             plan: FaultPlan::none(),
             max_staleness: mode.max_staleness(),
             delay,
@@ -1618,9 +1487,89 @@ mod tests {
         (exit, uploads.collect())
     }
 
+    /// A link that hands a worker `script` and logs what it uploads:
+    /// each frame as its round and files, each flush as `None`.
+    struct Recorder {
+        script: VecDeque<Bytes>,
+        log: Vec<Option<(u64, Vec<u32>)>>,
+    }
+
+    impl Link for Recorder {
+        fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
+            let upload = match crate::decode_gradient_batch(&frame) {
+                Ok(batch) => (
+                    batch.iteration,
+                    batch.entries.iter().map(|e| e.file).collect(),
+                ),
+                Err(_) => {
+                    let chunk = crate::decode_gradient_chunk(&frame).unwrap();
+                    (chunk.iteration, vec![chunk.file])
+                }
+            };
+            self.log.push(Some(upload));
+            Ok(())
+        }
+
+        fn flush(&mut self) -> Result<(), LinkError> {
+            self.log.push(None);
+            Ok(())
+        }
+
+        fn recv_timeout(&mut self, _: Duration) -> Result<Bytes, LinkError> {
+            self.script.pop_front().ok_or(LinkError::Closed)
+        }
+
+        fn try_recv(&mut self) -> Result<Bytes, LinkError> {
+            self.recv_timeout(Duration::ZERO)
+        }
+    }
+
+    #[test]
+    fn the_wire_sets_when_a_worker_uploads() {
+        // d = 332 floats in 128-float chunks: three frames per replica.
+        let chunked = WireFormat::Chunked(ChunkConfig::dense(128));
+        let files = [0u32, 2, 3, 4];
+        // `mode=barrier` parses to the synchronous round, so these two
+        // modes are every schedule a deployment can ask for.
+        for (mode, rounds) in [
+            (RoundMode::Streaming, vec![1]),
+            (RoundMode::BoundedStaleness { max_staleness: 1 }, vec![1, 2]),
+        ] {
+            for wire in [WireFormat::Batched, chunked] {
+                let ctx = WorkerContext {
+                    wire,
+                    ..scripted_worker(mode, Duration::ZERO)
+                };
+                let mut link = Recorder {
+                    script: rounds.iter().map(|&t| broadcast(t)).collect(),
+                    log: Vec::new(),
+                };
+                assert_eq!(worker_loop(&ctx, &mut link), WorkerExit::LinkClosed);
+                // Batched: one frame with every file, flushed once a
+                // round. Chunked: each file's chunks, flushed before the
+                // next file is computed.
+                let want: Vec<_> = rounds
+                    .iter()
+                    .flat_map(|&t| match wire {
+                        WireFormat::Batched => vec![Some((t, files.to_vec())), None],
+                        WireFormat::Chunked(_) => files
+                            .iter()
+                            .flat_map(|&file| {
+                                let mut flush = vec![Some((t, vec![file])); 3];
+                                flush.push(None);
+                                flush
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                assert_eq!(link.log, want, "{wire:?} {mode:?}");
+            }
+        }
+    }
+
     #[test]
     fn a_queued_shutdown_supersedes_every_broadcast_before_it() {
-        let ctx = scripted_worker(RoundMode::Barrier, Duration::ZERO);
+        let ctx = scripted_worker(RoundMode::Streaming, Duration::ZERO);
         let script = vec![
             broadcast(1),
             broadcast(2),
@@ -1632,10 +1581,10 @@ mod tests {
 
     #[test]
     fn a_worker_skips_the_rounds_past_the_horizon() {
-        let barrier = scripted_worker(RoundMode::Barrier, Duration::ZERO);
+        let synchronous = scripted_worker(RoundMode::Streaming, Duration::ZERO);
         let queued = |rounds: &[u64]| rounds.iter().map(|&t| broadcast(t)).collect();
         assert_eq!(
-            run_scripted(&barrier, queued(&[1, 2])),
+            run_scripted(&synchronous, queued(&[1, 2])),
             (WorkerExit::LinkClosed, vec![2])
         );
         let bounded = RoundMode::BoundedStaleness { max_staleness: 1 };
@@ -1654,7 +1603,7 @@ mod tests {
 
     #[test]
     fn a_corrupt_frame_supersedes_nothing() {
-        let ctx = scripted_worker(RoundMode::Barrier, Duration::ZERO);
+        let ctx = scripted_worker(RoundMode::Streaming, Duration::ZERO);
         let mut corrupt = BytesMut::from(&broadcast(99)[..]);
         let last = corrupt.len() - 1;
         corrupt[last] ^= 1;
@@ -1806,9 +1755,10 @@ mod tests {
 
     #[test]
     fn stuffing_cannot_finalize_a_streaming_vote_early() {
-        // The file's honest holders all straggle, so the rogue's three
-        // forged entries are in long before them. An eager finalize that
-        // counted entries instead of holders closed the vote right there,
+        // The file's honest holders all straggle, so the rogue's forged
+        // replica of it — complete, and sent three times over — is in
+        // long before theirs. An eager vote that counted complete
+        // replicas instead of live holders would close right there,
         // honest replicas excluded.
         let rogue = Rogue::new();
         let holders = rogue
@@ -1816,21 +1766,22 @@ mod tests {
             .assignment
             .graph()
             .workers_of(rogue.unheld as usize);
+        let chunking = ChunkConfig::dense(128);
         let cfg = ServerConfig {
-            mode: RoundMode::Streaming,
+            wire: WireFormat::Chunked(chunking),
             faults: holders
                 .iter()
                 .fold(FaultPlan::new(0), |plan, &w| plan.straggle(w, 2.0)),
             straggler_unit: Duration::from_millis(80),
+            receive_timeout: Duration::from_millis(300),
             ..config(2, vec![])
         };
-        // One frame per assigned file, like any streaming worker.
-        let script = |t: u64, copies: usize| {
-            let mut frames = vec![rogue.batch(t, rogue.unheld, 0); rogue.cluster.assignment.load()];
-            frames[0] = rogue.batch(t, rogue.unheld, copies);
-            frames
+        let stuffed = |t| {
+            let replica =
+                crate::encode_gradient_chunks(t, Rogue::ID, rogue.unheld, &rogue.forged, &chunking);
+            [replica.clone(), replica.clone(), replica].concat()
         };
-        rogue.assert_inert(&cfg, &|t| script(t, 3), &|t| script(t, 0));
+        rogue.assert_inert(&cfg, &stuffed, &|_| Vec::new());
     }
 
     #[test]
@@ -1955,7 +1906,6 @@ mod tests {
                     is_crashed: false,
                     attack: LocalAttack::ReversedGradient { magnitude: 3.0 },
                     wire: WireFormat::Chunked(cfg),
-                    flush_per_file: false,
                     plan: FaultPlan::new(17).drop_rate(drop_rate),
                     max_staleness: 0,
                     delay: Duration::ZERO,
@@ -1976,12 +1926,13 @@ mod tests {
                         let samples: Vec<usize> = table[file].iter().map(|&i| i as usize).collect();
                         let (x, labels) = data.gather(&samples);
                         let keep = !ctx.plan.drops_replica(t, 2, file);
-                        outbox.put(&ctx, file as u32, keep, |g| {
+                        let put = outbox.put(&ctx, &mut worker_end, file as u32, keep, |g| {
                             model.gradient_sum_into(&x, samples.len(), &labels, g);
                             if is_byz {
                                 ctx.attack.forge(g);
                             }
                         });
+                        put.unwrap();
                         if !keep {
                             dropped_replicas += 1;
                             continue;
@@ -1999,7 +1950,7 @@ mod tests {
                             }
                         }
                     }
-                    outbox.flush(&mut worker_end).unwrap();
+                    outbox.end_round(&mut worker_end).unwrap();
                 }
                 let mut got = Vec::new();
                 while let Ok(frame) = ps_end.recv_timeout(Duration::from_millis(10)) {

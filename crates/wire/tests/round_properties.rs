@@ -1,11 +1,12 @@
 //! Thread-free, link-free properties of the round engine: for random
 //! fault plans, Byzantine sets, holder sets and arrival orders, across
-//! {batch, chunk} × {Barrier, Streaming, Bounded(0..=2)}, a
-//! [`RoundResult`] is a function of the *set* of replicas delivered in a
-//! round — never of their order, nor of the door they came through
+//! {batch, chunk} × {Streaming, Bounded(0..=2)}, a [`RoundResult`] is a
+//! function of the *set* of replicas delivered in a round — never of
+//! their order, of when the wire's schedule votes (a chunked file in the
+//! window, a batched one at close), nor of the door they came through
 //! (frames into `ingest`, voted in place or copied out, slices into
-//! `offer`) — and Streaming
-//! and `Bounded{0}` are Barrier bit for bit (winners, audits, counters).
+//! `offer`) — and `Bounded{0}` is Streaming bit for bit (winners,
+//! audits, counters).
 
 use bytes::Bytes;
 use byz_assign::{DynamicAssignment, MolsAssignment};
@@ -73,8 +74,8 @@ impl Placement {
     }
 }
 
-/// One flush of worker `w`'s round-`t` upload: the replicas the plan does
-/// not drop whole.
+/// Worker `w`'s round-`t` upload: the replicas the plan does not drop
+/// whole.
 struct Flush {
     w: usize,
     t: u64,
@@ -82,20 +83,16 @@ struct Flush {
 }
 
 /// What worker `w` uploads for round `t`: the worker loop's protocol,
-/// restated without a link — replicas flush per file when streaming and
-/// once per round otherwise.
-fn worker_flushes(
+/// restated without a link. A crashed worker uploads nothing.
+fn worker_upload(
     files: &[usize],
     config: &ServerConfig,
     byzantine: &[usize],
     w: usize,
     t: u64,
-) -> Vec<Flush> {
+) -> Option<Flush> {
     let plan = &config.faults;
-    if plan.is_crashed(w) {
-        return Vec::new();
-    }
-    let flush = |files: &[usize]| Flush {
+    (!plan.is_crashed(w)).then(|| Flush {
         w,
         t,
         replicas: files
@@ -103,16 +100,10 @@ fn worker_flushes(
             .filter(|&&file| !plan.drops_replica(t, w, file))
             .map(|&file| (file as u32, gradient(t, file, byzantine.contains(&w))))
             .collect(),
-    };
-    if config.mode == RoundMode::Streaming {
-        let per_file = files.iter().map(std::slice::from_ref);
-        per_file.map(flush).collect()
-    } else {
-        vec![flush(files)]
-    }
+    })
 }
 
-/// A flush on the wire: one (possibly empty) batch frame, or every
+/// An upload on the wire: one (possibly empty) batch frame, or every
 /// undropped chunk of every replica.
 fn frames(flush: &Flush, config: &ServerConfig) -> Vec<Bytes> {
     let Flush { w, t, replicas } = flush;
@@ -224,10 +215,7 @@ fn deliver(
     door: Door,
 ) -> (Vec<RoundResult>, Vec<Verdict>) {
     let assignment = MolsAssignment::new(5, 3).unwrap().build();
-    let max_staleness = match config.mode {
-        RoundMode::BoundedStaleness { max_staleness } => max_staleness,
-        _ => 0,
-    };
+    let max_staleness = config.mode.max_staleness();
     let mut core = RoundCore::new(&assignment, D, config);
     let mut state = seed | 1;
     let mut verdicts = Vec::new();
@@ -237,8 +225,8 @@ fn deliver(
             .flat_map(|w| {
                 let lag = (config.faults.straggle_factor(w).ceil() as u64 - 1).min(max_staleness);
                 let origin = t.checked_sub(lag).filter(|&origin| origin >= 1);
-                origin.map_or_else(Vec::new, |origin| {
-                    worker_flushes(&placement.files_of[w], config, byzantine, w, origin)
+                origin.and_then(|origin| {
+                    worker_upload(&placement.files_of[w], config, byzantine, w, origin)
                 })
             })
             .collect();
@@ -331,16 +319,14 @@ proptest! {
                 };
                 run(&config, &byzantine, &placement, order, Door::Frames)
             };
-            let barrier = results(RoundMode::Barrier, order_a);
-            prop_assert_eq!(&barrier, &results(RoundMode::Barrier, order_b), "{:?} barrier", wire);
-            prop_assert_eq!(&barrier, &results(RoundMode::Streaming, order_a), "{:?} streaming", wire);
-            prop_assert_eq!(&barrier, &results(RoundMode::Streaming, order_b), "{:?} streaming", wire);
+            let synchronous = results(RoundMode::Streaming, order_a);
+            prop_assert_eq!(&synchronous, &results(RoundMode::Streaming, order_b), "{:?}", wire);
             for max_staleness in 0..=2 {
                 let mode = RoundMode::BoundedStaleness { max_staleness };
                 let bounded = results(mode, order_a);
                 prop_assert_eq!(&bounded, &results(mode, order_b), "{:?} {:?}", wire, mode);
                 if max_staleness == 0 {
-                    prop_assert_eq!(&barrier, &bounded, "{:?} bounded(0)", wire);
+                    prop_assert_eq!(&synchronous, &bounded, "{:?} bounded(0)", wire);
                 }
             }
         }
@@ -373,7 +359,6 @@ proptest! {
         ];
         for (nth, placement) in placements.iter().enumerate() {
             for mode in [
-                RoundMode::Barrier,
                 RoundMode::Streaming,
                 RoundMode::BoundedStaleness { max_staleness: 1 },
                 RoundMode::BoundedStaleness { max_staleness: 2 },
@@ -411,7 +396,6 @@ proptest! {
         let quarantined: Vec<bool> = (0..15).map(|w| w == quarantined_worker).collect();
         let placement = Placement::masked(&assignment, &quarantined);
         for mode in [
-            RoundMode::Barrier,
             RoundMode::Streaming,
             RoundMode::BoundedStaleness { max_staleness: 1 },
         ] {
@@ -426,6 +410,89 @@ proptest! {
                 let other = deliver(&config, &byzantine, &placement, order, door);
                 prop_assert_eq!(&in_place, &other, "{:?} {:?}", door, mode);
             }
+        }
+    }
+}
+
+proptest! {
+    /// Without message loss the two wires deliver the same replica set,
+    /// so they close to the same results — winners, audits and every
+    /// counter, `missing_votes` included — although a chunked file votes
+    /// in the window and a batched one at close: under a quarantine,
+    /// crashes and deferred files alike.
+    #[test]
+    fn batched_and_chunked_rounds_close_alike(
+        plan_seed in 0u64..u64::MAX,
+        crashed in 0usize..30,
+        stragglers in prop::collection::vec((0usize..15, 1u32..4), 0..5),
+        byzantine in prop::collection::vec(0usize..15, 0..3),
+        quarantined_worker in 0usize..30,
+        q_min in 1usize..4,
+        order in 0u64..u64::MAX,
+    ) {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let quarantined: Vec<bool> = (0..15).map(|w| w == quarantined_worker).collect();
+        let placement = Placement::masked(&assignment, &quarantined);
+        for mode in [
+            RoundMode::Streaming,
+            RoundMode::BoundedStaleness { max_staleness: 1 },
+            RoundMode::BoundedStaleness { max_staleness: 2 },
+        ] {
+            let results = |wire| {
+                let config = ServerConfig {
+                    wire,
+                    mode,
+                    faults: fault_plan(plan_seed, 0, crashed, &stragglers),
+                    q_min,
+                    ..ServerConfig::default()
+                };
+                run(&config, &byzantine, &placement, order, Door::Frames)
+            };
+            let batched = results(WireFormat::Batched);
+            let chunked = results(WireFormat::Chunked(ChunkConfig::dense(8)));
+            prop_assert_eq!(batched, chunked, "{:?}", mode);
+        }
+    }
+}
+
+/// `missing_votes` counts the replicas that did not join one of the
+/// round's on-time votes complete, on either wire: a quarantined
+/// sender's replicas and those of a file deferred to a later round are
+/// missing, though they arrived.
+#[test]
+fn missing_votes_count_what_joined_an_on_time_vote() {
+    let assignment = MolsAssignment::new(5, 3).unwrap().build();
+    let mut quarantined = [false; 15];
+    quarantined[3] = true;
+    let placement = Placement::masked(&assignment, &quarantined);
+    // Worker 7 trails by a round and every file needs all its live
+    // holders on time, so worker 7's five files defer.
+    let deferred: Vec<usize> = (0..25)
+        .filter(|file| placement.holders[*file].contains(&7))
+        .collect();
+    let on_time_votes: usize = (0..25)
+        .filter(|file| !deferred.contains(file))
+        .map(|file| placement.holders[file].len())
+        .sum();
+    for wire in [
+        WireFormat::Batched,
+        WireFormat::Chunked(ChunkConfig::dense(8)),
+    ] {
+        let config = ServerConfig {
+            wire,
+            mode: RoundMode::BoundedStaleness { max_staleness: 1 },
+            faults: FaultPlan::new(1).straggle(7, 2.0),
+            q_min: 3,
+            ..ServerConfig::default()
+        };
+        let results = run(&config, &[], &placement, 5, Door::Frames);
+        for (t, result) in (1..).zip(&results) {
+            assert_eq!(result.deferred_files, deferred.len(), "{wire:?} round {t}");
+            assert_eq!(
+                result.missing_votes,
+                75 - on_time_votes,
+                "{wire:?} round {t}"
+            );
         }
     }
 }
@@ -529,7 +596,6 @@ proptest! {
         let faults = fault_plan(plan_seed, 0, crashed, &stragglers);
         for wire in [WireFormat::Batched, WireFormat::Chunked(ChunkConfig::dense(8))] {
             for mode in [
-                RoundMode::Barrier,
                 RoundMode::Streaming,
                 RoundMode::BoundedStaleness { max_staleness: 0 },
                 RoundMode::BoundedStaleness { max_staleness: 1 },

@@ -8,7 +8,7 @@
 //! ```
 
 use byz_nn::FastMlp;
-use byz_wire::RoundMode;
+use byz_wire::ChunkConfig;
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,24 +81,25 @@ fn main() {
         );
         overlap
     };
-    let barrier_overlap = phase_report("barrier", &summaries);
+    let batched_overlap = phase_report("batched", &summaries);
 
-    // The same run in streaming mode: the PS votes each file the moment
-    // its last replica lands instead of waiting for the whole window, so
-    // vote time hides inside the wire phase and the overlap ratio rises —
-    // with bit-identical parameters (the canonical-fold guarantee).
-    let streaming_config = ServerConfig {
-        mode: RoundMode::Streaming,
+    // The same run on the chunked wire: each worker flushes a file's
+    // chunks as soon as it has computed it and the PS votes the file the
+    // moment its last replica lands, so vote time hides inside the wire
+    // phase and the overlap ratio rises — with bit-identical parameters
+    // (the canonical-fold guarantee; dense chunks carry the same floats).
+    let chunked_config = ServerConfig {
+        wire: WireFormat::Chunked(ChunkConfig::dense(4096)),
         ..config
     };
-    let init_streaming = FastMlp::new(&dims, &mut StdRng::seed_from_u64(3)).params_flat();
-    let (streaming_params, streaming_summaries) = cluster.train(init_streaming, &streaming_config);
-    let streaming_overlap = phase_report("streaming", &streaming_summaries);
+    let init_chunked = FastMlp::new(&dims, &mut StdRng::seed_from_u64(3)).params_flat();
+    let (chunked_params, chunked_summaries) = cluster.train(init_chunked, &chunked_config);
+    let chunked_overlap = phase_report("chunked", &chunked_summaries);
     println!(
-        "streaming == barrier parameters: {}, overlap {:.2} vs {:.2}",
-        streaming_params == params,
-        streaming_overlap,
-        barrier_overlap,
+        "chunked == batched parameters: {}, overlap {:.2} vs {:.2}",
+        chunked_params == params,
+        chunked_overlap,
+        batched_overlap,
     );
 
     // Evaluate the trained parameters.

@@ -8,9 +8,9 @@
 //! 2. the chaos run (churn × ALIE × quarantine) is bit-reproducible: a
 //!    rerun lands on the identical history, ledger and membership
 //!    reports, at any `BYZ_KERNEL_THREADS` (CI runs 1 and 4);
-//! 3. `RoundMode::BoundedStaleness { max_staleness: 0 }` is the barrier
-//!    round, bit for bit, on the wire (the trainer runs only the barrier
-//!    round);
+//! 3. `RoundMode::BoundedStaleness { max_staleness: 0 }` is the
+//!    synchronous round (`RoundMode::Streaming`), bit for bit, on the wire
+//!    (the trainer runs only the synchronous round);
 //! 4. under a straggler, bounded staleness buys wall-clock rounds/s at
 //!    the PS without a loss regression.
 //!
@@ -190,7 +190,7 @@ fn churn_alie_quarantine_matrix_is_bit_reproducible() {
     );
 }
 
-/// (3) `max_staleness = 0` is the barrier round on the wire, for both
+/// (3) `max_staleness = 0` is the synchronous round on the wire, for both
 /// wire formats, with drops, a straggler and reputation active: same
 /// parameters, same vote-derived summary fields, and zero staleness
 /// accounting.
@@ -243,15 +243,15 @@ fn zero_staleness_is_bit_identical_to_barrier_wire() {
     }
 }
 
-/// (4) The speedup the mode exists for: in the straggler geometry of
-/// §14 (Ramanujan Case 2, K = 25, f = 25, r = 5) with one straggler delayed
+/// (4) The speedup the mode exists for: in a straggler geometry
+/// (Ramanujan Case 2, K = 25, f = 25, r = 5) with one straggler delayed
 /// in 300 ms units, the bounded PS closes rounds on the 24 on-time
-/// workers while the barrier PS waits out the straggler every round. Rounds/s —
+/// workers while the synchronous PS waits out the straggler every round. Rounds/s —
 /// measured from the PS's own round wall times, the quantity the mode
 /// controls — must improve ≥ 1.2× (in practice it is far more), and the
 /// trained parameters must not regress: with `r = 5` every file keeps an
 /// on-time honest majority, so the winners (and hence the model) are
-/// bit-identical to barrier's.
+/// bit-identical to the synchronous round's.
 #[test]
 fn bounded_staleness_outpaces_barrier_under_straggler() {
     let (train, _) = small_dataset();

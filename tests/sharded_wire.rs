@@ -5,16 +5,21 @@
 //! dropped whole replica — never a panic, never a poisoned vote. The
 //! batched frame codec and the pool-parallel vote must give the same
 //! winners, with the same `VoteAudit` verdicts in the same order, as
-//! per-file votes over the replicas as computed. (That the chunked wire
-//! trains like the batched one is pinned on the deployed path, in
-//! `byz_wire`'s server tests.)
+//! per-file votes over the replicas as computed. And the two wires,
+//! which vote on different schedules — a chunked file as soon as its
+//! live holders complete it, a batched round at close — train the same
+//! bits through the real worker and PS loops.
+
+use std::sync::Arc;
 
 use byz_aggregate::{quorum_vote_all_audited, quorum_vote_audited, QuorumOutcome, VoteInput};
 use byz_wire::{
     decode_gradient_batch, decode_gradient_chunk, encode_gradient_batch, encode_gradient_chunks,
-    ChunkConfig, ShardedFileVoter,
+    ChunkConfig, RoundMode, ShardedFileVoter,
 };
 use byzshield::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn corrupt_chunk_degrades_like_a_dropped_replica_end_to_end() {
@@ -194,5 +199,79 @@ fn batched_wire_roundtrip_preserves_vote_outcomes() {
             vote_sequential(&decoded_views, &assignment),
             "wire roundtrip changed votes at round {round}"
         );
+    }
+}
+
+/// Everything a run decides, without the traffic (the wires frame it
+/// differently) and the wall-clock timings.
+fn decided(run: &WireTrainingRun) -> (Vec<u32>, Vec<RoundSummary>, Option<Vec<u8>>) {
+    let summaries = run
+        .summaries
+        .iter()
+        .map(|s| RoundSummary {
+            frames_received: 0,
+            bytes_received: 0,
+            timings: PhaseTimings::default(),
+            ..s.clone()
+        })
+        .collect();
+    let bits = run.params.iter().map(|p| p.to_bits()).collect();
+    (bits, summaries, run.ledger_bytes.clone())
+}
+
+/// The chunked wire votes a file in the receive window, the batched wire
+/// at close; neither schedule may change a result. With Byzantine
+/// workers the ledger quarantines, a straggler, and — under bounded
+/// staleness — files deferred to a later round, both wires train the
+/// same parameters and report the same summaries (audits, suspicions,
+/// quarantines and every vote counter, `missing_votes` included) and
+/// ledger bytes. It holds at any `BYZ_KERNEL_THREADS` (CI runs 1 and 4).
+#[test]
+fn both_wires_train_the_same_bits_on_their_own_schedules() {
+    let (train, _) = SyntheticImages::new(SyntheticConfig {
+        num_classes: 5,
+        channels: 1,
+        hw: 8,
+        train_samples: 800,
+        test_samples: 200,
+        noise: 0.5,
+        max_shift: 1,
+        seed: 2024,
+    })
+    .generate();
+    let dims = vec![64usize, 16, 5];
+    let cluster = MessagePassingCluster::new(
+        MolsAssignment::new(5, 3).unwrap().build(),
+        Arc::new(train),
+        dims.clone(),
+    );
+    let initial = FastMlp::new(&dims, &mut StdRng::seed_from_u64(2)).params_flat();
+    for (mode, q_min) in [
+        (RoundMode::Streaming, 1),
+        (RoundMode::BoundedStaleness { max_staleness: 1 }, 3),
+    ] {
+        let batched = ServerConfig {
+            iterations: 6,
+            byzantine: vec![0, 5],
+            attack: LocalAttack::Constant { value: -50.0 },
+            faults: FaultPlan::new(7).straggle(4, 3.0),
+            reputation: Some(ReputationConfig::default()),
+            seed: 31,
+            mode,
+            q_min,
+            ..ServerConfig::default()
+        };
+        let chunked = ServerConfig {
+            wire: WireFormat::Chunked(ChunkConfig::dense(256)),
+            ..batched.clone()
+        };
+        let batched = cluster.train_run(initial.clone(), &batched);
+        let chunked = cluster.train_run(initial.clone(), &chunked);
+        let last = batched.summaries.last().unwrap();
+        assert_eq!(last.quarantined_workers, vec![0, 5], "{mode:?}");
+        if q_min == 3 {
+            assert!(batched.summaries.iter().all(|s| s.deferred_files == 5));
+        }
+        assert_eq!(decided(&batched), decided(&chunked), "{mode:?}");
     }
 }

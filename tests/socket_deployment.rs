@@ -4,8 +4,8 @@
 //! against channels, readers and slot writers patch sockets into that
 //! fabric, so a loopback-TCP run must be **bit-identical** to a channel
 //! run — parameters, per-round summaries (vote audits included) and
-//! serialized ledger bytes — under every wire format × round mode
-//! combination, at any `BYZ_KERNEL_THREADS` (CI runs 1 and 4).
+//! serialized ledger bytes — on both wire formats, each with its own vote
+//! schedule, at any `BYZ_KERNEL_THREADS` (CI runs 1 and 4).
 //!
 //! Connection lifecycle is a fault class, not an error path: these tests
 //! also pin that a seeded mid-round disconnect and a half-open (stalled)
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use byz_wire::{ChunkConfig, RoundMode};
+use byz_wire::ChunkConfig;
 use byzshield::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,9 +131,9 @@ fn assert_runs_bit_identical(label: &str, tcp: &WireTrainingRun, channel: &WireT
     );
 }
 
-/// TCP ≡ channel on every observable, across {Batched, Chunked} ×
-/// {Barrier, Streaming}, with Byzantine workers, message drops, a
-/// straggler and reputation all active.
+/// TCP ≡ channel on every observable, on the batched wire (votes at
+/// close) and the chunked wire (votes as files complete), with Byzantine
+/// workers, message drops, a straggler and reputation all active.
 #[test]
 fn tcp_matches_channel_across_formats_and_modes() {
     let data = Arc::new(dataset());
@@ -141,35 +141,32 @@ fn tcp_matches_channel_across_formats_and_modes() {
         WireFormat::Batched,
         WireFormat::Chunked(ChunkConfig::dense(64)),
     ] {
-        for mode in [RoundMode::Barrier, RoundMode::Streaming] {
-            let config = ServerConfig {
-                iterations: 4,
-                byzantine: vec![0, 5],
-                attack: LocalAttack::Constant { value: -50.0 },
-                faults: FaultPlan::new(7).drop_rate(0.08).straggle(4, 3.0),
-                reputation: Some(ReputationConfig::default()),
-                seed: 31,
-                wire,
-                mode,
-                receive_timeout: Duration::from_millis(300),
-                ..ServerConfig::default()
-            };
-            let spec = job(1, &data, config);
-            let baseline = channel_run(&spec);
-            let (mut results, exits) = run_over_tcp(std::slice::from_ref(&spec));
-            let label = format!("{wire:?}/{mode:?}");
-            for (w, exit) in exits.iter().enumerate() {
-                assert_eq!(exit, &Ok(()), "{label}: worker {w} failed");
-            }
-            assert_eq!(results.len(), 1, "{label}");
-            let result = results.remove(0);
-            assert_eq!(result.job_id, 1, "{label}");
-            assert!(
-                result.run.ledger_bytes.is_some(),
-                "{label}: reputation was configured, ledger missing"
-            );
-            assert_runs_bit_identical(&label, &result.run, &baseline);
+        let config = ServerConfig {
+            iterations: 4,
+            byzantine: vec![0, 5],
+            attack: LocalAttack::Constant { value: -50.0 },
+            faults: FaultPlan::new(7).drop_rate(0.08).straggle(4, 3.0),
+            reputation: Some(ReputationConfig::default()),
+            seed: 31,
+            wire,
+            receive_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        };
+        let spec = job(1, &data, config);
+        let baseline = channel_run(&spec);
+        let (mut results, exits) = run_over_tcp(std::slice::from_ref(&spec));
+        let label = format!("{wire:?}");
+        for (w, exit) in exits.iter().enumerate() {
+            assert_eq!(exit, &Ok(()), "{label}: worker {w} failed");
         }
+        assert_eq!(results.len(), 1, "{label}");
+        let result = results.remove(0);
+        assert_eq!(result.job_id, 1, "{label}");
+        assert!(
+            result.run.ledger_bytes.is_some(),
+            "{label}: reputation was configured, ledger missing"
+        );
+        assert_runs_bit_identical(&label, &result.run, &baseline);
     }
 }
 
@@ -194,7 +191,6 @@ fn concurrent_jobs_stay_isolated() {
         attack: LocalAttack::ReversedGradient { magnitude: 8.0 },
         reputation: Some(ReputationConfig::default()),
         seed: 97,
-        mode: RoundMode::Streaming,
         ..ServerConfig::default()
     };
     let job_a = job(7, &data, config_a);
@@ -224,8 +220,9 @@ fn concurrent_jobs_stay_isolated() {
 }
 
 /// A seeded mid-round disconnect: worker 2's socket is cut after the
-/// first upload of round 3 (streaming mode, so the remaining four files
-/// of the round are genuinely in flight). The round must complete under
+/// first upload of round 3 (the chunked wire with one chunk per replica,
+/// which uploads each file as it is computed, so the remaining four
+/// files of the round are genuinely in flight). The round must complete under
 /// the receive window with exactly those four replicas degraded; the
 /// worker reconnects through the handshake and every later round is
 /// clean again. Nothing panics, nothing hangs, the ledger survives.
@@ -237,7 +234,7 @@ fn mid_round_disconnect_degrades_then_reconnects() {
         faults: FaultPlan::new(3).disconnect_at(2, 3),
         reputation: Some(ReputationConfig::default()),
         seed: 11,
-        mode: RoundMode::Streaming,
+        wire: WireFormat::Chunked(ChunkConfig::dense(512)),
         receive_timeout: Duration::from_millis(600),
         ..ServerConfig::default()
     };

@@ -111,7 +111,6 @@ fn quarantined_uploaders_read_their_shutdown() {
             attack: LocalAttack::Constant { value: -50.0 },
             reputation: Some(ReputationConfig::default()),
             wire: WireFormat::Chunked(ChunkConfig::dense(64)),
-            mode: RoundMode::Streaming,
             seed,
             ..ServerConfig::default()
         };
@@ -156,7 +155,6 @@ fn both_jobs_of_one_serve_read_their_shutdown() {
             attack: LocalAttack::ReversedGradient { magnitude: 8.0 },
             reputation: Some(ReputationConfig::default()),
             wire: WireFormat::Chunked(ChunkConfig::dense(64)),
-            mode: RoundMode::Streaming,
             seed: seed + 100,
             ..ServerConfig::default()
         };
