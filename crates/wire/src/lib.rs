@@ -37,6 +37,7 @@
 mod batch;
 mod chunk;
 mod compress;
+mod fan_in;
 mod handshake;
 mod link;
 mod message;

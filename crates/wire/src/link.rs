@@ -21,6 +21,7 @@
 //!   re-enters through the handshake, never through guesswork about
 //!   frame boundaries.
 
+use crate::fan_in::SlotSender;
 use crate::tcp::CodecError;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -109,25 +110,48 @@ pub trait Link: Send {
     fn note_round(&mut self, _round: u64) {}
 }
 
-/// The in-process transport: a pair of crossbeam channels carrying
-/// refcounted frames. This is exactly the wiring the message-passing
-/// cluster has always used — [`ChannelLink`] just gives it the [`Link`]
-/// shape so the worker loop stops caring which transport it runs on.
+/// The in-process transport: refcounted frames over crossbeam channels,
+/// or, for a worker of the message-passing cluster, up through its slot
+/// of the PS's credited fan-in. [`ChannelLink`] gives either wiring the
+/// [`Link`] shape so the worker loop stops caring which transport it
+/// runs on.
 pub struct ChannelLink {
-    tx: Sender<Bytes>,
+    tx: Uplink,
     rx: Receiver<Bytes>,
+}
+
+/// Where a [`ChannelLink`] sends.
+enum Uplink {
+    Channel(Sender<Bytes>),
+    /// A worker slot of the PS's fan-in: a send waits while the slot is
+    /// out of credit.
+    FanIn(SlotSender),
 }
 
 impl ChannelLink {
     /// Wraps an outgoing sender and an incoming receiver into a link.
     pub fn new(tx: Sender<Bytes>, rx: Receiver<Bytes>) -> Self {
-        ChannelLink { tx, rx }
+        ChannelLink {
+            tx: Uplink::Channel(tx),
+            rx,
+        }
+    }
+
+    /// A worker's link to the PS: uploads go into its fan-in slot.
+    pub(crate) fn to_fan_in(tx: SlotSender, rx: Receiver<Bytes>) -> Self {
+        ChannelLink {
+            tx: Uplink::FanIn(tx),
+            rx,
+        }
     }
 }
 
 impl Link for ChannelLink {
     fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
-        self.tx.send(frame).map_err(|_| LinkError::Closed)
+        match &self.tx {
+            Uplink::Channel(tx) => tx.send(frame).map_err(|_| LinkError::Closed),
+            Uplink::FanIn(tx) => tx.send(frame).map_err(|_| LinkError::Closed),
+        }
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError> {

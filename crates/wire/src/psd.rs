@@ -12,20 +12,26 @@
 //! The load-bearing design decision is that the networked PS drives the
 //! *exact same* [`Session`](crate::Session) over the exact same channel
 //! delivery as the in-process transport (`MessagePassingCluster`'s PS
-//! loop, still typed against crossbeam channels). TCP exists purely at
-//! the edges:
+//! loop: crossbeam channels down, the credited fan-in up). TCP exists
+//! purely at the edges:
 //!
 //! * one **reader thread per connection** decodes length-delimited
-//!   frames off the socket and forwards them into the job's fan-in
-//!   channel (the `from_workers` receiver the PS loop already drains);
+//!   frames off the socket and forwards them into the job's fan-in (the
+//!   one the PS loop already drains), each stamped with the slot the
+//!   connection was admitted to — the PS takes a frame's sender from
+//!   that stamp. A slot may have at most its credit (1 MiB) queued at
+//!   the PS: a reader out of credit stops reading its socket until the
+//!   PS takes its frames, so TCP flow control, not the PS heap, holds
+//!   what a worker sends ahead;
 //! * one **slot-writer thread per (job, worker)** drains the PS loop's
 //!   per-worker sender and writes each frame to whatever connection
 //!   currently holds that slot — no connection means the frame is
 //!   dropped, exactly the observable behaviour of sending to a crashed
 //!   in-process worker.
 //!
-//! A job ends by handoffs, not timers. Its PS thread queues `Shutdown`
-//! on every slot and drops its slot senders; each slot writer writes
+//! A job ends by handoffs, not timers. Its PS thread drops the fan-in,
+//! which releases a reader blocked on its credit, queues `Shutdown` on
+//! every slot and drops its slot senders; each slot writer writes
 //! what was queued, sees its channel disconnect and half-closes the
 //! slot's connection, so `Shutdown` is the last frame before FIN.
 //! Readers keep reading (and, once the PS loop is gone, discarding)
@@ -45,6 +51,7 @@
 //! round deadline), and a reconnecting worker re-enters through the
 //! same `Hello` and resumes at the next broadcast.
 
+use crate::fan_in::{fan_in, FanIn, Feed};
 use crate::handshake::{client_handshake, Handshake, HandshakeError, RejectReason};
 use crate::link::{Link, LinkError};
 use crate::server::{worker_loop, MessagePassingCluster, ServerConfig, WorkerExit};
@@ -151,7 +158,8 @@ impl JobGate {
 /// The shared, routable state of one job: everything the accept loop
 /// needs to patch a fresh connection into the job's channel fabric.
 struct JobHandle {
-    fan_in: Sender<Bytes>,
+    /// The sending end of the job's fan-in, for the readers.
+    fan_in: Feed,
     /// `slots[w]` holds worker `w`'s current write-half, if connected.
     slots: Vec<Mutex<Option<TcpStream>>>,
     /// A handle on every connection the job admitted, to cut off a peer
@@ -166,10 +174,10 @@ struct JobHandle {
 }
 
 impl JobHandle {
-    fn new(k: usize, max_upload: usize) -> (Self, Receiver<Bytes>) {
-        let (fan_in, fan_in_rx) = unbounded();
+    fn new(k: usize, max_upload: usize) -> (Self, FanIn) {
+        let (feed, fan_in_rx) = fan_in(k);
         let handle = JobHandle {
-            fan_in,
+            fan_in: feed,
             slots: (0..k).map(|_| Mutex::new(None)).collect(),
             conns: Mutex::new(Vec::new()),
             gate: JobGate::new(k),
@@ -374,7 +382,7 @@ fn run_job(
     job: &JobSpec,
     handle: &JobHandle,
     slot_txs: Vec<Sender<Bytes>>,
-    fan_in_rx: Receiver<Bytes>,
+    fan_in_rx: FanIn,
     ready_timeout: Duration,
 ) -> Result<WireTrainingRun, ClusterError> {
     if let Err(connected) = handle.gate.wait(ready_timeout) {
@@ -396,8 +404,8 @@ fn run_job(
         &slot_txs,
         &fan_in_rx,
     );
-    // From here on readers discard what arrives, and no worker is
-    // admitted.
+    // From here on readers discard what arrives — a reader blocked on
+    // its credit included — and no worker is admitted.
     drop(fan_in_rx);
     handle.finished.store(true, Ordering::SeqCst);
     let bye = crate::Message::Shutdown.encode();
@@ -488,24 +496,27 @@ fn admit_connection(
 
     let handle = Arc::clone(handle);
     Some(std::thread::spawn(move || {
-        connection_reader(link, &handle);
+        connection_reader(link, &handle, w);
     }))
 }
 
-/// Pumps one admitted connection's frames into the job's fan-in channel
-/// until the worker closes it. Which frames *count* is decided
-/// downstream by the PS loop's round deadline over the fan-in — the
-/// reader enforces no protocol deadline of its own, exactly as a
-/// crossbeam channel enforces none. Once the PS loop has dropped the
-/// fan-in, frames are read and discarded: the connection stays intact
-/// until the worker has read its `Shutdown` and closed.
+/// Pumps one admitted connection's frames into the job's fan-in, each
+/// stamped with `slot`, the slot the connection was admitted to, until
+/// the worker closes it. Which frames *count* is decided downstream by
+/// the PS loop's round deadline over the fan-in — the reader enforces no
+/// protocol deadline of its own. A slot out of credit blocks the reader
+/// between frames: it reads no more of the socket, so the worker's
+/// excess waits in the kernel's socket buffers and then in its own
+/// write. Once the PS loop has dropped the fan-in, frames are read and
+/// discarded: the connection stays intact until the worker has read its
+/// `Shutdown` and closed.
 ///
 /// A dropped or desynced connection ends the reader; the worker's
 /// missing frames degrade its replicas through the PS's ordinary timeout
 /// accounting, and the worker may reconnect through a fresh handshake.
-fn connection_reader(mut link: TcpLink, handle: &JobHandle) {
+fn connection_reader(mut link: TcpLink, handle: &JobHandle, slot: usize) {
     while let Ok(frame) = link.recv() {
-        let _ = handle.fan_in.send(frame);
+        let _ = handle.fan_in.send(slot, frame);
     }
 }
 
@@ -757,15 +768,21 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> io::Result<TcpLink
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_model_broadcast;
+    use crate::fan_in::CREDIT;
     use crate::tcp::MAX_FRAME_LEN;
+    use crate::{
+        encode_gradient_chunks, encode_model_broadcast, ChunkConfig, Message, RoundMode, WireFormat,
+    };
+    use byz_aggregate::ReplicaVerdict;
     use byz_assign::MolsAssignment;
+    use byz_cluster::FaultPlan;
     use byz_data::{SyntheticConfig, SyntheticImages};
     use byz_nn::FastMlp;
     use rand::SeedableRng;
 
-    #[test]
-    fn bytes_sent_is_the_same_over_channels_and_loopback_tcp() {
+    /// Job 1: K = 15 workers on MOLS(5, 3), training a 36-`hidden`-4
+    /// MLP under `config`.
+    fn job(hidden: usize, config: ServerConfig) -> JobSpec {
         let (train, _) = SyntheticImages::new(SyntheticConfig {
             num_classes: 4,
             channels: 1,
@@ -777,20 +794,45 @@ mod tests {
             seed: 5,
         })
         .generate();
-        let dims = vec![36usize, 8, 4];
-        let job = JobSpec {
+        let dims = vec![36usize, hidden, 4];
+        JobSpec {
             job_id: 1,
             assignment: MolsAssignment::new(5, 3).unwrap().build(),
             dataset: Arc::new(train),
             initial_params: FastMlp::new(&dims, &mut rand::rngs::StdRng::seed_from_u64(2))
                 .params_flat(),
             model_dims: dims,
-            config: ServerConfig {
+            config,
+        }
+    }
+
+    /// A thread running `run_tcp_worker` as worker `w` of `job`.
+    fn spawn_worker(
+        addr: SocketAddr,
+        job: &JobSpec,
+        w: usize,
+    ) -> std::thread::JoinHandle<Result<(), ClusterError>> {
+        let spec = WorkerSpec::new(
+            job.job_id,
+            w,
+            job.assignment.clone(),
+            Arc::clone(&job.dataset),
+            job.model_dims.clone(),
+            job.config.clone(),
+        );
+        std::thread::spawn(move || run_tcp_worker(addr, &spec))
+    }
+
+    #[test]
+    fn bytes_sent_is_the_same_over_channels_and_loopback_tcp() {
+        let job = job(
+            8,
+            ServerConfig {
                 iterations: 3,
                 seed: 31,
                 ..ServerConfig::default()
             },
-        };
+        );
         let channel = MessagePassingCluster::new(
             job.assignment.clone(),
             Arc::clone(&job.dataset),
@@ -800,19 +842,7 @@ mod tests {
 
         let server = PsServer::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr().unwrap();
-        let workers: Vec<_> = (0..15)
-            .map(|w| {
-                let spec = WorkerSpec::new(
-                    job.job_id,
-                    w,
-                    job.assignment.clone(),
-                    Arc::clone(&job.dataset),
-                    job.model_dims.clone(),
-                    job.config.clone(),
-                );
-                std::thread::spawn(move || run_tcp_worker(addr, &spec))
-            })
-            .collect();
+        let workers: Vec<_> = (0..15).map(|w| spawn_worker(addr, &job, w)).collect();
         let mut results = server
             .serve(vec![job.clone()], Duration::from_secs(30))
             .unwrap();
@@ -830,8 +860,151 @@ mod tests {
         assert_eq!(sent(&tcp), sent(&channel));
     }
 
-    /// A 15-slot job with the given upload budget, and its fan-in.
-    fn job_handle(max_upload: usize) -> (Arc<JobHandle>, Receiver<Bytes>) {
+    #[test]
+    fn a_flooding_slot_queues_at_most_its_credit_and_honest_slots_keep_flowing() {
+        // 16 KiB chunk frames of a 20 996-float model, six per replica.
+        // Slot 0 floods legal chunk frames as fast as loopback takes
+        // them. It trails by a round and no file waits for it, so its
+        // frames spend nothing of a round's window: each round closes
+        // once the 14 honest workers' 420 frames are in, and only the
+        // fan-in's credit keeps them from queueing behind the flood.
+        const ROGUE: usize = 0;
+        let chunking = ChunkConfig::dense(4096);
+        let job = job(
+            512,
+            ServerConfig {
+                iterations: 4,
+                wire: WireFormat::Chunked(chunking),
+                mode: RoundMode::BoundedStaleness { max_staleness: 1 },
+                faults: FaultPlan::new(0).straggle(ROGUE, 2.0),
+                ..ServerConfig::default()
+            },
+        );
+        let d = job.initial_params.len();
+        let largest = job.config.wire.max_upload_frame_len(5, d);
+        let held = job.assignment.graph().files_of(ROGUE)[0] as u32;
+        let flood = encode_gradient_chunks(1, ROGUE as u32, held, &vec![0.5; d], &chunking);
+        assert!(flood.iter().all(|frame| frame.len() <= largest));
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (handle, fan_in_rx) = JobHandle::new(15, largest);
+        let handle = Arc::new(handle);
+        let handles = HashMap::from([(job.job_id, Arc::clone(&handle))]);
+        let (slot_txs, slot_rxs): (Vec<_>, Vec<_>) = (0..15).map(|_| unbounded()).unzip();
+        let (stop, flooding) = (AtomicBool::new(false), AtomicBool::new(true));
+        let run = std::thread::scope(|scope| {
+            let accept = scope.spawn(|| accept_loop(&listener, &handles, &stop));
+            for (w, rx) in slot_rxs.into_iter().enumerate() {
+                let handle = &handle;
+                scope.spawn(move || slot_writer(handle, w, &rx));
+            }
+            let workers: Vec<_> = (1..15).map(|w| spawn_worker(addr, &job, w)).collect();
+            // The rogue reads and drops what the PS sends it, and writes
+            // its frames until told to stop.
+            let mut rogue = TcpLink::connect(addr, Duration::from_secs(5)).unwrap();
+            client_handshake(&mut rogue, job.job_id, ROGUE as u32, Duration::from_secs(5)).unwrap();
+            let mut raw = rogue.stream().try_clone().unwrap();
+            scope.spawn(move || while rogue.recv().is_ok() {});
+            let flooding = &flooding;
+            scope.spawn(move || {
+                for frame in flood.iter().cycle() {
+                    if !flooding.load(Ordering::SeqCst)
+                        || crate::tcp::write_frame(&mut raw, frame).is_err()
+                    {
+                        break;
+                    }
+                }
+                let _ = raw.shutdown(Shutdown::Write);
+            });
+
+            let run = run_job(&job, &handle, slot_txs, fan_in_rx, Duration::from_secs(30));
+            for worker in workers {
+                worker.join().unwrap().unwrap();
+            }
+            flooding.store(false, Ordering::SeqCst);
+            stop.store(true, Ordering::SeqCst);
+            accept.join().unwrap();
+            run.unwrap()
+        });
+
+        let high_water = handle.fan_in.high_water(ROGUE);
+        assert!(
+            (CREDIT..=CREDIT + largest).contains(&high_water),
+            "the rogue's slot queued {high_water} bytes at most"
+        );
+        for summary in &run.summaries {
+            for audit in &summary.audits {
+                for &(w, verdict) in &audit.replicas {
+                    let counted = verdict == ReplicaVerdict::Agreed;
+                    assert!(
+                        w == ROGUE || counted,
+                        "round {}: {audit:?}",
+                        summary.iteration
+                    );
+                }
+            }
+            assert_eq!(summary.missing_votes, 5, "round {}", summary.iteration);
+        }
+    }
+
+    #[test]
+    fn a_reader_blocked_on_its_credit_at_job_end_is_released() {
+        // Slot 0 answers the last broadcast with 16 MiB of legal batch
+        // frames. The round closes on its first 15 frames and the PS
+        // takes no more, so the slot's reader blocks on its credit and
+        // stops reading, and the flood stalls in the socket. Once the job
+        // ends, the reader must drain the socket: the flood goes out in
+        // full and the worker still reads its `Shutdown` — well before
+        // the teardown would cut a stuck peer off.
+        let job = job(
+            8,
+            ServerConfig {
+                iterations: 2,
+                receive_timeout: Duration::from_millis(200),
+                round_deadline: Duration::from_secs(20),
+                ..ServerConfig::default()
+            },
+        );
+        let d = job.initial_params.len();
+        let held = job.assignment.graph().files_of(0)[0] as u32;
+        let server = PsServer::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let workers: Vec<_> = (1..15).map(|w| spawn_worker(addr, &job, w)).collect();
+        let last = job.config.iterations as u64;
+        let flooder = std::thread::spawn(move || {
+            let mut link = TcpLink::connect(addr, Duration::from_secs(5)).unwrap();
+            client_handshake(&mut link, 1, 0, Duration::from_secs(5)).unwrap();
+            let mut raw = link.stream().try_clone().unwrap();
+            let frame = crate::encode_gradient_batch(last, 0, &[(held, &vec![0.5; d][..])]);
+            loop {
+                match Message::decode(&link.recv()?) {
+                    Ok(Message::ModelBroadcast { iteration, .. }) if iteration == last => {
+                        for _ in 0..(16 << 20) / frame.len() {
+                            crate::tcp::write_frame(&mut raw, &frame)
+                                .map_err(|_| LinkError::Closed)?;
+                        }
+                    }
+                    Ok(Message::Shutdown) => return Ok(()),
+                    _ => {}
+                }
+            }
+        });
+        let started = Instant::now();
+        server.serve(vec![job], Duration::from_secs(30)).unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(15),
+            "the job waited for its teardown cut-off"
+        );
+        assert_eq!(flooder.join().unwrap(), Ok::<(), LinkError>(()));
+        for worker in workers {
+            worker.join().unwrap().unwrap();
+        }
+    }
+
+    /// A 15-slot job with the given upload budget, and its fan-in.    /// A 15-slot job with the given upload budget, and its fan-in.
+    fn job_handle(max_upload: usize) -> (Arc<JobHandle>, FanIn) {
         let (handle, fan_in_rx) = JobHandle::new(15, max_upload);
         (Arc::new(handle), fan_in_rx)
     }

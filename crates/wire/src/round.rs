@@ -43,6 +43,8 @@ pub enum Reject {
     /// The sender id is outside the worker universe (`K`, or the fault
     /// plan's largest joiner id + 1).
     UnknownWorker,
+    /// The frame claims a worker other than the slot it came in on.
+    Impersonation,
     /// The file id is not a file of the job (`file ≥ f`).
     UnknownFile,
     /// Not a frame of the open round, and no parked file expects it.
@@ -546,7 +548,10 @@ impl RoundCore {
                 .any(|p| p.slot.origin + p.lag <= self.t && !p.awaited.is_empty())
     }
 
-    /// The wire's door to the admission gate. A payload joins a vote
+    /// The wire's door to the admission gate, for a frame that came in
+    /// on worker slot `slot`: the link's identity of its sender, which
+    /// the fan-in stamped. A frame that claims another worker is refused
+    /// whole. A payload joins a vote
     /// only if its sender is a worker slot, it belongs to the open round
     /// (or to a parked file of an earlier one), its file exists, the
     /// sender is a live holder that has not delivered it before, and it
@@ -563,11 +568,11 @@ impl RoundCore {
     ///
     /// The [`Reject`] reason when the whole frame is refused; a batch
     /// frame's per-entry refusals are listed in [`Admitted::refused`].
-    pub fn ingest(&mut self, frame: &Bytes) -> Result<Admitted, Reject> {
+    pub fn ingest(&mut self, slot: usize, frame: &Bytes) -> Result<Admitted, Reject> {
         match self.wire {
             WireFormat::Batched => {
                 let batch = decode_gradient_batch(frame).map_err(|_| self.garbage())?;
-                let w = self.sender(batch.worker)?;
+                let w = self.sender(slot, batch.worker)?;
                 let aligned = |e: &BatchEntry| e.raw().as_ptr().cast::<f32>().is_aligned();
                 let in_place = cfg!(target_endian = "little") && batch.entries.iter().all(aligned);
                 let mut admitted = Admitted::default();
@@ -591,7 +596,7 @@ impl RoundCore {
             }
             WireFormat::Chunked(_) => {
                 let view = decode_gradient_chunk(frame).map_err(|_| self.garbage())?;
-                let w = self.sender(view.worker)?;
+                let w = self.sender(slot, view.worker)?;
                 let file = view.file as usize;
                 if self.put(w, view.iteration, file, Piece::Chunk(&view))? == Landed::Open {
                     self.settle(file);
@@ -621,13 +626,19 @@ impl RoundCore {
         self.put(w, t, file, Piece::Floats(replica)).map(drop)
     }
 
-    /// Books a decoded frame against the on-time window and resolves its
-    /// sender. Every frame that is not a known straggler's spends one of
-    /// the window's expected frames.
-    fn sender(&mut self, worker: u32) -> Result<usize, Reject> {
-        let lag = self.lag.get(worker as usize);
+    /// Books a decoded frame from `slot` against the on-time window and
+    /// checks the sender it claims, `worker`, against the slot. Every
+    /// frame that is not a known straggler slot's spends one of the
+    /// window's expected frames — an impersonating one too, so forgeries
+    /// cannot hold a round open.
+    fn sender(&mut self, slot: usize, worker: u32) -> Result<usize, Reject> {
+        let lag = self.lag.get(slot);
         self.on_time_frames += usize::from(lag.is_none_or(|&lag| lag == 0));
-        lag.map(|_| worker as usize).ok_or(Reject::UnknownWorker)
+        match lag {
+            None => Err(Reject::UnknownWorker),
+            Some(_) if worker as usize != slot => Err(Reject::Impersonation),
+            Some(_) => Ok(slot),
+        }
     }
 
     /// An undecodable frame spends an expected frame too, so garbage
@@ -864,6 +875,16 @@ mod tests {
         at >= base && at + run.len() <= base + frame.len()
     }
 
+    /// The worker a well-formed gradient frame names: the slot an
+    /// honest link delivers it from.
+    fn sent_by(frame: &Bytes) -> usize {
+        let worker = match decode_gradient_batch(frame) {
+            Ok(batch) => batch.worker,
+            Err(_) => decode_gradient_chunk(frame).unwrap().worker,
+        };
+        worker as usize
+    }
+
     fn files_of(holders: &[Vec<usize>], w: usize) -> Vec<usize> {
         (0..holders.len())
             .filter(|&file| holders[file].contains(&w))
@@ -880,8 +901,8 @@ mod tests {
             let frames: Vec<Bytes> = (0..15)
                 .map(|w| built(t, w, &files_of(&holders, w)))
                 .collect();
-            for frame in &frames {
-                assert_eq!(core.ingest(frame).unwrap().accepted, 5);
+            for (w, frame) in frames.iter().enumerate() {
+                assert_eq!(core.ingest(w, frame).unwrap().accepted, 5);
             }
             let held = runs(&core.store);
             assert_eq!(held.len(), 75);
@@ -943,7 +964,7 @@ mod tests {
                 let (frames, blocks) = uploads(wire, &holders, t);
                 frames
                     .iter()
-                    .for_each(|frame| assert!(core.ingest(frame).is_ok()));
+                    .for_each(|frame| assert!(core.ingest(sent_by(frame), frame).is_ok()));
                 (core.close(), blocks)
             };
             let winners_are = |result: &RoundResult, t: u64| {
@@ -1005,13 +1026,9 @@ mod tests {
             // Only file 0's holders upload: file 0 is complete, each of
             // their other files has one replica of three.
             let (frames, _) = uploads(wire, &holders, 1);
-            let is_from = |frame: &Bytes, w: u32| match wire {
-                WireFormat::Batched => decode_gradient_batch(frame).unwrap().worker == w,
-                WireFormat::Chunked(_) => decode_gradient_chunk(frame).unwrap().worker == w,
-            };
             for frame in &frames {
-                if holders[0].iter().any(|&w| is_from(frame, w as u32)) {
-                    core.ingest(frame).unwrap();
+                if holders[0].contains(&sent_by(frame)) {
+                    core.ingest(sent_by(frame), frame).unwrap();
                 }
             }
             let voted: Vec<usize> = (0..25).filter(|&f| core.outcomes[f].is_some()).collect();
@@ -1028,6 +1045,34 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_claiming_another_slot_is_refused_and_spends_its_frame() {
+        let assignment = MolsAssignment::new(5, 3).unwrap().build();
+        let chunked = WireFormat::Chunked(ChunkConfig::dense(4));
+        for wire in [WireFormat::Batched, chunked] {
+            let config = ServerConfig {
+                wire,
+                ..ServerConfig::default()
+            };
+            let mut core = RoundCore::new(&assignment, 4, &config);
+            let holders = core.assigned.clone();
+            core.begin(1, &holders);
+            // Worker 3's upload, well formed and sealed, in on slot 0.
+            let (frames, _) = uploads(wire, &holders, 1);
+            let of = |w: usize| frames.iter().filter(move |f| sent_by(f) == w);
+            for forged in of(3) {
+                assert_eq!(core.ingest(0, forged), Err(Reject::Impersonation));
+            }
+            assert_eq!(core.on_time_frames, of(3).count(), "{wire:?}");
+            // Worker 3's own delivery still lands whole: the forgery took
+            // none of its places.
+            for frame in of(3) {
+                assert_eq!(core.ingest(3, frame).map(|a| a.refused), Ok(vec![]));
+            }
+            assert_eq!(core.close().missing_votes, 75 - 5, "{wire:?}");
+        }
+    }
+
+    #[test]
     fn a_frame_with_a_refused_entry_leaves_only_a_copy_behind() {
         let assignment = MolsAssignment::new(5, 3).unwrap().build();
         let mut core = RoundCore::new(&assignment, 4, &ServerConfig::default());
@@ -1038,7 +1083,7 @@ mod tests {
         let padding = (0..25).filter(|file| !holders[*file].contains(&0));
         let files: Vec<usize> = std::iter::once(held).chain(padding.take(4)).collect();
         let frame = built(1, 0, &files);
-        let admitted = core.ingest(&frame).unwrap();
+        let admitted = core.ingest(0, &frame).unwrap();
         assert_eq!(admitted.accepted, 1);
         let refused = admitted.refused.iter().map(|&(_, reason)| reason);
         assert_eq!(refused.collect::<Vec<_>>(), vec![Reject::NotHolder; 4]);
@@ -1060,7 +1105,7 @@ mod tests {
             .find(|&w| w != STRAGGLER && files_of(&holders, w).iter().any(parked))
             .unwrap();
         let frame = built(1, w, &files_of(&holders, w));
-        assert_eq!(core.ingest(&frame).unwrap().accepted, 5);
+        assert_eq!(core.ingest(w, &frame).unwrap().accepted, 5);
         let on_time = runs(&core.store);
         assert_eq!(on_time.len(), 4);
         assert!(on_time.iter().all(|(_, run)| inside(run, &frame)));

@@ -4,6 +4,7 @@ use crate::batch::BatchFrameBuilder;
 use crate::chunk::{
     encode_gradient_chunk_into, num_chunks, ChunkConfig, ChunkScheme, CHUNK_PREFIX_LEN,
 };
+use crate::fan_in::{fan_in, FanIn};
 use crate::link::{ChannelLink, Link, LinkError};
 use crate::message::{encode_model_broadcast, MessageView, FRAME_HEADER_LEN};
 use crate::round::RoundCore;
@@ -403,8 +404,10 @@ impl MessagePassingCluster {
         );
 
         // Frames travel as refcounted `Bytes`: broadcasting one encoded
-        // model to K workers clones a pointer, never the payload.
-        let (to_ps, from_workers): (Sender<Bytes>, Receiver<Bytes>) = unbounded();
+        // model to K workers clones a pointer, never the payload. Uploads
+        // come back through the credited fan-in, each worker's sender
+        // tagged with its slot.
+        let (to_ps, from_workers) = fan_in(k);
         let mut to_workers: Vec<Sender<Bytes>> = Vec::with_capacity(k);
 
         let mut run = std::thread::scope(|scope| {
@@ -412,16 +415,19 @@ impl MessagePassingCluster {
                 let (tx, rx): (Sender<Bytes>, Receiver<Bytes>) = unbounded();
                 to_workers.push(tx);
                 let ctx = self.worker_context(worker_id, config);
-                let to_ps = to_ps.clone();
+                let to_ps = to_ps.slot(worker_id);
                 let wrap = &wrap;
                 scope.spawn(move || {
-                    let mut link = wrap(worker_id, ChannelLink::new(to_ps, rx));
+                    let mut link = wrap(worker_id, ChannelLink::to_fan_in(to_ps, rx));
                     worker_loop(&ctx, &mut link)
                 });
             }
             drop(to_ps);
 
             let result = self.ps_loop(initial_params, config, &to_workers, &from_workers);
+            // A worker still blocked on its credit finishes its send, so
+            // the drain below books it.
+            from_workers.open();
 
             let bye = Message::Shutdown.encode();
             for tx in &to_workers {
@@ -436,7 +442,7 @@ impl MessagePassingCluster {
         // closed is a race. They crossed the wire either way, and every
         // worker has exited by now: what is still queued is the rest.
         if let Some(last) = run.summaries.last_mut() {
-            while let Ok(frame) = from_workers.try_recv() {
+            while let Ok((_, frame)) = from_workers.try_recv() {
                 last.frames_received += 1;
                 last.bytes_received += frame.len();
             }
@@ -472,8 +478,9 @@ impl MessagePassingCluster {
     ///
     /// Deliberately typed against channels on both sides: the socket
     /// deployment adapts TCP connections *into* exactly these channels
-    /// (per-connection reader threads fan into `from_workers`, per-slot
-    /// writer threads drain the `to_workers` senders), so a networked
+    /// (per-connection reader threads feed `from_workers`, the credited
+    /// fan-in, stamping each frame with their slot; per-slot writer
+    /// threads drain the `to_workers` senders), so a networked
     /// run executes this identical loop on the identical frame multiset
     /// — which is what makes TCP ≡ channel bit-identity a structural
     /// property instead of a test-enforced hope.
@@ -482,7 +489,7 @@ impl MessagePassingCluster {
         initial_params: Vec<f32>,
         config: &ServerConfig,
         to_workers: &[Sender<Bytes>],
-        from_workers: &Receiver<Bytes>,
+        from_workers: &FanIn,
     ) -> WireTrainingRun {
         let mut session =
             Session::new(&self.assignment, self.dataset.len(), initial_params, config);
@@ -542,7 +549,7 @@ struct Fabric<'a> {
     assignment: &'a Assignment,
     config: &'a ServerConfig,
     to_workers: &'a [Sender<Bytes>],
-    from_workers: &'a Receiver<Bytes>,
+    from_workers: &'a FanIn,
     bytes_sent: usize,
     frames_received: usize,
     bytes_received: usize,
@@ -595,7 +602,7 @@ impl Delivery for Fabric<'_> {
                 break;
             };
             let wait = left.min(self.config.receive_timeout);
-            let Ok(frame) = self.from_workers.recv_timeout(wait) else {
+            let Ok((slot, frame)) = self.from_workers.recv_timeout(wait) else {
                 break;
             };
             first.get_or_insert_with(Instant::now);
@@ -603,7 +610,7 @@ impl Delivery for Fabric<'_> {
             self.bytes_received += frame.len();
             // A refused frame or entry casts no vote: it degrades its
             // replica exactly like a dropped one, and never panics the PS.
-            let _ = core.ingest(&frame);
+            let _ = core.ingest(slot, &frame);
         }
         first
     }
@@ -939,6 +946,7 @@ mod tests {
     use super::*;
     use crate::batch::encode_gradient_batch;
     use crate::chunk::{encode_gradient_chunks, ChunkScheme, SparsifyConfig};
+    use crate::fan_in::CREDIT;
     use crate::link::channel_link_pair;
     use byz_assign::MolsAssignment;
     use byz_data::{SyntheticConfig, SyntheticImages};
@@ -1444,6 +1452,76 @@ mod tests {
         }
     }
 
+    /// A [`Counted`] link that sends its upload of round `last` a further
+    /// `copies` times over, before the upload itself.
+    struct Flooding<'a> {
+        counted: Counted<'a>,
+        last: u64,
+        copies: usize,
+    }
+
+    impl Link for Flooding<'_> {
+        fn send(&mut self, frame: Bytes) -> Result<(), LinkError> {
+            let round = crate::decode_gradient_batch(&frame).map(|batch| batch.iteration);
+            if round == Ok(self.last) {
+                for _ in 0..self.copies {
+                    self.counted.send(frame.clone())?;
+                }
+            }
+            self.counted.send(frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError> {
+            self.counted.recv_timeout(timeout)
+        }
+
+        fn try_recv(&mut self) -> Result<Bytes, LinkError> {
+            self.counted.try_recv()
+        }
+    }
+
+    #[test]
+    fn a_worker_blocked_on_its_credit_at_job_end_is_released_and_booked() {
+        // Worker 0 floods the last round with eight credits' worth of
+        // copies of its upload. The round closes on its first 15 frames
+        // and takes nothing after, so the flood is left blocked on its
+        // credit when the PS loop returns; the job must still end, the
+        // flood must go out in full, and the drain must book every frame
+        // sent. (A worker whose last upload the window closed without
+        // may skip it for the queued `Shutdown`, so the total varies.)
+        let dims = vec![36usize, 8, 4];
+        let cluster = MessagePassingCluster::new(
+            MolsAssignment::new(5, 3).unwrap().build(),
+            dataset(),
+            dims.clone(),
+        );
+        let config = config(2, vec![]);
+        // Every batch frame of this job: five files of the whole model.
+        let replica = initial_params(&dims);
+        let frame_len = encode_gradient_batch(1, 0, &[(0, &replica[..]); 5]).len();
+        let sent: Vec<[AtomicUsize; 2]> = (0..15).map(|_| Default::default()).collect();
+        let run = cluster.train_linked(initial_params(&dims), &config, |w, inner| Flooding {
+            counted: Counted {
+                inner,
+                sent: &sent[w],
+            },
+            last: 2,
+            copies: if w == 0 { 8 * CREDIT / frame_len } else { 0 },
+        });
+        let flooded = sent[0][0].load(Ordering::Relaxed);
+        assert!(flooded > 8 * CREDIT / frame_len, "{flooded} frames");
+        let received = run.summaries.iter().fold([0, 0], |[frames, bytes], s| {
+            [frames + s.frames_received, bytes + s.bytes_received]
+        });
+        let sent = sent.iter().fold([0, 0], |[frames, bytes], s| {
+            [
+                frames + s[0].load(Ordering::Relaxed),
+                bytes + s[1].load(Ordering::Relaxed),
+            ]
+        });
+        assert_eq!(received, sent);
+    }
+
     /// Worker 2 on the batched wire, holding files 0, 2, 3 and 4 of a
     /// [`broadcast`], under `mode` and with a straggler `delay`.
     fn scripted_worker(mode: RoundMode, delay: Duration) -> WorkerContext {
@@ -1656,17 +1734,18 @@ mod tests {
         /// Runs the real PS loop over channels; every worker but the
         /// rogue runs the real worker loop.
         fn train(&self, config: &ServerConfig, script: Script<'_>) -> WireTrainingRun {
-            let (to_ps, from_workers) = unbounded::<Bytes>();
+            let k = self.cluster.assignment.num_workers();
+            let (to_ps, from_workers) = fan_in(k);
             let mut to_workers = Vec::new();
             std::thread::scope(|scope| {
-                for worker_id in 0..self.cluster.assignment.num_workers() {
+                for worker_id in 0..k {
                     let (tx, rx) = unbounded::<Bytes>();
                     to_workers.push(tx);
-                    let to_ps = to_ps.clone();
+                    let to_ps = to_ps.slot(worker_id);
                     if worker_id != Self::ID as usize {
                         let ctx = self.cluster.worker_context(worker_id, config);
                         scope.spawn(move || {
-                            worker_loop(&ctx, &mut ChannelLink::new(to_ps, rx));
+                            worker_loop(&ctx, &mut ChannelLink::to_fan_in(to_ps, rx));
                         });
                         continue;
                     }
@@ -1691,6 +1770,7 @@ mod tests {
                     self.cluster
                         .ps_loop(initial, config, &to_workers, &from_workers)
                 }));
+                from_workers.open();
                 for tx in &to_workers {
                     let _ = tx.send(Message::Shutdown.encode());
                 }
@@ -1751,6 +1831,43 @@ mod tests {
         let replica =
             |t| crate::encode_gradient_chunks(t, Rogue::ID, rogue.unheld, &rogue.forged, &chunking);
         rogue.assert_inert(&cfg, &replica, &|_| Vec::new());
+    }
+
+    #[test]
+    fn a_frame_forged_under_another_workers_id_is_refused() {
+        // Worker 0 uploads nothing of its own, only one well-formed frame
+        // claiming to be worker 3's. Worker 3 straggles a little, so the
+        // forgery is always in first: a PS that took the sender from the
+        // frame would keep it as worker 3's replica and refuse worker 3's
+        // own as a duplicate.
+        const VICTIM: u32 = 3;
+        let rogue = Rogue::new();
+        let victim_files = rogue.cluster.assignment.graph().files_of(VICTIM as usize);
+        let chunking = ChunkConfig::dense(128);
+        for wire in [WireFormat::Batched, WireFormat::Chunked(chunking)] {
+            let cfg = ServerConfig {
+                wire,
+                faults: FaultPlan::new(0).straggle(VICTIM as usize, 2.0),
+                straggler_unit: Duration::from_millis(40),
+                receive_timeout: Duration::from_millis(300),
+                ..config(2, vec![])
+            };
+            let forged = |t| match wire {
+                WireFormat::Batched => {
+                    let entries: Vec<(u32, &[f32])> = victim_files
+                        .iter()
+                        .map(|&file| (file as u32, rogue.forged.as_slice()))
+                        .collect();
+                    vec![encode_gradient_batch(t, VICTIM, &entries)]
+                }
+                WireFormat::Chunked(chunking) => {
+                    let file = victim_files[0] as u32;
+                    let chunks = encode_gradient_chunks(t, VICTIM, file, &rogue.forged, &chunking);
+                    chunks.into_iter().take(1).collect()
+                }
+            };
+            rogue.assert_inert(&cfg, &forged, &|_| Vec::new());
+        }
     }
 
     #[test]
@@ -1849,7 +1966,8 @@ mod tests {
             core.begin(1, &holders);
             for nth in 0..k * frames_per_worker {
                 assert!(core.wants_more(), "{wire:?}: frame {nth}");
-                assert_eq!(core.ingest(&retired(1, nth)), Err(Reject::Malformed));
+                let refused = core.ingest(nth % k, &retired(1, nth));
+                assert_eq!(refused, Err(Reject::Malformed));
             }
             assert!(!core.wants_more(), "{wire:?}");
             assert_eq!(core.close().missing_votes, k * l);

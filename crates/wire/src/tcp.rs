@@ -55,8 +55,10 @@ pub const MAX_FRAME_LEN: usize = 1 << 30;
 /// takes off the socket while frames are small.
 pub const READ_BLOCK_LEN: usize = 256 * 1024;
 
-/// Retired blocks a [`StreamDecoder`] keeps for reuse.
-const SPARE_BLOCKS: usize = 2;
+/// Retired blocks a [`StreamDecoder`] keeps for reuse: as many as a PS
+/// reader's frames can pin at once — its slot's credit of queued frames
+/// in read blocks, plus the block the PS is reading a frame from.
+const SPARE_BLOCKS: usize = crate::fan_in::CREDIT / READ_BLOCK_LEN + 1;
 
 /// Queued bytes at which a [`TcpLink`] writes without waiting for a
 /// flush.
@@ -162,9 +164,11 @@ impl Block {
 ///   frame they start — never with a declared length alone.
 ///
 /// A block is reused once every frame cut from it has been dropped: the
-/// current block takes bytes again where it is, and up to two retired
-/// blocks wait as spares, largest first — so a worker's megabyte
-/// broadcast grows its block once, not every round.
+/// current block takes bytes again where it is, and retired blocks wait
+/// as spares, largest first — as many as a PS reader's frames can pin
+/// while they wait in its slot of the credited fan-in. So a worker's
+/// megabyte broadcast grows its block once, not every round, and a PS
+/// reader reads into blocks it already has.
 #[derive(Debug)]
 pub struct StreamDecoder {
     block: Block,

@@ -12,15 +12,29 @@ use bytes::Bytes;
 use byz_assign::{DynamicAssignment, MolsAssignment};
 use byz_cluster::FaultPlan;
 use byz_wire::{
-    decode_gradient_batch, encode_gradient_batch, encode_gradient_chunks, write_frame, Assignment,
-    BatchFrameBuilder, ChunkConfig, Reject, RoundCore, RoundMode, RoundResult, ServerConfig,
-    StreamDecoder, WireFormat,
+    decode_gradient_batch, decode_gradient_chunk, encode_gradient_batch, encode_gradient_chunks,
+    write_frame, Assignment, BatchFrameBuilder, ChunkConfig, Reject, RoundCore, RoundMode,
+    RoundResult, ServerConfig, StreamDecoder, WireFormat,
 };
 use proptest::prelude::*;
 
 /// Model length: three chunks of at most 8 floats.
 const D: usize = 23;
 const ROUNDS: u64 = 4;
+
+/// The worker a gradient frame names: the slot an honest link delivers
+/// it from.
+fn sent_by(frame: &Bytes) -> usize {
+    let worker = match decode_gradient_batch(frame) {
+        Ok(batch) => batch.worker,
+        Err(_) => {
+            decode_gradient_chunk(frame)
+                .expect("a gradient frame")
+                .worker
+        }
+    };
+    worker as usize
+}
 
 fn gradient(t: u64, file: usize, forged: bool) -> Vec<f32> {
     if forged {
@@ -242,7 +256,7 @@ fn deliver(
                     frames = streamed(&frames, &mut state);
                 }
                 for frame in &frames {
-                    let admitted = core.ingest(frame);
+                    let admitted = core.ingest(sent_by(frame), frame);
                     let Ok(batch) = decode_gradient_batch(frame) else {
                         continue;
                     };
@@ -531,7 +545,7 @@ fn offer_and_ingest_refuse_for_the_same_reason() {
         let replica = vec![1.0f32; len];
         assert_eq!(offered.offer(w, t, file, &replica), expected);
         let frame = encode_gradient_batch(t, w as u32, &[(file as u32, &replica[..])]);
-        let through_frame = framed.ingest(&frame).and_then(|admitted| {
+        let through_frame = framed.ingest(w, &frame).and_then(|admitted| {
             let refused = admitted.refused.first();
             refused.map_or(Ok(()), |&(_, reason)| Err(reason))
         });
@@ -567,7 +581,7 @@ fn assert_past_horizon_is_refused(config: &ServerConfig, placement: &Placement) 
                         }
                     };
                     for frame in &frames {
-                        let refused = core.ingest(frame).and_then(|admitted| {
+                        let refused = core.ingest(w, frame).and_then(|admitted| {
                             assert_eq!(admitted.accepted, 0, "{config:?}");
                             admitted.refused.first().map_or(Ok(()), |&(_, r)| Err(r))
                         });
